@@ -1,71 +1,65 @@
-"""Throughput regression harness: scalar loop vs the batched engines.
+"""Throughput regression harness: the scalar oracle vs the batched kernel.
 
-Runs the full packet pipeline on the main CAIDA-like lab trace under four
-variants — the scalar reference loop, the PR-1 batched regulator feeding the
-scalar WSAF, and the delegated pipeline (batch-probed array-backed WSAF)
-with both contested-stretch replays, the PR-2 per-stretch FSM ``loop`` and
-the PR-3 vectorized segmented-FSM ``scan`` — and *appends* a
+Runs the full packet pipeline on the main CAIDA-like lab trace under two
+variants — the scalar reference loop (Algorithm 1, the fidelity oracle)
+and the batched kernel feeding the batch-probed array-backed WSAF (the
+default ``engine="auto"`` configuration) — and *appends* a
 machine-readable report to ``BENCH_throughput.json`` at the repo root.
 
-Rows are keyed by ``(git_sha, engine, wsaf_engine, regulator_replay,
-shards, backend)``: re-running on the same commit replaces that commit's
-rows, while rows from other commits are preserved, so the file
-accumulates a throughput history across the PR stack.  On every write the
-whole history is normalized: legacy rows missing ``wsaf_engine`` /
-``regulator_replay`` / ``backend`` are backfilled with the values they
-actually ran ("scalar" / "loop" / "flat"), the two pre-keying seed rows
+Rows are keyed by their string labels — ``git_sha``, ``engine``,
+``wsaf_engine``, ``backend`` — plus ``shards`` (see :func:`_row_key`):
+re-running on the same commit replaces that commit's rows, while rows
+from other commits are preserved, so the file accumulates a throughput
+history across the PR stack.  Rows of the retired kernel generations
+carry one more label, the contested-stretch replay they measured, so
+they stay distinct history.  On every write the whole history is
+normalized: legacy rows missing ``wsaf_engine`` / ``shards`` /
+``backend`` are backfilled with the values they actually ran ("scalar" /
+1 / "flat"), the two pre-keying seed rows
 without a ``git_sha`` are stamped with the commit that introduced the
 harness (and then superseded by that commit's keyed rows under the
 dedupe), and duplicate keys keep only the latest timestamp.
 
-Timing is external wall-clock (``perf_counter`` around ``process_trace``)
+Timing is external wall-clock (``perf_counter`` around the pipeline run)
 rather than the engine's own ``elapsed_seconds``, which starts *after*
 per-run setup (array conversions, RNG draws, placement) and would flatter
-the scalar path.  Rounds are interleaved across variants and the best round
-wins, so a transient stall (this runs on shared machines) penalizes one
-reading, not one engine.
+the scalar path.  Rounds are interleaved across variants and the best
+round wins, so a transient stall (this runs on shared machines) penalizes
+one reading, not one engine.  The kernel caches nothing between runs, so
+every timed round is a single pass over the trace; only the flow table's
+packed 5-tuple list (cached on the :class:`~repro.traffic.packet.
+FlowTable`) carries over between rounds.
 
 Besides end-to-end packets-per-second the harness measures a per-stage
 breakdown:
 
 * **WSAF stage** — the delegated event stream is captured from a real run
   (by wrapping the table's ``accumulate_batch_arrays``), then replayed
-  against fresh tables both ways: the scalar ``accumulate_batch`` path the
-  PR-1 engine uses (including its list-of-tuples staging) and the
+  against fresh tables both ways: the scalar ``accumulate_batch`` path a
+  list-column table takes (including its list-of-tuples staging) and the
   batch-probed ``accumulate_batch_arrays`` path.
 * **Hashing stage** — ``TabulationHash.hash_many`` vs the scalar
   ``hash`` loop over the trace's flow keys.
-* **Regulator stage** — each delegated variant's end-to-end time minus the
+* **Regulator stage** — the kernel's end-to-end time minus the
   batch-probed WSAF stage (the regulator kernel dominates; see
-  docs/PERFORMANCE.md).  Comparing the two delegated variants isolates the
-  replay change: everything else in the pipeline is shared code.
+  docs/PERFORMANCE.md).
 
 Regression bars (the test *fails* below them):
 
-* PR-1 batched engine >= ``MIN_SPEEDUP`` x scalar end-to-end.
-* Delegated loop engine >= ``MIN_DELEGATED_SPEEDUP`` x the PR-1 engine
-  end-to-end (strict no-regression — its honest ~1.15-1.25x margin is
-  within shared-machine jitter; see PR 2).
+* Kernel >= ``MIN_SPEEDUP`` x scalar end-to-end.
 * Batch-probed WSAF stage >= ``MIN_WSAF_STAGE_SPEEDUP`` x the scalar
   replay of the same event stream.
-* Scan replay >= ``MIN_SCAN_SPEEDUP`` x the loop replay end-to-end and
-  >= ``MIN_SCAN_REGULATOR_SPEEDUP`` x its regulator stage, measured
-  same-run so both sides see the same machine state.  The bars are set
-  below the observed margin (~2.4-2.9x e2e, ~2.7-3.1x stage on the
-  reference machine) to absorb VM jitter; the headline >= 3x regulator /
-  >= 2x end-to-end numbers vs the *recorded* PR-2 baseline row are
-  computed against the history file and printed in the report.
 
 ``python benchmarks/bench_throughput.py --quick`` runs a reduced smoke
 version (small trace, one timed round) for CI: it skips writing the
-history file and enforces only the scan-vs-loop bar, falling back to
-strict no-regression when the small-trace margin lands under the 2x
-target (VM jitter; same policy PR 2 used for the delegated bar).
+history file and enforces only the ``MIN_SPEEDUP_SMOKE`` no-regression
+floor on the kernel-vs-scalar ratio, printing a note when the
+small-trace margin lands under the full bar.
 
 The sharded scaling benchmark (:func:`run_sharded_benchmark`) measures
 the streaming :class:`~repro.pipeline.ShardedPipeline` at
-``SHARD_COUNTS`` shards on the delegated/scan variant — fork-parallel
-headline numbers plus the in-process run and the unsharded pipeline as
+``SHARD_COUNTS`` shards on the kernel variant — fork-parallel headline
+numbers plus the in-process run and the unsharded pipeline as
 baselines — and records one row per shard count (``shards: N`` joins the
 row key) with the per-stage breakdown (``route_s`` / ``ipc_s`` /
 ``ingest_s`` / ``merge_s``).  Every sharded run is checked bit-exact
@@ -73,34 +67,30 @@ against the single-process estimates before any timing is trusted.  The
 4-shard >= ``MIN_SHARD_SPEEDUP`` x 1-shard bar only applies where the
 machine has >= 4 CPUs; below that, parallel speedup is physically
 impossible and the bar degrades to the ``MIN_SHARD_SPEEDUP_FALLBACK``
-no-collapse floor with a printed note (same policy as the smoke-mode
-scan bar).  ``--quick --shards N`` is the CI smoke: exactness is always
-enforced, timing only against the no-collapse floor.
+no-collapse floor with a printed note.  ``--quick --shards N`` is the CI
+smoke: exactness is always enforced, timing only against the
+no-collapse floor.
 
 The backend benchmark (:func:`run_backend_benchmark`) measures the
-non-flat WSAF backends under both engines: for each of ``tiered`` and
-``icebuckets`` it times the delegated/scan pipeline end-to-end with
-``wsaf_engine="scalar"`` vs ``"batched"`` — everything else shared —
-after checking the two runs produce identical estimates (the
-bit-identity contract, enforced before any timing is trusted), and then
-replays the backend's real delegated event stream against fresh tables
-both ways for the measured WSAF-stage speedup (the regulator admits few
-packets to the WSAF, so the stage is where the engine change shows).
-One row per ``(backend, wsaf_engine)`` joins the history (``backend``
-joins the row key; flat rows are backfilled with ``backend: "flat"``).
-Bars on the stage speedup: batched-tiered >=
-``MIN_BACKEND_SPEEDUP["tiered"]`` x scalar-tiered, batched-icebuckets
->= ``MIN_BACKEND_SPEEDUP["icebuckets"]`` x scalar-icebuckets (below 1 —
-ICE's quantized add chains are order-serial, so most cohorts replay
-through scalar arithmetic and the bar only guards against collapse;
-``wsaf_engine="auto"`` accordingly keeps the scalar table for ICE).
-All stage timings take a ``gc.collect()`` immediately before each
-timed region: a collection landing inside the (allocation-heavy,
-pointer-rich) scalar replay otherwise inflates it several-fold and
-manufactures speedups that vanish under a fair protocol.  In
-``--quick`` mode only the ``MIN_BACKEND_SPEEDUP_SMOKE`` no-regression
-floor is enforced, with a printed note when the small-trace margin
-lands under the full targets.
+tiered WSAF backend under both WSAF engines: it times the kernel
+end-to-end with ``wsaf_engine="scalar"`` vs ``"batched"`` — everything
+else shared — after checking the two runs produce identical estimates
+(the bit-identity contract, enforced before any timing is trusted), and
+then replays the backend's real delegated event stream against fresh
+tables both ways for the measured WSAF-stage speedup (the regulator
+admits few packets to the WSAF, so the stage is where the engine change
+shows).  One row per ``(backend, wsaf_engine)`` joins the history
+(``backend`` joins the row key; flat rows are backfilled with
+``backend: "flat"``).  The bar on the stage speedup: batched-tiered >=
+``MIN_BACKEND_SPEEDUP["tiered"]`` x scalar-tiered.  ICE-Buckets is not
+measured here: it has list columns only (its quantized add chains are
+order-serial), so there is no batched form to compare.  All stage
+timings take a ``gc.collect()`` immediately before each timed region: a
+collection landing inside the (allocation-heavy, pointer-rich) scalar
+replay otherwise inflates it several-fold and manufactures speedups that
+vanish under a fair protocol.  In ``--quick`` mode only the
+``MIN_BACKEND_SPEEDUP_SMOKE`` no-regression floor is enforced, with a
+printed note when the small-trace margin lands under the full target.
 """
 
 from __future__ import annotations
@@ -129,21 +119,14 @@ ROUNDS = 5
 #: Timed rounds per stage microbench; best round wins.
 STAGE_ROUNDS = 5
 CHUNK_SIZE = 1 << 20
-#: Regression bar: the PR-1 batched engine vs the scalar loop.
-MIN_SPEEDUP = 2.0
-#: Regression bar: the delegated loop engine must not fall behind the
-#: PR-1 batched engine end-to-end (strict no-regression; see PR 2).
-MIN_DELEGATED_SPEEDUP = 1.0
+#: Regression bar: the kernel vs the scalar loop, end-to-end.  Recorded
+#: on 2 vCPUs: 2.9-3.5x over three full runs (BENCH_throughput.json).
+MIN_SPEEDUP = 2.5
 #: Regression bar: batch-probed WSAF stage vs scalar replay of one stream.
 MIN_WSAF_STAGE_SPEEDUP = 1.5
-#: Regression bar: scan replay vs loop replay, end-to-end (same run).
-MIN_SCAN_SPEEDUP = 2.0
-#: Regression bar: scan replay vs loop replay, regulator stage (same run).
-#: Conservative floor under VM jitter — the >= 3x claim is carried by the
-#: recorded rows vs the PR-2 baseline in BENCH_throughput.json.
-MIN_SCAN_REGULATOR_SPEEDUP = 2.0
-#: Smoke-mode floor: strict no-regression when jitter eats the 2x target.
-MIN_SCAN_SPEEDUP_SMOKE = 1.0
+#: Smoke-mode floor: the kernel must not fall behind the scalar loop on
+#: the small CI trace (VM jitter can eat the full bar's margin there).
+MIN_SPEEDUP_SMOKE = 1.0
 
 #: Shard counts the scaling benchmark measures (each becomes one row).
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -163,60 +146,37 @@ MIN_SHARD_SMOKE_FLOOR = 0.1
 #: must stay within 10% of the plain unsharded pipeline.
 MAX_INPROC_OVERHEAD = 1.10
 
-#: Non-flat backends measured by :func:`run_backend_benchmark`.
-BACKENDS = ("tiered", "icebuckets")
+#: Non-flat backends measured by :func:`run_backend_benchmark` (the ones
+#: with a batch-probed form).
+BACKENDS = ("tiered",)
 #: Timed rounds per backend variant; best round wins.
 BACKEND_ROUNDS = 3
-#: Regression bars: batched vs scalar measured WSAF-stage pps (the
+#: Regression bar: batched vs scalar measured WSAF-stage pps (the
 #: delegated event stream replayed against fresh backend tables both
 #: ways), per backend, under the GC-controlled protocol (collect before
 #: every timed region; without it a gen-2 collection landing inside the
 #: scalar replay inflates its time several-fold and once suggested
 #: 8-9x tiered "wins" that do not survive a fair timer).  The tiered
-#: bar is the compounding claim (observed ~1.6x cold: vectorized cache
+#: bar is the compounding claim (observed ~1.6x: vectorized cache
 #: probe + lexsort maintenance tick + batch-probed backing table vs the
 #: per-event facade; the tier_interval segment split caps the
 #: vectorized run length, so it cannot reach the flat table's ~2.5x).
-#: The ICE bar is a no-collapse floor below 1x (observed ~0.7x): the
-#: quantized add chain re-rounds at the bucket scale on every add, so
-#: chains are order-serial, a cold table's upscale screening demotes
-#: most hot cohorts to the scalar replay path, and the cohort planning
-#: is overhead on top — which is exactly why ``wsaf_engine="auto"``
-#: resolves ICE to the scalar table.
-MIN_BACKEND_SPEEDUP = {"tiered": 1.35, "icebuckets": 0.55}
+MIN_BACKEND_SPEEDUP = {"tiered": 1.35}
 #: Smoke-mode no-collapse floor: on the tiny CI trace the delegated
-#: stream is a few hundred events, where cohort planning plus the ICE
-#: overflow screen cost more than they save (and the scalar replay of
-#: demoted cohorts runs on numpy columns, pricier per event than the
-#: scalar table's list columns) — only outright collapse fails the
-#: smoke; the real bars are carried by the full-trace run.
+#: stream is a few hundred events, where cohort planning costs more than
+#: it saves — only outright collapse fails the smoke; the real bar is
+#: carried by the full-trace run.
 MIN_BACKEND_SPEEDUP_SMOKE = 0.15
 
 #: Commit that introduced this harness; the two pre-keying seed rows
 #: (no ``git_sha``) were measured on its working tree and are stamped
 #: with it during normalization (then superseded by its keyed rows).
 PRE_KEYING_SHA = "24c248f"
-#: The PR-2 commit whose recorded delegated/loop row is the baseline for
-#: the headline scan speedups reported (not asserted) by the harness.
-PR2_BASELINE_SHA = "e62b8d3"
 
-#: (engine, wsaf_engine, regulator_replay) pipeline variants, slowest first.
-VARIANTS = (
-    ("scalar", "scalar", "loop"),
-    ("batched", "scalar", "loop"),
-    ("batched", "batched", "loop"),
-    ("batched", "batched", "scan"),
-)
-DELEGATED_LOOP = ("batched", "batched", "loop")
-DELEGATED_SCAN = ("batched", "batched", "scan")
-
-
-def _variant_label(engine: str, wsaf_engine: str, replay: str) -> str:
-    if engine == "scalar":
-        return "scalar"
-    if wsaf_engine == "scalar":
-        return "batched/wsaf-scalar"
-    return f"delegated/{replay}"
+#: (engine, wsaf_engine) pipeline variants: the scalar oracle, the kernel.
+SCALAR = ("scalar", "scalar")
+KERNEL = ("batched", "batched")
+VARIANTS = (SCALAR, KERNEL)
 
 
 def _environment() -> "dict":
@@ -249,12 +209,11 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _config(engine: str, wsaf_engine: str, replay: str) -> InstaMeasureConfig:
+def _config(engine: str, wsaf_engine: str) -> InstaMeasureConfig:
     return InstaMeasureConfig(
         seed=1,
         engine=engine,
         wsaf_engine=wsaf_engine,
-        regulator_replay=replay,
         chunk_size=CHUNK_SIZE,
     )
 
@@ -281,7 +240,7 @@ def _capture_event_batches(source, config=None) -> "list[tuple]":
     delegation batches (keys, estimates, stamps, packed tuples) are recorded
     while the run proceeds normally.
     """
-    engine = InstaMeasure(config or _config(*DELEGATED_SCAN))
+    engine = InstaMeasure(config or _config(*KERNEL))
     real = engine.wsaf.accumulate_batch_arrays
     batches: "list[tuple]" = []
 
@@ -304,8 +263,8 @@ def _wsaf_stage_times(batches, entries: int, rounds: int) -> "tuple[float, float
         gc.collect()
         start = time.perf_counter()
         for keys, pkts, byts, stamps, tuples in batches:
-            # The PR-1 engine's exact staging: list-of-tuples into the
-            # scalar probe loop.
+            # A list-column table's exact staging: list-of-tuples into
+            # the scalar probe loop.
             table.accumulate_batch(
                 list(
                     zip(
@@ -350,15 +309,24 @@ def _hash_stage_times(keys, rounds: int) -> "tuple[float, float]":
     return best_scalar, best_vector
 
 
+#: String-valued row fields that describe the machine, not the variant.
+_CONTEXT_LABELS = ("platform", "numpy_version")
+
+
 def _row_key(row: "dict") -> "tuple":
-    return (
-        row.get("git_sha"),
-        row.get("engine"),
-        row.get("wsaf_engine", "scalar"),
-        row.get("regulator_replay", "loop"),
-        row.get("shards", 1),
-        row.get("backend", "flat"),
+    """A row's identity: every string label it carries, plus ``shards``.
+
+    Current rows are labelled by ``git_sha`` / ``engine`` /
+    ``wsaf_engine`` / ``backend``.  Rows of retired kernel generations
+    carry an extra label naming the generation they measured; keying on
+    every label keeps them distinct without the harness knowing them.
+    """
+    labels = sorted(
+        (name, value)
+        for name, value in row.items()
+        if isinstance(value, str) and name not in _CONTEXT_LABELS
     )
+    return (tuple(labels), row.get("shards", 1))
 
 
 def _normalize_history(history: "list[dict]") -> "list[dict]":
@@ -367,9 +335,8 @@ def _normalize_history(history: "list[dict]") -> "list[dict]":
     * Rows without ``git_sha`` are the two pre-keying seed rows; they ran
       on :data:`PRE_KEYING_SHA`'s tree and are stamped with it (after
       which that commit's keyed re-measurements supersede them).
-    * Rows without ``wsaf_engine`` / ``regulator_replay`` predate those
-      knobs and ran the scalar WSAF / loop replay — backfill explicitly
-      so every row carries the full key.
+    * Rows without ``wsaf_engine`` predate that knob and ran the scalar
+      WSAF — backfill explicitly so every row carries it.
     * Rows without ``shards`` predate the sharded scaling benchmark and
       all ran a single unsharded pipeline — backfill ``shards: 1``.
     * Rows without ``backend`` predate the WSAF storage seam and all ran
@@ -378,16 +345,14 @@ def _normalize_history(history: "list[dict]") -> "list[dict]":
       ``numpy_version``) predate it and their machine context is
       unknowable — backfill ``null`` so every row carries the fields and
       consumers can filter on them.
-    * One row per ``(git_sha, engine, wsaf_engine, regulator_replay,
-      shards)``, latest ``timestamp`` wins; output sorted by timestamp
-      so the file reads as a history.
+    * One row per :func:`_row_key`, latest ``timestamp`` wins; output
+      sorted by timestamp so the file reads as a history.
     """
     best: "dict[tuple, dict]" = {}
     for row in history:
         if not row.get("git_sha"):
             row["git_sha"] = PRE_KEYING_SHA
         row.setdefault("wsaf_engine", "scalar")
-        row.setdefault("regulator_replay", "loop")
         row.setdefault("shards", 1)
         row.setdefault("backend", "flat")
         row.setdefault("cpu_count", None)
@@ -443,19 +408,10 @@ def _append_report(rows: "list[dict]") -> None:
     )
 
 
-def _baseline_row(replay: str) -> "dict | None":
-    """The PR-2 baseline delegated row from the history file, if present."""
-    for row in _load_history():
-        key = (PR2_BASELINE_SHA, "batched", "batched", replay, 1, "flat")
-        if _row_key(row) == key:
-            return row
-    return None
-
-
 def run_benchmark(
     trace, rounds: int, stage_rounds: int, record: bool = True
 ) -> "dict":
-    """Measure every variant plus the stage breakdown.
+    """Measure both variants plus the kernel's stage breakdown.
 
     Appends the normalized report to BENCH_throughput.json unless
     ``record`` is false (smoke runs must not clobber full-trace rows).
@@ -463,10 +419,9 @@ def run_benchmark(
     """
     configs = {variant: _config(*variant) for variant in VARIANTS}
     # One shared chunk source: slicing happens here, outside any timed
-    # region, and the same Chunk objects are replayed every round so the
-    # per-(chunk, stream-offset) kernel caches stay warm across rounds.
+    # region, and the same Chunk objects are replayed every round.
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
-    # Warm-up pass each: CPU frequency ramp + LUT/layout/stream caches.
+    # Warm-up pass each: CPU frequency ramp, LUT construction, imports.
     for config in configs.values():
         Pipeline(InstaMeasure(config)).run(source)
 
@@ -481,27 +436,20 @@ def run_benchmark(
     batches = _capture_event_batches(source)
     num_events = sum(batch[0].size for batch in batches)
     wsaf_scalar_s, wsaf_batched_s = _wsaf_stage_times(
-        batches, configs[VARIANTS[0]].wsaf_entries, stage_rounds
+        batches, configs[KERNEL].wsaf_entries, stage_rounds
     )
     hash_scalar_s, hash_vector_s = _hash_stage_times(
         trace.flows.key64, stage_rounds
     )
-
-    def stage_breakdown(variant) -> "dict":
-        return {
-            "regulator_s": best[variant] - wsaf_batched_s,
-            "wsaf_scalar_s": wsaf_scalar_s,
-            "wsaf_batched_s": wsaf_batched_s,
-            "wsaf_stage_speedup": wsaf_scalar_s / wsaf_batched_s,
-            "hash_scalar_s": hash_scalar_s,
-            "hash_vector_s": hash_vector_s,
-            "hash_speedup": hash_scalar_s / hash_vector_s,
-            "delegated_events": num_events,
-        }
-
     stages = {
-        DELEGATED_LOOP: stage_breakdown(DELEGATED_LOOP),
-        DELEGATED_SCAN: stage_breakdown(DELEGATED_SCAN),
+        "regulator_s": best[KERNEL] - wsaf_batched_s,
+        "wsaf_scalar_s": wsaf_scalar_s,
+        "wsaf_batched_s": wsaf_batched_s,
+        "wsaf_stage_speedup": wsaf_scalar_s / wsaf_batched_s,
+        "hash_scalar_s": hash_scalar_s,
+        "hash_vector_s": hash_vector_s,
+        "hash_speedup": hash_scalar_s / hash_vector_s,
+        "delegated_events": num_events,
     }
 
     sha = _git_sha()
@@ -509,12 +457,11 @@ def run_benchmark(
     environment = _environment()
     rows = []
     for variant in VARIANTS:
-        engine, wsaf_engine, replay = variant
+        engine, wsaf_engine = variant
         row = {
             "git_sha": sha,
             "engine": engine,
             "wsaf_engine": wsaf_engine,
-            "regulator_replay": replay,
             "backend": "flat",
             "pps": packets[variant] / best[variant],
             "seconds": best[variant],
@@ -523,80 +470,37 @@ def run_benchmark(
             "timestamp": now,
             **environment,
         }
-        if variant in stages:
-            row["stages"] = stages[variant]
+        if variant == KERNEL:
+            row["stages"] = stages
         rows.append(row)
     if record:
         _append_report(rows)
 
-    scalar_pps = rows[0]["pps"]
-    pr1_pps = rows[1]["pps"]
-    loop_row = rows[VARIANTS.index(DELEGATED_LOOP)]
-    scan_row = rows[VARIANTS.index(DELEGATED_SCAN)]
-    loop_reg_s = stages[DELEGATED_LOOP]["regulator_s"]
-    scan_reg_s = stages[DELEGATED_SCAN]["regulator_s"]
-
+    scalar_row, kernel_row = rows
     lines = [f"commit {sha}  ({num_events} delegated WSAF events)"]
     lines.append("variant              pps          speedup")
-    for row in rows:
-        label = _variant_label(
-            row["engine"], row["wsaf_engine"], row["regulator_replay"]
-        )
+    for label, row in (("scalar", scalar_row), ("kernel", kernel_row)):
         lines.append(
             f"{label:<20} {row['pps']:>12,.0f} "
-            f"{row['pps'] / scalar_pps:>7.2f}x"
-        )
-    for variant in (DELEGATED_LOOP, DELEGATED_SCAN):
-        st = stages[variant]
-        lines.append(
-            f"stages ({variant[2]}): "
-            f"regulator {st['regulator_s'] * 1e3:.1f} ms, "
-            f"wsaf {wsaf_batched_s * 1e3:.1f} ms "
-            f"(scalar {wsaf_scalar_s * 1e3:.1f} ms, "
-            f"{st['wsaf_stage_speedup']:.2f}x), "
-            f"hashing {hash_vector_s * 1e3:.2f} ms "
-            f"(scalar {hash_scalar_s * 1e3:.2f} ms, "
-            f"{st['hash_speedup']:.2f}x)"
+            f"{row['pps'] / scalar_row['pps']:>7.2f}x"
         )
     lines.append(
-        "scan vs loop (same run): "
-        f"e2e {loop_row['seconds'] / scan_row['seconds']:.2f}x, "
-        f"regulator stage {loop_reg_s / scan_reg_s:.2f}x"
+        f"kernel stages: regulator {stages['regulator_s'] * 1e3:.1f} ms, "
+        f"wsaf {wsaf_batched_s * 1e3:.1f} ms "
+        f"(scalar {wsaf_scalar_s * 1e3:.1f} ms, "
+        f"{stages['wsaf_stage_speedup']:.2f}x), "
+        f"hashing {hash_vector_s * 1e3:.2f} ms "
+        f"(scalar {hash_scalar_s * 1e3:.2f} ms, "
+        f"{stages['hash_speedup']:.2f}x)"
     )
-    baseline = _baseline_row("loop")
-    if baseline is not None and baseline.get("packets") != scan_row["packets"]:
-        baseline = None  # different trace (smoke mode) — not comparable
-    scan_vs_pr2 = {}
-    if baseline is not None and baseline.get("seconds"):
-        base_reg = baseline.get("stages", {}).get("regulator_s")
-        scan_vs_pr2 = {
-            "e2e": baseline["seconds"] / scan_row["seconds"],
-            "regulator": (
-                base_reg / scan_reg_s if base_reg else None
-            ),
-        }
-        reg_txt = (
-            f"{scan_vs_pr2['regulator']:.2f}x"
-            if scan_vs_pr2["regulator"]
-            else "n/a"
-        )
-        lines.append(
-            f"scan vs PR-2 baseline ({PR2_BASELINE_SHA}): "
-            f"e2e {scan_vs_pr2['e2e']:.2f}x (target 2x), "
-            f"regulator stage {reg_txt} (target 3x)"
-        )
     lines.append(f"report: {OUTPUT_PATH.name}")
 
     return {
         "rows": rows,
         "report": "\n".join(lines),
         "speedups": {
-            "batched_vs_scalar": pr1_pps / scalar_pps,
-            "delegated_vs_batched": loop_row["pps"] / pr1_pps,
-            "wsaf_stage": stages[DELEGATED_LOOP]["wsaf_stage_speedup"],
-            "scan_vs_loop": loop_row["seconds"] / scan_row["seconds"],
-            "scan_regulator_stage": loop_reg_s / scan_reg_s,
-            "scan_vs_pr2": scan_vs_pr2,
+            "kernel_vs_scalar": kernel_row["pps"] / scalar_row["pps"],
+            "wsaf_stage": stages["wsaf_stage_speedup"],
         },
     }
 
@@ -609,7 +513,7 @@ def run_sharded_benchmark(
 ) -> "dict":
     """Measure streaming sharded ingestion at each shard count.
 
-    Uses the fastest variant (delegated/scan) throughout.  Per shard
+    Uses the kernel variant throughout.  Per shard
     count, times the fork-parallel pool (where the platform can fork)
     and the bit-identical in-process mode, best-of ``rounds`` each, and
     checks the merged estimates against a single unsharded run before
@@ -620,11 +524,11 @@ def run_sharded_benchmark(
     / ``ingest_s`` / ``merge_s`` stage breakdown of the best round.
     Returns ``{"rows", "report", "scaling", "inproc_overhead"}``.
     """
-    config = _config(*DELEGATED_SCAN)
+    config = _config(*KERNEL)
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
     use_fork = _fork_available()
 
-    # Unsharded baseline + the exactness reference, warm caches first.
+    # Unsharded baseline + the exactness reference, warm-up pass first.
     # Unlike _timed_run, engine construction is INSIDE the timed region:
     # a sharded run necessarily builds its engines per run, so the
     # within-10% comparison must charge the unsharded side the same way.
@@ -644,10 +548,10 @@ def run_sharded_benchmark(
     rows = []
     for num_shards in shard_counts:
         # One pipeline per count, reused across rounds: the router's
-        # split cache and the sub-traces' kernel caches stay warm, so
-        # timed rounds measure steady-state streaming, not first-touch
-        # layout work.  Shard counts run back-to-back for the same
-        # reason (the split cache keys on the routing function).
+        # split cache stays warm, so timed rounds measure steady-state
+        # streaming, not first-touch routing work.  Shard counts run
+        # back-to-back for the same reason (the split cache keys on the
+        # routing function).
         pipeline = ShardedPipeline(config, num_shards=num_shards)
 
         inproc = pipeline.run(source, parallel=False)
@@ -683,7 +587,6 @@ def run_sharded_benchmark(
                 "git_sha": sha,
                 "engine": "batched",
                 "wsaf_engine": "batched",
-                "regulator_replay": "scan",
                 "backend": "flat",
                 "shards": num_shards,
                 "parallel": fork_s is not None,
@@ -771,7 +674,6 @@ def _backend_config(backend: str, wsaf_engine: str) -> InstaMeasureConfig:
         seed=1,
         engine="batched",
         wsaf_engine=wsaf_engine,
-        regulator_replay="scan",
         chunk_size=CHUNK_SIZE,
         wsaf_backend=backend,
     )
@@ -836,8 +738,8 @@ def run_backend_benchmark(
 
     For each backend in :data:`BACKENDS`:
 
-    * End-to-end: the delegated/scan pipeline with ``wsaf_engine=
-      "scalar"`` vs ``"batched"``, every other knob shared, best of
+    * End-to-end: the kernel with ``wsaf_engine="scalar"`` vs
+      ``"batched"``, every other knob shared, best of
       ``rounds``.  The warm-up pass doubles as the bit-identity check —
       both engines must produce identical estimates on the full trace
       before any timing is trusted.
@@ -903,7 +805,6 @@ def run_backend_benchmark(
                     "git_sha": sha,
                     "engine": "batched",
                     "wsaf_engine": engine,
-                    "regulator_replay": "scan",
                     "backend": backend,
                     "pps": pps,
                     "seconds": best[engine],
@@ -962,35 +863,26 @@ def test_sharded_scaling(caida_trace, write_report):
     _assert_sharded_bars(result)
 
 
-def test_throughput_regression(caida_trace, write_report):
-    """Four-variant pps + stage breakdown; appends BENCH_throughput.json."""
-    result = run_benchmark(caida_trace, ROUNDS, STAGE_ROUNDS)
-    write_report("bench_throughput", result["report"])
-
-    for row in result["rows"]:
-        assert row["packets"] == caida_trace.num_packets
+def _assert_throughput_bars(result: "dict") -> None:
     speedups = result["speedups"]
-    assert speedups["batched_vs_scalar"] >= MIN_SPEEDUP, (
-        f"batched engine is only {speedups['batched_vs_scalar']:.2f}x scalar "
+    assert speedups["kernel_vs_scalar"] >= MIN_SPEEDUP, (
+        f"kernel is only {speedups['kernel_vs_scalar']:.2f}x scalar "
         f"(regression bar: {MIN_SPEEDUP}x)"
-    )
-    assert speedups["delegated_vs_batched"] >= MIN_DELEGATED_SPEEDUP, (
-        f"delegated engine is only {speedups['delegated_vs_batched']:.2f}x "
-        f"the PR-1 batched engine (regression bar: {MIN_DELEGATED_SPEEDUP}x)"
     )
     assert speedups["wsaf_stage"] >= MIN_WSAF_STAGE_SPEEDUP, (
         f"batch-probed WSAF stage is only {speedups['wsaf_stage']:.2f}x the "
         f"scalar replay (regression bar: {MIN_WSAF_STAGE_SPEEDUP}x)"
     )
-    assert speedups["scan_vs_loop"] >= MIN_SCAN_SPEEDUP, (
-        f"scan replay is only {speedups['scan_vs_loop']:.2f}x the loop "
-        f"replay end-to-end (regression bar: {MIN_SCAN_SPEEDUP}x)"
-    )
-    assert speedups["scan_regulator_stage"] >= MIN_SCAN_REGULATOR_SPEEDUP, (
-        f"scan regulator stage is only "
-        f"{speedups['scan_regulator_stage']:.2f}x the loop stage "
-        f"(regression bar: {MIN_SCAN_REGULATOR_SPEEDUP}x)"
-    )
+
+
+def test_throughput_regression(caida_trace, write_report):
+    """Scalar vs kernel pps + stage breakdown; appends BENCH_throughput.json."""
+    result = run_benchmark(caida_trace, ROUNDS, STAGE_ROUNDS)
+    write_report("bench_throughput", result["report"])
+
+    for row in result["rows"]:
+        assert row["packets"] == caida_trace.num_packets
+    _assert_throughput_bars(result)
 
 
 def main() -> None:
@@ -998,8 +890,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: small trace, one timed round, scan bar only "
-        "(no-regression fallback), history file untouched",
+        help="CI smoke: small trace, one timed round, kernel-vs-scalar "
+        "no-regression floor only, history file untouched",
     )
     parser.add_argument(
         "--shards",
@@ -1013,9 +905,9 @@ def main() -> None:
     parser.add_argument(
         "--backends",
         action="store_true",
-        help="run the non-flat backend benchmark (tiered / icebuckets, "
-        "scalar vs batched engine); with --quick, exactness is enforced "
-        "and timing only against the no-regression floor",
+        help="run the non-flat backend benchmark (tiered, scalar vs "
+        "batched engine); with --quick, exactness is enforced and timing "
+        "only against the no-regression floor",
     )
     args = parser.parse_args()
 
@@ -1039,10 +931,10 @@ def main() -> None:
                     print(
                         f"note: batched {backend} stage at {ratio:.2f}x is "
                         f"under the {target}x target — accepted above the "
-                        "no-collapse floor (tiny smoke stream: planning "
-                        "and overflow-screen overhead dominate a few "
-                        "hundred events; the bar is enforced by the "
-                        "full-trace bench)"
+                        "no-collapse floor (tiny smoke stream: cohort "
+                        "planning overhead dominates a few hundred "
+                        "events; the bar is enforced by the full-trace "
+                        "bench)"
                     )
             return
         if args.shards is not None:
@@ -1091,18 +983,20 @@ def main() -> None:
     print(result["report"])
     for row in result["rows"]:
         assert row["packets"] == trace.num_packets, "packet count mismatch"
-    if args.quick:
-        scan_ratio = result["speedups"]["scan_vs_loop"]
-        assert scan_ratio >= MIN_SCAN_SPEEDUP_SMOKE, (
-            f"scan replay regressed: {scan_ratio:.2f}x the loop replay "
-            f"(strict no-regression floor: {MIN_SCAN_SPEEDUP_SMOKE}x)"
+    if not args.quick:
+        _assert_throughput_bars(result)
+        return
+    ratio = result["speedups"]["kernel_vs_scalar"]
+    assert ratio >= MIN_SPEEDUP_SMOKE, (
+        f"kernel regressed: {ratio:.2f}x the scalar loop "
+        f"(no-regression floor: {MIN_SPEEDUP_SMOKE}x)"
+    )
+    if ratio < MIN_SPEEDUP:
+        print(
+            f"note: kernel {ratio:.2f}x scalar is under the {MIN_SPEEDUP}x "
+            "target — accepted as no-regression (small-trace smoke under "
+            "VM jitter)"
         )
-        if scan_ratio < MIN_SCAN_SPEEDUP:
-            print(
-                f"note: scan {scan_ratio:.2f}x loop is under the "
-                f"{MIN_SCAN_SPEEDUP}x target — accepted as no-regression "
-                "(small-trace smoke under VM jitter)"
-            )
 
 
 if __name__ == "__main__":

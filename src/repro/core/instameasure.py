@@ -56,39 +56,6 @@ ENGINE_CHOICES = ("auto", "batched", "scalar")
 #: Valid ``InstaMeasureConfig.wsaf_engine`` values.
 WSAF_ENGINE_CHOICES = ("auto", "batched", "scalar")
 
-#: Valid ``InstaMeasureConfig.regulator_replay`` values.
-REGULATOR_REPLAY_CHOICES = ("auto", "scan", "loop")
-
-
-def resolved_regulator_replay(config: "InstaMeasureConfig") -> str:
-    """Which contested-stretch replay ``config`` gets: "scan" or "loop".
-
-    ``"auto"`` picks the vectorized segmented-FSM scan
-    (:mod:`repro.kernels.regulator_scan`) whenever the batched trace
-    engine runs with a batch-probed WSAF — or with the scalar table that
-    ICE-Buckets' backend-aware ``wsaf_engine="auto"`` picks on purely
-    measured grounds — and keeps the per-stretch FSM loop otherwise,
-    preserving the PR-2 loop variants as A/B baselines (an explicit
-    ``wsaf_engine="scalar"`` still means "give me the scalar-era
-    pipeline").  Both replays are bit-identical; only throughput
-    differs.
-    """
-    if config.regulator_replay in ("scan", "loop"):
-        return config.regulator_replay
-    if config.engine == "scalar":
-        return "loop"
-    if resolved_wsaf_engine(config) == "batched":
-        return "scan"
-    if config.wsaf_engine == "auto" and config.wsaf_backend == "icebuckets":
-        # ICE-Buckets' ``auto`` keeps the *scalar table* purely because
-        # its serial quantized adds measure faster that way — not as an
-        # A/B baseline request — and the scan replay composes with a
-        # scalar WSAF through the per-event facade, so the batched trace
-        # path keeps its vectorized regulator.
-        return "scan"
-    return "loop"
-
-
 def resolved_wsaf_engine(config: "InstaMeasureConfig") -> str:
     """Which WSAF column layout ``config`` gets: "batched" or "scalar".
 
@@ -96,18 +63,14 @@ def resolved_wsaf_engine(config: "InstaMeasureConfig") -> str:
     BatchedWSAFTable` whenever the trace path itself batches (the batched
     regulator kernel delegates whole update batches, which is where cohort
     probing pays); a scalar trace path keeps the scalar table, whose
-    per-event ``accumulate`` is faster on plain Python lists.  The choice
-    is backend-aware: every storage backend has both a scalar and a
-    batch-probed form (see :mod:`repro.core.wsaf_storage`), bit-identical
-    by contract, but their measured throughput differs.  Flat and tiered
-    batch-probe faster than they accumulate per-event; ICE-Buckets does
-    not — its quantized add chains are order-serial (each add re-rounds
-    at the bucket scale), so the batched form replays most cohorts
-    through scalar arithmetic anyway and the cohort machinery is pure
-    overhead.  ``"auto"`` therefore keeps the scalar table for
-    ``wsaf_backend="icebuckets"``; forcing ``wsaf_engine="batched"``
-    still composes (bit-identical, pinned by goldens), it is just
-    slower on this simulator.
+    per-event ``accumulate`` is faster on plain Python lists.  The flat
+    and tiered backends have both forms (see
+    :mod:`repro.core.wsaf_storage`), bit-identical by contract.
+    ICE-Buckets has only the scalar form — its quantized add chains are
+    order-serial (each add re-rounds at the bucket scale), so a batched
+    form measured slower than per-event adds — and ``"auto"`` resolves
+    it to ``"scalar"``; an explicit ``"batched"`` is rejected at config
+    construction.
     """
     if config.wsaf_engine in ("batched", "scalar"):
         return config.wsaf_engine
@@ -166,20 +129,17 @@ class InstaMeasureConfig:
             including for ``wsaf_backend="icebuckets"``, whose serial
             quantized adds measure faster scalar), ``"batched"`` /
             ``"scalar"`` force one.  Both stores are state-identical;
-            only throughput differs.
-        regulator_replay: contested-stretch replay inside the batched
-            kernel — ``"auto"`` uses the vectorized segmented-FSM scan when
-            the fully batched pipeline runs and the per-stretch FSM loop
-            otherwise; ``"scan"`` / ``"loop"`` force one (A/B knob).  Both
-            replays are bit-identical; ignored by ``engine="scalar"``.
+            only throughput differs.  ``"batched"`` is rejected for
+            ``wsaf_backend="icebuckets"``, which has no batched form.
         wsaf_backend: working-set storage algorithm — ``"flat"`` (the
             paper's table, bit-identical to pre-backend behaviour),
             ``"tiered"`` (hot top-K SRAM cache in front of the DRAM
             table; see :mod:`repro.core.wsaf_tiered`), or
             ``"icebuckets"`` (bucket-scaled compressed counters; see
-            :mod:`repro.core.wsaf_icebuckets`).  Every backend composes
-            with either ``wsaf_engine`` (batched forms are bit-identical
-            to scalar ones; only throughput differs).
+            :mod:`repro.core.wsaf_icebuckets`).  Every backend runs under
+            either trace ``engine``; flat and tiered also compose with
+            either ``wsaf_engine`` (batched forms are bit-identical to
+            scalar ones; only throughput differs).
         tier_cache_entries / tier_interval: tiered backend geometry —
             hot-cache capacity and accumulates between promote/demote
             maintenance ticks.
@@ -201,7 +161,6 @@ class InstaMeasureConfig:
     engine: str = "auto"
     chunk_size: int = 1 << 20
     wsaf_engine: str = "auto"
-    regulator_replay: str = "auto"
     wsaf_backend: str = "flat"
     tier_cache_entries: int = 256
     tier_interval: int = 1024
@@ -225,11 +184,6 @@ class InstaMeasureConfig:
                 f"unknown wsaf_engine {self.wsaf_engine!r}; "
                 f"known: {WSAF_ENGINE_CHOICES}"
             )
-        if self.regulator_replay not in REGULATOR_REPLAY_CHOICES:
-            raise ConfigurationError(
-                f"unknown regulator_replay {self.regulator_replay!r}; "
-                f"known: {REGULATOR_REPLAY_CHOICES}"
-            )
         if self.wsaf_entries < 2:
             raise ConfigurationError(
                 f"wsaf_entries must be >= 2, got {self.wsaf_entries}"
@@ -244,6 +198,11 @@ class InstaMeasureConfig:
             raise ConfigurationError(
                 f"unknown wsaf_backend {self.wsaf_backend!r}; "
                 f"known: {WSAF_BACKEND_CHOICES}"
+            )
+        if self.wsaf_engine == "batched" and self.wsaf_backend == "icebuckets":
+            raise ConfigurationError(
+                "wsaf_backend='icebuckets' has no batched form; use "
+                "wsaf_engine='scalar' or 'auto'"
             )
         if self.tier_cache_entries < 1:
             raise ConfigurationError(
@@ -293,11 +252,6 @@ class MeasurementResult:
             return 0.0
         return self.packets / self.elapsed_seconds
 
-
-#: Monotone id for positioned streams that cover only part of the global
-#: draw; their slices are gathers, not plain offsets, so their
-#: kernel-cache stream tags must never alias across streams.
-_STREAM_NONCE = iter(range(1 << 62)).__next__
 
 #: Draw granularity for unknown-length streams.  Bits are drawn in
 #: fixed-size blocks from one persistent generator and served out in
@@ -366,14 +320,8 @@ class _BitStream:
                 )
         if total is not None:
             self._draw(total)
-            # A positioned stream's slices are gathers, not plain offsets
-            # of the global draw, so they get their own cache identity —
-            # unless it covers the whole stream (identity positions).
-            covers_all = self.positions is None or len(self.positions) == total
-            self._nonce = None if covers_all else _STREAM_NONCE()
         else:
             self._bits1 = self._bits2 = self._matrix = None
-            self._nonce = None
         #: Generator state captured immediately before the current block
         #: draw (unknown-length streams only; None before the first draw).
         self._block_state = None
@@ -539,31 +487,6 @@ class _BitStream:
             return (self._bits1[positions], self._bits2[positions])
         return self._matrix[positions]
 
-    def tag(self, count: int) -> "tuple":
-        """Kernel-cache stream tag for the next ``count``-packet slice."""
-        if self._nonce is not None:
-            return (self.offset, self._nonce)
-        return (self.offset, self._total)
-
-    def tag_at(self, positions: np.ndarray) -> "tuple":
-        """Kernel-cache stream tag for a :meth:`take_at` gather.
-
-        Deterministic across runs (routing is a pure function of the
-        chunk and the router), so repeated sharded runs over the same
-        chunk source share warm kernel caches.  The (first, last, count)
-        triple pins the gather: a given routed sub-trace object always
-        carries the same position vector.
-        """
-        if positions.size == 0:
-            return ("pos", self._total, -1, -1, 0)
-        return (
-            "pos",
-            self._total,
-            int(positions[0]),
-            int(positions[-1]),
-            int(positions.size),
-        )
-
 
 @dataclass
 class _StreamState:
@@ -614,7 +537,6 @@ class InstaMeasure:
                 )
         self.wsaf = build_wsaf_table(self.config, accountant)
         self.wsaf_engine = resolved_wsaf_engine(self.config)
-        self.regulator_replay = resolved_regulator_replay(self.config)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
         self._stream: "_StreamState | None" = None
 
@@ -672,7 +594,6 @@ class InstaMeasure:
         trace: Trace,
         on_accumulate: "AccumulateCallback | None" = None,
         bits=None,
-        stream_tag=None,
     ) -> MeasurementResult:
         """Process every packet of ``trace`` in timestamp order.
 
@@ -684,12 +605,11 @@ class InstaMeasure:
         (:mod:`repro.kernels`) instead — bit-identical, several times
         faster.  Non-default regulator depths take a generic (slower) loop.
 
-        ``bits``/``stream_tag`` are the streaming-ingest override: a
-        pre-drawn slice of the stream's randomness (``(bits1, bits2)``
-        uint8 arrays for the FlowRegulator, an ``(n, num_layers)`` int64
-        matrix otherwise) plus a cache-disambiguation tag.  Callers other
-        than :meth:`ingest` normally leave both unset and get the
-        engine's own whole-trace draw.
+        ``bits`` is the streaming-ingest override: a pre-drawn slice of
+        the stream's randomness (``(bits1, bits2)`` uint8 arrays for the
+        FlowRegulator, an ``(n, num_layers)`` int64 matrix otherwise).
+        Callers other than :meth:`ingest` normally leave it unset and get
+        the engine's own whole-trace draw.
         """
         if not isinstance(self.regulator, FlowRegulator):
             return self._process_trace_generic(trace, on_accumulate, bits)
@@ -697,9 +617,7 @@ class InstaMeasure:
             from repro.kernels.batched import supports_batched
 
             if supports_batched(self):
-                return self._process_trace_batched(
-                    trace, on_accumulate, bits, stream_tag
-                )
+                return self._process_trace_batched(trace, on_accumulate, bits)
         num_packets = trace.num_packets
         regulator = self.regulator
         l1 = regulator.l1
@@ -821,7 +739,6 @@ class InstaMeasure:
         trace: Trace,
         on_accumulate: "AccumulateCallback | None" = None,
         bits=None,
-        stream_tag=None,
     ) -> MeasurementResult:
         """Chunked NumPy/LUT path (:mod:`repro.kernels`), bit-identical
         to the scalar loop."""
@@ -832,13 +749,7 @@ class InstaMeasure:
 
         start = time.perf_counter()
         counters = process_trace_batched(
-            self,
-            trace,
-            on_accumulate=on_accumulate,
-            delegate=self.wsaf_engine == "batched",
-            regulator_replay=self.regulator_replay,
-            bits=bits,
-            stream_tag=stream_tag,
+            self, trace, on_accumulate=on_accumulate, bits=bits
         )
         elapsed = time.perf_counter() - start
 
@@ -1005,9 +916,9 @@ class InstaMeasure:
         protocol.  The first chunk fixes the stream's randomness: when the
         source knows the stream length up front, the full bit sequence is
         drawn once — the exact draw :meth:`process_trace` would make on
-        the concatenated trace — and consumed in slices, so regulator,
-        WSAF, and kernel-cache state cross chunk boundaries with the same
-        counters, records, and event order as the whole-trace path.
+        the concatenated trace — and consumed in slices, so regulator and
+        WSAF state cross chunk boundaries with the same counters, records,
+        and event order as the whole-trace path.
 
         ``positions`` is the streaming-sharded entry point: the chunk's
         packets sit at those global stream positions (ascending), and
@@ -1039,21 +950,10 @@ class InstaMeasure:
                 raise ConfigurationError(
                     f"chunk has {count} packets but {positions.size} positions"
                 )
-            tag = stream.bits.tag_at(positions)
             bits = stream.bits.take_at(positions)
-        elif stream.bits._total is not None and (
-            stream.bits.offset == 0 and count == stream.bits._total
-        ):
-            # Single-chunk stream: same bits as a direct process_trace
-            # call, so share its kernel-cache entries.
-            tag = None
-            bits = stream.bits.take(count)
         else:
-            tag = stream.bits.tag(count)
             bits = stream.bits.take(count)
-        result = self.process_trace(
-            trace, on_accumulate=on_accumulate, bits=bits, stream_tag=tag
-        )
+        result = self.process_trace(trace, on_accumulate=on_accumulate, bits=bits)
         stream.packets += result.packets
         stream.insertions += result.insertions
         stream.l1_saturations += result.regulator_stats.l1_saturations

@@ -44,7 +44,6 @@ from repro.core.instameasure import (
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
 from repro.hashing import popcount32
-from repro.kernels.batched import clear_kernel_caches
 from repro.state import (
     InsertionLog,
     apply_events,
@@ -173,10 +172,7 @@ def _parallel_worker(worker_index: int) -> dict:
     manager, trace, assignment = _PARALLEL_STATE
     worker = manager.workers[worker_index]
     queue = _worker_queue(trace, assignment, worker_index)
-    try:
-        result, events = _run_worker_recorded(worker, queue)
-    finally:
-        clear_kernel_caches(queue)
+    result, events = _run_worker_recorded(worker, queue)
     return {
         "worker_index": worker_index,
         "packets": queue.num_packets,
@@ -298,10 +294,7 @@ class MultiCoreInstaMeasure:
                 end=queue.num_packets,
                 total_packets=stream.worker_totals[worker_index],
             )
-            try:
-                result, events = _ingest_worker_recorded(worker, sub)
-            finally:
-                clear_kernel_caches(queue)
+            result, events = _ingest_worker_recorded(worker, sub)
             result.wsaf = self.wsaf
             chunk_results.append(result)
             stream.pending.extend(

@@ -93,17 +93,10 @@ class WSAFTable:
         self.accountant = accountant
         self._mask = num_entries - 1
 
-        # Parallel columns; key 0 in an unoccupied slot is the empty marker.
         # ``_occupied`` answers per-slot probes; ``_occupied_slots`` mirrors
         # it as a set so snapshots/sweeps are O(size), not O(num_entries).
-        self._occupied = [False] * num_entries
         self._occupied_slots: "set[int]" = set()
-        self._keys = [0] * num_entries
-        self._packets = [0.0] * num_entries
-        self._bytes = [0.0] * num_entries
-        self._timestamps = [0.0] * num_entries
-        self._chance = [False] * num_entries
-        self._tuples: "list[int | None]" = [None] * num_entries
+        self._allocate_columns()
 
         self.size = 0
         self.insertions = 0
@@ -111,6 +104,22 @@ class WSAFTable:
         self.evictions = 0
         self.gc_reclaimed = 0
         self.rejected = 0
+
+    def _allocate_columns(self) -> None:
+        """Build the empty per-slot record columns.
+
+        Parallel Python lists here; key 0 in an unoccupied slot is the
+        empty marker.  Array-backed subclasses override this with their
+        own storage, so no table builds its columns twice.
+        """
+        n = self.num_entries
+        self._occupied = [False] * n
+        self._keys = [0] * n
+        self._packets = [0.0] * n
+        self._bytes = [0.0] * n
+        self._timestamps = [0.0] * n
+        self._chance = [False] * n
+        self._tuples: "list[int | None]" = [None] * n
 
     # -- probing -----------------------------------------------------------
 

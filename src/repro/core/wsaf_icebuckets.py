@@ -19,12 +19,11 @@ columns always hold the *dequantized* values (``q · 2^scale`` is exact in
 float64), so lookups, eviction ordering, estimates, and snapshots all
 read consistent quantized state with no extra translation.
 
-The quantization logic lives in :class:`_IceMixin`, which is storage-
-agnostic: every operation is element-wise over ``self._packets`` /
-``self._qpackets`` etc., so it composes with the scalar list columns
-here *and* with the NumPy columns of :class:`~repro.kernels.wsaf_batched.
-BatchedWSAFTable` (see :class:`~repro.kernels.wsaf_batched.
-BatchedIceBucketsWSAFTable`, the batch-probed variant).
+The table has list columns only: its quantized add chains are
+order-serial (every add re-rounds at the bucket scale, and an overflow
+rescales the whole bucket), so a cohort-batched form measured slower than
+per-event adds.  The batched regulator kernel still feeds it, one
+``accumulate_batch`` call per chunk.
 
 Snapshots carry the per-bucket scales in an ``ice`` section.  Restoring
 with matching bucket geometry is **bit-exact**: the integer counters
@@ -42,14 +41,8 @@ from repro.memmodel import AccessAccountant
 from repro.core.wsaf import ENTRY_BYTES, WSAFTable
 
 
-class _IceMixin:
-    """Bucket-scaled quantized counters over any WSAF column storage.
-
-    Mixes in front of a :class:`WSAFTable` (or a subclass with array
-    columns): ``super()`` calls resolve to the underlying table, and all
-    quantization state is kept element-wise so it works identically on
-    list and NumPy columns.  The quantized planes are created through
-    :meth:`_new_qplane`, which array-backed subclasses override.
+class IceBucketsWSAFTable(WSAFTable):
+    """A :class:`WSAFTable` whose counters are bucket-scaled integers.
 
     Args:
         bucket_slots: contiguous table slots sharing one scale exponent.
@@ -88,15 +81,11 @@ class _IceMixin:
         self._counter_max = (1 << counter_bits) - 1
         #: Quantized counters, parallel to the inherited float columns
         #: (which always hold the dequantized q·2^scale values).
-        self._qpackets = self._new_qplane()
-        self._qbytes = self._new_qplane()
+        self._qpackets = [0] * num_entries
+        self._qbytes = [0] * num_entries
         self._scale_packets = [0] * self.num_buckets
         self._scale_bytes = [0] * self.num_buckets
         self.upscales = 0
-
-    def _new_qplane(self):
-        """A zeroed quantized-counter plane matching the column storage."""
-        return [0] * self.num_entries
 
     # -- quantized stores ----------------------------------------------------
 
@@ -303,16 +292,8 @@ class _IceMixin:
             self._scale_packets = [0] * self.num_buckets
             self._scale_bytes = [0] * self.num_buckets
             self.upscales = 0
-        self._qpackets = self._new_qplane()
-        self._qbytes = self._new_qplane()
+        self._qpackets = [0] * self.num_entries
+        self._qbytes = [0] * self.num_entries
         for slot in sorted(self._occupied_slots):
             self._store(slot, self._packets[slot], self._bytes[slot])
 
-
-class IceBucketsWSAFTable(_IceMixin, WSAFTable):
-    """A :class:`WSAFTable` whose counters are bucket-scaled integers.
-
-    The scalar (list-column) composition of :class:`_IceMixin`; the
-    batch-probed variant is :class:`~repro.kernels.wsaf_batched.
-    BatchedIceBucketsWSAFTable`.
-    """

@@ -26,12 +26,12 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
     per-bucket shared scale exponents (upscale-on-overflow), trading a
     bounded relative error for a measured counter-memory reduction.
 
-Every backend composes with both WSAF engines: the ``wsaf_engine`` knob
+Flat and tiered compose with both WSAF engines: the ``wsaf_engine`` knob
 picks scalar columns or the batch-probed cohort kernel independently of
 the storage algorithm (``tiered`` wraps a batched backing table and
-vectorizes its cache probe; ``icebuckets`` has a batch-probed subclass
-with quantized vectorized adds).  Scalar and batched are bit-identical
-for every backend; only throughput differs.
+vectorizes its cache probe), bit-identically; only throughput differs.
+``icebuckets`` keeps list columns only — its quantized add chains are
+order-serial — and every backend runs under the batched regulator kernel.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def default_technologies() -> "dict[str, MemoryTechnology]":
 def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
     """The WSAF backend ``config`` asks for, wired to ``accountant``.
 
-    ``wsaf_backend`` picks the storage algorithm; for ``flat``, the
-    existing ``wsaf_engine`` knob still picks scalar vs batch-probed
-    columns (resolved exactly as before this seam existed).
+    ``wsaf_backend`` picks the storage algorithm; for ``flat`` and
+    ``tiered`` the resolved ``wsaf_engine`` picks scalar vs batch-probed
+    columns (``icebuckets`` has list columns only).
     """
     from repro.core.instameasure import resolved_wsaf_engine
     from repro.core.wsaf import WSAFTable
@@ -145,15 +145,9 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             table_engine=engine,
         )
     if backend == "icebuckets":
-        if engine == "batched":
-            from repro.kernels.wsaf_batched import BatchedIceBucketsWSAFTable
+        from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
 
-            ice_class: type = BatchedIceBucketsWSAFTable
-        else:
-            from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
-
-            ice_class = IceBucketsWSAFTable
-        return ice_class(
+        return IceBucketsWSAFTable(
             num_entries=config.wsaf_entries,
             probe_limit=config.probe_limit,
             gc_timeout=config.gc_timeout,

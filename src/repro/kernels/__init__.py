@@ -9,8 +9,8 @@ the scalar loop (same randomness stream, same state, same WSAF records).
 * :mod:`repro.kernels.luts` — cached per-geometry transition tables.
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
-* :mod:`repro.kernels.regulator_scan` — the vectorized contested-stretch
-  replay behind ``regulator_replay="scan"``.
+* :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed WSAF
+  the kernel delegates its insertion events to.
 
 See ``docs/PERFORMANCE.md`` for the design rationale and measured
 speedups, and ``benchmarks/bench_throughput.py`` for the regression
@@ -20,21 +20,17 @@ harness.
 from repro.kernels.batched import (
     DEFAULT_CHUNK_SIZE,
     BatchCounters,
-    clear_kernel_caches,
     process_trace_batched,
     supports_batched,
 )
 from repro.kernels.luts import SENTINEL, KernelTables, kernel_tables
-from repro.kernels.regulator_scan import process_trace_scan
 
 __all__ = [
     "BatchCounters",
     "DEFAULT_CHUNK_SIZE",
     "KernelTables",
     "SENTINEL",
-    "clear_kernel_caches",
     "kernel_tables",
     "process_trace_batched",
-    "process_trace_scan",
     "supports_batched",
 ]

@@ -12,21 +12,22 @@ loop, built on two structural facts about the 2-layer FlowRegulator:
   original packet position.
 * **FSM compilation.**  A counting window holds one of ``2**vector_bits``
   states, so layer transitions compile into small lookup tables
-  (:mod:`repro.kernels.luts`) indexed by interned byte values, and the hot
-  loop advances *two* packets per iteration through the pair table.
+  (:mod:`repro.kernels.luts`) indexed by interned byte values, and the
+  contested replay advances two or four packets per lookup.
 
-Pipeline per chunk: vectorized gathers (placement, pre-drawn bit choices)
-→ stable sort by word → per-stretch saturation screen
-(``np.bitwise_or.reduceat`` of the candidate bits plus a popcount LUT:
-a stretch whose OR-accumulated candidate state cannot reach the
-saturation threshold commits in O(1)) → byte-pair LUT replay of the
-contested stretches → insertion events applied to the WSAF in packet
-order through :meth:`WSAFTable.accumulate_batch`.
+Pipeline per chunk (:func:`process_trace_batched`): vectorized gathers
+(placement, pre-drawn bit choices) → stable sort by word → vectorized
+word-level and per-stretch saturation screens → FSM-table replay of the
+stretches that can actually saturate → insertion events handed to the
+WSAF in packet order, as one batch per chunk.
 
 Randomness is drawn exactly as the scalar path draws it (same generator,
 same sizes, same order), so every sketch word, counter, and WSAF record
 comes out identical — the equivalence suite in ``tests/test_kernels.py``
-asserts this across seeds, chunk sizes, policies, and geometries.
+asserts this across seeds, chunk sizes, policies, geometries, and both
+WSAF column layouts.  Nothing is cached between calls: every production
+path (CLI runs, shard workers, the service daemon) sees each chunk once,
+so layouts and derived streams are built per call and dropped with it.
 """
 
 from __future__ import annotations
@@ -37,35 +38,8 @@ import numpy as np
 
 from repro.kernels.luts import SENTINEL, kernel_tables, quad_tables
 
-#: Trace attribute under which per-chunk sort layouts are cached.
-_LAYOUT_ATTR = "_batched_layout"
-
-#: Trace attribute holding the delegated path's per-chunk derived streams.
-_STREAM_ATTR = "_delegated_streams"
-
-#: Trace attribute holding the scan replay's per-chunk occ/chain tables.
-_SCAN_ATTR = "_scan_streams"
-
-#: Bumped when the layout dict layout changes, to invalidate stale caches.
-_LAYOUT_VERSION = 3
-
 #: Default packets per kernel chunk (one chunk for most lab traces).
 DEFAULT_CHUNK_SIZE = 1 << 20
-
-
-def clear_kernel_caches(trace) -> None:
-    """Drop every kernel-derived cache pinned on ``trace``.
-
-    The chunk layouts (:data:`_LAYOUT_ATTR`), the delegated path's derived
-    streams (:data:`_STREAM_ATTR`), and the scan replay's position tables
-    (:data:`_SCAN_ATTR`) together hold several NumPy arrays per chunk — on
-    a million-packet trace tens of megabytes that would otherwise live as
-    long as the trace object does.  Call this when a trace outlives its
-    runs (the multi-core manager does, for its per-worker sub-traces).
-    """
-    for attr in (_LAYOUT_ATTR, _STREAM_ATTR, _SCAN_ATTR):
-        if hasattr(trace, attr):
-            delattr(trace, attr)
 
 
 @dataclass
@@ -97,41 +71,30 @@ def supports_batched(engine) -> bool:
     return isinstance(regulator, FlowRegulator) and regulator.vector_bits <= 8
 
 
-def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
-    """Per-chunk word-sorted layouts for ``trace``, cached on the trace.
+def _chunk_layouts(trace, l1, chunk_size: int):
+    """Yield one word-sorted layout per ``chunk_size`` slice of ``trace``.
 
-    A layout (stable sort order by word, stretch boundaries, per-stretch
-    word/offset headers) depends only on the trace, the sketch placement,
-    and the chunking — never on a run's randomness — so repeated runs over
-    the same trace reuse it.  The cache is keyed by the placement
-    fingerprint and invalidated whenever a differently-configured engine
-    processes the trace.
+    A layout holds the chunk's stable sort order by word, its stretch
+    boundaries (one stretch per ``(word, offset)`` run), the per-stretch
+    word/offset headers, and the grouping of stretches into *word runs*
+    — the unit of the kernel's vectorized word-level screen.  Everything
+    is NumPy; the contested replay converts what it needs to lists only
+    for chunks where some stretch can saturate.
     """
-    cache_key = (
-        _LAYOUT_VERSION,
-        l1._place_seed_idx,
-        l1._place_seed_off,
-        l1.num_words,
-        l1.word_bits,
-        int(chunk_size),
-    )
-    cached = getattr(trace, _LAYOUT_ATTR, None)
-    if cached is not None and cached[0] == cache_key:
-        return cached[1]
-
     idx_by_flow, off_by_flow = l1.place_array(trace.flows.key64)
-    flow_ids = trace.flow_ids
     word_dtype = np.uint16 if l1.num_words <= (1 << 16) else np.uint32
-    packet_words = idx_by_flow.astype(word_dtype)[flow_ids]
-    packet_offsets = off_by_flow.astype(np.uint8)[flow_ids]
+    idx_by_flow = idx_by_flow.astype(word_dtype)
+    off_by_flow = off_by_flow.astype(np.uint8)
+    flow_ids = trace.flow_ids
+    order_dtype = np.int32 if trace.num_packets <= (1 << 31) - 1 else np.int64
 
-    layouts = []
     for begin in range(0, trace.num_packets, chunk_size):
         end = min(begin + chunk_size, trace.num_packets)
-        chunk_words = packet_words[begin:end]
+        chunk_flows = flow_ids[begin:end]
+        chunk_words = idx_by_flow[chunk_flows]
         order = np.argsort(chunk_words, kind="stable")
         sorted_words = chunk_words[order]
-        sorted_offsets = packet_offsets[begin:end][order]
+        sorted_offsets = off_by_flow[chunk_flows[order]]
         # One key per (word, offset); offsets fit 6 bits (word_bits <= 64).
         stretch_key = (sorted_words.astype(np.int64) << 6) | sorted_offsets
         span = end - begin
@@ -142,12 +105,9 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
         else:
             reduce_starts = np.zeros(1, dtype=np.int64)
         head_offsets = sorted_offsets[reduce_starts]
-        order_dtype = np.int32 if trace.num_packets <= (1 << 31) - 1 else np.int64
-        ends_arr = np.append(reduce_starts[1:], span)
         stretch_words = sorted_words[reduce_starts].astype(np.int64)
         # Stretches sorted by (word, offset) group same-word stretches into
-        # contiguous *word runs* — the unit of the delegated path's
-        # vectorized word-level screen.
+        # contiguous word runs.
         if len(stretch_words) > 1:
             word_run_starts = np.flatnonzero(
                 np.concatenate(([True], stretch_words[1:] != stretch_words[:-1]))
@@ -157,387 +117,24 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
         word_run_lengths = np.diff(
             np.append(word_run_starts, len(stretch_words))
         )
-        layouts.append(
-            dict(
-                # Global packet positions, chunk-sorted; int32 for gathers.
-                order=(order + begin).astype(order_dtype),
-                reduce_starts=reduce_starts,
-                starts=reduce_starts.tolist(),
-                ends=ends_arr.tolist(),
-                words=stretch_words.tolist(),
-                offsets=head_offsets.tolist(),
-                offsets_arr=head_offsets.astype(np.uint64),
-                words_arr=stretch_words,
-                starts_arr=reduce_starts,
-                ends_arr=ends_arr,
-                word_run_starts=word_run_starts,
-                word_run_lengths=word_run_lengths,
-                word_run_heads=stretch_words[word_run_starts],
-            )
+        yield dict(
+            # Global packet positions, chunk-sorted; int32 for gathers.
+            order=(order + begin).astype(order_dtype),
+            span=span,
+            reduce_starts=reduce_starts,
+            words_arr=stretch_words,
+            offsets_arr=head_offsets.astype(np.uint64),
+            word_run_starts=word_run_starts,
+            word_run_lengths=word_run_lengths,
+            word_run_heads=stretch_words[word_run_starts],
         )
-    setattr(trace, _LAYOUT_ATTR, (cache_key, layouts))
-    return layouts
-
-
-def process_trace_batched(
-    engine,
-    trace,
-    on_accumulate=None,
-    chunk_size: "int | None" = None,
-    delegate: bool = False,
-    regulator_replay: str = "loop",
-    bits=None,
-    stream_tag=None,
-) -> BatchCounters:
-    """Process ``trace`` through ``engine``'s regulator and WSAF, batched.
-
-    Mutates the engine's sketch words and WSAF exactly as the scalar loop
-    would and returns the run's :class:`BatchCounters` (the caller folds
-    them into the shared stats/accounting objects).  ``chunk_size``
-    defaults to the engine config's value.
-
-    With ``delegate=True`` (selected when ``wsaf_engine`` resolves to the
-    batch-probed table) the run takes :func:`_process_trace_delegated`:
-    a vectorized word-level saturation screen in front of the per-stretch
-    loop, an 8-packet OR screen inside the FSM replay, and WSAF updates
-    handed over per chunk as one ``accumulate_batch`` call instead of one
-    ``accumulate`` per event.  ``regulator_replay="scan"`` swaps the
-    contested-stretch FSM loop for the fully vectorized segmented scan
-    (:mod:`repro.kernels.regulator_scan`), which always runs the delegated
-    pipeline shape.  All paths are bit-identical to the scalar loop;
-    ``"loop"`` preserves the original pipelines so the generations stay
-    separately benchmarkable.
-
-    ``bits`` overrides the per-packet random bit draws with externally
-    supplied ``(bits1, bits2)`` uint8 arrays — the streaming ingest path
-    slices one pre-drawn whole-stream pair so chunked runs replay the
-    exact whole-trace randomness.  ``stream_tag`` disambiguates the
-    trace-pinned stream caches when the same trace object is processed
-    with different bit slices (see :func:`_stream_key`).
-    """
-    if regulator_replay == "scan":
-        from repro.kernels.regulator_scan import process_trace_scan
-
-        return process_trace_scan(
-            engine, trace, on_accumulate, chunk_size, bits, stream_tag
-        )
-    if delegate:
-        return _process_trace_delegated(
-            engine, trace, on_accumulate, chunk_size, bits, stream_tag
-        )
-    regulator = engine.regulator
-    l1 = regulator.l1
-    vector_bits = l1.vector_bits
-    word_bits = l1.word_bits
-    sat_bits = l1.saturation_bits
-    if chunk_size is None:
-        chunk_size = getattr(engine.config, "chunk_size", DEFAULT_CHUNK_SIZE)
-
-    counters = BatchCounters(
-        packets=trace.num_packets,
-        l2_encoded=[0] * len(regulator.l2),
-        l2_saturated=[0] * len(regulator.l2),
-    )
-    num_packets = trace.num_packets
-    if num_packets == 0:
-        return counters
-
-    tables = kernel_tables(vector_bits, sat_bits)
-    step1 = tables.single
-    step_pair = tables.pair
-    b2_of = tables.b2_of_code
-    popcount = tables.popcount
-    step1_empty = step1[0]
-    sentinel = SENTINEL
-
-    layouts = _chunk_layouts(trace, l1, chunk_size)
-
-    if bits is None:
-        # Identical draws to the scalar path: same generator, sizes, order.
-        rng = np.random.default_rng(engine.config.seed ^ 0xB17)
-        bits1 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-        bits2 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-    else:
-        bits1, bits2 = bits
-    code_all = bits1 + np.uint8(vector_bits) * bits2
-    bit_values = np.left_shift(np.uint8(1), np.arange(vector_bits, dtype=np.uint8))
-
-    window_masks = l1._window_masks
-    decode = l1._decode_table
-    words = l1.words
-    l2_words = [sketch.words for sketch in regulator.l2]
-    num_banks = len(l2_words)
-    word_mask = (1 << word_bits) - 1
-    window_all = (1 << vector_bits) - 1
-    l2_encoded = counters.l2_encoded
-    l2_saturated = counters.l2_saturated
-
-    flow_ids = trace.flow_ids
-    key64 = trace.flows.key64
-    timestamps = trace.timestamps
-    sizes = trace.sizes
-    packed_tuples = trace.flows.packed_tuples()
-
-    l1_saturations = 0
-    insertions = 0
-
-    for layout in layouts:
-        order = layout["order"]
-
-        sorted_code = code_all[order]
-        stream = sorted_code.tobytes()
-        if vector_bits & (vector_bits - 1) == 0:
-            sorted_b1 = sorted_code & np.uint8(vector_bits - 1)
-        else:
-            sorted_b1 = sorted_code % np.uint8(vector_bits)
-        bit_stream = bit_values[sorted_b1]
-        or_heads = np.bitwise_or.reduceat(bit_stream, layout["reduce_starts"])
-        # Pre-rotate each stretch's OR mask into word position so the
-        # screen-and-commit of an uncontested stretch is a plain OR plus
-        # one masked popcount — no per-stretch window rotation.
-        offsets_arr = layout["offsets_arr"]
-        or64 = or_heads.astype(np.uint64)
-        # Right-shift count masked to the word size: offset 0 then shifts
-        # by 0 (both halves equal the unrotated mask), never by word_bits.
-        inv_shifts = (np.uint64(word_bits) - offsets_arr) & np.uint64(
-            word_bits - 1
-        )
-        rotated_or = (
-            ((or64 << offsets_arr) | (or64 >> inv_shifts))
-            & np.uint64(word_mask)
-        ).tolist()
-        pairs = len(sorted_b1) >> 1
-        pair_stream = (
-            sorted_b1[: 2 * pairs : 2] | (sorted_b1[1 : 2 * pairs : 2] << 3)
-        ).tobytes()
-        # Quad screen: OR of each aligned 4-packet block.  Inside a
-        # contested stretch, a block whose OR cannot push the window to
-        # saturation is committed in one step (OR is monotone, so no
-        # intermediate packet could have saturated either).
-        quads = pairs >> 1
-        pair_or = (
-            bit_stream[: 2 * pairs : 2] | bit_stream[1 : 2 * pairs : 2]
-        )
-        quad_or = (pair_or[: 2 * quads : 2] | pair_or[1 : 2 * quads : 2]).tobytes()
-
-        event_pos: "list[int]" = []
-        event_z: "list[int]" = []
-        event_z2: "list[int]" = []
-
-        for w, off, rot_or, a, b in zip(
-            layout["words"],
-            layout["offsets"],
-            rotated_or,
-            layout["starts"],
-            layout["ends"],
-        ):
-            word = words[w]
-            window = window_masks[off]
-            candidate = word | rot_or
-            if (candidate & window).bit_count() < sat_bits:
-                # Uncontested: the whole stretch cannot saturate; commit
-                # its OR-accumulated window in one write.
-                words[w] = candidate
-                continue
-            # Contested: replay the stretch through the FSM tables.
-            inv = word_bits - off
-            state = ((word >> off) | (word << inv)) & window_all
-            rest = word & ~window
-            l2_states = None
-            if a & 1:  # align the stretch to the packet-pair stream
-                c0 = stream[a]
-                nxt = step1[state][c0 - b2_of[c0] * vector_bits]
-                if nxt < sentinel:
-                    state = nxt
-                else:
-                    z = nxt - sentinel
-                    if l2_states is None:
-                        l2_states = [
-                            ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                            & window_all
-                            for q in range(num_banks)
-                        ]
-                    nxt2 = step1[l2_states[z]][b2_of[c0]]
-                    l2_encoded[z] += 1
-                    if nxt2 >= sentinel:
-                        event_pos.append(a)
-                        event_z.append(z)
-                        event_z2.append(nxt2 - sentinel)
-                        l2_saturated[z] += 1
-                        l2_states[z] = 0
-                    else:
-                        l2_states[z] = nxt2
-                    l1_saturations += 1
-                    state = 0
-                a += 1
-            pair_end = b - ((b - a) & 1)
-            jj = a >> 1
-            end_jj = pair_end >> 1
-            while jj < end_jj:
-                if not jj & 1 and jj + 2 <= end_jj:
-                    candidate = state | quad_or[jj >> 1]
-                    if popcount[candidate] < sat_bits:
-                        state = candidate
-                        jj += 2
-                        continue
-                pb = pair_stream[jj]
-                nxt = step_pair[state][pb]
-                if nxt < sentinel:
-                    state = nxt
-                    jj += 1
-                    continue
-                tag = nxt - sentinel
-                pos = tag >> 3
-                z = tag & 7
-                j = (jj << 1) | pos
-                if l2_states is None:
-                    l2_states = [
-                        ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                        & window_all
-                        for q in range(num_banks)
-                    ]
-                nxt2 = step1[l2_states[z]][b2_of[stream[j]]]
-                l2_encoded[z] += 1
-                if nxt2 >= sentinel:
-                    event_pos.append(j)
-                    event_z.append(z)
-                    event_z2.append(nxt2 - sentinel)
-                    l2_saturated[z] += 1
-                    l2_states[z] = 0
-                else:
-                    l2_states[z] = nxt2
-                l1_saturations += 1
-                if pos:
-                    state = 0
-                else:
-                    # The pair's second packet restarts the recycled window.
-                    nxt = step1_empty[pb >> 3]
-                    if nxt < sentinel:
-                        state = nxt
-                    else:
-                        z = nxt - sentinel
-                        j += 1
-                        nxt2 = step1[l2_states[z]][b2_of[stream[j]]]
-                        l2_encoded[z] += 1
-                        if nxt2 >= sentinel:
-                            event_pos.append(j)
-                            event_z.append(z)
-                            event_z2.append(nxt2 - sentinel)
-                            l2_saturated[z] += 1
-                            l2_states[z] = 0
-                        else:
-                            l2_states[z] = nxt2
-                        l1_saturations += 1
-                        state = 0
-                jj += 1
-            if pair_end < b:  # odd trailing packet
-                c0 = stream[pair_end]
-                nxt = step1[state][c0 - b2_of[c0] * vector_bits]
-                if nxt < sentinel:
-                    state = nxt
-                else:
-                    z = nxt - sentinel
-                    if l2_states is None:
-                        l2_states = [
-                            ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                            & window_all
-                            for q in range(num_banks)
-                        ]
-                    nxt2 = step1[l2_states[z]][b2_of[c0]]
-                    l2_encoded[z] += 1
-                    if nxt2 >= sentinel:
-                        event_pos.append(pair_end)
-                        event_z.append(z)
-                        event_z2.append(nxt2 - sentinel)
-                        l2_saturated[z] += 1
-                        l2_states[z] = 0
-                    else:
-                        l2_states[z] = nxt2
-                    l1_saturations += 1
-                    state = 0
-            words[w] = rest | (((state << off) | (state >> inv)) & word_mask)
-            if l2_states is not None:
-                for q in range(num_banks):
-                    bank_word = l2_words[q][w]
-                    bank_state = l2_states[q]
-                    l2_words[q][w] = (bank_word & ~window) | (
-                        ((bank_state << off) | (bank_state >> inv)) & word_mask
-                    )
-
-        if event_pos:
-            # Restore global coupling: apply this chunk's insertions in
-            # original packet order (chunks are contiguous, so chunk order
-            # composes to trace order).
-            positions = order[np.array(event_pos, dtype=np.int64)]
-            rank = np.argsort(positions, kind="stable")
-            positions = positions[rank]
-            event_flows = flow_ids[positions]
-            z1_sorted = np.array(event_z, dtype=np.int64)[rank]
-            z2_sorted = np.array(event_z2, dtype=np.int64)[rank]
-            accumulate = engine.wsaf.accumulate
-            for flow, key, stamp, size, noise1, noise2 in zip(
-                event_flows.tolist(),
-                key64[event_flows].tolist(),
-                timestamps[positions].tolist(),
-                sizes[positions].tolist(),
-                z1_sorted.tolist(),
-                z2_sorted.tolist(),
-            ):
-                est_pkt = decode[noise1] * decode[noise2]
-                totals = accumulate(
-                    key, est_pkt, est_pkt * size, stamp, packed_tuples[flow]
-                )
-                if on_accumulate is not None:
-                    on_accumulate(key, totals[0], totals[1], stamp)
-            insertions += len(event_pos)
-
-    counters.l1_saturations = l1_saturations
-    counters.insertions = insertions
-    return counters
-
-
-def _stream_key(engine, l1, chunk_size: int, stream_tag=None) -> "tuple":
-    """Cache key covering every knob that changes the derived streams.
-
-    The streams are functions of the trace *and* of (seed → bit draws,
-    vector/saturation/word geometry → codes and masks, placement seeds and
-    word count → sort layout, chunking).  Any config change that would
-    alter stream contents must land in this tuple, or a reused trace would
-    replay stale data — ``tests/test_kernels.py`` exercises each knob.
-
-    ``stream_tag`` identifies which slice of a pre-drawn whole-stream bit
-    sequence the caller supplied (the streaming ingest path); ``None``
-    means the engine's own whole-trace draw.
-    """
-    return (
-        _LAYOUT_VERSION,
-        engine.config.seed,
-        l1.vector_bits,
-        l1.saturation_bits,
-        l1.word_bits,
-        l1._place_seed_idx,
-        l1._place_seed_off,
-        l1.num_words,
-        int(chunk_size),
-        stream_tag,
-    )
-
-
-def _chunk_stream_slots(trace, key, num_chunks: int, attr: str) -> "list":
-    """The per-chunk cache list under ``trace.<attr>``, reset on key change."""
-    cache = getattr(trace, attr, None)
-    if cache is None or cache[0] != key:
-        cache = (key, [None] * num_chunks)
-        setattr(trace, attr, cache)
-    return cache[1]
 
 
 def _quad_stream_list(sorted_b1) -> "list[int]":
     """Aligned 4-packet bit codes as boxed ints for the scalar quad loop.
 
-    A list indexes ~2x faster than a memoryview in the replay loop, and
-    the boxed ints are built once per trace (the stream cache holds them
-    across runs).
+    A list indexes ~2x faster than a memoryview in the replay loop; it is
+    only built for chunks where some stretch fails the saturation screen.
     """
     nq = len(sorted_b1) >> 2
     q16 = sorted_b1[: 4 * nq : 4].astype(np.uint16)
@@ -545,52 +142,6 @@ def _quad_stream_list(sorted_b1) -> "list[int]":
     q16 = q16 | (sorted_b1[2 : 4 * nq : 4].astype(np.uint16) << 6)
     q16 = q16 | (sorted_b1[3 : 4 * nq : 4].astype(np.uint16) << 9)
     return q16.tolist()
-
-
-def _build_chunk_stream(
-    layout,
-    code_all,
-    vector_bits: int,
-    word_bits: int,
-    word_mask: int,
-    bit_values,
-    window_masks_np,
-    with_quad_list: bool,
-) -> "tuple":
-    """One chunk's derived streams (see ``_process_trace_delegated``).
-
-    ``with_quad_list`` controls whether the scalar quad replay's boxed-int
-    stream is materialized now (the vectorized scan never needs it; the
-    loop replay fills it lazily on first use via :func:`_quad_stream_list`).
-    """
-    order = layout["order"]
-    sorted_code = code_all[order]
-    if vector_bits & (vector_bits - 1) == 0:
-        sorted_b1 = sorted_code & np.uint8(vector_bits - 1)
-    else:
-        sorted_b1 = sorted_code % np.uint8(vector_bits)
-    bit_stream = bit_values[sorted_b1]
-    or_heads = np.bitwise_or.reduceat(bit_stream, layout["reduce_starts"])
-    offsets_arr = layout["offsets_arr"]
-    or64 = or_heads.astype(np.uint64)
-    inv_shifts = (np.uint64(word_bits) - offsets_arr) & np.uint64(word_bits - 1)
-    rotated_or_np = ((or64 << offsets_arr) | (or64 >> inv_shifts)) & np.uint64(
-        word_mask
-    )
-    stretch_windows = window_masks_np[offsets_arr.astype(np.intp)]
-    b1s = sorted_b1.tobytes()
-    b2s = (sorted_code // np.uint8(vector_bits)).tobytes()
-    quad_stream = _quad_stream_list(sorted_b1) if with_quad_list else None
-    return (
-        sorted_code,
-        sorted_b1,
-        bit_stream,
-        rotated_or_np,
-        stretch_windows,
-        b1s,
-        b2s,
-        quad_stream,
-    )
 
 
 def _delegate_chunk_events(
@@ -613,8 +164,9 @@ def _delegate_chunk_events(
     ``event_pos`` holds chunk-sorted stream positions; global coupling is
     restored by mapping through ``order`` and re-sorting by original packet
     position (chunks are contiguous, so chunk order composes to trace
-    order).  The batch-probed table takes the grouped array form; any other
-    table gets the equivalent ``accumulate_batch`` call.
+    order).  Tables with an ``accumulate_batch_arrays`` entry point (the
+    batch-probed and tiered tables) take the column-array form; list-column
+    tables get the equivalent ``accumulate_batch`` call.
     """
     positions = order[event_pos]
     rank = np.argsort(positions, kind="stable")
@@ -652,18 +204,25 @@ def _delegate_chunk_events(
         )
 
 
-def _process_trace_delegated(
+def process_trace_batched(
     engine,
     trace,
     on_accumulate=None,
     chunk_size: "int | None" = None,
     bits=None,
-    stream_tag=None,
 ) -> BatchCounters:
-    """Second-generation batched pipeline, feeding the batch-probed WSAF.
+    """Process ``trace`` through ``engine``'s regulator and WSAF, batched.
 
-    Four changes over :func:`process_trace_batched`'s original body, each
-    preserving bit-identity with the scalar loop:
+    Mutates the engine's sketch words and WSAF exactly as the scalar loop
+    would and returns the run's :class:`BatchCounters` (the caller folds
+    them into the shared stats/accounting objects).  ``chunk_size``
+    defaults to the engine config's value.  ``bits`` overrides the
+    per-packet random bit draws with externally supplied ``(bits1,
+    bits2)`` uint8 arrays — the streaming ingest path slices one pre-drawn
+    whole-stream pair so chunked runs replay the exact whole-trace
+    randomness.
+
+    Each step below preserves bit-identity with the scalar loop:
 
     * **Word-level screen.**  Windows of different flows in one word may
       overlap (offsets are arbitrary), so per-stretch outcomes are coupled
@@ -683,24 +242,20 @@ def _process_trace_delegated(
     * **Quad FSM steps.**  With ``saturation_bits >= 4`` a four-packet
       block saturates at most once (a recycled window plus three more
       packets cannot reach the threshold again), so the replay advances
-      four packets per lookup through :func:`~repro.kernels.luts.quad_tables`
-      with an aligned 8-packet OR screen in front.  Narrower thresholds
-      keep the two-packet pair tables.
-    * **Deferred L2 replay.**  A window that saturates from a post-reset
-      state grows one distinct bit per packet from zero, so it holds
-      exactly ``saturation_bits`` set bits at the saturating packet and
-      its noise level is the constant ``vector_bits - saturation_bits``.
-      Only a stretch's *first* saturation — seeded by the inherited word
-      state, which can carry extra bits committed by overlapping offsets
-      — can deviate, and those are rare (tens per trace).  The hot loop
-      therefore just records saturation positions (plus the deviating
-      first-sat noise levels), and a short per-chunk pass afterwards
-      replays the recorded stream through the L2 banks segment by
-      segment in the same per-word order, reproducing the interleaved
-      updates bit for bit.
-    * **Batch delegation.**  Decoded estimates are handed to the
-      batch-probed WSAF per chunk as column arrays
-      (:meth:`~repro.kernels.wsaf_batched.BatchedWSAFTable.accumulate_batch_arrays`)
+      four packets per lookup through :func:`~repro.kernels.luts.quad_tables`.
+      Narrower thresholds keep the two-packet pair tables with an aligned
+      4-packet OR screen in front.
+    * **Inline constant-noise L2 step.**  A window that saturates from a
+      post-reset state grows one distinct bit per packet from zero, so it
+      holds exactly ``saturation_bits`` set bits at the saturating packet
+      and its noise level is the constant ``vector_bits -
+      saturation_bits``.  The quad replay therefore keeps that one L2
+      bank's window in a local for the whole stretch; only a stretch's
+      *first* saturation — seeded by the inherited word state, which can
+      carry extra bits committed by overlapping offsets — can deviate, and
+      it read-modify-writes its own bank directly.
+    * **Batch delegation.**  Decoded estimates reach the WSAF once per
+      chunk, in original packet order (:func:`_delegate_chunk_events`),
       instead of one Python ``accumulate`` call per event.
     """
     regulator = engine.regulator
@@ -729,31 +284,15 @@ def _process_trace_delegated(
     use_quad = sat_bits >= 4
     step_quad = quad_tables(vector_bits, sat_bits) if use_quad else None
 
-    layouts = _chunk_layouts(trace, l1, chunk_size)
     bit_values = np.left_shift(np.uint8(1), np.arange(vector_bits, dtype=np.uint8))
-
-    # The sorted noise/code streams are pure functions of (trace, seed,
-    # layout, layer geometry) — like the chunk layouts, they are cached on
-    # the trace so repeated runs skip the draws and gathers.  Filled
-    # lazily per chunk below.
-    chunk_streams = _chunk_stream_slots(
-        trace,
-        _stream_key(engine, l1, chunk_size, stream_tag),
-        len(layouts),
-        _STREAM_ATTR,
-    )
-
-    code_all = None
-    if any(entry is None for entry in chunk_streams):
-        if bits is None:
-            # Identical draws to the scalar path: same generator, sizes,
-            # order.
-            rng = np.random.default_rng(engine.config.seed ^ 0xB17)
-            bits1 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-            bits2 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-        else:
-            bits1, bits2 = bits
-        code_all = bits1 + np.uint8(vector_bits) * bits2
+    if bits is None:
+        # Identical draws to the scalar path: same generator, sizes, order.
+        rng = np.random.default_rng(engine.config.seed ^ 0xB17)
+        bits1 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
+        bits2 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
+    else:
+        bits1, bits2 = bits
+    code_all = bits1 + np.uint8(vector_bits) * bits2
 
     window_masks = l1._window_masks
     window_masks_np = np.array(window_masks, dtype=np.uint64)
@@ -777,37 +316,28 @@ def _process_trace_delegated(
     l1_saturations = 0
     insertions = 0
 
-    for chunk_index, layout in enumerate(layouts):
+    for layout in _chunk_layouts(trace, l1, chunk_size):
         order = layout["order"]
-
-        streams = chunk_streams[chunk_index]
-        if streams is None:
-            streams = _build_chunk_stream(
-                layout,
-                code_all,
-                vector_bits,
-                word_bits,
-                word_mask,
-                bit_values,
-                window_masks_np,
-                with_quad_list=use_quad,
-            )
-            chunk_streams[chunk_index] = streams
-        elif use_quad and streams[7] is None:
-            # The cache entry was built by a scan run, which never needs
-            # the boxed-int quad stream; materialize it once.
-            streams = streams[:7] + (_quad_stream_list(streams[1]),)
-            chunk_streams[chunk_index] = streams
-        (
-            sorted_code,
-            sorted_b1,
-            bit_stream,
-            rotated_or_np,
-            stretch_windows,
-            b1s,
-            b2s,
-            quad_stream,
-        ) = streams
+        sorted_code = code_all[order]
+        if vector_bits & (vector_bits - 1) == 0:
+            sorted_b1 = sorted_code & np.uint8(vector_bits - 1)
+        else:
+            sorted_b1 = sorted_code % np.uint8(vector_bits)
+        bit_stream = bit_values[sorted_b1]
+        # Pre-rotate each stretch's OR mask into word position so screening
+        # a stretch is a plain OR plus one masked popcount.
+        or_heads = np.bitwise_or.reduceat(bit_stream, layout["reduce_starts"])
+        offsets_arr = layout["offsets_arr"]
+        or64 = or_heads.astype(np.uint64)
+        # Right-shift count masked to the word size: offset 0 then shifts
+        # by 0 (both halves equal the unrotated mask), never by word_bits.
+        inv_shifts = (np.uint64(word_bits) - offsets_arr) & np.uint64(
+            word_bits - 1
+        )
+        rotated_or_np = ((or64 << offsets_arr) | (or64 >> inv_shifts)) & np.uint64(
+            word_mask
+        )
+        stretch_windows = window_masks_np[offsets_arr.astype(np.intp)]
 
         word_run_starts = layout["word_run_starts"]
         word_run_lengths = layout["word_run_lengths"]
@@ -829,12 +359,15 @@ def _process_trace_delegated(
         noise_z = vector_bits - sat_bits
 
         if not word_ok.all():
-            starts_l = layout["starts"]
-            ends_l = layout["ends"]
-            words_l = layout["words"]
-            offs_l = layout["offsets"]
+            starts_l = layout["reduce_starts"].tolist()
+            ends_l = starts_l[1:] + [layout["span"]]
+            words_l = layout["words_arr"].tolist()
+            offs_l = offsets_arr.tolist()
 
             if use_quad:
+                quad_stream = _quad_stream_list(sorted_b1)
+                b1s = sorted_b1.tobytes()
+                b2s = (sorted_code // np.uint8(vector_bits)).tobytes()
 
                 def replay(
                     sid,
@@ -844,10 +377,10 @@ def _process_trace_delegated(
                     sen=sentinel,
                     b1l=b1s,
                     b2l=b2s,
-                    words_l=layout["words"],
-                    offs_l=layout["offsets"],
-                    starts_l=layout["starts"],
-                    ends_l=layout["ends"],
+                    words_l=words_l,
+                    offs_l=offs_l,
+                    starts_l=starts_l,
+                    ends_l=ends_l,
                     words_np=words_np,
                     window_masks=window_masks,
                     word_bits=word_bits,
@@ -1286,8 +819,7 @@ def _process_trace_delegated(
         words[:] = words_np.tolist()
 
         if event_pos:
-            # One delegated batch per chunk, in original packet order; the
-            # batch-probed table groups it by flow key internally.
+            # One delegated batch per chunk, in original packet order.
             _delegate_chunk_events(
                 np.array(event_pos, dtype=np.int64),
                 np.array(event_z, dtype=np.int64),

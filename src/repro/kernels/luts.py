@@ -117,31 +117,6 @@ def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
     return tables
 
 
-_SINGLE_FLAT_CACHE: "dict[tuple[int, int], np.ndarray]" = {}
-
-
-def single_flat_np(vector_bits: int, saturation_bits: int) -> "np.ndarray":
-    """The single-packet table packed for NumPy gathers.
-
-    A flat ``int16`` array of ``2**vector_bits * 8`` entries indexed
-    ``flat[(state << 3) | bit]`` (bit columns padded to a power-of-two
-    stride so the index is a shift-OR, not a multiply).  Values match
-    :attr:`KernelTables.single` exactly — ``state`` or ``SENTINEL + z`` —
-    which is what the vectorized regulator scan's column-parallel L2
-    stepping gathers per active stretch.
-    """
-    key = (vector_bits, saturation_bits)
-    cached = _SINGLE_FLAT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    tables = kernel_tables(vector_bits, saturation_bits)
-    flat = np.zeros((1 << vector_bits, 8), dtype=np.int16)
-    flat[:, :vector_bits] = np.array(tables.single, dtype=np.int16)
-    flat = np.ascontiguousarray(flat.reshape(-1))
-    _SINGLE_FLAT_CACHE[key] = flat
-    return flat
-
-
 _QUAD_CACHE: "dict[tuple[int, int], object]" = {}
 
 

@@ -27,17 +27,6 @@ Per-event running totals are reproduced with a sequential add loop over
 within-cohort positions (vectorized **across** cohorts), because float
 addition is not associative and the contract is bit-identical results.
 
-The pass is staged through overridable hooks so storage variants can
-reuse the cohort machinery: :meth:`~BatchedWSAFTable._order_risk_demotions`
-lets a subclass demote extra cohorts whose commits would be order-sensitive
-under *its* storage rules (re-running the conflict fixpoint after each
-round), and :meth:`~BatchedWSAFTable._resolved_chains` /
-:meth:`~BatchedWSAFTable._commit_resolved_extra` let it substitute its own
-add-chain arithmetic and commit side state.
-:class:`BatchedIceBucketsWSAFTable` uses exactly these three hooks to run
-the ICE-Buckets quantized counters (per-bucket scale gather, quantized
-vectorized adds, overflow screening) through the same plan.
-
 The scalar fallback is exercised constantly by the equivalence suite
 (``tests/test_wsaf_batched.py``) — under adversarial same-window cohorts
 and tiny tables everything demotes, and the result must still match the
@@ -51,8 +40,6 @@ from itertools import accumulate
 import numpy as np
 
 from repro.core.wsaf import WSAFTable
-from repro.core.wsaf_icebuckets import _IceMixin
-from repro.memmodel import AccessAccountant
 
 #: Below this many events the NumPy staging costs more than it saves.
 _SCALAR_CUTOFF = 8
@@ -61,10 +48,9 @@ _SCALAR_CUTOFF = 8
 class _BatchPlan:
     """Mutable staging state for one cohort-batched accumulate pass.
 
-    Built by :meth:`BatchedWSAFTable._build_batch_plan`; the demotion
-    stages shrink ``pure_hit``/``pure_ins`` (growing ``scalar_set``) in
-    place, and subclasses may hang extra fields off it (the ICE overflow
-    screen caches its simulated chains here).
+    Built by :meth:`BatchedWSAFTable._build_batch_plan`; the conflict
+    fixpoint shrinks ``pure_hit``/``pure_ins`` (growing ``scalar_set``) in
+    place.
     """
 
 
@@ -78,30 +64,20 @@ class BatchedWSAFTable(WSAFTable):
     element-wise.
     """
 
-    def __init__(
-        self,
-        num_entries: int = 1 << 20,
-        probe_limit: int = 16,
-        gc_timeout: "float | None" = None,
-        accountant: "AccessAccountant | None" = None,
-        eviction_policy: str = "second-chance",
-    ) -> None:
-        super().__init__(
-            num_entries=num_entries,
-            probe_limit=probe_limit,
-            gc_timeout=gc_timeout,
-            accountant=accountant,
-            eviction_policy=eviction_policy,
-        )
-        # Replace the list columns with a struct-of-arrays layout.  The
-        # packed 5-tuple stays a Python list: it is a 104-bit integer (or
-        # None), which no fixed-width dtype holds.
-        self._occupied = np.zeros(num_entries, dtype=bool)
-        self._keys = np.zeros(num_entries, dtype=np.uint64)
-        self._packets = np.zeros(num_entries, dtype=np.float64)
-        self._bytes = np.zeros(num_entries, dtype=np.float64)
-        self._timestamps = np.zeros(num_entries, dtype=np.float64)
-        self._chance = np.zeros(num_entries, dtype=bool)
+    def _allocate_columns(self) -> None:
+        """Struct-of-arrays columns instead of the scalar table's lists.
+
+        The packed 5-tuple stays a Python list: it is a 104-bit integer
+        (or None), which no fixed-width dtype holds.
+        """
+        n = self.num_entries
+        self._occupied = np.zeros(n, dtype=bool)
+        self._keys = np.zeros(n, dtype=np.uint64)
+        self._packets = np.zeros(n, dtype=np.float64)
+        self._bytes = np.zeros(n, dtype=np.float64)
+        self._timestamps = np.zeros(n, dtype=np.float64)
+        self._chance = np.zeros(n, dtype=bool)
+        self._tuples = [None] * n
         #: Triangular probe offsets (i + i²)/2 for the whole window.
         self._tri = np.array(
             [(i + i * i) >> 1 for i in range(self.probe_limit)], dtype=np.uint64
@@ -178,17 +154,6 @@ class BatchedWSAFTable(WSAFTable):
 
         plan = self._build_batch_plan(keys, pkts, byts, stamps)
         self._conflict_fixpoint(plan)
-        while True:
-            # Storage-specific demotions (no-op for the flat table): any
-            # round that demotes re-runs the slot-level fixpoint, since the
-            # newly scalar windows may collide with surviving pure ones.
-            demote = self._order_risk_demotions(plan)
-            if demote is None or not demote.any():
-                break
-            plan.pure_hit &= ~demote
-            plan.pure_ins &= ~demote
-            plan.scalar_set |= demote
-            self._conflict_fixpoint(plan)
 
         counts = plan.counts
         run_starts = plan.run_starts
@@ -198,7 +163,6 @@ class BatchedWSAFTable(WSAFTable):
         res = np.flatnonzero(resolved)
 
         if res.size:
-            cohort_rows = np.arange(len(plan.ukeys))
             res_slot = np.where(plan.pure_hit, plan.hit_slot, plan.ins_target)[
                 res
             ]
@@ -241,8 +205,6 @@ class BatchedWSAFTable(WSAFTable):
             follow_ups = counts[ins_cohorts] - 1
             self.updates += int(follow_ups.sum())
 
-            self._commit_resolved_extra(plan, res, res_slot)
-
             if self.accountant is not None:
                 # Hits probe to the hit round; an insert's first event
                 # walks the whole window, its follow-ups hit at the target.
@@ -265,10 +227,22 @@ class BatchedWSAFTable(WSAFTable):
             totals_bytes[original_idx] = sorted_tot_b[member_res]
 
         if plan.scalar_set.any():
-            self._replay_scalar_events(
-                plan, keys, pkts, byts, stamps, tuples,
-                totals_packets, totals_bytes,
-            )
+            # Order-sensitive leftovers replay through the scalar
+            # accumulate, in original event order; their windows are
+            # disjoint from every vectorized cohort's, so interleaving
+            # with the vectorized commits is immaterial.
+            member_scalar = np.repeat(plan.scalar_set, plan.counts)
+            scalar_accumulate = self.accumulate
+            for i in np.sort(plan.order[member_scalar]).tolist():
+                total_p, total_b = scalar_accumulate(
+                    int(keys[i]),
+                    float(pkts[i]),
+                    float(byts[i]),
+                    float(stamps[i]),
+                    tuples[i],
+                )
+                totals_packets[i] = total_p
+                totals_bytes[i] = total_b
 
         if on_accumulate is not None:
             for key, stamp, total_p, total_b in zip(
@@ -282,39 +256,13 @@ class BatchedWSAFTable(WSAFTable):
             return None
         return list(zip(totals_packets.tolist(), totals_bytes.tolist()))
 
-    def _replay_scalar_events(
-        self, plan, keys, pkts, byts, stamps, tuples,
-        totals_packets, totals_bytes,
-    ) -> None:
-        """Replay the plan's order-sensitive leftovers.
-
-        Through the scalar accumulate, in original event order (their
-        windows are disjoint from every vectorized cohort's, so
-        interleaving with the vectorized commits is immaterial).
-        Storage subclasses may override to peel off cohorts they can
-        replay faster without changing the sequential outcome.
-        """
-        member_scalar = np.repeat(plan.scalar_set, plan.counts)
-        scalar_original = np.sort(plan.order[member_scalar])
-        scalar_accumulate = self.accumulate
-        for i in scalar_original.tolist():
-            total_p, total_b = scalar_accumulate(
-                int(keys[i]),
-                float(pkts[i]),
-                float(byts[i]),
-                float(stamps[i]),
-                tuples[i],
-            )
-            totals_packets[i] = total_p
-            totals_bytes[i] = total_b
-
-    # -- batch staging (the overridable stages) -----------------------------
+    # -- batch staging -------------------------------------------------------
 
     def _build_batch_plan(self, keys, pkts, byts, stamps) -> _BatchPlan:
         """Stage a batch: cohorts, probe windows, and the pure/scalar split.
 
-        Everything downstream — demotion stages, chain evaluation, the
-        commit — reads from the returned plan.  The classification here is
+        Everything downstream — the conflict fixpoint, chain evaluation,
+        the commit — reads from the returned plan.  The classification here is
         exactly the scalar-equivalence argument from the module docstring,
         including the contested-insert-target demotion.
         """
@@ -405,7 +353,6 @@ class BatchedWSAFTable(WSAFTable):
         (eviction scans, GC reclaims, victim writes), so a pure cohort
         overlapping such a window is order-sensitive and demotes — which
         adds *its* window to the conflict set, possibly cascading.
-        Idempotent, so the demotion loop may re-run it freely.
         """
         if plan.scalar_set.any() and (
             plan.pure_hit.any() or plan.pure_ins.any()
@@ -424,16 +371,6 @@ class BatchedWSAFTable(WSAFTable):
                 plan.scalar_set |= demote
                 pending = demote
 
-    def _order_risk_demotions(self, plan: _BatchPlan) -> "np.ndarray | None":
-        """Extra cohorts this *storage* needs replayed scalar; None if none.
-
-        Hook for subclasses whose commits couple slots beyond the probe
-        windows (the ICE bucket upscale sweeps a whole bucket).  Called
-        after every conflict fixpoint until it reports no demotions; the
-        flat table has no such coupling.
-        """
-        return None
-
     def _resolved_chains(
         self, plan: _BatchPlan, res, res_slot, sorted_tot_p, sorted_tot_b
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -442,8 +379,7 @@ class BatchedWSAFTable(WSAFTable):
         Fills ``sorted_tot_p``/``sorted_tot_b`` (per-event running totals,
         at sorted positions) for every resolved member and returns the
         final ``(packets, bytes)`` per resolved cohort, aligned with
-        ``res``.  Subclasses with non-plain-addition counters override
-        this (the ICE table substitutes its quantized chains).
+        ``res``.
         """
         # Per-event running totals, bit-identical to sequential adds:
         # float addition is non-associative, so the add chains must run
@@ -522,12 +458,6 @@ class BatchedWSAFTable(WSAFTable):
                 sorted_tot_b[start:end] = chain
                 running_bytes[j] = chain[-1]
         return running_packets, running_bytes
-
-    def _commit_resolved_extra(self, plan: _BatchPlan, res, res_slot) -> None:
-        """Commit storage-specific side state for the resolved slots.
-
-        Runs after the float columns / occupancy commit; the flat table
-        has none (the ICE table scatters its quantized counter planes)."""
 
     # -- snapshots ----------------------------------------------------------
 
@@ -650,19 +580,12 @@ class BatchedWSAFTable(WSAFTable):
             self._bytes[hit_slots] = 0.0
             self._timestamps[hit_slots] = 0.0
             self._chance[hit_slots] = False
-            self._clear_batch_extra(hit_slots)
             self.size -= int(rows.size)
         if self.accountant is not None:
             reads = int(hit_round.sum()) + int(rows.size)
             reads += (int(query.size) - int(rows.size)) * self.probe_limit
             self.accountant.record("wsaf", reads=reads, writes=int(rows.size))
         return entries
-
-    def _clear_batch_extra(self, slots: "np.ndarray") -> None:
-        """Clear storage-specific columns for bulk-removed ``slots``.
-
-        The flat table has none; the ICE table zeroes its quantized
-        counter planes (mirroring its scalar ``_clear`` override)."""
 
     def place_record_batch(self, records, now: float) -> int:
         """Bulk :meth:`WSAFTable.place_record`, sequential semantics kept.
@@ -713,13 +636,10 @@ class BatchedWSAFTable(WSAFTable):
                 ):
                     placed += 1
             return placed
-        reclaimed = occ[rows, cand_round]
-        n_reclaimed = int(reclaimed.sum())
-        if n_reclaimed:
-            # The chosen slot held an expired record: the scalar loop
-            # clears it (counted) before re-filling it below.
-            self._clear_batch_extra(target[reclaimed])
-            self.gc_reclaimed += n_reclaimed
+        # A chosen slot that held an expired record: the scalar loop
+        # clears it (counted) before re-filling it below.
+        n_reclaimed = int(occ[rows, cand_round].sum())
+        self.gc_reclaimed += n_reclaimed
         self._occupied[target] = True
         self._keys[target] = keys
         self._packets[target] = np.fromiter(
@@ -780,435 +700,3 @@ class BatchedWSAFTable(WSAFTable):
             tuple_hi=hi,
             tuple_present=present,
         )
-
-
-class BatchedIceBucketsWSAFTable(_IceMixin, BatchedWSAFTable):
-    """ICE-Buckets compressed counters over the batch-probed array table.
-
-    Same quantized semantics as the scalar
-    :class:`~repro.core.wsaf_icebuckets.IceBucketsWSAFTable` — bucket-shared
-    scale exponents, upscale-on-overflow, dequantized float columns — and
-    the same cohort-batched execution as :class:`BatchedWSAFTable`, joined
-    through the three staging hooks:
-
-    * :meth:`_order_risk_demotions` gathers each resolved cohort's bucket
-      scale and demotes any cohort whose bucket a scalar-path store might
-      upscale (upscale sweeps the whole bucket, coupling slots beyond the
-      probe windows), then *simulates* the surviving quantized add chains
-      at fixed scales — any counter that would overflow demotes its whole
-      bucket (the real commit would upscale mid-batch) and the screen
-      re-runs until a pass is overflow-free.
-    * :meth:`_resolved_chains` reuses the screened simulation's per-event
-      and final values verbatim (``round``/``np.rint`` are both
-      round-half-even on the same float64, so the simulated chain is
-      bit-identical to the scalar ``_store`` sequence).
-    * :meth:`_commit_resolved_extra` scatters the simulated integer
-      counters into the quantized planes alongside the float commit.
-
-    Cohorts demoted by the screen replay through the inherited scalar
-    ICE ``accumulate``, which performs the actual upscale exactly where
-    the sequential run would.
-    """
-
-    #: Below this many still-active cohorts the vectorized position walk
-    #: pays more in per-step numpy dispatch than the work itself; the
-    #: remaining (long) chains finish in a plain Python loop running the
-    #: identical ``round((v + e) / step)`` arithmetic.
-    _WALK_CUTOFF = 16
-
-    def _new_qplane(self):
-        return np.zeros(self.num_entries, dtype=np.int64)
-
-    def _scale_arrays(self):
-        """The per-bucket scale lists as int64 arrays, cached.
-
-        The lists are shared with the scalar mixin (which mutates them
-        in place on upscale), so the cache invalidates on every
-        :meth:`_upscale` and on :meth:`load_state`.
-        """
-        cached = getattr(self, "_scale_arr_cache", None)
-        if cached is None:
-            cached = (
-                np.asarray(self._scale_packets, dtype=np.int64),
-                np.asarray(self._scale_bytes, dtype=np.int64),
-            )
-            self._scale_arr_cache = cached
-        return cached
-
-    def _upscale(self, bucket, plane_scales, plane_q, plane_values):
-        self._scale_arr_cache = None
-        plane_scales[bucket] += 1
-        scale_value = float(1 << plane_scales[bucket])
-        begin = bucket * self.bucket_slots
-        end = min(begin + self.bucket_slots, self.num_entries)
-        # Slice-wide version of the scalar sweep: unoccupied counters are
-        # zero and (0 + 1) >> 1 is zero again, so halving the whole slice
-        # rewrites exactly the occupied entries' values.
-        q = (plane_q[begin:end] + 1) >> 1
-        plane_q[begin:end] = q
-        plane_values[begin:end] = q * scale_value
-        self.upscales += 1
-        if self.accountant is not None:
-            touched = int(self._occupied[begin:end].sum())
-            if touched:
-                self.accountant.record("wsaf", reads=touched, writes=touched)
-
-    def load_state(self, state):
-        self._scale_arr_cache = None
-        super().load_state(state)
-
-    def _clear_batch_extra(self, slots):
-        # Mirror the scalar ``_clear`` override: a removed record's
-        # quantized counters must vanish with it.
-        self._qpackets[slots] = 0
-        self._qbytes[slots] = 0
-
-    def place_record_batch(self, records, now):
-        # Placements must commit through per-bucket quantization (and may
-        # upscale a whole bucket); keep them sequential here.
-        placed = 0
-        place_record = self.place_record
-        for key, packets, bytes_, timestamp, chance, packed in records:
-            if place_record(
-                key, packets, bytes_, timestamp, chance, packed, now
-            ):
-                placed += 1
-        return placed
-
-    def _replay_scalar_events(
-        self, plan, keys, pkts, byts, stamps, tuples,
-        totals_packets, totals_bytes,
-    ) -> None:
-        """Replay demoted cohorts, peeling off the bucket-isolated ones.
-
-        A demoted cohort whose probe window touches only buckets no
-        *other* demoted cohort's window touches cannot observe — or be
-        observed by — any other replayed event: probe walks, stores
-        (hits, inserts, GC reclaims, eviction victims) and the buckets
-        its stores can upscale all stay inside its own window's buckets,
-        and surviving vectorized cohorts were already demoted out of
-        every scalar-window bucket.  Such a cohort's events replay
-        consecutively: the first through the real scalar
-        :meth:`~repro.core.wsaf_icebuckets._IceMixin.accumulate`
-        (insert, GC, eviction and rejection handled for real), the rest
-        through the bare ``_store`` arithmetic on Python locals with the
-        plane writes deferred to the cohort's end — invisible, since
-        nothing else reads the bucket mid-cohort, and the mid-chain
-        upscale halvings of the resident slot are overwritten by the
-        very next committed store exactly as in the sequential run.
-        Bucket-sharing cohorts replay first through the base class's
-        ordered per-event loop (any interleaving with the isolated
-        cohorts is equivalent, by the same disjointness).
-        """
-        scal = np.flatnonzero(plan.scalar_set)
-        if scal.size == 0:
-            return
-        scal_slots = plan.slots[scal]
-        if self.gc_timeout is None:
-            # Without probe-time GC, a replayed cohort only touches (or
-            # observes) its window up to its landing slot: a hit's walk
-            # ends at the resident slot, an insert's outcome is fixed by
-            # the slots up to its first free one, and a full window scans
-            # (and may evict inside) all of it.  Occupancy inside scalar
-            # windows is still the batch-entry snapshot here — vectorized
-            # commits write only into their own, disjoint windows.
-            occ_win = self._occupied[scal_slots]
-            hit_matrix = occ_win & (
-                self._keys[scal_slots] == plan.ukeys[scal][:, None]
-            )
-            hit_any = hit_matrix.any(axis=1)
-            free_matrix = ~occ_win
-            free_any = free_matrix.any(axis=1)
-            claim_len = np.where(
-                hit_any,
-                hit_matrix.argmax(axis=1) + 1,
-                np.where(
-                    free_any,
-                    free_matrix.argmax(axis=1) + 1,
-                    self.probe_limit,
-                ),
-            )
-            claim_mask = (
-                np.arange(self.probe_limit)[None, :] < claim_len[:, None]
-            )
-            claim_rows = np.repeat(np.arange(scal.size), claim_len)
-            claim_buckets = scal_slots[claim_mask] // self.bucket_slots
-        else:
-            # Probe-time GC can read — and reclaim — anywhere in the
-            # window, so every window slot's bucket is claimed.
-            claim_rows = np.repeat(np.arange(scal.size), self.probe_limit)
-            claim_buckets = (scal_slots // self.bucket_slots).ravel()
-        owner_pairs = np.unique(
-            claim_rows.astype(np.int64) * self.num_buckets + claim_buckets
-        )
-        buckets_used, owners = np.unique(
-            owner_pairs % self.num_buckets, return_counts=True
-        )
-        shared = buckets_used[owners > 1]
-        isolated = np.ones(scal.size, dtype=bool)
-        if shared.size:
-            isolated[
-                claim_rows[np.isin(claim_buckets, shared)]
-            ] = False
-        if not isolated.all():
-            entangled = np.zeros(len(plan.ukeys), dtype=bool)
-            entangled[scal[~isolated]] = True
-            member = np.repeat(entangled, plan.counts)
-            accumulate = self.accumulate
-            for i in np.sort(plan.order[member]).tolist():
-                total_p, total_b = accumulate(
-                    int(keys[i]),
-                    float(pkts[i]),
-                    float(byts[i]),
-                    float(stamps[i]),
-                    tuples[i],
-                )
-                totals_packets[i] = total_p
-                totals_bytes[i] = total_b
-        fast = scal[isolated]
-        if fast.size == 0:
-            return
-
-        accumulate = self.accumulate
-        occupied = self._occupied
-        keys_col = self._keys
-        packets_col = self._packets
-        bytes_col = self._bytes
-        stamps_col = self._timestamps
-        qpackets = self._qpackets
-        qbytes = self._qbytes
-        scale_packets = self._scale_packets
-        scale_bytes = self._scale_bytes
-        bucket_slots = self.bucket_slots
-        counter_max = self._counter_max
-        mask = self._mask
-        gc_timeout = self.gc_timeout
-        run_starts = plan.run_starts
-        counts = plan.counts
-        order_arr = plan.order
-        sp = plan.sorted_pkts.tolist()
-        sb = plan.sorted_byts.tolist()
-        ss = plan.sorted_stamps.tolist()
-        accountant = self.accountant
-        for j in fast.tolist():
-            start = int(run_starts[j])
-            count = int(counts[j])
-            orig = order_arr[start : start + count]
-            key = int(plan.ukeys[j])
-            total_p, total_b = accumulate(
-                key, sp[start], sb[start], ss[start], tuples[orig[0]]
-            )
-            totals_packets[orig[0]] = total_p
-            totals_bytes[orig[0]] = total_b
-            if count == 1:
-                continue
-            base = key & mask
-            slot = -1
-            prefix: "list[int]" = []
-            for r in range(self.probe_limit):
-                probe = (base + ((r + r * r) >> 1)) & mask
-                if occupied[probe] and int(keys_col[probe]) == key:
-                    slot = probe
-                    hit_round = r
-                    break
-                prefix.append(probe)
-            if slot < 0:
-                # The insert was rejected (full window, policy spared
-                # everything): each remaining event retries for real.
-                for pos in range(start + 1, start + count):
-                    i = orig[pos - start]
-                    total_p, total_b = accumulate(
-                        key, sp[pos], sb[pos], ss[pos], tuples[i]
-                    )
-                    totals_packets[i] = total_p
-                    totals_bytes[i] = total_b
-                continue
-            bucket = slot // bucket_slots
-            vp = total_p
-            vb = total_b
-            qp = int(qpackets[slot])
-            qb = int(qbytes[slot])
-            step_p = float(1 << scale_packets[bucket])
-            step_b = float(1 << scale_bytes[bucket])
-            check_gc = gc_timeout is not None and bool(prefix)
-            tot_p: "list[float]" = []
-            tot_b: "list[float]" = []
-            for pos in range(start + 1, start + count):
-                if check_gc:
-                    # The hit walk clears at most one expired slot per
-                    # event: the first expired-occupied prefix slot, and
-                    # only if no free prefix slot precedes it.
-                    stamp = ss[pos]
-                    for probe in prefix:
-                        if occupied[probe]:
-                            if stamp - float(stamps_col[probe]) > gc_timeout:
-                                self._clear(probe)
-                                self.gc_reclaimed += 1
-                                break
-                        else:
-                            break
-                target = vp + sp[pos]
-                q = round(target / step_p)
-                while q > counter_max:
-                    self._upscale(
-                        bucket, scale_packets, qpackets, packets_col
-                    )
-                    step_p = float(1 << scale_packets[bucket])
-                    q = round(target / step_p)
-                qp = q
-                vp = q * step_p
-                tot_p.append(vp)
-                target = vb + sb[pos]
-                q = round(target / step_b)
-                while q > counter_max:
-                    self._upscale(bucket, scale_bytes, qbytes, bytes_col)
-                    step_b = float(1 << scale_bytes[bucket])
-                    q = round(target / step_b)
-                qb = q
-                vb = q * step_b
-                tot_b.append(vb)
-            packets_col[slot] = vp
-            bytes_col[slot] = vb
-            qpackets[slot] = qp
-            qbytes[slot] = qb
-            stamps_col[slot] = ss[start + count - 1]
-            self._chance[slot] = True
-            self.updates += count - 1
-            if accountant is not None:
-                accountant.record(
-                    "wsaf",
-                    reads=(count - 1) * (hit_round + 1),
-                    writes=count - 1,
-                )
-            rest = orig[1:]
-            totals_packets[rest] = tot_p
-            totals_bytes[rest] = tot_b
-
-    def _order_risk_demotions(self, plan):
-        pure = plan.pure_hit | plan.pure_ins
-        if not pure.any():
-            return None
-        bucket_slots = self.bucket_slots
-        forced = getattr(plan, "ice_forced_buckets", None)
-        if forced is None:
-            forced = np.zeros(self.num_buckets, dtype=bool)
-            plan.ice_forced_buckets = forced
-        risky = forced.copy()
-        if plan.scalar_set.any():
-            # A scalar cohort may store to any slot in its window (hit,
-            # insert, GC reclaim, eviction victim), and any such store can
-            # upscale — i.e. rewrite — that slot's entire bucket.
-            risky[
-                (plan.slots[plan.scalar_set] // bucket_slots).ravel()
-            ] = True
-        res_slot_all = np.where(plan.pure_hit, plan.hit_slot, plan.ins_target)
-        res_bucket_all = res_slot_all // bucket_slots
-        demote = pure & risky[res_bucket_all]
-        if demote.any():
-            return demote
-        overflow_buckets = self._screen_quantized_chains(plan)
-        if overflow_buckets is not None:
-            forced |= overflow_buckets
-            return pure & forced[res_bucket_all]
-        return None
-
-    def _screen_quantized_chains(self, plan):
-        """Simulate the resolved quantized chains; cache or flag overflow.
-
-        Runs every currently-resolved cohort's add chain at its bucket's
-        *current* scales (fixed for the whole batch: the demotion stage
-        already removed every cohort whose bucket anything else could
-        upscale).  If no counter overflows, the per-event totals, final
-        values, and final integer counters are cached on the plan for
-        :meth:`_resolved_chains` / :meth:`_commit_resolved_extra`.
-        Otherwise returns the bucket mask that must demote — committing
-        those cohorts would upscale mid-batch, which is order-sensitive.
-        """
-        resolved = plan.pure_hit | plan.pure_ins
-        res = np.flatnonzero(resolved)
-        n = plan.n
-        plan.ice_tot_p = np.empty(n, dtype=np.float64)
-        plan.ice_tot_b = np.empty(n, dtype=np.float64)
-        if not res.size:
-            empty_f = np.empty(0, dtype=np.float64)
-            empty_q = np.empty(0, dtype=np.int64)
-            plan.ice_final = (empty_f, empty_f)
-            plan.ice_q = (empty_q, empty_q)
-            return None
-        res_slot = np.where(plan.pure_hit, plan.hit_slot, plan.ins_target)[res]
-        bucket = res_slot // self.bucket_slots
-        scale_p, scale_b = self._scale_arrays()
-        step_p = np.ldexp(1.0, scale_p[bucket])
-        step_b = np.ldexp(1.0, scale_b[bucket])
-        counter_max = float(self._counter_max)
-        v_p = self._packets[res_slot].astype(np.float64, copy=True)
-        v_b = self._bytes[res_slot].astype(np.float64, copy=True)
-        overflow = np.zeros(res.size, dtype=bool)
-        starts_res = plan.run_starts[res]
-        counts_res = plan.counts[res]
-        sorted_pkts = plan.sorted_pkts
-        sorted_byts = plan.sorted_byts
-        # Position walk, vectorized across cohorts: each step is exactly
-        # the scalar ``_store`` arithmetic — add the exact estimate, divide
-        # by the (power-of-two) step, round half-even, rescale.
-        active = np.flatnonzero(counts_res)
-        position = 0
-        while active.size > self._WALK_CUTOFF:
-            event_idx = starts_res[active] + position
-            q = np.rint((v_p[active] + sorted_pkts[event_idx]) / step_p[active])
-            overflow[active] |= q > counter_max
-            v_p[active] = q * step_p[active]
-            plan.ice_tot_p[event_idx] = v_p[active]
-            q = np.rint((v_b[active] + sorted_byts[event_idx]) / step_b[active])
-            overflow[active] |= q > counter_max
-            v_b[active] = q * step_b[active]
-            plan.ice_tot_b[event_idx] = v_b[active]
-            position += 1
-            active = active[counts_res[active] > position]
-        # The few survivors are the longest chains; each finishes in a
-        # scalar loop running the identical round-half-even arithmetic
-        # (``round`` on a float64 == ``np.rint``), cheaper per step than
-        # a numpy dispatch over a near-empty lane set.
-        tot_p, tot_b = plan.ice_tot_p, plan.ice_tot_b
-        for j in active.tolist():
-            vp, vb = v_p[j], v_b[j]
-            sp, sb = step_p[j], step_b[j]
-            start = starts_res[j]
-            over = False
-            for idx in range(start + position, start + counts_res[j]):
-                q = round((vp + sorted_pkts[idx]) / sp)
-                over |= q > counter_max
-                vp = q * sp
-                tot_p[idx] = vp
-                q = round((vb + sorted_byts[idx]) / sb)
-                over |= q > counter_max
-                vb = q * sb
-                tot_b[idx] = vb
-            v_p[j], v_b[j] = vp, vb
-            overflow[j] |= over
-        if overflow.any():
-            mask = np.zeros(self.num_buckets, dtype=bool)
-            mask[bucket[overflow]] = True
-            return mask
-        plan.ice_final = (v_p, v_b)
-        # q·2^scale is exact in float64, so the division recovers the
-        # integer counters exactly.
-        plan.ice_q = (
-            np.rint(v_p / step_p).astype(np.int64),
-            np.rint(v_b / step_b).astype(np.int64),
-        )
-        return None
-
-    def _resolved_chains(self, plan, res, res_slot, sorted_tot_p, sorted_tot_b):
-        # The overflow screen's last pass simulated exactly this resolved
-        # set (the demotion loop only exits after a clean screen, and
-        # nothing shrinks the set afterwards); reuse its chains.
-        member_res = np.repeat(plan.pure_hit | plan.pure_ins, plan.counts)
-        sorted_tot_p[member_res] = plan.ice_tot_p[member_res]
-        sorted_tot_b[member_res] = plan.ice_tot_b[member_res]
-        return plan.ice_final
-
-    def _commit_resolved_extra(self, plan, res, res_slot):
-        q_p, q_b = plan.ice_q
-        self._qpackets[res_slot] = q_p
-        self._qbytes[res_slot] = q_b

@@ -731,11 +731,12 @@ class ShardedStreamingMeasurer:
     def from_snapshots(cls, snapshots, accountant=None) -> "ShardedStreamingMeasurer":
         """Rebuild from per-shard snapshots (a service checkpoint),
         resuming every shard's stream cursor bit-identically."""
-        from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
+        from repro.core.instameasure import InstaMeasure
+        from repro.state.snapshot import snapshot_config
 
         if not snapshots:
             raise ConfigurationError("cannot restore from zero shard snapshots")
-        config = InstaMeasureConfig(**snapshots[0].config)
+        config = snapshot_config(snapshots[0])
         measurer = cls(config, num_shards=len(snapshots), accountant=accountant)
         measurer.engines = [
             InstaMeasure.from_snapshot(snapshot, accountant=accountant)

@@ -92,8 +92,7 @@ class TraceChunkSource(ChunkSource):
     boundaries at ``start + k * epoch_seconds`` (packets at exactly a
     boundary open the next epoch, matching ``Trace.time_slice``'s
     half-open windows).  Chunks are built once, eagerly, and reused
-    across iterations — kernel caches pinned on the chunk traces stay
-    warm when the same source drives repeated runs.
+    across iterations.
     """
 
     def __init__(

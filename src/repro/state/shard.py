@@ -50,7 +50,7 @@ class ShardRouter:
         #: routers with equal tokens route identically, so cached split
         #: results (pinned on trace/flow objects) can be shared across
         #: router instances — repeated benchmark runs with fresh
-        #: pipelines still hit warm routing and warm kernel caches.
+        #: pipelines still hit warm routing.
         #: ``None`` falls back to object identity (hand-built routers).
         self.cache_token = (
             (num_shards, num_words, cache_token)
@@ -143,7 +143,7 @@ class ShardRouter:
         ``begin`` (a load controller may rebase a chunk's span onto the
         kept stream without touching the trace), so repeated runs over
         one chunk source reuse both the routing work and the sub-trace
-        objects (keeping per-trace kernel caches warm).
+        objects.
         """
         from repro.traffic.packet import Trace
 

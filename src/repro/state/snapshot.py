@@ -22,7 +22,7 @@ reproduced from a cursor — capturing one raises :class:`SnapshotError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -418,6 +418,39 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
     )
 
 
+#: Config keys older snapshots carry for knobs the engine no longer has.
+#: ``regulator_replay`` chose between bit-identical contested-stretch
+#: replays, so dropping it on restore never changes the restored state.
+RETIRED_CONFIG_KEYS = frozenset({"regulator_replay"})
+
+
+def snapshot_config(snapshot: MeasurementSnapshot):
+    """The :class:`~repro.core.instameasure.InstaMeasureConfig` a
+    snapshot's embedded config dict describes.
+
+    Every restore path builds its config here.  Retired keys are dropped;
+    any other key the config does not know raises :class:`SnapshotError`
+    instead of escaping the dataclass constructor as a ``TypeError``.
+    """
+    from repro.core.instameasure import InstaMeasureConfig
+
+    if not isinstance(snapshot.config, dict):
+        raise SnapshotError(
+            f"snapshot config must be a mapping, got "
+            f"{type(snapshot.config).__name__}"
+        )
+    known = {spec.name for spec in fields(InstaMeasureConfig)}
+    config = {
+        key: value
+        for key, value in snapshot.config.items()
+        if key not in RETIRED_CONFIG_KEYS
+    }
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise SnapshotError(f"snapshot config has unknown keys {unknown}")
+    return InstaMeasureConfig(**config)
+
+
 def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     """Rebuild a live engine from ``snapshot``, bit-identical to capture.
 
@@ -426,13 +459,13 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     stream's RNG cursor are installed.  A restored mid-stream engine
     continues ingesting exactly where the captured one stopped.
     """
-    from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
+    from repro.core.instameasure import InstaMeasure
 
     if snapshot.kind != KIND_INSTAMEASURE:
         raise SnapshotError(
             f"cannot restore snapshot kind {snapshot.kind!r} into an engine"
         )
-    engine = InstaMeasure(InstaMeasureConfig(**snapshot.config), accountant)
+    engine = InstaMeasure(snapshot_config(snapshot), accountant)
     restore_regulator(engine.regulator, snapshot.regulator)
     engine.wsaf.load_state(snapshot.wsaf)
     cursor = snapshot.stream

@@ -48,7 +48,6 @@ def _row(bench, timestamp: float = 1.0) -> dict:
         "git_sha": "abc123",
         "engine": "batched",
         "wsaf_engine": "batched",
-        "regulator_replay": "scan",
         "timestamp": timestamp,
     }
 
@@ -85,10 +84,6 @@ class TestLoadHistory:
         history = json.loads(history_path.read_text())
         assert [r["git_sha"] for r in history] == ["abc123"]
         assert history_path.with_suffix(".json.corrupt").exists()
-
-    def test_baseline_row_survives_corruption(self, bench, history_path):
-        history_path.write_text('["oops"]')
-        assert bench._baseline_row("scan") is None
 
     def test_append_extends_valid_history(self, bench, history_path):
         history_path.write_text(json.dumps([_row(bench, timestamp=1.0)]))
@@ -132,6 +127,40 @@ class TestShardsNormalization:
         history = json.loads(history_path.read_text())
         assert len(history) == 1
         assert history[0]["timestamp"] == 2.0
+
+
+class TestRetiredGenerationRows:
+    def test_extra_label_keeps_rows_distinct(self, bench, history_path):
+        # Rows of retired kernel generations carry one more string label
+        # (the generation they measured); same-commit rows that differ
+        # only there are distinct history, and so is an unlabelled row.
+        loop = _row(bench, timestamp=1.0)
+        loop["generation"] = "loop"
+        scan = dict(loop, generation="scan")
+        history_path.write_text(json.dumps([loop, scan]))
+        bench._append_report([_row(bench, timestamp=2.0)])
+        history = json.loads(history_path.read_text())
+        assert [r.get("generation") for r in history] == ["loop", "scan", None]
+
+    def test_context_labels_do_not_split_rows(self, bench, history_path):
+        # A re-measurement on another platform still supersedes the row.
+        first = _row(bench, timestamp=1.0)
+        first["platform"] = "Linux-a"
+        second = dict(first, platform="Linux-b", timestamp=2.0)
+        history_path.write_text(json.dumps([first, second]))
+        bench._append_report([])
+        (row,) = json.loads(history_path.read_text())
+        assert row["platform"] == "Linux-b"
+
+    def test_recorded_history_keeps_every_row(self, bench):
+        # The committed history survives normalization row for row.
+        recorded = json.loads(
+            (
+                pathlib.Path(__file__).resolve().parents[1]
+                / "BENCH_throughput.json"
+            ).read_text()
+        )
+        assert bench._normalize_history(list(recorded)) == recorded
 
 
 class TestEnvironmentStamp:

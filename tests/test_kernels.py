@@ -3,13 +3,19 @@
 The contract of :mod:`repro.kernels` is *bit-identicality*: the batched
 engine must leave exactly the same regulator words, counters, statistics,
 and WSAF contents behind as the scalar per-packet loop, for every
-configuration it claims to support.  These tests enforce that contract
-across seeds, chunk sizes (including degenerate ones), eviction policies,
-saturation thresholds, and vector geometries, and pin the gating rules
-that route unsupported configurations back to the scalar path.
+configuration it claims to support, whichever WSAF column layout it
+feeds (``wsaf_engine``).  These tests enforce that contract across seeds,
+chunk sizes (including one-packet chunks), eviction policies, saturation
+thresholds, vector and word geometries, a single-flow trace whose every
+chunk is one maximal contested stretch, and the empty trace, rerun the
+degenerate geometries on the tiered and ICE-Buckets WSAF backends, and
+pin the gating rules that route unsupported configurations back to the
+scalar path.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +23,7 @@ from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 from repro.core.rcc import popcount_table
 from repro.errors import ConfigurationError
 from repro.kernels import SENTINEL, kernel_tables, supports_batched
+from repro.state import capture_engine, to_bytes
 from repro.traffic.synth import CaidaLikeConfig, build_caida_like_trace
 
 
@@ -28,9 +35,27 @@ def trace():
     )
 
 
-@pytest.fixture(params=["loop", "scan"])
-def replay(request):
-    """Both contested-stretch replays must satisfy the oracle."""
+@pytest.fixture(scope="module")
+def single_flow_trace():
+    """Every packet belongs to one flow: one max-length stretch per chunk.
+
+    All packets share one ``(word, offset)`` placement, so the kernel sees
+    a single word run whose whole chunk is one contested stretch.
+    """
+    return build_caida_like_trace(
+        CaidaLikeConfig(
+            num_flows=1,
+            duration=2.0,
+            seed=5,
+            max_flow_size=20_000,
+            zipf_alpha=1.01,
+        )
+    )
+
+
+@pytest.fixture(params=["batched", "scalar"])
+def wsaf_engine(request):
+    """The kernel must satisfy the oracle feeding either WSAF layout."""
     return request.param
 
 
@@ -68,58 +93,60 @@ def _assert_identical(scalar_engine, batched_engine):
 
 class TestBitIdenticality:
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_identical_across_seeds(self, trace, replay, seed):
+    def test_identical_across_seeds(self, trace, wsaf_engine, seed):
         scalar_engine, scalar_result = _run(trace, _config(seed=seed, engine="scalar"))
         batched_engine, batched_result = _run(
-            trace, _config(seed=seed, engine="batched", regulator_replay=replay)
+            trace, _config(seed=seed, engine="batched", wsaf_engine=wsaf_engine)
         )
         assert scalar_result.packets == batched_result.packets == trace.num_packets
         assert scalar_result.insertions == batched_result.insertions
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096, 1 << 20])
-    def test_identical_across_chunk_sizes(self, trace, replay, chunk_size):
+    def test_identical_across_chunk_sizes(self, trace, wsaf_engine, chunk_size):
+        # chunk_size=1: every chunk is a single one-packet stretch.
         scalar_engine, _ = _run(trace, _config(engine="scalar"))
         batched_engine, _ = _run(
             trace,
             _config(
-                engine="batched", regulator_replay=replay, chunk_size=chunk_size
+                engine="batched", wsaf_engine=wsaf_engine, chunk_size=chunk_size
             ),
         )
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("policy", ["second-chance", "min", "reject"])
-    def test_identical_under_eviction_pressure(self, trace, replay, policy):
+    def test_identical_under_eviction_pressure(self, trace, wsaf_engine, policy):
         # A 16-entry table with a 4-slot probe window forces constant
         # evictions, so WSAF ordering bugs cannot hide.
         pressured = _config(
             wsaf_entries=16,
             probe_limit=4,
             eviction_policy=policy,
-            regulator_replay=replay,
+            wsaf_engine=wsaf_engine,
         )
         scalar_engine, _ = _run(trace, replace_engine(pressured, "scalar"))
         batched_engine, _ = _run(trace, replace_engine(pressured, "batched"))
         assert scalar_engine.wsaf.evictions > 0 or policy == "reject"
         _assert_identical(scalar_engine, batched_engine)
 
-    @pytest.mark.parametrize("saturation_fill", [0.5, 0.75, 0.9])
-    def test_identical_across_saturation_fill(self, trace, replay, saturation_fill):
-        scalar_engine, _ = _run(
-            trace, _config(engine="scalar", saturation_fill=saturation_fill)
-        )
+    @pytest.mark.parametrize(
+        "vector_bits,saturation_fill",
+        # (3, 0.5) is saturation_bits == 2, the narrowest threshold.
+        [(8, 0.5), (8, 0.75), (8, 0.9), (3, 0.5)],
+    )
+    def test_identical_across_saturation_fill(
+        self, trace, wsaf_engine, vector_bits, saturation_fill
+    ):
+        geometry = dict(vector_bits=vector_bits, saturation_fill=saturation_fill)
+        scalar_engine, _ = _run(trace, _config(engine="scalar", **geometry))
         batched_engine, _ = _run(
             trace,
-            _config(
-                engine="batched",
-                regulator_replay=replay,
-                saturation_fill=saturation_fill,
-            ),
+            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
         )
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("vector_bits", [3, 4, 5, 8])
-    def test_identical_across_vector_bits(self, trace, replay, vector_bits):
+    def test_identical_across_vector_bits(self, trace, wsaf_engine, vector_bits):
         scalar_engine, _ = _run(
             trace, _config(engine="scalar", vector_bits=vector_bits)
         )
@@ -127,21 +154,41 @@ class TestBitIdenticality:
             trace,
             _config(
                 engine="batched",
-                regulator_replay=replay,
+                wsaf_engine=wsaf_engine,
                 vector_bits=vector_bits,
             ),
         )
         _assert_identical(scalar_engine, batched_engine)
 
-    def test_identical_with_64bit_words(self, trace, replay):
-        scalar_engine, _ = _run(trace, _config(engine="scalar", word_bits=64))
+    @pytest.mark.parametrize("vector_bits", [3, 8])
+    def test_identical_with_64bit_words(self, trace, wsaf_engine, vector_bits):
+        geometry = dict(word_bits=64, vector_bits=vector_bits)
+        scalar_engine, _ = _run(trace, _config(engine="scalar", **geometry))
         batched_engine, _ = _run(
             trace,
-            _config(engine="batched", regulator_replay=replay, word_bits=64),
+            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
         )
         _assert_identical(scalar_engine, batched_engine)
 
-    def test_callbacks_fire_identically(self, trace, replay):
+    @pytest.mark.parametrize(
+        "geometry",
+        [{}, dict(word_bits=64, vector_bits=4)],
+        ids=["default", "64bit-v4"],
+    )
+    def test_identical_on_single_flow_trace(
+        self, single_flow_trace, wsaf_engine, geometry
+    ):
+        scalar_engine, _ = _run(
+            single_flow_trace, _config(engine="scalar", **geometry)
+        )
+        batched_engine, _ = _run(
+            single_flow_trace,
+            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
+        )
+        assert batched_engine.regulator.stats.insertions > 0
+        _assert_identical(scalar_engine, batched_engine)
+
+    def test_callbacks_fire_identically(self, trace, wsaf_engine):
         scalar_calls: list = []
         batched_calls: list = []
         scalar_engine = InstaMeasure(_config(engine="scalar"))
@@ -149,7 +196,7 @@ class TestBitIdenticality:
             trace, on_accumulate=lambda *args: scalar_calls.append(args)
         )
         batched_engine = InstaMeasure(
-            _config(engine="batched", regulator_replay=replay)
+            _config(engine="batched", wsaf_engine=wsaf_engine)
         )
         batched_engine.process_trace(
             trace, on_accumulate=lambda *args: batched_calls.append(args)
@@ -160,15 +207,95 @@ class TestBitIdenticality:
     def test_empty_trace(self, trace):
         empty = trace.time_slice(-2.0, -1.0)
         assert empty.num_packets == 0
-        engine, result = _run(empty, _config(engine="batched"))
-        assert result.packets == 0
-        assert result.insertions == 0
+        scalar_engine, _ = _run(empty, _config(engine="scalar"))
+        for wsaf_engine in ("batched", "scalar"):
+            engine, result = _run(
+                empty, _config(engine="batched", wsaf_engine=wsaf_engine)
+            )
+            assert result.packets == 0
+            assert result.insertions == 0
+            _assert_identical(scalar_engine, engine)
+
+
+#: The non-flat WSAF layouts the kernel feeds, as ``(wsaf_backend,
+#: wsaf_engine)``: the tiered store in both column forms and ICE-Buckets,
+#: whose list columns have only the scalar form.
+_BACKEND_LAYOUTS = (
+    ("tiered", "batched"),
+    ("tiered", "scalar"),
+    ("icebuckets", "scalar"),
+)
+
+#: A small hot cache and a short tick interval, so promotions and
+#: demotions land mid-chunk rather than once per run.
+_TIER_GEOMETRY = dict(tier_cache_entries=64, tier_interval=64)
+
+
+def _assert_identical_on_backends(some_trace, **overrides) -> int:
+    """The kernel matches the scalar engine on every non-flat layout.
+
+    Returns the WSAF insertion count, which every layout shares.
+    """
+    insertions = 0
+    for backend, wsaf_engine in _BACKEND_LAYOUTS:
+        layout = dict(wsaf_backend=backend, **_TIER_GEOMETRY, **overrides)
+        scalar_engine, scalar_result = _run(
+            some_trace, _config(engine="scalar", **layout)
+        )
+        kernel_engine, kernel_result = _run(
+            some_trace,
+            _config(engine="batched", wsaf_engine=wsaf_engine, **layout),
+        )
+        assert (
+            scalar_result.packets == kernel_result.packets == some_trace.num_packets
+        )
+        assert scalar_result.insertions == kernel_result.insertions
+        _assert_identical(scalar_engine, kernel_engine)
+        # The snapshot also carries the tier section (hot cache, heat
+        # counts, promote/demote tallies) and the ICE scales, slot-exact.
+        # Only the engine knobs in the config may differ.
+        scalar_snapshot = capture_engine(scalar_engine)
+        kernel_snapshot = replace(
+            capture_engine(kernel_engine), config=scalar_snapshot.config
+        )
+        assert to_bytes(kernel_snapshot) == to_bytes(scalar_snapshot)
+        insertions = kernel_result.insertions
+    return insertions
+
+
+class TestEdgeGeometryOnBackends:
+    """The degenerate geometries with the WSAF storage swapped out.
+
+    :class:`TestBitIdenticality` pins narrow vectors, 64-bit words,
+    one-packet chunks and the empty trace on the flat table; the same
+    scalar oracle must hold when the kernel feeds the tiered store or
+    ICE-Buckets instead.
+    """
+
+    @pytest.mark.parametrize("vector_bits", [3, 4, 5])
+    def test_narrow_vectors(self, trace, vector_bits):
+        _assert_identical_on_backends(trace, vector_bits=vector_bits)
+
+    @pytest.mark.parametrize("vector_bits", [3, 8])
+    def test_64bit_words(self, trace, vector_bits):
+        _assert_identical_on_backends(
+            trace, word_bits=64, vector_bits=vector_bits
+        )
+
+    def test_one_packet_chunks(self, trace):
+        # chunk_size=1: every chunk is a single one-packet stretch.  The
+        # slice is long enough that flows reach the working set.
+        small = trace.time_slice(0.0, 2.0)
+        assert _assert_identical_on_backends(small, chunk_size=1) > 0
+
+    def test_empty_trace(self, trace):
+        empty = trace.time_slice(-2.0, -1.0)
+        assert empty.num_packets == 0
+        assert _assert_identical_on_backends(empty) == 0
 
 
 def replace_engine(config: InstaMeasureConfig, engine: str) -> InstaMeasureConfig:
     """A copy of ``config`` running on ``engine``."""
-    from dataclasses import replace
-
     return replace(config, engine=engine)
 
 

@@ -15,6 +15,9 @@ header's ``wsaf.sections`` list.  The compatibility contracts:
   on the same trace and config, for both the scalar and the batch-probed
   engine.  This is the bit-identity bar for the ``flat`` backend: same
   records, same slots, same counters, same estimates.
+* Every golden still restores through the public restore paths, although
+  its embedded config carries the retired ``regulator_replay`` knob; any
+  other config key the engine does not know is a ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 import pytest
 
 from repro.core import InstaMeasure, InstaMeasureConfig
-from repro.errors import SnapshotError
+from repro.errors import ConfigurationError, SnapshotError
+from repro.pipeline.sharded import ShardedStreamingMeasurer
 from repro.state import capture_engine, from_bytes, load, to_bytes
 from repro.state.codec import MAGIC
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -224,8 +228,10 @@ class TestGoldenBackendIdentity:
     def golden_trace(self):
         return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
 
-    @pytest.mark.parametrize("backend", sorted(GOLDEN_BACKENDS))
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "wsaf_engine,backend",
+        [("scalar", "icebuckets"), ("scalar", "tiered"), ("batched", "tiered")],
+    )
     def test_backend_matches_golden(self, golden_trace, backend, wsaf_engine):
         golden = load(GOLDEN_DIR / f"{backend}.imsnap")
         engine = InstaMeasure(
@@ -287,6 +293,16 @@ class TestGoldenBackendIdentity:
         assert current.regulator.packets == golden.regulator.packets
         assert current.regulator.insertions == golden.regulator.insertions
 
+    def test_batched_icebuckets_is_rejected(self):
+        # ICE-Buckets has list columns only; there is no batched engine
+        # to compare against its golden.
+        with pytest.raises(ConfigurationError, match="icebuckets"):
+            InstaMeasureConfig(
+                wsaf_engine="batched",
+                **GOLDEN_CONFIG,
+                **GOLDEN_BACKENDS["icebuckets"],
+            )
+
     @pytest.mark.parametrize("backend", sorted(GOLDEN_BACKENDS))
     def test_backend_golden_exercises_dynamics(self, backend):
         golden = load(GOLDEN_DIR / f"{backend}.imsnap")
@@ -298,3 +314,35 @@ class TestGoldenBackendIdentity:
             assert golden.wsaf.tier.demotions > 0
         else:
             assert golden.wsaf.ice.upscales > 0
+
+
+GOLDEN_NAMES = ("flat_scalar", "flat_batched", "tiered", "icebuckets")
+
+
+class TestGoldenRestore:
+    """The goldens restore through the engine and the sharded measurer."""
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_golden_restores_with_retired_key(self, name):
+        golden = load(GOLDEN_DIR / f"{name}.imsnap")
+        # Captured while the engine still had the knob.
+        assert "regulator_replay" in golden.config
+        engine = InstaMeasure.from_snapshot(golden)
+        assert "regulator_replay" not in vars(engine.config)
+        assert engine.estimates() == golden.estimates()
+        assert engine.regulator.stats.packets == golden.regulator.packets
+        sharded = ShardedStreamingMeasurer.from_snapshots([golden])
+        assert sharded.engines[0].estimates() == golden.estimates()
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_unknown_config_key_is_rejected(self, name):
+        payload = (GOLDEN_DIR / f"{name}.imsnap").read_bytes()
+        tampered = from_bytes(
+            _tamper_header(
+                payload, lambda header: header["config"].update(turbo=True)
+            )
+        )
+        with pytest.raises(SnapshotError, match="turbo"):
+            InstaMeasure.from_snapshot(tampered)
+        with pytest.raises(SnapshotError, match="turbo"):
+            ShardedStreamingMeasurer.from_snapshots([tampered])

@@ -35,10 +35,7 @@ from repro.core import (
 )
 from repro.core.instameasure import resolved_wsaf_engine
 from repro.errors import ConfigurationError
-from repro.kernels.wsaf_batched import (
-    BatchedIceBucketsWSAFTable,
-    BatchedWSAFTable,
-)
+from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.memmodel import DRAM, SRAM, AccessAccountant
 from repro.state import capture_engine, from_bytes, restore_engine, to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -103,28 +100,21 @@ class TestBackendSelection:
         assert callable(getattr(table, "accumulate_batch_arrays", None))
 
     def test_icebuckets_resolves_scalar_under_auto(self):
-        # ICE-Buckets' quantized add chains are order-serial, so its
-        # batched form measures slower than per-event accumulate on this
-        # simulator; ``auto`` keeps the scalar table.  Forcing
-        # ``wsaf_engine="batched"`` must still compose (bit-identical).
-        assert resolved_wsaf_engine(_config("icebuckets")) == "scalar"
-        forced = _config("icebuckets", wsaf_engine="batched")
-        assert resolved_wsaf_engine(forced) == "batched"
-        table = build_wsaf_storage(forced)
-        assert callable(getattr(table, "accumulate_batch_arrays", None))
+        # ICE-Buckets' quantized add chains are order-serial, so it has
+        # list columns only; ``auto`` keeps the scalar table and the
+        # batched regulator kernel feeds it through ``accumulate_batch``.
+        config = _config("icebuckets")
+        assert resolved_wsaf_engine(config) == "scalar"
+        assert type(build_wsaf_storage(config)) is IceBucketsWSAFTable
+        assert InstaMeasure(config).wsaf_engine == "scalar"
 
     def test_batched_engine_builds_batched_backends(self):
         tiered = build_wsaf_storage(_config("tiered", wsaf_engine="batched"))
         assert type(tiered) is TieredWSAFTable
         assert type(tiered.table) is BatchedWSAFTable
-        assert (
-            type(
-                build_wsaf_storage(
-                    _config("icebuckets", wsaf_engine="batched")
-                )
-            )
-            is BatchedIceBucketsWSAFTable
-        )
+        # ICE-Buckets has no batched form: asking for one is a config error.
+        with pytest.raises(ConfigurationError, match="icebuckets"):
+            _config("icebuckets", wsaf_engine="batched")
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ConfigurationError, match="wsaf_backend"):

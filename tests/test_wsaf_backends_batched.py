@@ -1,18 +1,16 @@
-"""Property tests for the batch-probed tiered and ICE-Buckets backends.
+"""Property tests for the batch-probed tiered backend.
 
 The contract mirrors ``tests/test_wsaf_batched.py`` for the flat table:
 the batched engine is an *execution strategy*, never a semantics change.
-For every backend, driving the same event stream through the scalar
-table (one ``accumulate`` per event) and the batched table (chunked
+Driving the same event stream through the scalar tiered table (one
+``accumulate`` per event) and the batched one (chunked
 ``accumulate_batch_arrays``) must leave bit-identical state — backing
-columns, cache contents and promote/demote counters for the tiered
-store, quantized planes and per-bucket scales for ICE-Buckets — plus
-identical per-event running totals, estimates, and accountant tallies.
+columns, cache contents and promote/demote counters — plus identical
+per-event running totals, estimates, and accountant tallies.
 
-The targeted cases pin the coupling points the vectorized paths have to
-get right: a retier interval landing mid-chunk, a bucket upscale
-triggered by the very first event of a cohort, and degenerate 1-event
-chunks that ride the scalar fallback.
+The targeted cases pin the coupling points the vectorized path has to
+get right: a retier interval landing mid-chunk, eviction pressure, and
+degenerate 1-event chunks that ride the scalar fallback.
 """
 
 from __future__ import annotations
@@ -21,13 +19,9 @@ import numpy as np
 import pytest
 
 from repro.core.wsaf import WSAFTable
-from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
 from repro.core.wsaf_storage import default_technologies
 from repro.core.wsaf_tiered import TieredWSAFTable
-from repro.kernels.wsaf_batched import (
-    BatchedIceBucketsWSAFTable,
-    BatchedWSAFTable,
-)
+from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.memmodel import DRAM, AccessAccountant
 
 
@@ -165,80 +159,3 @@ class TestTieredEquivalence:
         _assert_tiered_identical(scalar, batched, accountants)
         assert batched.evictions > 0
 
-
-# -- ICE-Buckets ----------------------------------------------------------
-
-
-def _ice_pair(**kwargs):
-    kwargs.setdefault("num_entries", 1 << 7)
-    kwargs.setdefault("probe_limit", 8)
-    kwargs.setdefault("gc_timeout", 5.0)
-    kwargs.setdefault("bucket_slots", 8)
-    kwargs.setdefault("counter_bits", 8)
-    return (
-        IceBucketsWSAFTable(**kwargs),
-        BatchedIceBucketsWSAFTable(**kwargs),
-    )
-
-
-def _assert_ice_identical(scalar, batched):
-    _assert_flat_columns_identical(scalar, batched)
-    assert list(scalar._qpackets) == np.asarray(batched._qpackets).tolist()
-    assert list(scalar._qbytes) == np.asarray(batched._qbytes).tolist()
-    assert scalar._scale_packets == batched._scale_packets
-    assert scalar._scale_bytes == batched._scale_bytes
-    assert scalar.upscales == batched.upscales
-    assert scalar.estimates() == batched.estimates()
-
-
-class TestIceBucketsEquivalence:
-    @pytest.mark.parametrize("seed,chunk", [(0, 512), (1, 96), (2, 257)])
-    def test_identity_across_seeds(self, seed, chunk):
-        scalar, batched = _ice_pair()
-        events = _random_events(seed, 3000, key_space=1 << 14)
-        assert _apply_scalar(scalar, events) == _apply_batched(
-            batched, events, chunk
-        )
-        _assert_ice_identical(scalar, batched)
-        assert batched.upscales > 0
-
-    def test_upscale_on_first_event_of_cohort(self):
-        # counter_bits=4 (max 15): the very first event of a fresh key's
-        # cohort already exceeds the counter range at scale 0, so the
-        # bucket must upscale on insert — before any vectorized chain
-        # arithmetic could have run for that cohort.
-        scalar, batched = _ice_pair(counter_bits=4)
-        events = [
-            (101, 400.0, 400.0 * 1000.0, 0.1, None),
-            (101, 3.0, 3.0 * 800.0, 0.2, None),
-            (202, 1.0, 64.0, 0.3, None),
-            (202, 900.0, 900.0 * 60.0, 0.4, None),
-        ] + _random_events(5, 500, key_space=1 << 8)
-        assert _apply_scalar(scalar, events) == _apply_batched(
-            batched, events, chunk=128
-        )
-        _assert_ice_identical(scalar, batched)
-        assert batched.upscales > 0
-
-    def test_single_event_chunks(self):
-        scalar, batched = _ice_pair(counter_bits=6)
-        events = _random_events(11, 400, key_space=1 << 8)
-        assert _apply_scalar(scalar, events) == _apply_batched(
-            batched, events, chunk=1
-        )
-        _assert_ice_identical(scalar, batched)
-
-    def test_eviction_pressure_with_tiny_counters(self):
-        scalar, batched = _ice_pair(
-            num_entries=1 << 5,
-            probe_limit=4,
-            bucket_slots=4,
-            counter_bits=5,
-        )
-        events = _random_events(3, 4000, key_space=1 << 16)
-        assert _apply_scalar(scalar, events) == _apply_batched(
-            batched, events, chunk=200
-        )
-        _assert_ice_identical(scalar, batched)
-        assert batched.evictions > 0
-        assert batched.upscales > 0
