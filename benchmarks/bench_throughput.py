@@ -547,11 +547,10 @@ def run_sharded_benchmark(
     environment = _environment()
     rows = []
     for num_shards in shard_counts:
-        # One pipeline per count, reused across rounds: the router's
-        # split cache stays warm, so timed rounds measure steady-state
-        # streaming, not first-touch routing work.  Shard counts run
-        # back-to-back for the same reason (the split cache keys on the
-        # routing function).
+        # One pipeline per count, reused across rounds.  Routing caches
+        # nothing between runs (each run's router hashes the flow table
+        # once and pins nothing on the chunks), so every timed round
+        # routes every chunk afresh, as a single pass does.
         pipeline = ShardedPipeline(config, num_shards=num_shards)
 
         inproc = pipeline.run(source, parallel=False)
@@ -960,8 +959,8 @@ def main() -> None:
             if result["inproc_overhead"] > MAX_INPROC_OVERHEAD:
                 print(
                     "note: the in-process overhead bar is only enforced "
-                    "by the full best-of-rounds bench; the single cold "
-                    "round here includes routing-cache warmup"
+                    "by the full best-of-rounds bench; the single round "
+                    "here is one noisy reading of a sub-second run"
                 )
             return
         result = run_benchmark(trace, rounds=1, stage_rounds=2, record=False)

@@ -15,12 +15,11 @@ the state layer's :func:`~repro.state.merge.tag_events` /
 :func:`~repro.state.merge.release_ordered` / :func:`~repro.state.merge.
 apply_events` and applies them to the WSAF through
 :meth:`WSAFTable.accumulate_batch`.  Because regulator state is
-worker-private and the merge order is deterministic, the sequential and
-process-parallel execution modes leave bit-identical state behind
-(tested).  With ``parallel=True`` the workers run as forked
-``multiprocessing`` processes, shipping back their event logs plus a
-:class:`~repro.state.snapshot.RegulatorState`; only the ~1 % of packets
-that became insertions cross the process boundary.
+worker-private and the merge order is deterministic, the result does not
+depend on worker scheduling, and a chunked run leaves the same state as
+a whole-trace run (tested).  The workers run in-process: this module
+models the paper's dispatch and merge, while process-parallel ingestion
+is :class:`~repro.pipeline.sharded.ShardedPipeline`'s job.
 
 The *timing* of the system (Fig 9(a)'s Mpps-vs-cores curve and Fig 12(c)'s
 utilization series) is produced by feeding the load shares to
@@ -29,7 +28,6 @@ utilization series) is produced by feeding the load shares to
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,14 +42,7 @@ from repro.core.instameasure import (
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
 from repro.hashing import popcount32
-from repro.state import (
-    InsertionLog,
-    apply_events,
-    capture_regulator,
-    release_ordered,
-    restore_regulator,
-    tag_events,
-)
+from repro.state import InsertionLog, apply_events, release_ordered, tag_events
 from repro.traffic.packet import Trace
 
 
@@ -126,18 +117,6 @@ def _worker_queue(trace: Trace, assignment: np.ndarray, worker_index: int) -> Tr
     )
 
 
-def _run_worker_recorded(worker: InstaMeasure, queue: Trace):
-    """Run ``worker`` over ``queue`` with insertions recorded, not applied."""
-    shared = worker.wsaf
-    log = InsertionLog()
-    worker.wsaf = log
-    try:
-        result = worker.process_trace(queue)
-    finally:
-        worker.wsaf = shared
-    return result, log.events
-
-
 def _ingest_worker_recorded(worker: InstaMeasure, chunk):
     """Stream one chunk into ``worker`` with insertions recorded, not applied."""
     shared = worker.wsaf
@@ -162,32 +141,6 @@ class _MultiCoreStream:
     on_accumulate: "AccumulateCallback | None" = None
 
 
-#: Fork-inherited state for parallel workers (manager, trace, assignment);
-#: set only for the duration of a parallel run.
-_PARALLEL_STATE = None
-
-
-def _parallel_worker(worker_index: int) -> dict:
-    """Child-process entry: run one worker and ship its state back."""
-    manager, trace, assignment = _PARALLEL_STATE
-    worker = manager.workers[worker_index]
-    queue = _worker_queue(trace, assignment, worker_index)
-    result, events = _run_worker_recorded(worker, queue)
-    return {
-        "worker_index": worker_index,
-        "packets": queue.num_packets,
-        "events": events,
-        "elapsed": result.elapsed_seconds,
-        "stats": result.regulator_stats,
-        "regulator": capture_regulator(worker.regulator),
-    }
-
-
-def _fork_available() -> bool:
-    """Whether the platform supports fork-based worker processes."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 class MultiCoreInstaMeasure:
     """Manager + N workers + shared WSAF.
 
@@ -197,22 +150,17 @@ class MultiCoreInstaMeasure:
             per worker, as in the paper ("the total memory usage is M times
             of the number of worker cores"); ``wsaf_entries`` is the single
             shared table (fixed at 2^20 for all of the paper's experiments).
-        parallel: default execution mode for :meth:`process_trace` —
-            ``True`` runs workers as forked OS processes, ``False`` runs
-            them in-process.  Both modes are bit-identical.
     """
 
     def __init__(
         self,
         num_workers: int,
         config: "InstaMeasureConfig | None" = None,
-        parallel: bool = False,
     ) -> None:
         if num_workers < 1:
             raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.config = config or InstaMeasureConfig()
-        self.parallel = parallel
         # The shared table honours ``config.wsaf_engine``: merged event
         # logs arrive as one big batch, which is exactly the shape the
         # batch-probed store is built for.
@@ -360,69 +308,18 @@ class MultiCoreInstaMeasure:
         self,
         trace: Trace,
         on_accumulate: "AccumulateCallback | None" = None,
-        parallel: "bool | None" = None,
     ) -> MultiCoreResult:
         """Process ``trace`` through the dispatcher and all workers.
 
         Workers consume their queues against private regulators, recording
         WSAF insertion events; the manager merges every log in
         ``(timestamp, worker, sequence)`` order and applies it to the
-        shared table, so results do not depend on worker scheduling.
-        ``parallel`` overrides the constructor's mode for this call;
-        parallel runs fall back to in-process execution when the platform
-        cannot fork or there is only one worker.
+        shared table, so results do not depend on worker scheduling.  A
+        whole trace is a one-chunk stream: same dispatch, same per-worker
+        draws, same merge as :meth:`ingest` / :meth:`finalize`.
         """
-        if parallel is None:
-            parallel = self.parallel
-        if not (parallel and self.num_workers > 1 and _fork_available()):
-            # Sequential execution is one-chunk streaming: same dispatch,
-            # same per-worker draws, same merge — exactly one run loop.
-            self.ingest(trace, on_accumulate=on_accumulate)
-            return self.finalize()
-        assignment = self.dispatch(trace)
-        runs = self._run_parallel(trace, assignment)
-
-        merged = []
-        for worker_index, (_, events, _) in enumerate(runs):
-            merged.extend(tag_events(events, worker_index))
-        released, _ = release_ordered(merged)
-        apply_events(self.wsaf, released, on_accumulate=on_accumulate)
-        return MultiCoreResult(
-            num_workers=self.num_workers,
-            worker_packets=[packets for packets, _, _ in runs],
-            worker_insertions=[
-                result.regulator_stats.insertions for _, _, result in runs
-            ],
-            worker_results=[result for _, _, result in runs],
-            wsaf=self.wsaf,
-        )
-
-    def _run_parallel(self, trace: Trace, assignment: np.ndarray):
-        """Run every worker as a forked process and re-install its state."""
-        global _PARALLEL_STATE
-        context = multiprocessing.get_context("fork")
-        _PARALLEL_STATE = (self, trace, assignment)
-        try:
-            with context.Pool(processes=self.num_workers) as pool:
-                payloads = pool.map(_parallel_worker, range(self.num_workers))
-        finally:
-            _PARALLEL_STATE = None
-        runs = []
-        for payload in sorted(payloads, key=lambda p: p["worker_index"]):
-            worker = self.workers[payload["worker_index"]]
-            # The child inherited this worker's pre-run state via fork, so
-            # its cumulative regulator words/counters are authoritative.
-            restore_regulator(worker.regulator, payload["regulator"])
-            stats = payload["stats"]
-            result = MeasurementResult(
-                packets=payload["packets"],
-                insertions=stats.insertions,
-                elapsed_seconds=payload["elapsed"],
-                regulator_stats=stats,
-                wsaf=self.wsaf,
-            )
-            runs.append((payload["packets"], payload["events"], result))
-        return runs
+        self.ingest(trace, on_accumulate=on_accumulate)
+        return self.finalize()
 
     def estimates_for(self, trace: Trace) -> "tuple[np.ndarray, np.ndarray]":
         """Per-flow (packets, bytes) estimates from the shared WSAF."""

@@ -240,9 +240,9 @@ class RCCSketch:
     def words_array(self) -> np.ndarray:
         """Snapshot of the word array as ``uint64``.
 
-        Compact form for shipping sketch state across process boundaries
-        (the parallel multi-core manager) or archiving it; restore with
-        :meth:`set_words_array`.
+        Compact form for measurement snapshots (:mod:`repro.state`), which
+        archive sketch state or ship it across process boundaries; restore
+        with :meth:`set_words_array`.
         """
         return np.array(self.words, dtype=np.uint64)
 

@@ -12,9 +12,9 @@ any source, firing epoch callbacks at time-window boundaries and
 collecting per-chunk throughput stats.
 
 On top of the single-measurer loop, :class:`~repro.pipeline.sharded.
-ShardedPipeline` routes a trace across N worker pipelines by flow-key
-shard and merges their serializable snapshots into one state whose
-estimates exactly equal a single-process run, and
+ShardedPipeline` drives the same loop into N flow-key shards (in-process
+or forked workers) and merges their serializable snapshots into one
+state whose estimates exactly equal a single-process run, and
 :class:`~repro.pipeline.prefetch.PrefetchChunkSource` stages upcoming
 chunks from a background thread.
 
@@ -68,7 +68,6 @@ from repro.pipeline.sharded import (
     ShardedStreamingMeasurer,
     ShardedStreamResult,
     ShardWorkerPool,
-    run_sharded,
 )
 from repro.pipeline.source import (
     Chunk,
@@ -122,7 +121,6 @@ __all__ = [
     "chunk_total",
     "chunk_trace",
     "run_pipeline",
-    "run_sharded",
     "trace_from_records",
     "supports_merge",
     "supports_rotate",

@@ -23,7 +23,7 @@ policy and no score.  This module closes the loop:
   bit-exact by the chunking-invariance guarantee — plus capped thinning
   when batching alone cannot absorb the load, restoring pass-through
   once pressure clears).
-* :class:`ChunkGovernor` is the mechanism both drivers share: it builds
+* :class:`ChunkGovernor` is the mechanism the driver applies: it builds
   the signal, applies the decision (thin / drop / stage for a coalesced
   batch ingest), and keeps the running
   :class:`ControllerStats` and bounded decision history that
@@ -456,8 +456,9 @@ def coalesce_chunks(chunks: "list[Chunk]") -> Chunk:
 class ChunkGovernor:
     """Apply a controller's decisions to a chunk stream.
 
-    The shared mechanism behind ``Pipeline.step`` and
-    ``ShardedPipeline.run``: builds the :class:`LoadSignal` for each
+    The mechanism behind ``Pipeline.step``, which every run loop —
+    single-process, sharded, and the service daemon — goes through:
+    builds the :class:`LoadSignal` for each
     incoming chunk, asks the controller, and turns the decision into
     ready-to-ingest chunks — thinning and rebasing onto the dense kept
     stream, staging chunks while a degraded-mode batch fills, and

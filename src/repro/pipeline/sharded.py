@@ -27,14 +27,19 @@ every axis:
   regulation rate, the working set of realistic traces fits (the
   equivalence tests assert zero evictions).
 
-With ``parallel=True`` a :class:`ShardWorkerPool` of long-lived forked
-workers receives routed sub-chunks incrementally over pipes as packed
-NumPy frames (:func:`repro.state.codec.pack_frame`), keeps engine state
-resident between chunks, and ships one IMSNAP payload back at finalize —
-fork and import cost is paid once per run, not once per shard-chunk.
-In-process execution is bit-identical and the fallback wherever fork is
-unavailable (with a :class:`RuntimeWarning`, since the caller asked for
-parallelism it will not get).
+Every run goes through the :class:`~repro.pipeline.driver.Pipeline`
+driver, the repository's one run loop, so a load controller applies to
+a sharded run exactly as to a single-process one.  The measurer it
+drives is :class:`ShardedStreamingMeasurer` in-process — N engines
+behind one router, also what the service daemon runs — or, with
+``parallel=True``, a :class:`ShardWorkerPool` of long-lived forked
+workers that receive routed sub-chunks incrementally over pipes as
+packed NumPy frames (:func:`repro.state.codec.pack_frame`), keep engine
+state resident between chunks, and ship one IMSNAP payload back at
+finalize — fork and import cost is paid once per run, not once per
+shard-chunk.  Both forms are bit-identical; in-process execution is the
+fallback wherever fork is unavailable (with a :class:`RuntimeWarning`,
+since the caller asked for parallelism it will not get).
 
 Unknown-length sources (``total_packets is None`` — the always-on
 service's inputs) shard too: the regulator/WSAF disjointness argument is
@@ -43,8 +48,6 @@ against, so each shard consumes its own unknown-length block-drawn
 stream.  The merged state is then a well-defined sharded measurement —
 deterministic for a given routing, exact merges, per-shard checkpoints —
 but not a bit-replica of a single-process unbounded run.
-:class:`ShardedStreamingMeasurer` packages that mode behind the
-streaming-measurer protocol for the service daemon.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, ShardWorkerError, SnapshotError
-from repro.pipeline.control import ChunkGovernor
+from repro.pipeline.driver import Pipeline
 from repro.pipeline.source import (
     DEFAULT_CHUNK_SIZE,
     ChunkSource,
@@ -80,16 +83,15 @@ class ShardedResult:
     ``route_s`` (parent-side chunk routing), ``ipc_s`` (frame packing +
     pipe writes + final snapshot collection; 0 for in-process runs),
     ``ingest_s`` (the slowest shard's engine time — the parallelizable
-    part), and ``merge_s`` (snapshot decode + fold).  The stages overlap
-    with each other in a fork-parallel run, so they need not sum to
-    ``elapsed_seconds`` (end-to-end wall clock).
+    part), and ``merge_s`` (snapshot capture or decode + fold).  The
+    stages overlap with each other in a fork-parallel run, so they need
+    not sum to ``elapsed_seconds`` (end-to-end wall clock).
     """
 
     num_shards: int
     snapshot: MeasurementSnapshot
     shard_packets: "list[int]" = field(default_factory=list)
     shard_insertions: "list[int]" = field(default_factory=list)
-    shard_elapsed: "list[float]" = field(default_factory=list)
     stage_seconds: "dict[str, float]" = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     parallel: bool = False
@@ -181,23 +183,30 @@ class _ShardFlowDirectory:
 class _ShardFlowSync:
     """Parent-side record of which flows a worker has already been sent.
 
-    Maps each flow table's global flow ids to the worker's dense local
-    ids, handing back the chunk's localized ``flow_ids`` plus the indices
-    of flows the worker has not seen yet (to be shipped in this frame).
-    Keyed per flow-table object so multi-table streams stay correct.
+    Maps the current flow table's global flow ids to the worker's dense
+    local ids, handing back the chunk's localized ``flow_ids`` plus the
+    indices of flows the worker has not seen yet (to be shipped in this
+    frame).  Only the current table is kept: a chunk on another table
+    starts a fresh map, and its frame tells the worker to start a fresh
+    directory, so each flow ships once per flow table and sources that
+    build a table per chunk (pcap-lite, sockets) hold one table at a time.
     """
 
     def __init__(self) -> None:
-        self._maps: "dict[int, tuple[object, np.ndarray]]" = {}
+        self._flows = None
+        self._mapping: "np.ndarray | None" = None
         self.count = 0
 
     def localize(self, flows, flow_ids: np.ndarray):
-        entry = self._maps.get(id(flows))
-        if entry is None:
-            mapping = np.full(len(flows), -1, dtype=np.int64)
-            self._maps[id(flows)] = (flows, mapping)
-        else:
-            mapping = entry[1]
+        """``(local_ids, fresh, new_table)`` for one chunk; ``new_table``
+        is true when the chunk replaces an earlier table."""
+        new_table = False
+        if flows is not self._flows:
+            new_table = self._flows is not None
+            self._flows = flows
+            self._mapping = np.full(len(flows), -1, dtype=np.int64)
+            self.count = 0
+        mapping = self._mapping
         unique = np.unique(flow_ids)
         fresh = unique[mapping[unique] < 0]
         if fresh.size:
@@ -205,7 +214,7 @@ class _ShardFlowSync:
                 self.count, self.count + fresh.size, dtype=np.int64
             )
             self.count += int(fresh.size)
-        return mapping[flow_ids], fresh
+        return mapping[flow_ids], fresh, new_table
 
 
 def _fresh_flow_columns(flows, index: np.ndarray):
@@ -242,6 +251,8 @@ def _worker_main(conn, parent_conn, config, key_range, total) -> None:
       (worker-local) / ``sizes`` / ``positions`` (global) plus the
       not-yet-seen flows' ``new_key64`` / ``new_tuple_lo`` /
       ``new_tuple_hi`` — ingested immediately, engine state kept live.
+      ``"new_table": true`` in the meta means the chunk's flows come from
+      a new flow table: the worker starts a fresh flow directory first.
     * ``{"type": "finalize"}`` — finalize the stream and reply with one
       ``{"type": "done"}`` frame carrying per-shard counters and the
       shard's IMSNAP snapshot payload, then exit.
@@ -263,6 +274,8 @@ def _worker_main(conn, parent_conn, config, key_range, total) -> None:
             meta, columns = unpack_frame(conn.recv_bytes())
             kind = meta.get("type")
             if kind == "chunk":
+                if meta.get("new_table"):
+                    directory = _ShardFlowDirectory()
                 directory.extend(
                     columns["new_key64"],
                     columns["new_tuple_lo"],
@@ -443,14 +456,13 @@ class ShardedPipeline:
             trace (defaults to the config's ``chunk_size``); an explicit
             chunk source keeps its own slicing.
         controller: optional
-            :class:`~repro.pipeline.control.LoadController`.  The
-            controller sees each chunk once, *before* routing, with the
-            aggregate signal (global offered rate on the stream clock,
-            packets routed across all shards per wall-clock second) —
-            one global decision per chunk, applied to the whole chunk,
-            so every shard sheds the same packets and a sharded shed
-            run stays decision-identical to a single-process shed run
-            with the same policy, seed, and schedule.
+            :class:`~repro.pipeline.control.LoadController`, applied by
+            the :class:`~repro.pipeline.driver.Pipeline` driver exactly
+            as in a single-process run: one decision per chunk, before
+            routing, applied to the whole chunk — so every shard sheds
+            the same packets and a sharded shed run stays
+            decision-identical to a single-process shed run with the
+            same policy, seed, and schedule.
     """
 
     def __init__(
@@ -498,16 +510,8 @@ class ShardedPipeline:
             )
         return source
 
-    def positions_by_shard(self, trace: Trace) -> "list[np.ndarray]":
-        """Each shard's global packet positions, in stream order."""
-        assignment = self.router.assignments(trace)
-        return [
-            np.flatnonzero(assignment == shard)
-            for shard in range(self.num_shards)
-        ]
-
     def run(self, source, parallel: "bool | None" = None) -> ShardedResult:
-        """Stream every chunk through routed shard pipelines and merge."""
+        """Drive every chunk through the pipeline into the shards; merge."""
         source = self._coerce_source(source)
         total = source.total_packets
         if total is not None:
@@ -522,190 +526,74 @@ class ShardedPipeline:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        key_ranges = [
-            self.router.key_range(shard) for shard in range(self.num_shards)
-        ]
-        governor = (
-            ChunkGovernor(self.controller)
-            if self.controller is not None
-            else None
-        )
         begin = time.perf_counter()
+        pool = None
         if use_fork:
-            result = self._run_forked(source, total, key_ranges, governor)
+            key_ranges = [
+                self.router.key_range(shard) for shard in range(self.num_shards)
+            ]
+            pool = ShardWorkerPool(self.config, key_ranges, total)
+            measurer = _PoolShardMeasurer(self.config, pool, total)
         else:
-            result = self._run_in_process(source, total, key_ranges, governor)
-        result.elapsed_seconds = time.perf_counter() - begin
-        if governor is not None:
-            result.offered_packets = governor.stats.offered_packets
-            result.decisions = list(governor.decisions)
-            result.controller_stats = governor.stats.as_dict()
-        else:
-            result.offered_packets = result.packets
-        return result
-
-    def _governed_chunks(self, source, governor):
-        """The chunk stream after one global controller decision each.
-
-        The aggregate signal: ``ingested_pps`` is packets routed across
-        *all* shards per wall-clock second so far (the per-shard ingest
-        clocks only resolve at finalize), ``queue_depth`` comes from the
-        source's staging queue.  The decision applies to the whole chunk
-        before routing, so every shard sees the same shed stream.
-        """
-        if governor is None:
-            yield from source
-            return
-        begin = time.perf_counter()
-        routed = 0
-        for chunk in source:
-            elapsed = time.perf_counter() - begin
-            ready = governor.admit(
-                chunk,
-                ingested_pps=routed / elapsed if elapsed > 0 else 0.0,
-                queue_depth=int(getattr(source, "queue_depth", 0) or 0),
-            )
-            for item in ready:
-                routed += item.num_packets
-                yield item
-        tail = governor.flush()
-        if tail is not None:
-            yield tail
-
-    def _run_in_process(self, source, total, key_ranges, governor) -> ShardedResult:
-        """Route chunks into per-shard engines living in this process."""
-        from repro.core.instameasure import InstaMeasure
-
-        engines = [InstaMeasure(self.config) for _ in range(self.num_shards)]
-        for engine in engines:
-            engine.begin_stream(total=total)
-        route_s = 0.0
-        for chunk in self._governed_chunks(source, governor):
-            begin = time.perf_counter()
-            parts = self.router.split_chunk(chunk)
-            route_s += time.perf_counter() - begin
-            for shard, (sub, positions) in enumerate(parts):
-                if sub.num_packets:
-                    # Unknown totals have no global draw to gather from;
-                    # each shard consumes its own block-drawn stream.
-                    engines[shard].ingest(
-                        sub, positions=positions if total is not None else None
-                    )
-        results = [engine.finalize() for engine in engines]
-
-        begin = time.perf_counter()
-        snapshots = [
-            engine.snapshot(key_range=key_range)
-            for engine, key_range in zip(engines, key_ranges)
-        ]
-        merged = merge(snapshots, mode="disjoint")
-        merge_s = time.perf_counter() - begin
-        ingest_s = max(
-            (result.elapsed_seconds for result in results), default=0.0
-        )
-        return ShardedResult(
-            num_shards=self.num_shards,
-            snapshot=merged,
-            shard_packets=[result.packets for result in results],
-            shard_insertions=[result.insertions for result in results],
-            shard_elapsed=[result.elapsed_seconds for result in results],
-            stage_seconds={
-                "route_s": route_s,
-                "ipc_s": 0.0,
-                "ingest_s": ingest_s,
-                "merge_s": merge_s,
-            },
-            parallel=False,
-        )
-
-    def _run_forked(self, source, total, key_ranges, governor) -> ShardedResult:
-        """Stream routed sub-chunks into a persistent forked worker pool."""
-        route_s = ipc_s = 0.0
-        syncs = [_ShardFlowSync() for _ in range(self.num_shards)]
-        pool = ShardWorkerPool(self.config, key_ranges, total)
+            measurer = ShardedStreamingMeasurer(self.config, self.num_shards)
+            measurer.begin_stream(total)
         try:
-            for chunk in self._governed_chunks(source, governor):
-                begin = time.perf_counter()
-                parts = self.router.split_chunk(chunk)
-                route_s += time.perf_counter() - begin
-                for shard, (sub, positions) in enumerate(parts):
-                    if not sub.num_packets:
-                        continue
-                    begin = time.perf_counter()
-                    local_ids, fresh = syncs[shard].localize(
-                        sub.flows, sub.flow_ids
-                    )
-                    key64, tuple_lo, tuple_hi = _fresh_flow_columns(
-                        sub.flows, fresh
-                    )
-                    columns = {
-                        "timestamps": sub.timestamps,
-                        "flow_ids": local_ids,
-                        "sizes": sub.sizes,
-                        "new_key64": key64,
-                        "new_tuple_lo": tuple_lo,
-                        "new_tuple_hi": tuple_hi,
-                    }
-                    if total is not None:
-                        columns["positions"] = positions
-                    frame = pack_frame({"type": "chunk"}, columns)
-                    pool.send(shard, frame)
-                    ipc_s += time.perf_counter() - begin
-            begin = time.perf_counter()
-            replies = pool.finalize()
-            ipc_s += time.perf_counter() - begin
+            outcome = Pipeline(measurer, controller=self.controller).run(source)
         finally:
-            pool.close()
+            if pool is not None:
+                pool.close()
+        stream = outcome.result
 
-        begin = time.perf_counter()
-        snapshots = [from_bytes(payload) for _meta, payload in replies]
-        merged = merge(snapshots, mode="disjoint")
-        merge_s = time.perf_counter() - begin
-        ingest_s = max(
-            (meta.get("ingest_s", 0.0) for meta, _payload in replies),
-            default=0.0,
-        )
+        merge_begin = time.perf_counter()
+        merged = measurer.merged_snapshot()
+        merge_s = time.perf_counter() - merge_begin
         return ShardedResult(
             num_shards=self.num_shards,
             snapshot=merged,
-            shard_packets=[meta["packets"] for meta, _ in replies],
-            shard_insertions=[meta["insertions"] for meta, _ in replies],
-            shard_elapsed=[meta["elapsed"] for meta, _ in replies],
-            stage_seconds={
-                "route_s": route_s,
-                "ipc_s": ipc_s,
-                "ingest_s": ingest_s,
-                "merge_s": merge_s,
-            },
-            parallel=True,
+            shard_packets=stream.shard_packets,
+            shard_insertions=stream.shard_insertions,
+            stage_seconds=dict(stream.stage_seconds, merge_s=merge_s),
+            elapsed_seconds=time.perf_counter() - begin,
+            parallel=use_fork,
+            offered_packets=outcome.offered_packets,
+            decisions=outcome.decisions,
+            controller_stats=outcome.controller_stats,
         )
 
 
 @dataclass
 class ShardedStreamResult:
-    """Aggregate result of one sharded stream (``finalize`` output)."""
+    """Aggregate result of one sharded stream (``finalize`` output).
+
+    ``stage_seconds`` holds the stream's ``route_s``, ``ipc_s`` and
+    ``ingest_s`` as :class:`ShardedResult` defines them.
+    """
 
     packets: int
     insertions: int
     elapsed_seconds: float
     shard_packets: "list[int]" = field(default_factory=list)
     shard_insertions: "list[int]" = field(default_factory=list)
+    stage_seconds: "dict[str, float]" = field(default_factory=dict)
 
 
 class ShardedStreamingMeasurer:
-    """In-process sharded measurer for *unbounded* streams.
+    """In-process sharded measurer: N same-seed engines behind one router.
 
-    The batch :class:`ShardedPipeline` drives the whole run itself; an
-    always-on service instead needs a measurer it can push chunks into
-    one at a time, checkpoint mid-flight, and query between chunks.
-    This class is that: N same-seed engines, each consuming its own
-    unknown-length (block-drawn, chunking-invariant) stream, fed through
-    the same word-range :class:`~repro.state.ShardRouter` — so regulator
-    words and WSAF key sets stay disjoint and per-shard states merge
-    exactly.  It speaks the
+    The in-process form of every sharded run.  :class:`ShardedPipeline`
+    drives it through the :class:`~repro.pipeline.driver.Pipeline`
+    driver, and the always-on service pushes chunks into it one at a
+    time, checkpoints it mid-flight, and queries it between chunks.
+    Every chunk goes through the word-range
+    :class:`~repro.state.ShardRouter`, so regulator words and WSAF key
+    sets stay disjoint and per-shard states merge exactly.  It speaks the
     :class:`~repro.pipeline.protocol.StreamingMeasurer` protocol, so the
-    :class:`~repro.pipeline.driver.Pipeline` driver and the service
-    daemon treat it exactly like a single engine.
+    driver and the service daemon treat it exactly like a single engine.
+
+    Randomness: after :meth:`begin_stream` with the stream's known total,
+    every shard gathers its packets' bits out of the single-process
+    run's global draw; otherwise each shard consumes its own
+    unknown-length (block-drawn, chunking-invariant) stream.
 
     Checkpointing goes through :meth:`snapshot_shards` (one mid-flight
     snapshot per shard — ``merge`` refuses in-progress streams, and the
@@ -726,6 +614,8 @@ class ShardedStreamingMeasurer:
         self.engines = [
             InstaMeasure(self.config, accountant) for _ in range(num_shards)
         ]
+        self._positioned = False
+        self._route_s = 0.0
 
     @classmethod
     def from_snapshots(cls, snapshots, accountant=None) -> "ShardedStreamingMeasurer":
@@ -744,29 +634,58 @@ class ShardedStreamingMeasurer:
         ]
         return measurer
 
+    def begin_stream(self, total: "int | None" = None) -> None:
+        """Open every shard's stream before the first chunk.
+
+        ``total`` is the whole stream's length, never a shard's share: a
+        known total opens every engine on the global draw, and each routed
+        sub-chunk gathers its bits at its packets' global positions.
+        ``None`` opens unknown-length streams, as :meth:`ingest` does when
+        no stream is open.
+        """
+        for engine in self.engines:
+            engine.begin_stream(total=total)
+        self._positioned = total is not None
+
     def ingest(self, chunk, on_accumulate=None) -> None:
         """Route one chunk's packets into their owning shard engines.
 
-        Every engine runs an unknown-length stream (the service never
-        knows how many packets are coming), opened here rather than
-        lazily inside the engine so no shard infers a finite total from
-        its first sub-chunk's metadata.
+        With no stream open, every engine opens an unknown-length stream
+        (the service never knows how many packets are coming) here rather
+        than lazily inside the engine, so no shard infers a finite total
+        from its first sub-chunk's metadata.
         """
         for engine in self.engines:
             if engine._stream is None:
                 engine.begin_stream()
-        for shard, (sub, _positions) in enumerate(self.router.split_chunk(chunk)):
+        begin = time.perf_counter()
+        parts = self.router.split_chunk(chunk)
+        self._route_s += time.perf_counter() - begin
+        for shard, (sub, positions) in enumerate(parts):
             if sub.num_packets:
-                self.engines[shard].ingest(sub, on_accumulate=on_accumulate)
+                self.engines[shard].ingest(
+                    sub,
+                    on_accumulate=on_accumulate,
+                    positions=positions if self._positioned else None,
+                )
 
     def finalize(self) -> ShardedStreamResult:
         results = [engine.finalize() for engine in self.engines]
+        route_s, self._route_s = self._route_s, 0.0
+        self._positioned = False
         return ShardedStreamResult(
             packets=sum(result.packets for result in results),
             insertions=sum(result.insertions for result in results),
             elapsed_seconds=sum(result.elapsed_seconds for result in results),
             shard_packets=[result.packets for result in results],
             shard_insertions=[result.insertions for result in results],
+            stage_seconds={
+                "route_s": route_s,
+                "ipc_s": 0.0,
+                "ingest_s": max(
+                    (result.elapsed_seconds for result in results), default=0.0
+                ),
+            },
         )
 
     def estimates(self, flow_keys=None) -> "dict[int, tuple[float, float]]":
@@ -802,19 +721,77 @@ class ShardedStreamingMeasurer:
         return merge(self.snapshot_shards(), mode="disjoint")
 
 
-def run_sharded(
-    config,
-    source,
-    num_shards: int,
-    parallel: bool = False,
-    chunk_size: "int | None" = None,
-    controller=None,
-) -> ShardedResult:
-    """One-shot convenience: build a :class:`ShardedPipeline` and run it."""
-    return ShardedPipeline(
-        config,
-        num_shards=num_shards,
-        parallel=parallel,
-        chunk_size=chunk_size,
-        controller=controller,
-    ).run(source)
+class _PoolShardMeasurer:
+    """The forked form of a sharded run, fed by the pipeline driver.
+
+    Routes each chunk in the parent and ships every shard's packets to
+    its :class:`ShardWorkerPool` worker as one packed frame, carrying
+    only the flows that worker has not seen yet.  The shard states live
+    in the workers until :meth:`finalize` collects their snapshots, so
+    this is the ``ingest`` / ``finalize`` half of the streaming-measurer
+    protocol — all :class:`~repro.pipeline.driver.Pipeline` calls.
+    """
+
+    def __init__(self, config, pool: ShardWorkerPool, total: "int | None") -> None:
+        self.router = ShardRouter.for_config(config, pool.num_shards)
+        self.pool = pool
+        self.total = total
+        self._syncs = [_ShardFlowSync() for _ in range(pool.num_shards)]
+        self._route_s = self._ipc_s = 0.0
+        self._payloads: "list[bytes]" = []
+
+    def ingest(self, chunk) -> None:
+        begin = time.perf_counter()
+        parts = self.router.split_chunk(chunk)
+        self._route_s += time.perf_counter() - begin
+        for shard, (sub, positions) in enumerate(parts):
+            if not sub.num_packets:
+                continue
+            begin = time.perf_counter()
+            local_ids, fresh, new_table = self._syncs[shard].localize(
+                sub.flows, sub.flow_ids
+            )
+            key64, tuple_lo, tuple_hi = _fresh_flow_columns(sub.flows, fresh)
+            columns = {
+                "timestamps": sub.timestamps,
+                "flow_ids": local_ids,
+                "sizes": sub.sizes,
+                "new_key64": key64,
+                "new_tuple_lo": tuple_lo,
+                "new_tuple_hi": tuple_hi,
+            }
+            if self.total is not None:
+                columns["positions"] = positions
+            meta = {"type": "chunk"}
+            if new_table:
+                meta["new_table"] = True
+            self.pool.send(shard, pack_frame(meta, columns))
+            self._ipc_s += time.perf_counter() - begin
+
+    def finalize(self) -> ShardedStreamResult:
+        """Finalize every worker and keep their snapshot payloads."""
+        begin = time.perf_counter()
+        replies = self.pool.finalize()
+        self._ipc_s += time.perf_counter() - begin
+        self._payloads = [payload for _meta, payload in replies]
+        stats = [meta for meta, _payload in replies]
+        return ShardedStreamResult(
+            packets=sum(meta["packets"] for meta in stats),
+            insertions=sum(meta["insertions"] for meta in stats),
+            elapsed_seconds=sum(meta["elapsed"] for meta in stats),
+            shard_packets=[meta["packets"] for meta in stats],
+            shard_insertions=[meta["insertions"] for meta in stats],
+            stage_seconds={
+                "route_s": self._route_s,
+                "ipc_s": self._ipc_s,
+                "ingest_s": max(
+                    (meta.get("ingest_s", 0.0) for meta in stats), default=0.0
+                ),
+            },
+        )
+
+    def merged_snapshot(self) -> MeasurementSnapshot:
+        """The finalized shard states, decoded and folded into one."""
+        return merge(
+            [from_bytes(payload) for payload in self._payloads], mode="disjoint"
+        )

@@ -32,9 +32,7 @@ class ShardRouter:
             Use :meth:`for_config` to build one from an engine config.
     """
 
-    def __init__(
-        self, num_shards: int, num_words: int, place, cache_token=None
-    ) -> None:
+    def __init__(self, num_shards: int, num_words: int, place) -> None:
         if num_shards < 1:
             raise ConfigurationError(
                 f"num_shards must be >= 1, got {num_shards}"
@@ -46,17 +44,9 @@ class ShardRouter:
         self.num_shards = num_shards
         self.num_words = num_words
         self._place = place
-        #: Hashable identity of this router's routing function.  Two
-        #: routers with equal tokens route identically, so cached split
-        #: results (pinned on trace/flow objects) can be shared across
-        #: router instances — repeated benchmark runs with fresh
-        #: pipelines still hit warm routing.
-        #: ``None`` falls back to object identity (hand-built routers).
-        self.cache_token = (
-            (num_shards, num_words, cache_token)
-            if cache_token is not None
-            else (num_shards, num_words, id(self))
-        )
+        #: The last flow table routed and its per-flow shard ids.
+        self._last_flows = None
+        self._last_flow_shards: "np.ndarray | None" = None
         #: Range boundaries: shard s owns words [bounds[s], bounds[s+1]).
         self.bounds = np.array(
             [round(s * num_words / num_shards) for s in range(num_shards + 1)],
@@ -80,16 +70,7 @@ class ShardRouter:
             indices, _offsets = sketch.place_array(keys)
             return indices
 
-        # Placement depends only on the sketch geometry + seed, so the
-        # token captures exactly those knobs.
-        token = (
-            config.l1_memory_bytes,
-            config.vector_bits,
-            config.word_bits,
-            config.saturation_fill,
-            config.seed,
-        )
-        return cls(num_shards, sketch.num_words, place, cache_token=token)
+        return cls(num_shards, sketch.num_words, place)
 
     def key_range(self, shard: int) -> "tuple[int, int]":
         """The word-index range ``[lo, hi)`` owned by ``shard``."""
@@ -114,20 +95,16 @@ class ShardRouter:
         return self.flow_shards(trace.flows)[trace.flow_ids]
 
     def flow_shards(self, flows) -> np.ndarray:
-        """Per-flow shard ids for a flow table, cached on the table.
+        """Per-flow shard ids for a flow table.
 
-        Every chunk of a stream shares one flow table, so the placement
-        hash runs once per (table, routing function), not once per chunk.
+        Every chunk of a stream shares one flow table, so the router
+        remembers the last table it routed: the placement hash runs once
+        per table, not once per chunk, and nothing is pinned on the table.
         """
-        cache = getattr(flows, "_shard_flow_cache", None)
-        if cache is not None and cache[0] == self.cache_token:
-            return cache[1]
-        shards = self.shard_of_keys(flows.key64)
-        try:
-            flows._shard_flow_cache = (self.cache_token, shards)
-        except AttributeError:
-            pass  # exotic flow tables without a __dict__ just re-route
-        return shards
+        if flows is not self._last_flows:
+            self._last_flow_shards = self.shard_of_keys(flows.key64)
+            self._last_flows = flows
+        return self._last_flow_shards
 
     def split_chunk(self, chunk) -> "list[tuple]":
         """Route one pipeline chunk: per-shard sub-traces + global positions.
@@ -138,20 +115,12 @@ class ShardRouter:
         table; ``positions`` are those packets' global bit-stream positions
         (``chunk.begin`` + offset within the chunk), ascending — exactly
         what :meth:`InstaMeasure.ingest` needs to gather the packets' bits
-        out of the single-process draw.  Results are cached on the chunk's
-        trace object keyed by the routing function *and* the chunk's
-        ``begin`` (a load controller may rebase a chunk's span onto the
-        kept stream without touching the trace), so repeated runs over
-        one chunk source reuse both the routing work and the sub-trace
-        objects.
+        out of the single-process draw.
         """
         from repro.traffic.packet import Trace
 
         trace = chunk.trace
         begin = int(getattr(chunk, "begin", 0))
-        cache = getattr(trace, "_shard_split_cache", None)
-        if cache is not None and cache[0] == (self.cache_token, begin):
-            return cache[1]
         assignment = self.flow_shards(trace.flows)[trace.flow_ids]
         # Stable sort by shard: within a shard, packets keep ascending
         # chunk order, so positions stay ascending and per-flow order is
@@ -169,8 +138,4 @@ class ShardRouter:
                 flows=trace.flows,
             )
             parts.append((sub, (begin + index).astype(np.int64)))
-        try:
-            trace._shard_split_cache = ((self.cache_token, begin), parts)
-        except AttributeError:
-            pass
         return parts

@@ -341,17 +341,33 @@ class TestControlledPipeline:
         assert 0 < stats["kept_packets"] < trace.num_packets
         assert result.result.packets == stats["kept_packets"]
 
-    def test_sharded_shed_equals_single_process(self, trace):
-        controller = ShedController(target_pps=1_000.0, seed=17)
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("policy", ["shed", "degrade"])
+    def test_sharded_shed_equals_single_process(self, trace, policy, parallel):
+        """The driver decides once per chunk, before routing: a sharded
+        run, in-process or forked, keeps exactly the packets a
+        single-process run keeps and ingests them in the same batches."""
+        from repro.pipeline.sharded import _fork_available
+
+        if parallel and not _fork_available():
+            pytest.skip("platform cannot fork")
+        controllers = {
+            "shed": lambda: ShedController(target_pps=1_000.0, seed=17),
+            "degrade": lambda: DegradeController(target_pps=1_000.0, seed=17),
+        }
         single = InstaMeasure(_config())
-        run_pipeline(
+        expected = run_pipeline(
             single,
             TraceChunkSource(trace, chunk_size=700),
-            controller=ShedController(target_pps=1_000.0, seed=17),
+            controller=controllers[policy](),
         )
         sharded = ShardedPipeline(
-            _config(), num_shards=2, parallel=False, controller=controller
+            _config(),
+            num_shards=2,
+            parallel=parallel,
+            controller=controllers[policy](),
         ).run(TraceChunkSource(trace, chunk_size=700))
+        assert sharded.parallel == parallel
         assert (
             sharded.estimates_for(trace)[0] == single.estimates_for(trace)[0]
         ).all()
@@ -361,6 +377,18 @@ class TestControlledPipeline:
             < trace.num_packets
         )
         assert sharded.offered_packets == trace.num_packets
+
+        def decisions(result):
+            return [
+                (record.action, record.keep_fraction, record.kept_packets)
+                for record in result.decisions
+            ]
+
+        assert decisions(sharded) == decisions(expected)
+        assert (
+            sharded.controller_stats["batched_ingests"]
+            == expected.controller_stats["batched_ingests"]
+        )
 
     def test_batching_only_degrade_is_byte_identical_to_none(self, trace):
         """Chunking invariance: coalesced ingests change nothing but the

@@ -117,39 +117,7 @@ class TestMultiCoreRun:
 
 
 class TestParallelExecution:
-    """parallel=True (forked processes) must be bit-identical to sequential."""
-
-    def _run(self, trace, parallel, num_workers=3):
-        system = MultiCoreInstaMeasure(num_workers, _config(), parallel=parallel)
-        result = system.process_trace(trace)
-        return system, result
-
-    def test_parallel_matches_sequential(self, trace):
-        seq_system, seq_result = self._run(trace, parallel=False)
-        par_system, par_result = self._run(trace, parallel=True)
-
-        assert seq_result.worker_packets == par_result.worker_packets
-        assert seq_result.worker_insertions == par_result.worker_insertions
-        for seq_worker, par_worker in zip(seq_system.workers, par_system.workers):
-            seq_reg, par_reg = seq_worker.regulator, par_worker.regulator
-            assert seq_reg.l1.words == par_reg.l1.words
-            assert seq_reg.l1.packets_encoded == par_reg.l1.packets_encoded
-            assert seq_reg.l1.saturations == par_reg.l1.saturations
-            for seq_l2, par_l2 in zip(seq_reg.l2, par_reg.l2):
-                assert seq_l2.words == par_l2.words
-                assert seq_l2.packets_encoded == par_l2.packets_encoded
-                assert seq_l2.saturations == par_l2.saturations
-            assert seq_reg.stats == par_reg.stats
-        assert seq_system.wsaf.estimates() == par_system.wsaf.estimates()
-        assert seq_system.wsaf.insertions == par_system.wsaf.insertions
-        assert seq_system.wsaf.updates == par_system.wsaf.updates
-        assert seq_system.wsaf.evictions == par_system.wsaf.evictions
-
-    def test_parallel_override_per_call(self, trace):
-        """The constructor default can be overridden per process_trace call."""
-        system = MultiCoreInstaMeasure(2, _config(), parallel=True)
-        result = system.process_trace(trace, parallel=False)
-        assert result.packets == trace.num_packets
+    """The manager's event merge hands out insertions in stream order."""
 
     def test_callbacks_fire_in_timestamp_order(self, trace):
         timestamps = []
@@ -157,7 +125,6 @@ class TestParallelExecution:
         system.process_trace(
             trace,
             on_accumulate=lambda key, pkts, byts, ts: timestamps.append(ts),
-            parallel=True,
         )
         assert timestamps, "expected at least one insertion"
         assert timestamps == sorted(timestamps)

@@ -216,7 +216,7 @@ class TestMultiCore:
             l1_memory_bytes=2 * 1024, wsaf_entries=1 << 12, seed=3
         )
         whole = MultiCoreInstaMeasure(3, config)
-        whole_result = whole.process_trace(trace, parallel=False)
+        whole_result = whole.process_trace(trace)
 
         streamed = MultiCoreInstaMeasure(3, config)
         outcome = run_pipeline(streamed, trace, chunk_size=4_321)

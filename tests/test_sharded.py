@@ -25,7 +25,6 @@ from repro.pipeline import (
     PrefetchChunkSource,
     ShardedPipeline,
     TraceChunkSource,
-    run_sharded,
 )
 from repro.pipeline.sharded import _fork_available
 from repro.state import ShardRouter
@@ -79,6 +78,24 @@ class TestShardRouter:
         per_packet = router.assignments(trace)
         per_flow = router.shard_of_keys(trace.flows.key64)
         assert np.array_equal(per_packet, per_flow[trace.flow_ids])
+
+    def test_routing_pins_nothing_on_the_chunk(self):
+        """Routed copies die with their chunk: nothing is cached on the
+        chunk's trace or on its flow table, even when routed twice."""
+        fresh = build_caida_like_trace(
+            CaidaLikeConfig(num_flows=50, duration=1.0, seed=5)
+        )
+        chunk = next(iter(TraceChunkSource(fresh, chunk_size=1_000)))
+        trace_attrs = set(vars(chunk.trace))
+        flow_attrs = set(vars(chunk.trace.flows))
+        router = ShardRouter.for_config(_config(), 3)
+        first = router.split_chunk(chunk)
+        second = router.split_chunk(chunk)
+        assert set(vars(chunk.trace)) == trace_attrs
+        assert set(vars(chunk.trace.flows)) == flow_attrs
+        for (sub_a, pos_a), (sub_b, pos_b) in zip(first, second):
+            assert np.array_equal(sub_a.flow_ids, sub_b.flow_ids)
+            assert np.array_equal(pos_a, pos_b)
 
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -229,6 +246,65 @@ class TestShardedPipelineAPI:
             )
             assert forked.estimates() == single.estimates()
 
+    @pytest.mark.skipif(not _fork_available(), reason="platform cannot fork")
+    def test_forked_record_source_equals_in_process(self, trace, tmp_path):
+        """A source with a new flow table per chunk (pcap-lite records):
+        each worker restarts its flow directory per table and the forked
+        run still equals the in-process one."""
+        from repro.pipeline import PacketRecordChunkSource
+        from repro.traffic.pcaplite import write_pcaplite
+
+        path = tmp_path / "trace.impl"
+        write_pcaplite(trace, path)
+        config = _config("batched")
+        runs = [
+            ShardedPipeline(config, num_shards=2, parallel=parallel).run(
+                PacketRecordChunkSource(path, chunk_size=2_000)
+            )
+            for parallel in (False, True)
+        ]
+        in_process, forked = runs
+        assert forked.parallel and not in_process.parallel
+        assert forked.packets == trace.num_packets
+        assert forked.shard_packets == in_process.shard_packets
+        assert forked.estimates() == in_process.estimates()
+
+    def test_flow_sync_holds_only_the_current_table(self):
+        """Per-chunk flow tables must not accumulate in the parent."""
+        import gc
+        import weakref
+
+        from repro.pipeline.sharded import _ShardFlowSync
+        from repro.traffic.packet import FlowTable
+
+        def table(count):
+            ips = np.arange(count, dtype=np.uint32)
+            zeros = np.zeros(count, dtype=np.uint16)
+            return FlowTable(ips, ips, zeros, zeros, np.full(count, 6))
+
+        sync = _ShardFlowSync()
+        alive, calls = [], []
+        for _ in range(12):
+            flows = table(5)
+            calls.append(
+                (
+                    sync.localize(flows, np.array([3, 1, 3], dtype=np.int64)),
+                    sync.localize(flows, np.array([1, 4], dtype=np.int64)),
+                )
+            )
+            alive.append(weakref.ref(flows))
+            del flows
+        gc.collect()
+        assert [ref() is not None for ref in alive] == [False] * 11 + [True]
+        for index, (first, again) in enumerate(calls):
+            # Every table restarts the worker's dense ids from 0, and only
+            # a table that replaces an earlier one asks for a reset.
+            assert first[0].tolist() == [1, 0, 1]
+            assert first[1].tolist() == [1, 3]
+            assert again[0].tolist() == [0, 2]
+            assert again[1].tolist() == [4]
+            assert first[2:] == ((index > 0),) and again[2:] == (False,)
+
     def test_stage_seconds_breakdown(self, trace):
         result = ShardedPipeline(_config(), num_shards=2).run(trace)
         assert set(result.stage_seconds) == {
@@ -255,11 +331,6 @@ class TestShardedPipelineAPI:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigurationError):
             ShardedPipeline(_config(), num_shards=0)
-
-    def test_run_sharded_convenience(self, trace):
-        config = _config("scalar")
-        result = run_sharded(config, trace, num_shards=2)
-        assert result.estimates() == _single_run(config, trace).estimates()
 
     def test_load_shares_sum_to_one(self, trace):
         result = ShardedPipeline(_config(), num_shards=4).run(trace)
