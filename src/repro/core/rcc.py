@@ -64,6 +64,33 @@ def coupon_partial_sum(vector_bits: int, bits_set: int) -> float:
     return sum(vector_bits / (vector_bits - j) for j in range(bits_set))
 
 
+_GEOMETRY_TABLES: "dict[tuple[int, int], tuple[tuple, tuple, tuple]]" = {}
+
+
+def _geometry_tables(
+    word_bits: int, vector_bits: int
+) -> "tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[float, ...]]":
+    """(window masks, per-offset bit masks, decode table), cached per geometry.
+
+    Every sketch of one ``(word_bits, vector_bits)`` shares these; they
+    are tuples so no reader can change another sketch's table.
+    """
+    tables = _GEOMETRY_TABLES.get((word_bits, vector_bits))
+    if tables is None:
+        bit_masks = tuple(
+            tuple(1 << ((offset + i) % word_bits) for i in range(vector_bits))
+            for offset in range(word_bits)
+        )
+        window_masks = tuple(sum(bits) for bits in bit_masks)
+        decode_table = tuple(
+            coupon_partial_sum(vector_bits, vector_bits - zeros)
+            for zeros in range(vector_bits + 1)
+        )
+        tables = (window_masks, bit_masks, decode_table)
+        _GEOMETRY_TABLES[(word_bits, vector_bits)] = tables
+    return tables
+
+
 class RCCSketch:
     """A shared-word-array RCC sketch.
 
@@ -121,21 +148,12 @@ class RCCSketch:
 
         # words are plain Python ints: single-word bitwise ops are the hot path.
         self.words: "list[int]" = [0] * num_words
-        # Cyclic window masks and per-(offset, bit) set-masks, precomputed.
-        self._window_masks: "list[int]" = []
-        self._bit_masks: "list[list[int]]" = []
-        for offset in range(word_bits):
-            bits = [1 << ((offset + i) % word_bits) for i in range(vector_bits)]
-            self._bit_masks.append(bits)
-            mask = 0
-            for bit in bits:
-                mask |= bit
-            self._window_masks.append(mask)
-        #: decode table: estimate for each possible noise level (index = zeros).
-        self._decode_table = [
-            coupon_partial_sum(vector_bits, vector_bits - zeros)
-            for zeros in range(vector_bits + 1)
-        ]
+        # Cyclic window masks, per-(offset, bit) set-masks and the decode
+        # table (estimate per noise level, index = zeros), shared by every
+        # sketch of this geometry.
+        self._window_masks, self._bit_masks, self._decode_table = (
+            _geometry_tables(word_bits, vector_bits)
+        )
         self._place_seed_idx = hash_u64(seed, 0x51)
         self._place_seed_off = hash_u64(seed, 0x52)
 

@@ -13,10 +13,13 @@ budget and, with ``epoch_seconds``, epoch time boundaries — so the
 driver's rotation callbacks fire exactly between chunks here too.  An
 epoch cut is only taken once the boundary-crossing packet has actually
 arrived (the epoch's end is proven); end-of-stream or :meth:`stop`
-flushes the rest.  Each chunk carries its own arrival-deduplicated
-:class:`~repro.traffic.packet.FlowTable` built vectorized from the raw
-records, so per-chunk cost stays bounded no matter how many distinct
-flows the stream has seen in total.
+flushes the rest.  Each chunk carries its own deduplicated
+:class:`~repro.traffic.packet.FlowTable`, built vectorized from the raw
+records and sorted by packed 5-tuple, so per-chunk cost stays bounded no
+matter how many distinct flows the stream has seen in total.  Every
+block of records is checked as it arrives: a non-finite timestamp, or
+one below the timestamp read before it, is a
+:class:`~repro.errors.TraceFormatError` naming its stream position.
 
 Both sources support an epoch-origin override (``start_time``) and a
 resume position, which is how a recovering daemon replays the tail of a
@@ -50,20 +53,19 @@ DEFAULT_STREAM_CHUNK = 8192
 
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
 
-#: Two-u64 key pair for vectorized 5-tuple dedup (packed with the same
-#: bit layout FlowTable._compute_keys folds, so unpacking is exact).
-_PAIR_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8")])
-
 
 def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     """Columnar trace from a block of pcap-lite records.
 
     Flows are deduplicated vectorized (no Python loop over packets): the
-    5-tuple is packed into a (hi, lo) u64 pair, ``np.unique`` builds the
-    flow table and the per-packet flow ids in one pass, and the columns
-    are unpacked back out of the unique pairs.  Flow order is the pairs'
-    sort order — flow *indices* carry no meaning anywhere downstream
-    (identity is ``key64``), only the per-packet mapping matters.
+    5-tuple is packed into two u64 columns (``hi``: source IP and the
+    destination IP's top byte; ``lo``: the rest), one two-key sort puts
+    equal tuples next to each other, each run start opens a new flow, and
+    a running count of run starts scattered back through the sort order
+    gives the per-packet flow ids.  Flow order is the packed tuples'
+    unsigned ``(hi, lo)`` sort order — flow *indices* carry no meaning
+    anywhere downstream (identity is ``key64``), only the per-packet
+    mapping matters.
     """
     src = records["src_ip"].astype(np.uint64)
     dst = records["dst_ip"].astype(np.uint64)
@@ -74,12 +76,15 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
         | (records["dst_port"].astype(np.uint64) << np.uint64(8))
         | records["protocol"].astype(np.uint64)
     )
-    pairs = np.empty(len(records), dtype=_PAIR_DTYPE)
-    pairs["hi"] = hi
-    pairs["lo"] = lo
-    unique, flow_ids = np.unique(pairs, return_inverse=True)
-    uhi = unique["hi"]
-    ulo = unique["lo"]
+    order = np.lexsort((lo, hi))
+    shi = hi[order]
+    slo = lo[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
+    flow_ids = np.empty(len(order), dtype=np.int64)
+    flow_ids[order] = np.cumsum(starts) - 1
+    uhi = shi[starts]
+    ulo = slo[starts]
     flows = FlowTable(
         src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
         dst_ip=(
@@ -93,10 +98,32 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     )
     return Trace(
         timestamps=records["timestamp"].astype(np.float64),
-        flow_ids=flow_ids.reshape(-1).astype(np.int64),
+        flow_ids=flow_ids,
         sizes=records["size"].astype(np.int64),
         flows=flows,
     )
+
+
+def _check_timestamps(ts: np.ndarray, position: int, last: float) -> None:
+    """Reject a block whose timestamps are non-finite or go backwards.
+
+    ``position`` is the stream position of ``ts[0]``; ``last`` is the
+    last timestamp already read (``-inf`` before the first block).
+    """
+    finite = np.isfinite(ts)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise TraceFormatError(
+            f"non-finite timestamp {ts[at]} at stream position {position + at}"
+        )
+    backwards = np.diff(ts, prepend=last) < 0
+    if backwards.any():
+        at = int(np.argmax(backwards))
+        previous = ts[at - 1] if at else last
+        raise TraceFormatError(
+            f"timestamp {ts[at]} at stream position {position + at} is "
+            f"below the one before it ({previous})"
+        )
 
 
 class StreamingChunkSource(ChunkSource):
@@ -215,6 +242,7 @@ class StreamingChunkSource(ChunkSource):
         self._open()
         pending = _EMPTY
         consumed = self._start_offset
+        last = -np.inf
         index = 0
         try:
             ended = False
@@ -223,8 +251,11 @@ class StreamingChunkSource(ChunkSource):
                 if block is None:
                     ended = True
                 elif len(block):
+                    ts = block["timestamp"]
+                    _check_timestamps(ts, consumed + len(pending), last)
+                    last = float(ts[-1])
                     if self.start_time is None:
-                        self.start_time = float(block["timestamp"][0])
+                        self.start_time = float(ts[0])
                     pending = (
                         np.concatenate([pending, block])
                         if len(pending)

@@ -58,6 +58,32 @@ class TestConstruction:
         assert RCCSketch(1024, word_bits=32).num_words == 256
         assert RCCSketch(1024, word_bits=64).num_words == 128
 
+    @pytest.mark.parametrize(
+        "word_bits, vector_bits", [(32, 8), (32, 32), (64, 5), (64, 8)]
+    )
+    def test_geometry_tables_are_shared_tuples(self, word_bits, vector_bits):
+        a = RCCSketch(1024, vector_bits, word_bits, seed=1)
+        b = RCCSketch(256, vector_bits, word_bits, saturation_fill=0.5, seed=2)
+        for name in ("_window_masks", "_bit_masks", "_decode_table"):
+            assert getattr(a, name) is getattr(b, name)
+            assert isinstance(getattr(a, name), tuple)
+        assert all(isinstance(bits, tuple) for bits in a._bit_masks)
+        # The tables equal a per-offset construction of the cyclic window.
+        bit_masks, window_masks = [], []
+        for offset in range(word_bits):
+            bits = [1 << ((offset + i) % word_bits) for i in range(vector_bits)]
+            mask = 0
+            for bit in bits:
+                mask |= bit
+            bit_masks.append(tuple(bits))
+            window_masks.append(mask)
+        assert a._bit_masks == tuple(bit_masks)
+        assert a._window_masks == tuple(window_masks)
+        assert a._decode_table == tuple(
+            coupon_partial_sum(vector_bits, vector_bits - zeros)
+            for zeros in range(vector_bits + 1)
+        )
+
 
 class TestPaperConstants:
     """The reconstruction must reproduce the paper's published capacities."""

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.core import InstaMeasureConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceFormatError
 from repro.pipeline import (
     PacketRecordChunkSource,
     Pipeline,
@@ -34,7 +34,7 @@ from repro.service import (
 )
 from repro.state import to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
-from repro.traffic.pcaplite import write_pcaplite
+from repro.traffic.pcaplite import PacketRecordWriter, write_pcaplite
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,18 @@ def trace():
 def capture(trace, tmp_path_factory):
     path = tmp_path_factory.mktemp("service") / "trace.impl"
     write_pcaplite(trace, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def bad_capture(trace, tmp_path_factory):
+    """The first 3,000 packets of the trace, packet 1,500 stamped NaN."""
+    path = tmp_path_factory.mktemp("service") / "bad.impl"
+    tuples = [trace.flows.five_tuple(i) for i in range(trace.num_flows)]
+    with PacketRecordWriter(path) as writer:
+        for p in range(3_000):
+            ts = float("nan") if p == 1_500 else float(trace.timestamps[p])
+            writer.write(ts, tuples[trace.flow_ids[p]], int(trace.sizes[p]))
     return str(path)
 
 
@@ -265,6 +277,18 @@ class TestMeasurementDaemon:
         stats = daemon.stats()
         assert stats["pps_total"] >= 0.5 * batch.pps
 
+    def test_bad_capture_ends_with_trace_format_error(self, bad_capture):
+        daemon = _run_daemon(
+            MeasurementDaemon(
+                _source(bad_capture, block_records=500),
+                config=_config(),
+                epoch_seconds=1.0,
+            )
+        )
+        assert isinstance(daemon.error, TraceFormatError)
+        assert "position 1500" in str(daemon.error)
+        assert 0 < daemon.packets < 1_500
+
     def test_stats_and_queries(self, trace, capture):
         daemon = _run_daemon(
             MeasurementDaemon(
@@ -412,6 +436,7 @@ class TestServeCLI:
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
+            proc.stdout.close()
 
         # Recover without --follow: drains the capture to the end and
         # lands on the same packet count and WSAF occupancy as the
@@ -452,3 +477,13 @@ class TestServeCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def test_serve_bad_capture_fails(self, bad_capture):
+        out = self._run(
+            "serve", bad_capture, "--chunk-size", "500",
+            "--l1-kb", "2", "--wsaf-bits", "11",
+        )
+        assert out.returncode == 1
+        assert "error: ingest failed" in out.stderr
+        assert "position 1500" in out.stderr

@@ -18,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import ConfigurationError, TraceFormatError
@@ -28,7 +30,8 @@ from repro.pipeline import (
     TraceChunkSource,
     trace_from_records,
 )
-from repro.traffic import CaidaLikeConfig, build_caida_like_trace
+from repro.traffic import CaidaLikeConfig, FiveTuple, FlowTable, Trace
+from repro.traffic import build_caida_like_trace
 from repro.traffic.pcaplite import (
     HEADER_BYTES,
     RECORD_BYTES,
@@ -73,6 +76,83 @@ def _chunk_signature(chunk):
     )
 
 
+_PAIR_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8")])
+
+
+def _reference_decode(records: np.ndarray, hash_seed: int = 0) -> Trace:
+    """The structured-dtype ``np.unique`` decode ``trace_from_records``
+    replaced: the packed ``(hi, lo)`` pairs, deduplicated as one void-typed
+    array.  Kept here to pin flow order and flow ids to it."""
+    src = records["src_ip"].astype(np.uint64)
+    dst = records["dst_ip"].astype(np.uint64)
+    pairs = np.empty(len(records), dtype=_PAIR_DTYPE)
+    pairs["hi"] = (src << np.uint64(8)) | (dst >> np.uint64(24))
+    pairs["lo"] = (
+        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
+        | (records["src_port"].astype(np.uint64) << np.uint64(24))
+        | (records["dst_port"].astype(np.uint64) << np.uint64(8))
+        | records["protocol"].astype(np.uint64)
+    )
+    unique, flow_ids = np.unique(pairs, return_inverse=True)
+    uhi = unique["hi"]
+    ulo = unique["lo"]
+    flows = FlowTable(
+        src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
+        dst_ip=(
+            ((uhi & np.uint64(0xFF)) << np.uint64(24))
+            | (ulo >> np.uint64(40))
+        ).astype(np.uint32),
+        src_port=((ulo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16),
+        dst_port=((ulo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(np.uint16),
+        protocol=(ulo & np.uint64(0xFF)).astype(np.uint8),
+        hash_seed=hash_seed,
+    )
+    return Trace(
+        timestamps=records["timestamp"].astype(np.float64),
+        flow_ids=flow_ids.reshape(-1).astype(np.int64),
+        sizes=records["size"].astype(np.int64),
+        flows=flows,
+    )
+
+
+def _records(tuples) -> np.ndarray:
+    """A block of pcap-lite records, one per 5-tuple, 1 ms apart."""
+    columns = np.array(tuples, dtype=np.uint64).reshape(-1, 5)
+    records = np.zeros(len(columns), dtype=RECORD_DTYPE)
+    records["timestamp"] = np.arange(len(columns)) * 1e-3
+    for i, name in enumerate(
+        ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+    ):
+        records[name] = columns[:, i]
+    records["size"] = np.arange(len(columns)) % 1_500 + 40
+    return records
+
+
+def _assert_same_decode(records: np.ndarray) -> None:
+    got = trace_from_records(records, hash_seed=7)
+    want = _reference_decode(records, hash_seed=7)
+    for name in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol", "key64"):
+        a, b = getattr(got.flows, name), getattr(want.flows, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    for name in ("flow_ids", "timestamps", "sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+_TOP = 0xFFFF_FFFF
+
+#: Small per-field pools, so drawn tuples often share ``hi`` or ``lo``.
+_POOL_TUPLES = st.tuples(
+    st.sampled_from([0, 1, 0x7FFF_FFFF, 0x8000_0000, _TOP]),
+    st.sampled_from([0, 0x00FF_FFFF, 0x0100_0000, 0xFF00_0000, _TOP]),
+    st.sampled_from([0, 1, 65_535]),
+    st.sampled_from([0, 80, 65_535]),
+    st.sampled_from([0, 6, 255]),
+)
+
+
 class TestTraceFromRecords:
     def test_round_trips_packets_and_flows(self, trace, capture):
         with PacketRecordReader(capture) as reader:
@@ -91,6 +171,61 @@ class TestTraceFromRecords:
     def test_empty_block(self):
         rebuilt = trace_from_records(np.empty(0, dtype=RECORD_DTYPE))
         assert rebuilt.num_packets == 0
+
+    def test_capture_matches_reference_decode(self, capture):
+        with PacketRecordReader(capture) as reader:
+            while True:
+                block = reader.read_block(2_048)
+                if not len(block):
+                    break
+                _assert_same_decode(block)
+
+    @pytest.mark.parametrize(
+        "tuples",
+        [
+            pytest.param(
+                [(_TOP, _TOP, 1, 2, 6), (0x8000_0000, 0xFF00_0001, 3, 4, 17),
+                 (0x7FFF_FFFF, 0x80FF_FFFF, 5, 6, 6), (_TOP, 0, 1, 2, 6)],
+                id="top-bit-ips",
+            ),
+            pytest.param(
+                [(0x0A00_0001, 0x0B00_0000 | low, sport, dport, proto)
+                 for low, sport, dport, proto in [
+                     (0xFF_FFFF, 1, 2, 6), (0, 1, 2, 6), (0, 65_535, 2, 6),
+                     (0, 1, 0, 6), (0, 1, 2, 255), (0x80_0000, 1, 2, 0)]],
+                id="equal-hi-differ-in-lo",
+            ),
+            pytest.param(
+                [(src, (top << 24) | 0x01_0203, 443, 9_000, 6)
+                 for src, top in [
+                     (_TOP, 0xFF), (0, 0xFF), (_TOP, 0), (0x8000_0000, 0x80),
+                     (1, 0x7F), (0, 0)]],
+                id="equal-lo-differ-in-hi",
+            ),
+            pytest.param(
+                [(1, 2, sport, dport, proto)
+                 for sport in (0, 65_535)
+                 for dport in (0, 65_535)
+                 for proto in (0, 255)],
+                id="port-and-protocol-extremes",
+            ),
+            pytest.param([(9, 8, 7, 6, 5)] * 8_192, id="one-flow-8192-times"),
+            pytest.param([(_TOP, _TOP, 65_535, 65_535, 255)], id="single-record"),
+            pytest.param([], id="empty-block"),
+        ],
+    )
+    def test_matches_reference_decode(self, tuples):
+        _assert_same_decode(_records(tuples))
+        # Reversed, then repeated: the sort, not arrival, sets flow order.
+        _assert_same_decode(_records(tuples[::-1] + tuples))
+
+    @given(
+        pool=st.lists(_POOL_TUPLES, min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), max_size=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_decode_on_drawn_blocks(self, pool, picks):
+        _assert_same_decode(_records([pool[i % len(pool)] for i in picks]))
 
 
 class TestPacketRecordChunkSource:
@@ -200,6 +335,84 @@ class TestPacketRecordChunkSource:
             PacketRecordChunkSource(capture, start_record=-1)
 
 
+def _write_timestamps(path, timestamps) -> str:
+    """A pcap-lite capture of three alternating flows at ``timestamps``."""
+    with PacketRecordWriter(path) as writer:
+        for i, ts in enumerate(timestamps):
+            flow = FiveTuple(0x0A00_0001 + i % 3, 0x0A00_0002, 1_000, 80, 6)
+            writer.write(ts, flow, 64)
+    return str(path)
+
+
+_STEADY = [0.5 * i for i in range(12)]
+
+
+class TestTimestampValidation:
+    """A pcap-lite stream whose timestamps are non-finite or go backwards
+    is malformed: the source stops with a typed error naming where."""
+
+    @pytest.mark.parametrize("epoch_seconds", [None, 1.0])
+    @pytest.mark.parametrize("at", [0, 5])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, tmp_path, bad, at, epoch_seconds):
+        timestamps = list(_STEADY)
+        timestamps[at] = bad
+        source = PacketRecordChunkSource(
+            _write_timestamps(tmp_path / "bad.impl", timestamps),
+            chunk_size=4, epoch_seconds=epoch_seconds,
+        )
+        with pytest.raises(TraceFormatError, match=rf"position {at}\b"):
+            list(source)
+
+    @pytest.mark.parametrize("epoch_seconds", [None, 1.0])
+    def test_rejects_decrease_within_block(self, tmp_path, epoch_seconds):
+        timestamps = list(_STEADY)
+        timestamps[6] = 1.0
+        source = PacketRecordChunkSource(
+            _write_timestamps(tmp_path / "bad.impl", timestamps),
+            chunk_size=4, epoch_seconds=epoch_seconds,
+        )
+        with pytest.raises(TraceFormatError, match=r"position 6\b"):
+            list(source)
+
+    @pytest.mark.parametrize("epoch_seconds", [None, 1.0])
+    def test_rejects_decrease_across_blocks(self, tmp_path, epoch_seconds):
+        timestamps = list(_STEADY)
+        timestamps[8:] = [t - 3.5 for t in timestamps[8:]]
+        source = PacketRecordChunkSource(
+            _write_timestamps(tmp_path / "bad.impl", timestamps),
+            chunk_size=4, epoch_seconds=epoch_seconds, block_records=4,
+        )
+        chunks = []
+        with pytest.raises(TraceFormatError, match=r"position 8\b"):
+            for chunk in source:
+                chunks.append(chunk)
+        # Nothing from the bad block was cut, and epochs never went back.
+        assert sum(c.num_packets for c in chunks) <= 8
+        epochs = [c.epoch for c in chunks]
+        assert epochs == sorted(epochs)
+
+    def test_resumed_stream_reports_stream_position(self, tmp_path):
+        timestamps = list(_STEADY)
+        timestamps[9] = float("nan")
+        source = PacketRecordChunkSource(
+            _write_timestamps(tmp_path / "bad.impl", timestamps),
+            chunk_size=4, start_record=6,
+        )
+        with pytest.raises(TraceFormatError, match=r"position 9\b"):
+            list(source)
+
+    def test_steady_stream_is_accepted(self, tmp_path):
+        timestamps = list(_STEADY)
+        # Ties are not a decrease, inside a block or across a boundary.
+        timestamps[3:5] = [timestamps[2]] * 2
+        source = PacketRecordChunkSource(
+            _write_timestamps(tmp_path / "ok.impl", timestamps),
+            chunk_size=4, epoch_seconds=1.0, block_records=3,
+        )
+        assert sum(c.num_packets for c in source) == len(timestamps)
+
+
 class TestSocketChunkSource:
     def _serve_bytes(self, payload: bytes, dribble: int):
         """Serve ``payload`` over a one-shot TCP socket in ragged pieces."""
@@ -208,18 +421,23 @@ class TestSocketChunkSource:
         listener.listen(1)
 
         def run():
-            conn, _ = listener.accept()
-            with conn:
-                for at in range(0, len(payload), dribble):
-                    conn.sendall(payload[at : at + dribble])
-            listener.close()
+            try:
+                conn, _ = listener.accept()
+                with conn:
+                    for at in range(0, len(payload), dribble):
+                        conn.sendall(payload[at : at + dribble])
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the reader rejected the stream and hung up early
+            finally:
+                listener.close()
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         return listener.getsockname()[1], thread
 
     def test_matches_file_source(self, trace, capture):
-        payload = open(capture, "rb").read()
+        with open(capture, "rb") as handle:
+            payload = handle.read()
         port, thread = self._serve_bytes(payload, dribble=1_009)
         stream = SocketChunkSource(
             "127.0.0.1", port, chunk_size=700, epoch_seconds=1.0,
@@ -243,11 +461,27 @@ class TestSocketChunkSource:
         thread.join(timeout=10.0)
 
     def test_rejects_mid_record_eof(self, capture):
-        payload = open(capture, "rb").read()
+        with open(capture, "rb") as handle:
+            payload = handle.read()
         torn = payload[: HEADER_BYTES + RECORD_BYTES * 3 + 7]
         port, thread = self._serve_bytes(torn, dribble=4_096)
         stream = SocketChunkSource("127.0.0.1", port, poll_interval=0.01)
         with pytest.raises(TraceFormatError):
+            list(stream)
+        thread.join(timeout=10.0)
+
+    def test_rejects_backwards_timestamps(self, tmp_path):
+        timestamps = list(_STEADY)
+        timestamps[7] = 0.0
+        path = _write_timestamps(tmp_path / "bad.impl", timestamps)
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        port, thread = self._serve_bytes(payload, dribble=RECORD_BYTES * 2)
+        stream = SocketChunkSource(
+            "127.0.0.1", port, chunk_size=4, epoch_seconds=1.0,
+            poll_interval=0.01,
+        )
+        with pytest.raises(TraceFormatError, match=r"position 7\b"):
             list(stream)
         thread.join(timeout=10.0)
 
