@@ -20,10 +20,8 @@ lab trace, and records one frontier row per variant in
 * **wall-clock** — best-of-rounds ingest seconds and the measured pps
   (``wall_pps``), to keep the modelled claim honest about simulator
   overhead.  Every timed round takes a ``gc.collect()`` first, so a
-  stray gen-2 collection cannot inflate one variant's wall time.  Each
-  row also records the ``wsaf_engine`` the variant resolved to —
-  ``"auto"`` is backend-aware (batched for flat/tiered, scalar for
-  ICE-Buckets, whose serial quantized adds measure faster scalar).
+  stray gen-2 collection cannot inflate one variant's wall time.  The
+  bench replays one prebuilt trace, so these are warm numbers.
 
 Rows are keyed by ``(git_sha, label)``: re-running on a commit replaces
 that commit's rows and keeps other commits', same policy as
@@ -186,13 +184,10 @@ def _measure_variant(
     detected = set(np.flatnonzero(est_packets >= HH_THRESHOLD).tolist())
     outcome = classify_detections(detected, truth_hh, trace.num_flows)
 
-    from repro.core.instameasure import resolved_wsaf_engine
-
     modelled_s = accountant.modelled_seconds(labels=WSAF_LABELS)
     row = {
         "label": label,
         "backend": config.wsaf_backend,
-        "wsaf_engine": resolved_wsaf_engine(config),
         "config": {key: overrides[key] for key in sorted(overrides)},
         "packets": result.packets,
         "insertions": result.insertions,
@@ -307,7 +302,7 @@ def run_frontier(
     ]
     lines.append(
         "variant        memory KB  ctr KB  modelled pps   vs flat  "
-        "  measured pps  vs flat  ARE(1K+)  hh P/R     extra"
+        "   warm wall pps  vs flat  ARE(1K+)  hh P/R     extra"
     )
     for row in rows:
         extra = ""
@@ -321,7 +316,7 @@ def run_frontier(
             f"{row['counter_memory_bytes'] / 1024:>7.1f} "
             f"{row['modelled_pps']:>13,.0f} "
             f"{row['modelled_pps'] / flat['modelled_pps']:>8.2f}x "
-            f"{row['wall_pps']:>13,.0f} "
+            f"{row['wall_pps']:>16,.0f} "
             f"{row['wall_pps'] / flat['wall_pps']:>8.2f}x "
             f"{row['are_1k']:>8.4f}  "
             f"{row['hh_precision']:.2f}/{row['hh_recall']:.2f}  "

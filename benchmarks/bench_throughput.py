@@ -7,7 +7,9 @@ default ``engine="auto"`` configuration) — and *appends* a
 machine-readable report to ``BENCH_throughput.json`` at the repo root.
 
 Rows are keyed by their string labels — ``git_sha``, ``engine``,
-``wsaf_engine``, ``backend`` — plus ``shards`` (see :func:`_row_key`):
+``wsaf_engine`` (the WSAF column layout the run fed: ``"batched"`` for
+the batch-probed table, ``"scalar"`` for list columns), ``backend`` —
+plus ``shards`` (see :func:`_row_key`):
 re-running on the same commit replaces that commit's rows, while rows
 from other commits are preserved, so the file accumulates a throughput
 history across the PR stack.  Rows of the retired kernel generations
@@ -44,6 +46,11 @@ breakdown:
   batch-probed WSAF stage (the regulator kernel dominates; see
   docs/PERFORMANCE.md).
 
+Every stage timing takes a ``gc.collect()`` immediately before its timed
+region: a collection landing inside the (allocation-heavy, pointer-rich)
+scalar replay otherwise inflates it several-fold and manufactures
+speedups that vanish under a fair protocol.
+
 Regression bars (the test *fails* below them):
 
 * Kernel >= ``MIN_SPEEDUP`` x scalar end-to-end.
@@ -70,27 +77,6 @@ impossible and the bar degrades to the ``MIN_SHARD_SPEEDUP_FALLBACK``
 no-collapse floor with a printed note.  ``--quick --shards N`` is the CI
 smoke: exactness is always enforced, timing only against the
 no-collapse floor.
-
-The backend benchmark (:func:`run_backend_benchmark`) measures the
-tiered WSAF backend under both WSAF engines: it times the kernel
-end-to-end with ``wsaf_engine="scalar"`` vs ``"batched"`` — everything
-else shared — after checking the two runs produce identical estimates
-(the bit-identity contract, enforced before any timing is trusted), and
-then replays the backend's real delegated event stream against fresh
-tables both ways for the measured WSAF-stage speedup (the regulator
-admits few packets to the WSAF, so the stage is where the engine change
-shows).  One row per ``(backend, wsaf_engine)`` joins the history
-(``backend`` joins the row key; flat rows are backfilled with
-``backend: "flat"``).  The bar on the stage speedup: batched-tiered >=
-``MIN_BACKEND_SPEEDUP["tiered"]`` x scalar-tiered.  ICE-Buckets is not
-measured here: it has list columns only (its quantized add chains are
-order-serial), so there is no batched form to compare.  All stage
-timings take a ``gc.collect()`` immediately before each timed region: a
-collection landing inside the (allocation-heavy, pointer-rich) scalar
-replay otherwise inflates it several-fold and manufactures speedups that
-vanish under a fair protocol.  In ``--quick`` mode only the
-``MIN_BACKEND_SPEEDUP_SMOKE`` no-regression floor is enforced, with a
-printed note when the small-trace margin lands under the full target.
 """
 
 from __future__ import annotations
@@ -146,34 +132,13 @@ MIN_SHARD_SMOKE_FLOOR = 0.1
 #: must stay within 10% of the plain unsharded pipeline.
 MAX_INPROC_OVERHEAD = 1.10
 
-#: Non-flat backends measured by :func:`run_backend_benchmark` (the ones
-#: with a batch-probed form).
-BACKENDS = ("tiered",)
-#: Timed rounds per backend variant; best round wins.
-BACKEND_ROUNDS = 3
-#: Regression bar: batched vs scalar measured WSAF-stage pps (the
-#: delegated event stream replayed against fresh backend tables both
-#: ways), per backend, under the GC-controlled protocol (collect before
-#: every timed region; without it a gen-2 collection landing inside the
-#: scalar replay inflates its time several-fold and once suggested
-#: 8-9x tiered "wins" that do not survive a fair timer).  The tiered
-#: bar is the compounding claim (observed ~1.6x: vectorized cache
-#: probe + lexsort maintenance tick + batch-probed backing table vs the
-#: per-event facade; the tier_interval segment split caps the
-#: vectorized run length, so it cannot reach the flat table's ~2.5x).
-MIN_BACKEND_SPEEDUP = {"tiered": 1.35}
-#: Smoke-mode no-collapse floor: on the tiny CI trace the delegated
-#: stream is a few hundred events, where cohort planning costs more than
-#: it saves — only outright collapse fails the smoke; the real bar is
-#: carried by the full-trace run.
-MIN_BACKEND_SPEEDUP_SMOKE = 0.15
-
 #: Commit that introduced this harness; the two pre-keying seed rows
 #: (no ``git_sha``) were measured on its working tree and are stamped
 #: with it during normalization (then superseded by its keyed rows).
 PRE_KEYING_SHA = "24c248f"
 
-#: (engine, wsaf_engine) pipeline variants: the scalar oracle, the kernel.
+#: (engine, WSAF layout) pipeline variants: the scalar oracle on list
+#: columns, the kernel on the batch-probed table.
 SCALAR = ("scalar", "scalar")
 KERNEL = ("batched", "batched")
 VARIANTS = (SCALAR, KERNEL)
@@ -209,13 +174,8 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _config(engine: str, wsaf_engine: str) -> InstaMeasureConfig:
-    return InstaMeasureConfig(
-        seed=1,
-        engine=engine,
-        wsaf_engine=wsaf_engine,
-        chunk_size=CHUNK_SIZE,
-    )
+def _config(engine: str) -> InstaMeasureConfig:
+    return InstaMeasureConfig(seed=1, engine=engine, chunk_size=CHUNK_SIZE)
 
 
 def _timed_run(config: InstaMeasureConfig, source) -> "tuple[float, int]":
@@ -233,14 +193,14 @@ def _timed_run(config: InstaMeasureConfig, source) -> "tuple[float, int]":
     return time.perf_counter() - start, result.packets
 
 
-def _capture_event_batches(source, config=None) -> "list[tuple]":
+def _capture_event_batches(source) -> "list[tuple]":
     """The delegated WSAF event stream, one array batch per chunk.
 
     Wraps the live table's ``accumulate_batch_arrays`` so the kernel's real
     delegation batches (keys, estimates, stamps, packed tuples) are recorded
     while the run proceeds normally.
     """
-    engine = InstaMeasure(config or _config(*KERNEL))
+    engine = InstaMeasure(_config("batched"))
     real = engine.wsaf.accumulate_batch_arrays
     batches: "list[tuple]" = []
 
@@ -317,9 +277,10 @@ def _row_key(row: "dict") -> "tuple":
     """A row's identity: every string label it carries, plus ``shards``.
 
     Current rows are labelled by ``git_sha`` / ``engine`` /
-    ``wsaf_engine`` / ``backend``.  Rows of retired kernel generations
-    carry an extra label naming the generation they measured; keying on
-    every label keeps them distinct without the harness knowing them.
+    ``wsaf_engine`` (the WSAF layout) / ``backend``.  Rows of retired
+    kernel generations carry an extra label naming the generation they
+    measured; keying on every label keeps them distinct without the
+    harness knowing them.
     """
     labels = sorted(
         (name, value)
@@ -335,8 +296,9 @@ def _normalize_history(history: "list[dict]") -> "list[dict]":
     * Rows without ``git_sha`` are the two pre-keying seed rows; they ran
       on :data:`PRE_KEYING_SHA`'s tree and are stamped with it (after
       which that commit's keyed re-measurements supersede them).
-    * Rows without ``wsaf_engine`` predate that knob and ran the scalar
-      WSAF — backfill explicitly so every row carries it.
+    * Rows without ``wsaf_engine`` predate the batch-probed table and
+      ran the list-column WSAF — backfill explicitly so every row
+      carries it.
     * Rows without ``shards`` predate the sharded scaling benchmark and
       all ran a single unsharded pipeline — backfill ``shards: 1``.
     * Rows without ``backend`` predate the WSAF storage seam and all ran
@@ -417,7 +379,7 @@ def run_benchmark(
     ``record`` is false (smoke runs must not clobber full-trace rows).
     Returns ``{"rows": [...], "report": str, "speedups": {...}}``.
     """
-    configs = {variant: _config(*variant) for variant in VARIANTS}
+    configs = {variant: _config(variant[0]) for variant in VARIANTS}
     # One shared chunk source: slicing happens here, outside any timed
     # region, and the same Chunk objects are replayed every round.
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
@@ -524,7 +486,7 @@ def run_sharded_benchmark(
     / ``ingest_s`` / ``merge_s`` stage breakdown of the best round.
     Returns ``{"rows", "report", "scaling", "inproc_overhead"}``.
     """
-    config = _config(*KERNEL)
+    config = _config("batched")
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
     use_fork = _fork_available()
 
@@ -668,191 +630,6 @@ def _assert_sharded_bars(result: "dict") -> None:
         )
 
 
-def _backend_config(backend: str, wsaf_engine: str) -> InstaMeasureConfig:
-    return InstaMeasureConfig(
-        seed=1,
-        engine="batched",
-        wsaf_engine=wsaf_engine,
-        chunk_size=CHUNK_SIZE,
-        wsaf_backend=backend,
-    )
-
-
-def _backend_stage_times(
-    batches, config: InstaMeasureConfig, rounds: int
-) -> "tuple[float, float]":
-    """Best-of replay seconds for one backend: (scalar table, batched).
-
-    Replays the captured delegated stream against fresh backend tables
-    built through the storage seam — ``wsaf_engine="scalar"`` fed via
-    the per-event ``accumulate_batch`` facade (the path the scalar
-    engine uses), ``"batched"`` via ``accumulate_batch_arrays``.
-    """
-    from dataclasses import replace
-
-    from repro.core.wsaf_storage import build_wsaf_storage
-
-    scalar_config = replace(config, wsaf_engine="scalar")
-    batched_config = replace(config, wsaf_engine="batched")
-    best_scalar = best_batched = float("inf")
-    for _ in range(rounds):
-        table = build_wsaf_storage(scalar_config)
-        gc.collect()
-        start = time.perf_counter()
-        for keys, pkts, byts, stamps, tuples in batches:
-            table.accumulate_batch(
-                list(
-                    zip(
-                        keys.tolist(),
-                        pkts.tolist(),
-                        byts.tolist(),
-                        stamps.tolist(),
-                        tuples,
-                    )
-                )
-            )
-        best_scalar = min(best_scalar, time.perf_counter() - start)
-
-        batched = build_wsaf_storage(batched_config)
-        gc.collect()
-        start = time.perf_counter()
-        for keys, pkts, byts, stamps, tuples in batches:
-            batched.accumulate_batch_arrays(
-                keys, pkts, byts, stamps, tuples, collect_totals=False
-            )
-        best_batched = min(best_batched, time.perf_counter() - start)
-    assert table.estimates() == batched.estimates(), (
-        "stage replay: batched estimates diverged from scalar"
-    )
-    return best_scalar, best_batched
-
-
-def run_backend_benchmark(
-    trace,
-    rounds: int = BACKEND_ROUNDS,
-    record: bool = True,
-    backends: "tuple[str, ...]" = BACKENDS,
-) -> "dict":
-    """Measure the non-flat backends under the scalar vs batched engine.
-
-    For each backend in :data:`BACKENDS`:
-
-    * End-to-end: the kernel with ``wsaf_engine="scalar"`` vs
-      ``"batched"``, every other knob shared, best of
-      ``rounds``.  The warm-up pass doubles as the bit-identity check —
-      both engines must produce identical estimates on the full trace
-      before any timing is trusted.
-    * WSAF stage: the backend's real delegated event stream (captured
-      from a live run) replayed against fresh tables both ways.  This is
-      where the compounding claim lives — the regulator admits only a
-      small fraction of packets to the WSAF, so the backend engine can
-      move the stage pps by far more than the end-to-end pps.
-
-    One row per ``(backend, wsaf_engine)`` joins BENCH_throughput.json
-    (``record=True``); the batched row carries the stage breakdown.
-    Returns ``{"rows", "report", "speedups"}`` with
-    ``speedups[backend]`` = stage scalar seconds / batched seconds.
-    """
-    source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
-    sha = _git_sha()
-    now = time.time()
-    environment = _environment()
-    rows = []
-    speedups: "dict[str, float]" = {}
-    lines = [f"commit {sha}  non-flat backends, scalar vs batched engine"]
-    lines.append(
-        "backend      engine      e2e pps      wsaf stage    stage speedup"
-    )
-    for backend in backends:
-        configs = {
-            engine: _backend_config(backend, engine)
-            for engine in ("scalar", "batched")
-        }
-        estimates = {}
-        for engine, config in configs.items():
-            warm = InstaMeasure(config)
-            Pipeline(warm).run(source)
-            estimates[engine] = warm.estimates()
-        assert estimates["scalar"] == estimates["batched"], (
-            f"{backend}: batched-engine estimates diverged from the "
-            "scalar engine on the bench trace"
-        )
-
-        batches = _capture_event_batches(source, configs["batched"])
-        num_events = sum(batch[0].size for batch in batches)
-        stage_scalar_s, stage_batched_s = _backend_stage_times(
-            batches, configs["batched"], rounds
-        )
-        speedups[backend] = stage_scalar_s / stage_batched_s
-        stage_seconds = {
-            "scalar": stage_scalar_s,
-            "batched": stage_batched_s,
-        }
-
-        best = {engine: float("inf") for engine in configs}
-        packets = {engine: 0 for engine in configs}
-        for _ in range(rounds):
-            for engine, config in configs.items():
-                elapsed, count = _timed_run(config, source)
-                best[engine] = min(best[engine], elapsed)
-                packets[engine] = count
-        for engine in ("scalar", "batched"):
-            pps = packets[engine] / best[engine]
-            stage_s = stage_seconds[engine]
-            rows.append(
-                {
-                    "git_sha": sha,
-                    "engine": "batched",
-                    "wsaf_engine": engine,
-                    "backend": backend,
-                    "pps": pps,
-                    "seconds": best[engine],
-                    "packets": packets[engine],
-                    "chunk_size": CHUNK_SIZE,
-                    "timestamp": now,
-                    **environment,
-                    "stages": {
-                        "wsaf_scalar_s": stage_scalar_s,
-                        "wsaf_batched_s": stage_batched_s,
-                        "wsaf_stage_speedup": speedups[backend],
-                        "wsaf_stage_pps": num_events / stage_s,
-                        "delegated_events": num_events,
-                    },
-                }
-            )
-            ratio = (
-                f"{speedups[backend]:>9.2f}x"
-                if engine == "batched"
-                else "     1.00x"
-            )
-            lines.append(
-                f"{backend:<12} {engine:<10} {pps:>12,.0f} "
-                f"{num_events / stage_s:>12,.0f} {ratio}"
-            )
-    if record:
-        _append_report(rows)
-    lines.append(f"report: {OUTPUT_PATH.name}")
-    return {"rows": rows, "report": "\n".join(lines), "speedups": speedups}
-
-
-def _assert_backend_bars(result: "dict") -> None:
-    for backend, ratio in result["speedups"].items():
-        floor = MIN_BACKEND_SPEEDUP[backend]
-        assert ratio >= floor, (
-            f"batched {backend} WSAF stage is only {ratio:.2f}x the "
-            f"scalar engine's (regression bar: {floor}x)"
-        )
-
-
-def test_backend_throughput(caida_trace, write_report):
-    """Non-flat backend pps, scalar vs batched; appends the history."""
-    result = run_backend_benchmark(caida_trace)
-    write_report("bench_backend_throughput", result["report"])
-    for row in result["rows"]:
-        assert row["packets"] == caida_trace.num_packets
-    _assert_backend_bars(result)
-
-
 def test_sharded_scaling(caida_trace, write_report):
     """Sharded pps at 1/2/4/8 shards; appends BENCH_throughput.json."""
     result = run_sharded_benchmark(caida_trace)
@@ -901,13 +678,6 @@ def main() -> None:
         "pass at 1 and N shards (exactness enforced, timing only "
         "against the no-collapse floor)",
     )
-    parser.add_argument(
-        "--backends",
-        action="store_true",
-        help="run the non-flat backend benchmark (tiered, scalar vs "
-        "batched engine); with --quick, exactness is enforced and timing "
-        "only against the no-regression floor",
-    )
     args = parser.parse_args()
 
     from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -916,26 +686,6 @@ def main() -> None:
         trace = build_caida_like_trace(
             CaidaLikeConfig(num_flows=4_000, duration=10.0, seed=1)
         )
-        if args.backends:
-            result = run_backend_benchmark(trace, rounds=1, record=False)
-            print(result["report"])
-            for backend, ratio in result["speedups"].items():
-                target = MIN_BACKEND_SPEEDUP[backend]
-                assert ratio >= MIN_BACKEND_SPEEDUP_SMOKE, (
-                    f"batched {backend} WSAF stage collapsed: {ratio:.2f}x "
-                    f"the scalar engine's (no-collapse floor: "
-                    f"{MIN_BACKEND_SPEEDUP_SMOKE}x)"
-                )
-                if ratio < target:
-                    print(
-                        f"note: batched {backend} stage at {ratio:.2f}x is "
-                        f"under the {target}x target — accepted above the "
-                        "no-collapse floor (tiny smoke stream: cohort "
-                        "planning overhead dominates a few hundred "
-                        "events; the bar is enforced by the full-trace "
-                        "bench)"
-                    )
-            return
         if args.shards is not None:
             result = run_sharded_benchmark(
                 trace,
@@ -968,11 +718,6 @@ def main() -> None:
         trace = build_caida_like_trace(
             CaidaLikeConfig(num_flows=30_000, duration=60.0, seed=1)
         )
-        if args.backends:
-            result = run_backend_benchmark(trace)
-            print(result["report"])
-            _assert_backend_bars(result)
-            return
         if args.shards is not None:
             result = run_sharded_benchmark(trace)
             print(result["report"])

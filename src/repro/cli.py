@@ -184,13 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the sharded scaling benchmark instead (with --quick: "
         "a smoke pass at 1 and N shards)",
     )
-    bench.add_argument(
-        "--wsaf-backend",
-        choices=["tiered"],
-        default=None,
-        help="run the non-flat backend benchmark for this WSAF backend "
-        "instead (scalar vs batched engine, measured WSAF stage)",
-    )
 
     serve = commands.add_parser(
         "serve", help="run the always-on measurement service"
@@ -643,71 +636,8 @@ def _print_shard_stage_table(rows: "list[dict]") -> None:
     )
 
 
-def _print_backend_stage_table(rows: "list[dict]") -> None:
-    """Backend × engine e2e pps and measured WSAF-stage times."""
-    table_rows = [
-        [
-            row["backend"],
-            row["wsaf_engine"],
-            f"{row['pps']:,.0f}",
-            f"{row['stages']['wsaf_scalar_s'] * 1e3:.1f}",
-            f"{row['stages']['wsaf_batched_s'] * 1e3:.1f}",
-            f"{row['stages']['wsaf_stage_speedup']:.2f}x",
-        ]
-        for row in rows
-    ]
-    print_table(
-        [
-            "backend",
-            "wsaf engine",
-            "e2e pps",
-            "stage scalar ms",
-            "stage batched ms",
-            "stage speedup",
-        ],
-        table_rows,
-        "Backend WSAF stage breakdown (best round)",
-    )
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     bench = _load_bench_module()
-    if args.wsaf_backend is not None:
-        backends = (args.wsaf_backend,)
-        if args.quick:
-            trace = build_caida_like_trace(
-                CaidaLikeConfig(num_flows=4_000, duration=10.0, seed=1)
-            )
-            result = bench.run_backend_benchmark(
-                trace,
-                rounds=args.rounds or 1,
-                record=False,
-                backends=backends,
-            )
-            print(result["report"])
-            _print_backend_stage_table(result["rows"])
-            ratio = result["speedups"][args.wsaf_backend]
-            if ratio < bench.MIN_BACKEND_SPEEDUP_SMOKE:
-                print(
-                    f"error: batched {args.wsaf_backend} WSAF stage "
-                    f"collapsed to {ratio:.2f}x the scalar engine's",
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
-        trace = build_caida_like_trace(
-            CaidaLikeConfig(num_flows=30_000, duration=60.0, seed=1)
-        )
-        result = bench.run_backend_benchmark(
-            trace,
-            rounds=args.rounds or bench.BACKEND_ROUNDS,
-            record=not args.no_record,
-            backends=backends,
-        )
-        print(result["report"])
-        _print_backend_stage_table(result["rows"])
-        bench._assert_backend_bars(result)
-        return 0
     if args.shards is not None:
         if args.quick:
             trace = build_caida_like_trace(

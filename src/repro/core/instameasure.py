@@ -53,35 +53,6 @@ def packed_five_tuples(flows: FlowTable) -> "list[int]":
 #: Valid ``InstaMeasureConfig.engine`` values.
 ENGINE_CHOICES = ("auto", "batched", "scalar")
 
-#: Valid ``InstaMeasureConfig.wsaf_engine`` values.
-WSAF_ENGINE_CHOICES = ("auto", "batched", "scalar")
-
-def resolved_wsaf_engine(config: "InstaMeasureConfig") -> str:
-    """Which WSAF column layout ``config`` gets: "batched" or "scalar".
-
-    ``"auto"`` picks the array-backed :class:`~repro.kernels.wsaf_batched.
-    BatchedWSAFTable` whenever the trace path itself batches (the batched
-    regulator kernel delegates whole update batches, which is where cohort
-    probing pays); a scalar trace path keeps the scalar table, whose
-    per-event ``accumulate`` is faster on plain Python lists.  The flat
-    and tiered backends have both forms (see
-    :mod:`repro.core.wsaf_storage`), bit-identical by contract.
-    ICE-Buckets has only the scalar form — its quantized add chains are
-    order-serial (each add re-rounds at the bucket scale), so a batched
-    form measured slower than per-event adds — and ``"auto"`` resolves
-    it to ``"scalar"``; an explicit ``"batched"`` is rejected at config
-    construction.
-    """
-    if config.wsaf_engine in ("batched", "scalar"):
-        return config.wsaf_engine
-    if config.engine == "scalar":
-        return "scalar"
-    if config.wsaf_backend == "icebuckets":
-        return "scalar"
-    if config.num_layers == 2 and config.vector_bits <= 8:
-        return "batched"
-    return "scalar"
-
 
 def build_wsaf_table(
     config: "InstaMeasureConfig",
@@ -91,8 +62,8 @@ def build_wsaf_table(
 
     Delegates to :func:`repro.core.wsaf_storage.build_wsaf_storage` — the
     backend seam: ``wsaf_backend`` picks flat/tiered/icebuckets storage,
-    and for flat the ``wsaf_engine`` knob still picks scalar vs
-    batch-probed columns.
+    and a flat table is batch-probed exactly when the batched kernel
+    feeds it.
     """
     from repro.core.wsaf_storage import build_wsaf_storage
 
@@ -123,23 +94,14 @@ class InstaMeasureConfig:
             Python loop.  All engines are bit-identical.
         chunk_size: packets per batched-kernel chunk (bounds the working
             set of the vectorized stage; irrelevant to the scalar path).
-        wsaf_engine: WSAF backing store — ``"auto"`` pairs the batch-probed
-            array table with the batched trace engine for the flat and
-            tiered backends (and keeps the scalar table otherwise,
-            including for ``wsaf_backend="icebuckets"``, whose serial
-            quantized adds measure faster scalar), ``"batched"`` /
-            ``"scalar"`` force one.  Both stores are state-identical;
-            only throughput differs.  ``"batched"`` is rejected for
-            ``wsaf_backend="icebuckets"``, which has no batched form.
         wsaf_backend: working-set storage algorithm — ``"flat"`` (the
             paper's table, bit-identical to pre-backend behaviour),
             ``"tiered"`` (hot top-K SRAM cache in front of the DRAM
             table; see :mod:`repro.core.wsaf_tiered`), or
             ``"icebuckets"`` (bucket-scaled compressed counters; see
             :mod:`repro.core.wsaf_icebuckets`).  Every backend runs under
-            either trace ``engine``; flat and tiered also compose with
-            either ``wsaf_engine`` (batched forms are bit-identical to
-            scalar ones; only throughput differs).
+            either trace ``engine``; the flat table is batch-probed
+            exactly when the batched kernel feeds it.
         tier_cache_entries / tier_interval: tiered backend geometry —
             hot-cache capacity and accumulates between promote/demote
             maintenance ticks.
@@ -160,7 +122,6 @@ class InstaMeasureConfig:
     seed: int = 0
     engine: str = "auto"
     chunk_size: int = 1 << 20
-    wsaf_engine: str = "auto"
     wsaf_backend: str = "flat"
     tier_cache_entries: int = 256
     tier_interval: int = 1024
@@ -179,11 +140,6 @@ class InstaMeasureConfig:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {ENGINE_CHOICES}"
             )
-        if self.wsaf_engine not in WSAF_ENGINE_CHOICES:
-            raise ConfigurationError(
-                f"unknown wsaf_engine {self.wsaf_engine!r}; "
-                f"known: {WSAF_ENGINE_CHOICES}"
-            )
         if self.wsaf_entries < 2:
             raise ConfigurationError(
                 f"wsaf_entries must be >= 2, got {self.wsaf_entries}"
@@ -198,11 +154,6 @@ class InstaMeasureConfig:
             raise ConfigurationError(
                 f"unknown wsaf_backend {self.wsaf_backend!r}; "
                 f"known: {WSAF_BACKEND_CHOICES}"
-            )
-        if self.wsaf_engine == "batched" and self.wsaf_backend == "icebuckets":
-            raise ConfigurationError(
-                "wsaf_backend='icebuckets' has no batched form; use "
-                "wsaf_engine='scalar' or 'auto'"
             )
         if self.tier_cache_entries < 1:
             raise ConfigurationError(
@@ -527,16 +478,14 @@ class InstaMeasure:
                 seed=self.config.seed,
                 accountant=accountant,
             )
-        if self.config.engine == "batched":
-            from repro.kernels.batched import supports_batched
+        from repro.kernels.batched import runs_kernel
 
-            if not supports_batched(self):
-                raise ConfigurationError(
-                    "engine='batched' requires the 2-layer FlowRegulator "
-                    "with vector_bits <= 8; use engine='auto' to fall back"
-                )
+        if self.config.engine == "batched" and not runs_kernel(self.config):
+            raise ConfigurationError(
+                "engine='batched' requires the 2-layer FlowRegulator "
+                "with vector_bits <= 8; use engine='auto' to fall back"
+            )
         self.wsaf = build_wsaf_table(self.config, accountant)
-        self.wsaf_engine = resolved_wsaf_engine(self.config)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
         self._stream: "_StreamState | None" = None
 
@@ -613,11 +562,10 @@ class InstaMeasure:
         """
         if not isinstance(self.regulator, FlowRegulator):
             return self._process_trace_generic(trace, on_accumulate, bits)
-        if self.config.engine != "scalar":
-            from repro.kernels.batched import supports_batched
+        from repro.kernels.batched import runs_kernel
 
-            if supports_batched(self):
-                return self._process_trace_batched(trace, on_accumulate, bits)
+        if runs_kernel(self.config):
+            return self._process_trace_batched(trace, on_accumulate, bits)
         num_packets = trace.num_packets
         regulator = self.regulator
         l1 = regulator.l1

@@ -161,9 +161,9 @@ class MultiCoreInstaMeasure:
             raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.config = config or InstaMeasureConfig()
-        # The shared table honours ``config.wsaf_engine``: merged event
-        # logs arrive as one big batch, which is exactly the shape the
-        # batch-probed store is built for.
+        # The shared table is batch-probed whenever the workers run the
+        # kernel: merged event logs arrive as one big batch, which is
+        # exactly the shape that store is built for.
         self.wsaf = build_wsaf_table(self.config)
         self.workers: "list[InstaMeasure]" = []
         for worker_index in range(num_workers):

@@ -6,10 +6,11 @@ lookups/estimates, sweeps, and state transfer.  Everything behind that
 seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
 
 ``flat``
-    The paper's table as-is — the scalar :class:`~repro.core.wsaf.
-    WSAFTable` or the batch-probed :class:`~repro.kernels.wsaf_batched.
-    BatchedWSAFTable`, chosen by the ``wsaf_engine`` knob exactly as
-    before.  Bit-identical to the pre-backend behaviour by contract.
+    The paper's table as-is — the batch-probed
+    :class:`~repro.kernels.wsaf_batched.BatchedWSAFTable` when the batched
+    kernel feeds it (:func:`~repro.kernels.batched.runs_kernel`), the
+    list-column :class:`~repro.core.wsaf.WSAFTable` under the scalar
+    loop.  Bit-identical to the pre-backend behaviour by contract.
 
 ``tiered``
     A PriMe-style two-tier store (:class:`~repro.core.wsaf_tiered.
@@ -26,12 +27,10 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
     per-bucket shared scale exponents (upscale-on-overflow), trading a
     bounded relative error for a measured counter-memory reduction.
 
-Flat and tiered compose with both WSAF engines: the ``wsaf_engine`` knob
-picks scalar columns or the batch-probed cohort kernel independently of
-the storage algorithm (``tiered`` wraps a batched backing table and
-vectorizes its cache probe), bit-identically; only throughput differs.
-``icebuckets`` keeps list columns only — its quantized add chains are
-order-serial — and every backend runs under the batched regulator kernel.
+Only the flat table has two forms, because only its array form pays
+end to end.  ``tiered`` and ``icebuckets`` keep list columns, and every
+backend runs under the batched regulator kernel, which feeds them one
+``accumulate_batch`` call per chunk.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ class WSAFStorage(Protocol):
     ``insertions``, ``updates``, ``evictions``, ``gc_reclaimed``,
     ``rejected``) and the geometry attributes (``num_entries``,
     ``probe_limit``, ``eviction_policy``, ``gc_timeout``) are part of the
-    seam as well; backends with extra vectorized entry points (e.g.
-    ``accumulate_batch_arrays`` / ``estimates_arrays`` on the batched
-    flat table) advertise them by simply having the attribute — callers
-    feature-detect with ``getattr``.
+    seam as well; the batched flat table's extra vectorized entry points
+    (``accumulate_batch_arrays`` / ``estimates_arrays``) are advertised by
+    simply having the attribute — callers feature-detect with ``getattr``.
     """
 
     def accumulate(
@@ -122,15 +120,12 @@ def default_technologies() -> "dict[str, MemoryTechnology]":
 def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
     """The WSAF backend ``config`` asks for, wired to ``accountant``.
 
-    ``wsaf_backend`` picks the storage algorithm; for ``flat`` and
-    ``tiered`` the resolved ``wsaf_engine`` picks scalar vs batch-probed
-    columns (``icebuckets`` has list columns only).
+    ``wsaf_backend`` picks the storage algorithm; a flat table is
+    batch-probed exactly when the batched kernel feeds it.
     """
-    from repro.core.instameasure import resolved_wsaf_engine
     from repro.core.wsaf import WSAFTable
 
     backend = getattr(config, "wsaf_backend", "flat")
-    engine = resolved_wsaf_engine(config)
     if backend == "tiered":
         from repro.core.wsaf_tiered import TieredWSAFTable
 
@@ -142,7 +137,6 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             eviction_policy=config.eviction_policy,
             cache_entries=config.tier_cache_entries,
             tier_interval=config.tier_interval,
-            table_engine=engine,
         )
     if backend == "icebuckets":
         from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
@@ -156,7 +150,9 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             bucket_slots=config.ice_bucket_slots,
             counter_bits=config.ice_counter_bits,
         )
-    if engine == "batched":
+    from repro.kernels.batched import runs_kernel
+
+    if runs_kernel(config):
         from repro.kernels.wsaf_batched import BatchedWSAFTable
 
         table_class: "type[WSAFTable]" = BatchedWSAFTable

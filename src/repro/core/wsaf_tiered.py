@@ -42,16 +42,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.memmodel import AccessAccountant
 
 from repro.core.wsaf import ENTRY_BYTES, WSAFEntry, WSAFTable
-
-#: Below this many events the vectorized membership probe costs more
-#: than it saves (mirrors the batched table's cutoff).
-_BATCH_CUTOFF = 8
 
 #: Bytes one cache entry occupies: the 33-byte record plus a 4-byte
 #: recent-heat counter (the promote/demote bookkeeping lives with it).
@@ -65,14 +59,9 @@ class TieredWSAFTable:
     """Exclusive two-tier working set: exact hot cache + backing table.
 
     Satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage` protocol
-    by composition around a :class:`WSAFTable`.  ``table_engine`` picks
-    the backing columns: ``"scalar"`` (list columns) or ``"batched"``
-    (the batch-probed :class:`~repro.kernels.wsaf_batched.
-    BatchedWSAFTable`), in which case :meth:`accumulate_batch_arrays`
-    vectorizes the hot path — a bulk cache-membership probe splits each
-    chunk into cache-hit and DRAM sub-batches, with maintenance ticks
-    still firing on exact interval boundaries via chunk splitting.  Both
-    engines are bit-identical; only throughput differs.
+    by composition around a list-column :class:`WSAFTable`.  The scalar
+    loop feeds it one :meth:`accumulate` per event, the batched kernel one
+    :meth:`accumulate_batch` per chunk.
     """
 
     def __init__(
@@ -84,7 +73,6 @@ class TieredWSAFTable:
         eviction_policy: str = "second-chance",
         cache_entries: int = 256,
         tier_interval: int = 1024,
-        table_engine: str = "scalar",
     ) -> None:
         if cache_entries < 1:
             raise ConfigurationError(
@@ -94,25 +82,13 @@ class TieredWSAFTable:
             raise ConfigurationError(
                 f"tier_interval must be >= 1, got {tier_interval}"
             )
-        if table_engine not in ("scalar", "batched"):
-            raise ConfigurationError(
-                f"unknown table_engine {table_engine!r}; "
-                "known: ('scalar', 'batched')"
-            )
-        if table_engine == "batched":
-            from repro.kernels.wsaf_batched import BatchedWSAFTable
-
-            table_class: "type[WSAFTable]" = BatchedWSAFTable
-        else:
-            table_class = WSAFTable
-        self.table = table_class(
+        self.table = WSAFTable(
             num_entries=num_entries,
             probe_limit=probe_limit,
             gc_timeout=gc_timeout,
             accountant=accountant,
             eviction_policy=eviction_policy,
         )
-        self.table_engine = table_engine
         self.accountant = accountant
         self.cache_entries = cache_entries
         self.tier_interval = tier_interval
@@ -122,9 +98,6 @@ class TieredWSAFTable:
         #: exactly one of the two maps (cache membership decides which).
         self._hits: "dict[int, int]" = {}
         self._misses: "dict[int, int]" = {}
-        #: Cached uint64 view of the cache's key set for bulk membership
-        #: probes; invalidated whenever cache membership changes.
-        self._cache_keys_arr: "np.ndarray | None" = None
         self.op_count = 0
         self.cache_updates = 0
         self.promotions = 0
@@ -256,252 +229,6 @@ class TieredWSAFTable:
             totals.append(result)
         return totals
 
-    def _cache_keys_array(self) -> "np.ndarray":
-        """The cache's key set as a uint64 array (cached between retiers)."""
-        arr = self._cache_keys_arr
-        if arr is None:
-            arr = np.fromiter(
-                self._cache.keys(), dtype=np.uint64, count=len(self._cache)
-            )
-            self._cache_keys_arr = arr
-        return arr
-
-    def accumulate_batch_arrays(
-        self,
-        keys,
-        packets,
-        bytes_,
-        timestamps,
-        tuples,
-        on_accumulate=None,
-        collect_totals: bool = True,
-    ) -> "list[tuple[float, float]] | None":
-        """Column-array accumulation (same contract as the batched table's).
-
-        Bit-identical to calling :meth:`accumulate` per event: the chunk is
-        cut at maintenance-tick boundaries, and within each segment — where
-        cache membership is provably fixed — a bulk ``np.isin`` membership
-        probe splits the events into a cache-hit sub-batch (vectorized
-        in-place add chains, heat counted per key) and a DRAM sub-batch
-        (delegated, in original relative order, to the backing table's own
-        batch kernel).  Hit and miss sub-batches touch disjoint keys and
-        disjoint state, so applying them group-wise preserves the exact
-        sequential result, and the accountant's order-insensitive totals
-        make the bulk ``"wsaf.cache"`` records equivalent to per-event
-        ones.  Promote/demote ticks fire on exact interval boundaries with
-        the triggering event's timestamp, exactly as the scalar path does.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        pkts = np.ascontiguousarray(packets, dtype=np.float64)
-        byts = np.ascontiguousarray(bytes_, dtype=np.float64)
-        stamps = np.ascontiguousarray(timestamps, dtype=np.float64)
-        n = len(keys)
-        table_arrays = getattr(self.table, "accumulate_batch_arrays", None)
-        if table_arrays is None or n < _BATCH_CUTOFF:
-            accumulate = self.accumulate
-            totals = []
-            for key, est_p, est_b, stamp, packed in zip(
-                keys.tolist(),
-                pkts.tolist(),
-                byts.tolist(),
-                stamps.tolist(),
-                tuples,
-            ):
-                total = accumulate(key, est_p, est_b, stamp, packed)
-                totals.append(total)
-                if on_accumulate is not None:
-                    on_accumulate(key, total[0], total[1], stamp)
-            return totals if collect_totals else None
-
-        need_totals = collect_totals or on_accumulate is not None
-        totals_packets = np.empty(n, dtype=np.float64) if need_totals else None
-        totals_bytes = np.empty(n, dtype=np.float64) if need_totals else None
-        interval = self.tier_interval
-        pos = 0
-        while pos < n:
-            # Segments end at the next maintenance tick, so ticks fire at
-            # exactly the op counts (and with the timestamps) the scalar
-            # path would use.
-            end = min(n, pos + interval - (self.op_count % interval))
-            nseg = end - pos
-            seg_keys = keys[pos:end]
-            cache_keys = self._cache_keys_array()
-            if cache_keys.size:
-                member = np.isin(seg_keys, cache_keys)
-            else:
-                member = np.zeros(nseg, dtype=bool)
-            hit_rel = np.flatnonzero(member)
-            nhit = hit_rel.size
-            if self.accountant is not None:
-                # Every accumulate probes the cache (one SRAM read); hits
-                # add one SRAM write each.
-                self.accountant.record("wsaf.cache", reads=nseg, writes=nhit)
-            if nhit:
-                self._accumulate_cache_hits(
-                    hit_rel + pos,
-                    keys,
-                    pkts,
-                    byts,
-                    stamps,
-                    totals_packets,
-                    totals_bytes,
-                )
-                self.cache_updates += nhit
-            if nhit < nseg:
-                miss_idx = np.flatnonzero(~member) + pos
-                miss_keys = keys[miss_idx]
-                sub_totals = table_arrays(
-                    miss_keys,
-                    pkts[miss_idx],
-                    byts[miss_idx],
-                    stamps[miss_idx],
-                    [tuples[i] for i in miss_idx.tolist()],
-                    None,
-                    collect_totals=need_totals,
-                )
-                miss_unique, miss_counts = np.unique(
-                    miss_keys, return_counts=True
-                )
-                misses = self._misses
-                for key, count in zip(
-                    miss_unique.tolist(), miss_counts.tolist()
-                ):
-                    misses[key] = misses.get(key, 0) + count
-                if need_totals:
-                    sub = np.asarray(sub_totals, dtype=np.float64)
-                    totals_packets[miss_idx] = sub[:, 0]
-                    totals_bytes[miss_idx] = sub[:, 1]
-            self.op_count += nseg
-            if self.op_count % interval == 0:
-                self._retier(float(stamps[end - 1]))
-            pos = end
-
-        if on_accumulate is not None:
-            for key, stamp, total_p, total_b in zip(
-                keys.tolist(),
-                stamps.tolist(),
-                totals_packets.tolist(),
-                totals_bytes.tolist(),
-            ):
-                on_accumulate(key, total_p, total_b, stamp)
-        if not collect_totals:
-            return None
-        return list(zip(totals_packets.tolist(), totals_bytes.tolist()))
-
-    def _accumulate_cache_hits(
-        self,
-        hit_idx,
-        keys,
-        pkts,
-        byts,
-        stamps,
-        totals_packets,
-        totals_bytes,
-    ) -> None:
-        """Bulk-apply cache-hit accumulates with exact add chains.
-
-        Groups the hit events by key (stable sort keeps within-key event
-        order) and runs each key's sequential float adds from its cached
-        base — the zero-padded accumulate-matrix trick from the batched
-        table, with the same giant-cohort position-walk fallback — so the
-        cached values and per-event totals are bit-identical to one
-        :meth:`accumulate` per event.
-        """
-        hkeys = keys[hit_idx]
-        order = np.argsort(hkeys, kind="stable")
-        skeys = hkeys[order]
-        m = len(skeys)
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], skeys[1:] != skeys[:-1]))
-        )
-        counts = np.diff(np.append(run_starts, m))
-        ukeys = skeys[run_starts].tolist()
-        k = len(ukeys)
-        cache = self._cache
-        base_p = np.fromiter(
-            (cache[key][_PACKETS] for key in ukeys), dtype=np.float64, count=k
-        )
-        base_b = np.fromiter(
-            (cache[key][_BYTES] for key in ukeys), dtype=np.float64, count=k
-        )
-        sorted_p = pkts[hit_idx][order]
-        sorted_b = byts[hit_idx][order]
-        tot_p = np.empty(m, dtype=np.float64)
-        tot_b = np.empty(m, dtype=np.float64)
-        max_count = int(counts.max())
-        budget = max(16 * m, 1 << 16)
-        final_p = base_p.copy()
-        final_b = base_b.copy()
-
-        def matrix_chains(sub: "np.ndarray") -> None:
-            starts_sub = run_starts[sub]
-            counts_sub = counts[sub]
-            width = int(counts_sub.max())
-            row_of = np.repeat(np.arange(sub.size), counts_sub)
-            within = np.arange(len(row_of)) - np.repeat(
-                np.cumsum(counts_sub) - counts_sub, counts_sub
-            )
-            member_pos = np.repeat(starts_sub, counts_sub) + within
-            chain_p = np.zeros((sub.size, width), dtype=np.float64)
-            chain_b = np.zeros((sub.size, width), dtype=np.float64)
-            chain_p[row_of, within] = sorted_p[member_pos]
-            chain_b[row_of, within] = sorted_b[member_pos]
-            chain_p[:, 0] += base_p[sub]
-            chain_b[:, 0] += base_b[sub]
-            np.add.accumulate(chain_p, axis=1, out=chain_p)
-            np.add.accumulate(chain_b, axis=1, out=chain_b)
-            tot_p[member_pos] = chain_p[row_of, within]
-            tot_b[member_pos] = chain_b[row_of, within]
-            rows = np.arange(sub.size)
-            final_p[sub] = chain_p[rows, counts_sub - 1]
-            final_b[sub] = chain_b[rows, counts_sub - 1]
-
-        if k * max_count <= budget:
-            matrix_chains(np.arange(k))
-        else:
-            # Heavy-tailed hit batch: run the few giant chains in plain
-            # Python (identical C-double adds, contiguous slice stores)
-            # and keep the one-shot matrix for the small cohorts.
-            from itertools import accumulate as _accumulate
-
-            cutoff = max(budget // k, 8)
-            giant = counts > cutoff
-            small = np.flatnonzero(~giant)
-            if small.size:
-                matrix_chains(small)
-            pkts_list = sorted_p.tolist()
-            byts_list = sorted_b.tolist()
-            for j in np.flatnonzero(giant).tolist():
-                start = int(run_starts[j])
-                end = start + int(counts[j])
-                chain = list(
-                    _accumulate(
-                        pkts_list[start:end], initial=float(base_p[j])
-                    )
-                )[1:]
-                tot_p[start:end] = chain
-                final_p[j] = chain[-1]
-                chain = list(
-                    _accumulate(
-                        byts_list[start:end], initial=float(base_b[j])
-                    )
-                )[1:]
-                tot_b[start:end] = chain
-                final_b[j] = chain[-1]
-        last_stamp = stamps[hit_idx][order][run_starts + counts - 1]
-        hits = self._hits
-        for j, key in enumerate(ukeys):
-            record = cache[key]
-            record[_PACKETS] = float(final_p[j])
-            record[_BYTES] = float(final_b[j])
-            record[_STAMP] = float(last_stamp[j])
-            record[_CHANCE] = True
-            hits[key] = hits.get(key, 0) + int(counts[j])
-        if totals_packets is not None:
-            orig = hit_idx[order]
-            totals_packets[orig] = tot_p
-            totals_bytes[orig] = tot_b
-
     # -- promote / demote ---------------------------------------------------
 
     def _retier(self, now: float) -> None:
@@ -512,125 +239,32 @@ class TieredWSAFTable:
         flows with their recent miss counts.  Demotions run before
         promotions so the cache never overflows.
         """
-        if self.table_engine == "batched":
-            self._retier_arrays(now)
-            return
         scores = {key: self._hits.get(key, 0) for key in self._cache}
         scores.update(self._misses)
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
         target = {key for key, _ in ranked[: self.cache_entries]}
         for key in sorted(key for key in self._cache if key not in target):
             self._demote(key, now)
-        promote = sorted(key for key in target if key not in self._cache)
-        remove_batch = getattr(self.table, "remove_batch", None)
-        if remove_batch is not None and len(promote) > 8:
-            # One probe matrix instead of a walk per key; distinct-key
-            # removals commute, so the records (and accountant tally)
-            # are exactly the sequential ones.
-            records = remove_batch(promote)
-        else:
-            table_remove = self.table.remove
-            records = []
-            for key in promote:
-                entry = table_remove(key)
-                records.append(
-                    None
-                    if entry is None
-                    else (
-                        entry.packets,
-                        entry.bytes,
-                        entry.last_update,
-                        entry.five_tuple_packed,
-                    )
-                )
-        for key, record in zip(promote, records):
-            if record is None:
+        for key in sorted(key for key in target if key not in self._cache):
+            entry = self.table.remove(key)
+            if entry is None:
                 # Evicted or GC'd from the table since its last miss.
                 continue
             if self.accountant is not None:
                 self.accountant.record("wsaf.cache", writes=1)
-            self._cache[key] = [record[0], record[1], record[2], True, record[3]]
+            self._cache[key] = [
+                entry.packets,
+                entry.bytes,
+                entry.last_update,
+                True,
+                entry.five_tuple_packed,
+            ]
             self.promotions += 1
         self._hits.clear()
         self._misses.clear()
-        self._cache_keys_arr = None
-
-    def _retier_arrays(self, now: float) -> None:
-        """The maintenance tick on array rails (batched engine only).
-
-        Produces exactly the scalar :meth:`_retier` outcome: cache keys
-        score by recent hits, table keys by recent misses (the two maps
-        are disjoint — membership is fixed between ticks, and both reset
-        at every tick), and ``np.lexsort((keys, -counts))`` realises the
-        same (count desc, key asc) total order as the scalar sort.  The
-        demote set then places back through the backing table's bulk
-        :meth:`~repro.kernels.wsaf_batched.BatchedWSAFTable.
-        place_record_batch` and the promote set lifts out through
-        ``remove_batch`` — both sequential-identical primitives — with
-        the accountant fed the same (order-insensitive) totals.
-        """
-        cache = self._cache
-        misses = self._misses
-        nc = len(cache)
-        nm = len(misses)
-        total = nc + nm
-        if total:
-            hits = self._hits
-            allk = np.empty(total, dtype=np.uint64)
-            allv = np.empty(total, dtype=np.int64)
-            allk[:nc] = self._cache_keys_array()
-            allv[:nc] = np.fromiter(
-                (hits.get(key, 0) for key in cache), dtype=np.int64, count=nc
-            )
-            allk[nc:] = np.fromiter(misses, dtype=np.uint64, count=nm)
-            allv[nc:] = np.fromiter(
-                misses.values(), dtype=np.int64, count=nm
-            )
-            top = np.lexsort((allk, -allv))[: self.cache_entries]
-            in_top = np.zeros(total, dtype=bool)
-            in_top[top] = True
-            demote = np.sort(allk[:nc][~in_top[:nc]]).tolist()
-            promote = np.sort(allk[nc:][in_top[nc:]]).tolist()
-            if demote:
-                if self.accountant is not None:
-                    self.accountant.record("wsaf.cache", reads=len(demote))
-                batch = []
-                for key in demote:
-                    record = cache.pop(key)
-                    batch.append(
-                        (
-                            key,
-                            record[_PACKETS],
-                            record[_BYTES],
-                            record[_STAMP],
-                            record[_CHANCE],
-                            record[_TUPLE],
-                        )
-                    )
-                self.table.place_record_batch(batch, now)
-                self.demotions += len(demote)
-            if promote:
-                placed = 0
-                for key, record in zip(
-                    promote, self.table.remove_batch(promote)
-                ):
-                    if record is None:
-                        # Evicted or GC'd from the table since its last miss.
-                        continue
-                    cache[key] = [
-                        record[0], record[1], record[2], True, record[3]
-                    ]
-                    placed += 1
-                self.promotions += placed
-                if self.accountant is not None and placed:
-                    self.accountant.record("wsaf.cache", writes=placed)
-        self._hits.clear()
-        self._misses.clear()
-        self._cache_keys_arr = None
 
     def _demote(self, key: int, now: float) -> None:
         record = self._cache.pop(key)
-        self._cache_keys_arr = None
         if self.accountant is not None:
             self.accountant.record("wsaf.cache", reads=1)
         self.table.place_record(
@@ -663,7 +297,6 @@ class TieredWSAFTable:
         """Drop ``key``'s record from whichever tier holds it; return it."""
         record = self._cache.pop(key, None)
         if record is not None:
-            self._cache_keys_arr = None
             self._hits.pop(key, None)
             if self.accountant is not None:
                 self.accountant.record("wsaf.cache", reads=1, writes=1)
@@ -733,8 +366,6 @@ class TieredWSAFTable:
         for key in sorted(stale):
             del self._cache[key]
             self._hits.pop(key, None)
-        if stale:
-            self._cache_keys_arr = None
         # Cache reclaims count on the shared (table-resident) counter.
         self.table.gc_reclaimed += len(stale)
         return reclaimed + len(stale)
@@ -809,7 +440,6 @@ class TieredWSAFTable:
         """
         from dataclasses import replace
 
-        self._cache_keys_arr = None
         tier = getattr(state, "tier", None)
         if tier is None:
             self.table.load_state(state)

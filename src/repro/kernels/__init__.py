@@ -9,8 +9,8 @@ the scalar loop (same randomness stream, same state, same WSAF records).
 * :mod:`repro.kernels.luts` — cached per-geometry transition tables.
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
-* :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed WSAF
-  the kernel delegates its insertion events to.
+* :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed flat
+  WSAF the kernel delegates its insertion events to.
 
 See ``docs/PERFORMANCE.md`` for the design rationale and measured
 speedups, and ``benchmarks/bench_throughput.py`` for the regression
@@ -21,7 +21,7 @@ from repro.kernels.batched import (
     DEFAULT_CHUNK_SIZE,
     BatchCounters,
     process_trace_batched,
-    supports_batched,
+    runs_kernel,
 )
 from repro.kernels.luts import SENTINEL, KernelTables, kernel_tables
 
@@ -32,5 +32,5 @@ __all__ = [
     "SENTINEL",
     "kernel_tables",
     "process_trace_batched",
-    "supports_batched",
+    "runs_kernel",
 ]

@@ -24,8 +24,8 @@ WSAF in packet order, as one batch per chunk.
 Randomness is drawn exactly as the scalar path draws it (same generator,
 same sizes, same order), so every sketch word, counter, and WSAF record
 comes out identical — the equivalence suite in ``tests/test_kernels.py``
-asserts this across seeds, chunk sizes, policies, geometries, and both
-WSAF column layouts.  Nothing is cached between calls: every production
+asserts this across seeds, chunk sizes, policies, geometries, and every
+WSAF backend.  Nothing is cached between calls: every production
 path (CLI runs, shard workers, the service daemon) sees each chunk once,
 so layouts and derived streams are built per call and dropped with it.
 """
@@ -55,20 +55,22 @@ class BatchCounters:
     l2_saturated: "list[int]" = field(default_factory=list)
 
 
-def supports_batched(engine) -> bool:
-    """Whether ``engine`` can run the batched kernel.
+def runs_kernel(config) -> bool:
+    """Whether an engine built from ``config`` runs the batched kernel.
 
-    Requires the paper's 2-layer
+    The kernel needs the paper's 2-layer
     :class:`~repro.core.regulator.FlowRegulator` (the shared L1/L2
     placement is what makes per-word grouping sound) with
     ``vector_bits <= 8`` (window states must fit the byte-indexed FSM
-    tables).  Other regulator depths and wider vectors take the scalar
-    path.
+    tables), and runs unless ``engine="scalar"`` asks for the per-packet
+    oracle.  The engine dispatches on this predicate, and the flat WSAF
+    backend gets the batch-probed table exactly when it holds.
     """
-    from repro.core.regulator import FlowRegulator
-
-    regulator = getattr(engine, "regulator", None)
-    return isinstance(regulator, FlowRegulator) and regulator.vector_bits <= 8
+    return (
+        config.engine != "scalar"
+        and config.num_layers == 2
+        and config.vector_bits <= 8
+    )
 
 
 def _chunk_layouts(trace, l1, chunk_size: int):
@@ -164,9 +166,9 @@ def _delegate_chunk_events(
     ``event_pos`` holds chunk-sorted stream positions; global coupling is
     restored by mapping through ``order`` and re-sorting by original packet
     position (chunks are contiguous, so chunk order composes to trace
-    order).  Tables with an ``accumulate_batch_arrays`` entry point (the
-    batch-probed and tiered tables) take the column-array form; list-column
-    tables get the equivalent ``accumulate_batch`` call.
+    order).  The batch-probed flat table takes the column-array form
+    (``accumulate_batch_arrays``); every other table (the tiered and
+    ICE-Buckets backends) gets the equivalent ``accumulate_batch`` call.
     """
     positions = order[event_pos]
     rank = np.argsort(positions, kind="stable")

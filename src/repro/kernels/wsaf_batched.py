@@ -529,142 +529,6 @@ class BatchedWSAFTable(WSAFTable):
         est_bytes[rows] = self._bytes[hit_slots]
         return est_packets, est_bytes
 
-    def remove_batch(
-        self, keys
-    ) -> "list":
-        """Bulk :meth:`WSAFTable.remove`: one probe matrix, same end state.
-
-        Removals of distinct keys commute — a removal never relocates
-        another record, and probe walks test occupancy + key only — so
-        probing a snapshot of the table and clearing every hit at once is
-        bit-identical to sequential removes, accountant tally included
-        (a hit reads its probe round + 1 slots, a miss the whole window).
-        Returns one ``(packets, bytes, last_update, five_tuple_packed)``
-        tuple — or ``None`` — per key, aligned with ``keys`` (raw record
-        columns, not :class:`~repro.core.wsaf.WSAFEntry`, so bulk
-        promotions skip the per-entry dataclass cost).  The tiered
-        backend's bulk promotion primitive.
-        """
-        query = np.asarray(keys, dtype=np.uint64)
-        entries: "list" = [None] * query.size
-        if query.size == 0:
-            return entries
-        mask64 = np.uint64(self._mask)
-        slots = (
-            ((query & mask64)[:, None] + self._tri[None, :]) & mask64
-        ).astype(np.intp)
-        found = self._occupied[slots] & (self._keys[slots] == query[:, None])
-        rows = np.flatnonzero(found.any(axis=1))
-        hit_round = found[rows].argmax(axis=1)
-        if rows.size:
-            hit_slots = slots[rows, hit_round]
-            hit_packets = self._packets[hit_slots].tolist()
-            hit_bytes = self._bytes[hit_slots].tolist()
-            hit_stamps = self._timestamps[hit_slots].tolist()
-            tuples = self._tuples
-            discard = self._occupied_slots.discard
-            for i, (row, slot) in enumerate(
-                zip(rows.tolist(), hit_slots.tolist())
-            ):
-                entries[row] = (
-                    hit_packets[i],
-                    hit_bytes[i],
-                    hit_stamps[i],
-                    tuples[slot],
-                )
-                tuples[slot] = None
-                discard(slot)
-            self._occupied[hit_slots] = False
-            self._keys[hit_slots] = 0
-            self._packets[hit_slots] = 0.0
-            self._bytes[hit_slots] = 0.0
-            self._timestamps[hit_slots] = 0.0
-            self._chance[hit_slots] = False
-            self.size -= int(rows.size)
-        if self.accountant is not None:
-            reads = int(hit_round.sum()) + int(rows.size)
-            reads += (int(query.size) - int(rows.size)) * self.probe_limit
-            self.accountant.record("wsaf", reads=reads, writes=int(rows.size))
-        return entries
-
-    def place_record_batch(self, records, now: float) -> int:
-        """Bulk :meth:`WSAFTable.place_record`, sequential semantics kept.
-
-        ``records`` is a sequence of ``(key, packets, bytes, timestamp,
-        chance, five_tuple_packed)`` tuples applied in order — the tiered
-        backend's bulk demotion primitive.  One probe matrix finds each
-        record's first free-or-expired slot against a snapshot of the
-        table.  That snapshot answer equals the sequential one whenever
-        every record has such a candidate and no two records claim the
-        same slot: placements only ever *fill* slots, so the occupied
-        prefix a later record skips over is unchanged by earlier
-        placements, and an earlier record's claimed slot was free at the
-        snapshot — it can only sit at or after a later record's own first
-        candidate, never before it.  If any record's window is full
-        (eviction policy territory) or any two candidates collide, the
-        whole batch replays through the scalar :meth:`place_record` in
-        order instead — rare at sane load factors, and policy semantics
-        are preserved exactly.  Returns the number of records placed.
-        """
-        k = len(records)
-        if k == 0:
-            return 0
-        keys = np.fromiter(
-            (record[0] for record in records), dtype=np.uint64, count=k
-        )
-        mask64 = np.uint64(self._mask)
-        slots = (
-            ((keys & mask64)[:, None] + self._tri[None, :]) & mask64
-        ).astype(np.intp)
-        occ = self._occupied[slots]
-        if self.gc_timeout is not None:
-            ok = ~occ | (
-                occ & ((now - self._timestamps[slots]) > self.gc_timeout)
-            )
-        else:
-            ok = ~occ
-        has_slot = ok.any(axis=1)
-        rows = np.arange(k)
-        cand_round = ok.argmax(axis=1)
-        target = slots[rows, cand_round]
-        if not has_slot.all() or np.unique(target).size != k:
-            placed = 0
-            place_record = self.place_record
-            for key, packets, bytes_, timestamp, chance, packed in records:
-                if place_record(
-                    key, packets, bytes_, timestamp, chance, packed, now
-                ):
-                    placed += 1
-            return placed
-        # A chosen slot that held an expired record: the scalar loop
-        # clears it (counted) before re-filling it below.
-        n_reclaimed = int(occ[rows, cand_round].sum())
-        self.gc_reclaimed += n_reclaimed
-        self._occupied[target] = True
-        self._keys[target] = keys
-        self._packets[target] = np.fromiter(
-            (record[1] for record in records), dtype=np.float64, count=k
-        )
-        self._bytes[target] = np.fromiter(
-            (record[2] for record in records), dtype=np.float64, count=k
-        )
-        self._timestamps[target] = np.fromiter(
-            (record[3] for record in records), dtype=np.float64, count=k
-        )
-        self._chance[target] = np.fromiter(
-            (record[4] for record in records), dtype=bool, count=k
-        )
-        tuples = self._tuples
-        for slot, record in zip(target.tolist(), records):
-            tuples[slot] = record[5]
-        self._occupied_slots.update(target.tolist())
-        self.size += k - n_reclaimed
-        if self.accountant is not None:
-            self.accountant.record(
-                "wsaf", reads=int(cand_round.sum()) + k, writes=k
-            )
-        return k
-
     # -- state transfer ------------------------------------------------------
 
     def export_state(self):

@@ -10,7 +10,8 @@ Wire layout (little-endian)::
 The JSON header is self-describing: a format ``version``, the snapshot's
 ``kind``/``config``/scalar counters, and a column ``manifest`` listing
 every NumPy payload's name, dtype, and element count.  Decoders reject
-unknown versions and truncated payloads outright — a snapshot is either
+unknown versions, truncated payloads and any malformed header or
+manifest with :class:`~repro.errors.SnapshotError` — a snapshot is either
 read back exactly or not at all.  All column dtypes are fixed-width and
 endian-pinned (``<u8``/``<f8``/``|b1``), so files transfer across hosts.
 """
@@ -208,53 +209,104 @@ def to_bytes(snapshot: MeasurementSnapshot) -> bytes:
     return b"".join(parts)
 
 
-def from_bytes(data: bytes) -> MeasurementSnapshot:
-    """Decode :func:`to_bytes` output; reject foreign or damaged input."""
-    if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
-        raise SnapshotError("not a measurement snapshot (bad magic)")
-    header_len = int.from_bytes(data[len(MAGIC) : len(MAGIC) + 8], "little")
-    header_begin = len(MAGIC) + 8
+#: Column dtype kinds either decoder accepts: unsigned, signed, float, bool.
+_COLUMN_KINDS = "uifb"
+
+
+def _read_header(data: bytes, magic: bytes, what: str) -> "tuple[dict, int]":
+    """The JSON header object after ``magic``, and where its columns start."""
+    if len(data) < len(magic) + 8 or data[: len(magic)] != magic:
+        raise SnapshotError(f"not an {what} (bad magic)")
+    header_begin = len(magic) + 8
+    header_len = int.from_bytes(data[len(magic) : header_begin], "little")
     header_end = header_begin + header_len
     if header_end > len(data):
-        raise SnapshotError("truncated snapshot header")
+        raise SnapshotError(f"truncated {what} header")
     try:
         header = json.loads(data[header_begin:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"corrupt snapshot header: {exc}") from exc
+        raise SnapshotError(f"corrupt {what} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotError(
+            f"{what} header must be an object, got {type(header).__name__}"
+        )
+    return header, header_end
+
+
+def _read_columns(
+    data: bytes, offset: int, manifest, what: str
+) -> "dict[str, np.ndarray]":
+    """Decode the columns ``manifest`` lists, which must fill ``data``.
+
+    Every entry needs a string name, a numeric or boolean dtype and a
+    non-negative integer count; anything else is a :class:`SnapshotError`.
+    """
+    if not isinstance(manifest, list):
+        raise SnapshotError(f"{what} header has no column manifest")
+    columns: "dict[str, np.ndarray]" = {}
+    for entry in manifest:
+        if not isinstance(entry, dict):
+            raise SnapshotError(f"malformed {what} manifest entry {entry!r}")
+        name = entry.get("name")
+        count = entry.get("count")
+        wire = entry.get("dtype")
+        if not isinstance(name, str):
+            raise SnapshotError(f"{what} column name {name!r} is not a string")
+        if type(count) is not int or count < 0:
+            raise SnapshotError(f"{what} column {name!r} has bad count {count!r}")
+        try:
+            # Strings only: np.dtype(None) would silently read as float64.
+            dtype = np.dtype(wire) if isinstance(wire, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in _COLUMN_KINDS:
+            raise SnapshotError(
+                f"{what} column {name!r} has unsupported dtype {wire!r}"
+            )
+        nbytes = dtype.itemsize * count
+        if offset + nbytes > len(data):
+            raise SnapshotError(f"truncated {what} payload at column {name!r}")
+        columns[name] = np.frombuffer(
+            data, dtype=dtype, count=count, offset=offset
+        ).copy()
+        offset += nbytes
+    if offset != len(data):
+        raise SnapshotError(
+            f"{len(data) - offset} trailing bytes after the last {what} column"
+        )
+    return columns
+
+
+def from_bytes(data: bytes) -> MeasurementSnapshot:
+    """Decode :func:`to_bytes` output; reject foreign or damaged input.
+
+    Every way the bytes can be wrong — magic, lengths, the manifest, a
+    missing or mistyped header field — raises :class:`SnapshotError`.
+    """
+    header, header_end = _read_header(data, MAGIC, "IMSNAP snapshot")
     version = header.get("version")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version {version!r} is not supported "
             f"(this build reads version {SNAPSHOT_VERSION})"
         )
+    columns = _read_columns(data, header_end, header.get("manifest"), "snapshot")
+    try:
+        return _snapshot_from(header, columns)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise SnapshotError(f"malformed snapshot header: {exc!r}") from exc
 
-    columns: "dict[str, np.ndarray]" = {}
-    offset = header_end
-    for entry in header["manifest"]:
-        dtype = np.dtype(entry["dtype"])
-        nbytes = dtype.itemsize * entry["count"]
-        if offset + nbytes > len(data):
-            raise SnapshotError(
-                f"truncated snapshot payload at column {entry['name']!r}"
-            )
-        columns[entry["name"]] = np.frombuffer(
-            data, dtype=dtype, count=entry["count"], offset=offset
-        ).copy()
-        offset += nbytes
-    if offset != len(data):
-        raise SnapshotError(
-            f"{len(data) - offset} trailing bytes after the last column"
-        )
 
+def _snapshot_from(
+    header: dict, columns: "dict[str, np.ndarray]"
+) -> MeasurementSnapshot:
+    """Assemble a snapshot from its decoded header and columns."""
     sketch_meta = header["regulator"]["sketches"]
     sketches = []
     for index, meta in enumerate(sketch_meta):
-        name = f"regulator.{index}.words"
-        if name not in columns:
-            raise SnapshotError(f"snapshot is missing column {name!r}")
         sketches.append(
             SketchState(
-                words=columns[name],
+                words=columns[f"regulator.{index}.words"],
                 packets_encoded=meta["packets_encoded"],
                 saturations=meta["saturations"],
             )
@@ -281,29 +333,24 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
             raise SnapshotError(
                 "snapshot declares a 'tier' section but carries no tier header"
             )
-        try:
-            tier = TierState(
-                cache_entries=tier_meta["cache_entries"],
-                tier_interval=tier_meta["tier_interval"],
-                op_count=tier_meta["op_count"],
-                cache_updates=tier_meta["cache_updates"],
-                promotions=tier_meta["promotions"],
-                demotions=tier_meta["demotions"],
-                keys=columns["wsaf.tier.keys"],
-                packets=columns["wsaf.tier.packets"],
-                bytes=columns["wsaf.tier.bytes"],
-                timestamps=columns["wsaf.tier.timestamps"],
-                chance=columns["wsaf.tier.chance"],
-                tuple_lo=columns["wsaf.tier.tuple_lo"],
-                tuple_hi=columns["wsaf.tier.tuple_hi"],
-                tuple_present=columns["wsaf.tier.tuple_present"],
-                heat_keys=columns["wsaf.tier.heat_keys"],
-                heat_counts=columns["wsaf.tier.heat_counts"],
-            )
-        except KeyError as exc:
-            raise SnapshotError(
-                f"snapshot is missing tier column/field {exc}"
-            ) from exc
+        tier = TierState(
+            cache_entries=tier_meta["cache_entries"],
+            tier_interval=tier_meta["tier_interval"],
+            op_count=tier_meta["op_count"],
+            cache_updates=tier_meta["cache_updates"],
+            promotions=tier_meta["promotions"],
+            demotions=tier_meta["demotions"],
+            keys=columns["wsaf.tier.keys"],
+            packets=columns["wsaf.tier.packets"],
+            bytes=columns["wsaf.tier.bytes"],
+            timestamps=columns["wsaf.tier.timestamps"],
+            chance=columns["wsaf.tier.chance"],
+            tuple_lo=columns["wsaf.tier.tuple_lo"],
+            tuple_hi=columns["wsaf.tier.tuple_hi"],
+            tuple_present=columns["wsaf.tier.tuple_present"],
+            heat_keys=columns["wsaf.tier.heat_keys"],
+            heat_counts=columns["wsaf.tier.heat_counts"],
+        )
     ice = None
     if "ice" in sections:
         ice_meta = wsaf_meta.get("ice")
@@ -311,51 +358,41 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
             raise SnapshotError(
                 "snapshot declares an 'ice' section but carries no ice header"
             )
-        try:
-            ice = IceState(
-                bucket_slots=ice_meta["bucket_slots"],
-                counter_bits=ice_meta["counter_bits"],
-                upscales=ice_meta["upscales"],
-                scale_packets=columns["wsaf.ice.scale_packets"],
-                scale_bytes=columns["wsaf.ice.scale_bytes"],
-            )
-        except KeyError as exc:
-            raise SnapshotError(
-                f"snapshot is missing ice column/field {exc}"
-            ) from exc
-    try:
-        wsaf = WSAFState(
-            num_entries=wsaf_meta["num_entries"],
-            probe_limit=wsaf_meta["probe_limit"],
-            eviction_policy=wsaf_meta["eviction_policy"],
-            size=wsaf_meta["size"],
-            insertions=wsaf_meta["insertions"],
-            updates=wsaf_meta["updates"],
-            evictions=wsaf_meta["evictions"],
-            gc_reclaimed=wsaf_meta["gc_reclaimed"],
-            rejected=wsaf_meta["rejected"],
-            slots=columns["wsaf.slots"].astype(np.int64),
-            keys=columns["wsaf.keys"],
-            packets=columns["wsaf.packets"],
-            bytes=columns["wsaf.bytes"],
-            timestamps=columns["wsaf.timestamps"],
-            chance=columns["wsaf.chance"],
-            tuple_lo=columns["wsaf.tuple_lo"],
-            tuple_hi=columns["wsaf.tuple_hi"],
-            tuple_present=columns["wsaf.tuple_present"],
-            tier=tier,
-            ice=ice,
+        ice = IceState(
+            bucket_slots=ice_meta["bucket_slots"],
+            counter_bits=ice_meta["counter_bits"],
+            upscales=ice_meta["upscales"],
+            scale_packets=columns["wsaf.ice.scale_packets"],
+            scale_bytes=columns["wsaf.ice.scale_bytes"],
         )
-    except KeyError as exc:
-        raise SnapshotError(f"snapshot is missing WSAF column {exc}") from exc
+    wsaf = WSAFState(
+        num_entries=wsaf_meta["num_entries"],
+        probe_limit=wsaf_meta["probe_limit"],
+        eviction_policy=wsaf_meta["eviction_policy"],
+        size=wsaf_meta["size"],
+        insertions=wsaf_meta["insertions"],
+        updates=wsaf_meta["updates"],
+        evictions=wsaf_meta["evictions"],
+        gc_reclaimed=wsaf_meta["gc_reclaimed"],
+        rejected=wsaf_meta["rejected"],
+        slots=columns["wsaf.slots"].astype(np.int64),
+        keys=columns["wsaf.keys"],
+        packets=columns["wsaf.packets"],
+        bytes=columns["wsaf.bytes"],
+        timestamps=columns["wsaf.timestamps"],
+        chance=columns["wsaf.chance"],
+        tuple_lo=columns["wsaf.tuple_lo"],
+        tuple_hi=columns["wsaf.tuple_hi"],
+        tuple_present=columns["wsaf.tuple_present"],
+        tier=tier,
+        ice=ice,
+    )
 
     stream_meta = header["stream"]
     stream = None
     if stream_meta is not None:
         positions = None
         if stream_meta["has_positions"]:
-            if "stream.positions" not in columns:
-                raise SnapshotError("snapshot is missing column 'stream.positions'")
             positions = columns["stream.positions"].astype(np.int64)
         stream = StreamCursor(
             offset=stream_meta["offset"],
@@ -423,34 +460,10 @@ def pack_frame(meta: "dict", columns: "dict[str, np.ndarray]") -> bytes:
 
 def unpack_frame(data: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
     """Decode :func:`pack_frame` output into ``(meta, columns)``."""
-    if len(data) < len(FRAME_MAGIC) + 8 or data[: len(FRAME_MAGIC)] != FRAME_MAGIC:
-        raise SnapshotError("not an IPC frame (bad magic)")
-    header_begin = len(FRAME_MAGIC) + 8
-    header_len = int.from_bytes(data[len(FRAME_MAGIC) : header_begin], "little")
-    header_end = header_begin + header_len
-    if header_end > len(data):
-        raise SnapshotError("truncated frame header")
-    try:
-        header = json.loads(data[header_begin:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"corrupt frame header: {exc}") from exc
-    columns: "dict[str, np.ndarray]" = {}
-    offset = header_end
-    for entry in header["manifest"]:
-        dtype = np.dtype(entry["dtype"])
-        nbytes = dtype.itemsize * entry["count"]
-        if offset + nbytes > len(data):
-            raise SnapshotError(
-                f"truncated frame payload at column {entry['name']!r}"
-            )
-        columns[entry["name"]] = np.frombuffer(
-            data, dtype=dtype, count=entry["count"], offset=offset
-        ).copy()
-        offset += nbytes
-    if offset != len(data):
-        raise SnapshotError(
-            f"{len(data) - offset} trailing bytes after the last frame column"
-        )
+    header, header_end = _read_header(data, FRAME_MAGIC, "IPC frame")
+    if not isinstance(header.get("meta"), dict):
+        raise SnapshotError("IPC frame header has no meta object")
+    columns = _read_columns(data, header_end, header.get("manifest"), "frame")
     return header["meta"], columns
 
 

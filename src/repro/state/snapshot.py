@@ -420,8 +420,9 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
 
 #: Config keys older snapshots carry for knobs the engine no longer has.
 #: ``regulator_replay`` chose between bit-identical contested-stretch
-#: replays, so dropping it on restore never changes the restored state.
-RETIRED_CONFIG_KEYS = frozenset({"regulator_replay"})
+#: replays and the other between state-identical WSAF column layouts, so
+#: dropping either on restore never changes the restored state.
+RETIRED_CONFIG_KEYS = frozenset({"regulator_replay", "wsaf_engine"})
 
 
 def snapshot_config(snapshot: MeasurementSnapshot):

@@ -3,8 +3,9 @@
 The contract of :mod:`repro.kernels` is *bit-identicality*: the batched
 engine must leave exactly the same regulator words, counters, statistics,
 and WSAF contents behind as the scalar per-packet loop, for every
-configuration it claims to support, whichever WSAF column layout it
-feeds (``wsaf_engine``).  These tests enforce that contract across seeds,
+configuration it claims to support, through either of its delegation
+forms (the batch-probed table's column arrays, or ``accumulate_batch``
+on list columns).  These tests enforce that contract across seeds,
 chunk sizes (including one-packet chunks), eviction policies, saturation
 thresholds, vector and word geometries, a single-flow trace whose every
 chunk is one maximal contested stretch, and the empty trace, rerun the
@@ -17,12 +18,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 from repro.core.rcc import popcount_table
+from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
-from repro.kernels import SENTINEL, kernel_tables, supports_batched
+from repro.kernels import SENTINEL, kernel_tables, runs_kernel
+from repro.kernels.luts import quad_tables
 from repro.state import capture_engine, to_bytes
 from repro.traffic.synth import CaidaLikeConfig, build_caida_like_trace
 
@@ -54,8 +58,15 @@ def single_flow_trace():
 
 
 @pytest.fixture(params=["batched", "scalar"])
-def wsaf_engine(request):
-    """The kernel must satisfy the oracle feeding either WSAF layout."""
+def layout(request):
+    """The flat WSAF column layout the kernel feeds.
+
+    ``"batched"`` is the batch-probed table the kernel builds for itself;
+    ``"scalar"`` hands it a list-column table instead, which it feeds
+    through ``accumulate_batch`` — the delegation the tiered and
+    ICE-Buckets backends ride — so that form is pinned on the plain
+    flat table too.
+    """
     return request.param
 
 
@@ -65,8 +76,11 @@ def _config(**overrides) -> InstaMeasureConfig:
     return InstaMeasureConfig(**defaults)
 
 
-def _run(trace, config):
+def _run(trace, config, layout=None):
+    """Run ``config`` over ``trace``; ``layout`` swaps the flat WSAF."""
     engine = InstaMeasure(config)
+    if layout is not None:
+        engine.wsaf = build_wsaf_storage(replace(config, engine=layout))
     result = engine.process_trace(trace)
     return engine, result
 
@@ -93,39 +107,35 @@ def _assert_identical(scalar_engine, batched_engine):
 
 class TestBitIdenticality:
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_identical_across_seeds(self, trace, wsaf_engine, seed):
+    def test_identical_across_seeds(self, trace, layout, seed):
         scalar_engine, scalar_result = _run(trace, _config(seed=seed, engine="scalar"))
         batched_engine, batched_result = _run(
-            trace, _config(seed=seed, engine="batched", wsaf_engine=wsaf_engine)
+            trace, _config(seed=seed, engine="batched"), layout
         )
         assert scalar_result.packets == batched_result.packets == trace.num_packets
         assert scalar_result.insertions == batched_result.insertions
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096, 1 << 20])
-    def test_identical_across_chunk_sizes(self, trace, wsaf_engine, chunk_size):
+    def test_identical_across_chunk_sizes(self, trace, layout, chunk_size):
         # chunk_size=1: every chunk is a single one-packet stretch.
         scalar_engine, _ = _run(trace, _config(engine="scalar"))
         batched_engine, _ = _run(
-            trace,
-            _config(
-                engine="batched", wsaf_engine=wsaf_engine, chunk_size=chunk_size
-            ),
+            trace, _config(engine="batched", chunk_size=chunk_size), layout
         )
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("policy", ["second-chance", "min", "reject"])
-    def test_identical_under_eviction_pressure(self, trace, wsaf_engine, policy):
+    def test_identical_under_eviction_pressure(self, trace, layout, policy):
         # A 16-entry table with a 4-slot probe window forces constant
         # evictions, so WSAF ordering bugs cannot hide.
         pressured = _config(
-            wsaf_entries=16,
-            probe_limit=4,
-            eviction_policy=policy,
-            wsaf_engine=wsaf_engine,
+            wsaf_entries=16, probe_limit=4, eviction_policy=policy
         )
         scalar_engine, _ = _run(trace, replace_engine(pressured, "scalar"))
-        batched_engine, _ = _run(trace, replace_engine(pressured, "batched"))
+        batched_engine, _ = _run(
+            trace, replace_engine(pressured, "batched"), layout
+        )
         assert scalar_engine.wsaf.evictions > 0 or policy == "reject"
         _assert_identical(scalar_engine, batched_engine)
 
@@ -135,38 +145,31 @@ class TestBitIdenticality:
         [(8, 0.5), (8, 0.75), (8, 0.9), (3, 0.5)],
     )
     def test_identical_across_saturation_fill(
-        self, trace, wsaf_engine, vector_bits, saturation_fill
+        self, trace, layout, vector_bits, saturation_fill
     ):
         geometry = dict(vector_bits=vector_bits, saturation_fill=saturation_fill)
         scalar_engine, _ = _run(trace, _config(engine="scalar", **geometry))
         batched_engine, _ = _run(
-            trace,
-            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
+            trace, _config(engine="batched", **geometry), layout
         )
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("vector_bits", [3, 4, 5, 8])
-    def test_identical_across_vector_bits(self, trace, wsaf_engine, vector_bits):
+    def test_identical_across_vector_bits(self, trace, layout, vector_bits):
         scalar_engine, _ = _run(
             trace, _config(engine="scalar", vector_bits=vector_bits)
         )
         batched_engine, _ = _run(
-            trace,
-            _config(
-                engine="batched",
-                wsaf_engine=wsaf_engine,
-                vector_bits=vector_bits,
-            ),
+            trace, _config(engine="batched", vector_bits=vector_bits), layout
         )
         _assert_identical(scalar_engine, batched_engine)
 
     @pytest.mark.parametrize("vector_bits", [3, 8])
-    def test_identical_with_64bit_words(self, trace, wsaf_engine, vector_bits):
+    def test_identical_with_64bit_words(self, trace, layout, vector_bits):
         geometry = dict(word_bits=64, vector_bits=vector_bits)
         scalar_engine, _ = _run(trace, _config(engine="scalar", **geometry))
         batched_engine, _ = _run(
-            trace,
-            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
+            trace, _config(engine="batched", **geometry), layout
         )
         _assert_identical(scalar_engine, batched_engine)
 
@@ -176,28 +179,26 @@ class TestBitIdenticality:
         ids=["default", "64bit-v4"],
     )
     def test_identical_on_single_flow_trace(
-        self, single_flow_trace, wsaf_engine, geometry
+        self, single_flow_trace, layout, geometry
     ):
         scalar_engine, _ = _run(
             single_flow_trace, _config(engine="scalar", **geometry)
         )
         batched_engine, _ = _run(
-            single_flow_trace,
-            _config(engine="batched", wsaf_engine=wsaf_engine, **geometry),
+            single_flow_trace, _config(engine="batched", **geometry), layout
         )
         assert batched_engine.regulator.stats.insertions > 0
         _assert_identical(scalar_engine, batched_engine)
 
-    def test_callbacks_fire_identically(self, trace, wsaf_engine):
+    def test_callbacks_fire_identically(self, trace, layout):
         scalar_calls: list = []
         batched_calls: list = []
         scalar_engine = InstaMeasure(_config(engine="scalar"))
         scalar_engine.process_trace(
             trace, on_accumulate=lambda *args: scalar_calls.append(args)
         )
-        batched_engine = InstaMeasure(
-            _config(engine="batched", wsaf_engine=wsaf_engine)
-        )
+        batched_engine = InstaMeasure(_config(engine="batched"))
+        batched_engine.wsaf = build_wsaf_storage(_config(engine=layout))
         batched_engine.process_trace(
             trace, on_accumulate=lambda *args: batched_calls.append(args)
         )
@@ -208,23 +209,15 @@ class TestBitIdenticality:
         empty = trace.time_slice(-2.0, -1.0)
         assert empty.num_packets == 0
         scalar_engine, _ = _run(empty, _config(engine="scalar"))
-        for wsaf_engine in ("batched", "scalar"):
-            engine, result = _run(
-                empty, _config(engine="batched", wsaf_engine=wsaf_engine)
-            )
+        for layout in ("batched", "scalar"):
+            engine, result = _run(empty, _config(engine="batched"), layout)
             assert result.packets == 0
             assert result.insertions == 0
             _assert_identical(scalar_engine, engine)
 
 
-#: The non-flat WSAF layouts the kernel feeds, as ``(wsaf_backend,
-#: wsaf_engine)``: the tiered store in both column forms and ICE-Buckets,
-#: whose list columns have only the scalar form.
-_BACKEND_LAYOUTS = (
-    ("tiered", "batched"),
-    ("tiered", "scalar"),
-    ("icebuckets", "scalar"),
-)
+#: The non-flat WSAF backends the kernel feeds.
+_BACKENDS = ("tiered", "icebuckets")
 
 #: A small hot cache and a short tick interval, so promotions and
 #: demotions land mid-chunk rather than once per run.
@@ -232,19 +225,18 @@ _TIER_GEOMETRY = dict(tier_cache_entries=64, tier_interval=64)
 
 
 def _assert_identical_on_backends(some_trace, **overrides) -> int:
-    """The kernel matches the scalar engine on every non-flat layout.
+    """The kernel matches the scalar engine on every non-flat backend.
 
-    Returns the WSAF insertion count, which every layout shares.
+    Returns the WSAF insertion count, which every backend shares.
     """
     insertions = 0
-    for backend, wsaf_engine in _BACKEND_LAYOUTS:
-        layout = dict(wsaf_backend=backend, **_TIER_GEOMETRY, **overrides)
+    for backend in _BACKENDS:
+        storage = dict(wsaf_backend=backend, **_TIER_GEOMETRY, **overrides)
         scalar_engine, scalar_result = _run(
-            some_trace, _config(engine="scalar", **layout)
+            some_trace, _config(engine="scalar", **storage)
         )
         kernel_engine, kernel_result = _run(
-            some_trace,
-            _config(engine="batched", wsaf_engine=wsaf_engine, **layout),
+            some_trace, _config(engine="batched", **storage)
         )
         assert (
             scalar_result.packets == kernel_result.packets == some_trace.num_packets
@@ -302,7 +294,7 @@ def replace_engine(config: InstaMeasureConfig, engine: str) -> InstaMeasureConfi
 class TestEngineGating:
     def test_auto_falls_back_for_deep_regulators(self, trace):
         engine = InstaMeasure(_config(engine="auto", num_layers=3))
-        assert not supports_batched(engine)
+        assert not runs_kernel(engine.config)
         result = engine.process_trace(trace)  # generic path must still run
         assert result.packets == trace.num_packets
 
@@ -356,6 +348,50 @@ class TestKernelTables:
                 else:
                     expected = merged
                 assert tables.single[state][bit] == expected
+
+    @staticmethod
+    def _quad_reference(single, state: int, code: int) -> int:
+        """Four single-packet steps: the first saturation's position and
+        noise, then the remaining packets from an empty window."""
+        saturation = None
+        for pos in range(4):
+            state = single[state][(code >> (3 * pos)) & 7]
+            if state >= SENTINEL:
+                if saturation is None:
+                    saturation = (pos << 3) | (state - SENTINEL)
+                state = 0
+        if saturation is None:
+            return state
+        return SENTINEL + (saturation << 8) + state
+
+    @pytest.mark.parametrize(
+        "vector_bits,saturation_bits,sampled",
+        [(5, 4, False), (8, 4, True), (8, 6, True)],
+    )
+    def test_quad_table_matches_four_single_steps(
+        self, vector_bits, saturation_bits, sampled
+    ):
+        """The kernel's hot replay indexes this table; pin every entry
+        (or a seeded sample of codes per state) to the single steps."""
+        single = kernel_tables(vector_bits, saturation_bits).single
+        quad = quad_tables(vector_bits, saturation_bits)
+        valid = [
+            code
+            for code in range(1 << 12)
+            if all((code >> (3 * pos)) & 7 < vector_bits for pos in range(4))
+        ]
+        if sampled:
+            rng = np.random.default_rng(vector_bits * 16 + saturation_bits)
+            valid = rng.choice(valid, size=256, replace=False).tolist()
+        for state in range(1 << vector_bits):
+            for code in valid:
+                assert quad[(state << 12) | code] == self._quad_reference(
+                    single, state, code
+                ), (state, code)
+
+    def test_quad_table_needs_four_saturation_bits(self):
+        with pytest.raises(ConfigurationError):
+            quad_tables(8, 3)
 
     def test_b2_of_code_layout(self):
         tables = kernel_tables(vector_bits=8, saturation_bits=6)

@@ -10,6 +10,8 @@ every measurer in the repository satisfies the protocol.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,12 @@ from repro.baselines import (
     SpaceSaving,
     UnivMon,
 )
-from repro.core import InstaMeasure, InstaMeasureConfig, MultiCoreInstaMeasure
+from repro.core import (
+    InstaMeasure,
+    InstaMeasureConfig,
+    MultiCoreInstaMeasure,
+    build_wsaf_storage,
+)
 from repro.errors import ConfigurationError
 from repro.pipeline import (
     Pipeline,
@@ -84,16 +91,20 @@ def _burst_trace() -> Trace:
     )
 
 
-def _engine(engine: str, wsaf_engine: str) -> InstaMeasure:
-    return InstaMeasure(
-        InstaMeasureConfig(
-            l1_memory_bytes=2 * 1024,
-            wsaf_entries=1 << 12,
-            seed=3,
-            engine=engine,
-            wsaf_engine=wsaf_engine,
-        )
+def _engine(engine: str, layout: "str | None" = None) -> InstaMeasure:
+    """An engine; ``layout`` swaps in the flat WSAF the other engine builds.
+
+    Each engine builds its own flat layout (the kernel the batch-probed
+    table, the scalar loop list columns); handing it the other one checks
+    that chunked ingestion does not depend on which table it feeds.
+    """
+    config = InstaMeasureConfig(
+        l1_memory_bytes=2 * 1024, wsaf_entries=1 << 12, seed=3, engine=engine
     )
+    measurer = InstaMeasure(config)
+    if layout is not None:
+        measurer.wsaf = build_wsaf_storage(replace(config, engine=layout))
+    return measurer
 
 
 def _run_whole(engine: InstaMeasure, trace: Trace) -> "tuple[object, list]":
@@ -143,8 +154,8 @@ class TestInstaMeasureBitIdentity:
 
     @pytest.mark.parametrize("engine_kind", ["scalar", "batched"])
     def test_one_packet_chunks(self, tiny_trace, engine_kind):
-        whole, whole_events = _run_whole(_engine(engine_kind, "batched"), tiny_trace)
-        streamed = _engine(engine_kind, "batched")
+        whole, whole_events = _run_whole(_engine(engine_kind), tiny_trace)
+        streamed = _engine(engine_kind)
         chunked, chunk_events = _run_chunked(streamed, tiny_trace, 1)
         assert chunked.insertions == whole.insertions
         assert chunk_events == whole_events
@@ -153,15 +164,15 @@ class TestInstaMeasureBitIdentity:
     @pytest.mark.parametrize("chunk_size", [53, 170, 333])
     def test_boundary_inside_contested_stretch(self, engine_kind, chunk_size):
         burst = _burst_trace()
-        whole, whole_events = _run_whole(_engine(engine_kind, "batched"), burst)
-        streamed = _engine(engine_kind, "batched")
+        whole, whole_events = _run_whole(_engine(engine_kind), burst)
+        streamed = _engine(engine_kind)
         chunked, chunk_events = _run_chunked(streamed, burst, chunk_size)
         assert whole.insertions > 0  # the burst must actually contest
         assert chunked.insertions == whole.insertions
         assert chunk_events == whole_events
 
     def test_estimates_protocol_matches_estimates_for(self, trace):
-        engine = _engine("batched", "batched")
+        engine = _engine("batched")
         run_pipeline(engine, trace, chunk_size=4_096)
         table = engine.estimates(trace.flows.key64)
         est_packets, _ = engine.estimates_for(trace)
@@ -172,11 +183,11 @@ class TestInstaMeasureBitIdentity:
 
 class TestRotation:
     def test_rotate_mid_stream_preserves_retained_counts(self, trace):
-        plain = _engine("batched", "batched")
+        plain = _engine("batched")
         plain.process_trace(trace)
         expected, _ = plain.estimates_for(trace)
 
-        rotated = _engine("batched", "batched")
+        rotated = _engine("batched")
         outcome = run_pipeline(
             rotated, trace, chunk_size=3_000, epoch_seconds=2.0, rotate=True
         )
@@ -201,7 +212,7 @@ class TestRotation:
             flows=t.flows,
         )
         outcome = run_pipeline(
-            _engine("batched", "batched"), late, epoch_seconds=1.0
+            _engine("batched"), late, epoch_seconds=1.0
         )
         duration = float(late.timestamps[-1] - late.timestamps[0])
         assert len(outcome.epochs) == int(duration // 1.0) + 1
@@ -266,8 +277,8 @@ class TestBaselineProtocol:
         assert measurer.estimates(keys) == whole.estimates(keys)
 
     def test_instameasure_engines_satisfy_protocol(self):
-        assert isinstance(_engine("scalar", "scalar"), StreamingMeasurer)
-        assert isinstance(_engine("batched", "batched"), StreamingMeasurer)
+        assert isinstance(_engine("scalar"), StreamingMeasurer)
+        assert isinstance(_engine("batched"), StreamingMeasurer)
         assert isinstance(
             MultiCoreInstaMeasure(2, InstaMeasureConfig()), StreamingMeasurer
         )
@@ -309,8 +320,8 @@ class TestSourcesAndDriver:
 
     def test_prebuilt_source_reuse(self, tiny_trace):
         source = TraceChunkSource(tiny_trace, chunk_size=97)
-        first = Pipeline(_engine("batched", "batched")).run(source)
-        second = Pipeline(_engine("batched", "batched")).run(source)
+        first = Pipeline(_engine("batched")).run(source)
+        second = Pipeline(_engine("batched")).run(source)
         assert first.packets == second.packets == tiny_trace.num_packets
         assert first.result.insertions == second.result.insertions
 
@@ -325,14 +336,14 @@ class TestSourcesAndDriver:
             flows=empty.flows,
         )
         outcome = run_pipeline(
-            _engine("batched", "batched"), empty, epoch_seconds=1.0
+            _engine("batched"), empty, epoch_seconds=1.0
         )
         assert outcome.packets == 0
         assert outcome.epochs == []
         assert outcome.result.packets == 0
 
     def test_pipeline_result_throughput_accounting(self, tiny_trace):
-        outcome = run_pipeline(_engine("batched", "batched"), tiny_trace)
+        outcome = run_pipeline(_engine("batched"), tiny_trace)
         assert outcome.packets == tiny_trace.num_packets
         assert outcome.elapsed_seconds > 0
         assert outcome.pps > 0
@@ -344,10 +355,10 @@ class TestIncrementalDriver:
 
     def test_step_loop_equals_run(self, tiny_trace):
         whole = run_pipeline(
-            _engine("batched", "batched"), tiny_trace, chunk_size=500,
+            _engine("batched"), tiny_trace, chunk_size=500,
             epoch_seconds=1.0,
         )
-        engine = _engine("batched", "batched")
+        engine = _engine("batched")
         pipeline = Pipeline(engine, epoch_seconds=1.0)
         source = TraceChunkSource(
             tiny_trace, chunk_size=500, epoch_seconds=1.0
@@ -363,7 +374,7 @@ class TestIncrementalDriver:
         assert engine.estimates() == whole.measurer.estimates()
 
     def test_step_without_begin_rejected(self, tiny_trace):
-        pipeline = Pipeline(_engine("batched", "batched"))
+        pipeline = Pipeline(_engine("batched"))
         source = TraceChunkSource(tiny_trace, chunk_size=500)
         with pytest.raises(ConfigurationError):
             pipeline.step(next(iter(source)))
@@ -371,13 +382,13 @@ class TestIncrementalDriver:
             pipeline.finish()
 
     def test_double_begin_rejected(self, tiny_trace):
-        pipeline = Pipeline(_engine("batched", "batched"))
+        pipeline = Pipeline(_engine("batched"))
         pipeline.begin(TraceChunkSource(tiny_trace, chunk_size=500))
         with pytest.raises(ConfigurationError):
             pipeline.begin(TraceChunkSource(tiny_trace, chunk_size=500))
 
     def test_abort_allows_fresh_begin_and_keeps_state(self, tiny_trace):
-        engine = _engine("batched", "batched")
+        engine = _engine("batched")
         pipeline = Pipeline(engine)
         source = TraceChunkSource(tiny_trace, chunk_size=500)
         pipeline.begin(source)
@@ -391,7 +402,7 @@ class TestIncrementalDriver:
         assert pipeline.active_epoch == 0
 
     def test_history_bounds_records(self, trace):
-        engine = _engine("batched", "batched")
+        engine = _engine("batched")
         pipeline = Pipeline(engine, epoch_seconds=1.0, history=3)
         outcome = pipeline.run(
             TraceChunkSource(trace, chunk_size=300, epoch_seconds=1.0)
@@ -406,7 +417,7 @@ class TestIncrementalDriver:
     def test_first_epoch_resumes_cadence(self, tiny_trace):
         fired: "list[int]" = []
         pipeline = Pipeline(
-            _engine("batched", "batched"),
+            _engine("batched"),
             epoch_seconds=1.0,
             on_epoch=lambda record, _m: fired.append(record.index),
         )

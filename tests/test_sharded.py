@@ -2,7 +2,7 @@
 
 The headline contract: a :class:`ShardedPipeline` run at any shard count
 produces estimates **exactly equal** to a single-process pipeline over
-the same trace — for both WSAF backing stores, in-process and forked —
+the same trace — under both engines, in-process and forked —
 because word-range sharding keeps regulator words, positioned random
 bits, and per-flow accumulation order all identical to the single run
 (valid while the WSAF sees no evictions, which these workloads satisfy
@@ -38,12 +38,12 @@ def trace():
     )
 
 
-def _config(wsaf_engine: str = "auto", **overrides) -> InstaMeasureConfig:
+def _config(engine: str = "auto", **overrides) -> InstaMeasureConfig:
     base = dict(
         l1_memory_bytes=4 * 1024,
         wsaf_entries=1 << 12,
         seed=3,
-        wsaf_engine=wsaf_engine,
+        engine=engine,
     )
     base.update(overrides)
     return InstaMeasureConfig(**base)
@@ -108,10 +108,10 @@ class TestShardRouter:
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
-    def test_sharded_equals_single_process(self, trace, wsaf_engine, num_shards):
-        config = _config(wsaf_engine)
+    def test_sharded_equals_single_process(self, trace, engine, num_shards):
+        config = _config(engine)
         single = _single_run(config, trace)
         # The exactness argument requires an eviction-free single run.
         assert single.wsaf.evictions == 0 and single.wsaf.gc_reclaimed == 0

@@ -12,12 +12,14 @@ header's ``wsaf.sections`` list.  The compatibility contracts:
   unknown section's column bytes would otherwise be misattributed.
 * The committed golden snapshots — captured with the pre-refactor flat
   tables — still describe exactly what the current flat backend produces
-  on the same trace and config, for both the scalar and the batch-probed
-  engine.  This is the bit-identity bar for the ``flat`` backend: same
-  records, same slots, same counters, same estimates.
+  on the same trace and config, under both the scalar loop (list
+  columns) and the batched kernel (the batch-probed table).  This is the
+  bit-identity bar for the ``flat`` backend: same records, same slots,
+  same counters, same estimates.
 * Every golden still restores through the public restore paths, although
-  its embedded config carries the retired ``regulator_replay`` knob; any
-  other config key the engine does not know is a ``SnapshotError``.
+  its embedded config carries the retired ``regulator_replay`` and
+  ``wsaf_engine`` knobs; any other config key the engine does not know
+  is a ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core import InstaMeasure, InstaMeasureConfig
-from repro.errors import ConfigurationError, SnapshotError
+from repro.errors import SnapshotError
 from repro.pipeline.sharded import ShardedStreamingMeasurer
 from repro.state import capture_engine, from_bytes, load, to_bytes
 from repro.state.codec import MAGIC
@@ -125,72 +127,6 @@ class TestSectionForwardCompat:
             from_bytes(tampered)
 
 
-class TestGoldenFlatIdentity:
-    """The flat backend is bit-identical to the pre-refactor tables."""
-
-    @pytest.fixture(scope="class")
-    def golden_trace(self):
-        return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
-
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_flat_backend_matches_golden(self, golden_trace, wsaf_engine):
-        golden = load(GOLDEN_DIR / f"flat_{wsaf_engine}.imsnap")
-        engine = InstaMeasure(
-            InstaMeasureConfig(wsaf_engine=wsaf_engine, **GOLDEN_CONFIG)
-        )
-        engine.process_trace(golden_trace)
-        current = capture_engine(engine)
-
-        want, got = golden.wsaf, current.wsaf
-        for counter in (
-            "num_entries",
-            "probe_limit",
-            "eviction_policy",
-            "size",
-            "insertions",
-            "updates",
-            "evictions",
-            "gc_reclaimed",
-            "rejected",
-        ):
-            assert getattr(got, counter) == getattr(want, counter), counter
-        for column in (
-            "slots",
-            "keys",
-            "packets",
-            "bytes",
-            "timestamps",
-            "chance",
-            "tuple_lo",
-            "tuple_hi",
-            "tuple_present",
-        ):
-            assert np.array_equal(
-                getattr(got, column), getattr(want, column)
-            ), column
-        assert got.tier is None and got.ice is None
-        assert current.estimates() == golden.estimates()
-        assert current.regulator.packets == golden.regulator.packets
-        assert current.regulator.insertions == golden.regulator.insertions
-
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_golden_exercises_eviction_dynamics(self, wsaf_engine):
-        golden = load(GOLDEN_DIR / f"flat_{wsaf_engine}.imsnap")
-        assert golden.wsaf.evictions > 0
-        assert golden.wsaf.gc_reclaimed > 0
-        assert golden.wsaf.rejected > 0
-
-
-#: Backend geometry the non-flat goldens were captured with — tuned so
-#: the backend dynamics (promotions/demotions, upscales) and the table
-#: dynamics (evictions, GC reclaims, rejections) are all non-zero.
-GOLDEN_BACKENDS = {
-    "tiered": dict(wsaf_backend="tiered", tier_cache_entries=4, tier_interval=64),
-    "icebuckets": dict(
-        wsaf_backend="icebuckets", ice_bucket_slots=8, ice_counter_bits=8
-    ),
-}
-
 _WSAF_COUNTERS = (
     "num_entries",
     "probe_limit",
@@ -215,13 +151,64 @@ _WSAF_COLUMNS = (
 )
 
 
+class TestGoldenFlatIdentity:
+    """The flat backend is bit-identical to the pre-refactor tables."""
+
+    @pytest.fixture(scope="class")
+    def golden_trace(self):
+        return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_flat_backend_matches_golden(self, golden_trace, engine):
+        live = InstaMeasure(InstaMeasureConfig(engine=engine, **GOLDEN_CONFIG))
+        live.process_trace(golden_trace)
+        current = capture_engine(live)
+        got = current.wsaf
+        # The two flat goldens were captured from the two WSAF column
+        # layouts; the engine must reproduce each of them.
+        for name in ("flat_scalar", "flat_batched"):
+            golden = load(GOLDEN_DIR / f"{name}.imsnap")
+            want = golden.wsaf
+            for counter in _WSAF_COUNTERS:
+                assert getattr(got, counter) == getattr(want, counter), counter
+            for column in _WSAF_COLUMNS:
+                assert np.array_equal(
+                    getattr(got, column), getattr(want, column)
+                ), column
+            assert got.tier is None and got.ice is None
+            assert current.estimates() == golden.estimates()
+            assert current.regulator.packets == golden.regulator.packets
+            assert (
+                current.regulator.insertions == golden.regulator.insertions
+            )
+
+    @pytest.mark.parametrize("layout", ["scalar", "batched"])
+    def test_golden_exercises_eviction_dynamics(self, layout):
+        golden = load(GOLDEN_DIR / f"flat_{layout}.imsnap")
+        assert golden.wsaf.evictions > 0
+        assert golden.wsaf.gc_reclaimed > 0
+        assert golden.wsaf.rejected > 0
+
+
+#: Backend geometry the non-flat goldens were captured with — tuned so
+#: the backend dynamics (promotions/demotions, upscales) and the table
+#: dynamics (evictions, GC reclaims, rejections) are all non-zero.
+GOLDEN_BACKENDS = {
+    "tiered": dict(wsaf_backend="tiered", tier_cache_entries=4, tier_interval=64),
+    "icebuckets": dict(
+        wsaf_backend="icebuckets", ice_bucket_slots=8, ice_counter_bits=8
+    ),
+}
+
+
 class TestGoldenBackendIdentity:
     """Tiered and ICE backends are pinned per engine by one golden each.
 
-    The goldens were captured with ``wsaf_engine="scalar"``; checking the
-    batched run against the *same* golden is the cross-engine bit-identity
-    contract — same estimates, same eviction/GC order, same promote/demote
-    decisions, same upscale points, same tier/ice sections.
+    The goldens were captured under the batched kernel; checking the
+    scalar loop against the *same* golden is the cross-engine
+    bit-identity contract — same estimates, same eviction/GC order, same
+    promote/demote decisions, same upscale points, same tier/ice
+    sections.
     """
 
     @pytest.fixture(scope="class")
@@ -229,20 +216,25 @@ class TestGoldenBackendIdentity:
         return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
 
     @pytest.mark.parametrize(
-        "wsaf_engine,backend",
-        [("scalar", "icebuckets"), ("scalar", "tiered"), ("batched", "tiered")],
+        "engine,backend",
+        [
+            ("scalar", "icebuckets"),
+            ("batched", "icebuckets"),
+            ("scalar", "tiered"),
+            ("batched", "tiered"),
+        ],
     )
-    def test_backend_matches_golden(self, golden_trace, backend, wsaf_engine):
+    def test_backend_matches_golden(self, golden_trace, backend, engine):
         golden = load(GOLDEN_DIR / f"{backend}.imsnap")
-        engine = InstaMeasure(
+        live = InstaMeasure(
             InstaMeasureConfig(
-                wsaf_engine=wsaf_engine,
+                engine=engine,
                 **GOLDEN_CONFIG,
                 **GOLDEN_BACKENDS[backend],
             )
         )
-        engine.process_trace(golden_trace)
-        current = capture_engine(engine)
+        live.process_trace(golden_trace)
+        current = capture_engine(live)
 
         want, got = golden.wsaf, current.wsaf
         for counter in _WSAF_COUNTERS:
@@ -293,16 +285,6 @@ class TestGoldenBackendIdentity:
         assert current.regulator.packets == golden.regulator.packets
         assert current.regulator.insertions == golden.regulator.insertions
 
-    def test_batched_icebuckets_is_rejected(self):
-        # ICE-Buckets has list columns only; there is no batched engine
-        # to compare against its golden.
-        with pytest.raises(ConfigurationError, match="icebuckets"):
-            InstaMeasureConfig(
-                wsaf_engine="batched",
-                **GOLDEN_CONFIG,
-                **GOLDEN_BACKENDS["icebuckets"],
-            )
-
     @pytest.mark.parametrize("backend", sorted(GOLDEN_BACKENDS))
     def test_backend_golden_exercises_dynamics(self, backend):
         golden = load(GOLDEN_DIR / f"{backend}.imsnap")
@@ -325,10 +307,11 @@ class TestGoldenRestore:
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_restores_with_retired_key(self, name):
         golden = load(GOLDEN_DIR / f"{name}.imsnap")
-        # Captured while the engine still had the knob.
-        assert "regulator_replay" in golden.config
+        # Captured while the engine still had both knobs.
+        assert {"regulator_replay", "wsaf_engine"} <= set(golden.config)
         engine = InstaMeasure.from_snapshot(golden)
         assert "regulator_replay" not in vars(engine.config)
+        assert "wsaf_engine" not in vars(engine.config)
         assert engine.estimates() == golden.estimates()
         assert engine.regulator.stats.packets == golden.regulator.packets
         sharded = ShardedStreamingMeasurer.from_snapshots([golden])

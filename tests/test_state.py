@@ -7,7 +7,9 @@ The contracts under test are the state layer's tentpole guarantees:
   including a mid-stream RNG cursor (save → load → resume-ingest is
   bit-identical to an uninterrupted run).
 * The wire format is versioned and self-describing: wrong magic, wrong
-  version, truncation, and trailing garbage are all rejected loudly.
+  version, truncation, trailing garbage, and any malformed header or
+  manifest — in a snapshot or an IPC frame — are all rejected loudly,
+  always as ``SnapshotError``.
 * ``merge`` has well-defined semantics: disjoint key ranges concatenate
   (and ``mode="disjoint"`` refuses overlapping inputs), overlapping
   ranges counter-sum per key with insertion/update reconciliation.
@@ -37,7 +39,7 @@ from repro.state import (
     save,
     to_bytes,
 )
-from repro.state.codec import MAGIC
+from repro.state.codec import FRAME_MAGIC, MAGIC, unpack_frame
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
 
 
@@ -48,21 +50,21 @@ def trace():
     )
 
 
-def _config(wsaf_engine: str, **overrides) -> InstaMeasureConfig:
+def _config(engine: str, **overrides) -> InstaMeasureConfig:
     base = dict(
         l1_memory_bytes=2 * 1024,
         wsaf_entries=1 << 11,
         seed=3,
-        wsaf_engine=wsaf_engine,
+        engine=engine,
     )
     base.update(overrides)
     return InstaMeasureConfig(**base)
 
 
-def _measured(trace, wsaf_engine: str, **overrides) -> InstaMeasure:
-    engine = InstaMeasure(_config(wsaf_engine, **overrides))
-    engine.process_trace(trace)
-    return engine
+def _measured(trace, engine: str, **overrides) -> InstaMeasure:
+    measured = InstaMeasure(_config(engine, **overrides))
+    measured.process_trace(trace)
+    return measured
 
 
 def _tamper_header(payload: bytes, **fields) -> bytes:
@@ -81,9 +83,9 @@ def _tamper_header(payload: bytes, **fields) -> bytes:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_bytes_round_trip_is_exact(self, trace, wsaf_engine):
-        engine = _measured(trace, wsaf_engine)
+    @pytest.mark.parametrize("engine_kind", ["scalar", "batched"])
+    def test_bytes_round_trip_is_exact(self, trace, engine_kind):
+        engine = _measured(trace, engine_kind)
         snapshot = capture_engine(engine)
         recovered = from_bytes(to_bytes(snapshot))
 
@@ -100,9 +102,9 @@ class TestRoundTrip:
         ):
             assert np.array_equal(live.words_array(), back.words_array())
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_file_round_trip(self, trace, wsaf_engine, tmp_path):
-        engine = _measured(trace, wsaf_engine)
+    @pytest.mark.parametrize("engine_kind", ["scalar", "batched"])
+    def test_file_round_trip(self, trace, engine_kind, tmp_path):
+        engine = _measured(trace, engine_kind)
         snapshot = capture_engine(engine)
         path = tmp_path / "state.snap"
         save(snapshot, path)
@@ -123,14 +125,14 @@ class TestRoundTrip:
         assert resumed.estimates() == straight.estimates()
 
     def test_cross_store_restore(self, trace):
-        """Scalar capture restores into the batched store exactly."""
+        """A list-column capture restores into the batched store exactly."""
         snapshot = capture_engine(_measured(trace, "scalar"))
-        snapshot.config["wsaf_engine"] = "batched"
+        snapshot.config["engine"] = "batched"
         restored = restore_engine(snapshot)
         assert restored.estimates() == _measured(trace, "scalar").estimates()
 
     def test_multilayer_regulator_round_trip(self, trace):
-        engine = _measured(trace, "scalar", num_layers=3, engine="scalar")
+        engine = _measured(trace, "scalar", num_layers=3)
         snapshot = from_bytes(to_bytes(capture_engine(engine)))
         restored = restore_engine(snapshot)
         for live, back in zip(
@@ -162,17 +164,17 @@ class TestRoundTrip:
 
 
 class TestMidStreamResume:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_save_load_resume_bit_identical(self, trace, wsaf_engine, tmp_path):
+    @pytest.mark.parametrize("engine_kind", ["scalar", "batched"])
+    def test_save_load_resume_bit_identical(self, trace, engine_kind, tmp_path):
         chunks = list(TraceChunkSource(trace, chunk_size=1_500))
         assert len(chunks) >= 4
 
-        reference = InstaMeasure(_config(wsaf_engine))
+        reference = InstaMeasure(_config(engine_kind))
         for chunk in chunks:
             reference.ingest(chunk)
         reference.finalize()
 
-        engine = InstaMeasure(_config(wsaf_engine))
+        engine = InstaMeasure(_config(engine_kind))
         for chunk in chunks[:2]:
             engine.ingest(chunk)
         path = tmp_path / "midstream.snap"
@@ -189,21 +191,21 @@ class TestMidStreamResume:
             capture_engine(reference)
         )
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("engine_kind", ["scalar", "batched"])
     def test_unknown_length_save_load_resume_bit_identical(
-        self, trace, wsaf_engine, tmp_path
+        self, trace, engine_kind, tmp_path
     ):
         """Unbounded streams checkpoint mid-flight via the block cursor."""
         chunks = list(TraceChunkSource(trace, chunk_size=1_500))
         assert len(chunks) >= 4
 
-        reference = InstaMeasure(_config(wsaf_engine))
+        reference = InstaMeasure(_config(engine_kind))
         reference.begin_stream()
         for chunk in chunks:
             reference.ingest(chunk)
         reference.finalize()
 
-        engine = InstaMeasure(_config(wsaf_engine))
+        engine = InstaMeasure(_config(engine_kind))
         engine.begin_stream()
         for chunk in chunks[:2]:
             engine.ingest(chunk)
@@ -264,6 +266,85 @@ class TestCodecRejection:
     def test_empty_input_rejected(self):
         with pytest.raises(SnapshotError):
             from_bytes(b"")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda header: [header],
+            lambda header: {k: v for k, v in header.items() if k != "manifest"},
+            lambda header: {k: v for k, v in header.items() if k != "regulator"},
+            lambda header: {**header, "wsaf": [header["wsaf"]]},
+            lambda header: {
+                **header,
+                "manifest": [{**header["manifest"][0], "dtype": "zz"}],
+            },
+        ],
+        ids=["list", "no-manifest", "no-regulator", "list-wsaf", "bad-dtype"],
+    )
+    def test_malformed_header_is_a_snapshot_error(self, payload, mutate):
+        header_end = len(MAGIC) + 8 + int.from_bytes(
+            payload[len(MAGIC) : len(MAGIC) + 8], "little"
+        )
+        header = json.loads(payload[len(MAGIC) + 8 : header_end])
+        encoded = json.dumps(mutate(header)).encode()
+        tampered = (
+            MAGIC
+            + len(encoded).to_bytes(8, "little")
+            + encoded
+            + payload[header_end:]
+        )
+        with pytest.raises(SnapshotError):
+            from_bytes(tampered)
+
+    def test_header_bit_flips_decode_or_raise_snapshot_error(self, payload):
+        """Seeded 1-4 bit flips inside the JSON header: every outcome is a
+        decoded snapshot or a ``SnapshotError``, never another exception."""
+        header_begin = len(MAGIC) + 8
+        header_end = header_begin + int.from_bytes(
+            payload[len(MAGIC) : header_begin], "little"
+        )
+        rng = np.random.default_rng(2024)
+        rejected = 0
+        for _ in range(400):
+            damaged = bytearray(payload)
+            for _ in range(int(rng.integers(1, 5))):
+                position = int(rng.integers(header_begin, header_end))
+                damaged[position] ^= 1 << int(rng.integers(0, 8))
+            try:
+                from_bytes(bytes(damaged))
+            except SnapshotError:
+                rejected += 1
+        assert rejected > 0
+
+
+def _frame(header) -> bytes:
+    encoded = json.dumps(header).encode()
+    return FRAME_MAGIC + len(encoded).to_bytes(8, "little") + encoded
+
+
+class TestFrameRejection:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"meta": {}, "manifest": [{"name": "x", "dtype": "|O", "count": 0}]},
+            {"meta": {}},
+            [{"meta": {}, "manifest": []}],
+            {"meta": {}, "manifest": [{"name": "x", "dtype": "zz", "count": 1}]},
+            {"meta": {}, "manifest": [{"name": 7, "dtype": "<u8", "count": 0}]},
+            {"meta": {}, "manifest": [{"name": "x", "dtype": "<u8", "count": -1}]},
+        ],
+        ids=[
+            "object-dtype",
+            "no-manifest",
+            "list",
+            "bad-dtype",
+            "int-name",
+            "negative-count",
+        ],
+    )
+    def test_malformed_frame_is_a_snapshot_error(self, header):
+        with pytest.raises(SnapshotError):
+            unpack_frame(_frame(header))
 
 
 class TestMerge:

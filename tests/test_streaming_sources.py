@@ -316,6 +316,13 @@ class TestPacketRecordChunkSource:
         while sum(seen) < visible and time.monotonic() < deadline:
             time.sleep(0.01)
         assert sum(seen) == visible
+        # stop() drains only records the source has read, so wait until
+        # its reader has reached the end of the finished file.
+        while (
+            source._reader.records_read < full.num_packets
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
         # stop() flushes the buffered partial tail as final chunks.
         source.stop()
         assert done.wait(10.0)

@@ -2,10 +2,11 @@
 
 The contracts under test are the backend seam's guarantees:
 
-* Backend selection: ``wsaf_backend`` picks the storage algorithm and
-  composes with either ``wsaf_engine`` (every backend has a scalar and
-  a batch-probed form, bit-identical by contract), and every backend
-  satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage` protocol.
+* Backend selection: ``wsaf_backend`` picks the storage algorithm, the
+  flat table is batch-probed exactly when the batched kernel feeds it,
+  the other backends keep list columns under every engine, and every
+  backend satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage`
+  protocol.
 * The tiered store is lossless: with a roomy table its estimates equal
   the flat table's exactly, while the hot cache absorbs accumulates at
   SRAM cost (visible through the accountant's per-label pricing).
@@ -33,8 +34,8 @@ from repro.core import (
     build_wsaf_storage,
     default_technologies,
 )
-from repro.core.instameasure import resolved_wsaf_engine
 from repro.errors import ConfigurationError
+from repro.kernels import runs_kernel
 from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.memmodel import DRAM, SRAM, AccessAccountant
 from repro.state import capture_engine, from_bytes, restore_engine, to_bytes
@@ -67,21 +68,19 @@ def _measured(trace, backend: str, **overrides) -> InstaMeasure:
 
 class TestBackendSelection:
     def test_flat_scalar_builds_wsaf_table(self):
-        table = build_wsaf_storage(_config("flat", wsaf_engine="scalar"))
+        table = build_wsaf_storage(_config("flat", engine="scalar"))
         assert type(table) is WSAFTable
 
     def test_flat_batched_builds_batched_table(self):
-        table = build_wsaf_storage(_config("flat", wsaf_engine="batched"))
+        table = build_wsaf_storage(_config("flat", engine="batched"))
         assert type(table) is BatchedWSAFTable
 
     def test_tiered_and_ice_build_their_tables(self):
-        tiered = build_wsaf_storage(_config("tiered", wsaf_engine="scalar"))
+        tiered = build_wsaf_storage(_config("tiered", engine="scalar"))
         assert type(tiered) is TieredWSAFTable
         assert type(tiered.table) is WSAFTable
         assert (
-            type(
-                build_wsaf_storage(_config("icebuckets", wsaf_engine="scalar"))
-            )
+            type(build_wsaf_storage(_config("icebuckets", engine="scalar")))
             is IceBucketsWSAFTable
         )
 
@@ -90,31 +89,48 @@ class TestBackendSelection:
         assert isinstance(build_wsaf_storage(_config(backend)), WSAFStorage)
 
     def test_tiered_resolves_batched_under_auto(self):
-        # The default 2-layer / 8-bit configuration batches the trace
-        # path, so ``auto`` pairs the tiered backend with the
-        # batch-probed form — the delegated array entry point must be
-        # offered.
+        # The default 2-layer / 8-bit configuration runs the batched
+        # kernel under ``auto``; the tiered store it feeds keeps list
+        # columns and takes one ``accumulate_batch`` call per chunk.
         config = _config("tiered")
-        assert resolved_wsaf_engine(config) == "batched"
-        table = build_wsaf_storage(config)
-        assert callable(getattr(table, "accumulate_batch_arrays", None))
+        assert runs_kernel(config)
+        table = InstaMeasure(config).wsaf
+        assert type(table.table) is WSAFTable
+        assert not hasattr(table, "accumulate_batch_arrays")
 
     def test_icebuckets_resolves_scalar_under_auto(self):
         # ICE-Buckets' quantized add chains are order-serial, so it has
-        # list columns only; ``auto`` keeps the scalar table and the
-        # batched regulator kernel feeds it through ``accumulate_batch``.
+        # list columns only, under ``auto`` as under every engine.
         config = _config("icebuckets")
-        assert resolved_wsaf_engine(config) == "scalar"
-        assert type(build_wsaf_storage(config)) is IceBucketsWSAFTable
-        assert InstaMeasure(config).wsaf_engine == "scalar"
+        table = InstaMeasure(config).wsaf
+        assert type(table) is IceBucketsWSAFTable
+        assert not hasattr(table, "accumulate_batch_arrays")
 
-    def test_batched_engine_builds_batched_backends(self):
-        tiered = build_wsaf_storage(_config("tiered", wsaf_engine="batched"))
-        assert type(tiered) is TieredWSAFTable
-        assert type(tiered.table) is BatchedWSAFTable
-        # ICE-Buckets has no batched form: asking for one is a config error.
-        with pytest.raises(ConfigurationError, match="icebuckets"):
-            _config("icebuckets", wsaf_engine="batched")
+    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    def test_non_flat_backends_keep_list_columns(self, engine):
+        tiered = build_wsaf_storage(_config("tiered", engine=engine))
+        assert type(tiered.table) is WSAFTable
+        ice = build_wsaf_storage(_config("icebuckets", engine=engine))
+        for table in (tiered, ice):
+            assert not hasattr(table, "accumulate_batch_arrays")
+
+    @pytest.mark.parametrize(
+        "overrides, kernel",
+        [
+            (dict(), True),
+            (dict(num_layers=3), False),
+            (dict(vector_bits=16, word_bits=32), False),
+            (dict(engine="scalar"), False),
+        ],
+        ids=["auto", "deep", "wide", "scalar"],
+    )
+    def test_flat_is_batch_probed_exactly_when_the_kernel_runs(
+        self, overrides, kernel
+    ):
+        config = _config("flat", **overrides)
+        assert runs_kernel(config) is kernel
+        expected = BatchedWSAFTable if kernel else WSAFTable
+        assert type(InstaMeasure(config).wsaf) is expected
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ConfigurationError, match="wsaf_backend"):
