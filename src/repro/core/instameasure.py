@@ -34,20 +34,11 @@ from repro.core.regulator import FlowRegulator, RegulatorStats
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
 from repro.memmodel import AccessAccountant
-from repro.traffic.packet import FlowTable, Trace
+from repro.traffic.packet import Trace
 
 #: Callback fired after each WSAF accumulation:
 #: (flow_key, total_packets, total_bytes, timestamp).
 AccumulateCallback = Callable[[int, float, float, float], None]
-
-
-def packed_five_tuples(flows: FlowTable) -> "list[int]":
-    """Per-flow 104-bit packed 5-tuples (what the WSAF record stores).
-
-    Delegates to :meth:`FlowTable.packed_tuples`, which caches the list on
-    the flow table so repeated runs over one trace pay for it once.
-    """
-    return flows.packed_tuples()
 
 
 #: Valid ``InstaMeasureConfig.engine`` values.
@@ -575,7 +566,7 @@ class InstaMeasure:
         idx_by_flow = idx_by_flow.tolist()
         off_by_flow = off_by_flow.tolist()
         keys = trace.flows.key64.tolist()
-        packed_tuples = packed_five_tuples(trace.flows)
+        packed_tuples = trace.flows.packed_tuples()
 
         if bits is None:
             # uint8 draws: the batched kernel replays this exact stream, and
@@ -751,7 +742,7 @@ class InstaMeasure:
         idx_by_flow = idx_by_flow.tolist()
         off_by_flow = off_by_flow.tolist()
         keys = trace.flows.key64.tolist()
-        packed_tuples = packed_five_tuples(trace.flows)
+        packed_tuples = trace.flows.packed_tuples()
 
         if bits is None:
             rng = np.random.default_rng(self.config.seed ^ 0xB17)

@@ -25,9 +25,13 @@ Randomness is drawn exactly as the scalar path draws it (same generator,
 same sizes, same order), so every sketch word, counter, and WSAF record
 comes out identical — the equivalence suite in ``tests/test_kernels.py``
 asserts this across seeds, chunk sizes, policies, geometries, and every
-WSAF backend.  Nothing is cached between calls: every production
-path (CLI runs, shard workers, the service daemon) sees each chunk once,
-so layouts and derived streams are built per call and dropped with it.
+WSAF backend.  Nothing chunk-dependent is cached between calls: every
+production path (CLI runs, shard workers, the service daemon) sees each
+chunk once, so layouts and derived streams are built per call and dropped
+with it.  Only the geometry's NumPy lookup arrays persist
+(:func:`_geometry_arrays`), and a call reads and writes back only the L1
+words its chunk touches, so a small chunk over a large sketch costs what
+the chunk costs.
 """
 
 from __future__ import annotations
@@ -73,13 +77,36 @@ def runs_kernel(config) -> bool:
     )
 
 
+_GEOMETRY_ARRAYS: "dict[tuple[int, int], tuple[np.ndarray, ...]]" = {}
+
+
+def _geometry_arrays(l1) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(bit values, window masks, decode table)`` of ``l1``'s geometry
+    as read-only NumPy arrays, built once per ``(word_bits, vector_bits)``."""
+    key = (l1.word_bits, l1.vector_bits)
+    arrays = _GEOMETRY_ARRAYS.get(key)
+    if arrays is None:
+        arrays = (
+            np.left_shift(
+                np.uint8(1), np.arange(l1.vector_bits, dtype=np.uint8)
+            ),
+            np.array(l1._window_masks, dtype=np.uint64),
+            np.array(l1._decode_table, dtype=np.float64),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        _GEOMETRY_ARRAYS[key] = arrays
+    return arrays
+
+
 def _chunk_layouts(trace, l1, chunk_size: int):
     """Yield one word-sorted layout per ``chunk_size`` slice of ``trace``.
 
     A layout holds the chunk's stable sort order by word, its stretch
     boundaries (one stretch per ``(word, offset)`` run), the per-stretch
     word/offset headers, and the grouping of stretches into *word runs*
-    — the unit of the kernel's vectorized word-level screen.  Everything
+    — one per distinct word the chunk touches, the unit of the kernel's
+    vectorized word-level screen and of its L1 gather.  Everything
     is NumPy; the contested replay converts what it needs to lists only
     for chunks where some stretch can saturate.
     """
@@ -286,7 +313,7 @@ def process_trace_batched(
     use_quad = sat_bits >= 4
     step_quad = quad_tables(vector_bits, sat_bits) if use_quad else None
 
-    bit_values = np.left_shift(np.uint8(1), np.arange(vector_bits, dtype=np.uint8))
+    bit_values, window_masks_np, decode_np = _geometry_arrays(l1)
     if bits is None:
         # Identical draws to the scalar path: same generator, sizes, order.
         rng = np.random.default_rng(engine.config.seed ^ 0xB17)
@@ -297,8 +324,6 @@ def process_trace_batched(
     code_all = bits1 + np.uint8(vector_bits) * bits2
 
     window_masks = l1._window_masks
-    window_masks_np = np.array(window_masks, dtype=np.uint64)
-    decode_np = np.asarray(l1._decode_table, dtype=np.float64)
     words = l1.words
     l2_words = [sketch.words for sketch in regulator.l2]
     num_banks = len(l2_words)
@@ -343,17 +368,18 @@ def process_trace_batched(
 
         word_run_starts = layout["word_run_starts"]
         word_run_lengths = layout["word_run_lengths"]
-        word_run_heads = layout["word_run_heads"]
-        words_np = np.array(words, dtype=np.uint64)
-        upper = words_np[word_run_heads] | np.bitwise_or.reduceat(
-            rotated_or_np, word_run_starts
-        )
+        # The L1 words this chunk touches, indexed by word run.  The screen,
+        # the rounds and the L1 side of the replay work on these; the L2
+        # banks stay indexed by global word.  Only these go back.
+        run_heads = layout["word_run_heads"].tolist()
+        run_words = np.array([words[w] for w in run_heads], dtype=np.uint64)
+        upper = run_words | np.bitwise_or.reduceat(rotated_or_np, word_run_starts)
         stretch_ok = (
             np.bitwise_count(np.repeat(upper, word_run_lengths) & stretch_windows)
             < sat_bits
         )
         word_ok = np.logical_and.reduceat(stretch_ok, word_run_starts)
-        words_np[word_run_heads[word_ok]] = upper[word_ok]
+        run_words[word_ok] = upper[word_ok]
 
         event_pos: "list[int]" = []
         event_z: "list[int]" = []
@@ -373,6 +399,7 @@ def process_trace_batched(
 
                 def replay(
                     sid,
+                    run,
                     s1=step1,
                     sq=step_quad,
                     qs=quad_stream,
@@ -383,7 +410,7 @@ def process_trace_batched(
                     offs_l=offs_l,
                     starts_l=starts_l,
                     ends_l=ends_l,
-                    words_np=words_np,
+                    run_words=run_words,
                     window_masks=window_masks,
                     word_bits=word_bits,
                     window_all=window_all,
@@ -396,21 +423,24 @@ def process_trace_batched(
                     ezap=event_z.append,
                     ez2ap=event_z2.append,
                 ):
-                    # Replay one screen-failed stretch through the quad FSM
-                    # with the L2 step folded inline.  Chain saturations all
-                    # carry noise_z — the window regrew from zero — so a
-                    # single local (st2) holds the noise_z bank's window for
-                    # the whole stretch and the common saturation handler is
-                    # one table step.  Only the stretch's first saturation
-                    # (inherited word state) can deviate; it read-modify-
-                    # writes its own bank directly.  (Keyword defaults bind
-                    # every table and column into fast locals — this runs
-                    # tens of thousands of times per trace.)
+                    # Replay one screen-failed stretch (of word run ``run``)
+                    # through the quad FSM with the L2 step folded inline.
+                    # Chain saturations all carry noise_z — the window
+                    # regrew from zero — so a single local (st2) holds the
+                    # noise_z bank's window for the whole stretch and the
+                    # common saturation handler is one table step.  L1
+                    # reads and writes ``run_words[run]``; the L2 banks
+                    # take the global word ``w``.  Only the stretch's first
+                    # saturation (inherited word state) can deviate; it
+                    # read-modify-writes its own bank directly.  (Keyword
+                    # defaults bind every table and column into fast
+                    # locals — this runs tens of thousands of times per
+                    # trace.)
                     w = words_l[sid]
                     off = offs_l[sid]
                     a = starts_l[sid]
                     b = ends_l[sid]
-                    word = int(words_np[w])
+                    word = int(run_words[run])
                     window = window_masks[off]
                     inv = word_bits - off
                     state = ((word >> off) | (word << inv)) & window_all
@@ -599,7 +629,7 @@ def process_trace_batched(
                                 ((stz << off) | (stz >> inv)) & word_mask
                             )
                         state = 0
-                    words_np[w] = rest | (
+                    run_words[run] = rest | (
                         ((state << off) | (state >> inv)) & word_mask
                     )
                     if st2 >= 0:
@@ -625,7 +655,7 @@ def process_trace_batched(
                     pair_or[: 2 * quads : 2] | pair_or[1 : 2 * quads : 2]
                 ).tobytes()
 
-                def replay(sid):
+                def replay(sid, run):
                     # Pair-table replay for saturation_bits < 4 (a quad
                     # block could saturate more than once there).
                     s1 = step1
@@ -635,7 +665,7 @@ def process_trace_batched(
                     off = offs_l[sid]
                     a = starts_l[sid]
                     b = ends_l[sid]
-                    word = int(words_np[w])
+                    word = int(run_words[run])
                     window = window_masks[off]
                     inv = word_bits - off
                     state = ((word >> off) | (word << inv)) & window_all
@@ -759,7 +789,7 @@ def process_trace_batched(
                                 l2_states[z] = nxt2
                             nsat += 1
                             state = 0
-                    words_np[w] = rest | (
+                    run_words[run] = rest | (
                         ((state << off) | (state >> inv)) & word_mask
                     )
                     if l2_states is not None:
@@ -782,35 +812,38 @@ def process_trace_batched(
             fail_runs = np.flatnonzero(~word_ok)
             ptr = word_run_starts[fail_runs].copy()
             run_end = ptr + word_run_lengths[fail_runs]
-            run_wid = word_run_heads[fail_runs]
             active = np.arange(fail_runs.size)
             while active.size > 32:
                 sidx = ptr[active]
-                cand = words_np[run_wid[active]] | rotated_or_np[sidx]
+                runs = fail_runs[active]
+                cand = run_words[runs] | rotated_or_np[sidx]
                 okv = (
                     np.bitwise_count(cand & stretch_windows[sidx]) < sat_bits
                 )
-                words_np[run_wid[active][okv]] = cand[okv]
+                run_words[runs[okv]] = cand[okv]
                 if not okv.all():
-                    for sid in sidx[~okv].tolist():
-                        l1_saturations += replay(sid)
+                    failed = ~okv
+                    for sid, run in zip(
+                        sidx[failed].tolist(), runs[failed].tolist()
+                    ):
+                        l1_saturations += replay(sid, run)
                 ptr[active] += 1
                 active = active[ptr[active] < run_end[active]]
             # Tail: few enough runs left that scalar screening beats the
             # per-round array overhead.
             for r in active.tolist():
-                w = int(run_wid[r])
-                word = int(words_np[w])
+                run = int(fail_runs[r])
+                word = int(run_words[run])
                 for sid in range(int(ptr[r]), int(run_end[r])):
                     window = window_masks[offs_l[sid]]
                     candidate = word | int(rotated_or_np[sid])
                     if (candidate & window).bit_count() < sat_bits:
                         word = candidate
                     else:
-                        words_np[w] = word
-                        l1_saturations += replay(sid)
-                        word = int(words_np[w])
-                words_np[w] = word
+                        run_words[run] = word
+                        l1_saturations += replay(sid, run)
+                        word = int(run_words[run])
+                run_words[run] = word
 
             if use_quad:
                 # The quad replay appends events inline; the pair replay
@@ -818,7 +851,8 @@ def process_trace_batched(
                 for z in event_z:
                     l2_saturated[z] += 1
 
-        words[:] = words_np.tolist()
+        for w, value in zip(run_heads, run_words.tolist()):
+            words[w] = value
 
         if event_pos:
             # One delegated batch per chunk, in original packet order.

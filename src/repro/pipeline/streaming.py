@@ -17,9 +17,11 @@ flushes the rest.  Each chunk carries its own deduplicated
 :class:`~repro.traffic.packet.FlowTable`, built vectorized from the raw
 records and sorted by packed 5-tuple, so per-chunk cost stays bounded no
 matter how many distinct flows the stream has seen in total.  Every
-block of records is checked as it arrives: a non-finite timestamp, or
-one below the timestamp read before it, is a
+block of records is checked as it arrives: a non-finite timestamp, one
+below the timestamp read before it, or a nonzero pad byte is a
 :class:`~repro.errors.TraceFormatError` naming its stream position.
+Blocks are staged as the read-only views the reader returns, and a
+leftover joins the next block as raw bytes, never field by field.
 
 Both sources support an epoch-origin override (``start_time``) and a
 resume position, which is how a recovering daemon replays the tail of a
@@ -123,6 +125,18 @@ def _check_timestamps(ts: np.ndarray, position: int, last: float) -> None:
         raise TraceFormatError(
             f"timestamp {ts[at]} at stream position {position + at} is "
             f"below the one before it ({previous})"
+        )
+
+
+def _check_pad(pad: np.ndarray, position: int) -> None:
+    """Reject a block with a nonzero pad byte (the format fixes it at 0).
+
+    ``position`` is the stream position of ``pad[0]``.
+    """
+    if pad.any():
+        at = int(np.argmax(pad != 0))
+        raise TraceFormatError(
+            f"nonzero pad byte {pad[at]} at stream position {position + at}"
         )
 
 
@@ -251,15 +265,22 @@ class StreamingChunkSource(ChunkSource):
                 if block is None:
                     ended = True
                 elif len(block):
+                    position = consumed + len(pending)
                     ts = block["timestamp"]
-                    _check_timestamps(ts, consumed + len(pending), last)
+                    _check_timestamps(ts, position, last)
+                    _check_pad(block["pad"], position)
                     last = float(ts[-1])
                     if self.start_time is None:
                         self.start_time = float(ts[0])
+                    # Blocks stay the read-only views the source returned;
+                    # a leftover joins the next block as raw bytes (a
+                    # structured copy moves field by field).
                     pending = (
-                        np.concatenate([pending, block])
+                        np.concatenate(
+                            [pending.view(np.uint8), block.view(np.uint8)]
+                        ).view(RECORD_DTYPE)
                         if len(pending)
-                        else np.array(block)
+                        else block
                     )
                 else:
                     self._stop.wait(self.poll_interval)

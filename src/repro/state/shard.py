@@ -122,15 +122,11 @@ class ShardRouter:
         trace = chunk.trace
         begin = int(getattr(chunk, "begin", 0))
         assignment = self.flow_shards(trace.flows)[trace.flow_ids]
-        # Stable sort by shard: within a shard, packets keep ascending
-        # chunk order, so positions stay ascending and per-flow order is
-        # the global one.
-        order = np.argsort(assignment, kind="stable")
-        counts = np.bincount(assignment, minlength=self.num_shards)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
         parts: "list[tuple]" = []
         for shard in range(self.num_shards):
-            index = order[offsets[shard] : offsets[shard + 1]]
+            # Ascending chunk offsets: positions stay ascending and per-flow
+            # order is the global one.
+            index = np.flatnonzero(assignment == shard)
             sub = Trace(
                 timestamps=trace.timestamps[index],
                 flow_ids=trace.flow_ids[index],

@@ -87,20 +87,23 @@ class FlowTable:
         self.key64 = self._compute_keys()
         self._packed_tuples: "list[int] | None" = None
 
-    def _compute_keys(self) -> np.ndarray:
-        # Vectorized equivalent of FiveTuple.key64: fold the 104-bit packed
-        # tuple to 64 bits (low64 ^ high40), then the seeded mixer.
+    def _packed_halves(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The packed 5-tuples' high 40 and low 64 bits, as uint64 columns."""
         src = self.src_ip.astype(np.uint64)
         dst = self.dst_ip.astype(np.uint64)
-        high40 = ((src << np.uint64(8)) | (dst >> np.uint64(24))) & np.uint64(
-            (1 << 40) - 1
-        )
+        high40 = (src << np.uint64(8)) | (dst >> np.uint64(24))
         low64 = (
             ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
             | (self.src_port.astype(np.uint64) << np.uint64(24))
             | (self.dst_port.astype(np.uint64) << np.uint64(8))
             | self.protocol.astype(np.uint64)
         )
+        return high40, low64
+
+    def _compute_keys(self) -> np.ndarray:
+        # Vectorized equivalent of FiveTuple.key64: fold the 104-bit packed
+        # tuple to 64 bits (low64 ^ high40), then the seeded mixer.
+        high40, low64 = self._packed_halves()
         return hash_u64_array(low64 ^ high40, self.hash_seed)
 
     def __len__(self) -> int:
@@ -122,21 +125,14 @@ class FlowTable:
         Computed lazily and cached on the table: engines store these in
         WSAF records on every insertion, and a trace is typically processed
         many times (sweeps, repeated engines), so the list comprehension
-        should run once per flow table, not once per run.
+        should run once per flow table, not once per run.  The high and low
+        halves are packed vectorized; Python joins them once per flow.
         """
         if self._packed_tuples is None:
-            src = self.src_ip.tolist()
-            dst = self.dst_ip.tolist()
-            sport = self.src_port.tolist()
-            dport = self.dst_port.tolist()
-            proto = self.protocol.tolist()
+            high40, low64 = self._packed_halves()
             self._packed_tuples = [
-                src[i] << 72
-                | dst[i] << 40
-                | sport[i] << 24
-                | dport[i] << 8
-                | proto[i]
-                for i in range(len(src))
+                high << 64 | low
+                for high, low in zip(high40.tolist(), low64.tolist())
             ]
         return self._packed_tuples
 

@@ -15,8 +15,9 @@ that: a 16-byte header followed by fixed 24-byte records::
     (pad)      u8    (zero)
     size       u16   (wire bytes)
 
-Little-endian throughout.  The reader streams records without loading the
-file; converters bridge to/from the columnar :class:`Trace`.
+Little-endian throughout, and readers reject a nonzero pad byte.  The
+reader streams records without loading the file; converters bridge
+to/from the columnar :class:`Trace`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.traffic.packet import FiveTuple, FlowTable, Trace
 MAGIC = b"IMPL"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHH8x")  # magic, version, reserved, pad to 16
-_RECORD = struct.Struct("<dIIHHBxH")
+_RECORD = struct.Struct("<dIIHHBBH")
 RECORD_BYTES = _RECORD.size
 HEADER_BYTES = _HEADER.size
 
@@ -72,6 +73,7 @@ class PacketRecordWriter:
                 five_tuple.src_port,
                 five_tuple.dst_port,
                 five_tuple.protocol,
+                0,
                 size,
             )
         )
@@ -128,16 +130,23 @@ class PacketRecordReader:
             )
 
     def __iter__(self) -> Iterator["tuple[float, FiveTuple, int]"]:
+        position = 0
         while True:
             chunk = self._file.read(RECORD_BYTES)
             if not chunk:
                 return
             if len(chunk) != RECORD_BYTES:
                 raise TraceFormatError(f"{self.path!r}: truncated record")
-            (ts, src_ip, dst_ip, src_port, dst_port, proto, size) = _RECORD.unpack(
-                chunk
+            (ts, src_ip, dst_ip, src_port, dst_port, proto, pad, size) = (
+                _RECORD.unpack(chunk)
             )
+            if pad:
+                raise TraceFormatError(
+                    f"{self.path!r}: nonzero pad byte {pad} at stream "
+                    f"position {position}"
+                )
             yield ts, FiveTuple(src_ip, dst_ip, src_port, dst_port, proto), size
+            position += 1
 
     def read_block(self, max_records: int) -> np.ndarray:
         """Up to ``max_records`` complete records as a structured array.

@@ -190,6 +190,32 @@ class TestBitIdenticality:
         assert batched_engine.regulator.stats.insertions > 0
         _assert_identical(scalar_engine, batched_engine)
 
+    @pytest.mark.parametrize("chunk_size", [7, 64])
+    @pytest.mark.parametrize(
+        "replay",
+        [{}, dict(vector_bits=3, saturation_fill=0.5)],
+        ids=["quad", "pair"],
+    )
+    def test_identical_with_large_l1_and_small_chunks(
+        self, trace, replay, chunk_size
+    ):
+        # 2**16 L1 words and a few dozen packets per call: each call
+        # gathers a handful of touched words out of a large sketch and
+        # writes only those back, through either contested replay.
+        geometry = dict(
+            l1_memory_bytes=(1 << 16) * 4, chunk_size=chunk_size, **replay
+        )
+        scalar_engine, _ = _run(trace, _config(engine="scalar", **geometry))
+        kernel_engine, _ = _run(trace, _config(engine="batched", **geometry))
+        assert kernel_engine.regulator.l1.num_words == 1 << 16
+        assert kernel_engine.regulator.stats.insertions > 0
+        _assert_identical(scalar_engine, kernel_engine)
+        scalar_snapshot = capture_engine(scalar_engine)
+        kernel_snapshot = replace(
+            capture_engine(kernel_engine), config=scalar_snapshot.config
+        )
+        assert to_bytes(kernel_snapshot) == to_bytes(scalar_snapshot)
+
     def test_callbacks_fire_identically(self, trace, layout):
         scalar_calls: list = []
         batched_calls: list = []

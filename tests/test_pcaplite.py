@@ -15,7 +15,7 @@ from repro.traffic import (
     read_pcaplite,
     write_pcaplite,
 )
-from repro.traffic.pcaplite import RECORD_BYTES
+from repro.traffic.pcaplite import HEADER_BYTES, RECORD_BYTES, RECORD_DTYPE
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +100,23 @@ class TestFormatErrors:
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError):
             PacketRecordReader(path)
+
+    @pytest.mark.parametrize("pad", [1, 0xFF])
+    @pytest.mark.parametrize("at", [0, 6])
+    def test_nonzero_pad_byte(self, tmp_path, at, pad):
+        path = tmp_path / "padded.impl"
+        with PacketRecordWriter(path) as writer:
+            for p in range(8):
+                writer.write(float(p), FiveTuple(1, 2, 3, 4, 6), 100)
+        data = bytearray(path.read_bytes())
+        data[HEADER_BYTES + at * RECORD_BYTES + RECORD_DTYPE.fields["pad"][1]] = pad
+        path.write_bytes(bytes(data))
+        message = rf"nonzero pad byte {pad} at stream position {at}\b"
+        with PacketRecordReader(path) as reader:
+            records = []
+            with pytest.raises(TraceFormatError, match=message):
+                for record in reader:
+                    records.append(record)
+        assert len(records) == at
+        with pytest.raises(TraceFormatError, match=message):
+            read_pcaplite(path)

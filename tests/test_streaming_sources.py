@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InstaMeasure, InstaMeasureConfig
@@ -238,6 +238,32 @@ class TestPacketRecordChunkSource:
         stream_chunks = [_chunk_signature(c) for c in stream]
         assert stream_chunks == batch_chunks
 
+    @given(
+        chunk_size=st.integers(8, 2_000),
+        block_records=st.integers(1, 2_500),
+        epoch_seconds=st.one_of(st.none(), st.floats(0.05, 3.0)),
+    )
+    @example(chunk_size=700, block_records=64, epoch_seconds=1.0)
+    @example(chunk_size=100, block_records=33, epoch_seconds=None)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_batch_source_for_any_block_size(
+        self, trace, capture, chunk_size, block_records, epoch_seconds
+    ):
+        # Blocks below the chunk size, and blocks that do not divide it,
+        # join leftovers to the next block byte by byte.
+        batch = TraceChunkSource(
+            trace, chunk_size=chunk_size, epoch_seconds=epoch_seconds
+        )
+        stream = PacketRecordChunkSource(
+            capture,
+            chunk_size=chunk_size,
+            epoch_seconds=epoch_seconds,
+            block_records=block_records,
+        )
+        assert [_chunk_signature(c) for c in stream] == [
+            _chunk_signature(c) for c in batch
+        ]
+
     def test_unbounded_metadata(self, capture):
         source = PacketRecordChunkSource(capture, chunk_size=512)
         assert source.total_packets is None
@@ -420,6 +446,45 @@ class TestTimestampValidation:
         assert sum(c.num_packets for c in source) == len(timestamps)
 
 
+def _set_pad(path: str, record: int, value: int = 1) -> str:
+    """Overwrite the pad byte of record ``record`` in a pcap-lite file."""
+    with open(path, "r+b") as handle:
+        handle.seek(
+            HEADER_BYTES + record * RECORD_BYTES + RECORD_DTYPE.fields["pad"][1]
+        )
+        handle.write(bytes([value]))
+    return path
+
+
+class TestPadByteValidation:
+    """The format fixes the pad byte at zero; a stream with any other
+    value is malformed and stops with a typed error naming where."""
+
+    @pytest.mark.parametrize("block_records", [4, 8_192])
+    @pytest.mark.parametrize("at", [0, 9])
+    def test_rejects_nonzero_pad(self, tmp_path, at, block_records):
+        path = _write_timestamps(tmp_path / "pad.impl", _STEADY)
+        source = PacketRecordChunkSource(
+            _set_pad(path, at, 0x80), chunk_size=4, block_records=block_records
+        )
+        chunks = []
+        with pytest.raises(
+            TraceFormatError, match=rf"pad byte 128 at stream position {at}\b"
+        ):
+            for chunk in source:
+                chunks.append(chunk)
+        # Nothing from the bad block was cut.
+        assert sum(c.num_packets for c in chunks) <= at - at % block_records
+
+    def test_resumed_stream_reports_stream_position(self, tmp_path):
+        path = _write_timestamps(tmp_path / "pad.impl", _STEADY)
+        source = PacketRecordChunkSource(
+            _set_pad(path, 9), chunk_size=4, start_record=6
+        )
+        with pytest.raises(TraceFormatError, match=r"position 9\b"):
+            list(source)
+
+
 class TestSocketChunkSource:
     def _serve_bytes(self, payload: bytes, dribble: int):
         """Serve ``payload`` over a one-shot TCP socket in ragged pieces."""
@@ -489,6 +554,18 @@ class TestSocketChunkSource:
             poll_interval=0.01,
         )
         with pytest.raises(TraceFormatError, match=r"position 7\b"):
+            list(stream)
+        thread.join(timeout=10.0)
+
+    def test_rejects_nonzero_pad(self, tmp_path):
+        path = _write_timestamps(tmp_path / "pad.impl", _STEADY)
+        with open(_set_pad(path, 7), "rb") as handle:
+            payload = handle.read()
+        port, thread = self._serve_bytes(payload, dribble=RECORD_BYTES * 2)
+        stream = SocketChunkSource(
+            "127.0.0.1", port, chunk_size=4, poll_interval=0.01
+        )
+        with pytest.raises(TraceFormatError, match=r"pad byte 1 at stream position 7\b"):
             list(stream)
         thread.join(timeout=10.0)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -18,6 +18,20 @@ FIVE_TUPLES = st.builds(
     dst_port=st.integers(0, 2**16 - 1),
     protocol=st.integers(0, 255),
 )
+
+
+def _field(bits: int):
+    """Any ``bits``-wide value, with all-zero and all-ones drawn often."""
+    top = (1 << bits) - 1
+    return st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+
+
+#: 5-tuples whose fields are often all zeros or all ones.
+EDGE_FIVE_TUPLES = st.builds(
+    FiveTuple, _field(32), _field(32), _field(16), _field(16), _field(8)
+)
+_ZEROS = FiveTuple(0, 0, 0, 0, 0)
+_ONES = FiveTuple(2**32 - 1, 2**32 - 1, 2**16 - 1, 2**16 - 1, 255)
 
 
 class TestFiveTuple:
@@ -75,6 +89,16 @@ class TestFlowTable:
                 dst_port=np.zeros(2, dtype=np.uint16),
                 protocol=np.zeros(2, dtype=np.uint8),
             )
+
+    @given(st.lists(EDGE_FIVE_TUPLES, max_size=40), st.integers(0, 2**32 - 1))
+    @example([_ZEROS, _ONES], 0)
+    def test_packed_tuples_match_per_flow_formula(self, tuples, seed):
+        table = FlowTable.from_five_tuples(tuples, hash_seed=seed)
+        assert table.packed_tuples() == [
+            src << 72 | dst << 40 | sport << 24 | dport << 8 | proto
+            for src, dst, sport, dport, proto in tuples
+        ]
+        assert table.key64.tolist() == [ft.key64(seed) for ft in tuples]
 
     def test_keys_differ_across_flows(self):
         table = FlowTable.from_five_tuples(

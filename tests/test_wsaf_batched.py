@@ -177,13 +177,32 @@ class TestSlotForSlotIdentity:
         assert totals_s == totals_b
         _assert_slots_identical(scalar, batched)
 
-    def test_small_batches_take_scalar_path(self):
+    @pytest.mark.parametrize(
+        "size,batch_probed",
+        [(_SCALAR_CUTOFF - 1, False), (_SCALAR_CUTOFF, True)],
+        ids=["below-cutoff", "at-cutoff"],
+    )
+    def test_small_batches_take_scalar_path(self, monkeypatch, size, batch_probed):
+        plans = []
+        build_plan = BatchedWSAFTable._build_batch_plan
+
+        def spy(table, *args):
+            plans.append(len(args[0]))
+            return build_plan(table, *args)
+
+        monkeypatch.setattr(BatchedWSAFTable, "_build_batch_plan", spy)
         scalar, batched = _pair()
-        events = _random_events(2, _SCALAR_CUTOFF - 1, key_space=1 << 10)
+        events = _random_events(2, size, key_space=1 << 10)
         totals_s = _apply(scalar, events)
         totals_b = _apply(batched, events)
+        assert plans == ([size] if batch_probed else [])
         assert totals_s == totals_b
         _assert_slots_identical(scalar, batched)
+
+    def test_identity_cases_feed_batches_above_the_cutoff(self):
+        # The cases above feed batches of 200 to 9,000 events; below the
+        # cutoff they would test the per-event branch instead.
+        assert _SCALAR_CUTOFF < 200
 
     def test_accumulate_batch_tuple_form_matches_arrays(self):
         a = BatchedWSAFTable(num_entries=1 << 8)
