@@ -6,7 +6,8 @@ NumPy for the gathers and saturation screening, precomputed FSM lookup
 tables for the contested remainder — while staying **bit-identical** to
 the scalar loop (same randomness stream, same state, same WSAF records).
 
-* :mod:`repro.kernels.luts` — cached per-geometry transition tables.
+* :mod:`repro.kernels.luts` — cached per-geometry transition tables
+  (:func:`geometry_tables` names the ones a geometry's kernel uses).
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
 * :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed flat
@@ -23,13 +24,19 @@ from repro.kernels.batched import (
     process_trace_batched,
     runs_kernel,
 )
-from repro.kernels.luts import SENTINEL, KernelTables, kernel_tables
+from repro.kernels.luts import (
+    SENTINEL,
+    KernelTables,
+    geometry_tables,
+    kernel_tables,
+)
 
 __all__ = [
     "BatchCounters",
     "DEFAULT_CHUNK_SIZE",
     "KernelTables",
     "SENTINEL",
+    "geometry_tables",
     "kernel_tables",
     "process_trace_batched",
     "runs_kernel",

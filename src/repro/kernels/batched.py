@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.luts import SENTINEL, kernel_tables, quad_tables
+from repro.kernels.luts import SENTINEL, geometry_tables
 
 #: Default packets per kernel chunk (one chunk for most lab traces).
 DEFAULT_CHUNK_SIZE = 1 << 20
@@ -304,14 +304,13 @@ def process_trace_batched(
     if num_packets == 0:
         return counters
 
-    tables = kernel_tables(vector_bits, sat_bits)
+    tables, step_quad = geometry_tables(vector_bits, sat_bits)
     step1 = tables.single
     step_pair = tables.pair
     popcount = tables.popcount
     step1_empty = step1[0]
     sentinel = SENTINEL
-    use_quad = sat_bits >= 4
-    step_quad = quad_tables(vector_bits, sat_bits) if use_quad else None
+    use_quad = step_quad is not None
 
     bit_values, window_masks_np, decode_np = _geometry_arrays(l1)
     if bits is None:

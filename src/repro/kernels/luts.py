@@ -119,6 +119,10 @@ def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
 
 _QUAD_CACHE: "dict[tuple[int, int], object]" = {}
 
+#: Window states per block of the quad-table build: the block's
+#: ``states x 4096`` intermediates stay well under 1 MiB.
+_QUAD_BLOCK_STATES = 16
+
 
 def quad_tables(vector_bits: int, saturation_bits: int):
     """Four-packet transition table as a flat ``array('H')``, indexed
@@ -135,8 +139,10 @@ def quad_tables(vector_bits: int, saturation_bits: int):
     where ``pos`` is the saturating packet's position in the block, ``z``
     its noise level, and ``after`` the window state once the remaining
     packets replayed from empty.  Built by composing the (separately
-    verified) single-packet table, vectorized over the full
-    ``states x 4096`` grid.
+    verified) single-packet table, vectorized over ``states x 4096``
+    grids of :data:`_QUAD_BLOCK_STATES` states at a time, written straight
+    into the table so the build's transient memory stays a fraction of
+    the table's own.
 
     The flat unboxed layout matters: the table has a million entries, and
     a nested list of boxed ints scatters them across the heap — every
@@ -164,27 +170,41 @@ def quad_tables(vector_bits: int, saturation_bits: int):
     valid = np.ones(4096, dtype=bool)
     for b in bits:
         valid &= b < vector_bits
-    cur = np.broadcast_to(
-        np.arange(num_states, dtype=np.int32)[:, None], (num_states, 4096)
-    ).copy()
-    sat_tag = np.full((num_states, 4096), -1, dtype=np.int32)
-    for pos, b in enumerate(bits):
-        safe_b = np.where(valid, b, 0)
-        nxt = s1[cur, safe_b[None, :]]
-        # With saturation_bits >= 4 a second saturation inside the block
-        # is impossible, so any sentinel here is the block's only one.
-        sat_now = nxt >= SENTINEL
-        sat_tag = np.where(
-            sat_now, (pos << 3) | (nxt - SENTINEL), sat_tag
-        )
-        cur = np.where(sat_now, 0, nxt)
-    result = np.where(
-        sat_tag < 0, cur, SENTINEL + (sat_tag << 8) + cur
-    )
-    result[:, ~valid] = 0
-    flat = array("H")
-    flat.frombytes(np.ascontiguousarray(result.astype(np.uint16)).tobytes())
+    safe_bits = [np.where(valid, b, 0)[None, :] for b in bits]
+    flat = array("H", [0]) * (num_states << 12)
+    grid = np.frombuffer(flat, dtype=np.uint16).reshape(num_states, 4096)
+    for first in range(0, num_states, _QUAD_BLOCK_STATES):
+        last = min(first + _QUAD_BLOCK_STATES, num_states)
+        states = np.arange(first, last, dtype=np.int32)
+        cur = np.repeat(states[:, None], 4096, axis=1)
+        sat_tag = np.full(cur.shape, -1, dtype=np.int32)
+        for pos, b in enumerate(safe_bits):
+            nxt = s1[cur, b]
+            # With saturation_bits >= 4 a second saturation inside the
+            # block is impossible, so any sentinel here is its only one.
+            sat_now = nxt >= SENTINEL
+            sat_tag = np.where(
+                sat_now, (pos << 3) | (nxt - SENTINEL), sat_tag
+            )
+            cur = np.where(sat_now, 0, nxt)
+        block = np.where(sat_tag < 0, cur, SENTINEL + (sat_tag << 8) + cur)
+        block[:, ~valid] = 0
+        grid[first:last] = block
     _QUAD_CACHE[key] = flat
     return flat
 
 
+def geometry_tables(vector_bits: int, saturation_bits: int):
+    """``(kernel_tables, quad_tables or None)``: every table the batched
+    kernel steps one layer geometry with.
+
+    The quad table exists, and the kernel's replay takes four packets
+    per lookup, exactly when ``saturation_bits >= 4``; narrower
+    thresholds step pairs through :func:`kernel_tables` alone.  The
+    kernel fetches its tables here, and the fork pool calls it before
+    forking so its workers inherit them built.
+    """
+    tables = kernel_tables(vector_bits, saturation_bits)
+    if saturation_bits < 4:
+        return tables, None
+    return tables, quad_tables(vector_bits, saturation_bits)

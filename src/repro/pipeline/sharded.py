@@ -69,6 +69,7 @@ from repro.pipeline.source import (
 )
 from repro.state import MeasurementSnapshot, ShardRouter, from_bytes, merge, to_bytes
 from repro.state.codec import pack_frame, unpack_frame
+from repro.state.shard import l1_sketch
 from repro.traffic.packet import Trace
 
 #: Mask extracting the low 64 bits of a packed 104-bit 5-tuple.
@@ -207,30 +208,31 @@ class _ShardFlowSync:
             self._mapping = np.full(len(flows), -1, dtype=np.int64)
             self.count = 0
         mapping = self._mapping
-        unique = np.unique(flow_ids)
-        fresh = unique[mapping[unique] < 0]
+        local_ids = mapping[flow_ids]
+        unmapped = local_ids < 0
+        pending = flow_ids[unmapped]
+        # Distinct unmapped ids by sort and adjacent compare: a plain
+        # np.unique takes NumPy's (>= 2.3) far slower hash path.
+        fresh = np.sort(pending)
+        if fresh.size > 1:
+            fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
         if fresh.size:
             mapping[fresh] = np.arange(
                 self.count, self.count + fresh.size, dtype=np.int64
             )
             self.count += int(fresh.size)
-        return mapping[flow_ids], fresh, new_table
+            local_ids[unmapped] = mapping[pending]
+        return local_ids, fresh, new_table
 
 
 def _fresh_flow_columns(flows, index: np.ndarray):
     """``(key64, tuple_lo, tuple_hi)`` for the flows at ``index``."""
     key64 = flows.key64[index]
-    try:
-        src = flows.src_ip[index].astype(np.uint64)
-        dst = flows.dst_ip[index].astype(np.uint64)
-        lo = (
-            ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-            | (flows.src_port[index].astype(np.uint64) << np.uint64(24))
-            | (flows.dst_port[index].astype(np.uint64) << np.uint64(8))
-            | flows.protocol[index].astype(np.uint64)
-        )
-        hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
-    except AttributeError:
+    packed_halves = getattr(flows, "_packed_halves", None)
+    if packed_halves is not None:
+        hi, lo = packed_halves(index)
+    else:
+        # A duck-typed table with no 5-tuple columns.
         packed = flows.packed_tuples()
         values = [packed[i] for i in index.tolist()]
         lo = np.array([v & _LOW64 for v in values], dtype=np.uint64)
@@ -333,16 +335,24 @@ class ShardWorkerPool:
     holds a live engine with the global randomness draw and accumulates
     state across every sub-chunk it receives, so per-run cost is one
     fork + one snapshot ship per worker no matter how many chunks
-    stream through.  Worker failures surface promptly as
-    :class:`~repro.errors.ShardWorkerError` (never a hang): a worker
-    that raises ships its traceback back as an error frame, and a
-    worker that dies outright breaks the pipe, which the next
-    :meth:`send` or :meth:`finalize` turns into the same error.
+    stream through.  The kernel's FSM tables are built (or fetched from
+    the process cache) before the fork, so workers inherit them.  Worker
+    failures surface promptly as :class:`~repro.errors.ShardWorkerError`
+    (never a hang): a worker that raises ships its traceback back as an
+    error frame, and a worker that dies outright breaks the pipe, which
+    the next :meth:`send` or :meth:`finalize` turns into the same error.
     """
 
     def __init__(self, config, key_ranges, total: int, context=None) -> None:
+        from repro.kernels import geometry_tables, runs_kernel
+
         if context is None:
             context = multiprocessing.get_context("fork")
+        if runs_kernel(config):
+            # Built once here, every forked worker inherits the kernel's
+            # FSM tables copy-on-write instead of rebuilding them.
+            l1 = l1_sketch(config)
+            geometry_tables(l1.vector_bits, l1.saturation_bits)
         self.num_shards = len(key_ranges)
         self._conns = []
         self._procs = []

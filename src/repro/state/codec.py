@@ -450,7 +450,8 @@ def pack_frame(meta: "dict", columns: "dict[str, np.ndarray]") -> bytes:
     for name, array in columns.items():
         wire, data = _frame_dtype(np.asarray(array))
         manifest.append({"name": name, "dtype": wire, "count": int(data.size)})
-        payloads.append(data.tobytes())
+        # The join below is the one copy: no per-column tobytes().
+        payloads.append(memoryview(data))
     header = {"meta": meta, "manifest": manifest}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     parts = [FRAME_MAGIC, len(header_bytes).to_bytes(8, "little"), header_bytes]

@@ -20,6 +20,20 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
+def l1_sketch(config):
+    """An empty :class:`~repro.core.rcc.RCCSketch` with the geometry and
+    placement of ``config``'s L1 layer."""
+    from repro.core.rcc import RCCSketch
+
+    return RCCSketch(
+        config.l1_memory_bytes,
+        vector_bits=config.vector_bits,
+        word_bits=config.word_bits,
+        saturation_fill=config.saturation_fill,
+        seed=config.seed,
+    )
+
+
 class ShardRouter:
     """Contiguous word-range partitioner.
 
@@ -56,15 +70,7 @@ class ShardRouter:
     @classmethod
     def for_config(cls, config, num_shards: int) -> "ShardRouter":
         """Build a router matching ``config``'s L1 placement exactly."""
-        from repro.core.rcc import RCCSketch
-
-        sketch = RCCSketch(
-            config.l1_memory_bytes,
-            vector_bits=config.vector_bits,
-            word_bits=config.word_bits,
-            saturation_fill=config.saturation_fill,
-            seed=config.seed,
-        )
+        sketch = l1_sketch(config)
 
         def place(keys: np.ndarray) -> np.ndarray:
             indices, _offsets = sketch.place_array(keys)

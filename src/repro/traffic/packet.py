@@ -87,16 +87,27 @@ class FlowTable:
         self.key64 = self._compute_keys()
         self._packed_tuples: "list[int] | None" = None
 
-    def _packed_halves(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The packed 5-tuples' high 40 and low 64 bits, as uint64 columns."""
-        src = self.src_ip.astype(np.uint64)
-        dst = self.dst_ip.astype(np.uint64)
+    def _packed_halves(
+        self, index: "np.ndarray | None" = None
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The packed 5-tuples' high 40 and low 64 bits, as uint64 columns:
+        every flow's, or with ``index`` only those of the flows it names."""
+        src, dst, src_port, dst_port, protocol = (
+            (column if index is None else column[index]).astype(np.uint64)
+            for column in (
+                self.src_ip,
+                self.dst_ip,
+                self.src_port,
+                self.dst_port,
+                self.protocol,
+            )
+        )
         high40 = (src << np.uint64(8)) | (dst >> np.uint64(24))
         low64 = (
             ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-            | (self.src_port.astype(np.uint64) << np.uint64(24))
-            | (self.dst_port.astype(np.uint64) << np.uint64(8))
-            | self.protocol.astype(np.uint64)
+            | (src_port << np.uint64(24))
+            | (dst_port << np.uint64(8))
+            | protocol
         )
         return high40, low64
 

@@ -25,7 +25,7 @@ from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 from repro.core.rcc import popcount_table
 from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
-from repro.kernels import SENTINEL, kernel_tables, runs_kernel
+from repro.kernels import SENTINEL, geometry_tables, kernel_tables, runs_kernel
 from repro.kernels.luts import quad_tables
 from repro.state import capture_engine, to_bytes
 from repro.traffic.synth import CaidaLikeConfig, build_caida_like_trace
@@ -414,6 +414,32 @@ class TestKernelTables:
                 assert quad[(state << 12) | code] == self._quad_reference(
                     single, state, code
                 ), (state, code)
+
+    def test_quad_table_build_memory_is_bounded(self, monkeypatch):
+        """The blocked build keeps its transient arrays a fraction of the
+        2 MiB table (the one-shot build peaked at 22 MiB)."""
+        import tracemalloc
+
+        from repro.kernels import luts
+
+        monkeypatch.setattr(luts, "_CACHE", {})
+        monkeypatch.setattr(luts, "_QUAD_CACHE", {})
+        tracemalloc.start()
+        try:
+            quad_tables(8, 6)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+    def test_geometry_tables_add_quad_from_four_saturation_bits(self):
+        for saturation_bits in (3, 4):
+            tables, quad = geometry_tables(8, saturation_bits)
+            assert tables is kernel_tables(8, saturation_bits)
+            if saturation_bits < 4:
+                assert quad is None
+            else:
+                assert quad is quad_tables(8, saturation_bits)
 
     def test_quad_table_needs_four_saturation_bits(self):
         with pytest.raises(ConfigurationError):

@@ -305,6 +305,25 @@ class TestShardedPipelineAPI:
             assert again[1].tolist() == [4]
             assert first[2:] == ((index > 0),) and again[2:] == (False,)
 
+    def test_fresh_flow_columns_of_duck_typed_tables(self, trace):
+        """A table with no 5-tuple columns ships the same identity
+        columns as the FlowTable it was filled from."""
+        from repro.pipeline.sharded import (
+            _fresh_flow_columns,
+            _ShardFlowDirectory,
+        )
+
+        flows = trace.flows
+        high, low = flows._packed_halves()
+        directory = _ShardFlowDirectory()
+        directory.extend(flows.key64, low, high)
+        index = np.array([0, 7, len(flows) - 1], dtype=np.int64)
+        got = _fresh_flow_columns(directory, index)
+        want = _fresh_flow_columns(flows, index)
+        for column, expected in zip(got, want):
+            assert column.dtype == expected.dtype
+            assert column.tolist() == expected.tolist()
+
     def test_stage_seconds_breakdown(self, trace):
         result = ShardedPipeline(_config(), num_shards=2).run(trace)
         assert set(result.stage_seconds) == {
@@ -437,6 +456,30 @@ class TestShardWorkerPool:
                 pool.finalize()
         finally:
             pool.close()
+
+    def test_pool_builds_kernel_tables_before_forking(self, monkeypatch):
+        """Workers inherit the kernel's FSM tables from the parent: the
+        pool builds them for a kernel config, and for nothing else."""
+        from repro.kernels import luts
+        from repro.pipeline import ShardWorkerPool
+
+        monkeypatch.setattr(luts, "_CACHE", {})
+        monkeypatch.setattr(luts, "_QUAD_CACHE", {})
+        scalar = _config("scalar")
+        key_range = ShardRouter.for_config(scalar, 1).key_range(0)
+        ShardWorkerPool(scalar, [key_range], 3).close()
+        assert luts._CACHE == {} and luts._QUAD_CACHE == {}
+
+        pool = ShardWorkerPool(_config("auto"), [key_range], 3)
+        try:
+            # 8-bit vectors at the default 70 % fill saturate at 6 bits.
+            assert set(luts._CACHE) == {(8, 6)}
+            assert set(luts._QUAD_CACHE) == {(8, 6)}
+            pool.send(0, self._chunk_frame([0, 1, 2]))
+            replies = pool.finalize()
+        finally:
+            pool.close()
+        assert [meta["packets"] for meta, _payload in replies] == [3]
 
     def test_healthy_pool_round_trips(self):
         pool = self._pool(total=3)

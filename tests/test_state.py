@@ -39,7 +39,7 @@ from repro.state import (
     save,
     to_bytes,
 )
-from repro.state.codec import FRAME_MAGIC, MAGIC, unpack_frame
+from repro.state.codec import FRAME_MAGIC, MAGIC, pack_frame, unpack_frame
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
 
 
@@ -345,6 +345,49 @@ class TestFrameRejection:
     def test_malformed_frame_is_a_snapshot_error(self, header):
         with pytest.raises(SnapshotError):
             unpack_frame(_frame(header))
+
+
+class TestFramePacking:
+    @staticmethod
+    def _tobytes_join(meta, columns) -> bytes:
+        """The frame as a per-column ``tobytes()`` join would write it."""
+        manifest, payloads = [], []
+        for name, array in columns.items():
+            dtype = array.dtype
+            wire = dtype.newbyteorder("<") if dtype.byteorder == ">" else dtype
+            data = np.ascontiguousarray(array, dtype=wire)
+            manifest.append(
+                {"name": name, "dtype": wire.str, "count": int(data.size)}
+            )
+            payloads.append(data.tobytes())
+        header = json.dumps(
+            {"meta": meta, "manifest": manifest}, separators=(",", ":")
+        ).encode()
+        return b"".join(
+            [FRAME_MAGIC, len(header).to_bytes(8, "little"), header, *payloads]
+        )
+
+    def test_frame_bytes_are_the_tobytes_join(self):
+        grid = np.arange(40, dtype=np.float64).reshape(8, 5)
+        columns = {
+            "flags": np.array([True, False, True]),
+            "octets": np.arange(7, dtype=np.uint8),
+            "counts": np.array([-3, 0, 1 << 40], dtype=np.int64),
+            "stamps": np.linspace(0.0, 1.0, 5),
+            "big_endian": np.arange(4, dtype=">i8"),
+            "strided": grid[:, 2],
+            "empty": np.empty(0, dtype=np.uint64),
+        }
+        assert not columns["strided"].flags.c_contiguous
+        meta = {"type": "chunk", "new_table": True}
+        frame = pack_frame(meta, columns)
+        assert frame == self._tobytes_join(meta, columns)
+        got_meta, got = unpack_frame(frame)
+        assert got_meta == meta
+        assert list(got) == list(columns)
+        for name, array in columns.items():
+            assert got[name].dtype == array.dtype.newbyteorder("<"), name
+            np.testing.assert_array_equal(got[name], array)
 
 
 class TestMerge:
