@@ -33,6 +33,7 @@ from repro.core.multilayer import MultiLayerRegulator
 from repro.core.regulator import FlowRegulator, RegulatorStats
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
+from repro.kernels.batched import BatchCounters, process_trace_batched, runs_kernel
 from repro.memmodel import AccessAccountant
 from repro.traffic.packet import Trace
 
@@ -221,45 +222,24 @@ class _BitStream:
     stream sees the same bits and a checkpoint can resume the stream
     from the block cursor alone (:meth:`unknown_cursor`).
 
-    ``positions`` opens a *positioned* stream: ``total`` is the global
-    stream length the full draw covers, and the stream consumes only the
-    packets at those global positions, in order.  A sharded worker whose
-    packets sit at positions ``P`` of the global trace therefore sees
-    exactly the bits the single-process run would hand those packets —
-    the randomness half of the sharded-equals-single guarantee.
+    A sharded worker whose packets sit at scattered global positions
+    gathers their bits out of the one known-length draw with
+    :meth:`take_at`, so it sees exactly the bits the single-process run
+    would hand those packets — the randomness half of the
+    sharded-equals-single guarantee.
     """
 
-    def __init__(
-        self,
-        config,
-        flow_regulator: bool,
-        total: "int | None",
-        positions: "np.ndarray | None" = None,
-    ) -> None:
+    def __init__(self, config, flow_regulator: bool, total: "int | None") -> None:
         self._rng = np.random.default_rng(config.seed ^ 0xB17)
         self._vector_bits = config.vector_bits
         self._num_layers = config.num_layers
         self._flow_regulator = flow_regulator
         self._total = total
-        self.positions = positions
         self.offset = 0
         #: Set once :meth:`take_at` hands out a non-contiguous gather; the
         #: cursor then no longer describes the consumed prefix, so the
         #: stream cannot be captured mid-flight (see ``capture_engine``).
         self.positional = False
-        if positions is not None:
-            if total is None:
-                raise ConfigurationError(
-                    "a positioned stream needs the global total to draw from"
-                )
-            self.positions = np.ascontiguousarray(positions, dtype=np.int64)
-            if self.positions.size and (
-                int(self.positions[0]) < 0
-                or int(self.positions[-1]) >= total
-            ):
-                raise ConfigurationError(
-                    f"stream positions must lie in [0, {total})"
-                )
         if total is not None:
             self._draw(total)
         else:
@@ -269,13 +249,6 @@ class _BitStream:
         self._block_state = None
         #: Entries of the current block already handed out.
         self._block_used = 0
-
-    @property
-    def length(self) -> "int | None":
-        """Packets this stream will hand out (None when unknown)."""
-        if self.positions is not None:
-            return len(self.positions)
-        return self._total
 
     def _draw(self, count: int) -> None:
         if self._flow_regulator:
@@ -296,7 +269,7 @@ class _BitStream:
     def take(self, count: int):
         """The next ``count`` packets' bit choices, advancing the cursor."""
         begin = self.offset
-        limit = self.length
+        limit = self._total
         if limit is None:
             self.offset += count
             return self._take_unknown(count)
@@ -307,11 +280,6 @@ class _BitStream:
             )
         end = begin + count
         self.offset += count
-        if self.positions is not None:
-            index = self.positions[begin:end]
-            if self._flow_regulator:
-                return (self._bits1[index], self._bits2[index])
-            return self._matrix[index]
         if self._flow_regulator:
             return (self._bits1[begin:end], self._bits2[begin:end])
         return self._matrix[begin:end]
@@ -403,18 +371,12 @@ class _BitStream:
         The streaming-sharded gather: a routed sub-chunk's packets sit at
         arbitrary global stream positions, so their bits are fancy-indexed
         out of the one global draw rather than sliced.  Requires a
-        known-length stream (the draw must already cover every position)
-        that was *not* opened with its own position list — the two
-        position mechanisms compose with themselves, not each other.
+        known-length stream: the draw must already cover every position.
         """
         if self._total is None:
             raise ConfigurationError(
                 "positional bit gathers need a known-length stream "
                 "(the global draw must exist up front)"
-            )
-        if self.positions is not None:
-            raise ConfigurationError(
-                "stream already has fixed positions; take_at cannot re-route it"
             )
         positions = np.ascontiguousarray(positions, dtype=np.int64)
         if positions.size and (
@@ -469,8 +431,6 @@ class InstaMeasure:
                 seed=self.config.seed,
                 accountant=accountant,
             )
-        from repro.kernels.batched import runs_kernel
-
         if self.config.engine == "batched" and not runs_kernel(self.config):
             raise ConfigurationError(
                 "engine='batched' requires the 2-layer FlowRegulator "
@@ -549,15 +509,23 @@ class InstaMeasure:
         the stream's randomness (``(bits1, bits2)`` uint8 arrays for the
         FlowRegulator, an ``(n, num_layers)`` int64 matrix otherwise).
         Callers other than :meth:`ingest` normally leave it unset and get
-        the engine's own whole-trace draw.
+        the engine's own whole-trace draw: the one a known-length stream
+        of this trace's length makes.
         """
-        if not isinstance(self.regulator, FlowRegulator):
-            return self._process_trace_generic(trace, on_accumulate, bits)
-        from repro.kernels.batched import runs_kernel
-
-        if runs_kernel(self.config):
-            return self._process_trace_batched(trace, on_accumulate, bits)
+        flow_regulator = isinstance(self.regulator, FlowRegulator)
         num_packets = trace.num_packets
+        if bits is None:
+            bits = _BitStream(self.config, flow_regulator, num_packets).take(
+                num_packets
+            )
+        if not flow_regulator:
+            return self._process_trace_generic(trace, on_accumulate, bits)
+        if runs_kernel(self.config):
+            start = time.perf_counter()
+            counters = process_trace_batched(
+                self, trace, bits, on_accumulate=on_accumulate
+            )
+            return self._fold_counters(counters, time.perf_counter() - start)
         regulator = self.regulator
         l1 = regulator.l1
         vector_bits = l1.vector_bits
@@ -568,19 +536,8 @@ class InstaMeasure:
         keys = trace.flows.key64.tolist()
         packed_tuples = trace.flows.packed_tuples()
 
-        if bits is None:
-            # uint8 draws: the batched kernel replays this exact stream, and
-            # the narrow dtype roughly halves generation cost for both paths.
-            rng = np.random.default_rng(self.config.seed ^ 0xB17)
-            bits1 = rng.integers(
-                0, vector_bits, size=num_packets, dtype=np.uint8
-            ).tolist()
-            bits2 = rng.integers(
-                0, vector_bits, size=num_packets, dtype=np.uint8
-            ).tolist()
-        else:
-            bits1 = bits[0].tolist()
-            bits2 = bits[1].tolist()
+        bits1 = bits[0].tolist()
+        bits2 = bits[1].tolist()
 
         flow_ids = trace.flow_ids.tolist()
         sizes = trace.sizes.tolist()
@@ -636,64 +593,31 @@ class InstaMeasure:
             if on_accumulate is not None:
                 on_accumulate(key, totals[0], totals[1], timestamp)
         elapsed = time.perf_counter() - start
-
-        # Fold the loop's counters into the shared sketch/regulator stats so
-        # both data paths leave identical state behind.
-        stats = regulator.stats
-        stats.packets += packets
-        stats.l1_saturations += l1_saturations
-        stats.insertions += insertions
-        l1.packets_encoded += packets
-        l1.saturations += l1_saturations
-        for noise, sketch in enumerate(regulator.l2):
-            sketch.packets_encoded += l2_encoded[noise]
-            sketch.saturations += l2_saturated[noise]
-        # The specialized loop bypasses per-access accounting; settle the
-        # sketch accesses in bulk (WSAF accesses were recorded live by
-        # accumulate).  One read+write per packet on L1, plus one per L1
-        # saturation on the chosen L2 bank.
-        if l1.accountant is not None:
-            l1.accountant.record(l1.label, reads=packets, writes=packets)
-            for noise, sketch in enumerate(regulator.l2):
-                sketch.accountant.record(
-                    sketch.label,
-                    reads=l2_encoded[noise],
-                    writes=l2_encoded[noise],
-                )
-
-        return MeasurementResult(
-            packets=packets,
-            insertions=insertions,
-            elapsed_seconds=elapsed,
-            regulator_stats=RegulatorStats(
+        return self._fold_counters(
+            BatchCounters(
                 packets=packets,
                 l1_saturations=l1_saturations,
                 insertions=insertions,
+                l2_encoded=l2_encoded,
+                l2_saturated=l2_saturated,
             ),
-            wsaf=self.wsaf,
+            elapsed,
         )
 
-    def _process_trace_batched(
-        self,
-        trace: Trace,
-        on_accumulate: "AccumulateCallback | None" = None,
-        bits=None,
+    def _fold_counters(
+        self, counters: BatchCounters, elapsed: float
     ) -> MeasurementResult:
-        """Chunked NumPy/LUT path (:mod:`repro.kernels`), bit-identical
-        to the scalar loop."""
-        from repro.kernels.batched import process_trace_batched
+        """Fold one FlowRegulator run's counters into the shared stats.
 
+        The scalar loop and the kernel both end here, so both data paths
+        leave identical sketch/regulator state behind.  Neither records
+        per-access accounting as it goes, so the sketch accesses settle
+        in bulk (WSAF accesses were recorded live by ``accumulate``): one
+        read+write per packet on L1, plus one per L1 saturation on the
+        chosen L2 bank.
+        """
         regulator = self.regulator
         l1 = regulator.l1
-
-        start = time.perf_counter()
-        counters = process_trace_batched(
-            self, trace, on_accumulate=on_accumulate, bits=bits
-        )
-        elapsed = time.perf_counter() - start
-
-        # Fold the kernel's counters into the shared sketch/regulator stats
-        # and settle accounting in bulk, mirroring the scalar fast path.
         stats = regulator.stats
         stats.packets += counters.packets
         stats.l1_saturations += counters.l1_saturations
@@ -713,7 +637,6 @@ class InstaMeasure:
                     reads=counters.l2_encoded[noise],
                     writes=counters.l2_encoded[noise],
                 )
-
         return MeasurementResult(
             packets=counters.packets,
             insertions=counters.insertions,
@@ -729,14 +652,12 @@ class InstaMeasure:
     def _process_trace_generic(
         self,
         trace: Trace,
-        on_accumulate: "AccumulateCallback | None" = None,
-        bits=None,
+        on_accumulate: "AccumulateCallback | None",
+        bits: np.ndarray,
     ) -> MeasurementResult:
         """Trace loop for :class:`MultiLayerRegulator` depths (1, 3, 4)."""
         regulator = self.regulator
         num_packets = trace.num_packets
-        vector_bits = self.config.vector_bits
-        num_layers = self.config.num_layers
 
         idx_by_flow, off_by_flow = regulator.l1.place_array(trace.flows.key64)
         idx_by_flow = idx_by_flow.tolist()
@@ -744,13 +665,7 @@ class InstaMeasure:
         keys = trace.flows.key64.tolist()
         packed_tuples = trace.flows.packed_tuples()
 
-        if bits is None:
-            rng = np.random.default_rng(self.config.seed ^ 0xB17)
-            bit_choices = rng.integers(
-                0, vector_bits, size=(num_packets, num_layers), dtype=np.int64
-            ).tolist()
-        else:
-            bit_choices = bits.tolist()
+        bit_choices = bits.tolist()
         flow_ids = trace.flow_ids.tolist()
         sizes = trace.sizes.tolist()
         timestamps = trace.timestamps.tolist()
@@ -794,19 +709,14 @@ class InstaMeasure:
 
     # -- streaming ingestion (pipeline protocol) ---------------------------------
 
-    def begin_stream(
-        self,
-        total: "int | None" = None,
-        positions: "np.ndarray | None" = None,
-    ) -> None:
+    def begin_stream(self, total: "int | None" = None) -> None:
         """Open an ingest stream explicitly, before the first chunk.
 
         Normally :meth:`ingest` opens the stream lazily from the first
         chunk's metadata; sharded workers and snapshot restore open it up
-        front instead — ``total`` is the *global* stream length and
-        ``positions`` (optional) the global packet positions this engine
-        will consume, which pins the randomness to the global draw (see
-        :class:`_BitStream`).
+        front instead.  ``total`` is the *global* stream length, which
+        pins the randomness to the one global draw that positional
+        :meth:`ingest` gathers from (see :class:`_BitStream`).
         """
         if self._stream is not None:
             raise ConfigurationError(
@@ -814,10 +724,7 @@ class InstaMeasure:
             )
         self._stream = _StreamState(
             bits=_BitStream(
-                self.config,
-                isinstance(self.regulator, FlowRegulator),
-                total,
-                positions=positions,
+                self.config, isinstance(self.regulator, FlowRegulator), total
             )
         )
 

@@ -36,11 +36,7 @@ _POPCOUNT_TABLES: "dict[int, list[int]]" = {}
 
 
 def popcount_table(width: int) -> "list[int]":
-    """Set-bit counts for every ``width``-bit value, cached per width.
-
-    The batched kernels (:mod:`repro.kernels`) index window states through
-    this table instead of calling ``int.bit_count`` per packet.
-    """
+    """Set-bit counts for every ``width``-bit value, cached per width."""
     if not 0 <= width <= 16:
         raise ConfigurationError(
             f"popcount_table width must be in [0, 16], got {width}"

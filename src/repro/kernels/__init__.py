@@ -7,7 +7,8 @@ tables for the contested remainder — while staying **bit-identical** to
 the scalar loop (same randomness stream, same state, same WSAF records).
 
 * :mod:`repro.kernels.luts` — cached per-geometry transition tables
-  (:func:`geometry_tables` names the ones a geometry's kernel uses).
+  (:func:`geometry_tables` returns the single-packet table and, for
+  saturation thresholds of four bits or more, the four-packet one).
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
 * :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed flat
@@ -26,7 +27,6 @@ from repro.kernels.batched import (
 )
 from repro.kernels.luts import (
     SENTINEL,
-    KernelTables,
     geometry_tables,
     kernel_tables,
 )
@@ -34,7 +34,6 @@ from repro.kernels.luts import (
 __all__ = [
     "BatchCounters",
     "DEFAULT_CHUNK_SIZE",
-    "KernelTables",
     "SENTINEL",
     "geometry_tables",
     "kernel_tables",

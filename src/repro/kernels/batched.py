@@ -13,7 +13,8 @@ loop, built on two structural facts about the 2-layer FlowRegulator:
 * **FSM compilation.**  A counting window holds one of ``2**vector_bits``
   states, so layer transitions compile into small lookup tables
   (:mod:`repro.kernels.luts`) indexed by interned byte values, and the
-  contested replay advances two or four packets per lookup.
+  contested replay advances four packets per lookup (one packet per
+  lookup below a four-bit saturation threshold).
 
 Pipeline per chunk (:func:`process_trace_batched`): vectorized gathers
 (placement, pre-drawn bit choices) → stable sort by word → vectorized
@@ -163,7 +164,8 @@ def _quad_stream_list(sorted_b1) -> "list[int]":
     """Aligned 4-packet bit codes as boxed ints for the scalar quad loop.
 
     A list indexes ~2x faster than a memoryview in the replay loop; it is
-    only built for chunks where some stretch fails the saturation screen.
+    only built for chunks where some stretch fails the saturation screen,
+    and only for geometries with a quad table.
     """
     nq = len(sorted_b1) >> 2
     q16 = sorted_b1[: 4 * nq : 4].astype(np.uint16)
@@ -236,20 +238,20 @@ def _delegate_chunk_events(
 def process_trace_batched(
     engine,
     trace,
+    bits,
     on_accumulate=None,
     chunk_size: "int | None" = None,
-    bits=None,
 ) -> BatchCounters:
     """Process ``trace`` through ``engine``'s regulator and WSAF, batched.
 
     Mutates the engine's sketch words and WSAF exactly as the scalar loop
     would and returns the run's :class:`BatchCounters` (the caller folds
-    them into the shared stats/accounting objects).  ``chunk_size``
-    defaults to the engine config's value.  ``bits`` overrides the
-    per-packet random bit draws with externally supplied ``(bits1,
-    bits2)`` uint8 arrays — the streaming ingest path slices one pre-drawn
-    whole-stream pair so chunked runs replay the exact whole-trace
-    randomness.
+    them into the shared stats/accounting objects).  ``bits`` holds the
+    packets' ``(bits1, bits2)`` uint8 bit choices, the same arrays the
+    scalar loop would consume: the engine draws them once per trace, or
+    slices them out of its ingest stream's one draw, so chunked runs
+    replay the exact whole-trace randomness.  ``chunk_size`` defaults to
+    the engine config's value.
 
     Each step below preserves bit-identity with the scalar loop:
 
@@ -272,17 +274,17 @@ def process_trace_batched(
       block saturates at most once (a recycled window plus three more
       packets cannot reach the threshold again), so the replay advances
       four packets per lookup through :func:`~repro.kernels.luts.quad_tables`.
-      Narrower thresholds keep the two-packet pair tables with an aligned
-      4-packet OR screen in front.
+      Narrower thresholds have no quad table; the same replay then steps
+      every packet of the stretch through the single-packet table.
     * **Inline constant-noise L2 step.**  A window that saturates from a
-      post-reset state grows one distinct bit per packet from zero, so it
+      post-reset state grows at most one bit per packet from zero, so it
       holds exactly ``saturation_bits`` set bits at the saturating packet
       and its noise level is the constant ``vector_bits -
-      saturation_bits``.  The quad replay therefore keeps that one L2
-      bank's window in a local for the whole stretch; only a stretch's
-      *first* saturation — seeded by the inherited word state, which can
-      carry extra bits committed by overlapping offsets — can deviate, and
-      it read-modify-writes its own bank directly.
+      saturation_bits``, whatever the threshold.  The replay therefore
+      keeps that one L2 bank's window in a local for the whole stretch;
+      only a stretch's *first* saturation — seeded by the inherited word
+      state, which can carry extra bits committed by overlapping offsets
+      — can deviate, and it read-modify-writes its own bank directly.
     * **Batch delegation.**  Decoded estimates reach the WSAF once per
       chunk, in original packet order (:func:`_delegate_chunk_events`),
       instead of one Python ``accumulate`` call per event.
@@ -300,32 +302,18 @@ def process_trace_batched(
         l2_encoded=[0] * len(regulator.l2),
         l2_saturated=[0] * len(regulator.l2),
     )
-    num_packets = trace.num_packets
-    if num_packets == 0:
+    if trace.num_packets == 0:
         return counters
 
-    tables, step_quad = geometry_tables(vector_bits, sat_bits)
-    step1 = tables.single
-    step_pair = tables.pair
-    popcount = tables.popcount
-    step1_empty = step1[0]
-    sentinel = SENTINEL
-    use_quad = step_quad is not None
+    step1, step_quad = geometry_tables(vector_bits, sat_bits)
 
     bit_values, window_masks_np, decode_np = _geometry_arrays(l1)
-    if bits is None:
-        # Identical draws to the scalar path: same generator, sizes, order.
-        rng = np.random.default_rng(engine.config.seed ^ 0xB17)
-        bits1 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-        bits2 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-    else:
-        bits1, bits2 = bits
+    bits1, bits2 = bits
     code_all = bits1 + np.uint8(vector_bits) * bits2
 
     window_masks = l1._window_masks
     words = l1.words
     l2_words = [sketch.words for sketch in regulator.l2]
-    num_banks = len(l2_words)
     word_mask = (1 << word_bits) - 1
     window_all = (1 << vector_bits) - 1
     l2_encoded = counters.l2_encoded
@@ -391,216 +379,126 @@ def process_trace_batched(
             words_l = layout["words_arr"].tolist()
             offs_l = offsets_arr.tolist()
 
-            if use_quad:
-                quad_stream = _quad_stream_list(sorted_b1)
-                b1s = sorted_b1.tobytes()
-                b2s = (sorted_code // np.uint8(vector_bits)).tobytes()
+            quad_stream = (
+                None if step_quad is None else _quad_stream_list(sorted_b1)
+            )
+            b1s = sorted_b1.tobytes()
+            b2s = (sorted_code // np.uint8(vector_bits)).tobytes()
 
-                def replay(
-                    sid,
-                    run,
-                    s1=step1,
-                    sq=step_quad,
-                    qs=quad_stream,
-                    sen=sentinel,
-                    b1l=b1s,
-                    b2l=b2s,
-                    words_l=words_l,
-                    offs_l=offs_l,
-                    starts_l=starts_l,
-                    ends_l=ends_l,
-                    run_words=run_words,
-                    window_masks=window_masks,
-                    word_bits=word_bits,
-                    window_all=window_all,
-                    word_mask=word_mask,
-                    noise_z=noise_z,
-                    bank2=l2_words[vector_bits - sat_bits],
-                    l2_words=l2_words,
-                    l2_encoded=l2_encoded,
-                    eap=event_pos.append,
-                    ezap=event_z.append,
-                    ez2ap=event_z2.append,
-                ):
-                    # Replay one screen-failed stretch (of word run ``run``)
-                    # through the quad FSM with the L2 step folded inline.
-                    # Chain saturations all carry noise_z — the window
-                    # regrew from zero — so a single local (st2) holds the
-                    # noise_z bank's window for the whole stretch and the
-                    # common saturation handler is one table step.  L1
-                    # reads and writes ``run_words[run]``; the L2 banks
-                    # take the global word ``w``.  Only the stretch's first
-                    # saturation (inherited word state) can deviate; it
-                    # read-modify-writes its own bank directly.  (Keyword
-                    # defaults bind every table and column into fast
-                    # locals — this runs tens of thousands of times per
-                    # trace.)
-                    w = words_l[sid]
-                    off = offs_l[sid]
-                    a = starts_l[sid]
-                    b = ends_l[sid]
-                    word = int(run_words[run])
-                    window = window_masks[off]
-                    inv = word_bits - off
-                    state = ((word >> off) | (word << inv)) & window_all
-                    rest = word & ~window
-                    st2 = -1
-                    rest2 = 0
-                    ns = 0
-                    nf = 0
-                    while a & 3 and a < b:  # align to the quad stream
-                        nxt = s1[state][b1l[a]]
-                        if nxt < sen:
-                            state = nxt
-                        else:
-                            ns += 1
-                            z = nxt - sen
-                            if st2 < 0:
-                                bw2 = bank2[w]
-                                st2 = ((bw2 >> off) | (bw2 << inv)) & window_all
-                                rest2 = bw2 & ~window
-                            if z == noise_z:
-                                nxt2 = s1[st2][b2l[a]]
-                                if nxt2 < sen:
-                                    st2 = nxt2
-                                else:
-                                    eap(a)
-                                    ezap(z)
-                                    ez2ap(nxt2 - sen)
-                                    st2 = 0
-                            else:
-                                # Deviating first saturation: step its own
-                                # bank in place.
-                                nf += 1
-                                l2_encoded[z] += 1
-                                bz = l2_words[z]
-                                bwz = bz[w]
-                                stz = (
-                                    (bwz >> off) | (bwz << inv)
-                                ) & window_all
-                                nxt2 = s1[stz][b2l[a]]
-                                if nxt2 < sen:
-                                    stz = nxt2
-                                else:
-                                    eap(a)
-                                    ezap(z)
-                                    ez2ap(nxt2 - sen)
-                                    stz = 0
-                                bz[w] = (bwz & ~window) | (
-                                    ((stz << off) | (stz >> inv)) & word_mask
-                                )
-                            state = 0
-                        a += 1
-                    qq = a >> 2
-                    end_q = b >> 2
-                    if ns == 0:
-                        # Scan to the stretch's first saturation: it starts
-                        # from the inherited word state, so it is the only
-                        # one whose noise level can differ from noise_z.
-                        while qq < end_q:
-                            nxt = sq[(state << 12) | qs[qq]]
-                            if nxt < sen:
-                                state = nxt
-                                qq += 1
-                                continue
-                            t = nxt - sen
-                            j = (qq << 2) | (t >> 11)
-                            z = (t >> 8) & 7
-                            ns = 1
-                            bw2 = bank2[w]
-                            st2 = ((bw2 >> off) | (bw2 << inv)) & window_all
-                            rest2 = bw2 & ~window
-                            if z == noise_z:
-                                nxt2 = s1[st2][b2l[j]]
-                                if nxt2 < sen:
-                                    st2 = nxt2
-                                else:
-                                    eap(j)
-                                    ezap(z)
-                                    ez2ap(nxt2 - sen)
-                                    st2 = 0
-                            else:
-                                nf = 1
-                                l2_encoded[z] += 1
-                                bz = l2_words[z]
-                                bwz = bz[w]
-                                stz = (
-                                    (bwz >> off) | (bwz << inv)
-                                ) & window_all
-                                nxt2 = s1[stz][b2l[j]]
-                                if nxt2 < sen:
-                                    stz = nxt2
-                                else:
-                                    eap(j)
-                                    ezap(z)
-                                    ez2ap(nxt2 - sen)
-                                    stz = 0
-                                bz[w] = (bwz & ~window) | (
-                                    ((stz << off) | (stz >> inv)) & word_mask
-                                )
-                            state = t & 255
-                            qq += 1
-                            break
-                    end_q1 = end_q - 1
-                    while qq < end_q1:
-                        # Chain saturations: constant noise_z, one L2 table
-                        # step on st2.  Two quad lookups per loop check.
-                        nxt = sq[(state << 12) | qs[qq]]
-                        if nxt < sen:
-                            nxt = sq[(nxt << 12) | qs[qq + 1]]
-                            if nxt < sen:
-                                state = nxt
-                                qq += 2
-                                continue
-                            qq += 1
-                        t = nxt - sen
-                        j = (qq << 2) | (t >> 11)
-                        nxt2 = s1[st2][b2l[j]]
-                        if nxt2 < sen:
-                            st2 = nxt2
-                        else:
-                            eap(j)
-                            ezap(noise_z)
-                            ez2ap(nxt2 - sen)
-                            st2 = 0
-                        ns += 1
-                        state = t & 255  # window after the in-block restart
-                        qq += 1
-                    if qq < end_q:
-                        # Leftover quad: only reached with ns > 0 (the
-                        # first-saturation scan otherwise covers it), so any
-                        # saturation here is a chain one.
-                        nxt = sq[(state << 12) | qs[qq]]
-                        if nxt < sen:
-                            state = nxt
-                        else:
-                            t = nxt - sen
-                            j = (qq << 2) | (t >> 11)
-                            nxt2 = s1[st2][b2l[j]]
-                            if nxt2 < sen:
-                                st2 = nxt2
-                            else:
-                                eap(j)
-                                ezap(noise_z)
-                                ez2ap(nxt2 - sen)
-                                st2 = 0
-                            ns += 1
-                            state = t & 255
-                        qq += 1
-                    j = end_q << 2
-                    if j < a:
-                        j = a
-                    for j in range(j, b):  # trailing packets
-                        nxt = s1[state][b1l[j]]
-                        if nxt < sen:
-                            state = nxt
-                            continue
+            def replay(
+                sid,
+                run,
+                s1=step1,
+                sq=step_quad,
+                qs=quad_stream,
+                sen=SENTINEL,
+                b1l=b1s,
+                b2l=b2s,
+                words_l=words_l,
+                offs_l=offs_l,
+                starts_l=starts_l,
+                ends_l=ends_l,
+                run_words=run_words,
+                window_masks=window_masks,
+                word_bits=word_bits,
+                window_all=window_all,
+                word_mask=word_mask,
+                noise_z=noise_z,
+                bank2=l2_words[vector_bits - sat_bits],
+                l2_words=l2_words,
+                l2_encoded=l2_encoded,
+                eap=event_pos.append,
+                ezap=event_z.append,
+                ez2ap=event_z2.append,
+            ):
+                # Replay one screen-failed stretch (of word run ``run``)
+                # through the quad FSM with the L2 step folded inline;
+                # with no quad table (saturation_bits < 4) every packet
+                # takes the trailing single-packet loop instead.
+                # Chain saturations all carry noise_z — the window
+                # regrew from zero — so a single local (st2) holds the
+                # noise_z bank's window for the whole stretch and the
+                # common saturation handler is one table step.  L1
+                # reads and writes ``run_words[run]``; the L2 banks
+                # take the global word ``w``.  Only the stretch's first
+                # saturation (inherited word state) can deviate; it
+                # read-modify-writes its own bank directly.  (Keyword
+                # defaults bind every table and column into fast
+                # locals — this runs tens of thousands of times per
+                # trace.)
+                w = words_l[sid]
+                off = offs_l[sid]
+                a = starts_l[sid]
+                b = ends_l[sid]
+                word = int(run_words[run])
+                window = window_masks[off]
+                inv = word_bits - off
+                state = ((word >> off) | (word << inv)) & window_all
+                rest = word & ~window
+                st2 = -1
+                rest2 = 0
+                ns = 0
+                nf = 0
+                while a & 3 and a < b:  # align to the quad stream
+                    nxt = s1[state][b1l[a]]
+                    if nxt < sen:
+                        state = nxt
+                    else:
                         ns += 1
                         z = nxt - sen
                         if st2 < 0:
                             bw2 = bank2[w]
                             st2 = ((bw2 >> off) | (bw2 << inv)) & window_all
                             rest2 = bw2 & ~window
+                        if z == noise_z:
+                            nxt2 = s1[st2][b2l[a]]
+                            if nxt2 < sen:
+                                st2 = nxt2
+                            else:
+                                eap(a)
+                                ezap(z)
+                                ez2ap(nxt2 - sen)
+                                st2 = 0
+                        else:
+                            # Deviating first saturation: step its own
+                            # bank in place.
+                            nf += 1
+                            l2_encoded[z] += 1
+                            bz = l2_words[z]
+                            bwz = bz[w]
+                            stz = ((bwz >> off) | (bwz << inv)) & window_all
+                            nxt2 = s1[stz][b2l[a]]
+                            if nxt2 < sen:
+                                stz = nxt2
+                            else:
+                                eap(a)
+                                ezap(z)
+                                ez2ap(nxt2 - sen)
+                                stz = 0
+                            bz[w] = (bwz & ~window) | (
+                                ((stz << off) | (stz >> inv)) & word_mask
+                            )
+                        state = 0
+                    a += 1
+                qq = a >> 2
+                end_q = b >> 2 if sq is not None else qq
+                if ns == 0:
+                    # Scan to the stretch's first saturation: it starts
+                    # from the inherited word state, so it is the only
+                    # one whose noise level can differ from noise_z.
+                    while qq < end_q:
+                        nxt = sq[(state << 12) | qs[qq]]
+                        if nxt < sen:
+                            state = nxt
+                            qq += 1
+                            continue
+                        t = nxt - sen
+                        j = (qq << 2) | (t >> 11)
+                        z = (t >> 8) & 7
+                        ns = 1
+                        bw2 = bank2[w]
+                        st2 = ((bw2 >> off) | (bw2 << inv)) & window_all
+                        rest2 = bw2 & ~window
                         if z == noise_z:
                             nxt2 = s1[st2][b2l[j]]
                             if nxt2 < sen:
@@ -611,7 +509,7 @@ def process_trace_batched(
                                 ez2ap(nxt2 - sen)
                                 st2 = 0
                         else:
-                            nf += 1
+                            nf = 1
                             l2_encoded[z] += 1
                             bz = l2_words[z]
                             bwz = bz[w]
@@ -627,179 +525,105 @@ def process_trace_batched(
                             bz[w] = (bwz & ~window) | (
                                 ((stz << off) | (stz >> inv)) & word_mask
                             )
-                        state = 0
-                    run_words[run] = rest | (
-                        ((state << off) | (state >> inv)) & word_mask
-                    )
-                    if st2 >= 0:
-                        bank2[w] = rest2 | (
-                            ((st2 << off) | (st2 >> inv)) & word_mask
-                        )
-                        l2_encoded[noise_z] += ns - nf
-                    return ns
-
-            else:
-                stream = sorted_code.tobytes()
-                b2_of = tables.b2_of_code
-                pairs = len(sorted_b1) >> 1
-                pair_stream = (
-                    sorted_b1[: 2 * pairs : 2]
-                    | (sorted_b1[1 : 2 * pairs : 2] << 3)
-                ).tobytes()
-                pair_or = (
-                    bit_stream[: 2 * pairs : 2] | bit_stream[1 : 2 * pairs : 2]
-                )
-                quads = pairs >> 1
-                quad_or = (
-                    pair_or[: 2 * quads : 2] | pair_or[1 : 2 * quads : 2]
-                ).tobytes()
-
-                def replay(sid, run):
-                    # Pair-table replay for saturation_bits < 4 (a quad
-                    # block could saturate more than once there).
-                    s1 = step1
-                    sp = step_pair
-                    sen = sentinel
-                    w = words_l[sid]
-                    off = offs_l[sid]
-                    a = starts_l[sid]
-                    b = ends_l[sid]
-                    word = int(run_words[run])
-                    window = window_masks[off]
-                    inv = word_bits - off
-                    state = ((word >> off) | (word << inv)) & window_all
-                    rest = word & ~window
-                    l2_states = None
-                    nsat = 0
-                    if a & 1:  # align the stretch to the packet-pair stream
-                        c0 = stream[a]
-                        nxt = s1[state][c0 - b2_of[c0] * vector_bits]
+                        state = t & 255
+                        qq += 1
+                        break
+                end_q1 = end_q - 1
+                while qq < end_q1:
+                    # Chain saturations: constant noise_z, one L2 table
+                    # step on st2.  Two quad lookups per loop check.
+                    nxt = sq[(state << 12) | qs[qq]]
+                    if nxt < sen:
+                        nxt = sq[(nxt << 12) | qs[qq + 1]]
                         if nxt < sen:
                             state = nxt
-                        else:
-                            z = nxt - sen
-                            if l2_states is None:
-                                l2_states = [
-                                    (
-                                        (l2_words[q][w] >> off)
-                                        | (l2_words[q][w] << inv)
-                                    )
-                                    & window_all
-                                    for q in range(num_banks)
-                                ]
-                            nxt2 = s1[l2_states[z]][b2_of[c0]]
-                            l2_encoded[z] += 1
-                            if nxt2 >= sen:
-                                event_pos.append(a)
-                                event_z.append(z)
-                                event_z2.append(nxt2 - sen)
-                                l2_saturated[z] += 1
-                                l2_states[z] = 0
-                            else:
-                                l2_states[z] = nxt2
-                            nsat += 1
-                            state = 0
-                        a += 1
-                    pair_end = b - ((b - a) & 1)
-                    jj = a >> 1
-                    end_jj = pair_end >> 1
-                    while jj < end_jj:
-                        if not jj & 1 and jj + 2 <= end_jj:
-                            candidate = state | quad_or[jj >> 1]
-                            if popcount[candidate] < sat_bits:
-                                state = candidate
-                                jj += 2
-                                continue
-                        pb = pair_stream[jj]
-                        nxt = sp[state][pb]
-                        if nxt < sen:
-                            state = nxt
-                            jj += 1
+                            qq += 2
                             continue
-                        tag = nxt - sen
-                        pos = tag >> 3
-                        z = tag & 7
-                        j = (jj << 1) | pos
-                        if l2_states is None:
-                            l2_states = [
-                                ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                                & window_all
-                                for q in range(num_banks)
-                            ]
-                        nxt2 = s1[l2_states[z]][b2_of[stream[j]]]
+                        qq += 1
+                    t = nxt - sen
+                    j = (qq << 2) | (t >> 11)
+                    nxt2 = s1[st2][b2l[j]]
+                    if nxt2 < sen:
+                        st2 = nxt2
+                    else:
+                        eap(j)
+                        ezap(noise_z)
+                        ez2ap(nxt2 - sen)
+                        st2 = 0
+                    ns += 1
+                    state = t & 255  # window after the in-block restart
+                    qq += 1
+                if qq < end_q:
+                    # Leftover quad: only reached with ns > 0 (the
+                    # first-saturation scan otherwise covers it), so any
+                    # saturation here is a chain one.
+                    nxt = sq[(state << 12) | qs[qq]]
+                    if nxt < sen:
+                        state = nxt
+                    else:
+                        t = nxt - sen
+                        j = (qq << 2) | (t >> 11)
+                        nxt2 = s1[st2][b2l[j]]
+                        if nxt2 < sen:
+                            st2 = nxt2
+                        else:
+                            eap(j)
+                            ezap(noise_z)
+                            ez2ap(nxt2 - sen)
+                            st2 = 0
+                        ns += 1
+                        state = t & 255
+                    qq += 1
+                j = end_q << 2
+                if j < a:
+                    j = a
+                for j in range(j, b):  # trailing packets
+                    nxt = s1[state][b1l[j]]
+                    if nxt < sen:
+                        state = nxt
+                        continue
+                    ns += 1
+                    z = nxt - sen
+                    if st2 < 0:
+                        bw2 = bank2[w]
+                        st2 = ((bw2 >> off) | (bw2 << inv)) & window_all
+                        rest2 = bw2 & ~window
+                    if z == noise_z:
+                        nxt2 = s1[st2][b2l[j]]
+                        if nxt2 < sen:
+                            st2 = nxt2
+                        else:
+                            eap(j)
+                            ezap(z)
+                            ez2ap(nxt2 - sen)
+                            st2 = 0
+                    else:
+                        nf += 1
                         l2_encoded[z] += 1
-                        if nxt2 >= sen:
-                            event_pos.append(j)
-                            event_z.append(z)
-                            event_z2.append(nxt2 - sen)
-                            l2_saturated[z] += 1
-                            l2_states[z] = 0
+                        bz = l2_words[z]
+                        bwz = bz[w]
+                        stz = ((bwz >> off) | (bwz << inv)) & window_all
+                        nxt2 = s1[stz][b2l[j]]
+                        if nxt2 < sen:
+                            stz = nxt2
                         else:
-                            l2_states[z] = nxt2
-                        nsat += 1
-                        if pos:
-                            state = 0
-                        else:
-                            # The pair's second packet restarts the window.
-                            nxt = step1_empty[pb >> 3]
-                            if nxt < sen:
-                                state = nxt
-                            else:
-                                z = nxt - sen
-                                j += 1
-                                nxt2 = s1[l2_states[z]][b2_of[stream[j]]]
-                                l2_encoded[z] += 1
-                                if nxt2 >= sen:
-                                    event_pos.append(j)
-                                    event_z.append(z)
-                                    event_z2.append(nxt2 - sen)
-                                    l2_saturated[z] += 1
-                                    l2_states[z] = 0
-                                else:
-                                    l2_states[z] = nxt2
-                                nsat += 1
-                                state = 0
-                        jj += 1
-                    if pair_end < b:  # odd trailing packet
-                        c0 = stream[pair_end]
-                        nxt = s1[state][c0 - b2_of[c0] * vector_bits]
-                        if nxt < sen:
-                            state = nxt
-                        else:
-                            z = nxt - sen
-                            if l2_states is None:
-                                l2_states = [
-                                    (
-                                        (l2_words[q][w] >> off)
-                                        | (l2_words[q][w] << inv)
-                                    )
-                                    & window_all
-                                    for q in range(num_banks)
-                                ]
-                            nxt2 = s1[l2_states[z]][b2_of[c0]]
-                            l2_encoded[z] += 1
-                            if nxt2 >= sen:
-                                event_pos.append(pair_end)
-                                event_z.append(z)
-                                event_z2.append(nxt2 - sen)
-                                l2_saturated[z] += 1
-                                l2_states[z] = 0
-                            else:
-                                l2_states[z] = nxt2
-                            nsat += 1
-                            state = 0
-                    run_words[run] = rest | (
-                        ((state << off) | (state >> inv)) & word_mask
+                            eap(j)
+                            ezap(z)
+                            ez2ap(nxt2 - sen)
+                            stz = 0
+                        bz[w] = (bwz & ~window) | (
+                            ((stz << off) | (stz >> inv)) & word_mask
+                        )
+                    state = 0
+                run_words[run] = rest | (
+                    ((state << off) | (state >> inv)) & word_mask
+                )
+                if st2 >= 0:
+                    bank2[w] = rest2 | (
+                        ((st2 << off) | (st2 >> inv)) & word_mask
                     )
-                    if l2_states is not None:
-                        for q in range(num_banks):
-                            bank_word = l2_words[q][w]
-                            bank_state = l2_states[q]
-                            l2_words[q][w] = (bank_word & ~window) | (
-                                ((bank_state << off) | (bank_state >> inv))
-                                & word_mask
-                            )
-                    return nsat
+                    l2_encoded[noise_z] += ns - nf
+                return ns
 
             # Screening rounds: one stretch per failed word per round,
             # screened against the live word states and committed as an
@@ -844,11 +668,8 @@ def process_trace_batched(
                         word = int(run_words[run])
                 run_words[run] = word
 
-            if use_quad:
-                # The quad replay appends events inline; the pair replay
-                # bumps l2_saturated itself.
-                for z in event_z:
-                    l2_saturated[z] += 1
+            for z in event_z:
+                l2_saturated[z] += 1
 
         for w, value in zip(run_heads, run_words.tolist()):
             words[w] = value

@@ -8,11 +8,10 @@ reports its noise level (the count of still-zero bits).  With
 integers, so the hot loop becomes bytes-indexed list lookups instead of
 shift/mask/popcount arithmetic per packet.
 
-Saturating transitions are flagged with values ``>= SENTINEL``:
-
-* single-packet table: ``SENTINEL + z`` where ``z`` is the noise level;
-* packet-pair table: ``SENTINEL + pos * 8 + z`` where ``pos`` names which
-  packet of the pair (0 = first, 1 = second) saturated first.
+Saturating transitions are flagged with values ``>= SENTINEL``: the
+single-packet table returns ``SENTINEL + z`` where ``z`` is the noise
+level, and the four-packet table (:func:`quad_tables`) packs the
+saturating packet's position and the window after the block above it.
 
 Tables depend only on the layer geometry ``(vector_bits, saturation_bits)``
 and are cached per geometry for the life of the process.
@@ -21,43 +20,26 @@ and are cached per geometry for the life of the process.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.rcc import popcount_table
 from repro.errors import ConfigurationError
 
 #: Transition values at or above this mark a saturation (see module doc).
 SENTINEL = 256
 
 
-class KernelTables(NamedTuple):
-    """FSM tables for one RCC layer geometry (see the module docstring)."""
-
-    #: ``single[state][bit]`` — window state after one packet, or sentinel.
-    single: "list[list[int]]"
-    #: ``pair[state][bit_a | bit_b << 3]`` — state after two packets.
-    pair: "list[list[int]]"
-    #: ``b2_of_code[b1 + vector_bits * b2]`` — the packet's L2 bit choice.
-    b2_of_code: "list[int]"
-    #: ``popcount[state]`` — set bits per window state.
-    popcount: "list[int]"
+_CACHE: "dict[tuple[int, int], list[list[int]]]" = {}
 
 
-_CACHE: "dict[tuple[int, int], KernelTables]" = {}
+def kernel_tables(vector_bits: int, saturation_bits: int) -> "list[list[int]]":
+    """Build (or fetch cached) the single-packet table of one geometry.
 
-
-def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
-    """Build (or fetch cached) transition tables for one layer geometry.
-
-    ``single[state][bit]`` is the window state after ORing ``1 << bit``
+    ``table[state][bit]`` is the window state after ORing ``1 << bit``
     into ``state``, or ``SENTINEL + z`` if that OR reaches
     ``saturation_bits`` set bits (the window then recycles to zero) at
-    noise level ``z``.  ``pair[state][code]`` advances two packets at once
-    with ``code = bit_a | bit_b << 3``; a saturating pair returns
-    ``SENTINEL + pos * 8 + z``.  Only defined for ``vector_bits <= 8``:
-    states must fit a byte and noise levels must fit 3 bits.
+    noise level ``z``.  Only defined for ``vector_bits <= 8``: states must
+    fit a byte and noise levels must fit 3 bits.
     """
     if not 2 <= vector_bits <= 8:
         raise ConfigurationError(
@@ -72,9 +54,8 @@ def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
     if cached is not None:
         return cached
 
-    num_states = 1 << vector_bits
     single: "list[list[int]]" = []
-    for state in range(num_states):
+    for state in range(1 << vector_bits):
         row = []
         for bit in range(vector_bits):
             merged = state | (1 << bit)
@@ -84,37 +65,8 @@ def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
             else:
                 row.append(merged)
         single.append(row)
-
-    pair: "list[list[int]]" = []
-    for state in range(num_states):
-        row = []
-        for code in range(64):
-            bit_a = code & 7
-            bit_b = code >> 3
-            if bit_a >= vector_bits or bit_b >= vector_bits:
-                row.append(0)  # unreachable padding for narrow vectors
-                continue
-            first = single[state][bit_a]
-            if first >= SENTINEL:
-                row.append(SENTINEL + (first - SENTINEL))
-                continue
-            second = single[first][bit_b]
-            if second >= SENTINEL:
-                row.append(SENTINEL + 8 + (second - SENTINEL))
-            else:
-                row.append(second)
-        pair.append(row)
-
-    tables = KernelTables(
-        single=single,
-        pair=pair,
-        b2_of_code=[
-            code // vector_bits for code in range(vector_bits * vector_bits)
-        ],
-        popcount=popcount_table(vector_bits),
-    )
-    _CACHE[key] = tables
-    return tables
+    _CACHE[key] = single
+    return single
 
 
 _QUAD_CACHE: "dict[tuple[int, int], object]" = {}
@@ -159,10 +111,12 @@ def quad_tables(vector_bits: int, saturation_bits: int):
     if cached is not None:
         return cached
 
-    tables = kernel_tables(vector_bits, saturation_bits)
     num_states = 1 << vector_bits
     s1 = np.array(
-        [row + [0] * (8 - vector_bits) for row in tables.single],
+        [
+            row + [0] * (8 - vector_bits)
+            for row in kernel_tables(vector_bits, saturation_bits)
+        ],
         dtype=np.int32,
     )
     codes = np.arange(4096, dtype=np.int32)
@@ -195,16 +149,16 @@ def quad_tables(vector_bits: int, saturation_bits: int):
 
 
 def geometry_tables(vector_bits: int, saturation_bits: int):
-    """``(kernel_tables, quad_tables or None)``: every table the batched
-    kernel steps one layer geometry with.
+    """``(single, quad or None)``: every table the batched kernel steps one
+    layer geometry with.
 
     The quad table exists, and the kernel's replay takes four packets
     per lookup, exactly when ``saturation_bits >= 4``; narrower
-    thresholds step pairs through :func:`kernel_tables` alone.  The
-    kernel fetches its tables here, and the fork pool calls it before
-    forking so its workers inherit them built.
+    thresholds step every packet through the single-packet table of
+    :func:`kernel_tables`.  The kernel fetches its tables here, and the
+    fork pool calls it before forking so its workers inherit them built.
     """
-    tables = kernel_tables(vector_bits, saturation_bits)
+    single = kernel_tables(vector_bits, saturation_bits)
     if saturation_bits < 4:
-        return tables, None
-    return tables, quad_tables(vector_bits, saturation_bits)
+        return single, None
+    return single, quad_tables(vector_bits, saturation_bits)

@@ -104,8 +104,6 @@ def _columns_of(snapshot: MeasurementSnapshot) -> "list[tuple[str, np.ndarray]]"
                 ("wsaf.ice.scale_bytes", wsaf.ice.scale_bytes),
             ]
         )
-    if snapshot.stream is not None and snapshot.stream.positions is not None:
-        columns.append(("stream.positions", snapshot.stream.positions))
     return columns
 
 
@@ -114,14 +112,16 @@ def _stream_header(stream) -> "dict | None":
 
     The block-draw keys are emitted only for unbounded cursors, so
     known-length snapshots serialize byte-for-byte as they did before
-    the service refactor (golden files stay valid).
+    the service refactor (golden files stay valid).  ``has_positions``
+    is always false: it flagged a retired positioned-stream column, and
+    stays in the header so cursors keep their bytes.
     """
     if stream is None:
         return None
     header = {
         "offset": stream.offset,
         "total": stream.total,
-        "has_positions": stream.positions is not None,
+        "has_positions": False,
         "packets": stream.packets,
         "insertions": stream.insertions,
         "l1_saturations": stream.l1_saturations,
@@ -391,13 +391,14 @@ def _snapshot_from(
     stream_meta = header["stream"]
     stream = None
     if stream_meta is not None:
-        positions = None
         if stream_meta["has_positions"]:
-            positions = columns["stream.positions"].astype(np.int64)
+            raise SnapshotError(
+                "snapshot carries a positioned stream cursor, which this "
+                "build no longer restores"
+            )
         stream = StreamCursor(
             offset=stream_meta["offset"],
             total=stream_meta["total"],
-            positions=positions,
             packets=stream_meta["packets"],
             insertions=stream_meta["insertions"],
             l1_saturations=stream_meta["l1_saturations"],

@@ -205,12 +205,8 @@ class StreamCursor:
     """RNG/bookkeeping cursor of an in-progress ingest stream.
 
     ``total`` is the *global* stream length the randomness was drawn for,
-    or ``None`` for an unbounded stream; ``positions`` (optional) are the
-    global packet positions this stream consumes, in order — the sharded
-    pipeline's workers index the global draw through them, which is what
-    makes per-shard streams bit-identical to their slice of a
-    single-process run.  ``offset`` counts packets already consumed (an
-    index into ``positions`` when present).
+    or ``None`` for an unbounded stream; ``offset`` counts packets already
+    consumed.
 
     Unbounded streams (``total is None``) draw their randomness in
     fixed-size blocks; ``rng_state`` is the generator state at the start
@@ -222,7 +218,6 @@ class StreamCursor:
 
     offset: int
     total: "int | None"
-    positions: "np.ndarray | None"
     packets: int
     insertions: int
     l1_saturations: int
@@ -387,7 +382,6 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
             cursor = StreamCursor(
                 offset=bits.offset,
                 total=None,
-                positions=None,
                 packets=stream_state.packets,
                 insertions=stream_state.insertions,
                 l1_saturations=stream_state.l1_saturations,
@@ -400,9 +394,6 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
             cursor = StreamCursor(
                 offset=bits.offset,
                 total=bits._total,
-                positions=(
-                    None if bits.positions is None else bits.positions.copy()
-                ),
                 packets=stream_state.packets,
                 insertions=stream_state.insertions,
                 l1_saturations=stream_state.l1_saturations,
@@ -452,13 +443,30 @@ def snapshot_config(snapshot: MeasurementSnapshot):
     return InstaMeasureConfig(**config)
 
 
+def _cursor_count(cursor: StreamCursor, name: str, upper: "int | None") -> int:
+    """``cursor.<name>`` as an int in ``[0, upper]`` (unbounded above when
+    ``upper`` is None), or a :class:`SnapshotError`."""
+    value = getattr(cursor, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SnapshotError(f"stream cursor {name} {value!r} is not an integer")
+    if value < 0 or (upper is not None and value > upper):
+        bound = "" if upper is None else f", {upper}"
+        raise SnapshotError(f"stream cursor {name} {value} lies outside [0{bound}]")
+    return int(value)
+
+
 def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     """Rebuild a live engine from ``snapshot``, bit-identical to capture.
 
     The engine is constructed from the snapshot's embedded config, then
     regulator words/counters, WSAF records, and (when present) the ingest
     stream's RNG cursor are installed.  A restored mid-stream engine
-    continues ingesting exactly where the captured one stopped.
+    continues ingesting exactly where the captured one stopped.  A cursor
+    the stream could not resume from — a negative total, an offset
+    outside ``[0, total]``, a block cursor outside its block, an RNG
+    state the generator refuses — raises :class:`SnapshotError`.  A
+    known-length cursor's ``total`` is trusted as given: restore redraws
+    the whole stream's randomness up front.
     """
     from repro.core.instameasure import InstaMeasure
 
@@ -471,7 +479,9 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     engine.wsaf.load_state(snapshot.wsaf)
     cursor = snapshot.stream
     if cursor is not None:
-        if cursor.total is None:
+        total = None if cursor.total is None else _cursor_count(cursor, "total", None)
+        offset = _cursor_count(cursor, "offset", total)
+        if total is None:
             from repro.core.instameasure import UNKNOWN_STREAM_BLOCK
 
             if cursor.rng_state is None:
@@ -484,15 +494,19 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
                     f"{cursor.block_size} entries but this build uses "
                     f"{UNKNOWN_STREAM_BLOCK}; the cursor cannot be replayed"
                 )
+            block_used = _cursor_count(cursor, "block_used", UNKNOWN_STREAM_BLOCK)
             engine.begin_stream()
             stream = engine._stream
-            stream.bits.seek_unknown(
-                cursor.rng_state, cursor.block_used, cursor.offset
-            )
+            try:
+                stream.bits.seek_unknown(cursor.rng_state, block_used, offset)
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise SnapshotError(
+                    f"stream cursor RNG state is unusable: {exc!r}"
+                ) from exc
         else:
-            engine.begin_stream(total=cursor.total, positions=cursor.positions)
+            engine.begin_stream(total=total)
             stream = engine._stream
-            stream.bits.offset = cursor.offset
+            stream.bits.offset = offset
         stream.packets = cursor.packets
         stream.insertions = cursor.insertions
         stream.l1_saturations = cursor.l1_saturations

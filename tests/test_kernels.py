@@ -141,8 +141,9 @@ class TestBitIdenticality:
 
     @pytest.mark.parametrize(
         "vector_bits,saturation_fill",
-        # (3, 0.5) is saturation_bits == 2, the narrowest threshold.
-        [(8, 0.5), (8, 0.75), (8, 0.9), (3, 0.5)],
+        # (8, 0.1), (3, 0.5) and (8, 0.3) saturate at 1, 2 and 3 bits: no
+        # quad table, so the replay steps one packet per lookup.
+        [(8, 0.5), (8, 0.75), (8, 0.9), (3, 0.5), (8, 0.1), (8, 0.3)],
     )
     def test_identical_across_saturation_fill(
         self, trace, layout, vector_bits, saturation_fill
@@ -175,8 +176,12 @@ class TestBitIdenticality:
 
     @pytest.mark.parametrize(
         "geometry",
-        [{}, dict(word_bits=64, vector_bits=4)],
-        ids=["default", "64bit-v4"],
+        [
+            {},
+            dict(word_bits=64, vector_bits=4),
+            dict(vector_bits=3, saturation_fill=0.5),
+        ],
+        ids=["default", "64bit-v4", "v3-sat2"],
     )
     def test_identical_on_single_flow_trace(
         self, single_flow_trace, layout, geometry
@@ -194,14 +199,14 @@ class TestBitIdenticality:
     @pytest.mark.parametrize(
         "replay",
         [{}, dict(vector_bits=3, saturation_fill=0.5)],
-        ids=["quad", "pair"],
+        ids=["quad", "single"],
     )
     def test_identical_with_large_l1_and_small_chunks(
         self, trace, replay, chunk_size
     ):
         # 2**16 L1 words and a few dozen packets per call: each call
         # gathers a handful of touched words out of a large sketch and
-        # writes only those back, through either contested replay.
+        # writes only those back, four packets per replay lookup or one.
         geometry = dict(
             l1_memory_bytes=(1 << 16) * 4, chunk_size=chunk_size, **replay
         )
@@ -342,29 +347,10 @@ class TestEngineGating:
 
 
 class TestKernelTables:
-    def test_pair_table_matches_single_steps(self):
-        """pair[state][a | b<<3] must equal two single transitions."""
-        tables = kernel_tables(vector_bits=8, saturation_bits=6)
-        for state in range(1 << 8):
-            for bit_a in range(8):
-                mid = tables.single[state][bit_a]
-                for bit_b in range(8):
-                    expected: int
-                    if mid >= SENTINEL:
-                        # First packet saturates: position 0, noise encoded.
-                        expected = SENTINEL + 0 * 8 + (mid - SENTINEL)
-                    else:
-                        after = tables.single[mid][bit_b]
-                        if after >= SENTINEL:
-                            expected = SENTINEL + 1 * 8 + (after - SENTINEL)
-                        else:
-                            expected = after
-                    assert tables.pair[state][bit_a | (bit_b << 3)] == expected
-
     def test_single_table_brute_force(self):
         """Transitions must match naive set-bit-then-check-saturation."""
         vector_bits, saturation_bits = 5, 4
-        tables = kernel_tables(vector_bits, saturation_bits)
+        single = kernel_tables(vector_bits, saturation_bits)
         for state in range(1 << vector_bits):
             for bit in range(vector_bits):
                 merged = state | (1 << bit)
@@ -373,7 +359,7 @@ class TestKernelTables:
                     expected = SENTINEL + (vector_bits - set_bits)
                 else:
                     expected = merged
-                assert tables.single[state][bit] == expected
+                assert single[state][bit] == expected
 
     @staticmethod
     def _quad_reference(single, state: int, code: int) -> int:
@@ -399,7 +385,7 @@ class TestKernelTables:
     ):
         """The kernel's hot replay indexes this table; pin every entry
         (or a seeded sample of codes per state) to the single steps."""
-        single = kernel_tables(vector_bits, saturation_bits).single
+        single = kernel_tables(vector_bits, saturation_bits)
         quad = quad_tables(vector_bits, saturation_bits)
         valid = [
             code
@@ -434,8 +420,8 @@ class TestKernelTables:
 
     def test_geometry_tables_add_quad_from_four_saturation_bits(self):
         for saturation_bits in (3, 4):
-            tables, quad = geometry_tables(8, saturation_bits)
-            assert tables is kernel_tables(8, saturation_bits)
+            single, quad = geometry_tables(8, saturation_bits)
+            assert single is kernel_tables(8, saturation_bits)
             if saturation_bits < 4:
                 assert quad is None
             else:
@@ -444,12 +430,6 @@ class TestKernelTables:
     def test_quad_table_needs_four_saturation_bits(self):
         with pytest.raises(ConfigurationError):
             quad_tables(8, 3)
-
-    def test_b2_of_code_layout(self):
-        tables = kernel_tables(vector_bits=8, saturation_bits=6)
-        for bits1 in range(8):
-            for bits2 in range(8):
-                assert tables.b2_of_code[bits1 + 8 * bits2] == bits2
 
     def test_rejects_unsupported_geometry(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import InstaMeasure, InstaMeasureConfig, RCCSketch, WSAFTable
 from repro.core.rcc import coupon_partial_sum
+from repro.state import capture_engine, to_bytes
 from repro.traffic import FiveTuple, FlowTable, merge_traces
 from repro.traffic.packet import Trace
 
@@ -174,6 +177,52 @@ class TestEngineProperties:
             private_word = placements.count(placements[flow]) == 1
             if truth[flow] > 0 and private_word:
                 assert est[flow] > 0.0
+
+
+class TestKernelProperties:
+    """The batched kernel equals the scalar oracle across generated
+    geometries: every saturation threshold from one bit to the whole
+    vector, so both the quad replay and its single-packet steps run."""
+
+    @given(
+        tiny_traces(),
+        st.integers(2, 8).flatmap(
+            lambda v: st.tuples(st.just(v), st.integers(1, v))
+        ),
+        st.sampled_from([32, 64]),
+        st.integers(64, 256),
+        st.integers(1, 64),
+        st.sampled_from(["second-chance", "min", "reject"]),
+    )
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_kernel_snapshot_equals_scalar(
+        self, trace, geometry, word_bits, l1_memory_bytes, chunk_size, policy
+    ):
+        vector_bits, saturation_bits = geometry
+        config = InstaMeasureConfig(
+            l1_memory_bytes=l1_memory_bytes,
+            vector_bits=vector_bits,
+            word_bits=word_bits,
+            # ceil() of this fill times vector_bits is exactly
+            # saturation_bits; saturation_bits / vector_bits can round up.
+            saturation_fill=(saturation_bits - 0.5) / vector_bits,
+            wsaf_entries=16,
+            eviction_policy=policy,
+            chunk_size=chunk_size,
+        )
+        snapshots = []
+        for engine_name in ("scalar", "batched"):
+            engine = InstaMeasure(replace(config, engine=engine_name))
+            assert engine.regulator.l1.saturation_bits == saturation_bits
+            engine.process_trace(trace)
+            snapshots.append(capture_engine(engine))
+        scalar, kernel = snapshots
+        # Only the engine knob in the embedded config may differ.
+        assert to_bytes(replace(kernel, config=scalar.config)) == to_bytes(scalar)
 
 
 class TestMergeProperties:

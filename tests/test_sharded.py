@@ -459,7 +459,8 @@ class TestShardWorkerPool:
 
     def test_pool_builds_kernel_tables_before_forking(self, monkeypatch):
         """Workers inherit the kernel's FSM tables from the parent: the
-        pool builds them for a kernel config, and for nothing else."""
+        pool builds them for a kernel config, and for nothing else; a
+        threshold below four bits builds no quad table."""
         from repro.kernels import luts
         from repro.pipeline import ShardWorkerPool
 
@@ -480,6 +481,15 @@ class TestShardWorkerPool:
         finally:
             pool.close()
         assert [meta["packets"] for meta, _payload in replies] == [3]
+
+        monkeypatch.setattr(luts, "_CACHE", {})
+        monkeypatch.setattr(luts, "_QUAD_CACHE", {})
+        narrow = _config("auto", vector_bits=4)
+        narrow_range = ShardRouter.for_config(narrow, 1).key_range(0)
+        ShardWorkerPool(narrow, [narrow_range], 3).close()
+        # 4-bit vectors at the default 70 % fill saturate at 3 bits.
+        assert set(luts._CACHE) == {(4, 3)}
+        assert luts._QUAD_CACHE == {}
 
     def test_healthy_pool_round_trips(self):
         pool = self._pool(total=3)

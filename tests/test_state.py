@@ -9,7 +9,8 @@ The contracts under test are the state layer's tentpole guarantees:
 * The wire format is versioned and self-describing: wrong magic, wrong
   version, truncation, trailing garbage, and any malformed header or
   manifest — in a snapshot or an IPC frame — are all rejected loudly,
-  always as ``SnapshotError``.
+  always as ``SnapshotError``; so is a stream cursor that no stream
+  could resume from.
 * ``merge`` has well-defined semantics: disjoint key ranges concatenate
   (and ``mode="disjoint"`` refuses overlapping inputs), overlapping
   ranges counter-sum per key with insertion/update reconciliation.
@@ -67,19 +68,24 @@ def _measured(trace, engine: str, **overrides) -> InstaMeasure:
     return measured
 
 
-def _tamper_header(payload: bytes, **fields) -> bytes:
-    """Re-encode ``payload`` with header fields overwritten."""
+def _split_payload(payload: bytes) -> "tuple[dict, bytes]":
+    """An IMSNAP ``payload``'s decoded JSON header and its column bytes."""
     header_len = int.from_bytes(payload[len(MAGIC) : len(MAGIC) + 8], "little")
     body_start = len(MAGIC) + 8 + header_len
-    header = json.loads(payload[len(MAGIC) + 8 : body_start].decode())
-    header.update(fields)
+    return json.loads(payload[len(MAGIC) + 8 : body_start]), payload[body_start:]
+
+
+def _encode(header: dict, body: bytes) -> bytes:
+    """An IMSNAP payload from a JSON ``header`` and column bytes."""
     encoded = json.dumps(header, separators=(",", ":")).encode()
-    return (
-        MAGIC
-        + len(encoded).to_bytes(8, "little")
-        + encoded
-        + payload[body_start:]
-    )
+    return MAGIC + len(encoded).to_bytes(8, "little") + encoded + body
+
+
+def _tamper_header(payload: bytes, **fields) -> bytes:
+    """Re-encode ``payload`` with header fields overwritten."""
+    header, body = _split_payload(payload)
+    header.update(fields)
+    return _encode(header, body)
 
 
 class TestRoundTrip:
@@ -315,6 +321,70 @@ class TestCodecRejection:
             except SnapshotError:
                 rejected += 1
         assert rejected > 0
+
+
+class TestCursorRejection:
+    """A stream cursor no stream could resume from fails at restore, as a
+    ``SnapshotError`` — not at the next ingest, and not as another
+    exception — on the engine and on the daemon's recovery path."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self, trace):
+        """Mid-stream captures of a known- and an unknown-length stream."""
+        chunks = list(TraceChunkSource(trace, chunk_size=1_500))[:2]
+        payloads = {}
+        for kind in ("known", "unknown"):
+            engine = InstaMeasure(_config("batched"))
+            if kind == "unknown":
+                engine.begin_stream()
+            for chunk in chunks:
+                engine.ingest(chunk)
+            payloads[kind] = to_bytes(engine.snapshot())
+        return payloads
+
+    @pytest.mark.parametrize(
+        "kind,damage",
+        [
+            ("known", lambda stream: {"offset": stream["total"] + 1}),
+            ("known", lambda stream: {"offset": -1}),
+            ("known", lambda stream: {"total": -1}),
+            ("unknown", lambda stream: {"block_used": stream["block_size"] + 1}),
+            ("unknown", lambda stream: {"rng_state": "junk"}),
+            ("unknown", lambda stream: {"offset": -1}),
+        ],
+        ids=[
+            "offset-past-total",
+            "negative-offset",
+            "negative-total",
+            "block-overrun",
+            "junk-rng-state",
+            "unknown-negative-offset",
+        ],
+    )
+    def test_malformed_cursor_is_a_snapshot_error(self, payloads, kind, damage):
+        from repro.pipeline.sharded import ShardedStreamingMeasurer
+
+        payload = payloads[kind]
+        stream = _split_payload(payload)[0]["stream"]
+        snapshot = from_bytes(
+            _tamper_header(payload, stream={**stream, **damage(stream)})
+        )
+        with pytest.raises(SnapshotError, match="stream cursor"):
+            restore_engine(snapshot)
+        with pytest.raises(SnapshotError, match="stream cursor"):
+            ShardedStreamingMeasurer.from_snapshots([snapshot])
+
+    def test_positioned_cursor_is_rejected(self, payloads):
+        """Positioned stream cursors are retired: a header that declares
+        one, with its ``stream.positions`` column, does not decode."""
+        header, body = _split_payload(payloads["known"])
+        header["stream"]["has_positions"] = True
+        header["manifest"].append(
+            {"name": "stream.positions", "dtype": "<i8", "count": 4}
+        )
+        positioned = _encode(header, body + np.arange(4, dtype="<i8").tobytes())
+        with pytest.raises(SnapshotError, match="positioned"):
+            from_bytes(positioned)
 
 
 def _frame(header) -> bytes:
