@@ -5,8 +5,8 @@ Closes the loop the backpressure control plane opens
 *above* the sustainable capacity and score what each overload response
 does to detection accuracy.
 
-Three responses per overload factor, all observing the same offered
-stream and all ingesting at (or below) the same effective rate:
+Two responses per overload factor, both observing the same offered
+stream and ingesting at (or below) the same effective rate:
 
 * **oblivious** — the open-loop baseline: a
   :class:`~repro.simulate.linkmodel.MirrorPort` at the capacity rate
@@ -22,15 +22,10 @@ stream and all ingesting at (or below) the same effective rate:
   to a target just under the mirror port's delivered rate.  The keep
   rate is *known* (``ControllerStats`` carries exact counts), so
   estimates are scaled back up by it.
-* **degrade** — :class:`~repro.pipeline.control.DegradeController`
-  switches to coalesced batch ingests (the cheaper mode) and thins to a
-  boosted budget chosen so its kept packets also stay at or below the
-  mirror port's delivered count.
 
 The headline regression bar: at equal-or-lower effective ingest rate,
-policy-driven shedding must beat the oblivious drop baseline on
-heavy-hitter recall for at least one offered rate (both ``shed`` and
-``degrade``).  ``--quick`` is the CI smoke — a small trace, one
+``shed`` must beat the oblivious drop baseline on heavy-hitter recall
+for at least one offered rate.  ``--quick`` is the CI smoke — a small trace, one
 overload factor, history untouched, and the bar relaxed to a
 no-collapse floor (policy recall >= oblivious recall).
 
@@ -38,7 +33,9 @@ Rows land in ``BENCH_overload.json`` keyed by ``(git_sha, policy,
 overload)``: re-running on a commit replaces that commit's rows and
 keeps other commits', with legacy rows backfilled by
 ``_normalize_history`` — the same history policy as
-``BENCH_throughput.json``.
+``BENCH_throughput.json``.  Rows of the retired ``degrade`` policy stay
+in the file as history; it kept exactly the packets ``shed`` keeps at
+its boosted target.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import numpy as np
 from repro.analysis.metrics import mean_relative_error
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.detection import classify_detections, ground_truth_heavy_hitters
-from repro.pipeline import DegradeController, ShedController, run_pipeline
+from repro.pipeline import ShedController, run_pipeline
 from repro.simulate import MirrorPort
 from repro.state.codec import to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -72,16 +69,9 @@ SMOKE_OVERLOADS = (2.5,)
 #: Chunk granularity of the controlled runs — small enough that one run
 #: makes many control decisions.
 CHUNK_SIZE = 2048
-#: Shed/degrade targets sit this far under the mirror port's delivered
+#: The shed target sits this far under the mirror port's delivered
 #: rate, so sampling noise cannot push kept packets above delivered.
 TARGET_SAFETY = 0.95
-#: Degrade-mode batching: chunks per coalesced ingest, and the assumed
-#: batching speedup that sets the boosted thinning budget.  The budget
-#: is ``target * boost`` and the target is scaled down by the same
-#: boost, so degrade's kept packets obey the same delivered-rate cap as
-#: shed's.
-DEGRADE_BATCH = 8
-DEGRADE_BOOST = 1.25
 #: Mirror-port buffer: small enough that overload engages the drop path
 #: within the first epoch of the trace.
 BUFFER_BYTES = 256 * 1024
@@ -178,41 +168,33 @@ def _run_oblivious(offered, capacity_pps: float, threshold: float) -> "dict":
     return row
 
 
-def _run_policy(offered, policy: str, target_pps: float, threshold: float):
-    """One controlled run; returns (row, snapshot_bytes)."""
-    if policy == "shed":
-        controller = ShedController(target_pps, seed=CONTROL_SEED)
-    else:
-        controller = DegradeController(
-            target_pps / DEGRADE_BOOST,
-            batch_chunks=DEGRADE_BATCH,
-            boost=DEGRADE_BOOST,
-            seed=CONTROL_SEED,
-        )
+def _run_shed(offered, target_pps: float, threshold: float):
+    """One shed run; returns (row, snapshot_bytes)."""
     engine = _engine()
     result = run_pipeline(
-        engine, offered, chunk_size=CHUNK_SIZE, controller=controller
+        engine,
+        offered,
+        chunk_size=CHUNK_SIZE,
+        controller=ShedController(target_pps, seed=CONTROL_SEED),
     )
     stats = result.controller_stats
     est_packets, _ = engine.estimates_for(offered)
     compensation = 1.0 / max(stats["keep_rate"], 1e-12)
     row = {
-        "policy": policy,
+        "policy": "shed",
         "measured_packets": stats["kept_packets"],
         "keep_rate": stats["keep_rate"],
         "compensation": compensation,
         "target_pps": target_pps,
         "thinned_chunks": stats["thinned_chunks"],
         "dropped_chunks": stats["dropped_chunks"],
-        "degraded_chunks": stats["degraded_chunks"],
-        "batched_ingests": stats["batched_ingests"],
     }
     row.update(_score(offered, est_packets, compensation, threshold))
     return row, to_bytes(engine.snapshot())
 
 
 def _sweep_one(base, overload: float, capacity_pps: float, threshold: float):
-    """All three responses at one offered rate; returns the row group."""
+    """Both responses at one offered rate; returns the row group."""
     offered = scale_rate(base, overload)
     duration = float(offered.timestamps[-1] - offered.timestamps[0])
     offered_pps = offered.num_packets / duration
@@ -222,19 +204,16 @@ def _sweep_one(base, overload: float, capacity_pps: float, threshold: float):
     delivered_pps = delivered / duration
     target = TARGET_SAFETY * delivered_pps
 
-    shed, shed_snapshot = _run_policy(offered, "shed", target, threshold)
-    shed_again, again_snapshot = _run_policy(
-        offered, "shed", target, threshold
-    )
+    shed, shed_snapshot = _run_shed(offered, target, threshold)
+    shed_again, again_snapshot = _run_shed(offered, target, threshold)
     assert shed_snapshot == again_snapshot, (
         "shed is not deterministic: two runs over the same trace and "
         "schedule produced different snapshots"
     )
     assert shed == shed_again, "shed rows diverged across identical runs"
-    degrade, _ = _run_policy(offered, "degrade", target, threshold)
 
     rows = []
-    for row in (oblivious, shed, degrade):
+    for row in (oblivious, shed):
         row.update(
             overload=overload,
             capacity_pps=capacity_pps,
@@ -367,11 +346,6 @@ def run_overload(
         extra = ""
         if row["policy"] == "oblivious":
             extra = f"oracle recall {row['oracle_hh_recall']:.2f}"
-        elif row["policy"] == "degrade":
-            extra = (
-                f"batched {row['batched_ingests']}, "
-                f"degraded {row['degraded_chunks']} chunks"
-            )
         lines.append(
             f"{row['overload']:>7.1f}x  "
             f"{row['policy']:<9} "
@@ -389,13 +363,12 @@ def run_overload(
 def assert_overload_bars(result: "dict", smoke: bool = False) -> None:
     """The overload regression bars; ``smoke`` relaxes "beat" to "match".
 
-    * Fairness everywhere: shed and degrade keep at most as many
-      packets as the mirror port delivers (equal-or-lower effective
-      ingest rate).
-    * Full mode: at least one offered rate where shed AND degrade
-      each *strictly* beat oblivious on heavy-hitter recall.
-    * Smoke mode: shed and degrade recall never collapse below
-      oblivious recall at any swept rate.
+    * Fairness everywhere: shed keeps at most as many packets as the
+      mirror port delivers (equal-or-lower effective ingest rate).
+    * Full mode: at least one offered rate where shed *strictly* beats
+      oblivious on heavy-hitter recall.
+    * Smoke mode: shed recall never collapses below oblivious recall
+      at any swept rate.
     """
     by_overload: "dict[float, dict[str, dict]]" = {}
     for row in result["rows"]:
@@ -403,30 +376,24 @@ def assert_overload_bars(result: "dict", smoke: bool = False) -> None:
 
     beaten = []
     for overload, group in sorted(by_overload.items()):
-        oblivious, shed, degrade = (
-            group["oblivious"], group["shed"], group["degrade"]
+        oblivious, shed = group["oblivious"], group["shed"]
+        assert shed["measured_packets"] <= oblivious["measured_packets"], (
+            f"shed at {overload}x ingested "
+            f"{shed['measured_packets']:,} packets, more than the "
+            f"{oblivious['measured_packets']:,} the mirror port "
+            "delivered — the accuracy comparison would be unfair"
         )
-        for row in (shed, degrade):
-            assert row["measured_packets"] <= oblivious["measured_packets"], (
-                f"{row['policy']} at {overload}x ingested "
-                f"{row['measured_packets']:,} packets, more than the "
-                f"{oblivious['measured_packets']:,} the mirror port "
-                "delivered — the accuracy comparison would be unfair"
-            )
-            assert row["hh_recall"] >= oblivious["hh_recall"], (
-                f"{row['policy']} at {overload}x recall "
-                f"{row['hh_recall']:.2f} collapsed below the oblivious "
-                f"baseline's {oblivious['hh_recall']:.2f}"
-            )
-        if (
-            shed["hh_recall"] > oblivious["hh_recall"]
-            and degrade["hh_recall"] > oblivious["hh_recall"]
-        ):
+        assert shed["hh_recall"] >= oblivious["hh_recall"], (
+            f"shed at {overload}x recall "
+            f"{shed['hh_recall']:.2f} collapsed below the oblivious "
+            f"baseline's {oblivious['hh_recall']:.2f}"
+        )
+        if shed["hh_recall"] > oblivious["hh_recall"]:
             beaten.append(overload)
     if not smoke:
         assert beaten, (
-            "no offered rate where both shed and degrade strictly beat "
-            "the oblivious baseline on heavy-hitter recall"
+            "no offered rate where shed strictly beats the oblivious "
+            "baseline on heavy-hitter recall"
         )
 
 

@@ -106,14 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(LOAD_POLICY_CHOICES),
         default="none",
         help="closed-loop overload policy: none (ingest everything), shed "
-        "(deterministically sample overloaded chunks down to --target-pps), "
-        "degrade (batch chunks into cheaper coalesced ingests under load)",
+        "(deterministically sample overloaded chunks down to --target-pps)",
     )
     run.add_argument(
         "--target-pps",
         type=float,
         default=None,
-        help="sustainable ingest rate for --load-policy shed/degrade "
+        help="sustainable ingest rate for --load-policy shed "
         "(stream-clock packets per second)",
     )
 
@@ -246,13 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(LOAD_POLICY_CHOICES),
         default="none",
         help="closed-loop overload policy for the ingest loop "
-        "(none | shed | degrade)",
+        "(none | shed)",
     )
     serve.add_argument(
         "--target-pps",
         type=float,
         default=None,
-        help="sustainable ingest rate for --load-policy shed/degrade",
+        help="sustainable ingest rate for --load-policy shed",
     )
 
     control = commands.add_parser(
@@ -316,22 +315,21 @@ def _controller_from_args(args: argparse.Namespace):
 
 
 def _controller_rows(stats: "dict | None") -> "list[list[str]]":
-    if not stats or stats.get("policy", "none") == "none":
+    if not stats:
         return []
     return [
         ["load policy", stats["policy"]],
         ["load keep rate",
          f"{stats['keep_rate']:.2%} ({stats['kept_packets']:,} of "
          f"{stats['offered_packets']:,} offered)"],
-        ["load actions (thin/drop/degraded chunks)",
-         f"{stats['thinned_chunks']:,}/{stats['dropped_chunks']:,}/"
-         f"{stats['degraded_chunks']:,}"],
+        ["load actions (thin/drop chunks)",
+         f"{stats['thinned_chunks']:,}/{stats['dropped_chunks']:,}"],
     ]
 
 
 def _run_sharded(args: argparse.Namespace, source) -> int:
     """``run --shards N``: stream chunks through shards, merge exactly."""
-    from repro.pipeline import PrefetchChunkSource, ShardedPipeline
+    from repro.pipeline import ShardedPipeline
     from repro.state import save as save_snapshot
 
     config = InstaMeasureConfig(
@@ -340,14 +338,13 @@ def _run_sharded(args: argparse.Namespace, source) -> int:
         seed=getattr(args, "seed", 0),
         wsaf_backend=getattr(args, "wsaf_backend", "flat"),
     )
-    # Chunks stream straight off the file source into per-shard routing;
-    # prefetch stages the next chunk while the current one is routed.
+    # Chunks stream straight off the file source into per-shard routing.
     sharded = ShardedPipeline(
         config,
         num_shards=args.shards,
         parallel=args.parallel,
         controller=_controller_from_args(args),
-    ).run(PrefetchChunkSource(source))
+    ).run(source)
     snapshot = sharded.snapshot
     trace = source.trace
     est_packets, _est_bytes = sharded.estimates_for(trace)
@@ -387,19 +384,15 @@ def _run_sharded(args: argparse.Namespace, source) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.pipeline import FileChunkSource, PrefetchChunkSource
+    from repro.pipeline import FileChunkSource
 
     engine = _engine_from_args(args)
     source = FileChunkSource(args.trace, chunk_size=engine.config.chunk_size)
     if args.shards > 1:
         return _run_sharded(args, source)
     trace = source.trace
-    # Prefetch stages the next chunk while the engine ingests the
-    # current one; the chunk sequence itself is unchanged.
     pipeline_result = run_pipeline(
-        engine,
-        PrefetchChunkSource(source),
-        controller=_controller_from_args(args),
+        engine, source, controller=_controller_from_args(args)
     )
     result = pipeline_result.result
     est_packets, _est_bytes = engine.estimates_for(trace)
@@ -415,13 +408,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ["WSAF load factor", f"{engine.wsaf.load_factor:.2%}"],
         ["WSAF evictions", f"{engine.wsaf.evictions:,}"],
     ]
-    staging = pipeline_result.prefetch_stats
-    if staging is not None:
-        rows.append(
-            ["prefetch (depth peak / producer / consumer wait)",
-             f"{staging.max_depth} / {staging.producer_wait_s:.3f}s / "
-             f"{staging.consumer_wait_s:.3f}s"]
-        )
     rows.extend(_controller_rows(pipeline_result.controller_stats))
     big = truth >= 1000
     if big.any():

@@ -32,22 +32,6 @@ from repro.hashing import hash_u64, hash_u64_array
 from repro.memmodel import AccessAccountant
 
 
-_POPCOUNT_TABLES: "dict[int, list[int]]" = {}
-
-
-def popcount_table(width: int) -> "list[int]":
-    """Set-bit counts for every ``width``-bit value, cached per width."""
-    if not 0 <= width <= 16:
-        raise ConfigurationError(
-            f"popcount_table width must be in [0, 16], got {width}"
-        )
-    table = _POPCOUNT_TABLES.get(width)
-    if table is None:
-        table = [value.bit_count() for value in range(1 << width)]
-        _POPCOUNT_TABLES[width] = table
-    return table
-
-
 def coupon_partial_sum(vector_bits: int, bits_set: int) -> float:
     """Expected insertions to set ``bits_set`` distinct bits out of ``vector_bits``.
 

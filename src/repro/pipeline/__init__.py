@@ -14,16 +14,12 @@ collecting per-chunk throughput stats.
 On top of the single-measurer loop, :class:`~repro.pipeline.sharded.
 ShardedPipeline` drives the same loop into N flow-key shards (in-process
 or forked workers) and merges their serializable snapshots into one
-state whose estimates exactly equal a single-process run, and
-:class:`~repro.pipeline.prefetch.PrefetchChunkSource` stages upcoming
-chunks from a background thread.
+state whose estimates exactly equal a single-process run.
 
-The pipeline is a *closed-loop controlled* plane: a
-:class:`~repro.pipeline.control.LoadController` (``none`` / ``shed`` /
-``degrade``) can sit between the source and the measurer, reading the
-per-chunk :class:`~repro.pipeline.control.LoadSignal` (offered rate on
-the stream clock, measured ingest rate, prefetch queue depth) and
-thinning, dropping, or batch-coalescing chunks under overload — with
+Under overload a :class:`~repro.pipeline.control.ShedController` (the
+``shed`` load policy; ``none`` runs without one) can sit between the
+source and the measurer: it reads each chunk's offered rate on the
+stream clock and thins or drops the chunk down to a target rate, with
 deterministic seed-stable sampling so shed runs stay reproducible.  See
 docs/STREAMING.md, "Backpressure and load-shedding".
 
@@ -36,14 +32,9 @@ from repro.pipeline.control import (
     ControlDecision,
     ControlDecisionRecord,
     ControllerStats,
-    DegradeController,
     LOAD_POLICY_CHOICES,
-    LoadController,
-    LoadSignal,
-    NoLoadController,
     ShedController,
     build_load_controller,
-    coalesce_chunks,
     thin_chunk,
     thin_mask,
 )
@@ -54,12 +45,10 @@ from repro.pipeline.driver import (
     PipelineResult,
     run_pipeline,
 )
-from repro.pipeline.prefetch import PrefetchChunkSource, PrefetchStats
 from repro.pipeline.protocol import (
     StreamingMeasurer,
     chunk_total,
     chunk_trace,
-    supports_merge,
     supports_rotate,
 )
 from repro.pipeline.sharded import (
@@ -91,23 +80,16 @@ __all__ = [
     "ControlDecision",
     "ControlDecisionRecord",
     "ControllerStats",
-    "DegradeController",
     "EpochRecord",
     "LOAD_POLICY_CHOICES",
-    "LoadController",
-    "LoadSignal",
-    "NoLoadController",
     "ShedController",
     "build_load_controller",
-    "coalesce_chunks",
     "thin_chunk",
     "thin_mask",
     "FileChunkSource",
     "PacketRecordChunkSource",
     "Pipeline",
     "PipelineResult",
-    "PrefetchChunkSource",
-    "PrefetchStats",
     "SocketChunkSource",
     "StreamingChunkSource",
     "ShardWorkerPool",
@@ -122,6 +104,5 @@ __all__ = [
     "chunk_trace",
     "run_pipeline",
     "trace_from_records",
-    "supports_merge",
     "supports_rotate",
 ]

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.pipeline.control import ChunkGovernor, LoadController
+from repro.pipeline.control import ChunkGovernor, ShedController
 from repro.pipeline.protocol import supports_rotate
 from repro.pipeline.source import ChunkSource, as_chunk_source
 
@@ -59,11 +59,6 @@ class EpochRecord:
 class PipelineResult:
     """Outcome of one pipeline run.
 
-    ``prefetch_stats`` carries the staging-queue counters
-    (:class:`~repro.pipeline.prefetch.PrefetchStats`) when the run's
-    source was a :class:`~repro.pipeline.prefetch.PrefetchChunkSource`,
-    else ``None``.
-
     When the pipeline ran with a load controller, ``offered_packets``
     counts the packets the source offered (``packets`` counts what was
     actually ingested after shedding), ``decisions`` holds the
@@ -80,7 +75,6 @@ class PipelineResult:
     packets: int
     chunks: "list[ChunkStats]" = field(default_factory=list)
     epochs: "list[EpochRecord]" = field(default_factory=list)
-    prefetch_stats: "object | None" = None
     offered_packets: int = 0
     decisions: list = field(default_factory=list)
     controller_stats: "dict | None" = None
@@ -107,7 +101,6 @@ class _RunState:
     packets: int = 0
     offered_packets: int = 0
     ingest_seconds: float = 0.0
-    last_ingest_seconds: float = 0.0
     saw_chunk: bool = False
     chunks: "list[ChunkStats]" = field(default_factory=list)
     epochs: "list[EpochRecord]" = field(default_factory=list)
@@ -139,12 +132,10 @@ class Pipeline:
             unbounded run grows without limit — aggregate counters
             (``packets`` etc.) are unaffected by trimming.
         controller: an optional
-            :class:`~repro.pipeline.control.LoadController`.  When given,
+            :class:`~repro.pipeline.control.ShedController`.  When given,
             the driver consults it between chunks: :meth:`step` may thin
-            or drop the chunk, or stage it toward a coalesced batch
-            ingest (and then returns ``None`` for the deferred step).
-            ``None`` keeps the historical zero-overhead path, bit for
-            bit.
+            the chunk, or drop it (and then returns ``None``).  ``None``
+            keeps the zero-overhead path, bit for bit.
     """
 
     def __init__(
@@ -156,7 +147,7 @@ class Pipeline:
         on_accumulate=None,
         on_chunk=None,
         history: "int | None" = None,
-        controller: "LoadController | None" = None,
+        controller: "ShedController | None" = None,
     ) -> None:
         self.measurer = measurer
         self.epoch_seconds = epoch_seconds
@@ -186,6 +177,7 @@ class Pipeline:
         epoch_seconds: "float | None" = None,
         start_time: "float | None" = None,
         first_epoch: int = 0,
+        stream_time: "float | None" = None,
     ) -> None:
         """Open an incremental run; feed it with :meth:`step`.
 
@@ -198,6 +190,10 @@ class Pipeline:
         ``first_epoch`` resumes the epoch counter mid-sequence — the
         recovery path: a daemon restarting from a checkpoint continues
         the rotation cadence instead of re-firing past epochs.
+        ``stream_time``, the timestamp of the last packet stepped before
+        the checkpoint, resumes the load controller's stream clock the
+        same way, so the first chunk after recovery is offered at the
+        rate the uninterrupted run measured.
         """
         if self._run is not None:
             raise ConfigurationError(
@@ -215,7 +211,11 @@ class Pipeline:
             start_time=start_time,
             current_epoch=first_epoch,
             governor=(
-                ChunkGovernor(self.controller, history=self.history)
+                ChunkGovernor(
+                    self.controller,
+                    history=self.history,
+                    stream_time=stream_time,
+                )
                 if self.controller is not None
                 else None
             ),
@@ -225,38 +225,22 @@ class Pipeline:
         """Ingest one chunk, firing any epoch boundaries it crossed.
 
         With a load controller the chunk is first run through the
-        governor: the returned stats cover what was actually ingested
-        this step, and ``None`` means the step deferred (the chunk was
-        staged toward a batch, or shed entirely).
+        governor: the returned stats cover the packets it kept, and
+        ``None`` means the chunk was shed entirely.
         """
         run = self._run
         if run is None:
             raise ConfigurationError("no run in progress; begin() first")
-        if run.epoch_seconds is not None and run.current_epoch < chunk.epoch:
-            # Any staged batch belongs to an earlier epoch: ingest it
-            # before firing the boundary callbacks it precedes.
-            self._flush_pending(run)
+        if run.epoch_seconds is not None:
             while run.current_epoch < chunk.epoch:
                 self._fire(run, run.current_epoch)
                 run.current_epoch += 1
         run.offered_packets += chunk.num_packets
-        governor = run.governor
-        if governor is None:
-            return self._ingest(run, chunk)
-        ready = governor.admit(
-            chunk,
-            ingested_pps=(
-                run.packets / run.ingest_seconds
-                if run.ingest_seconds > 0
-                else 0.0
-            ),
-            queue_depth=int(getattr(run.source, "queue_depth", 0) or 0),
-            ingest_seconds=run.last_ingest_seconds,
-        )
-        stats = None
-        for item in ready:
-            stats = self._ingest(run, item)
-        return stats
+        if run.governor is not None:
+            chunk = run.governor.admit(chunk)
+            if chunk is None:
+                return None
+        return self._ingest(run, chunk)
 
     def _ingest(self, run: _RunState, chunk) -> ChunkStats:
         """Time one actual ``ingest`` call and record its stats."""
@@ -269,7 +253,6 @@ class Pipeline:
         seconds = time.perf_counter() - begin
         run.packets += chunk.num_packets
         run.ingest_seconds += seconds
-        run.last_ingest_seconds = seconds
         run.saw_chunk = True
         stats = ChunkStats(
             index=chunk.index,
@@ -282,27 +265,6 @@ class Pipeline:
         if self.on_chunk is not None:
             self.on_chunk(stats)
         return stats
-
-    def _flush_pending(self, run: _RunState) -> "ChunkStats | None":
-        if run.governor is None:
-            return None
-        chunk = run.governor.flush()
-        if chunk is None:
-            return None
-        return self._ingest(run, chunk)
-
-    def flush_pending(self) -> "ChunkStats | None":
-        """Ingest any batch the governor has staged, right now.
-
-        The daemon calls this before checkpointing: a checkpoint's
-        stream position covers every chunk already stepped, so staged
-        packets must reach the measurer before the state is persisted.
-        No-op (``None``) without a controller or staged chunks.
-        """
-        run = self._run
-        if run is None:
-            raise ConfigurationError("no run in progress; begin() first")
-        return self._flush_pending(run)
 
     @property
     def controller_stats(self) -> "dict | None":
@@ -330,7 +292,6 @@ class Pipeline:
         run = self._run
         if run is None:
             raise ConfigurationError("no run in progress; begin() first")
-        self._flush_pending(run)
         self._run = None
         if run.epoch_seconds is not None and run.saw_chunk:
             self._fire(run, run.current_epoch)
@@ -341,7 +302,6 @@ class Pipeline:
             packets=run.packets,
             chunks=run.chunks,
             epochs=run.epochs,
-            prefetch_stats=getattr(run.source, "prefetch_stats", None),
             offered_packets=run.offered_packets,
             decisions=(
                 list(run.governor.decisions) if run.governor is not None else []
@@ -429,7 +389,7 @@ def run_pipeline(
     on_epoch=None,
     rotate: bool = False,
     on_accumulate=None,
-    controller: "LoadController | None" = None,
+    controller: "ShedController | None" = None,
 ) -> PipelineResult:
     """One-shot convenience: build a :class:`Pipeline` and run it."""
     return Pipeline(

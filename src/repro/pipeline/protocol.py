@@ -18,12 +18,10 @@ for per-flow readings at any point.  The contract:
   called with ``flow_keys=None``; pure sketches cannot enumerate and
   require an explicit key array.
 
-Two optional capabilities are discovered by :func:`supports_rotate` /
-:func:`supports_merge` rather than demanded by the protocol:
-
-* ``rotate(now)`` — epoch maintenance (snapshot + expiry), fired by the
-  driver at epoch boundaries when asked.
-* ``merge(other)`` — fold another measurer's state in (sketch addition).
+One optional capability is discovered by :func:`supports_rotate`
+rather than demanded by the protocol: ``rotate(now)`` — epoch
+maintenance (snapshot + expiry), fired by the driver at epoch
+boundaries when asked.
 """
 
 from __future__ import annotations
@@ -47,11 +45,6 @@ class StreamingMeasurer(Protocol):
 def supports_rotate(measurer) -> bool:
     """Whether ``measurer`` implements the optional ``rotate(now)`` hook."""
     return callable(getattr(measurer, "rotate", None))
-
-
-def supports_merge(measurer) -> bool:
-    """Whether ``measurer`` implements the optional ``merge(other)`` hook."""
-    return callable(getattr(measurer, "merge", None))
 
 
 def chunk_trace(chunk) -> Trace:

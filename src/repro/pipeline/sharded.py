@@ -5,9 +5,8 @@ A :class:`ShardedPipeline` consumes any
 arrives: :meth:`repro.state.ShardRouter.split_chunk` partitions the
 chunk's packets into per-shard sub-traces plus their *global* bit-stream
 positions, so memory stays bounded by the chunk size — a
-:class:`~repro.pipeline.source.FileChunkSource` (optionally behind a
-:class:`~repro.pipeline.prefetch.PrefetchChunkSource`) streams straight
-into sharded workers without the whole trace ever being routed at once.
+:class:`~repro.pipeline.source.FileChunkSource` streams straight into
+sharded workers without the whole trace ever being routed at once.
 
 The merged state's ``estimates()`` are **exactly equal** to a
 single-process run of the same stream, because the sharding is exact on
@@ -466,7 +465,7 @@ class ShardedPipeline:
             trace (defaults to the config's ``chunk_size``); an explicit
             chunk source keeps its own slicing.
         controller: optional
-            :class:`~repro.pipeline.control.LoadController`, applied by
+            :class:`~repro.pipeline.control.ShedController`, applied by
             the :class:`~repro.pipeline.driver.Pipeline` driver exactly
             as in a single-process run: one decision per chunk, before
             routing, applied to the whole chunk — so every shard sheds
@@ -728,7 +727,7 @@ class ShardedStreamingMeasurer:
     def merged_snapshot(self) -> MeasurementSnapshot:
         """The shards folded into one state — valid between streams only
         (``merge`` refuses in-progress stream cursors)."""
-        return merge(self.snapshot_shards(), mode="disjoint")
+        return merge(self.snapshot_shards())
 
 
 class _PoolShardMeasurer:
@@ -802,6 +801,4 @@ class _PoolShardMeasurer:
 
     def merged_snapshot(self) -> MeasurementSnapshot:
         """The finalized shard states, decoded and folded into one."""
-        return merge(
-            [from_bytes(payload) for payload in self._payloads], mode="disjoint"
-        )
+        return merge([from_bytes(payload) for payload in self._payloads])

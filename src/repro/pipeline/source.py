@@ -61,24 +61,11 @@ class ChunkSource:
         epoch_seconds: epoch width the source splits on, or ``None``.
         start_time: first packet timestamp (epoch 0 starts here), or
             ``None`` until known.
-        queue_depth: chunks the source currently holds staged ahead of
-            the consumer — the backpressure signal a load controller
-            reads.  0 for unbuffered sources; live for
-            :class:`~repro.pipeline.prefetch.PrefetchChunkSource`.
     """
 
     total_packets: "int | None" = None
     epoch_seconds: "float | None" = None
     start_time: "float | None" = None
-    queue_depth: int = 0
-
-    @property
-    def offered_pps(self) -> "float | None":
-        """Stream-clock offered rate over the whole stream, when the
-        source can know it up front (else ``None``; the per-chunk
-        offered rate always comes from
-        :class:`~repro.pipeline.control.LoadSignal`)."""
-        return None
 
     def __iter__(self):
         raise NotImplementedError
@@ -159,14 +146,6 @@ class TraceChunkSource(ChunkSource):
                     parent=trace,
                 )
             )
-
-    @property
-    def offered_pps(self) -> "float | None":
-        """The trace's natural packet rate on its own clock."""
-        if not self.total_packets or self.start_time is None:
-            return None
-        span = float(self.trace.timestamps[-1]) - self.start_time
-        return self.total_packets / span if span > 0 else float("inf")
 
     def __iter__(self):
         return iter(self._chunks)

@@ -49,8 +49,6 @@ _COUNTER_KEYS = frozenset(
         "dropped_packets",
         "thinned_chunks",
         "dropped_chunks",
-        "degraded_chunks",
-        "batched_ingests",
     }
 )
 

@@ -65,10 +65,9 @@ class MeasurementDaemon:
         max_packets: stop the source once this many packets have been
             measured (recovered packets count) — a test/CI convenience.
         history: bound on the driver's per-chunk/per-epoch records.
-        load_policy: backpressure policy (``none`` / ``shed`` /
-            ``degrade``, see :mod:`repro.pipeline.control`) — the
-            daemon's rate-limit knob.  Non-``none`` policies require
-            ``target_pps`` and surface their live
+        load_policy: backpressure policy (``none`` / ``shed``, see
+            :mod:`repro.pipeline.control`) — the daemon's rate-limit
+            knob.  ``shed`` requires ``target_pps`` and surfaces its live
             :class:`~repro.pipeline.control.ControllerStats` under
             ``stats()["controller"]`` (and so through the control
             protocol's ``stats`` and ``metrics`` verbs).
@@ -182,7 +181,10 @@ class MeasurementDaemon:
             ),
         )
         self.pipeline.begin(
-            self.source, start_time=start_time, first_epoch=first_epoch
+            self.source,
+            start_time=start_time,
+            first_epoch=first_epoch,
+            stream_time=self._stream_time,
         )
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
@@ -195,9 +197,9 @@ class MeasurementDaemon:
         try:
             for chunk in self.source:
                 with self._lock:
-                    # step may return None (chunk staged toward a batch,
-                    # or shed entirely); the pipeline's cumulative
-                    # counters are authoritative either way.
+                    # step returns None for a chunk shed entirely; the
+                    # pipeline's cumulative counters are authoritative
+                    # either way.
                     self.pipeline.step(chunk)
                     self._position = chunk.end
                     self._run_packets += chunk.num_packets
@@ -259,14 +261,6 @@ class MeasurementDaemon:
     # -- checkpointing ---------------------------------------------------------
 
     def _checkpoint_locked(self):
-        if self.pipeline is not None and self.pipeline.active_epoch is not None:
-            # The checkpointed stream position covers every stepped
-            # chunk, so any batch the controller staged must reach the
-            # measurer before the state is persisted — otherwise a
-            # recovery would skip those packets.
-            self.pipeline.flush_pending()
-            self._run_measured = self.pipeline.ingested_packets
-            self._ingest_seconds = self.pipeline.run_ingest_seconds
         info = self.store.save(
             self.measurer.snapshot_shards(),
             meta={

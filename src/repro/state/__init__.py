@@ -9,8 +9,7 @@ builds on:
   for both scalar and batched engines, including mid-stream cursors.
 * :func:`to_bytes` / :func:`from_bytes` / :func:`save` / :func:`load` —
   a versioned, self-describing wire format.
-* :func:`merge` — fold worker snapshots (disjoint concatenation or
-  overlapping counter-sum).
+* :func:`merge` — fold worker snapshots with disjoint key sets into one.
 * :class:`ShardRouter` — word-range partitioning for exact process
   sharding (:mod:`repro.pipeline.sharded`).
 * :class:`InsertionLog` + :func:`tag_events` / :func:`release_ordered` /

@@ -3,15 +3,12 @@
 Two merge planes live here:
 
 * **Snapshot merge** (:func:`merge`): fold N finalized
-  :class:`~repro.state.snapshot.MeasurementSnapshot` objects into one.
-  *Disjoint* key ranges (no flow key appears in two snapshots — the
-  sharded pipeline's case) concatenate records and OR the regulator word
-  arrays; because every input evolved its own words under the same seed
-  over a disjoint word range, the OR is exact.  *Overlapping* ranges
-  counter-sum per key: packet/byte totals add, ``last_update`` takes the
-  max, the second-chance bit ORs, and insertion counters are reconciled
-  (a key inserted in two inputs is one insertion plus one update in the
-  merged view).
+  :class:`~repro.state.snapshot.MeasurementSnapshot` objects with
+  *disjoint* key sets (no flow key appears in two snapshots — the
+  sharded pipeline's case) into one: records concatenate and the
+  regulator word arrays OR together; because every input evolved its
+  own words under the same seed over a disjoint word range, the OR is
+  exact.
 * **Event-log merge** (:class:`InsertionLog`, :func:`tag_events`,
   :func:`release_ordered`, :func:`apply_events`): the multi-core
   manager's deterministic in-process merge.  Workers record WSAF
@@ -59,7 +56,7 @@ _GEOMETRY_FIELDS = {
 }
 
 
-def _check_compatible(snapshots, require_seed: bool) -> None:
+def _check_compatible(snapshots) -> None:
     first = snapshots[0]
     for other in snapshots[1:]:
         if other.kind != first.kind:
@@ -75,7 +72,7 @@ def _check_compatible(snapshots, require_seed: bool) -> None:
                     f"{first.config.get(name, default)!r} vs "
                     f"{other.config.get(name, default)!r}"
                 )
-        if require_seed and other.config.get("seed") != first.config.get("seed"):
+        if other.config.get("seed") != first.config.get("seed"):
             raise SnapshotError(
                 "disjoint-range merge requires a shared placement seed: "
                 f"{first.config.get('seed')!r} vs {other.config.get('seed')!r}"
@@ -92,9 +89,8 @@ def _check_compatible(snapshots, require_seed: bool) -> None:
 def _merge_regulators(snapshots) -> RegulatorState:
     """OR the word arrays, sum the counters.
 
-    Exact for disjoint word ranges under a shared seed (each word has at
-    most one writer); an approximation when inputs overlap — the counters
-    stay exact, the word *contents* are a superset of any single run's.
+    Exact for disjoint word ranges under a shared seed: each word has at
+    most one writer.
     """
     first = snapshots[0].regulator
     sketches = []
@@ -196,72 +192,6 @@ def _concat_wsaf(snapshots) -> WSAFState:
     )
 
 
-def _sum_wsaf(snapshots) -> WSAFState:
-    """Overlap merge: per-key counter sums with insertion reconciliation.
-
-    Each key keeps one record: packets/bytes sum, ``last_update`` takes
-    the max, the chance bit ORs, and the 5-tuple comes from the first
-    input that recorded one.  Every duplicate beyond a key's first record
-    was counted as an insertion by its own shard but is an *update* of
-    the merged record, so ``insertions``/``updates``/``size`` shift by
-    the duplicate count; eviction and GC counters sum as observed events.
-    """
-    states = [_flatten_wsaf(snap.wsaf) for snap in snapshots]
-    keys = np.concatenate([state.keys for state in states])
-    packets = np.concatenate([state.packets for state in states])
-    bytes_ = np.concatenate([state.bytes for state in states])
-    timestamps = np.concatenate([state.timestamps for state in states])
-    chance = np.concatenate([state.chance for state in states])
-    tuple_lo = np.concatenate([state.tuple_lo for state in states])
-    tuple_hi = np.concatenate([state.tuple_hi for state in states])
-    tuple_present = np.concatenate([state.tuple_present for state in states])
-
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    n = len(unique_keys)
-    sum_packets = np.zeros(n)
-    sum_bytes = np.zeros(n)
-    max_ts = np.full(n, -np.inf)
-    any_chance = np.zeros(n, dtype=bool)
-    np.add.at(sum_packets, inverse, packets)
-    np.add.at(sum_bytes, inverse, bytes_)
-    np.maximum.at(max_ts, inverse, timestamps)
-    np.logical_or.at(any_chance, inverse, chance)
-    max_ts[np.isneginf(max_ts)] = 0.0
-
-    merged_lo = np.zeros(n, dtype=np.uint64)
-    merged_hi = np.zeros(n, dtype=np.uint64)
-    merged_present = np.zeros(n, dtype=bool)
-    # First-wins tuple selection, walking records in input order.
-    for record in np.flatnonzero(tuple_present).tolist():
-        group = inverse[record]
-        if not merged_present[group]:
-            merged_present[group] = True
-            merged_lo[group] = tuple_lo[record]
-            merged_hi[group] = tuple_hi[record]
-
-    duplicates = len(keys) - n
-    return WSAFState(
-        num_entries=states[0].num_entries,
-        probe_limit=states[0].probe_limit,
-        eviction_policy=states[0].eviction_policy,
-        size=n,
-        insertions=sum(state.insertions for state in states) - duplicates,
-        updates=sum(state.updates for state in states) + duplicates,
-        evictions=sum(state.evictions for state in states),
-        gc_reclaimed=sum(state.gc_reclaimed for state in states),
-        rejected=sum(state.rejected for state in states),
-        slots=np.full(n, -1, dtype=np.int64),
-        keys=unique_keys,
-        packets=sum_packets,
-        bytes=sum_bytes,
-        timestamps=max_ts,
-        chance=any_chance,
-        tuple_lo=merged_lo,
-        tuple_hi=merged_hi,
-        tuple_present=merged_present,
-    )
-
-
 def _merged_key_range(snapshots) -> "tuple[int, int] | None":
     ranges = [snap.key_range for snap in snapshots]
     if any(r is None for r in ranges):
@@ -269,27 +199,23 @@ def _merged_key_range(snapshots) -> "tuple[int, int] | None":
     return (min(r[0] for r in ranges), max(r[1] for r in ranges))
 
 
-def merge(snapshots, mode: str = "auto") -> MeasurementSnapshot:
-    """Fold finalized snapshots into one.
+def merge(snapshots) -> MeasurementSnapshot:
+    """Fold finalized snapshots with disjoint key sets into one.
 
     Args:
         snapshots: a non-empty sequence of compatible snapshots (same
-            kind, same sketch/WSAF geometry, no in-progress streams).
-        mode: ``"disjoint"`` demands that no flow key appears twice
-            (raises otherwise) and concatenates; ``"overlap"``
-            counter-sums per key; ``"auto"`` picks disjoint when the key
-            sets do not intersect, overlap otherwise.
+            kind, same sketch/WSAF geometry and seed, no in-progress
+            streams) in which no flow key appears twice; shared keys
+            raise :class:`~repro.errors.SnapshotError`.
 
-    The merged snapshot's ``estimates()`` are exactly the union (disjoint)
-    or per-key sum (overlap) of the inputs'.  Its ``restore()`` places
-    slot-exact records directly and re-probes the rest.
+    The merged snapshot's ``estimates()`` are exactly the union of the
+    inputs'.  Its ``restore()`` places slot-exact records directly and
+    re-probes the rest.
     """
     snapshots = list(snapshots)
     if not snapshots:
         raise SnapshotError("cannot merge zero snapshots")
-    if mode not in ("auto", "disjoint", "overlap"):
-        raise SnapshotError(f"unknown merge mode {mode!r}")
-    _check_compatible(snapshots, require_seed=mode != "overlap")
+    _check_compatible(snapshots)
 
     all_keys = np.concatenate(
         [
@@ -304,19 +230,14 @@ def merge(snapshots, mode: str = "auto") -> MeasurementSnapshot:
     # Sort plus adjacent compare: a plain np.unique takes NumPy's (>= 2.3)
     # hash path, which is ~60x slower on a million random 64-bit keys.
     all_keys.sort()
-    disjoint = not np.any(all_keys[1:] == all_keys[:-1])
-    if mode == "disjoint" and not disjoint:
-        raise SnapshotError(
-            "disjoint merge requested but the snapshots share flow keys; "
-            "use mode='overlap' (or 'auto')"
-        )
-    use_disjoint = disjoint if mode == "auto" else mode == "disjoint"
+    if np.any(all_keys[1:] == all_keys[:-1]):
+        raise SnapshotError("cannot merge snapshots that share flow keys")
 
     return MeasurementSnapshot(
         kind=snapshots[0].kind,
         config=dict(snapshots[0].config),
         regulator=_merge_regulators(snapshots),
-        wsaf=_concat_wsaf(snapshots) if use_disjoint else _sum_wsaf(snapshots),
+        wsaf=_concat_wsaf(snapshots),
         stream=None,
         key_range=_merged_key_range(snapshots),
         shards_merged=sum(snap.shards_merged for snap in snapshots),

@@ -3,14 +3,12 @@
 Contracts under test, layer by layer:
 
 * policies (:mod:`repro.pipeline.control`): ``none`` passes everything,
-  ``shed`` thins to the target with seed-stable sampling, ``degrade``
-  batches under pressure and restores after the cooldown;
+  ``shed`` thins to the target with seed-stable sampling;
 * mechanism: the thinning mask is a pure function of (seed, global
   position) — identical across chunk geometries — and the governor
   rebases kept chunks onto a dense kept stream;
-* drivers: ``--load-policy none`` is byte-identical to no controller at
-  all, shed runs are byte-identical across repeats, batching-only
-  degrade is byte-identical to ``none`` (chunking invariance), and a
+* drivers: a shed controller that never sheds is byte-identical to no
+  controller at all, shed runs are byte-identical across repeats, and a
   sharded shed run equals the single-process one exactly;
 * service: the daemon accounts offered vs measured packets and surfaces
   controller stats; the control socket renders them as Prometheus text.
@@ -27,16 +25,12 @@ from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import ConfigurationError
 from repro.pipeline import (
     ChunkGovernor,
-    DegradeController,
     LOAD_POLICY_CHOICES,
-    LoadSignal,
-    NoLoadController,
     Pipeline,
     ShardedPipeline,
     ShedController,
     TraceChunkSource,
     build_load_controller,
-    coalesce_chunks,
     run_pipeline,
     thin_chunk,
     thin_mask,
@@ -58,43 +52,43 @@ def _config(**overrides) -> InstaMeasureConfig:
     return InstaMeasureConfig(**base)
 
 
-def _signal(offered_pps: float, packets: int = 1_000) -> LoadSignal:
-    return LoadSignal(
-        chunk_index=0, offered_packets=packets, offered_pps=offered_pps
-    )
-
-
 class TestPolicies:
-    def test_none_always_passes(self):
-        controller = NoLoadController()
-        for pps in (0.0, 1e3, 1e9, float("inf")):
-            decision = controller.decide(_signal(pps))
-            assert decision.action == "pass"
-            assert decision.keep_fraction == 1.0
-            assert decision.batch_chunks == 1
+    def test_none_always_passes(self, trace):
+        """``none`` builds no controller, so every chunk is ingested
+        whole, whatever its offered rate."""
+        assert build_load_controller("none", target_pps=1.0) is None
+        pipeline = Pipeline(
+            InstaMeasure(_config()),
+            controller=build_load_controller("none", target_pps=1.0),
+        )
+        source = TraceChunkSource(trace, chunk_size=700)
+        pipeline.begin(source)
+        for chunk in source:
+            assert pipeline.step(chunk).packets == chunk.num_packets
+        result = pipeline.finish()
+        assert result.packets == trace.num_packets
+        assert result.controller_stats is None
 
     def test_shed_passes_under_target(self):
         controller = ShedController(target_pps=1_000.0)
-        assert controller.decide(_signal(999.0)).action == "pass"
-        assert controller.decide(_signal(1_000.0)).action == "pass"
+        assert controller.decide(999.0).action == "pass"
+        assert controller.decide(1_000.0).action == "pass"
 
     def test_shed_thins_proportionally_over_target(self):
         controller = ShedController(target_pps=1_000.0)
-        decision = controller.decide(_signal(4_000.0))
+        decision = controller.decide(4_000.0)
         assert decision.action == "thin"
         assert decision.keep_fraction == pytest.approx(0.25)
 
     def test_shed_drops_on_infinite_rate_without_floor(self):
         controller = ShedController(target_pps=1_000.0)
-        assert controller.decide(_signal(float("inf"))).action == "drop"
+        assert controller.decide(float("inf")).action == "drop"
 
     def test_shed_min_keep_floors_the_sample(self):
         controller = ShedController(target_pps=1_000.0, min_keep=0.1)
+        assert controller.decide(1e9).keep_fraction == pytest.approx(0.1)
         assert controller.decide(
-            _signal(1e9)
-        ).keep_fraction == pytest.approx(0.1)
-        assert controller.decide(
-            _signal(float("inf"))
+            float("inf")
         ).keep_fraction == pytest.approx(0.1)
 
     def test_shed_validation(self):
@@ -104,79 +98,18 @@ class TestPolicies:
         with pytest.raises(ConfigurationError):
             ShedController(target_pps=1.0, min_keep=1.5)
 
-    def test_degrade_stays_passthrough_until_pressure(self):
-        controller = DegradeController(target_pps=1_000.0)
-        decision = controller.decide(_signal(500.0))
-        assert decision.action == "pass" and decision.batch_chunks == 1
-        assert not controller.degraded
-
-    def test_degrade_batches_within_boosted_budget(self):
-        controller = DegradeController(
-            target_pps=1_000.0, batch_chunks=4, boost=2.0
-        )
-        decision = controller.decide(_signal(1_500.0))
-        assert controller.degraded
-        # 1500 <= 1000 * 2.0: batching alone absorbs the overload.
-        assert decision.action == "pass"
-        assert decision.batch_chunks == 4
-        assert decision.degraded
-
-    def test_degrade_thins_above_boosted_budget(self):
-        controller = DegradeController(
-            target_pps=1_000.0, batch_chunks=4, boost=2.0
-        )
-        decision = controller.decide(_signal(8_000.0))
-        assert decision.action == "thin"
-        assert decision.keep_fraction == pytest.approx(2_000.0 / 8_000.0)
-        assert decision.degraded
-
-    def test_degrade_restores_after_cooldown(self):
-        controller = DegradeController(target_pps=1_000.0, cooldown=2)
-        controller.decide(_signal(5_000.0))
-        assert controller.degraded
-        # One quiet chunk is not enough (hysteresis)...
-        first_quiet = controller.decide(_signal(100.0))
-        assert first_quiet.degraded and controller.degraded
-        # ...the second clears the mode and pass-through resumes.
-        second_quiet = controller.decide(_signal(100.0))
-        assert not second_quiet.degraded
-        assert not controller.degraded
-        assert second_quiet.action == "pass"
-        assert second_quiet.batch_chunks == 1
-
-    def test_degrade_pressure_resets_the_cooldown(self):
-        controller = DegradeController(target_pps=1_000.0, cooldown=2)
-        controller.decide(_signal(5_000.0))
-        controller.decide(_signal(100.0))
-        controller.decide(_signal(5_000.0))  # pressure again
-        controller.decide(_signal(100.0))
-        assert controller.degraded  # the quiet counter restarted
-
-    def test_degrade_validation(self):
-        with pytest.raises(ConfigurationError):
-            DegradeController(target_pps=0.0)
-        with pytest.raises(ConfigurationError):
-            DegradeController(target_pps=1.0, batch_chunks=0)
-        with pytest.raises(ConfigurationError):
-            DegradeController(target_pps=1.0, boost=0.5)
-        with pytest.raises(ConfigurationError):
-            DegradeController(target_pps=1.0, cooldown=0)
-
     def test_factory(self):
         assert build_load_controller(None) is None
         assert build_load_controller("none") is None
         assert isinstance(
             build_load_controller("shed", target_pps=10.0), ShedController
         )
-        assert isinstance(
-            build_load_controller("degrade", target_pps=10.0),
-            DegradeController,
-        )
-        with pytest.raises(ConfigurationError, match="unknown load policy"):
-            build_load_controller("panic", target_pps=10.0)
+        for retired in ("degrade", "panic"):
+            with pytest.raises(ConfigurationError, match="unknown load policy"):
+                build_load_controller(retired, target_pps=10.0)
         with pytest.raises(ConfigurationError, match="target-pps"):
             build_load_controller("shed")
-        assert set(LOAD_POLICY_CHOICES) == {"none", "shed", "degrade"}
+        assert LOAD_POLICY_CHOICES == ("none", "shed")
 
 
 class TestThinningMechanism:
@@ -221,35 +154,18 @@ class TestThinningMechanism:
         # A vanishing keep fraction on a tiny chunk keeps nothing.
         assert thin_chunk(chunk, 1e-12, seed=1_000, kept_begin=0) is None
 
-    def test_coalesce_round_trips_the_packets(self, trace):
-        chunks = list(TraceChunkSource(trace, chunk_size=1_000))
-        merged = coalesce_chunks(chunks)
-        assert merged.num_packets == trace.num_packets
-        assert (merged.trace.flow_ids == trace.flow_ids).all()
-        assert (merged.trace.timestamps == trace.timestamps).all()
-        assert merged.begin == 0 and merged.end == trace.num_packets
-
-    def test_coalesce_rejects_mixed_flow_tables(self, trace):
-        other = build_caida_like_trace(
-            CaidaLikeConfig(num_flows=50, duration=1.0, seed=99)
-        )
-        first = next(iter(TraceChunkSource(trace, chunk_size=500)))
-        second = next(iter(TraceChunkSource(other, chunk_size=500)))
-        with pytest.raises(ConfigurationError):
-            coalesce_chunks([first, second])
-
 
 class TestChunkGovernor:
     def test_stats_conserve_packets(self, trace):
         governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
+        kept = 0
         for chunk in TraceChunkSource(trace, chunk_size=700):
-            governor.admit(chunk)
-        tail = governor.flush()
-        assert tail is None  # shed never batches
+            admitted = governor.admit(chunk)
+            kept += 0 if admitted is None else admitted.num_packets
         stats = governor.stats
         assert stats.offered_packets == trace.num_packets
         assert stats.kept_packets + stats.dropped_packets == trace.num_packets
-        assert 0 < stats.kept_packets < trace.num_packets
+        assert 0 < stats.kept_packets == kept < trace.num_packets
         assert stats.chunks == len(
             list(TraceChunkSource(trace, chunk_size=700))
         )
@@ -259,7 +175,9 @@ class TestChunkGovernor:
         governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
         ready = []
         for chunk in TraceChunkSource(trace, chunk_size=700):
-            ready.extend(governor.admit(chunk))
+            admitted = governor.admit(chunk)
+            if admitted is not None:
+                ready.append(admitted)
         position = ready[0].begin
         assert position == 0
         for chunk in ready:
@@ -267,27 +185,6 @@ class TestChunkGovernor:
             assert chunk.end == chunk.begin + chunk.num_packets
             position = chunk.end
         assert position == governor.stats.kept_packets
-
-    def test_batch_flushes_on_epoch_change(self, trace):
-        class AlwaysBatch(NoLoadController):
-            def decide(self, signal):
-                from repro.pipeline import ControlDecision
-
-                return ControlDecision(action="pass", batch_chunks=100)
-
-        governor = ChunkGovernor(AlwaysBatch())
-        source = TraceChunkSource(trace, chunk_size=500, epoch_seconds=2.0)
-        flushes = []
-        for chunk in source:
-            flushes.extend(governor.admit(chunk))
-        tail = governor.flush()
-        if tail is not None:
-            flushes.append(tail)
-        # Every flushed batch covers a single epoch.
-        epochs = [chunk.epoch for chunk in flushes]
-        assert len(flushes) >= 2
-        assert len(set(epochs)) == len(epochs)
-        assert sum(chunk.num_packets for chunk in flushes) == trace.num_packets
 
     def test_decision_history_is_bounded(self, trace):
         governor = ChunkGovernor(
@@ -303,18 +200,20 @@ class TestChunkGovernor:
 
 class TestControlledPipeline:
     def test_none_policy_is_byte_identical_to_no_controller(self, trace):
+        """A shed controller whose target the trace never reaches passes
+        every chunk untouched: the governor costs no bits."""
         plain = InstaMeasure(_config())
         run_pipeline(plain, TraceChunkSource(trace, chunk_size=700))
         controlled = InstaMeasure(_config())
         result = run_pipeline(
             controlled,
             TraceChunkSource(trace, chunk_size=700),
-            controller=NoLoadController(),
+            controller=ShedController(target_pps=1e12, seed=17),
         )
         assert to_bytes(controlled.snapshot()) == to_bytes(plain.snapshot())
         assert result.offered_packets == trace.num_packets
-        assert result.controller_stats["policy"] == "none"
         assert result.controller_stats["keep_rate"] == 1.0
+        assert len(result.decisions) == len(result.chunks)
         assert all(r.action == "pass" for r in result.decisions)
 
     def test_uncontrolled_result_reports_offered_packets(self, trace):
@@ -342,30 +241,30 @@ class TestControlledPipeline:
         assert result.result.packets == stats["kept_packets"]
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("policy", ["shed", "degrade"])
+    @pytest.mark.parametrize("policy", ["shed"])
     def test_sharded_shed_equals_single_process(self, trace, policy, parallel):
         """The driver decides once per chunk, before routing: a sharded
         run, in-process or forked, keeps exactly the packets a
-        single-process run keeps and ingests them in the same batches."""
+        single-process run keeps."""
         from repro.pipeline.sharded import _fork_available
 
         if parallel and not _fork_available():
             pytest.skip("platform cannot fork")
-        controllers = {
-            "shed": lambda: ShedController(target_pps=1_000.0, seed=17),
-            "degrade": lambda: DegradeController(target_pps=1_000.0, seed=17),
-        }
+
+        def controller():
+            return build_load_controller(policy, target_pps=1_000.0, seed=17)
+
         single = InstaMeasure(_config())
         expected = run_pipeline(
             single,
             TraceChunkSource(trace, chunk_size=700),
-            controller=controllers[policy](),
+            controller=controller(),
         )
         sharded = ShardedPipeline(
             _config(),
             num_shards=2,
             parallel=parallel,
-            controller=controllers[policy](),
+            controller=controller(),
         ).run(TraceChunkSource(trace, chunk_size=700))
         assert sharded.parallel == parallel
         assert (
@@ -385,32 +284,6 @@ class TestControlledPipeline:
             ]
 
         assert decisions(sharded) == decisions(expected)
-        assert (
-            sharded.controller_stats["batched_ingests"]
-            == expected.controller_stats["batched_ingests"]
-        )
-
-    def test_batching_only_degrade_is_byte_identical_to_none(self, trace):
-        """Chunking invariance: coalesced ingests change nothing but the
-        dispatch count."""
-        plain = InstaMeasure(_config())
-        run_pipeline(plain, TraceChunkSource(trace, chunk_size=500))
-        degraded = InstaMeasure(_config())
-        # A huge boost means batching alone absorbs any overload — the
-        # controller never thins, only coalesces.
-        controller = DegradeController(
-            target_pps=1.0, batch_chunks=4, boost=1e12
-        )
-        result = run_pipeline(
-            degraded,
-            TraceChunkSource(trace, chunk_size=500),
-            controller=controller,
-        )
-        assert to_bytes(degraded.snapshot()) == to_bytes(plain.snapshot())
-        stats = result.controller_stats
-        assert stats["kept_packets"] == trace.num_packets
-        assert stats["batched_ingests"] >= 1
-        assert stats["degraded_chunks"] >= 1
 
     def test_epoch_rotation_survives_shedding(self, trace):
         engine = InstaMeasure(_config())

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
-from repro.core.rcc import popcount_table
 from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
 from repro.kernels import SENTINEL, geometry_tables, kernel_tables, runs_kernel
@@ -436,11 +435,6 @@ class TestKernelTables:
             kernel_tables(vector_bits=9, saturation_bits=6)
         with pytest.raises(ConfigurationError):
             kernel_tables(vector_bits=8, saturation_bits=0)
-
-    def test_popcount_table_widths(self):
-        assert popcount_table(8)[0b10110] == 3
-        with pytest.raises(ConfigurationError):
-            popcount_table(17)
 
 
 class TestResultSemantics:

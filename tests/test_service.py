@@ -228,6 +228,66 @@ class TestMeasurementDaemon:
             reference.measurer
         )
 
+    def test_shed_crash_recovery_is_bit_identical(self, trace, capture, tmp_path):
+        """The same kill and restart under ``shed``: the recovered
+        governor resumes its stream clock from the checkpoint, so the
+        first chunk after recovery is offered at the rate, and keeps the
+        packets, it had in the run that never died."""
+        policy = dict(
+            load_policy="shed",
+            target_pps=0.5 * trace.num_packets / trace.duration,
+        )
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0, **policy,
+            )
+        )
+        assert reference.error is None
+        assert 0 < reference.measured_packets < trace.num_packets
+
+        class Dying(PacketRecordChunkSource):
+            def __iter__(self):
+                for i, chunk in enumerate(super().__iter__()):
+                    if i == 5:  # between the every-2-chunks checkpoints
+                        raise RuntimeError("simulated crash")
+                    yield chunk
+
+        ck = str(tmp_path / "ck")
+        crashed = _run_daemon(
+            MeasurementDaemon(
+                Dying(capture, chunk_size=1_000, epoch_seconds=1.0),
+                config=_config(),
+                num_shards=2,
+                epoch_seconds=1.0,
+                checkpoint_dir=ck,
+                checkpoint_every=2,
+                **policy,
+            )
+        )
+        assert isinstance(crashed.error, RuntimeError)
+        last = crashed.store.latest()
+        assert 0 < last.meta["position"] < crashed._position
+
+        recovered = _run_daemon(
+            MeasurementDaemon(
+                _source(capture),
+                num_shards=2,
+                epoch_seconds=1.0,
+                checkpoint_dir=ck,
+                checkpoint_every=2,
+                **policy,
+            )
+        )
+        assert recovered.error is None
+        assert recovered.recovered_from == last.seq
+        assert recovered.packets == trace.num_packets
+        assert recovered.measured_packets == reference.measured_packets
+        assert recovered.measurer.estimates() == reference.measurer.estimates()
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+
     def test_recovery_restores_config_from_checkpoint(
         self, capture, tmp_path
     ):

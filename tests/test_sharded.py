@@ -1,4 +1,4 @@
-"""Process-sharded ingestion and chunk prefetching.
+"""Process-sharded ingestion.
 
 The headline contract: a :class:`ShardedPipeline` run at any shard count
 produces estimates **exactly equal** to a single-process pipeline over
@@ -7,10 +7,6 @@ because word-range sharding keeps regulator words, positioned random
 bits, and per-flow accumulation order all identical to the single run
 (valid while the WSAF sees no evictions, which these workloads satisfy
 and the tests assert).
-
-:class:`PrefetchChunkSource` is the opposite kind of wrapper: it changes
-*when* chunks are produced, never *what* — the tests pin the identical
-chunk sequence, error propagation, and re-iterability.
 """
 
 from __future__ import annotations
@@ -20,12 +16,7 @@ import pytest
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import ConfigurationError
-from repro.pipeline import (
-    ChunkSource,
-    PrefetchChunkSource,
-    ShardedPipeline,
-    TraceChunkSource,
-)
+from repro.pipeline import ChunkSource, ShardedPipeline, TraceChunkSource
 from repro.pipeline.sharded import _fork_available
 from repro.state import ShardRouter
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -505,177 +496,3 @@ class TestShardWorkerPool:
 
         snapshot = from_bytes(payload)
         assert snapshot.regulator.packets == 3
-
-
-class TestPrefetchChunkSource:
-    def test_identical_chunk_sequence(self, trace):
-        inner = TraceChunkSource(trace, chunk_size=1_000)
-        prefetched = PrefetchChunkSource(inner, depth=3)
-        assert list(prefetched) == list(inner)
-        assert prefetched.total_packets == inner.total_packets
-        assert prefetched.start_time == inner.start_time
-
-    def test_pipeline_results_are_bit_identical(self, trace):
-        config = _config("scalar")
-        direct = InstaMeasure(config)
-        from repro.pipeline import Pipeline
-
-        Pipeline(direct).run(TraceChunkSource(trace, chunk_size=1_000))
-        staged = InstaMeasure(config)
-        Pipeline(staged).run(
-            PrefetchChunkSource(TraceChunkSource(trace, chunk_size=1_000))
-        )
-        assert staged.estimates() == direct.estimates()
-
-    def test_reiterable(self, trace):
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=2_000)
-        )
-        assert list(prefetched) == list(prefetched)
-
-    def test_producer_errors_propagate(self):
-        class Exploding(ChunkSource):
-            def __iter__(self):
-                raise RuntimeError("disk on fire")
-                yield  # pragma: no cover
-
-        with pytest.raises(RuntimeError, match="disk on fire"):
-            list(PrefetchChunkSource(Exploding()))
-
-    def test_abandoned_iteration_reaps_producer_thread(self, trace):
-        """Breaking out early must not leak a producer blocked on the
-        full staging queue (the daemon's stop path)."""
-        import threading
-        import time
-
-        def prefetch_threads():
-            return [
-                worker
-                for worker in threading.enumerate()
-                if worker.name == "chunk-prefetch" and worker.is_alive()
-            ]
-
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=100), depth=1
-        )
-        iterator = iter(prefetched)
-        next(iterator)  # the producer is now blocked staging chunk 3
-        iterator.close()  # consumer abandons the pass
-
-        deadline = time.monotonic() + 5.0
-        while prefetch_threads() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not prefetch_threads()
-
-    def test_validation(self, trace):
-        inner = TraceChunkSource(trace, chunk_size=1_000)
-        with pytest.raises(ConfigurationError):
-            PrefetchChunkSource(inner, depth=0)
-        with pytest.raises(ConfigurationError):
-            PrefetchChunkSource(object())
-
-    def test_records_queue_stats(self, trace):
-        inner = TraceChunkSource(trace, chunk_size=1_000)
-        prefetched = PrefetchChunkSource(inner, depth=3)
-        assert prefetched.prefetch_stats is None
-        chunks = list(prefetched)
-        stats = prefetched.prefetch_stats
-        assert stats is not None
-        assert stats.chunks == len(chunks)
-        assert 0 <= stats.max_depth <= 3
-        assert stats.producer_wait_s >= 0.0
-        assert stats.consumer_wait_s >= 0.0
-        # Each pass gets a fresh stats object.
-        list(prefetched)
-        assert prefetched.prefetch_stats is not stats
-
-    def test_queue_depth_signal_under_slow_consumer(self, trace):
-        """The live ``queue_depth`` surface the load controller reads:
-        bounded by the configured depth, non-zero while a slow consumer
-        lets the producer run ahead, and back to 0 between passes."""
-        import time
-
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=500), depth=2
-        )
-        assert prefetched.queue_depth == 0  # no pass in flight
-        observed = []
-        for _ in prefetched:
-            time.sleep(0.002)  # ingestion is the bottleneck
-            observed.append(prefetched.queue_depth)
-        assert len(observed) > 5
-        assert all(0 <= depth <= 2 for depth in observed)
-        assert max(observed) >= 1
-        assert prefetched.queue_depth == 0  # pass over, surface resets
-        # Consistency with the recorded high-water mark: the producer
-        # saw the queue at least as deep as any mid-stream reading,
-        # minus the end-of-stream sentinel a reading may include.
-        stats = prefetched.prefetch_stats
-        assert stats.max_depth >= max(observed) - 1
-        assert stats.max_depth <= 2
-
-    def test_slow_consumer_records_producer_waits(self, trace):
-        """With depth=1 and a dawdling consumer, the producer must block
-        on the full queue and the pass must account for that time."""
-        import time
-
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=500), depth=1
-        )
-        for _ in prefetched:
-            time.sleep(0.002)
-        stats = prefetched.prefetch_stats
-        assert stats.producer_wait_s > 0.0
-        assert stats.chunks == len(list(TraceChunkSource(trace, chunk_size=500)))
-
-    def test_early_close_joins_producer_with_signal_surface(self, trace):
-        """Reading the new load-signal surface mid-pass must not keep an
-        abandoned pass's producer alive, and the surface must report 0
-        once the pass is torn down."""
-        import threading
-        import time
-
-        def prefetch_threads():
-            return [
-                worker
-                for worker in threading.enumerate()
-                if worker.name == "chunk-prefetch" and worker.is_alive()
-            ]
-
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=100), depth=1
-        )
-        iterator = iter(prefetched)
-        next(iterator)  # the producer is now blocked staging chunk 3
-        assert prefetched.queue_depth >= 0  # live queue, readable
-        iterator.close()  # consumer abandons the pass
-
-        deadline = time.monotonic() + 5.0
-        while prefetch_threads() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not prefetch_threads()
-        assert prefetched.queue_depth == 0
-
-    def test_offered_pps_delegates_to_source(self, trace):
-        inner = TraceChunkSource(trace, chunk_size=1_000)
-        prefetched = PrefetchChunkSource(inner, depth=2)
-        assert prefetched.offered_pps == inner.offered_pps
-        assert prefetched.offered_pps == pytest.approx(
-            trace.num_packets / trace.duration, rel=0.01
-        )
-
-    def test_pipeline_surfaces_prefetch_stats(self, trace):
-        from repro.pipeline import Pipeline
-
-        config = _config("scalar")
-        prefetched = PrefetchChunkSource(
-            TraceChunkSource(trace, chunk_size=1_000)
-        )
-        outcome = Pipeline(InstaMeasure(config)).run(prefetched)
-        assert outcome.prefetch_stats is not None
-        assert outcome.prefetch_stats.chunks == len(outcome.chunks)
-        # A direct source reports no prefetch stats.
-        plain = Pipeline(InstaMeasure(config)).run(
-            TraceChunkSource(trace, chunk_size=1_000)
-        )
-        assert plain.prefetch_stats is None

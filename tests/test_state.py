@@ -11,9 +11,8 @@ The contracts under test are the state layer's tentpole guarantees:
   manifest — in a snapshot or an IPC frame — are all rejected loudly,
   always as ``SnapshotError``; so is a stream cursor that no stream
   could resume from.
-* ``merge`` has well-defined semantics: disjoint key ranges concatenate
-  (and ``mode="disjoint"`` refuses overlapping inputs), overlapping
-  ranges counter-sum per key with insertion/update reconciliation.
+* ``merge`` folds disjoint key sets by concatenation and refuses inputs
+  that share a flow key, a seed mismatch, or an in-progress stream.
 """
 
 from __future__ import annotations
@@ -461,50 +460,11 @@ class TestFramePacking:
 
 
 class TestMerge:
-    def test_overlap_merge_counter_sums(self, trace):
-        """Two full-trace runs merge to per-key doubled estimates."""
-        a = capture_engine(_measured(trace, "scalar"))
-        b = capture_engine(_measured(trace, "batched"))
-        merged = merge([a, b], mode="overlap")
-
-        base = a.estimates()
-        assert b.estimates() == base  # the stores are state-identical
-        got = merged.estimates()
-        assert set(got) == set(base)
-        for key, (packets, bytes_) in base.items():
-            assert got[key] == (2 * packets, 2 * bytes_)
-
-        duplicates = (
-            a.wsaf.num_records + b.wsaf.num_records - merged.wsaf.num_records
-        )
-        assert merged.wsaf.num_records == len(set(base))
-        assert merged.wsaf.insertions == (
-            a.wsaf.insertions + b.wsaf.insertions - duplicates
-        )
-        assert merged.wsaf.updates == (
-            a.wsaf.updates + b.wsaf.updates + duplicates
-        )
-        assert merged.regulator.packets == (
-            a.regulator.packets + b.regulator.packets
-        )
-        assert merged.shards_merged == 2
-        # The merged state is restorable: all slots re-probe.
-        assert restore_engine(merged).estimates() == got
-
     def test_disjoint_mode_rejects_overlap(self, trace):
         a = capture_engine(_measured(trace, "scalar"))
         b = capture_engine(_measured(trace, "scalar"))
         with pytest.raises(SnapshotError, match="share flow keys"):
-            merge([a, b], mode="disjoint")
-
-    def test_auto_mode_picks_overlap(self, trace):
-        a = capture_engine(_measured(trace, "scalar"))
-        b = capture_engine(_measured(trace, "scalar"))
-        merged = merge([a, b])
-        base = a.estimates()
-        assert merged.estimates() == {
-            key: (2 * p, 2 * b_) for key, (p, b_) in base.items()
-        }
+            merge([a, b])
 
     def test_geometry_mismatch_rejected(self, trace):
         a = capture_engine(_measured(trace, "scalar"))
@@ -516,10 +476,7 @@ class TestMerge:
         a = capture_engine(_measured(trace, "scalar"))
         b = capture_engine(_measured(trace, "scalar", seed=99))
         with pytest.raises(SnapshotError, match="seed"):
-            merge([a, b], mode="disjoint")
-        # Overlap mode tolerates differing seeds (counters still sum).
-        merged = merge([a, b], mode="overlap")
-        assert merged.wsaf.num_records >= a.wsaf.num_records
+            merge([a, b])
 
     def test_in_progress_stream_rejected(self, trace):
         engine = InstaMeasure(_config("scalar"))
