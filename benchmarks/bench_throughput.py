@@ -96,6 +96,7 @@ from repro.hashing.tabulation import TabulationHash
 from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.pipeline import Pipeline, ShardedPipeline, TraceChunkSource
 from repro.pipeline.sharded import _fork_available
+from repro.traffic import CaidaLikeConfig, build_caida_like_trace
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_throughput.json"
@@ -661,7 +662,15 @@ def test_throughput_regression(caida_trace, write_report):
     _assert_throughput_bars(result)
 
 
-def main() -> None:
+def _shard_ladder(num_shards: int) -> "tuple[int, ...]":
+    """The shard counts ``--shards N`` measures: the 1-shard baseline,
+    ``N``, and every default count up to ``N``."""
+    return tuple(
+        sorted({1, num_shards} | {n for n in SHARD_COUNTS if n <= num_shards})
+    )
+
+
+def main(argv: "list[str] | None" = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick",
@@ -674,13 +683,12 @@ def main() -> None:
         type=int,
         default=None,
         metavar="N",
-        help="run the sharded scaling benchmark; with --quick, a smoke "
-        "pass at 1 and N shards (exactness enforced, timing only "
-        "against the no-collapse floor)",
+        help="run the sharded scaling benchmark at 1, N and every default "
+        "count up to N shards; with --quick, a smoke pass at 1 and N "
+        "shards (exactness enforced, timing only against the no-collapse "
+        "floor)",
     )
-    args = parser.parse_args()
-
-    from repro.traffic import CaidaLikeConfig, build_caida_like_trace
+    args = parser.parse_args(argv)
 
     if args.quick:
         trace = build_caida_like_trace(
@@ -719,7 +727,9 @@ def main() -> None:
             CaidaLikeConfig(num_flows=30_000, duration=60.0, seed=1)
         )
         if args.shards is not None:
-            result = run_sharded_benchmark(trace)
+            result = run_sharded_benchmark(
+                trace, shard_counts=_shard_ladder(args.shards)
+            )
             print(result["report"])
             _assert_sharded_bars(result)
             return

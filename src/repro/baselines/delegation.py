@@ -13,6 +13,8 @@ measurer streams: epoch boundaries are detected as chunks arrive, each
 completed epoch ships immediately, and :meth:`DelegatingMeasurer.finalize`
 ships the tail epoch — a chunk boundary inside an epoch changes nothing
 because the per-epoch CSM sketch encodes from a persistent choice stream.
+The collector keys flows by ``key64``, so chunks may each carry their own
+flow table (as the streaming sources' chunks do).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.baselines.csm import CSMSketch
 from repro.errors import ConfigurationError
-from repro.traffic.packet import FlowTable, Trace
+from repro.traffic.packet import Trace
 
 #: Wire bytes per flow ID shipped alongside each epoch's sketch.
 FLOW_ID_BYTES = 8
@@ -31,7 +33,13 @@ FLOW_ID_BYTES = 8
 
 @dataclass
 class DelegationRunStats:
-    """Costs and outcomes of a delegation-based run."""
+    """Costs and outcomes of a delegation-based run.
+
+    ``detections`` maps a flow to the time the collector first saw its
+    cumulative estimate cross the threshold: keyed by ``key64`` from
+    :meth:`DelegatingMeasurer.finalize`, by the trace's flow index from
+    :meth:`DelegatingMeasurer.process_trace`.
+    """
 
     epochs: int
     packets: int
@@ -50,9 +58,10 @@ class _DelegationStream:
     """Bookkeeping for one in-progress delegation run."""
 
     start: float
-    flows: FlowTable
-    collector: np.ndarray
-    epoch_counts: np.ndarray
+    #: Cumulative collector estimate per flow key.
+    collector: "dict[int, float]" = field(default_factory=dict)
+    #: Keys of the flows the current epoch saw, one array per segment.
+    epoch_keys: "list[np.ndarray]" = field(default_factory=list)
     detections: "dict[int, float]" = field(default_factory=dict)
     bytes_shipped: int = 0
     epochs: int = 0
@@ -96,10 +105,9 @@ class DelegatingMeasurer:
         self.seed = seed
         self.threshold_packets = threshold_packets
         self._stream: "_DelegationStream | None" = None
-        #: final per-flow collector estimates of the last finished run,
-        #: aligned with the run's flow table.
-        self.collector: "np.ndarray | None" = None
-        self._flows: "FlowTable | None" = None
+        #: final ``{key64: estimate}`` collector table of the last
+        #: finished run.
+        self.collector: "dict[int, float] | None" = None
 
     # -- streaming protocol --------------------------------------------------
 
@@ -111,12 +119,7 @@ class DelegatingMeasurer:
         if trace.num_packets == 0:
             return 0
         if self._stream is None:
-            self._stream = _DelegationStream(
-                start=float(trace.timestamps[0]),
-                flows=trace.flows,
-                collector=np.zeros(trace.num_flows),
-                epoch_counts=np.zeros(trace.num_flows, dtype=np.int64),
-            )
+            self._stream = _DelegationStream(start=float(trace.timestamps[0]))
         stream = self._stream
         stream.packets += trace.num_packets
 
@@ -144,8 +147,8 @@ class DelegatingMeasurer:
                 flows=trace.flows,
             )
             stream.sketch.encode_trace(segment)
-            stream.epoch_counts += np.bincount(
-                segment.flow_ids, minlength=len(stream.epoch_counts)
+            stream.epoch_keys.append(
+                trace.flows.key64[np.unique(segment.flow_ids)]
             )
             begin = end
         return trace.num_packets
@@ -154,9 +157,12 @@ class DelegatingMeasurer:
         """Ship the current epoch's sketch to the collector and decode."""
         if stream.sketch is None:
             return  # the epoch saw no packets: nothing to ship
-        seen = np.flatnonzero(stream.epoch_counts)
-        estimates = stream.sketch.decode_flows(stream.flows.key64[seen])
-        stream.collector[seen] += estimates
+        keys = np.unique(np.concatenate(stream.epoch_keys))
+        estimates = stream.sketch.decode_flows(keys).tolist()
+        seen = keys.tolist()
+        collector = stream.collector
+        for key, estimate in zip(seen, estimates):
+            collector[key] = collector.get(key, 0.0) + estimate
         stream.bytes_shipped += (
             self.sketch_memory_bytes + FLOW_ID_BYTES * len(seen)
         )
@@ -167,14 +173,14 @@ class DelegatingMeasurer:
                 + (stream.current_epoch + 1) * self.epoch_seconds
                 + self.network_delay_seconds
             )
-            for flow in seen:
+            for key in seen:
                 if (
-                    stream.collector[flow] >= self.threshold_packets
-                    and int(flow) not in stream.detections
+                    collector[key] >= self.threshold_packets
+                    and key not in stream.detections
                 ):
-                    stream.detections[int(flow)] = available_at
+                    stream.detections[key] = available_at
         stream.sketch = None
-        stream.epoch_counts[:] = 0
+        stream.epoch_keys = []
 
     def rotate(self, now: float) -> "dict[int, tuple[float, float]]":
         """Window boundary: ship every epoch completed by ``now``.
@@ -186,8 +192,6 @@ class DelegatingMeasurer:
         windowed evaluations compare delegation against the in-DRAM
         engines at the same instants.
         """
-        from repro.baselines.streaming import table_estimates
-
         stream = self._stream
         if stream is None:
             return self.estimates()
@@ -197,14 +201,7 @@ class DelegatingMeasurer:
             # (Empty epochs in between never opened a sketch.)
             self._ship_epoch(stream)
             stream.current_epoch = reached
-        seen = np.flatnonzero(stream.collector)
-        table = dict(
-            zip(
-                stream.flows.key64[seen].tolist(),
-                stream.collector[seen].tolist(),
-            )
-        )
-        return table_estimates(table, None)
+        return _collector_estimates(stream.collector, None)
 
     def finalize(self) -> DelegationRunStats:
         """Ship the tail epoch and return the run's cost/outcome stats.
@@ -218,7 +215,6 @@ class DelegatingMeasurer:
             return DelegationRunStats(0, 0, 0, {})
         self._ship_epoch(stream)
         self.collector = stream.collector
-        self._flows = stream.flows
         return DelegationRunStats(
             epochs=stream.epochs,
             packets=stream.packets,
@@ -228,18 +224,7 @@ class DelegatingMeasurer:
 
     def estimates(self, flow_keys=None) -> "dict[int, tuple[float, float]]":
         """Normalized ``{key64: (packets, 0.0)}`` collector estimates."""
-        from repro.baselines.streaming import table_estimates
-
-        if self.collector is None or self._flows is None:
-            return table_estimates({}, flow_keys)
-        seen = np.flatnonzero(self.collector)
-        table = dict(
-            zip(
-                self._flows.key64[seen].tolist(),
-                self.collector[seen].tolist(),
-            )
-        )
-        return table_estimates(table, flow_keys)
+        return _collector_estimates(self.collector or {}, flow_keys)
 
     # -- whole-trace convenience ---------------------------------------------
 
@@ -255,10 +240,11 @@ class DelegatingMeasurer:
         this run.
 
         Returns:
-            (final per-flow packet estimates at the collector, stats).
-            ``stats.detections`` maps flow index → time the collector first
-            saw the flow's cumulative estimate cross ``threshold_packets``
-            (absent flows never crossed; empty dict if no threshold given).
+            (final per-flow packet estimates at the collector, aligned
+            with ``trace.flows``; stats).  ``stats.detections`` maps flow
+            index → time the collector first saw the flow's cumulative
+            estimate cross ``threshold_packets`` (absent flows never
+            crossed; empty dict if no threshold given).
         """
         if trace.num_packets == 0:
             return np.zeros(trace.num_flows), DelegationRunStats(0, 0, 0, {})
@@ -270,4 +256,22 @@ class DelegatingMeasurer:
             stats = self.finalize()
         finally:
             self.threshold_packets = previous
-        return self.collector, stats
+        keys = trace.flows.key64.tolist()
+        flow_of = {key: flow for flow, key in enumerate(keys)}
+        stats.detections = {
+            flow_of[key]: when for key, when in stats.detections.items()
+        }
+        estimates = np.array([self.collector.get(key, 0.0) for key in keys])
+        return estimates, stats
+
+
+def _collector_estimates(
+    collector: "dict[int, float]", flow_keys
+) -> "dict[int, tuple[float, float]]":
+    """Normalized estimates of the flows the collector has a nonzero
+    reading for."""
+    from repro.baselines.streaming import table_estimates
+
+    return table_estimates(
+        {key: value for key, value in collector.items() if value}, flow_keys
+    )

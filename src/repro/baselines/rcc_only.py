@@ -65,7 +65,6 @@ class RCCRegulatorMeasurer:
         self.bucket_seconds = bucket_seconds
         self._rng = np.random.default_rng(seed ^ 0xACC)
         self._start: "float | None" = None
-        self._placement: "tuple[list[int], list[int], list[int]] | None" = None
         self._estimates: "dict[int, float]" = {}
         self._bucket_pps: "list[float]" = []
         self._bucket_ips: "list[float]" = []
@@ -83,14 +82,12 @@ class RCCRegulatorMeasurer:
         sketch = self.sketch
         if self._start is None:
             self._start = float(trace.timestamps[0])
-        if self._placement is None:
-            idx_by_flow, off_by_flow = sketch.place_array(trace.flows.key64)
-            self._placement = (
-                idx_by_flow.tolist(),
-                off_by_flow.tolist(),
-                trace.flows.key64.tolist(),
-            )
-        idx_by_flow, off_by_flow, keys = self._placement
+        # Each chunk is placed through its own flow table: streaming
+        # sources hand every chunk a different one.
+        idx_by_flow, off_by_flow = (
+            placed.tolist() for placed in sketch.place_array(trace.flows.key64)
+        )
+        keys = trace.flows.key64.tolist()
 
         bits = self._rng.integers(
             0, self.vector_bits, size=num_packets, dtype=np.int64

@@ -10,10 +10,14 @@ Subcommands::
     instameasure hh trace.npz --threshold-packets 1000
     instameasure snapshot save trace.npz --out state.snap
     instameasure snapshot load state.snap
-    instameasure bench --quick
     instameasure serve capture.impl --follow --checkpoint-dir state/ \
         --control-port 0 --epoch-seconds 1
     instameasure control 127.0.0.1:PORT stats
+
+``run`` and ``snapshot save`` measure a trace file through one path, a
+:class:`~repro.pipeline.ShardedPipeline` at every ``--shards`` count (one
+shard is one engine).  The throughput harness runs from the source
+checkout: ``python benchmarks/bench_throughput.py``.
 
 Traces are the NPZ files of :mod:`repro.traffic.trace_io`; snapshots are
 the versioned wire format of :mod:`repro.state.codec`.
@@ -55,13 +59,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    gen = commands.add_parser("gen-trace", help="generate a synthetic trace")
+    # Flags several subcommands share, declared once as parent parsers.
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("trace", help="trace NPZ path")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    sketch = argparse.ArgumentParser(add_help=False)
+    sketch.add_argument("--l1-kb", type=float, default=8.0, help="L1 sketch size (KB)")
+    sketch.add_argument("--wsaf-bits", type=int, default=16, help="WSAF size = 2^bits")
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="shard ingestion across N flow-key shards (exact merge)",
+    )
+    parallel = argparse.ArgumentParser(add_help=False)
+    parallel.add_argument(
+        "--parallel", action="store_true", help="run shards as forked processes"
+    )
+    ingest = argparse.ArgumentParser(add_help=False)
+    ingest.add_argument(
+        "--wsaf-backend",
+        choices=["flat", "tiered", "icebuckets"],
+        default="flat",
+        help="WSAF storage backend (tiered: hot SRAM cache; icebuckets: "
+        "compressed counters)",
+    )
+    ingest.add_argument(
+        "--load-policy",
+        choices=list(LOAD_POLICY_CHOICES),
+        default="none",
+        help="closed-loop overload policy: none (ingest everything), shed "
+        "(deterministically sample overloaded chunks down to --target-pps)",
+    )
+    ingest.add_argument(
+        "--target-pps",
+        type=float,
+        default=None,
+        help="sustainable ingest rate for --load-policy shed "
+        "(stream-clock packets per second)",
+    )
+
+    gen = commands.add_parser(
+        "gen-trace", help="generate a synthetic trace", parents=[seed]
+    )
     gen.add_argument("kind", choices=["caida", "campus"])
     gen.add_argument("--out", required=True, help="output NPZ path")
     gen.add_argument("--flows", type=int, default=20_000)
     gen.add_argument("--duration", type=float, default=30.0, help="caida: seconds")
     gen.add_argument("--hours", type=int, default=24, help="campus: modelled hours")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument(
         "--pcaplite",
         default=None,
@@ -70,50 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the `serve` input format)",
     )
 
-    summarize = commands.add_parser("summarize", help="print trace statistics")
-    summarize.add_argument("trace", help="trace NPZ path")
+    commands.add_parser(
+        "summarize", help="print trace statistics", parents=[trace]
+    )
 
-    run = commands.add_parser("run", help="measure a trace with InstaMeasure")
-    run.add_argument("trace", help="trace NPZ path")
-    run.add_argument("--l1-kb", type=float, default=8.0, help="L1 sketch size (KB)")
-    run.add_argument("--wsaf-bits", type=int, default=16, help="WSAF size = 2^bits")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard ingestion across N worker pipelines (exact merge)",
-    )
-    run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run shards as forked processes (with --shards > 1)",
-    )
-    run.add_argument(
-        "--snapshot-out",
-        default=None,
-        help="write the final measurement state snapshot to this path",
-    )
-    run.add_argument(
-        "--wsaf-backend",
-        choices=["flat", "tiered", "icebuckets"],
-        default="flat",
-        help="WSAF storage backend (tiered: hot SRAM cache; icebuckets: "
-        "compressed counters)",
-    )
-    run.add_argument(
-        "--load-policy",
-        choices=list(LOAD_POLICY_CHOICES),
-        default="none",
-        help="closed-loop overload policy: none (ingest everything), shed "
-        "(deterministically sample overloaded chunks down to --target-pps)",
-    )
-    run.add_argument(
-        "--target-pps",
-        type=float,
-        default=None,
-        help="sustainable ingest rate for --load-policy shed "
-        "(stream-clock packets per second)",
+    commands.add_parser(
+        "run",
+        help="measure a trace with InstaMeasure",
+        parents=[trace, sketch, seed, shards, parallel, ingest],
     )
 
     snap = commands.add_parser(
@@ -121,15 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     snap_sub = snap.add_subparsers(dest="snapshot_command", required=True)
     snap_save = snap_sub.add_parser(
-        "save", help="measure a trace and save the final state"
+        "save",
+        help="measure a trace and save the final state",
+        parents=[trace, sketch, seed, shards, parallel],
     )
-    snap_save.add_argument("trace", help="trace NPZ path")
     snap_save.add_argument("--out", required=True, help="snapshot output path")
-    snap_save.add_argument("--l1-kb", type=float, default=8.0)
-    snap_save.add_argument("--wsaf-bits", type=int, default=16)
-    snap_save.add_argument("--seed", type=int, default=0)
-    snap_save.add_argument("--shards", type=int, default=1)
-    snap_save.add_argument("--parallel", action="store_true")
     snap_load = snap_sub.add_parser("load", help="inspect a saved snapshot")
     snap_load.add_argument("snapshot", help="snapshot path")
     snap_load.add_argument(
@@ -138,54 +145,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="score the snapshot's estimates against this trace NPZ",
     )
 
-    hh = commands.add_parser("hh", help="heavy-hitter detection on a trace")
-    hh.add_argument("trace", help="trace NPZ path")
+    hh = commands.add_parser(
+        "hh", help="heavy-hitter detection on a trace", parents=[trace, sketch]
+    )
     hh.add_argument("--threshold-packets", type=float, default=None)
     hh.add_argument("--threshold-bytes", type=float, default=None)
-    hh.add_argument("--l1-kb", type=float, default=8.0)
-    hh.add_argument("--wsaf-bits", type=int, default=16)
 
-    topk = commands.add_parser("topk", help="Top-K flows by packets and bytes")
-    topk.add_argument("trace", help="trace NPZ path")
+    topk = commands.add_parser(
+        "topk", help="Top-K flows by packets and bytes", parents=[trace, sketch]
+    )
     topk.add_argument("-k", type=int, default=10)
-    topk.add_argument("--l1-kb", type=float, default=8.0)
-    topk.add_argument("--wsaf-bits", type=int, default=16)
 
     spread = commands.add_parser(
-        "spreaders", help="superspreader sources from the WSAF"
+        "spreaders",
+        help="superspreader sources from the WSAF",
+        parents=[trace, sketch],
     )
-    spread.add_argument("trace", help="trace NPZ path")
     spread.add_argument("--min-destinations", type=int, default=10)
-    spread.add_argument("--l1-kb", type=float, default=8.0)
-    spread.add_argument("--wsaf-bits", type=int, default=16)
-
-    bench = commands.add_parser(
-        "bench", help="run the throughput regression harness"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke mode: small trace, one round, history file untouched",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=None, help="timed rounds per variant"
-    )
-    bench.add_argument(
-        "--no-record",
-        action="store_true",
-        help="skip writing BENCH_throughput.json (quick implies this)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the sharded scaling benchmark instead (with --quick: "
-        "a smoke pass at 1 and N shards)",
-    )
 
     serve = commands.add_parser(
-        "serve", help="run the always-on measurement service"
+        "serve",
+        help="run the always-on measurement service",
+        parents=[sketch, seed, shards, ingest],
     )
     serve.add_argument(
         "input",
@@ -225,33 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve the line-protocol control socket on 127.0.0.1:PORT "
         "(0 picks an ephemeral port; the chosen address is printed)",
     )
-    serve.add_argument("--shards", type=int, default=1)
-    serve.add_argument("--l1-kb", type=float, default=8.0)
-    serve.add_argument("--wsaf-bits", type=int, default=16)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--wsaf-backend",
-        choices=["flat", "tiered", "icebuckets"],
-        default="flat",
-    )
     serve.add_argument(
         "--max-packets",
         type=int,
         default=None,
         help="stop after measuring this many packets (smoke-test hook)",
-    )
-    serve.add_argument(
-        "--load-policy",
-        choices=list(LOAD_POLICY_CHOICES),
-        default="none",
-        help="closed-loop overload policy for the ingest loop "
-        "(none | shed)",
-    )
-    serve.add_argument(
-        "--target-pps",
-        type=float,
-        default=None,
-        help="sustainable ingest rate for --load-policy shed",
     )
 
     control = commands.add_parser(
@@ -295,23 +254,40 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_from_args(args: argparse.Namespace) -> InstaMeasure:
-    return InstaMeasure(
-        InstaMeasureConfig(
-            l1_memory_bytes=int(args.l1_kb * 1024),
-            wsaf_entries=1 << args.wsaf_bits,
-            seed=getattr(args, "seed", 0),
-            wsaf_backend=getattr(args, "wsaf_backend", "flat"),
-        )
+def _config_from_args(args: argparse.Namespace) -> InstaMeasureConfig:
+    """The engine configuration a subcommand's flags describe (flags the
+    subcommand does not declare take the config defaults)."""
+    return InstaMeasureConfig(
+        l1_memory_bytes=int(args.l1_kb * 1024),
+        wsaf_entries=1 << args.wsaf_bits,
+        seed=getattr(args, "seed", 0),
+        wsaf_backend=getattr(args, "wsaf_backend", "flat"),
     )
 
 
-def _controller_from_args(args: argparse.Namespace):
-    return build_load_controller(
+def _measure(args: argparse.Namespace):
+    """Measure ``args.trace`` through the sharded pipeline.
+
+    The one measurement path of ``run`` and ``snapshot save``: one shard
+    is one engine, and every shard count merges exactly equal to it.
+    Returns ``(ShardedResult, trace)``.
+    """
+    from repro.pipeline import FileChunkSource, ShardedPipeline
+
+    config = _config_from_args(args)
+    source = FileChunkSource(args.trace, chunk_size=config.chunk_size)
+    controller = build_load_controller(
         getattr(args, "load_policy", "none"),
         target_pps=getattr(args, "target_pps", None),
-        seed=getattr(args, "seed", 0),
+        seed=config.seed,
     )
+    result = ShardedPipeline(
+        config,
+        num_shards=args.shards,
+        parallel=args.parallel,
+        controller=controller,
+    ).run(source)
+    return result, source.trace
 
 
 def _controller_rows(stats: "dict | None") -> "list[list[str]]":
@@ -327,100 +303,39 @@ def _controller_rows(stats: "dict | None") -> "list[list[str]]":
     ]
 
 
-def _run_sharded(args: argparse.Namespace, source) -> int:
-    """``run --shards N``: stream chunks through shards, merge exactly."""
-    from repro.pipeline import ShardedPipeline
-    from repro.state import save as save_snapshot
-
-    config = InstaMeasureConfig(
-        l1_memory_bytes=int(args.l1_kb * 1024),
-        wsaf_entries=1 << args.wsaf_bits,
-        seed=getattr(args, "seed", 0),
-        wsaf_backend=getattr(args, "wsaf_backend", "flat"),
-    )
-    # Chunks stream straight off the file source into per-shard routing.
-    sharded = ShardedPipeline(
-        config,
-        num_shards=args.shards,
-        parallel=args.parallel,
-        controller=_controller_from_args(args),
-    ).run(source)
-    snapshot = sharded.snapshot
-    trace = source.trace
-    est_packets, _est_bytes = sharded.estimates_for(trace)
-    truth = trace.ground_truth_packets().astype(float)
-    shares = ", ".join(f"{share:.1%}" for share in sharded.load_shares)
-    rows = [
-        ["packets", f"{sharded.packets:,}"],
-        ["shards", f"{sharded.num_shards:,}"],
-        ["shard load shares", shares],
-        ["WSAF insertions", f"{sharded.insertions:,}"],
-        ["regulation rate",
-         f"{sharded.insertions / sharded.packets:.2%}" if sharded.packets else "n/a"],
-        ["WSAF flows", f"{snapshot.wsaf.num_records:,}"],
-        ["WSAF evictions", f"{snapshot.wsaf.evictions:,}"],
-    ]
-    stages = sharded.stage_seconds
-    if stages:
-        rows.append(
-            ["stage seconds (route/ipc/ingest/merge)",
-             f"{stages['route_s']:.3f}/{stages['ipc_s']:.3f}/"
-             f"{stages['ingest_s']:.3f}/{stages['merge_s']:.3f}"]
-        )
-    rows.extend(_controller_rows(sharded.controller_stats))
-    big = truth >= 1000
-    if big.any():
-        rows.append(
-            ["std error (1K+ pkt flows)",
-             f"{standard_error(est_packets[big], truth[big]):.2%}"]
-        )
-    print_table(
-        ["metric", "value"], rows, f"InstaMeasure run ({args.shards} shards)"
-    )
-    if args.snapshot_out is not None:
-        save_snapshot(snapshot, args.snapshot_out)
-        print(f"wrote snapshot to {args.snapshot_out}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.pipeline import FileChunkSource
-
-    engine = _engine_from_args(args)
-    source = FileChunkSource(args.trace, chunk_size=engine.config.chunk_size)
-    if args.shards > 1:
-        return _run_sharded(args, source)
-    trace = source.trace
-    pipeline_result = run_pipeline(
-        engine, source, controller=_controller_from_args(args)
-    )
-    result = pipeline_result.result
-    est_packets, _est_bytes = engine.estimates_for(trace)
+    result, trace = _measure(args)
+    snapshot = result.snapshot
+    est_packets, _est_bytes = result.estimates_for(trace)
     truth = trace.ground_truth_packets().astype(float)
+    shares = ", ".join(f"{share:.1%}" for share in result.load_shares)
+    stages = result.stage_seconds
     rows = [
         ["packets", f"{result.packets:,}"],
-        ["chunks", f"{len(pipeline_result.chunks):,}"],
+        ["shards", f"{result.num_shards:,}"],
+        ["shard load shares", shares],
         ["WSAF insertions", f"{result.insertions:,}"],
-        ["regulation rate", f"{result.regulation_rate:.2%}"],
-        ["L1 saturation rate", f"{result.regulator_stats.l1_saturation_rate:.2%}"],
-        ["python throughput", f"{result.python_pps / 1e6:.2f} Mpps"],
-        ["WSAF flows", f"{len(engine.wsaf):,}"],
-        ["WSAF load factor", f"{engine.wsaf.load_factor:.2%}"],
-        ["WSAF evictions", f"{engine.wsaf.evictions:,}"],
+        ["regulation rate",
+         f"{result.insertions / result.packets:.2%}" if result.packets else "n/a"],
+        ["WSAF flows", f"{snapshot.wsaf.num_records:,}"],
+        ["WSAF evictions", f"{snapshot.wsaf.evictions:,}"],
+        ["stage seconds (route/ipc/ingest/merge)",
+         f"{stages['route_s']:.3f}/{stages['ipc_s']:.3f}/"
+         f"{stages['ingest_s']:.3f}/{stages['merge_s']:.3f}"],
     ]
-    rows.extend(_controller_rows(pipeline_result.controller_stats))
+    rows.extend(_controller_rows(result.controller_stats))
     big = truth >= 1000
     if big.any():
         rows.append(
             ["std error (1K+ pkt flows)",
              f"{standard_error(est_packets[big], truth[big]):.2%}"]
         )
-    print_table(["metric", "value"], rows, "InstaMeasure run")
-    if args.snapshot_out is not None:
-        from repro.state import save as save_snapshot
-
-        save_snapshot(engine.snapshot(), args.snapshot_out)
-        print(f"wrote snapshot to {args.snapshot_out}")
+    plural = "" if result.num_shards == 1 else "s"
+    print_table(
+        ["metric", "value"],
+        rows,
+        f"InstaMeasure run ({result.num_shards} shard{plural})",
+    )
     return 0
 
 
@@ -429,22 +344,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.state import save as save_snapshot
 
     if args.snapshot_command == "save":
-        if args.shards > 1:
-            from repro.pipeline import FileChunkSource, ShardedPipeline
-
-            config = InstaMeasureConfig(
-                l1_memory_bytes=int(args.l1_kb * 1024),
-                wsaf_entries=1 << args.wsaf_bits,
-                seed=args.seed,
-            )
-            source = FileChunkSource(args.trace, chunk_size=config.chunk_size)
-            snapshot = ShardedPipeline(
-                config, num_shards=args.shards, parallel=args.parallel
-            ).run(source).snapshot
-        else:
-            engine = _engine_from_args(args)
-            run_pipeline(engine, load_trace(args.trace))
-            snapshot = engine.snapshot()
+        snapshot = _measure(args)[0].snapshot
         save_snapshot(snapshot, args.out)
         print(
             f"wrote {args.out}: {snapshot.wsaf.num_records:,} WSAF records, "
@@ -496,7 +396,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
         threshold_packets=args.threshold_packets,
         threshold_bytes=args.threshold_bytes,
     )
-    engine = _engine_from_args(args)
+    engine = InstaMeasure(_config_from_args(args))
     run_pipeline(engine, trace, on_accumulate=detector.on_accumulate)
 
     rows = []
@@ -531,7 +431,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
 
 def _cmd_topk(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace)
-    engine = _engine_from_args(args)
+    engine = InstaMeasure(_config_from_args(args))
     run_pipeline(engine, trace)
     est_packets, est_bytes = engine.estimates_for(trace)
     truth_packets = trace.ground_truth_packets()
@@ -561,7 +461,7 @@ def _cmd_spreaders(args: argparse.Namespace) -> int:
     from repro.detection import detect_superspreaders, ground_truth_fanout
 
     trace = load_trace(args.trace)
-    engine = _engine_from_args(args)
+    engine = InstaMeasure(_config_from_args(args))
     run_pipeline(engine, trace)
     spreaders = detect_superspreaders(engine.wsaf, args.min_destinations)
     truth = ground_truth_fanout(trace)
@@ -574,128 +474,6 @@ def _cmd_spreaders(args: argparse.Namespace) -> int:
         rows,
         f"Superspreaders (>= {args.min_destinations} destinations)",
     )
-    return 0
-
-
-def _load_bench_module():
-    """The throughput harness, loaded from the repo's benchmarks/ tree.
-
-    The harness stays outside the installed package (it writes repo-level
-    report files), so it is located relative to this source checkout.
-    """
-    import importlib.util
-    import pathlib
-
-    bench_path = (
-        pathlib.Path(__file__).resolve().parents[2]
-        / "benchmarks"
-        / "bench_throughput.py"
-    )
-    if not bench_path.exists():
-        raise ReproError(
-            f"benchmark harness not found at {bench_path} — the bench "
-            "subcommand needs a source checkout with benchmarks/"
-        )
-    spec = importlib.util.spec_from_file_location("bench_throughput", bench_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _print_shard_stage_table(rows: "list[dict]") -> None:
-    """Route/ipc/ingest/merge breakdown per shard count (best round)."""
-    table_rows = [
-        [
-            f"{row['shards']:,}",
-            f"{row['seconds'] * 1e3:.1f}",
-            f"{row['stages']['route_s'] * 1e3:.1f}",
-            f"{row['stages']['ipc_s'] * 1e3:.1f}",
-            f"{row['stages']['ingest_s'] * 1e3:.1f}",
-            f"{row['stages']['merge_s'] * 1e3:.1f}",
-        ]
-        for row in rows
-    ]
-    print_table(
-        ["shards", "total ms", "route ms", "ipc ms", "ingest ms", "merge ms"],
-        table_rows,
-        "Sharded stage breakdown (best round)",
-    )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    bench = _load_bench_module()
-    if args.shards is not None:
-        if args.quick:
-            trace = build_caida_like_trace(
-                CaidaLikeConfig(num_flows=4_000, duration=10.0, seed=1)
-            )
-            result = bench.run_sharded_benchmark(
-                trace,
-                rounds=args.rounds or 1,
-                shard_counts=(1, args.shards),
-                record=False,
-            )
-            print(result["report"])
-            _print_shard_stage_table(result["rows"])
-            smoke = result["scaling"][args.shards]
-            if smoke < bench.MIN_SHARD_SMOKE_FLOOR:
-                print(
-                    f"error: {args.shards}-shard run collapsed to "
-                    f"{smoke:.2f}x 1-shard",
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
-        trace = build_caida_like_trace(
-            CaidaLikeConfig(num_flows=30_000, duration=60.0, seed=1)
-        )
-        # Forward the requested count: measure the 1-shard baseline plus
-        # every default count up to N (previously --shards N was parsed
-        # and then ignored here, always running the default ladder).
-        shard_counts = tuple(
-            sorted(
-                {1, args.shards}
-                | {n for n in bench.SHARD_COUNTS if n <= args.shards}
-            )
-        )
-        result = bench.run_sharded_benchmark(
-            trace,
-            rounds=args.rounds or bench.SHARD_ROUNDS,
-            shard_counts=shard_counts,
-            record=not args.no_record,
-        )
-        print(result["report"])
-        _print_shard_stage_table(result["rows"])
-        bench._assert_sharded_bars(result)
-        return 0
-    if args.quick:
-        trace = build_caida_like_trace(
-            CaidaLikeConfig(num_flows=4_000, duration=10.0, seed=1)
-        )
-        rounds = args.rounds or 1
-        result = bench.run_benchmark(
-            trace, rounds=rounds, stage_rounds=2, record=False
-        )
-    else:
-        trace = build_caida_like_trace(
-            CaidaLikeConfig(num_flows=30_000, duration=60.0, seed=1)
-        )
-        rounds = args.rounds or bench.ROUNDS
-        result = bench.run_benchmark(
-            trace,
-            rounds=rounds,
-            stage_rounds=bench.STAGE_ROUNDS,
-            record=not args.no_record,
-        )
-    print(result["report"])
-    if args.quick:
-        ratio = result["speedups"]["kernel_vs_scalar"]
-        if ratio < bench.MIN_SPEEDUP_SMOKE:
-            print(
-                f"error: kernel regressed to {ratio:.2f}x the scalar loop",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -726,15 +504,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import ControlServer, MeasurementDaemon
 
-    config = InstaMeasureConfig(
-        l1_memory_bytes=int(args.l1_kb * 1024),
-        wsaf_entries=1 << args.wsaf_bits,
-        seed=args.seed,
-        wsaf_backend=args.wsaf_backend,
-    )
     daemon = MeasurementDaemon(
         _serve_source(args),
-        config=config,
+        config=_config_from_args(args),
         num_shards=args.shards,
         epoch_seconds=args.epoch_seconds,
         checkpoint_dir=args.checkpoint_dir,
@@ -819,7 +591,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "hh": _cmd_hh,
         "topk": _cmd_topk,
         "spreaders": _cmd_spreaders,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
         "control": _cmd_control,
     }

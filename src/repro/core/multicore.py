@@ -133,7 +133,6 @@ def _ingest_worker_recorded(worker: InstaMeasure, chunk):
 class _MultiCoreStream:
     """Bookkeeping for one in-progress multi-core ingest stream."""
 
-    worker_by_flow: np.ndarray
     worker_totals: "list[int | None]"
     pending: "list[tuple]"
     worker_seq: "list[int]"
@@ -203,18 +202,13 @@ class MultiCoreInstaMeasure:
         trace = chunk_trace(chunk)
         if self._stream is None:
             parent = chunk if isinstance(chunk, Trace) else chunk.parent
-            worker_by_flow = dispatch_array(
-                trace.flows.src_ip, self.num_workers
-            )
             if parent is not None:
                 totals = np.bincount(
-                    worker_by_flow[parent.flow_ids],
-                    minlength=self.num_workers,
+                    self.dispatch(parent), minlength=self.num_workers
                 ).tolist()
             else:
                 totals = [None] * self.num_workers
             self._stream = _MultiCoreStream(
-                worker_by_flow=worker_by_flow,
                 worker_totals=totals,
                 pending=[],
                 worker_seq=[0] * self.num_workers,
@@ -223,7 +217,9 @@ class MultiCoreInstaMeasure:
         stream = self._stream
         if on_accumulate is not None:
             stream.on_accumulate = on_accumulate
-        assignment = stream.worker_by_flow[trace.flow_ids]
+        # Dispatch through the chunk's own flow table: streaming sources
+        # hand every chunk a different one.
+        assignment = self.dispatch(trace)
 
         chunk_packets: "list[int]" = []
         chunk_results: "list[MeasurementResult]" = []

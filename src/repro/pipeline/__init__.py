@@ -69,8 +69,8 @@ from repro.pipeline.streaming import (
     PacketRecordChunkSource,
     SocketChunkSource,
     StreamingChunkSource,
-    trace_from_records,
 )
+from repro.traffic.pcaplite import trace_from_records
 
 __all__ = [
     "Chunk",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,16 +111,28 @@ class ControllerStats:
             "keep_rate": self.keep_rate,
         }
 
+    @classmethod
+    def from_dict(cls, tallies: "dict") -> "ControllerStats":
+        """The stats :meth:`as_dict` recorded (``keep_rate`` is derived,
+        so it is recomputed rather than read)."""
+        return cls(
+            policy=str(tallies["policy"]),
+            **{
+                field.name: int(tallies[field.name])
+                for field in fields(cls)
+                if field.name != "policy"
+            },
+        )
+
 
 class ShedController:
     """``shed``: thin chunks down to ``target_pps`` with seed-stable sampling.
 
     While the offered rate (stream clock) stays at or below the target,
     chunks pass untouched.  Above it, each packet is kept independently
-    with probability ``target_pps / offered_pps`` (floored at
-    ``min_keep``), decided by a hash of its global stream position — so
-    the kept set is identical across runs, chunk geometries, and
-    sharded/single-process execution.  Estimates from a shed run are
+    with probability ``target_pps / offered_pps``, decided by a hash of
+    its global stream position — so the kept set is identical across
+    runs, chunk geometries, and sharded/single-process execution.  Estimates from a shed run are
     scaled back up by the recorded keep rate (``ControllerStats``
     carries exact counts), the same contract as
     :func:`repro.traffic.replay.thin`.
@@ -128,30 +140,20 @@ class ShedController:
 
     policy = "shed"
 
-    def __init__(
-        self, target_pps: float, seed: int = 0, min_keep: float = 0.0
-    ) -> None:
+    def __init__(self, target_pps: float, seed: int = 0) -> None:
         if not (target_pps > 0) or not math.isfinite(target_pps):
             raise ConfigurationError(
                 f"target_pps must be a positive finite rate, got {target_pps}"
             )
-        if not 0.0 <= min_keep <= 1.0:
-            raise ConfigurationError(
-                f"min_keep must be in [0, 1], got {min_keep}"
-            )
         self.target_pps = float(target_pps)
         self.seed = int(seed)
-        self.min_keep = float(min_keep)
 
     def decide(self, offered_pps: float) -> ControlDecision:
         """The verdict for a chunk offered at ``offered_pps`` (stream
-        clock; ``inf`` when the chunk spans no time)."""
+        clock; ``inf`` when the chunk spans no time, which drops it)."""
         if offered_pps <= self.target_pps:
             return _PASS
-        if math.isinf(offered_pps):
-            keep = self.min_keep
-        else:
-            keep = max(self.min_keep, self.target_pps / offered_pps)
+        keep = 0.0 if math.isinf(offered_pps) else self.target_pps / offered_pps
         if keep <= 0.0:
             return ControlDecision(action="drop", keep_fraction=0.0)
         return ControlDecision(action="thin", keep_fraction=keep)
@@ -161,7 +163,6 @@ def build_load_controller(
     policy: "str | None",
     target_pps: "float | None" = None,
     seed: int = 0,
-    min_keep: float = 0.0,
 ) -> "ShedController | None":
     """Build a controller from CLI-shaped knobs.
 
@@ -179,7 +180,7 @@ def build_load_controller(
         raise ConfigurationError(
             f"--load-policy {policy} requires --target-pps"
         )
-    return ShedController(target_pps, seed=seed, min_keep=min_keep)
+    return ShedController(target_pps, seed=seed)
 
 
 # -- mechanism: thinning and the governor --------------------------------------
@@ -257,6 +258,10 @@ class ChunkGovernor:
             governor's first chunk — the resume cursor of a recovered
             daemon, so the first chunk's offered rate is measured from
             where the stream left off instead of over its own span.
+        tallies: the :meth:`ControllerStats.as_dict` of the run this
+            governor continues — a recovered daemon's checkpointed
+            tallies, so :attr:`stats` covers the whole stream and not
+            only the packets offered since recovery.
 
     Attributes:
         stats: running :class:`ControllerStats` for the pass.
@@ -269,10 +274,15 @@ class ChunkGovernor:
         controller: ShedController,
         history: "int | None" = None,
         stream_time: "float | None" = None,
+        tallies: "dict | None" = None,
     ) -> None:
         self.controller = controller
         self.seed = controller.seed
-        self.stats = ControllerStats(policy=controller.policy)
+        self.stats = (
+            ControllerStats.from_dict(tallies)
+            if tallies is not None
+            else ControllerStats(policy=controller.policy)
+        )
         self.decisions: "deque[ControlDecisionRecord]" = deque(maxlen=history)
         self._kept_offset: "int | None" = None
         self._last_stream_time = stream_time

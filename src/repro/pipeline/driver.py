@@ -125,7 +125,6 @@ class Pipeline:
         on_accumulate: forwarded to ``ingest`` for measurers that accept
             an accumulation callback (the InstaMeasure engines); leave
             ``None`` for measurers that do not.
-        on_chunk: ``callback(stats)`` after each chunk (progress hook).
         history: keep at most this many :class:`ChunkStats` /
             :class:`EpochRecord` entries (oldest dropped); ``None`` keeps
             everything.  An always-on driver must bound these lists or an
@@ -145,7 +144,6 @@ class Pipeline:
         on_epoch=None,
         rotate: bool = False,
         on_accumulate=None,
-        on_chunk=None,
         history: "int | None" = None,
         controller: "ShedController | None" = None,
     ) -> None:
@@ -154,7 +152,6 @@ class Pipeline:
         self.on_epoch = on_epoch
         self.rotate = rotate
         self.on_accumulate = on_accumulate
-        self.on_chunk = on_chunk
         if history is not None and history < 1:
             raise ConfigurationError("history must be a positive count or None")
         self.history = history
@@ -178,6 +175,7 @@ class Pipeline:
         start_time: "float | None" = None,
         first_epoch: int = 0,
         stream_time: "float | None" = None,
+        controller_stats: "dict | None" = None,
     ) -> None:
         """Open an incremental run; feed it with :meth:`step`.
 
@@ -193,7 +191,9 @@ class Pipeline:
         ``stream_time``, the timestamp of the last packet stepped before
         the checkpoint, resumes the load controller's stream clock the
         same way, so the first chunk after recovery is offered at the
-        rate the uninterrupted run measured.
+        rate the uninterrupted run measured; ``controller_stats``, the
+        checkpointed :attr:`controller_stats`, resumes the controller's
+        tallies.
         """
         if self._run is not None:
             raise ConfigurationError(
@@ -215,6 +215,7 @@ class Pipeline:
                     self.controller,
                     history=self.history,
                     stream_time=stream_time,
+                    tallies=controller_stats,
                 )
                 if self.controller is not None
                 else None
@@ -262,8 +263,6 @@ class Pipeline:
         )
         run.chunks.append(stats)
         self._trim(run.chunks)
-        if self.on_chunk is not None:
-            self.on_chunk(stats)
         return stats
 
     @property

@@ -15,11 +15,13 @@ epoch cut is only taken once the boundary-crossing packet has actually
 arrived (the epoch's end is proven); end-of-stream or :meth:`stop`
 flushes the rest.  Each chunk carries its own deduplicated
 :class:`~repro.traffic.packet.FlowTable`, built vectorized from the raw
-records and sorted by packed 5-tuple, so per-chunk cost stays bounded no
-matter how many distinct flows the stream has seen in total.  Every
-block of records is checked as it arrives: a non-finite timestamp, one
-below the timestamp read before it, or a nonzero pad byte is a
-:class:`~repro.errors.TraceFormatError` naming its stream position.
+records by :func:`~repro.traffic.pcaplite.trace_from_records`, so
+per-chunk cost stays bounded no matter how many distinct flows the
+stream has seen in total.  Every block of records passes pcap-lite's one
+check as it arrives (:func:`~repro.traffic.pcaplite.check_block`): a
+non-finite timestamp, one below the timestamp read before it, or a
+nonzero pad byte is a :class:`~repro.errors.TraceFormatError` naming its
+stream position.
 Blocks are staged as the read-only views the reader returns, and a
 leftover joins the next block as raw bytes, never field by field.
 
@@ -37,15 +39,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.pipeline.source import Chunk, ChunkSource
-from repro.traffic.packet import FlowTable, Trace
 from repro.traffic.pcaplite import (
-    FORMAT_VERSION,
     HEADER_BYTES,
-    MAGIC,
     RECORD_BYTES,
     RECORD_DTYPE,
     PacketRecordReader,
-    _HEADER,
+    check_block,
+    check_header,
+    trace_from_records,
 )
 
 #: Default packets per streaming chunk — far smaller than the batch
@@ -54,90 +55,6 @@ from repro.traffic.pcaplite import (
 DEFAULT_STREAM_CHUNK = 8192
 
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
-
-
-def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
-    """Columnar trace from a block of pcap-lite records.
-
-    Flows are deduplicated vectorized (no Python loop over packets): the
-    5-tuple is packed into two u64 columns (``hi``: source IP and the
-    destination IP's top byte; ``lo``: the rest), one two-key sort puts
-    equal tuples next to each other, each run start opens a new flow, and
-    a running count of run starts scattered back through the sort order
-    gives the per-packet flow ids.  Flow order is the packed tuples'
-    unsigned ``(hi, lo)`` sort order — flow *indices* carry no meaning
-    anywhere downstream (identity is ``key64``), only the per-packet
-    mapping matters.
-    """
-    src = records["src_ip"].astype(np.uint64)
-    dst = records["dst_ip"].astype(np.uint64)
-    hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
-    lo = (
-        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-        | (records["src_port"].astype(np.uint64) << np.uint64(24))
-        | (records["dst_port"].astype(np.uint64) << np.uint64(8))
-        | records["protocol"].astype(np.uint64)
-    )
-    order = np.lexsort((lo, hi))
-    shi = hi[order]
-    slo = lo[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-    flow_ids = np.empty(len(order), dtype=np.int64)
-    flow_ids[order] = np.cumsum(starts) - 1
-    uhi = shi[starts]
-    ulo = slo[starts]
-    flows = FlowTable(
-        src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
-        dst_ip=(
-            ((uhi & np.uint64(0xFF)) << np.uint64(24))
-            | (ulo >> np.uint64(40))
-        ).astype(np.uint32),
-        src_port=((ulo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16),
-        dst_port=((ulo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(np.uint16),
-        protocol=(ulo & np.uint64(0xFF)).astype(np.uint8),
-        hash_seed=hash_seed,
-    )
-    return Trace(
-        timestamps=records["timestamp"].astype(np.float64),
-        flow_ids=flow_ids,
-        sizes=records["size"].astype(np.int64),
-        flows=flows,
-    )
-
-
-def _check_timestamps(ts: np.ndarray, position: int, last: float) -> None:
-    """Reject a block whose timestamps are non-finite or go backwards.
-
-    ``position`` is the stream position of ``ts[0]``; ``last`` is the
-    last timestamp already read (``-inf`` before the first block).
-    """
-    finite = np.isfinite(ts)
-    if not finite.all():
-        at = int(np.argmin(finite))
-        raise TraceFormatError(
-            f"non-finite timestamp {ts[at]} at stream position {position + at}"
-        )
-    backwards = np.diff(ts, prepend=last) < 0
-    if backwards.any():
-        at = int(np.argmax(backwards))
-        previous = ts[at - 1] if at else last
-        raise TraceFormatError(
-            f"timestamp {ts[at]} at stream position {position + at} is "
-            f"below the one before it ({previous})"
-        )
-
-
-def _check_pad(pad: np.ndarray, position: int) -> None:
-    """Reject a block with a nonzero pad byte (the format fixes it at 0).
-
-    ``position`` is the stream position of ``pad[0]``.
-    """
-    if pad.any():
-        at = int(np.argmax(pad != 0))
-        raise TraceFormatError(
-            f"nonzero pad byte {pad[at]} at stream position {position + at}"
-        )
 
 
 class StreamingChunkSource(ChunkSource):
@@ -265,10 +182,8 @@ class StreamingChunkSource(ChunkSource):
                 if block is None:
                     ended = True
                 elif len(block):
-                    position = consumed + len(pending)
+                    check_block(block, consumed + len(pending), last)
                     ts = block["timestamp"]
-                    _check_timestamps(ts, position, last)
-                    _check_pad(block["pad"], position)
                     last = float(ts[-1])
                     if self.start_time is None:
                         self.start_time = float(ts[0])
@@ -375,8 +290,9 @@ class SocketChunkSource(StreamingChunkSource):
     The wire format is the file format minus the filesystem: the sender
     writes the 16-byte pcap-lite header once, then raw 24-byte records.
     Iteration ends when the sender closes the connection or on
-    :meth:`stop`; a live feed cannot seek, so a daemon recovering from a
-    checkpoint accepts the gap (and says so) rather than replaying.
+    :meth:`stop`.  A live feed cannot seek: :meth:`seek_packets` raises
+    :class:`~repro.errors.ConfigurationError`, so a daemon cannot recover
+    a checkpoint over it.
     """
 
     def __init__(
@@ -430,16 +346,7 @@ class SocketChunkSource(StreamingChunkSource):
         if not self._header_done:
             if len(self._buffer) < HEADER_BYTES:
                 return _EMPTY
-            magic, version, _reserved = _HEADER.unpack(
-                self._buffer[:HEADER_BYTES]
-            )
-            if magic != MAGIC:
-                raise TraceFormatError("record feed is not pcap-lite")
-            if version != FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"record feed is pcap-lite version {version}, "
-                    f"expected {FORMAT_VERSION}"
-                )
+            check_header(self._buffer[:HEADER_BYTES], "record feed")
             self._buffer = self._buffer[HEADER_BYTES:]
             self._header_done = True
         complete = len(self._buffer) // RECORD_BYTES

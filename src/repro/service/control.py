@@ -179,7 +179,7 @@ class ControlServer:
                 [key, packets, bytes_] for key, packets, bytes_ in daemon.top(k)
             ]
         if verb == "rotate":
-            return {"expired": len(daemon.rotate_now())}
+            return {"expired": daemon.rotate_now()}
         if verb == "snapshot":
             info = daemon.checkpoint_now()
             return {"seq": info.seq, "path": info.manifest_path}

@@ -47,8 +47,11 @@ class MeasurementDaemon:
     Args:
         source: an unbounded :class:`~repro.pipeline.source.ChunkSource`
             (``total_packets is None``).  For recovery it must support
-            ``seek_packets(offset)`` — the pcap-lite file source does; a
-            live socket feed runs fine but restarts from the live stream.
+            ``seek_packets(offset)`` — the pcap-lite file source does.  A
+            live socket feed cannot seek: it runs fine without a
+            checkpoint to recover from, but :meth:`start` raises
+            :class:`~repro.errors.ConfigurationError` once the checkpoint
+            directory holds one.
         config: engine configuration (default
             :class:`~repro.core.instameasure.InstaMeasureConfig`), used
             for a fresh start; a recovered daemon takes its config from
@@ -146,6 +149,7 @@ class MeasurementDaemon:
             raise ConfigurationError("the daemon is already running")
         first_epoch = 0
         start_time = None
+        controller_stats = None
         if self.store is not None:
             info = self.store.latest()
             if info is not None:
@@ -161,6 +165,7 @@ class MeasurementDaemon:
                 first_epoch = self._epoch = int(info.meta.get("epoch", 0))
                 start_time = info.meta.get("start_time")
                 self._stream_time = info.meta.get("stream_time")
+                controller_stats = info.meta.get("controller")
                 self.recovered_from = info.seq
                 self.source.seek_packets(self._position)
                 if start_time is not None and self.source.start_time is None:
@@ -185,6 +190,7 @@ class MeasurementDaemon:
             start_time=start_time,
             first_epoch=first_epoch,
             stream_time=self._stream_time,
+            controller_stats=controller_stats,
         )
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
@@ -274,10 +280,20 @@ class MeasurementDaemon:
                 "epoch_seconds": self.epoch_seconds,
                 "num_shards": self.num_shards,
                 "load_policy": self.load_policy,
+                "controller": self._controller_stats_locked(),
             },
         )
         self._chunks_since_checkpoint = 0
         return info
+
+    def _controller_stats_locked(self) -> "dict | None":
+        """The load controller's tallies over the whole stream, recovered
+        packets included (``None`` without a controller)."""
+        stats = self.pipeline.controller_stats if self.pipeline is not None else None
+        if stats is None and self.result is not None:
+            # Finished runs keep their final controller tally.
+            stats = self.result.controller_stats
+        return stats
 
     def checkpoint_now(self):
         """Force a checkpoint immediately; returns its info."""
@@ -316,12 +332,14 @@ class MeasurementDaemon:
         ranked = sorted(table.items(), key=lambda item: item[1][0], reverse=True)
         return [(key, est[0], est[1]) for key, est in ranked[: max(0, int(k))]]
 
-    def rotate_now(self):
-        """Rotate every shard at the current stream time; returns the
-        pre-expiry snapshot (union across shards)."""
+    def rotate_now(self) -> int:
+        """Rotate every shard at the current stream time; returns how
+        many WSAF entries the rotation expired."""
         with self._lock:
             now = self._stream_time if self._stream_time is not None else 0.0
-            return self.measurer.rotate(now)
+            before = self.measurer.wsaf_size
+            self.measurer.rotate(now)
+            return before - self.measurer.wsaf_size
 
     def stats(self) -> "dict":
         """Live operational counters (what the control ``stats`` verb
@@ -335,14 +353,7 @@ class MeasurementDaemon:
             packets = self.packets
             measured = self.measured_packets
             ingest_seconds = self._ingest_seconds
-            controller = (
-                self.pipeline.controller_stats
-                if self.pipeline is not None
-                else None
-            )
-            if controller is None and self.result is not None:
-                # Finished runs keep their final controller tally.
-                controller = self.result.controller_stats
+            controller = self._controller_stats_locked()
         pps_recent = 0.0
         if len(recent) >= 2:
             dt = recent[-1][0] - recent[0][0]

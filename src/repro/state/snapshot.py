@@ -16,8 +16,6 @@ into a batched one and vice versa (the stores are state-identical by
 contract).  An engine with an in-progress *known-length* ingest stream is
 also exact: the stream's randomness is a deterministic function of
 ``(seed, total)`` and the cursor offset, so restore re-draws and seeks.
-Unknown-length streams draw per chunk (history-dependent) and cannot be
-reproduced from a cursor — capturing one raises :class:`SnapshotError`.
 """
 
 from __future__ import annotations

@@ -15,16 +15,20 @@ that: a 16-byte header followed by fixed 24-byte records::
     (pad)      u8    (zero)
     size       u16   (wire bytes)
 
-Little-endian throughout, and readers reject a nonzero pad byte.  The
-reader streams records without loading the file; converters bridge
-to/from the columnar :class:`Trace`.
+Little-endian throughout.  There is one decoder: records move in blocks
+of :data:`RECORD_DTYPE` (:meth:`PacketRecordReader.read_block`), every
+block is checked by :func:`check_block` — a non-finite timestamp, one
+below the timestamp before it, or a nonzero pad byte is a
+:class:`~repro.errors.TraceFormatError` naming its stream position — and
+:func:`trace_from_records` turns records into a columnar :class:`Trace`.
+The streaming chunk sources (:mod:`repro.pipeline.streaming`) and
+:func:`read_pcaplite` both decode that way.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import Iterator
 
 import numpy as np
 
@@ -34,12 +38,10 @@ from repro.traffic.packet import FiveTuple, FlowTable, Trace
 MAGIC = b"IMPL"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHH8x")  # magic, version, reserved, pad to 16
-_RECORD = struct.Struct("<dIIHHBBH")
-RECORD_BYTES = _RECORD.size
 HEADER_BYTES = _HEADER.size
 
 #: The record layout as a packed structured dtype — one ``frombuffer``
-#: call reads a whole block of records (the streaming sources' path).
+#: call reads a whole block of records.
 RECORD_DTYPE = np.dtype(
     [
         ("timestamp", "<f8"),
@@ -52,7 +54,107 @@ RECORD_DTYPE = np.dtype(
         ("size", "<u2"),
     ]
 )
-assert RECORD_DTYPE.itemsize == RECORD_BYTES
+RECORD_BYTES = RECORD_DTYPE.itemsize
+assert RECORD_BYTES == 24
+
+#: Records per block when :func:`read_pcaplite` loads a whole file.
+_READ_BLOCK = 1 << 16
+
+
+def check_header(header: bytes, name: str) -> None:
+    """Reject a pcap-lite header that is short, not pcap-lite, or of
+    another format version; ``name`` names the stream in the error."""
+    if len(header) != HEADER_BYTES:
+        raise TraceFormatError(f"{name}: truncated pcap-lite header")
+    magic, version, _reserved = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFormatError(f"{name}: not a pcap-lite stream")
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"{name}: pcap-lite version {version}, expected {FORMAT_VERSION}"
+        )
+
+
+def check_block(records: np.ndarray, position: int, last: float) -> None:
+    """Reject a block of records that the format does not allow.
+
+    A non-finite timestamp, a timestamp below the one before it, or a
+    nonzero pad byte (the format fixes it at 0) raises
+    :class:`~repro.errors.TraceFormatError` naming its stream position.
+    ``position`` is the stream position of ``records[0]``; ``last`` is
+    the last timestamp already read (``-inf`` before the first block).
+    """
+    ts = records["timestamp"]
+    finite = np.isfinite(ts)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise TraceFormatError(
+            f"non-finite timestamp {ts[at]} at stream position {position + at}"
+        )
+    backwards = np.diff(ts, prepend=last) < 0
+    if backwards.any():
+        at = int(np.argmax(backwards))
+        previous = ts[at - 1] if at else last
+        raise TraceFormatError(
+            f"timestamp {ts[at]} at stream position {position + at} is "
+            f"below the one before it ({previous})"
+        )
+    pad = records["pad"]
+    if pad.any():
+        at = int(np.argmax(pad != 0))
+        raise TraceFormatError(
+            f"nonzero pad byte {pad[at]} at stream position {position + at}"
+        )
+
+
+def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
+    """Columnar trace from a block of pcap-lite records.
+
+    Flows are deduplicated vectorized (no Python loop over packets): the
+    5-tuple is packed into two u64 columns (``hi``: source IP and the
+    destination IP's top byte; ``lo``: the rest), one two-key sort puts
+    equal tuples next to each other, each run start opens a new flow, and
+    a running count of run starts scattered back through the sort order
+    gives the per-packet flow ids.  Flow order is the packed tuples'
+    unsigned ``(hi, lo)`` sort order — flow *indices* carry no meaning
+    anywhere downstream (identity is ``key64``), only the per-packet
+    mapping matters.
+    """
+    src = records["src_ip"].astype(np.uint64)
+    dst = records["dst_ip"].astype(np.uint64)
+    hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
+    lo = (
+        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
+        | (records["src_port"].astype(np.uint64) << np.uint64(24))
+        | (records["dst_port"].astype(np.uint64) << np.uint64(8))
+        | records["protocol"].astype(np.uint64)
+    )
+    order = np.lexsort((lo, hi))
+    shi = hi[order]
+    slo = lo[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
+    flow_ids = np.empty(len(order), dtype=np.int64)
+    flow_ids[order] = np.cumsum(starts) - 1
+    uhi = shi[starts]
+    ulo = slo[starts]
+    flows = FlowTable(
+        src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
+        dst_ip=(
+            ((uhi & np.uint64(0xFF)) << np.uint64(24))
+            | (ulo >> np.uint64(40))
+        ).astype(np.uint32),
+        src_port=((ulo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16),
+        dst_port=((ulo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(np.uint16),
+        protocol=(ulo & np.uint64(0xFF)).astype(np.uint8),
+        hash_seed=hash_seed,
+    )
+    return Trace(
+        timestamps=records["timestamp"].astype(np.float64),
+        flow_ids=flow_ids,
+        sizes=records["size"].astype(np.int64),
+        flows=flows,
+    )
 
 
 class PacketRecordWriter:
@@ -65,19 +167,14 @@ class PacketRecordWriter:
 
     def write(self, timestamp: float, five_tuple: FiveTuple, size: int) -> None:
         """Append one packet record."""
-        self._file.write(
-            _RECORD.pack(
-                timestamp,
-                five_tuple.src_ip,
-                five_tuple.dst_ip,
-                five_tuple.src_port,
-                five_tuple.dst_port,
-                five_tuple.protocol,
-                0,
-                size,
-            )
+        self.write_records(
+            np.array([(timestamp, *five_tuple, 0, size)], dtype=RECORD_DTYPE)
         )
-        self.records_written += 1
+
+    def write_records(self, records: np.ndarray) -> None:
+        """Append a block of :data:`RECORD_DTYPE` records."""
+        self._file.write(np.ascontiguousarray(records, dtype=RECORD_DTYPE).tobytes())
+        self.records_written += len(records)
 
     def flush(self) -> None:
         """Flush buffered records to the OS — the point at which a
@@ -96,13 +193,12 @@ class PacketRecordWriter:
 
 
 class PacketRecordReader:
-    """Streaming pcap-lite reader: iterates (timestamp, FiveTuple, size).
+    """Streaming pcap-lite reader: whole record blocks as structured arrays.
 
-    Two access styles, not meant to be mixed on one instance: the
-    iterator yields decoded per-packet tuples; :meth:`read_block` /
-    :meth:`seek_record` move whole record blocks as structured arrays
-    (the vectorized path the streaming chunk sources use to tail a
-    growing capture).
+    :meth:`read_block` / :meth:`seek_record` move records without loading
+    the file (the vectorized path the streaming chunk sources use to tail
+    a growing capture); the caller checks each block with
+    :func:`check_block`.
     """
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
@@ -115,38 +211,11 @@ class PacketRecordReader:
             self._file = open(path, "rb")
         except OSError as exc:
             raise TraceFormatError(f"cannot open {path!r}: {exc}") from exc
-        header = self._file.read(_HEADER.size)
-        if len(header) != _HEADER.size:
+        try:
+            check_header(self._file.read(HEADER_BYTES), repr(self.path))
+        except TraceFormatError:
             self._file.close()
-            raise TraceFormatError(f"{path!r}: truncated pcap-lite header")
-        magic, version, _reserved = _HEADER.unpack(header)
-        if magic != MAGIC:
-            self._file.close()
-            raise TraceFormatError(f"{path!r}: not a pcap-lite file")
-        if version != FORMAT_VERSION:
-            self._file.close()
-            raise TraceFormatError(
-                f"{path!r}: pcap-lite version {version}, expected {FORMAT_VERSION}"
-            )
-
-    def __iter__(self) -> Iterator["tuple[float, FiveTuple, int]"]:
-        position = 0
-        while True:
-            chunk = self._file.read(RECORD_BYTES)
-            if not chunk:
-                return
-            if len(chunk) != RECORD_BYTES:
-                raise TraceFormatError(f"{self.path!r}: truncated record")
-            (ts, src_ip, dst_ip, src_port, dst_port, proto, pad, size) = (
-                _RECORD.unpack(chunk)
-            )
-            if pad:
-                raise TraceFormatError(
-                    f"{self.path!r}: nonzero pad byte {pad} at stream "
-                    f"position {position}"
-                )
-            yield ts, FiveTuple(src_ip, dst_ip, src_port, dst_port, proto), size
-            position += 1
+            raise
 
     def read_block(self, max_records: int) -> np.ndarray:
         """Up to ``max_records`` complete records as a structured array.
@@ -190,13 +259,14 @@ class PacketRecordReader:
 
 def write_pcaplite(trace: Trace, path: "str | os.PathLike[str]") -> int:
     """Dump a columnar trace as pcap-lite records; returns records written."""
+    flows, ids = trace.flows, trace.flow_ids
+    records = np.zeros(trace.num_packets, dtype=RECORD_DTYPE)
+    records["timestamp"] = trace.timestamps
+    for column in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol"):
+        records[column] = getattr(flows, column)[ids]
+    records["size"] = trace.sizes
     with PacketRecordWriter(path) as writer:
-        tuples = [trace.flows.five_tuple(i) for i in range(trace.num_flows)]
-        timestamps = trace.timestamps.tolist()
-        flow_ids = trace.flow_ids.tolist()
-        sizes = trace.sizes.tolist()
-        for p in range(trace.num_packets):
-            writer.write(timestamps[p], tuples[flow_ids[p]], sizes[p])
+        writer.write_records(records)
         return writer.records_written
 
 
@@ -205,27 +275,24 @@ def read_pcaplite(
 ) -> Trace:
     """Load a pcap-lite file into a columnar trace.
 
-    Flows are rebuilt by deduplicating 5-tuples in arrival order, so the
-    round trip preserves ground truth exactly (flow indices may differ).
+    Every block passes :func:`check_block`, and a trailing partial record
+    is a :class:`~repro.errors.TraceFormatError` (a finished file has
+    none).  Flows are rebuilt by :func:`trace_from_records`, so the round
+    trip preserves ground truth exactly (flow indices may differ).
     """
-    timestamps: "list[float]" = []
-    flow_ids: "list[int]" = []
-    sizes: "list[int]" = []
-    index_of: "dict[FiveTuple, int]" = {}
-    tuples: "list[FiveTuple]" = []
+    blocks = []
+    position = 0
+    last = -np.inf
     with PacketRecordReader(path) as reader:
-        for ts, five_tuple, size in reader:
-            flow = index_of.get(five_tuple)
-            if flow is None:
-                flow = len(tuples)
-                index_of[five_tuple] = flow
-                tuples.append(five_tuple)
-            timestamps.append(ts)
-            flow_ids.append(flow)
-            sizes.append(size)
-    return Trace(
-        timestamps=np.asarray(timestamps),
-        flow_ids=np.asarray(flow_ids, dtype=np.int64),
-        sizes=np.asarray(sizes, dtype=np.int64),
-        flows=FlowTable.from_five_tuples(tuples, hash_seed=hash_seed),
-    )
+        while True:
+            block = reader.read_block(_READ_BLOCK)
+            if not len(block):
+                break
+            check_block(block, position, last)
+            position += len(block)
+            last = float(block["timestamp"][-1])
+            blocks.append(block)
+        if reader._pending:
+            raise TraceFormatError(f"{reader.path!r}: truncated record")
+    records = np.concatenate(blocks) if blocks else np.empty(0, RECORD_DTYPE)
+    return trace_from_records(records, hash_seed=hash_seed)

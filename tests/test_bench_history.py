@@ -1,4 +1,4 @@
-"""The bench harnesses' report-file handling.
+"""The bench harnesses' report-file handling and command line.
 
 A bench run appends to its history file (``BENCH_throughput.json``,
 ``BENCH_overload.json``) and reads baselines out of it; a missing,
@@ -16,16 +16,13 @@ import pathlib
 
 import pytest
 
-from repro.cli import _load_bench_module
 
-
-def _load_overload_module():
+def _load_bench(name: str):
+    """A harness script from the repository's ``benchmarks/`` tree."""
     path = (
-        pathlib.Path(__file__).resolve().parents[1]
-        / "benchmarks"
-        / "bench_overload.py"
+        pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
     )
-    spec = importlib.util.spec_from_file_location("bench_overload", path)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +30,7 @@ def _load_overload_module():
 
 @pytest.fixture(scope="module")
 def bench():
-    return _load_bench_module()
+    return _load_bench("bench_throughput")
 
 
 @pytest.fixture()
@@ -129,6 +126,46 @@ class TestShardsNormalization:
         assert history[0]["timestamp"] == 2.0
 
 
+class TestShardLadder:
+    """``bench_throughput.py --shards N``: which shard counts it measures."""
+
+    @pytest.fixture()
+    def calls(self, bench, monkeypatch):
+        # Patch the heavy benchmark and the trace build out; record what
+        # the script's main forwards.
+        calls = {}
+
+        def fake_run_sharded_benchmark(trace, rounds=None, shard_counts=None,
+                                       record=True):
+            calls["shard_counts"] = shard_counts
+            calls["record"] = record
+            return {
+                "rows": [],
+                "report": "fake report",
+                "scaling": {n: float(n) for n in shard_counts},
+                "inproc_overhead": 1.0,
+            }
+
+        monkeypatch.setattr(
+            bench, "run_sharded_benchmark", fake_run_sharded_benchmark
+        )
+        monkeypatch.setattr(bench, "build_caida_like_trace", lambda config: None)
+        return calls
+
+    def test_full_shards_forwards_counts(self, bench, calls, capsys):
+        bench.main(["--shards", "4"])
+        # The requested count joins the baseline and the default ladder
+        # up to it.
+        assert calls["shard_counts"] == (1, 2, 4)
+        assert calls["record"] is True
+        assert "fake report" in capsys.readouterr().out
+
+    def test_quick_shards_smokes_one_and_n(self, bench, calls):
+        bench.main(["--quick", "--shards", "3"])
+        assert calls["shard_counts"] == (1, 3)
+        assert calls["record"] is False
+
+
 class TestRetiredGenerationRows:
     def test_extra_label_keeps_rows_distinct(self, bench, history_path):
         # Rows of retired kernel generations carry one more string label
@@ -199,7 +236,7 @@ class TestOverloadHistory:
 
     @pytest.fixture(scope="class")
     def overload_bench(self):
-        return _load_overload_module()
+        return _load_bench("bench_overload")
 
     @pytest.fixture()
     def history_path(self, overload_bench, tmp_path, monkeypatch):

@@ -100,93 +100,21 @@ class TestRunBackends:
             main(["run", str(trace_path), "--wsaf-backend", "bogus"])
 
 
-class TestBenchShards:
-    def test_quick_shards_prints_stage_table(self, monkeypatch, capsys):
-        # Patch the heavy benchmark out; assert the CLI forwards the
-        # requested count and renders the stage-breakdown table.
-        from repro import cli
+class TestRetiredCommands:
+    # The throughput harness runs as benchmarks/bench_throughput.py, and
+    # `snapshot save` is the one way to write a measured state.
+    def test_bench_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-        calls = {}
-
-        def fake_run_sharded_benchmark(trace, rounds, shard_counts, record):
-            calls["shard_counts"] = shard_counts
-            calls["record"] = record
-            rows = [
-                {
-                    "shards": n,
-                    "seconds": 0.5 / n,
-                    "stages": {
-                        "route_s": 0.01,
-                        "ipc_s": 0.02,
-                        "ingest_s": 0.4 / n,
-                        "merge_s": 0.01,
-                    },
-                }
-                for n in shard_counts
-            ]
-            return {
-                "rows": rows,
-                "report": "fake report",
-                "scaling": {n: float(n) for n in shard_counts},
-                "inproc_overhead": 1.0,
-            }
-
-        bench = cli._load_bench_module()
-        monkeypatch.setattr(
-            bench, "run_sharded_benchmark", fake_run_sharded_benchmark
-        )
-        monkeypatch.setattr(cli, "_load_bench_module", lambda: bench)
-        code = main(["bench", "--quick", "--shards", "3"])
-        assert code == 0
-        assert calls["shard_counts"] == (1, 3)
-        assert calls["record"] is False
-        out = capsys.readouterr().out
-        assert "Sharded stage breakdown" in out
-        assert "route ms" in out
-
-    def test_full_shards_forwards_counts(self, monkeypatch, capsys):
-        from repro import cli
-
-        calls = {}
-
-        def fake_run_sharded_benchmark(trace, rounds, shard_counts, record):
-            calls["shard_counts"] = shard_counts
-            calls["rounds"] = rounds
-            rows = [
-                {
-                    "shards": n,
-                    "seconds": 0.5 / n,
-                    "stages": {
-                        "route_s": 0.01,
-                        "ipc_s": 0.02,
-                        "ingest_s": 0.4 / n,
-                        "merge_s": 0.01,
-                    },
-                }
-                for n in shard_counts
-            ]
-            return {
-                "rows": rows,
-                "report": "fake report",
-                "scaling": {n: float(n) for n in shard_counts},
-                "inproc_overhead": 1.0,
-            }
-
-        bench = cli._load_bench_module()
-        monkeypatch.setattr(
-            bench, "run_sharded_benchmark", fake_run_sharded_benchmark
-        )
-        monkeypatch.setattr(cli, "_load_bench_module", lambda: bench)
-        monkeypatch.setattr(
-            cli, "build_caida_like_trace", lambda config: object()
-        )
-        code = main(["bench", "--shards", "4", "--no-record"])
-        assert code == 0
-        # The requested count joins the baseline and the default ladder
-        # up to it — previously --shards was parsed and then ignored.
-        assert calls["shard_counts"] == (1, 2, 4)
-        assert calls["rounds"] == bench.SHARD_ROUNDS
-        assert "Sharded stage breakdown" in capsys.readouterr().out
+    def test_run_snapshot_out_is_a_usage_error(self, trace_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(trace_path),
+                  "--snapshot-out", str(tmp_path / "state.snap")])
+        assert exit_info.value.code == 2
+        assert "--snapshot-out" in capsys.readouterr().err
 
 
 class TestSnapshot:

@@ -84,19 +84,10 @@ class TestPolicies:
         controller = ShedController(target_pps=1_000.0)
         assert controller.decide(float("inf")).action == "drop"
 
-    def test_shed_min_keep_floors_the_sample(self):
-        controller = ShedController(target_pps=1_000.0, min_keep=0.1)
-        assert controller.decide(1e9).keep_fraction == pytest.approx(0.1)
-        assert controller.decide(
-            float("inf")
-        ).keep_fraction == pytest.approx(0.1)
-
     def test_shed_validation(self):
         for target in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 ShedController(target_pps=target)
-        with pytest.raises(ConfigurationError):
-            ShedController(target_pps=1.0, min_keep=1.5)
 
     def test_factory(self):
         assert build_load_controller(None) is None

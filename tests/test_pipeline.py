@@ -35,6 +35,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.pipeline import (
+    ChunkSource,
     Pipeline,
     StreamingMeasurer,
     TraceChunkSource,
@@ -88,6 +89,45 @@ def _burst_trace() -> Trace:
         flow_ids=flow_ids,
         sizes=np.full(n, 200, dtype=np.int64),
         flows=flows,
+    )
+
+
+class _PerChunkTables(ChunkSource):
+    """The chunks of ``TraceChunkSource(trace, chunk_size)``, each
+    re-indexed onto a flow table of its own, as the streaming sources
+    deliver them: the packets, spans and ``total_packets`` stay the same,
+    only the flow table differs."""
+
+    def __init__(self, trace: Trace, chunk_size: int) -> None:
+        self.total_packets = trace.num_packets
+        self._chunks = [
+            replace(chunk, trace=_own_table(chunk.trace))
+            for chunk in TraceChunkSource(trace, chunk_size=chunk_size)
+        ]
+
+    def __iter__(self):
+        return iter(self._chunks)
+
+
+def _own_table(trace: Trace) -> Trace:
+    """``trace`` over a table of only its own flows, in key order."""
+    flows = trace.flows
+    used = np.unique(trace.flow_ids)
+    used = used[np.argsort(flows.key64[used])]
+    local = np.empty(len(flows), dtype=np.int64)
+    local[used] = np.arange(len(used))
+    table = FlowTable(
+        *(
+            getattr(flows, column)[used]
+            for column in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+        ),
+        hash_seed=flows.hash_seed,
+    )
+    return Trace(
+        timestamps=trace.timestamps,
+        flow_ids=local[trace.flow_ids],
+        sizes=trace.sizes,
+        flows=table,
     )
 
 
@@ -231,13 +271,18 @@ class TestMultiCore:
 
         streamed = MultiCoreInstaMeasure(3, config)
         outcome = run_pipeline(streamed, trace, chunk_size=4_321)
-        result = outcome.result
+        own_tables = MultiCoreInstaMeasure(3, config)
+        own_outcome = run_pipeline(own_tables, _PerChunkTables(trace, 4_321))
 
-        assert result.worker_packets == whole_result.worker_packets
-        assert result.worker_insertions == whole_result.worker_insertions
-        np.testing.assert_array_equal(
-            streamed.estimates_for(trace)[0], whole.estimates_for(trace)[0]
-        )
+        for system, result in (
+            (streamed, outcome.result),
+            (own_tables, own_outcome.result),
+        ):
+            assert result.worker_packets == whole_result.worker_packets
+            assert result.worker_insertions == whole_result.worker_insertions
+            np.testing.assert_array_equal(
+                system.estimates_for(trace)[0], whole.estimates_for(trace)[0]
+            )
 
 
 def _baseline_factories() -> "list":
@@ -272,9 +317,13 @@ class TestBaselineProtocol:
         run_pipeline(measurer, trace, chunk_size=7_321)
         whole = factory()
         run_pipeline(whole, trace, chunk_size=1 << 30)
+        own_tables = factory()
+        run_pipeline(own_tables, _PerChunkTables(trace, 7_321))
 
         keys = trace.flows.key64[:2_000]
-        assert measurer.estimates(keys) == whole.estimates(keys)
+        expected = whole.estimates(keys)
+        assert measurer.estimates(keys) == expected
+        assert own_tables.estimates(keys) == expected
 
     def test_instameasure_engines_satisfy_protocol(self):
         assert isinstance(_engine("scalar"), StreamingMeasurer)

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.pipeline import (
     PacketRecordChunkSource,
     Pipeline,
     ShardedStreamingMeasurer,
+    SocketChunkSource,
 )
 from repro.service import (
     CheckpointStore,
@@ -283,10 +285,31 @@ class TestMeasurementDaemon:
         assert recovered.recovered_from == last.seq
         assert recovered.packets == trace.num_packets
         assert recovered.measured_packets == reference.measured_packets
+        # The governor's tallies resume from the checkpoint too, so a
+        # consumer scaling estimates by 1 / keep_rate reads the same rate.
+        assert recovered.stats()["controller"] == reference.stats()["controller"]
         assert recovered.measurer.estimates() == reference.measurer.estimates()
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
         )
+
+    def test_live_feed_cannot_recover_a_checkpoint(self, capture, tmp_path):
+        ck = str(tmp_path / "ck")
+        first = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), checkpoint_dir=ck,
+                max_packets=2_000,
+            )
+        )
+        assert first.error is None and first.store.latest() is not None
+        # A socket feed cannot seek back to the checkpointed position, so
+        # start() refuses before connecting anywhere.
+        live = MeasurementDaemon(
+            SocketChunkSource("127.0.0.1", 9), checkpoint_dir=ck
+        )
+        with pytest.raises(ConfigurationError, match="cannot seek"):
+            live.start()
+        assert not live.running
 
     def test_recovery_restores_config_from_checkpoint(
         self, capture, tmp_path
@@ -400,10 +423,17 @@ class TestControlServer:
         ok, miss = send_command(address, "query 1")
         assert ok and miss["packets"] is None
 
-    def test_rotate(self, served):
-        _daemon, address = served
-        ok, reply = send_command(address, "rotate")
-        assert ok and reply["expired"] >= 0
+    def test_rotate(self, capture):
+        # No epochs, so nothing expires before the verb rotates.
+        config = replace(_config(), gc_timeout=1.0)
+        daemon = _run_daemon(
+            MeasurementDaemon(_source(capture, epoch_seconds=None), config=config)
+        )
+        before = daemon.stats()["wsaf_entries"]
+        with ControlServer(daemon) as server:
+            ok, reply = send_command(server.address, "rotate")
+        assert ok
+        assert 0 < reply["expired"] == before - daemon.stats()["wsaf_entries"]
 
     def test_errors_are_reported_in_band(self, served):
         _daemon, address = served

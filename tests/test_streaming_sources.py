@@ -38,6 +38,7 @@ from repro.traffic.pcaplite import (
     RECORD_DTYPE,
     PacketRecordReader,
     PacketRecordWriter,
+    read_pcaplite,
     write_pcaplite,
 )
 
@@ -390,23 +391,27 @@ class TestTimestampValidation:
     def test_rejects_non_finite(self, tmp_path, bad, at, epoch_seconds):
         timestamps = list(_STEADY)
         timestamps[at] = bad
+        path = _write_timestamps(tmp_path / "bad.impl", timestamps)
         source = PacketRecordChunkSource(
-            _write_timestamps(tmp_path / "bad.impl", timestamps),
-            chunk_size=4, epoch_seconds=epoch_seconds,
+            path, chunk_size=4, epoch_seconds=epoch_seconds
         )
         with pytest.raises(TraceFormatError, match=rf"position {at}\b"):
             list(source)
+        with pytest.raises(TraceFormatError, match=rf"position {at}\b"):
+            read_pcaplite(path)
 
     @pytest.mark.parametrize("epoch_seconds", [None, 1.0])
     def test_rejects_decrease_within_block(self, tmp_path, epoch_seconds):
         timestamps = list(_STEADY)
         timestamps[6] = 1.0
+        path = _write_timestamps(tmp_path / "bad.impl", timestamps)
         source = PacketRecordChunkSource(
-            _write_timestamps(tmp_path / "bad.impl", timestamps),
-            chunk_size=4, epoch_seconds=epoch_seconds,
+            path, chunk_size=4, epoch_seconds=epoch_seconds
         )
         with pytest.raises(TraceFormatError, match=r"position 6\b"):
             list(source)
+        with pytest.raises(TraceFormatError, match=r"position 6\b"):
+            read_pcaplite(path)
 
     @pytest.mark.parametrize("epoch_seconds", [None, 1.0])
     def test_rejects_decrease_across_blocks(self, tmp_path, epoch_seconds):
