@@ -1,12 +1,16 @@
 """InstaMeasure — the single-core measurement engine (Algorithm 1).
 
-Ties a :class:`FlowRegulator` to a :class:`WSAFTable`: every packet encodes
-into the regulator; on L2 saturation the decoded ``(est_pkt, est_byte)``
-pair is accumulated into the WSAF under the flow's ID.  Callers can observe
-accumulations through a callback (that is where saturation-based heavy-
-hitter detection hooks in).
+Ties the paper's two-layer :class:`FlowRegulator` to a
+:class:`WSAFTable`: every packet encodes into the regulator; on L2
+saturation the decoded ``(est_pkt, est_byte)`` pair is accumulated into
+the WSAF under the flow's ID.  Callers can observe accumulations through
+a callback (that is where saturation-based heavy-hitter detection hooks
+in).  Deeper regulators are studied at the regulator level
+(:class:`~repro.core.multilayer.MultiLayerRegulator`,
+``benchmarks/bench_ablation_layers.py``), not through this engine.
 
-Three equivalent data paths are provided:
+Every packet draws two random bit choices, one per layer, and the engine
+processes them along one of three equivalent data paths:
 
 * :meth:`InstaMeasure.process_packet` — the literal per-packet API, one call
   per packet, the shape a real pipeline would use.
@@ -15,7 +19,7 @@ Three equivalent data paths are provided:
   randomness stream.  It produces bit-identical state to the per-packet
   path given the same random bits (tested).
 * :meth:`InstaMeasure.process_trace` with ``engine="batched"`` (the
-  default via ``"auto"`` for the 2-layer FlowRegulator) — the chunked
+  default via ``"auto"`` whenever ``vector_bits <= 8``) — the chunked
   NumPy/LUT kernel in :mod:`repro.kernels`, bit-identical to the scalar
   loop and several times faster (see docs/PERFORMANCE.md).
 """
@@ -29,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.multilayer import MultiLayerRegulator
 from repro.core.regulator import FlowRegulator, RegulatorStats
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
@@ -69,9 +72,6 @@ class InstaMeasureConfig:
     Attributes:
         l1_memory_bytes: L1 sketch size; total regulator memory is 4× this
             for 8-bit vectors (paper: 32 KB L1 → 128 KB total).
-        num_layers: regulator depth.  2 is the paper's FlowRegulator and
-            runs on the specialized fast path; other depths (1, 3, 4) use
-            the generic :class:`MultiLayerRegulator` path.
         vector_bits / word_bits / saturation_fill: RCC geometry.
         wsaf_entries: WSAF capacity, a power of two (paper: 2^20).
         probe_limit: WSAF probe window.
@@ -79,11 +79,10 @@ class InstaMeasureConfig:
         eviction_policy: WSAF overflow policy (see :class:`WSAFTable`).
         seed: seed for placement hashing and the per-packet bit stream.
         engine: trace-processing engine — ``"auto"`` picks the batched
-            kernel whenever the regulator supports it (2-layer
-            FlowRegulator, ``vector_bits <= 8``) and the scalar loop
-            otherwise; ``"batched"`` requires the fast path (configuration
-            error if unsupported); ``"scalar"`` always runs the per-packet
-            Python loop.  All engines are bit-identical.
+            kernel whenever its FSM tables fit (``vector_bits <= 8``) and
+            the scalar loop otherwise; ``"batched"`` requires the kernel
+            (configuration error if unsupported); ``"scalar"`` always runs
+            the per-packet Python loop.  All engines are bit-identical.
         chunk_size: packets per batched-kernel chunk (bounds the working
             set of the vectorized stage; irrelevant to the scalar path).
         wsaf_backend: working-set storage algorithm — ``"flat"`` (the
@@ -103,7 +102,6 @@ class InstaMeasureConfig:
     """
 
     l1_memory_bytes: int = 32 * 1024
-    num_layers: int = 2
     vector_bits: int = 8
     word_bits: int = 32
     saturation_fill: float = 0.7
@@ -210,11 +208,14 @@ UNKNOWN_STREAM_BLOCK = 1 << 16
 class _BitStream:
     """Per-packet random bit choices for one measurement stream.
 
-    When the stream's total packet count is known up front, the whole
-    sequence is drawn in one call — exactly the draw the whole-trace path
-    makes — and handed out in slices, which is what makes chunked
-    ingestion bit-identical (NumPy's narrow-dtype ``integers`` draws are
-    buffered per call, so N small draws do *not* equal one big draw).
+    Every slice is a ``(bits1, bits2)`` pair of uint8 arrays — the L1 and
+    L2 choice of each packet — and every draw makes the ``bits1`` call
+    before the ``bits2`` call.  When the stream's total packet count is
+    known up front, the whole sequence is drawn in one call — exactly the
+    draw the whole-trace path makes — and handed out in slices, which is
+    what makes chunked ingestion bit-identical (NumPy's narrow-dtype
+    ``integers`` draws are buffered per call, so N small draws do *not*
+    equal one big draw).
     Unknown-length streams draw fixed-size ``UNKNOWN_STREAM_BLOCK``
     blocks from one persistent generator instead: not identical to the
     known-length draw (the layers interleave differently), but a pure
@@ -229,11 +230,9 @@ class _BitStream:
     sharded-equals-single guarantee.
     """
 
-    def __init__(self, config, flow_regulator: bool, total: "int | None") -> None:
+    def __init__(self, config, total: "int | None") -> None:
         self._rng = np.random.default_rng(config.seed ^ 0xB17)
         self._vector_bits = config.vector_bits
-        self._num_layers = config.num_layers
-        self._flow_regulator = flow_regulator
         self._total = total
         self.offset = 0
         #: Set once :meth:`take_at` hands out a non-contiguous gather; the
@@ -243,7 +242,7 @@ class _BitStream:
         if total is not None:
             self._draw(total)
         else:
-            self._bits1 = self._bits2 = self._matrix = None
+            self._bits1 = self._bits2 = None
         #: Generator state captured immediately before the current block
         #: draw (unknown-length streams only; None before the first draw).
         self._block_state = None
@@ -251,22 +250,14 @@ class _BitStream:
         self._block_used = 0
 
     def _draw(self, count: int) -> None:
-        if self._flow_regulator:
-            self._bits1 = self._rng.integers(
-                0, self._vector_bits, size=count, dtype=np.uint8
-            )
-            self._bits2 = self._rng.integers(
-                0, self._vector_bits, size=count, dtype=np.uint8
-            )
-        else:
-            self._matrix = self._rng.integers(
-                0,
-                self._vector_bits,
-                size=(count, self._num_layers),
-                dtype=np.int64,
-            )
+        self._bits1 = self._rng.integers(
+            0, self._vector_bits, size=count, dtype=np.uint8
+        )
+        self._bits2 = self._rng.integers(
+            0, self._vector_bits, size=count, dtype=np.uint8
+        )
 
-    def take(self, count: int):
+    def take(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """The next ``count`` packets' bit choices, advancing the cursor."""
         begin = self.offset
         limit = self._total
@@ -280,9 +271,7 @@ class _BitStream:
             )
         end = begin + count
         self.offset += count
-        if self._flow_regulator:
-            return (self._bits1[begin:end], self._bits2[begin:end])
-        return self._matrix[begin:end]
+        return (self._bits1[begin:end], self._bits2[begin:end])
 
     def _draw_block(self) -> None:
         # Record the generator state *before* drawing: (state, used) is
@@ -291,7 +280,7 @@ class _BitStream:
         self._draw(UNKNOWN_STREAM_BLOCK)
         self._block_used = 0
 
-    def _take_unknown(self, count: int):
+    def _take_unknown(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """Assemble ``count`` entries from the fixed-size block draws.
 
         Requests that fit inside the current block come back as views;
@@ -299,20 +288,14 @@ class _BitStream:
         way the entries depend only on the stream offset, never on the
         chunk sizes that consumed it.
         """
-        flow = self._flow_regulator
         block = UNKNOWN_STREAM_BLOCK
         if self._block_state is not None and self._block_used + count <= block:
             lo = self._block_used
             hi = lo + count
             self._block_used = hi
-            if flow:
-                return (self._bits1[lo:hi], self._bits2[lo:hi])
-            return self._matrix[lo:hi]
-        if flow:
-            out1 = np.empty(count, dtype=np.uint8)
-            out2 = np.empty(count, dtype=np.uint8)
-        else:
-            out = np.empty((count, self._num_layers), dtype=np.int64)
+            return (self._bits1[lo:hi], self._bits2[lo:hi])
+        out1 = np.empty(count, dtype=np.uint8)
+        out2 = np.empty(count, dtype=np.uint8)
         filled = 0
         while filled < count:
             if self._block_state is None or self._block_used >= block:
@@ -320,16 +303,11 @@ class _BitStream:
             step = min(count - filled, block - self._block_used)
             lo = self._block_used
             hi = lo + step
-            if flow:
-                out1[filled : filled + step] = self._bits1[lo:hi]
-                out2[filled : filled + step] = self._bits2[lo:hi]
-            else:
-                out[filled : filled + step] = self._matrix[lo:hi]
+            out1[filled : filled + step] = self._bits1[lo:hi]
+            out2[filled : filled + step] = self._bits2[lo:hi]
             self._block_used = hi
             filled += step
-        if flow:
-            return (out1, out2)
-        return out
+        return (out1, out2)
 
     def unknown_cursor(self) -> "tuple[dict, int]":
         """``(generator state at block start, entries consumed)``.
@@ -359,13 +337,13 @@ class _BitStream:
         self._rng.bit_generator.state = rng_state
         self._block_state = None
         self._block_used = 0
-        self._bits1 = self._bits2 = self._matrix = None
+        self._bits1 = self._bits2 = None
         if block_used:
             self._draw_block()
             self._block_used = block_used
         self.offset = offset
 
-    def take_at(self, positions: np.ndarray):
+    def take_at(self, positions: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Bit choices for the packets at global ``positions`` (ascending).
 
         The streaming-sharded gather: a routed sub-chunk's packets sit at
@@ -387,9 +365,7 @@ class _BitStream:
             )
         self.positional = True
         self.offset += positions.size
-        if self._flow_regulator:
-            return (self._bits1[positions], self._bits2[positions])
-        return self._matrix[positions]
+        return (self._bits1[positions], self._bits2[positions])
 
 
 @dataclass
@@ -412,29 +388,18 @@ class InstaMeasure:
         accountant: "AccessAccountant | None" = None,
     ) -> None:
         self.config = config or InstaMeasureConfig()
-        if self.config.num_layers == 2:
-            self.regulator: "FlowRegulator | MultiLayerRegulator" = FlowRegulator(
-                self.config.l1_memory_bytes,
-                vector_bits=self.config.vector_bits,
-                word_bits=self.config.word_bits,
-                saturation_fill=self.config.saturation_fill,
-                seed=self.config.seed,
-                accountant=accountant,
-            )
-        else:
-            self.regulator = MultiLayerRegulator(
-                self.config.l1_memory_bytes,
-                num_layers=self.config.num_layers,
-                vector_bits=self.config.vector_bits,
-                word_bits=self.config.word_bits,
-                saturation_fill=self.config.saturation_fill,
-                seed=self.config.seed,
-                accountant=accountant,
-            )
+        self.regulator = FlowRegulator(
+            self.config.l1_memory_bytes,
+            vector_bits=self.config.vector_bits,
+            word_bits=self.config.word_bits,
+            saturation_fill=self.config.saturation_fill,
+            seed=self.config.seed,
+            accountant=accountant,
+        )
         if self.config.engine == "batched" and not runs_kernel(self.config):
             raise ConfigurationError(
-                "engine='batched' requires the 2-layer FlowRegulator "
-                "with vector_bits <= 8; use engine='auto' to fall back"
+                "engine='batched' requires vector_bits <= 8; "
+                "use engine='auto' to fall back"
             )
         self.wsaf = build_wsaf_table(self.config, accountant)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
@@ -467,16 +432,7 @@ class InstaMeasure:
             bit1 = self._rng.randrange(bits)
         if bit2 is None:
             bit2 = self._rng.randrange(bits)
-        if isinstance(self.regulator, FlowRegulator):
-            est_pkt = self.regulator.process(flow_key, bit1, bit2)
-        else:
-            extra = [
-                self._rng.randrange(bits)
-                for _ in range(self.config.num_layers - 2)
-            ]
-            est_pkt = self.regulator.process(
-                flow_key, [bit1, bit2][: self.config.num_layers] + extra
-            )
+        est_pkt = self.regulator.process(flow_key, bit1, bit2)
         if est_pkt is None:
             return None
         est_byte = est_pkt * size
@@ -503,23 +459,17 @@ class InstaMeasure:
         Unless ``config.engine`` says ``"scalar"``, supported
         configurations run the chunked batched kernel
         (:mod:`repro.kernels`) instead — bit-identical, several times
-        faster.  Non-default regulator depths take a generic (slower) loop.
+        faster.
 
         ``bits`` is the streaming-ingest override: a pre-drawn slice of
-        the stream's randomness (``(bits1, bits2)`` uint8 arrays for the
-        FlowRegulator, an ``(n, num_layers)`` int64 matrix otherwise).
-        Callers other than :meth:`ingest` normally leave it unset and get
-        the engine's own whole-trace draw: the one a known-length stream
-        of this trace's length makes.
+        the stream's randomness, the ``(bits1, bits2)`` uint8 arrays of
+        the two layers.  Callers other than :meth:`ingest` normally leave
+        it unset and get the engine's own whole-trace draw: the one a
+        known-length stream of this trace's length makes.
         """
-        flow_regulator = isinstance(self.regulator, FlowRegulator)
         num_packets = trace.num_packets
         if bits is None:
-            bits = _BitStream(self.config, flow_regulator, num_packets).take(
-                num_packets
-            )
-        if not flow_regulator:
-            return self._process_trace_generic(trace, on_accumulate, bits)
+            bits = _BitStream(self.config, num_packets).take(num_packets)
         if runs_kernel(self.config):
             start = time.perf_counter()
             counters = process_trace_batched(
@@ -649,64 +599,6 @@ class InstaMeasure:
             wsaf=self.wsaf,
         )
 
-    def _process_trace_generic(
-        self,
-        trace: Trace,
-        on_accumulate: "AccumulateCallback | None",
-        bits: np.ndarray,
-    ) -> MeasurementResult:
-        """Trace loop for :class:`MultiLayerRegulator` depths (1, 3, 4)."""
-        regulator = self.regulator
-        num_packets = trace.num_packets
-
-        idx_by_flow, off_by_flow = regulator.l1.place_array(trace.flows.key64)
-        idx_by_flow = idx_by_flow.tolist()
-        off_by_flow = off_by_flow.tolist()
-        keys = trace.flows.key64.tolist()
-        packed_tuples = trace.flows.packed_tuples()
-
-        bit_choices = bits.tolist()
-        flow_ids = trace.flow_ids.tolist()
-        sizes = trace.sizes.tolist()
-        timestamps = trace.timestamps.tolist()
-        process_at = regulator.process_at
-        accumulate = self.wsaf.accumulate
-
-        stats = regulator.stats
-        packets_before = stats.packets
-        saturations_before = stats.l1_saturations
-        insertions_before = stats.insertions
-
-        start = time.perf_counter()
-        for p in range(num_packets):
-            flow = flow_ids[p]
-            est_pkt = process_at(
-                idx_by_flow[flow], off_by_flow[flow], bit_choices[p]
-            )
-            if est_pkt is None:
-                continue
-            timestamp = timestamps[p]
-            key = keys[flow]
-            totals = accumulate(
-                key, est_pkt, est_pkt * sizes[p], timestamp, packed_tuples[flow]
-            )
-            if on_accumulate is not None:
-                on_accumulate(key, totals[0], totals[1], timestamp)
-        elapsed = time.perf_counter() - start
-
-        run_stats = RegulatorStats(
-            packets=stats.packets - packets_before,
-            l1_saturations=stats.l1_saturations - saturations_before,
-            insertions=stats.insertions - insertions_before,
-        )
-        return MeasurementResult(
-            packets=run_stats.packets,
-            insertions=run_stats.insertions,
-            elapsed_seconds=elapsed,
-            regulator_stats=run_stats,
-            wsaf=self.wsaf,
-        )
-
     # -- streaming ingestion (pipeline protocol) ---------------------------------
 
     def begin_stream(self, total: "int | None" = None) -> None:
@@ -722,11 +614,7 @@ class InstaMeasure:
             raise ConfigurationError(
                 "a stream is already in progress; finalize() it first"
             )
-        self._stream = _StreamState(
-            bits=_BitStream(
-                self.config, isinstance(self.regulator, FlowRegulator), total
-            )
-        )
+        self._stream = _StreamState(bits=_BitStream(self.config, total))
 
     def snapshot(self, key_range: "tuple[int, int] | None" = None):
         """This engine's complete state as a serializable
@@ -782,11 +670,7 @@ class InstaMeasure:
                     "positional ingest needs an explicit begin_stream(total=...)"
                 )
             self._stream = _StreamState(
-                bits=_BitStream(
-                    self.config,
-                    isinstance(self.regulator, FlowRegulator),
-                    chunk_total(chunk),
-                )
+                bits=_BitStream(self.config, chunk_total(chunk))
             )
         stream = self._stream
         count = trace.num_packets
@@ -876,24 +760,33 @@ class InstaMeasure:
         the regulator's retained-but-unflushed residual is added (evaluation
         aid; see :meth:`FlowRegulator.residual_estimate`).
         """
-        estimates_arrays = getattr(self.wsaf, "estimates_arrays", None)
-        if estimates_arrays is not None:
-            # Batched WSAF: one vectorized probe, no per-flow dict walk.
-            est_packets, est_bytes = estimates_arrays(trace.flows.key64)
-        else:
-            est_packets = np.zeros(trace.num_flows)
-            est_bytes = np.zeros(trace.num_flows)
-            table = self.wsaf.estimates(flow_keys=trace.flows.key64)
-            for flow_index in range(trace.num_flows):
-                record = table.get(int(trace.flows.key64[flow_index]))
-                if record is not None:
-                    est_packets[flow_index] = record[0]
-                    est_bytes[flow_index] = record[1]
+        est_packets, est_bytes = aligned_estimates(self.wsaf, trace)
         if include_residual:
             residual = self.regulator.residual_estimate
             keys = trace.flows.key64.tolist()
             est_packets += np.array([residual(key) for key in keys])
         return est_packets, est_bytes
+
+
+def aligned_estimates(store, trace: Trace) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-flow ``(packets, bytes)`` arrays aligned with ``trace.flows``.
+
+    ``store`` is anything with ``estimates(flow_keys=...)`` returning a
+    ``{key64: (packets, bytes)}`` mapping (a WSAF table, a snapshot);
+    flows absent from it estimate 0.  A batch-probed table answers with
+    its vectorized ``estimates_arrays`` instead of a per-flow dict walk.
+    """
+    estimates_arrays = getattr(store, "estimates_arrays", None)
+    if estimates_arrays is not None:
+        return estimates_arrays(trace.flows.key64)
+    table = store.estimates(flow_keys=trace.flows.key64)
+    est_packets = np.zeros(trace.num_flows)
+    est_bytes = np.zeros(trace.num_flows)
+    for flow_index, key in enumerate(trace.flows.key64.tolist()):
+        record = table.get(key)
+        if record is not None:
+            est_packets[flow_index], est_bytes[flow_index] = record
+    return est_packets, est_bytes
 
 
 def run_measurement(

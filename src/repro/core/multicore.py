@@ -9,17 +9,15 @@ the WSAF is shared, which is safe because post-regulation insertions are
 ~1 % of packets.
 
 Execution model: every worker runs against a **private insertion log**
-(:class:`repro.state.merge.InsertionLog`) instead of the shared table; the
-manager merges all logs in ``(timestamp, worker, sequence)`` order with
-the state layer's :func:`~repro.state.merge.tag_events` /
-:func:`~repro.state.merge.release_ordered` / :func:`~repro.state.merge.
-apply_events` and applies them to the WSAF through
-:meth:`WSAFTable.accumulate_batch`.  Because regulator state is
-worker-private and the merge order is deterministic, the result does not
-depend on worker scheduling, and a chunked run leaves the same state as
-a whole-trace run (tested).  The workers run in-process: this module
-models the paper's dispatch and merge, while process-parallel ingestion
-is :class:`~repro.pipeline.sharded.ShardedPipeline`'s job.
+(:class:`_InsertionLog`) instead of the shared table; the manager sorts
+all logged events into ``(timestamp, worker, sequence)`` order and
+applies them to the WSAF through :meth:`WSAFTable.accumulate_batch`.
+Because regulator state is worker-private and the merge order is
+deterministic, the result does not depend on worker scheduling, and a
+chunked run leaves the same state as a whole-trace run (tested).  The
+workers run in-process: this module models the paper's dispatch and
+merge, while process-parallel ingestion is
+:class:`~repro.pipeline.sharded.ShardedPipeline`'s job.
 
 The *timing* of the system (Fig 9(a)'s Mpps-vs-cores curve and Fig 12(c)'s
 utilization series) is produced by feeding the load shares to
@@ -28,6 +26,7 @@ utilization series) is produced by feeding the load shares to
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,12 +36,12 @@ from repro.core.instameasure import (
     InstaMeasure,
     InstaMeasureConfig,
     MeasurementResult,
+    aligned_estimates,
     build_wsaf_table,
 )
 from repro.core.wsaf import WSAFTable
 from repro.errors import ConfigurationError
 from repro.hashing import popcount32
-from repro.state import InsertionLog, apply_events, release_ordered, tag_events
 from repro.traffic.packet import Trace
 
 
@@ -117,16 +116,41 @@ def _worker_queue(trace: Trace, assignment: np.ndarray, worker_index: int) -> Tr
     )
 
 
-def _ingest_worker_recorded(worker: InstaMeasure, chunk):
-    """Stream one chunk into ``worker`` with insertions recorded, not applied."""
-    shared = worker.wsaf
-    log = InsertionLog()
-    worker.wsaf = log
-    try:
-        result = worker.ingest(chunk)
-    finally:
-        worker.wsaf = shared
-    return result, log.events
+class _InsertionLog:
+    """Stands in for the shared WSAF while one worker ingests a chunk.
+
+    Records each insertion as a ``(timestamp, worker, sequence, key,
+    est_packets, est_bytes, packed_tuple)`` event instead of applying it:
+    the first three fields are the manager's global apply order, and
+    ``sequence`` continues the worker's count across chunks.  Workers
+    ingest without callbacks; the manager fires them when it applies
+    the events.
+    """
+
+    def __init__(self, worker: int, sequence: int) -> None:
+        self.worker = worker
+        self.sequence = sequence
+        self.events: "list[tuple]" = []
+
+    def accumulate(
+        self,
+        key: int,
+        est_packets: float,
+        est_bytes: float,
+        timestamp: float,
+        five_tuple_packed: "int | None" = None,
+    ) -> "tuple[float, float]":
+        """Record one insertion event; totals resolve at merge time."""
+        order = (timestamp, self.worker, self.sequence)
+        self.events.append(order + (key, est_packets, est_bytes, five_tuple_packed))
+        self.sequence += 1
+        return est_packets, est_bytes
+
+    def accumulate_batch(
+        self, events, on_accumulate=None
+    ) -> "list[tuple[float, float]]":
+        """Record a batch of events (the batched kernel's apply call)."""
+        return [self.accumulate(*event) for event in events]
 
 
 @dataclass
@@ -134,6 +158,7 @@ class _MultiCoreStream:
     """Bookkeeping for one in-progress multi-core ingest stream."""
 
     worker_totals: "list[int | None]"
+    #: Logged events not yet applied (see :class:`_InsertionLog`).
     pending: "list[tuple]"
     worker_seq: "list[int]"
     worker_packets: "list[int]"
@@ -238,15 +263,16 @@ class MultiCoreInstaMeasure:
                 end=queue.num_packets,
                 total_packets=stream.worker_totals[worker_index],
             )
-            result, events = _ingest_worker_recorded(worker, sub)
+            log = _InsertionLog(worker_index, stream.worker_seq[worker_index])
+            worker.wsaf = log
+            try:
+                result = worker.ingest(sub)
+            finally:
+                worker.wsaf = self.wsaf
             result.wsaf = self.wsaf
             chunk_results.append(result)
-            stream.pending.extend(
-                tag_events(
-                    events, worker_index, start_seq=stream.worker_seq[worker_index]
-                )
-            )
-            stream.worker_seq[worker_index] += len(events)
+            stream.pending.extend(log.events)
+            stream.worker_seq[worker_index] = log.sequence
         if trace.num_packets:
             self._apply_pending(stream, horizon=float(trace.timestamps[-1]))
         return MultiCoreResult(
@@ -262,9 +288,27 @@ class MultiCoreInstaMeasure:
     def _apply_pending(
         self, stream: _MultiCoreStream, horizon: "float | None"
     ) -> None:
-        """Apply merged events up to ``horizon`` (all of them when None)."""
-        released, stream.pending = release_ordered(stream.pending, horizon)
-        apply_events(self.wsaf, released, on_accumulate=stream.on_accumulate)
+        """Apply the logged events stamped strictly before ``horizon`` (all
+        of them when None) in global order; no later packet can precede
+        them, so the rest wait for time to advance."""
+        pending = stream.pending
+        pending.sort(key=lambda event: event[:3])
+        split = (
+            len(pending)
+            if horizon is None
+            else bisect.bisect_left(pending, horizon, key=lambda event: event[0])
+        )
+        if split:
+            self.wsaf.accumulate_batch(
+                (
+                    (key, est_pkt, est_byte, timestamp, packed)
+                    for timestamp, _, _, key, est_pkt, est_byte, packed in (
+                        pending[:split]
+                    )
+                ),
+                on_accumulate=stream.on_accumulate,
+            )
+        stream.pending = pending[split:]
 
     def finalize(self) -> MultiCoreResult:
         """End the stream: flush held events, aggregate worker results."""
@@ -319,15 +363,4 @@ class MultiCoreInstaMeasure:
 
     def estimates_for(self, trace: Trace) -> "tuple[np.ndarray, np.ndarray]":
         """Per-flow (packets, bytes) estimates from the shared WSAF."""
-        estimates_arrays = getattr(self.wsaf, "estimates_arrays", None)
-        if estimates_arrays is not None:
-            return estimates_arrays(trace.flows.key64)
-        est_packets = np.zeros(trace.num_flows)
-        est_bytes = np.zeros(trace.num_flows)
-        table = self.wsaf.estimates(flow_keys=trace.flows.key64)
-        for flow_index in range(trace.num_flows):
-            record = table.get(int(trace.flows.key64[flow_index]))
-            if record is not None:
-                est_packets[flow_index] = record[0]
-                est_bytes[flow_index] = record[1]
-        return est_packets, est_bytes
+        return aligned_estimates(self.wsaf, trace)

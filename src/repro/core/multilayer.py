@@ -13,12 +13,16 @@ observed at layers 1..i-1 — so each distinct saturation history counts in
 its own sketch, exactly as the two-layer design keys L2 by L1's noise
 level.  With ``v`` noise levels per layer, layer *i* holds ``v^(i-1)``
 sketches; total memory is ``l1_memory_bytes × Σ v^(i-1)``.
+
+The measurement engine (:class:`~repro.core.instameasure.InstaMeasure`)
+runs only the paper's two-layer :class:`~repro.core.regulator.
+FlowRegulator`; the depth trade-off is measured here, at the regulator,
+by ``benchmarks/bench_ablation_layers.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from repro.core.rcc import RCCSketch, coupon_partial_sum
@@ -177,17 +181,6 @@ class MultiLayerRegulator:
             for sketch in bank.values():
                 sketch.reset()
         self.stats = RegulatorStats()
-
-
-@dataclass
-class LayerSweepPoint:
-    """One row of a layer-count ablation."""
-
-    num_layers: int
-    retention_capacity: float
-    regulation_rate: float
-    relative_error: float
-    memory_multiplier: int
 
 
 def required_layers_for_margin(

@@ -1,7 +1,8 @@
 """The batched fast path: chunked, table-driven trace processing.
 
 A bit-identical re-expression of the scalar ``InstaMeasure.process_trace``
-loop, built on two structural facts about the 2-layer FlowRegulator:
+loop, built on two structural facts about the engine's regulator, the
+paper's two-layer FlowRegulator:
 
 * **Per-word independence.**  L1 and every L2 bank share placement, so the
   regulator state a packet touches is fully determined by its flow's
@@ -22,14 +23,15 @@ word-level and per-stretch saturation screens → FSM-table replay of the
 stretches that can actually saturate → insertion events handed to the
 WSAF in packet order, as one batch per chunk.
 
-Randomness is drawn exactly as the scalar path draws it (same generator,
-same sizes, same order), so every sketch word, counter, and WSAF record
-comes out identical — the equivalence suite in ``tests/test_kernels.py``
-asserts this across seeds, chunk sizes, policies, geometries, and every
-WSAF backend.  Nothing chunk-dependent is cached between calls: every
-production path (CLI runs, shard workers, the service daemon) sees each
-chunk once, so layouts and derived streams are built per call and dropped
-with it.  Only the geometry's NumPy lookup arrays persist
+The kernel consumes the same ``(bits1, bits2)`` choices the scalar loop
+does (one engine-side draw, see ``InstaMeasure.process_trace``), so every
+sketch word, counter, and WSAF record comes out identical — the
+equivalence suite in ``tests/test_kernels.py`` asserts this across
+seeds, chunk sizes, policies, geometries, and every WSAF backend.
+Nothing chunk-dependent is cached between calls: every production path
+(CLI runs, shard workers, the service daemon) sees each chunk once, so
+layouts and derived streams are built per call and dropped with it.
+Only the geometry's NumPy lookup arrays persist
 (:func:`_geometry_arrays`), and a call reads and writes back only the L1
 words its chunk touches, so a small chunk over a large sketch costs what
 the chunk costs.
@@ -63,19 +65,13 @@ class BatchCounters:
 def runs_kernel(config) -> bool:
     """Whether an engine built from ``config`` runs the batched kernel.
 
-    The kernel needs the paper's 2-layer
-    :class:`~repro.core.regulator.FlowRegulator` (the shared L1/L2
-    placement is what makes per-word grouping sound) with
-    ``vector_bits <= 8`` (window states must fit the byte-indexed FSM
-    tables), and runs unless ``engine="scalar"`` asks for the per-packet
-    oracle.  The engine dispatches on this predicate, and the flat WSAF
-    backend gets the batch-probed table exactly when it holds.
+    The kernel needs ``vector_bits <= 8`` (window states must fit the
+    byte-indexed FSM tables), and runs unless ``engine="scalar"`` asks
+    for the per-packet oracle.  The engine dispatches on this predicate,
+    and the flat WSAF backend gets the batch-probed table exactly when
+    it holds.
     """
-    return (
-        config.engine != "scalar"
-        and config.num_layers == 2
-        and config.vector_bits <= 8
-    )
+    return config.engine != "scalar" and config.vector_bits <= 8
 
 
 _GEOMETRY_ARRAYS: "dict[tuple[int, int], tuple[np.ndarray, ...]]" = {}

@@ -129,15 +129,9 @@ class ShardedResult:
 
     def estimates_for(self, trace: Trace) -> "tuple[np.ndarray, np.ndarray]":
         """Per-flow (packets, bytes) arrays aligned with ``trace.flows``."""
-        table = self.snapshot.estimates()
-        est_packets = np.zeros(trace.num_flows)
-        est_bytes = np.zeros(trace.num_flows)
-        for flow_index, key in enumerate(trace.flows.key64.tolist()):
-            record = table.get(key)
-            if record is not None:
-                est_packets[flow_index] = record[0]
-                est_bytes[flow_index] = record[1]
-        return est_packets, est_bytes
+        from repro.core.instameasure import aligned_estimates
+
+        return aligned_estimates(self.snapshot, trace)
 
 
 def _fork_available() -> bool:

@@ -67,8 +67,9 @@ class StreamingChunkSource(ChunkSource):
 
     ``start_time`` fixes the epoch origin up front (recovery override);
     otherwise the first record's timestamp becomes epoch 0's start.
-    ``start_offset`` numbers the first emitted packet — chunk
-    ``begin``/``end`` indices continue a checkpointed stream's count.
+    A seekable subclass's :meth:`seek_packets` sets the stream position
+    the next iteration starts from, and chunk ``begin``/``end`` indices
+    number packets from there.
     """
 
     total_packets = None
@@ -79,7 +80,6 @@ class StreamingChunkSource(ChunkSource):
         epoch_seconds: "float | None" = None,
         poll_interval: float = 0.05,
         hash_seed: int = 0,
-        start_offset: int = 0,
         start_time: "float | None" = None,
     ) -> None:
         if chunk_size < 1:
@@ -88,14 +88,12 @@ class StreamingChunkSource(ChunkSource):
             raise ConfigurationError("epoch_seconds must be positive")
         if poll_interval <= 0:
             raise ConfigurationError("poll_interval must be positive")
-        if start_offset < 0:
-            raise ConfigurationError("start_offset must be >= 0")
         self.chunk_size = int(chunk_size)
         self.epoch_seconds = epoch_seconds
         self.poll_interval = poll_interval
         self.hash_seed = hash_seed
         self.start_time = start_time
-        self._start_offset = int(start_offset)
+        self._start_offset = 0
         self._stop = threading.Event()
 
     def stop(self) -> None:
@@ -230,9 +228,10 @@ class PacketRecordChunkSource(StreamingChunkSource):
     records until :meth:`stop` is called, tolerating a partially
     flushed trailing record mid-append.
 
-    ``start_record`` skips that many records first (and numbers emitted
-    packets from there), which with the ``start_time`` epoch-origin
-    override replays the tail of a checkpointed stream exactly.
+    :meth:`seek_packets` skips that many records first (and numbers
+    emitted packets from there), which with the ``start_time``
+    epoch-origin override replays the tail of a checkpointed stream
+    exactly.
     """
 
     def __init__(
@@ -242,7 +241,6 @@ class PacketRecordChunkSource(StreamingChunkSource):
         epoch_seconds: "float | None" = None,
         follow: bool = False,
         poll_interval: float = 0.05,
-        start_record: int = 0,
         start_time: "float | None" = None,
         hash_seed: int = 0,
         block_records: int = DEFAULT_STREAM_CHUNK,
@@ -252,7 +250,6 @@ class PacketRecordChunkSource(StreamingChunkSource):
             epoch_seconds=epoch_seconds,
             poll_interval=poll_interval,
             hash_seed=hash_seed,
-            start_offset=start_record,
             start_time=start_time,
         )
         if block_records < 1:

@@ -10,12 +10,14 @@ stream bookkeeping — is checkpointed atomically through
 :class:`~repro.service.checkpoint.CheckpointStore`.
 
 Crash recovery is the point: :meth:`MeasurementDaemon.start` looks for
-the newest complete checkpoint, restores the measurer bit-identically
-(unknown-length stream cursors resume mid-block), seeks the source back
-to the checkpointed packet position, and continues the epoch cadence
-where it left off.  Re-feeding the tail of the capture then reproduces
-*exactly* the estimates and regulator words of a run that never died —
-the invariant ``tests/test_service.py`` pins.
+the newest complete checkpoint whose manifest fields decode and whose
+shard snapshots load and restore (a damaged newer one is skipped),
+restores the measurer bit-identically (unknown-length stream cursors
+resume mid-block), seeks the source back to the checkpointed packet
+position, and continues the epoch and chunk counts where they left off.
+Re-feeding the tail of the capture then reproduces *exactly* the
+estimates and regulator words of a run that never died — the invariant
+``tests/test_service.py`` pins.
 
 Crash semantics are deliberate: a clean :meth:`stop` writes a final
 checkpoint and finalizes the stream, but an ingest error does *not*
@@ -25,13 +27,14 @@ exactly what a hard kill would leave.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 
 from repro.core import InstaMeasureConfig
-from repro.errors import ConfigurationError
-from repro.pipeline.control import build_load_controller
+from repro.errors import ConfigurationError, SnapshotError
+from repro.pipeline.control import ControllerStats, build_load_controller
 from repro.pipeline.driver import Pipeline
 from repro.pipeline.sharded import ShardedStreamingMeasurer
 from repro.service.checkpoint import CheckpointStore
@@ -39,6 +42,56 @@ from repro.service.checkpoint import CheckpointStore
 #: How many (wall_time, packets) samples back the "recent" pps window
 #: reaches (one sample per ingested chunk).
 _RECENT_WINDOW = 32
+
+
+def _decode_checkpoint_meta(meta: "dict") -> "dict":
+    """The manifest fields recovery resumes from, checked.
+
+    Counts (``position``, ``packets``, ``measured_packets``, ``chunks``,
+    ``epoch``) must be non-negative ints, the two stream times a finite
+    number or null, and the ``controller`` tallies must decode through
+    :meth:`ControllerStats.from_dict`.  Absent fields take the values a
+    fresh stream starts from.  Anything else raises
+    :class:`~repro.errors.SnapshotError`.
+    """
+
+    def count(name: str, default: int = 0) -> int:
+        value = meta.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise SnapshotError(
+                f"checkpoint {name} {value!r} is not a non-negative integer"
+            )
+        return value
+
+    def moment(name: str) -> "float | None":
+        value = meta.get(name)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise SnapshotError(f"checkpoint {name} {value!r} is not a finite time")
+        return value
+
+    controller = meta.get("controller")
+    if controller is not None:
+        try:
+            ControllerStats.from_dict(controller)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SnapshotError(
+                f"checkpoint controller tallies do not decode: {exc!r}"
+            ) from exc
+    packets = count("packets")
+    return {
+        "position": count("position"),
+        "packets": packets,
+        "measured_packets": count("measured_packets", packets),
+        "chunks": count("chunks"),
+        "epoch": count("epoch"),
+        "start_time": moment("start_time"),
+        "stream_time": moment("stream_time"),
+        "controller": controller,
+    }
 
 
 class MeasurementDaemon:
@@ -150,28 +203,25 @@ class MeasurementDaemon:
         first_epoch = 0
         start_time = None
         controller_stats = None
-        if self.store is not None:
-            info = self.store.latest()
-            if info is not None:
-                snapshots = self.store.load(info)
-                self.measurer = ShardedStreamingMeasurer.from_snapshots(snapshots)
-                self.config = self.measurer.config
-                self.num_shards = self.measurer.num_shards
-                self._position = int(info.meta.get("position", 0))
-                self._base_packets = int(info.meta.get("packets", 0))
-                self._base_measured = int(
-                    info.meta.get("measured_packets", self._base_packets)
-                )
-                first_epoch = self._epoch = int(info.meta.get("epoch", 0))
-                start_time = info.meta.get("start_time")
-                self._stream_time = info.meta.get("stream_time")
-                controller_stats = info.meta.get("controller")
-                self.recovered_from = info.seq
-                self.source.seek_packets(self._position)
-                if start_time is not None and self.source.start_time is None:
-                    # Pin the epoch origin: the re-opened source must
-                    # grid its epochs exactly as the dead run did.
-                    self.source.start_time = start_time
+        recovered = self._recover() if self.store is not None else None
+        if recovered is not None:
+            info, meta, self.measurer = recovered
+            self.config = self.measurer.config
+            self.num_shards = self.measurer.num_shards
+            self._position = meta["position"]
+            self._base_packets = meta["packets"]
+            self._base_measured = meta["measured_packets"]
+            self._chunks = meta["chunks"]
+            first_epoch = self._epoch = meta["epoch"]
+            start_time = meta["start_time"]
+            self._stream_time = meta["stream_time"]
+            controller_stats = meta["controller"]
+            self.recovered_from = info.seq
+            self.source.seek_packets(self._position)
+            if start_time is not None and self.source.start_time is None:
+                # Pin the epoch origin: the re-opened source must grid
+                # its epochs exactly as the dead run did.
+                self.source.start_time = start_time
         if self.measurer is None:
             self.measurer = ShardedStreamingMeasurer(
                 self.config, num_shards=self.num_shards
@@ -198,6 +248,20 @@ class MeasurementDaemon:
         )
         self._thread.start()
         return self
+
+    def _recover(self):
+        """``(info, decoded meta, measurer)`` of the newest checkpoint that
+        decodes, loads and restores, or ``None`` when none does."""
+        for info in reversed(self.store.list()):
+            try:
+                meta = _decode_checkpoint_meta(info.meta)
+                measurer = ShardedStreamingMeasurer.from_snapshots(
+                    self.store.load(info)
+                )
+            except SnapshotError:
+                continue
+            return info, meta, measurer
+        return None
 
     def _ingest_loop(self) -> None:
         try:

@@ -12,9 +12,6 @@ builds on:
 * :func:`merge` — fold worker snapshots with disjoint key sets into one.
 * :class:`ShardRouter` — word-range partitioning for exact process
   sharding (:mod:`repro.pipeline.sharded`).
-* :class:`InsertionLog` + :func:`tag_events` / :func:`release_ordered` /
-  :func:`apply_events` — the deterministic event merge the multi-core
-  manager runs on.
 
 No module here imports :mod:`repro.core` at import time; live-object
 construction happens lazily inside the capture/restore helpers, so the
@@ -31,13 +28,7 @@ from repro.state.codec import (
     to_bytes,
     unpack_frame,
 )
-from repro.state.merge import (
-    InsertionLog,
-    apply_events,
-    merge,
-    release_ordered,
-    tag_events,
-)
+from repro.state.merge import merge
 from repro.state.shard import ShardRouter
 from repro.state.snapshot import (
     IceState,
@@ -57,7 +48,6 @@ from repro.state.snapshot import (
 __all__ = [
     "FRAME_MAGIC",
     "IceState",
-    "InsertionLog",
     "MeasurementSnapshot",
     "RegulatorState",
     "SNAPSHOT_VERSION",
@@ -66,7 +56,6 @@ __all__ = [
     "StreamCursor",
     "TierState",
     "WSAFState",
-    "apply_events",
     "capture_engine",
     "capture_regulator",
     "from_bytes",
@@ -74,11 +63,9 @@ __all__ = [
     "merge",
     "pack_frame",
     "regulator_sketches",
-    "release_ordered",
     "restore_engine",
     "restore_regulator",
     "save",
-    "tag_events",
     "to_bytes",
     "unpack_frame",
 ]

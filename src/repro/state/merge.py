@@ -1,21 +1,11 @@
-"""Merging measurement state — snapshots and insertion-event logs.
+"""Merging measurement state: the disjoint snapshot merge.
 
-Two merge planes live here:
-
-* **Snapshot merge** (:func:`merge`): fold N finalized
-  :class:`~repro.state.snapshot.MeasurementSnapshot` objects with
-  *disjoint* key sets (no flow key appears in two snapshots — the
-  sharded pipeline's case) into one: records concatenate and the
-  regulator word arrays OR together; because every input evolved its
-  own words under the same seed over a disjoint word range, the OR is
-  exact.
-* **Event-log merge** (:class:`InsertionLog`, :func:`tag_events`,
-  :func:`release_ordered`, :func:`apply_events`): the multi-core
-  manager's deterministic in-process merge.  Workers record WSAF
-  insertion events instead of applying them; the manager tags each event
-  ``(timestamp, worker, sequence)``, releases the globally ordered prefix,
-  and applies it through ``accumulate_batch`` — so results never depend
-  on worker scheduling.
+:func:`merge` folds N finalized
+:class:`~repro.state.snapshot.MeasurementSnapshot` objects with
+*disjoint* key sets (no flow key appears in two snapshots — the sharded
+pipeline's case) into one: records concatenate and the regulator word
+arrays OR together; because every input evolved its own words under the
+same seed over a disjoint word range, the OR is exact.
 """
 
 from __future__ import annotations
@@ -37,10 +27,12 @@ from repro.state.snapshot import (
 #: affect execution strategy (engine/chunk_size/replay knobs) may differ.
 #: Each field carries the default it takes when absent from a snapshot's
 #: config dict, so snapshots written before a knob existed merge cleanly
-#: with current ones (absent compares equal to the default).
+#: with current ones (absent compares equal to the default).  The retired
+#: ``num_layers`` works the other way round: older snapshots record the
+#: depth, current ones omit it, and an absent depth is the engine's 2.
 _GEOMETRY_FIELDS = {
     "l1_memory_bytes": None,
-    "num_layers": None,
+    "num_layers": 2,
     "vector_bits": None,
     "word_bits": None,
     "saturation_fill": None,
@@ -241,94 +233,4 @@ def merge(snapshots) -> MeasurementSnapshot:
         stream=None,
         key_range=_merged_key_range(snapshots),
         shards_merged=sum(snap.shards_merged for snap in snapshots),
-    )
-
-
-# -- insertion-event logs (the multi-core in-process merge) -----------------
-
-
-class InsertionLog:
-    """Stands in for a shared WSAF during a worker run.
-
-    Records ``(timestamp, key, est_packets, est_bytes, packed_tuple)``
-    insertion events instead of applying them, so a manager can merge
-    worker output deterministically — and ship it cheaply across process
-    boundaries in parallel mode.
-    """
-
-    def __init__(self) -> None:
-        self.events: "list[tuple]" = []
-
-    def accumulate(
-        self,
-        key: int,
-        est_packets: float,
-        est_bytes: float,
-        timestamp: float,
-        five_tuple_packed: "int | None" = None,
-    ) -> "tuple[float, float]":
-        """Record one insertion event; totals resolve at merge time."""
-        self.events.append(
-            (timestamp, key, est_packets, est_bytes, five_tuple_packed)
-        )
-        return est_packets, est_bytes
-
-    def accumulate_batch(
-        self, events, on_accumulate=None
-    ) -> "list[tuple[float, float]]":
-        """Record a batch of events (the batched kernel's apply call)."""
-        totals: "list[tuple[float, float]]" = []
-        for key, est_packets, est_bytes, timestamp, five_tuple_packed in events:
-            self.events.append(
-                (timestamp, key, est_packets, est_bytes, five_tuple_packed)
-            )
-            if on_accumulate is not None:
-                on_accumulate(key, est_packets, est_bytes, timestamp)
-            totals.append((est_packets, est_bytes))
-        return totals
-
-
-def tag_events(events, worker_index: int, start_seq: int = 0) -> "list[tuple]":
-    """Stamp raw log events with their ``(worker, sequence)`` merge key.
-
-    Returns ``(timestamp, worker, sequence, key, est_pkt, est_byte,
-    packed)`` tuples whose first three fields define the global apply
-    order; ``start_seq`` continues a worker's sequence across chunks.
-    """
-    return [
-        (timestamp, worker_index, sequence, key, est_pkt, est_byte, packed)
-        for sequence, (timestamp, key, est_pkt, est_byte, packed) in enumerate(
-            events, start=start_seq
-        )
-    ]
-
-
-def release_ordered(
-    pending: "list[tuple]", horizon: "float | None" = None
-) -> "tuple[list[tuple], list[tuple]]":
-    """Sort tagged events into global order and split at ``horizon``.
-
-    Returns ``(released, held)``: events stamped strictly before
-    ``horizon`` are safe to apply (no later packet can precede them);
-    the rest wait for time to advance.  ``horizon=None`` releases all.
-    """
-    pending.sort(key=lambda event: event[:3])
-    if horizon is None:
-        return pending, []
-    split = 0
-    while split < len(pending) and pending[split][0] < horizon:
-        split += 1
-    return pending[:split], pending[split:]
-
-
-def apply_events(wsaf, tagged, on_accumulate=None) -> None:
-    """Apply released tagged events to ``wsaf`` in their merged order."""
-    if not tagged:
-        return
-    wsaf.accumulate_batch(
-        (
-            (key, est_pkt, est_byte, timestamp, packed)
-            for timestamp, _, _, key, est_pkt, est_byte, packed in tagged
-        ),
-        on_accumulate=on_accumulate,
     )

@@ -295,21 +295,9 @@ class MeasurementSnapshot:
 
 
 def regulator_sketches(regulator) -> "list":
-    """Every RCC sketch of ``regulator``, in a deterministic order.
-
-    ``FlowRegulator`` contributes ``[l1, *l2]``; the generic multilayer
-    regulator contributes L1 followed by each bank's sketches in noise-path
-    construction order (dict insertion order, fixed at build time).
-    Duck-typed on the ``banks`` attribute so this module never imports
-    :mod:`repro.core` at import time.
-    """
-    banks = getattr(regulator, "banks", None)
-    if banks is None:
-        return [regulator.l1, *regulator.l2]
-    return [
-        regulator.l1,
-        *(sketch for bank in banks for sketch in bank.values()),
-    ]
+    """Every RCC sketch of a ``FlowRegulator``: ``[l1, *l2]``, the L2
+    banks in noise-level order."""
+    return [regulator.l1, *regulator.l2]
 
 
 def capture_regulator(regulator) -> RegulatorState:
@@ -409,17 +397,24 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
 
 #: Config keys older snapshots carry for knobs the engine no longer has.
 #: ``regulator_replay`` chose between bit-identical contested-stretch
-#: replays and the other between state-identical WSAF column layouts, so
-#: dropping either on restore never changes the restored state.
-RETIRED_CONFIG_KEYS = frozenset({"regulator_replay", "wsaf_engine"})
+#: replays and ``wsaf_engine`` between state-identical WSAF column
+#: layouts, so dropping either on restore never changes the restored
+#: state.  ``num_layers`` was the regulator depth: the engine runs only
+#: the paper's two layers, so a snapshot taken at depth 2 drops the key
+#: and one taken at any other depth cannot be restored.
+RETIRED_CONFIG_KEYS = frozenset({"regulator_replay", "wsaf_engine", "num_layers"})
+
+#: The one regulator depth the engine runs (the retired ``num_layers``).
+ENGINE_LAYERS = 2
 
 
 def snapshot_config(snapshot: MeasurementSnapshot):
     """The :class:`~repro.core.instameasure.InstaMeasureConfig` a
     snapshot's embedded config dict describes.
 
-    Every restore path builds its config here.  Retired keys are dropped;
-    any other key the config does not know raises :class:`SnapshotError`
+    Every restore path builds its config here.  Retired keys are dropped
+    (a ``num_layers`` other than 2 is a :class:`SnapshotError`); any
+    other key the config does not know raises :class:`SnapshotError`
     instead of escaping the dataclass constructor as a ``TypeError``.
     """
     from repro.core.instameasure import InstaMeasureConfig
@@ -428,6 +423,12 @@ def snapshot_config(snapshot: MeasurementSnapshot):
         raise SnapshotError(
             f"snapshot config must be a mapping, got "
             f"{type(snapshot.config).__name__}"
+        )
+    layers = snapshot.config.get("num_layers", ENGINE_LAYERS)
+    if layers != ENGINE_LAYERS:
+        raise SnapshotError(
+            f"snapshot config has num_layers {layers!r}; the engine runs "
+            f"only the {ENGINE_LAYERS}-layer FlowRegulator"
         )
     known = {spec.name for spec in fields(InstaMeasureConfig)}
     config = {

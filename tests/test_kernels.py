@@ -24,7 +24,7 @@ import pytest
 from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
-from repro.kernels import SENTINEL, geometry_tables, kernel_tables, runs_kernel
+from repro.kernels import SENTINEL, geometry_tables, kernel_tables
 from repro.kernels.luts import quad_tables
 from repro.state import capture_engine, to_bytes
 from repro.traffic.synth import CaidaLikeConfig, build_caida_like_trace
@@ -322,16 +322,6 @@ def replace_engine(config: InstaMeasureConfig, engine: str) -> InstaMeasureConfi
 
 
 class TestEngineGating:
-    def test_auto_falls_back_for_deep_regulators(self, trace):
-        engine = InstaMeasure(_config(engine="auto", num_layers=3))
-        assert not runs_kernel(engine.config)
-        result = engine.process_trace(trace)  # generic path must still run
-        assert result.packets == trace.num_packets
-
-    def test_batched_rejects_deep_regulators(self):
-        with pytest.raises(ConfigurationError):
-            InstaMeasure(_config(engine="batched", num_layers=3))
-
     def test_batched_rejects_wide_vectors(self):
         with pytest.raises(ConfigurationError):
             InstaMeasure(_config(engine="batched", vector_bits=16, word_bits=32))

@@ -88,74 +88,6 @@ class TestDataPath:
         assert all(w == 0 for w in regulator.l1.words)
 
 
-class TestEngineIntegration:
-    """InstaMeasure accepts non-default regulator depths."""
-
-    @pytest.fixture(scope="class")
-    def trace(self):
-        from repro.traffic import CaidaLikeConfig, build_caida_like_trace
-
-        return build_caida_like_trace(
-            CaidaLikeConfig(num_flows=3000, duration=8.0, seed=141)
-        )
-
-    def _run(self, trace, num_layers):
-        from repro.core import InstaMeasure, InstaMeasureConfig
-
-        engine = InstaMeasure(
-            InstaMeasureConfig(
-                l1_memory_bytes=4096,
-                wsaf_entries=1 << 13,
-                num_layers=num_layers,
-            )
-        )
-        result = engine.process_trace(trace)
-        return engine, result
-
-    def test_rates_ordered_by_depth(self, trace):
-        rates = {}
-        for layers in (1, 2, 3):
-            _engine, result = self._run(trace, layers)
-            assert result.packets == trace.num_packets
-            rates[layers] = result.regulation_rate
-        assert rates[1] > rates[2] > rates[3]
-
-    def test_three_layer_estimates_usable(self, trace):
-        engine, _result = self._run(trace, 3)
-        est, _ = engine.estimates_for(trace, include_residual=True)
-        truth = trace.ground_truth_packets().astype(float)
-        top = int(np.argmax(truth))
-        assert est[top] == pytest.approx(truth[top], rel=0.4)
-
-    def test_one_layer_callback_fires(self, trace):
-        from repro.core import InstaMeasure, InstaMeasureConfig
-
-        events = []
-        engine = InstaMeasure(
-            InstaMeasureConfig(
-                l1_memory_bytes=4096, wsaf_entries=1 << 13, num_layers=1
-            )
-        )
-        result = engine.process_trace(
-            trace, on_accumulate=lambda k, p, b, t: events.append(t)
-        )
-        assert len(events) == result.insertions
-        assert events == sorted(events)
-
-    def test_per_packet_path_works_at_every_depth(self):
-        from repro.core import InstaMeasure, InstaMeasureConfig
-
-        for layers in (1, 2, 3, 4):
-            engine = InstaMeasure(
-                InstaMeasureConfig(
-                    l1_memory_bytes=256, wsaf_entries=64, num_layers=layers
-                )
-            )
-            for _ in range(500):
-                engine.process_packet(42, 100, 0.0)
-            assert engine.regulator.stats.packets == 500
-
-
 class TestLayerPlanning:
     def test_two_layers_reach_dram_margin(self):
         # The paper's configuration: ~1 % needs two layers of 8-bit vectors.

@@ -87,6 +87,49 @@ def _shard_bytes(measurer):
     return [to_bytes(s) for s in measurer.snapshot_shards()]
 
 
+class _Dying(PacketRecordChunkSource):
+    """A capture whose reader dies at chunk 5, between the
+    every-2-chunks checkpoints."""
+
+    def __iter__(self):
+        for i, chunk in enumerate(super().__iter__()):
+            if i == 5:
+                raise RuntimeError("simulated crash")
+            yield chunk
+
+
+def _crash(capture, ck, **policy):
+    """Run a 2-shard daemon over ``capture`` until it dies at chunk 5,
+    checkpointing into ``ck`` every 2 chunks."""
+    crashed = _run_daemon(
+        MeasurementDaemon(
+            _Dying(capture, chunk_size=1_000, epoch_seconds=1.0),
+            config=_config(),
+            num_shards=2,
+            epoch_seconds=1.0,
+            checkpoint_dir=ck,
+            checkpoint_every=2,
+            **policy,
+        )
+    )
+    assert isinstance(crashed.error, RuntimeError)
+    return crashed
+
+
+def _restart(ck, capture, **policy):
+    """Restart over the whole capture from the checkpoints in ``ck``."""
+    return _run_daemon(
+        MeasurementDaemon(
+            _source(capture),
+            num_shards=2,
+            epoch_seconds=1.0,
+            checkpoint_dir=ck,
+            checkpoint_every=2,
+            **policy,
+        )
+    )
+
+
 class TestCheckpointStore:
     def _snapshots(self, capture, chunks=2):
         measurer = ShardedStreamingMeasurer(_config(), num_shards=2)
@@ -189,42 +232,19 @@ class TestMeasurementDaemon:
         )
         assert reference.error is None
 
-        class Dying(PacketRecordChunkSource):
-            def __iter__(self):
-                for i, chunk in enumerate(super().__iter__()):
-                    if i == 5:  # between the every-2-chunks checkpoints
-                        raise RuntimeError("simulated crash")
-                    yield chunk
-
         ck = str(tmp_path / "ck")
-        crashed = _run_daemon(
-            MeasurementDaemon(
-                Dying(capture, chunk_size=1_000, epoch_seconds=1.0),
-                config=_config(),
-                num_shards=2,
-                epoch_seconds=1.0,
-                checkpoint_dir=ck,
-                checkpoint_every=2,
-            )
-        )
-        assert isinstance(crashed.error, RuntimeError)
+        crashed = _crash(capture, ck)
         # The crash wrote no final checkpoint: on-disk state is the last
         # *periodic* one, strictly before the crash point.
         last = crashed.store.latest()
         assert 0 < last.meta["position"] < crashed._position
 
-        recovered = _run_daemon(
-            MeasurementDaemon(
-                _source(capture),
-                num_shards=2,
-                epoch_seconds=1.0,
-                checkpoint_dir=ck,
-                checkpoint_every=2,
-            )
-        )
+        recovered = _restart(ck, capture)
         assert recovered.error is None
         assert recovered.recovered_from == last.seq
         assert recovered.packets == trace.num_packets
+        # The chunk count resumes from the checkpoint like the packets.
+        assert recovered.stats()["chunks"] == reference.stats()["chunks"]
         assert recovered.measurer.estimates() == reference.measurer.estimates()
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
@@ -248,46 +268,61 @@ class TestMeasurementDaemon:
         assert reference.error is None
         assert 0 < reference.measured_packets < trace.num_packets
 
-        class Dying(PacketRecordChunkSource):
-            def __iter__(self):
-                for i, chunk in enumerate(super().__iter__()):
-                    if i == 5:  # between the every-2-chunks checkpoints
-                        raise RuntimeError("simulated crash")
-                    yield chunk
-
         ck = str(tmp_path / "ck")
-        crashed = _run_daemon(
-            MeasurementDaemon(
-                Dying(capture, chunk_size=1_000, epoch_seconds=1.0),
-                config=_config(),
-                num_shards=2,
-                epoch_seconds=1.0,
-                checkpoint_dir=ck,
-                checkpoint_every=2,
-                **policy,
-            )
-        )
-        assert isinstance(crashed.error, RuntimeError)
+        crashed = _crash(capture, ck, **policy)
         last = crashed.store.latest()
         assert 0 < last.meta["position"] < crashed._position
 
-        recovered = _run_daemon(
-            MeasurementDaemon(
-                _source(capture),
-                num_shards=2,
-                epoch_seconds=1.0,
-                checkpoint_dir=ck,
-                checkpoint_every=2,
-                **policy,
-            )
-        )
+        recovered = _restart(ck, capture, **policy)
         assert recovered.error is None
         assert recovered.recovered_from == last.seq
         assert recovered.packets == trace.num_packets
         assert recovered.measured_packets == reference.measured_packets
+        assert recovered.stats()["chunks"] == reference.stats()["chunks"]
         # The governor's tallies resume from the checkpoint too, so a
         # consumer scaling estimates by 1 / keep_rate reads the same rate.
         assert recovered.stats()["controller"] == reference.stats()["controller"]
+        assert recovered.measurer.estimates() == reference.measurer.estimates()
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["position", "epoch", "stream_time", "shard"],
+    )
+    def test_recovery_skips_a_checkpoint_that_does_not_decode(
+        self, trace, capture, tmp_path, damage
+    ):
+        """A newest checkpoint with a manifest field of the wrong type,
+        or a shard file cut in half, is passed over: recovery lands on
+        the previous one and still ends bit-identical."""
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        store = _crash(capture, ck).store
+        previous, newest = store.list()[-2:]
+        if damage == "shard":
+            path = newest.shard_paths[0]
+            with open(path, "rb") as handle:
+                payload = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(payload[: len(payload) // 2])
+        else:
+            bad = {"position": "abc", "epoch": [1], "stream_time": "soon"}
+            manifest = dict(newest.meta, **{damage: bad[damage]})
+            with open(newest.manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle)
+
+        recovered = _restart(ck, capture)
+        assert recovered.error is None
+        assert recovered.recovered_from == previous.seq
+        assert recovered.packets == trace.num_packets
+        assert recovered.stats()["chunks"] == reference.stats()["chunks"]
         assert recovered.measurer.estimates() == reference.measurer.estimates()
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer

@@ -17,9 +17,10 @@ header's ``wsaf.sections`` list.  The compatibility contracts:
   bit-identity bar for the ``flat`` backend: same records, same slots,
   same counters, same estimates.
 * Every golden still restores through the public restore paths, although
-  its embedded config carries the retired ``regulator_replay`` and
-  ``wsaf_engine`` knobs; any other config key the engine does not know
-  is a ``SnapshotError``.
+  its embedded config carries the retired ``regulator_replay``,
+  ``wsaf_engine`` and ``num_layers`` knobs; a ``num_layers`` other than 2,
+  or any other config key the engine does not know, is a
+  ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -307,11 +308,12 @@ class TestGoldenRestore:
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_restores_with_retired_key(self, name):
         golden = load(GOLDEN_DIR / f"{name}.imsnap")
-        # Captured while the engine still had both knobs.
-        assert {"regulator_replay", "wsaf_engine"} <= set(golden.config)
+        # Captured while the engine still had all three knobs.
+        retired = {"regulator_replay", "wsaf_engine", "num_layers"}
+        assert retired <= set(golden.config)
+        assert golden.config["num_layers"] == 2
         engine = InstaMeasure.from_snapshot(golden)
-        assert "regulator_replay" not in vars(engine.config)
-        assert "wsaf_engine" not in vars(engine.config)
+        assert not retired & set(vars(engine.config))
         assert engine.estimates() == golden.estimates()
         assert engine.regulator.stats.packets == golden.regulator.packets
         sharded = ShardedStreamingMeasurer.from_snapshots([golden])
@@ -328,4 +330,19 @@ class TestGoldenRestore:
         with pytest.raises(SnapshotError, match="turbo"):
             InstaMeasure.from_snapshot(tampered)
         with pytest.raises(SnapshotError, match="turbo"):
+            ShardedStreamingMeasurer.from_snapshots([tampered])
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_other_regulator_depth_is_rejected(self, name):
+        # The engine runs only the two-layer FlowRegulator: a snapshot
+        # recording any other depth names it instead of restoring.
+        payload = (GOLDEN_DIR / f"{name}.imsnap").read_bytes()
+        tampered = from_bytes(
+            _tamper_header(
+                payload, lambda header: header["config"].update(num_layers=3)
+            )
+        )
+        with pytest.raises(SnapshotError, match="num_layers 3"):
+            InstaMeasure.from_snapshot(tampered)
+        with pytest.raises(SnapshotError, match="num_layers 3"):
             ShardedStreamingMeasurer.from_snapshots([tampered])

@@ -136,17 +136,6 @@ class TestRoundTrip:
         restored = restore_engine(snapshot)
         assert restored.estimates() == _measured(trace, "scalar").estimates()
 
-    def test_multilayer_regulator_round_trip(self, trace):
-        engine = _measured(trace, "scalar", num_layers=3)
-        snapshot = from_bytes(to_bytes(capture_engine(engine)))
-        restored = restore_engine(snapshot)
-        for live, back in zip(
-            regulator_sketches(engine.regulator),
-            regulator_sketches(restored.regulator),
-        ):
-            assert np.array_equal(live.words_array(), back.words_array())
-        assert restored.estimates() == engine.estimates()
-
     def test_probe_placement_restore(self, trace):
         """Records whose slot is unknown re-probe to the same estimates."""
         snapshot = capture_engine(_measured(trace, "scalar"))
@@ -485,6 +474,18 @@ class TestMerge:
         mid = capture_engine(engine)
         with pytest.raises(SnapshotError, match="in-progress"):
             merge([mid, mid])
+
+    def test_retired_depth_key_merges_with_current_snapshots(self, trace):
+        # Older shard snapshots record num_layers=2; current ones omit it.
+        current = capture_engine(_measured(trace, "scalar"))
+        assert "num_layers" not in current.config
+        older = capture_engine(InstaMeasure(_config("scalar")))
+        older.config["num_layers"] = 2
+        for pair in ([current, older], [older, current]):
+            assert merge(pair).estimates() == current.estimates()
+        older.config["num_layers"] = 3
+        with pytest.raises(SnapshotError, match="num_layers"):
+            merge([current, older])
 
     def test_merge_nothing_rejected(self):
         with pytest.raises(SnapshotError, match="zero"):

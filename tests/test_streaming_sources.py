@@ -285,20 +285,14 @@ class TestPacketRecordChunkSource:
 
     def test_start_record_resumes_numbering(self, trace, capture):
         whole = list(PacketRecordChunkSource(capture, chunk_size=900))
-        source = PacketRecordChunkSource(
-            capture, chunk_size=900, start_record=1_800
-        )
+        source = PacketRecordChunkSource(capture, chunk_size=900)
+        source.seek_packets(1_800)
         tail = list(source)
         assert tail[0].begin == 1_800
         assert sum(c.num_packets for c in tail) == trace.num_packets - 1_800
         np.testing.assert_allclose(
             tail[0].trace.timestamps, whole[2].trace.timestamps
         )
-
-    def test_seek_packets_equivalent_to_start_record(self, capture):
-        source = PacketRecordChunkSource(capture, chunk_size=900)
-        source.seek_packets(1_800)
-        assert next(iter(source)).begin == 1_800
 
     def test_follow_mode_tails_a_growing_file(self, trace, tmp_path):
         path = tmp_path / "grow.impl"
@@ -366,7 +360,7 @@ class TestPacketRecordChunkSource:
         with pytest.raises(ConfigurationError):
             PacketRecordChunkSource(capture, epoch_seconds=0.0)
         with pytest.raises(ConfigurationError):
-            PacketRecordChunkSource(capture, start_record=-1)
+            PacketRecordChunkSource(capture).seek_packets(-1)
 
 
 def _write_timestamps(path, timestamps) -> str:
@@ -434,9 +428,9 @@ class TestTimestampValidation:
         timestamps = list(_STEADY)
         timestamps[9] = float("nan")
         source = PacketRecordChunkSource(
-            _write_timestamps(tmp_path / "bad.impl", timestamps),
-            chunk_size=4, start_record=6,
+            _write_timestamps(tmp_path / "bad.impl", timestamps), chunk_size=4
         )
+        source.seek_packets(6)
         with pytest.raises(TraceFormatError, match=r"position 9\b"):
             list(source)
 
@@ -483,9 +477,8 @@ class TestPadByteValidation:
 
     def test_resumed_stream_reports_stream_position(self, tmp_path):
         path = _write_timestamps(tmp_path / "pad.impl", _STEADY)
-        source = PacketRecordChunkSource(
-            _set_pad(path, 9), chunk_size=4, start_record=6
-        )
+        source = PacketRecordChunkSource(_set_pad(path, 9), chunk_size=4)
+        source.seek_packets(6)
         with pytest.raises(TraceFormatError, match=r"position 9\b"):
             list(source)
 

@@ -118,11 +118,10 @@ class TestBackendSelection:
         "overrides, kernel",
         [
             (dict(), True),
-            (dict(num_layers=3), False),
             (dict(vector_bits=16, word_bits=32), False),
             (dict(engine="scalar"), False),
         ],
-        ids=["auto", "deep", "wide", "scalar"],
+        ids=["auto", "wide", "scalar"],
     )
     def test_flat_is_batch_probed_exactly_when_the_kernel_runs(
         self, overrides, kernel
