@@ -129,7 +129,7 @@ MIN_SHARD_SPEEDUP_FALLBACK = 0.4
 #: fixed costs (fork + engine construction + pipe ping-pong) dominate
 #: the sub-second run, so only outright collapse fails the smoke.
 MIN_SHARD_SMOKE_FLOOR = 0.1
-#: In-process 1-shard streaming (routing + positional gathers included)
+#: In-process 1-shard streaming (routing + handing out bits included)
 #: must stay within 10% of the plain unsharded pipeline.
 MAX_INPROC_OVERHEAD = 1.10
 

@@ -223,11 +223,9 @@ class _BitStream:
     stream sees the same bits and a checkpoint can resume the stream
     from the block cursor alone (:meth:`unknown_cursor`).
 
-    A sharded worker whose packets sit at scattered global positions
-    gathers their bits out of the one known-length draw with
-    :meth:`take_at`, so it sees exactly the bits the single-process run
-    would hand those packets — the randomness half of the
-    sharded-equals-single guarantee.
+    A sharded run draws the known-length sequence once, in its router,
+    and hands every shard engine its packets' bits
+    (``ingest(chunk, bits=...)``): those engines own no stream of bits.
     """
 
     def __init__(self, config, total: "int | None") -> None:
@@ -235,10 +233,6 @@ class _BitStream:
         self._vector_bits = config.vector_bits
         self._total = total
         self.offset = 0
-        #: Set once :meth:`take_at` hands out a non-contiguous gather; the
-        #: cursor then no longer describes the consumed prefix, so the
-        #: stream cannot be captured mid-flight (see ``capture_engine``).
-        self.positional = False
         if total is not None:
             self._draw(total)
         else:
@@ -343,36 +337,15 @@ class _BitStream:
             self._block_used = block_used
         self.offset = offset
 
-    def take_at(self, positions: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Bit choices for the packets at global ``positions`` (ascending).
-
-        The streaming-sharded gather: a routed sub-chunk's packets sit at
-        arbitrary global stream positions, so their bits are fancy-indexed
-        out of the one global draw rather than sliced.  Requires a
-        known-length stream: the draw must already cover every position.
-        """
-        if self._total is None:
-            raise ConfigurationError(
-                "positional bit gathers need a known-length stream "
-                "(the global draw must exist up front)"
-            )
-        positions = np.ascontiguousarray(positions, dtype=np.int64)
-        if positions.size and (
-            int(positions[0]) < 0 or int(positions[-1]) >= self._total
-        ):
-            raise ConfigurationError(
-                f"chunk positions must lie in [0, {self._total})"
-            )
-        self.positional = True
-        self.offset += positions.size
-        return (self._bits1[positions], self._bits2[positions])
-
 
 @dataclass
 class _StreamState:
     """Bookkeeping for one in-progress ingest stream."""
 
-    bits: _BitStream
+    #: The stream's own bits; ``None`` for a stream handed its bits with
+    #: every chunk (a shard of a sharded run), which has no cursor to
+    #: capture mid-flight (``capture_engine``) or to draw from.
+    bits: "_BitStream | None"
     packets: int = 0
     insertions: int = 0
     l1_saturations: int = 0
@@ -605,10 +578,10 @@ class InstaMeasure:
         """Open an ingest stream explicitly, before the first chunk.
 
         Normally :meth:`ingest` opens the stream lazily from the first
-        chunk's metadata; sharded workers and snapshot restore open it up
-        front instead.  ``total`` is the *global* stream length, which
-        pins the randomness to the one global draw that positional
-        :meth:`ingest` gathers from (see :class:`_BitStream`).
+        chunk's metadata; unknown-length shards and snapshot restore open
+        it up front instead.  A known ``total`` draws the stream's whole
+        bit sequence here (see :class:`_BitStream`); a shard handed its
+        bits is never opened this way.
         """
         if self._stream is not None:
             raise ConfigurationError(
@@ -642,7 +615,7 @@ class InstaMeasure:
         self,
         chunk,
         on_accumulate: "AccumulateCallback | None" = None,
-        positions: "np.ndarray | None" = None,
+        bits: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> MeasurementResult:
         """Process one chunk of a stream, bit-identical to the whole trace.
 
@@ -654,35 +627,39 @@ class InstaMeasure:
         WSAF state cross chunk boundaries with the same counters, records,
         and event order as the whole-trace path.
 
-        ``positions`` is the streaming-sharded entry point: the chunk's
-        packets sit at those global stream positions (ascending), and
-        their bits are gathered out of the global draw rather than taken
-        from the cursor — exactly the bits a single-process run would
-        hand those packets.  Requires an explicitly opened known-length
-        stream (:meth:`begin_stream` with ``total``).
+        ``bits`` is the sharded entry point: the chunk's ``(bits1,
+        bits2)`` choices, selected by the router out of the run's one
+        draw — exactly the bits a single-process run would hand those
+        packets.  A stream opened by a chunk handed its bits draws
+        nothing and must be handed them for every chunk; it cannot be
+        captured mid-flight.
         """
         from repro.pipeline.protocol import chunk_total, chunk_trace
 
         trace = chunk_trace(chunk)
         if self._stream is None:
-            if positions is not None:
-                raise ConfigurationError(
-                    "positional ingest needs an explicit begin_stream(total=...)"
-                )
             self._stream = _StreamState(
-                bits=_BitStream(self.config, chunk_total(chunk))
+                bits=None
+                if bits is not None
+                else _BitStream(self.config, chunk_total(chunk))
             )
         stream = self._stream
         count = trace.num_packets
-        if positions is not None:
-            positions = np.ascontiguousarray(positions, dtype=np.int64)
-            if positions.size != count:
+        if bits is None:
+            if stream.bits is None:
                 raise ConfigurationError(
-                    f"chunk has {count} packets but {positions.size} positions"
+                    "this stream was handed its bits; hand them for every chunk"
                 )
-            bits = stream.bits.take_at(positions)
-        else:
             bits = stream.bits.take(count)
+        elif stream.bits is not None:
+            raise ConfigurationError(
+                "this stream draws its own bits; it cannot be handed any"
+            )
+        elif len(bits[0]) != count or len(bits[1]) != count:
+            raise ConfigurationError(
+                f"chunk has {count} packets but was handed "
+                f"{len(bits[0])}/{len(bits[1])} bit choices"
+            )
         result = self.process_trace(trace, on_accumulate=on_accumulate, bits=bits)
         stream.packets += result.packets
         stream.insertions += result.insertions

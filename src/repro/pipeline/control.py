@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -114,15 +115,39 @@ class ControllerStats:
     @classmethod
     def from_dict(cls, tallies: "dict") -> "ControllerStats":
         """The stats :meth:`as_dict` recorded (``keep_rate`` is derived,
-        so it is recomputed rather than read)."""
-        return cls(
-            policy=str(tallies["policy"]),
-            **{
-                field.name: int(tallies[field.name])
-                for field in fields(cls)
-                if field.name != "policy"
-            },
-        )
+        so it is recomputed rather than read).
+
+        Restored tallies must be ones a run can produce: every count a
+        non-negative integer (``True`` or ``2.5`` is not a count), no
+        more kept or dropped packets than offered, no more thinned or
+        dropped chunks than chunks, and a policy in
+        :data:`LOAD_POLICY_CHOICES`; anything else raises
+        :class:`ValueError`.
+        """
+        policy = tallies["policy"]
+        if policy not in LOAD_POLICY_CHOICES:
+            raise ValueError(f"controller policy {policy!r} is not one of {LOAD_POLICY_CHOICES}")
+        counts = {}
+        for field in fields(cls):
+            if field.name == "policy":
+                continue
+            value = tallies[field.name]
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValueError(
+                    f"controller {field.name} {value!r} is not a non-negative integer"
+                )
+            counts[field.name] = int(value)
+        for part, whole in (
+            ("kept_packets", "offered_packets"),
+            ("dropped_packets", "offered_packets"),
+            ("thinned_chunks", "chunks"),
+            ("dropped_chunks", "chunks"),
+        ):
+            if counts[part] > counts[whole]:
+                raise ValueError(
+                    f"controller {part} {counts[part]} exceeds {whole} {counts[whole]}"
+                )
+        return cls(policy=policy, **counts)
 
 
 class ShedController:

@@ -8,23 +8,31 @@ stream bookkeeping — position, epoch, origin — the daemon needs to
 re-open its source at the right packet.
 
 Atomicity is by write-then-rename: every shard file and the manifest
-are written to a ``.tmp`` sibling and ``os.replace``d into place, and
-the *manifest* rename comes last, making it the commit point.  A crash
-mid-checkpoint leaves either a complete checkpoint or dangling shard
-files that no manifest references; :meth:`CheckpointStore.latest` also
-skips any checkpoint whose manifest is unreadable or whose shard files
-are missing, so recovery always lands on the newest *complete* one.
+are written to a ``.tmp`` sibling, fsynced and ``os.replace``d into
+place, and the *manifest* rename comes last — after the directory is
+fsynced, so the shard files it names are on disk first — making it the
+commit point.  A crash mid-checkpoint leaves either a complete
+checkpoint or dangling shard files that no manifest references;
+:meth:`CheckpointStore.latest` also skips any checkpoint whose manifest
+is unreadable or whose shard files are missing, so recovery always lands
+on the newest *complete* one.
+
+The manifest records each shard file's byte length and zlib CRC32, and
+:meth:`CheckpointStore.load` checks both, so a shard file damaged after
+the commit (a flipped byte that still decodes, a torn write) raises
+:class:`~repro.errors.SnapshotError` instead of restoring wrong state.
+Manifests written before these fields existed still load, unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
-from repro.state import load as load_snapshot
-from repro.state import save as save_snapshot
+from repro.errors import ConfigurationError, SnapshotError
+from repro.state import from_bytes, to_bytes
 
 #: Manifest key recording the wire version of the checkpoint layout.
 CHECKPOINT_VERSION = 1
@@ -96,15 +104,24 @@ class CheckpointStore:
         seqs = self._sequences()
         seq = (seqs[-1] + 1) if seqs else 0
         shard_paths = []
+        integrity = []
         for shard, snapshot in enumerate(snapshots):
             path = self._shard_path(seq, shard)
-            save_snapshot(snapshot, path + ".tmp")
+            payload = to_bytes(snapshot)
+            with open(path + ".tmp", "wb") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(path + ".tmp", path)
             shard_paths.append(path)
+            integrity.append({"bytes": len(payload), "crc32": zlib.crc32(payload)})
+        # The shard renames reach the disk before the manifest commits them.
+        self._fsync_directory()
         manifest = {
             "version": CHECKPOINT_VERSION,
             "seq": seq,
             "shards": [os.path.basename(path) for path in shard_paths],
+            "shard_integrity": integrity,
         }
         manifest.update(meta or {})
         manifest_path = self._manifest_path(seq)
@@ -113,10 +130,18 @@ class CheckpointStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(manifest_path + ".tmp", manifest_path)
+        self._fsync_directory()
         self.prune()
         return CheckpointInfo(
             seq=seq, manifest_path=manifest_path, shard_paths=shard_paths, meta=manifest
         )
+
+    def _fsync_directory(self) -> None:
+        descriptor = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
 
     def prune(self, keep: "int | None" = None) -> int:
         """Delete all but the newest ``keep`` checkpoints; returns count."""
@@ -175,5 +200,39 @@ class CheckpointStore:
         return None
 
     def load(self, info: CheckpointInfo):
-        """The checkpoint's per-shard snapshots, in shard order."""
-        return [load_snapshot(path) for path in info.shard_paths]
+        """The checkpoint's per-shard snapshots, in shard order.
+
+        Raises :class:`~repro.errors.SnapshotError` when a shard file's
+        length or CRC32 differs from what the manifest recorded, or the
+        recorded values are malformed.
+        """
+        integrity = info.meta.get("shard_integrity")
+        if integrity is not None and (
+            not isinstance(integrity, list) or len(integrity) != len(info.shard_paths)
+        ):
+            raise SnapshotError(
+                f"checkpoint {info.seq} shard_integrity does not list "
+                f"{len(info.shard_paths)} shard files"
+            )
+        snapshots = []
+        for shard, path in enumerate(info.shard_paths):
+            with open(path, "rb") as handle:
+                payload = handle.read()
+            if integrity is not None:
+                _check_integrity(info.seq, path, payload, integrity[shard])
+            snapshots.append(from_bytes(payload))
+        return snapshots
+
+
+def _check_integrity(seq: int, path: str, payload: bytes, recorded) -> None:
+    """Raise SnapshotError unless ``payload`` has the recorded length and CRC32."""
+    if not isinstance(recorded, dict):
+        raise SnapshotError(f"checkpoint {seq} integrity entry {recorded!r} is malformed")
+    expected = (recorded.get("bytes"), recorded.get("crc32"))
+    actual = (len(payload), zlib.crc32(payload))
+    if expected != actual:
+        raise SnapshotError(
+            f"checkpoint {seq} shard file {os.path.basename(path)} is damaged: "
+            f"{actual[0]} bytes, crc32 {actual[1]:#010x}; the manifest "
+            f"recorded {expected[0]!r} bytes, crc32 {expected[1]!r}"
+        )

@@ -423,12 +423,13 @@ def _snapshot_from(
 
 # -- incremental payload framing ---------------------------------------------
 #
-# The sharded worker pool streams routed sub-chunks to long-lived workers
-# over pipes.  Those messages are not snapshots — they are small, frequent,
-# and latency-sensitive — so they get their own framing: the same
+# The sharded worker pool talks to its long-lived workers over pipes:
+# flow tables, slot descriptors and releases, snapshots at finalize.
+# Those messages are not snapshots — they are small, frequent, and
+# latency-sensitive — so they get their own framing: the same
 # magic + JSON-header + raw-columns layout as IMSNAP, but columns keep
-# their *native* dtypes (a chunk's uint8 bits or float64 timestamps ship
-# as-is instead of being widened to the archival 8-byte wire types).
+# their *native* dtypes (uint64 flow keys or a snapshot's uint8 bytes
+# ship as-is instead of being widened to the archival 8-byte wire types).
 
 #: Frame magic; distinct from :data:`MAGIC` so a frame can never be
 #: mistaken for a persisted snapshot (or vice versa).

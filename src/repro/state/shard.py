@@ -34,6 +34,18 @@ def l1_sketch(config):
     )
 
 
+def select_shard(assignment: np.ndarray, shard: int) -> np.ndarray:
+    """Indices of the entries ``assignment`` gives to ``shard``, ascending.
+
+    ``assignment`` holds one shard id per packet (or per flow).  Ascending
+    packet offsets keep each shard's packets in stream order, so per-flow
+    order is the global one.  The router's :meth:`ShardRouter.split_chunk`
+    and every fork-pool worker reading the shared packet ring select their
+    packets with this one function.
+    """
+    return np.flatnonzero(assignment == shard)
+
+
 class ShardRouter:
     """Contiguous word-range partitioner.
 
@@ -113,31 +125,27 @@ class ShardRouter:
         return self._last_flow_shards
 
     def split_chunk(self, chunk) -> "list[tuple]":
-        """Route one pipeline chunk: per-shard sub-traces + global positions.
+        """Route one pipeline chunk: per-shard sub-traces + chunk offsets.
 
-        Returns ``[(sub_trace, positions), ...]``, one entry per shard, in
+        Returns ``[(sub_trace, offsets), ...]``, one entry per shard, in
         shard order.  ``sub_trace`` holds the shard's packets of this chunk
         in their original (global time) order, sharing the chunk's flow
-        table; ``positions`` are those packets' global bit-stream positions
-        (``chunk.begin`` + offset within the chunk), ascending — exactly
-        what :meth:`InstaMeasure.ingest` needs to gather the packets' bits
-        out of the single-process draw.
+        table; ``offsets`` are those packets' ascending offsets within the
+        chunk (:func:`select_shard`) — what selects their bits out of the
+        chunk's slice of the run's one draw.
         """
         from repro.traffic.packet import Trace
 
         trace = chunk.trace
-        begin = int(getattr(chunk, "begin", 0))
         assignment = self.flow_shards(trace.flows)[trace.flow_ids]
         parts: "list[tuple]" = []
         for shard in range(self.num_shards):
-            # Ascending chunk offsets: positions stay ascending and per-flow
-            # order is the global one.
-            index = np.flatnonzero(assignment == shard)
+            index = select_shard(assignment, shard)
             sub = Trace(
                 timestamps=trace.timestamps[index],
                 flow_ids=trace.flow_ids[index],
                 sizes=trace.sizes[index],
                 flows=trace.flows,
             )
-            parts.append((sub, (begin + index).astype(np.int64)))
+            parts.append((sub, index))
         return parts

@@ -345,8 +345,8 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
     In-progress streams are captured mid-flight: known-length streams as
     a plain offset into the up-front draw, unknown-length streams as the
     block-draw RNG cursor (see :class:`StreamCursor`).  The one exclusion
-    is a stream that already served positional (``take_at``) gathers —
-    its cursor no longer describes the consumed prefix, so capture raises
+    is a stream that was handed its bits (a shard of a sharded run) —
+    its own cursor describes nothing it consumed, so capture raises
     :class:`SnapshotError`; finalize such a stream first.
     """
     from dataclasses import asdict
@@ -355,11 +355,11 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
     cursor = None
     if stream_state is not None:
         bits = stream_state.bits
-        if getattr(bits, "positional", False):
+        if bits is None:
             raise SnapshotError(
-                "cannot snapshot a stream mid-flight after positional "
-                "(take_at) gathers: the cursor no longer describes the "
-                "consumed prefix; finalize() first"
+                "cannot snapshot a stream mid-flight after it was handed "
+                "its bits: its cursor describes nothing it consumed; "
+                "finalize() first"
             )
         if bits._total is None:
             from repro.core.instameasure import UNKNOWN_STREAM_BLOCK

@@ -177,6 +177,45 @@ class TestChunkGovernor:
             position = chunk.end
         assert position == governor.stats.kept_packets
 
+    def test_stats_round_trip_through_a_dict(self, trace):
+        from repro.pipeline import ControllerStats
+
+        governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
+        for chunk in TraceChunkSource(trace, chunk_size=700):
+            governor.admit(chunk)
+        tallies = governor.stats.as_dict()
+        assert ControllerStats.from_dict(tallies).as_dict() == tallies
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"chunks": -5},
+            {"offered_packets": True},
+            {"kept_packets": 2.5},
+            {"kept_packets": 101},
+            {"dropped_packets": 101},
+            {"thinned_chunks": 11},
+            {"dropped_chunks": 11},
+            {"policy": "degrade"},
+        ],
+        ids=lambda damage: "-".join(f"{k}={v}" for k, v in damage.items()),
+    )
+    def test_restored_tallies_are_range_checked(self, damage):
+        from repro.pipeline import ControllerStats
+
+        tallies = {
+            "policy": "shed",
+            "chunks": 10,
+            "offered_packets": 100,
+            "kept_packets": 60,
+            "dropped_packets": 40,
+            "thinned_chunks": 4,
+            "dropped_chunks": 2,
+        }
+        ControllerStats.from_dict(tallies)
+        with pytest.raises(ValueError):
+            ControllerStats.from_dict(dict(tallies, **damage))
+
     def test_decision_history_is_bounded(self, trace):
         governor = ChunkGovernor(
             ShedController(target_pps=1_000.0, seed=2), history=3

@@ -262,9 +262,7 @@ class _UniqueFlowSync:
         self.count = 0
 
     def localize(self, flows, flow_ids):
-        new_table = False
         if flows is not self._flows:
-            new_table = self._flows is not None
             self._flows = flows
             self._mapping = np.full(len(flows), -1, dtype=np.int64)
             self.count = 0
@@ -276,7 +274,7 @@ class _UniqueFlowSync:
                 self.count, self.count + fresh.size, dtype=np.int64
             )
             self.count += int(fresh.size)
-        return mapping[flow_ids], fresh, new_table
+        return mapping[flow_ids], fresh
 
 
 @st.composite
@@ -318,13 +316,134 @@ class TestShardFlowSyncProperties:
         sync, reference = _ShardFlowSync(), _UniqueFlowSync()
         for table, ids in chunks:
             flow_ids = np.asarray(ids, dtype=dtype)
-            local, fresh, new_table = sync.localize(tables[table], flow_ids)
-            want_local, want_fresh, want_new = reference.localize(
-                tables[table], flow_ids
-            )
+            local, fresh = sync.localize(tables[table], flow_ids)
+            want_local, want_fresh = reference.localize(tables[table], flow_ids)
             assert local.dtype == want_local.dtype
             assert local.tolist() == want_local.tolist()
             assert fresh.dtype == want_fresh.dtype
             assert fresh.tolist() == want_fresh.tolist()
-            assert new_table == want_new
             assert sync.count == reference.count
+
+
+# -- fork pool vs in-process sharding -------------------------------------------
+
+
+@st.composite
+def pool_runs(draw):
+    """A tiny trace plus a sharded-run geometry for the fork pool.
+
+    The trace's first chunk carries one flow only, so with two or more
+    shards some worker gets no packets of it.  The chunk size lies below,
+    at or above the pool's slot size, so chunks also go through the ring
+    in slot-sized pieces.
+    """
+    num_flows = draw(st.integers(1, 6))
+    flows = FlowTable.from_five_tuples(
+        [
+            FiveTuple(draw(st.integers(0, 2**32 - 1)), flow, 80, 443, 6)
+            for flow in range(num_flows)
+        ]
+    )
+    slot = draw(st.integers(1, 12))
+    chunk = max(1, slot + draw(st.sampled_from([-1, 0, 1])) * draw(st.integers(1, 6)))
+    num_packets = draw(st.integers(1, 50))
+    flow_ids = [0] * min(chunk, num_packets) + draw(
+        st.lists(
+            st.integers(0, num_flows - 1),
+            min_size=max(0, num_packets - chunk),
+            max_size=max(0, num_packets - chunk),
+        )
+    )
+    trace = Trace(
+        timestamps=np.cumsum(np.full(num_packets, 0.01)),
+        flow_ids=np.asarray(flow_ids, dtype=np.int64),
+        sizes=np.asarray(
+            draw(st.lists(st.integers(40, 1514), min_size=num_packets, max_size=num_packets)),
+            dtype=np.int64,
+        ),
+        flows=flows,
+    )
+    return dict(
+        trace=trace,
+        shards=draw(st.integers(1, 4)),
+        slot=slot,
+        chunk=chunk,
+        known=draw(st.booleans()),
+        records=draw(st.booleans()),
+        engine=draw(st.sampled_from(["scalar", "auto"])),
+    )
+
+
+class TestForkPoolProperties:
+    @given(pool_runs())
+    @settings(
+        max_examples=12,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_pool_snapshot_equals_in_process(self, run):
+        """The fork pool's merged snapshot bytes equal the in-process
+        sharded run's, for every source shape, slot size and total."""
+        import os
+        import tempfile
+
+        from repro.pipeline import (
+            ChunkSource,
+            PacketRecordChunkSource,
+            Pipeline,
+            ShardedStreamingMeasurer,
+            ShardWorkerPool,
+            TraceChunkSource,
+        )
+        from repro.pipeline.sharded import _fork_available, _PoolShardMeasurer
+        from repro.state import ShardRouter
+        from repro.traffic.pcaplite import write_pcaplite
+
+        if not _fork_available():
+            pytest.skip("platform cannot fork")
+        trace = run["trace"]
+        config = InstaMeasureConfig(
+            l1_memory_bytes=256, wsaf_entries=1 << 8, seed=5, engine=run["engine"]
+        )
+        total = trace.num_packets if run["known"] else None
+
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "trace.impl")
+            write_pcaplite(trace, path)
+
+            def source():
+                if run["records"]:
+                    inner = PacketRecordChunkSource(path, chunk_size=run["chunk"])
+                else:
+                    inner = TraceChunkSource(trace, chunk_size=run["chunk"])
+
+                class Relay(ChunkSource):
+                    total_packets = total
+                    epoch_seconds = None
+                    start_time = None
+
+                    def __iter__(self):
+                        return iter(inner)
+
+                return Relay()
+
+            reference = ShardedStreamingMeasurer(config, num_shards=run["shards"])
+            reference.begin_stream(total)
+            Pipeline(reference).run(source())
+
+            router = ShardRouter.for_config(config, run["shards"])
+            pool = ShardWorkerPool(
+                config,
+                [router.key_range(shard) for shard in range(run["shards"])],
+                total,
+                slot_packets=run["slot"],
+            )
+            forked = _PoolShardMeasurer(config, pool, total)
+            try:
+                Pipeline(forked).run(source())
+            finally:
+                pool.close()
+        assert to_bytes(forked.merged_snapshot()) == to_bytes(
+            reference.merged_snapshot()
+        )

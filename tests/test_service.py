@@ -18,10 +18,11 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import InstaMeasureConfig
-from repro.errors import ConfigurationError, TraceFormatError
+from repro.errors import ConfigurationError, SnapshotError, TraceFormatError
 from repro.pipeline import (
     PacketRecordChunkSource,
     Pipeline,
@@ -34,7 +35,7 @@ from repro.service import (
     MeasurementDaemon,
     send_command,
 )
-from repro.state import to_bytes
+from repro.state import from_bytes, to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
 from repro.traffic.pcaplite import PacketRecordWriter, write_pcaplite
 
@@ -130,6 +131,28 @@ def _restart(ck, capture, **policy):
     )
 
 
+def _flip_numeric_byte(path, column="wsaf.packets") -> bytes:
+    """Flip the low mantissa byte of the middle entry of ``column`` in the
+    IMSNAP file at ``path``; returns the damaged bytes."""
+    with open(path, "rb") as handle:
+        payload = bytearray(handle.read())
+    length = int.from_bytes(payload[8:16], "little")
+    header = json.loads(payload[16 : 16 + length])
+    offset = 16 + length
+    for entry in header["manifest"]:
+        itemsize = np.dtype(entry["dtype"]).itemsize
+        if entry["name"] == column:
+            assert entry["count"] > 0
+            payload[offset + (entry["count"] // 2) * itemsize] ^= 0x01
+            break
+        offset += itemsize * entry["count"]
+    else:
+        raise AssertionError(f"no column {column}")
+    with open(path, "wb") as handle:
+        handle.write(payload)
+    return bytes(payload)
+
+
 class TestCheckpointStore:
     def _snapshots(self, capture, chunks=2):
         measurer = ShardedStreamingMeasurer(_config(), num_shards=2)
@@ -179,6 +202,42 @@ class TestCheckpointStore:
         bad = store.save(snapshots, meta={"position": 2})
         os.remove(bad.shard_paths[0])
         assert store.latest().seq == good.seq
+
+    def test_manifest_records_shard_lengths_and_crcs(self, capture, tmp_path):
+        import zlib
+
+        store = CheckpointStore(tmp_path / "ck")
+        info = store.save(self._snapshots(capture), meta={"position": 1})
+        recorded = info.meta["shard_integrity"]
+        assert len(recorded) == info.num_shards == 2
+        for path, entry in zip(info.shard_paths, recorded):
+            with open(path, "rb") as handle:
+                payload = handle.read()
+            assert entry == {"bytes": len(payload), "crc32": zlib.crc32(payload)}
+        assert store.latest().meta["shard_integrity"] == recorded
+
+    def test_load_rejects_a_damaged_shard_file(self, capture, tmp_path):
+        store = CheckpointStore(tmp_path / "ck")
+        info = store.save(self._snapshots(capture), meta={"position": 1})
+        damaged = _flip_numeric_byte(info.shard_paths[1])
+        from_bytes(damaged)  # the flip still decodes: only the CRC sees it
+        with pytest.raises(SnapshotError, match="shard1.imsnap is damaged"):
+            store.load(store.latest())
+        with open(info.shard_paths[1], "ab") as handle:
+            handle.write(b"\0")
+        with pytest.raises(SnapshotError, match="damaged"):
+            store.load(store.latest())
+
+    def test_manifest_without_integrity_fields_still_loads(self, capture, tmp_path):
+        store = CheckpointStore(tmp_path / "ck")
+        snapshots = self._snapshots(capture)
+        info = store.save(snapshots, meta={"position": 1})
+        legacy = dict(info.meta)
+        del legacy["shard_integrity"]
+        with open(info.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(legacy, handle)
+        loaded = store.load(store.latest())
+        assert [to_bytes(s) for s in loaded] == [to_bytes(s) for s in snapshots]
 
     def test_empty_directory_has_no_latest(self, tmp_path):
         assert CheckpointStore(tmp_path / "ck").latest() is None
@@ -324,6 +383,62 @@ class TestMeasurementDaemon:
         assert recovered.packets == trace.num_packets
         assert recovered.stats()["chunks"] == reference.stats()["chunks"]
         assert recovered.measurer.estimates() == reference.measurer.estimates()
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+
+    def test_recovery_skips_a_shard_file_with_a_flipped_byte(
+        self, trace, capture, tmp_path
+    ):
+        """One flipped byte inside a numeric column of the newest shard
+        file still decodes; its CRC32 no longer matches the manifest, so
+        recovery lands on the previous checkpoint and drains to the
+        uninterrupted run's state."""
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        previous, newest = _crash(capture, ck).store.list()[-2:]
+        from_bytes(_flip_numeric_byte(newest.shard_paths[0]))
+
+        recovered = _restart(ck, capture)
+        assert recovered.error is None
+        assert recovered.recovered_from == previous.seq
+        assert recovered.packets == trace.num_packets
+        assert recovered.measurer.estimates() == reference.measurer.estimates()
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+
+    def test_recovery_skips_out_of_range_controller_tallies(
+        self, trace, capture, tmp_path
+    ):
+        """A newest checkpoint whose shed tallies no run can produce
+        (``chunks: -5``) is passed over like any field that does not
+        decode."""
+        policy = dict(
+            load_policy="shed",
+            target_pps=0.5 * trace.num_packets / trace.duration,
+        )
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0, **policy,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        previous, newest = _crash(capture, ck, **policy).store.list()[-2:]
+        controller = dict(newest.meta["controller"], chunks=-5)
+        with open(newest.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(dict(newest.meta, controller=controller), handle)
+
+        recovered = _restart(ck, capture, **policy)
+        assert recovered.error is None
+        assert recovered.recovered_from == previous.seq
+        assert recovered.stats()["controller"] == reference.stats()["controller"]
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
         )

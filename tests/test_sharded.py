@@ -3,7 +3,7 @@
 The headline contract: a :class:`ShardedPipeline` run at any shard count
 produces estimates **exactly equal** to a single-process pipeline over
 the same trace — under both engines, in-process and forked —
-because word-range sharding keeps regulator words, positioned random
+because word-range sharding keeps regulator words, each packet's random
 bits, and per-flow accumulation order all identical to the single run
 (valid while the WSAF sees no evictions, which these workloads satisfy
 and the tests assert).
@@ -163,7 +163,7 @@ class TestShardedEquivalence:
         assert sum(result.shard_packets) == tiny.num_packets
 
     def test_chunked_workers_preserve_equivalence(self, trace):
-        """Tiny per-worker chunks exercise positioned multi-chunk streams."""
+        """Tiny per-worker chunks exercise multi-chunk streams handed bits."""
         config = _config("scalar")
         single = _single_run(config, trace)
         result = ShardedPipeline(config, num_shards=3, chunk_size=700).run(trace)
@@ -181,8 +181,8 @@ class TestShardedPipelineAPI:
 
     def test_accepts_unknown_length_sources(self, trace):
         # An unbounded source (the service mode's shape) shards too:
-        # per-shard block-drawn randomness instead of the positioned
-        # global draw.  Packets must be conserved and the key sets of the
+        # per-shard block-drawn randomness instead of bits handed out of
+        # the global draw.  Packets must be conserved and the key sets of the
         # merged estimates must cover exactly the trace's flows.
         inner = TraceChunkSource(trace, chunk_size=3_000)
 
@@ -287,14 +287,12 @@ class TestShardedPipelineAPI:
             del flows
         gc.collect()
         assert [ref() is not None for ref in alive] == [False] * 11 + [True]
-        for index, (first, again) in enumerate(calls):
-            # Every table restarts the worker's dense ids from 0, and only
-            # a table that replaces an earlier one asks for a reset.
+        for first, again in calls:
+            # Every table restarts the worker's dense ids from 0.
             assert first[0].tolist() == [1, 0, 1]
             assert first[1].tolist() == [1, 3]
             assert again[0].tolist() == [0, 2]
             assert again[1].tolist() == [4]
-            assert first[2:] == ((index > 0),) and again[2:] == (False,)
 
     def test_fresh_flow_columns_of_duck_typed_tables(self, trace):
         """A table with no 5-tuple columns ships the same identity
@@ -306,8 +304,7 @@ class TestShardedPipelineAPI:
 
         flows = trace.flows
         high, low = flows._packed_halves()
-        directory = _ShardFlowDirectory()
-        directory.extend(flows.key64, low, high)
+        directory = _ShardFlowDirectory(flows.key64, low, high)
         index = np.array([0, 7, len(flows) - 1], dtype=np.int64)
         got = _fresh_flow_columns(directory, index)
         want = _fresh_flow_columns(flows, index)
@@ -369,130 +366,237 @@ class TestStreamingEdges:
         assert result.estimates() == single.estimates()
         assert result.packets == tiny.num_packets
 
-    def test_positional_midstream_capture_rejected(self, trace):
-        """After take_at gathers, the cursor is meaningless — capture raises."""
+    def test_handed_bits_midstream_capture_rejected(self, trace):
+        """A stream handed its bits has no cursor of its own — capture
+        raises, and so does asking it to draw for itself; a stream that
+        draws its own bits cannot be handed any."""
         from repro.errors import SnapshotError
         from repro.state import capture_engine
         from repro.traffic.packet import Trace
 
+        drawing = InstaMeasure(_config("scalar"))
+        drawing.begin_stream(total=trace.num_packets)
         engine = InstaMeasure(_config("scalar"))
-        engine.begin_stream(total=trace.num_packets)
         sub = Trace(
             timestamps=trace.timestamps[:10],
             flow_ids=trace.flow_ids[:10],
             sizes=trace.sizes[:10],
             flows=trace.flows,
         )
-        engine.ingest(sub, positions=np.arange(10, dtype=np.int64))
-        with pytest.raises(SnapshotError, match="positional"):
+        bits = (np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match="draws its own bits"):
+            drawing.ingest(sub, bits=bits)
+        engine.ingest(sub, bits=bits)
+        with pytest.raises(SnapshotError, match="handed its bits"):
             capture_engine(engine)
+        with pytest.raises(ConfigurationError, match="handed its bits"):
+            engine.ingest(sub)
+        with pytest.raises(ConfigurationError, match="bit choices"):
+            engine.ingest(sub, bits=(bits[0][:3], bits[1]))
         engine.finalize()  # and finalizing afterwards is fine
+
+
+def _tiny_source(trace, count=3):
+    """The first ``count`` packets of ``trace`` as one known-length chunk."""
+    from repro.traffic.packet import Trace
+
+    head = Trace(
+        timestamps=trace.timestamps[:count],
+        flow_ids=trace.flow_ids[:count],
+        sizes=trace.sizes[:count],
+        flows=trace.flows,
+    )
+    return TraceChunkSource(head, chunk_size=count)
 
 
 @pytest.mark.skipif(not _fork_available(), reason="platform cannot fork")
 class TestShardWorkerPool:
-    """Failure handling of the persistent worker pool: raise, never hang."""
+    """The pool's ring protocol and failure handling: raise, never hang."""
 
-    def _pool(self, total=100):
+    def _pool(self, config, total, num_shards=1, **kwargs):
         from repro.pipeline import ShardWorkerPool
 
-        config = _config("scalar")
-        router = ShardRouter.for_config(config, 1)
-        return ShardWorkerPool(config, [router.key_range(0)], total)
+        router = ShardRouter.for_config(config, num_shards)
+        key_ranges = [router.key_range(shard) for shard in range(num_shards)]
+        return ShardWorkerPool(config, key_ranges, total, **kwargs)
 
-    def _chunk_frame(self, positions):
-        from repro.state import pack_frame
+    @staticmethod
+    def _measurer(config, pool, total):
+        from repro.pipeline.sharded import _PoolShardMeasurer
 
-        count = len(positions)
-        return pack_frame(
-            {"type": "chunk"},
-            {
-                "timestamps": np.linspace(0.0, 1.0, count),
-                "flow_ids": np.zeros(count, dtype=np.int64),
-                "sizes": np.full(count, 100, dtype=np.int64),
-                "positions": np.asarray(positions, dtype=np.int64),
-                "new_key64": np.array([12345], dtype=np.uint64),
-                "new_tuple_lo": np.array([1], dtype=np.uint64),
-                "new_tuple_hi": np.array([2], dtype=np.uint64),
-            },
-        )
+        return _PoolShardMeasurer(config, pool, total)
 
     def test_worker_exception_propagates(self):
         from repro.errors import ShardWorkerError
+        from repro.state import pack_frame
 
-        pool = self._pool(total=100)
+        pool = self._pool(_config("scalar"), total=100)
         try:
-            # Positions beyond the declared total make the worker's
-            # engine raise mid-chunk; the error frame must surface as a
-            # ShardWorkerError (carrying the worker traceback), not hang.
-            pool.send(0, self._chunk_frame([999]))
-            with pytest.raises(ShardWorkerError, match="shard worker 0"):
+            # A slot descriptor before any table frame: the slot's packets
+            # name flows the worker's empty directory does not hold, so its
+            # ingest raises mid-chunk; the error frame must surface as a
+            # ShardWorkerError carrying the worker traceback, not hang.
+            pool.send(0, pack_frame({"type": "slot", "slot": 0, "count": 3}, {}))
+            with pytest.raises(ShardWorkerError, match="(?s)shard worker 0 failed.*outside"):
                 pool.finalize()
         finally:
             pool.close()
+        assert pool.ring.closed
 
-    def test_worker_death_propagates(self):
+    def test_worker_death_propagates(self, trace):
         import os
         import signal
 
         from repro.errors import ShardWorkerError
 
-        pool = self._pool(total=100)
+        config = _config("scalar")
+        pool = self._pool(config, total=trace.num_packets)
+        measurer = self._measurer(config, pool, trace.num_packets)
         try:
             victim = pool._procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             with pytest.raises(ShardWorkerError):
-                pool.send(0, self._chunk_frame([0, 1, 2]))
-                pool.finalize()
+                for chunk in TraceChunkSource(trace, chunk_size=4_000):
+                    measurer.ingest(chunk)
+                measurer.finalize()
         finally:
             pool.close()
+        assert pool.ring.closed
 
-    def test_pool_builds_kernel_tables_before_forking(self, monkeypatch):
+    def test_worker_killed_while_parent_waits_for_a_slot(self, trace):
+        """Both slots taken by a stopped worker: the parent blocks on the
+        release, and killing the worker turns the wait into an error."""
+        import os
+        import signal
+        import threading
+        import time
+
+        from repro.errors import ShardWorkerError
+
+        config = _config("scalar")
+        pool = self._pool(config, total=trace.num_packets, slot_packets=500)
+        measurer = self._measurer(config, pool, trace.num_packets)
+        chunks = iter(TraceChunkSource(trace, chunk_size=500))
+        victim = pool._procs[0]
+        killer = threading.Timer(0.5, os.kill, (victim.pid, signal.SIGKILL))
+        try:
+            os.kill(victim.pid, signal.SIGSTOP)
+            measurer.ingest(next(chunks))
+            measurer.ingest(next(chunks))  # both slots now wait on the worker
+            killer.start()
+            begin = time.monotonic()
+            with pytest.raises(ShardWorkerError, match="shard worker 0"):
+                measurer.ingest(next(chunks))
+            assert time.monotonic() - begin < 5.0
+        finally:
+            killer.join(timeout=10.0)
+            pool.close()
+        assert not killer.is_alive()
+        assert pool.ring.closed
+
+    def test_pool_builds_kernel_tables_before_forking(self, trace, monkeypatch):
         """Workers inherit the kernel's FSM tables from the parent: the
         pool builds them for a kernel config, and for nothing else; a
         threshold below four bits builds no quad table."""
         from repro.kernels import luts
-        from repro.pipeline import ShardWorkerPool
 
         monkeypatch.setattr(luts, "_CACHE", {})
         monkeypatch.setattr(luts, "_QUAD_CACHE", {})
-        scalar = _config("scalar")
-        key_range = ShardRouter.for_config(scalar, 1).key_range(0)
-        ShardWorkerPool(scalar, [key_range], 3).close()
+        self._pool(_config("scalar"), total=3).close()
         assert luts._CACHE == {} and luts._QUAD_CACHE == {}
 
-        pool = ShardWorkerPool(_config("auto"), [key_range], 3)
+        config = _config("auto")
+        pool = self._pool(config, total=3)
         try:
             # 8-bit vectors at the default 70 % fill saturate at 6 bits.
             assert set(luts._CACHE) == {(8, 6)}
             assert set(luts._QUAD_CACHE) == {(8, 6)}
-            pool.send(0, self._chunk_frame([0, 1, 2]))
-            replies = pool.finalize()
+            measurer = self._measurer(config, pool, 3)
+            for chunk in _tiny_source(trace):
+                measurer.ingest(chunk)
+            result = measurer.finalize()
         finally:
             pool.close()
-        assert [meta["packets"] for meta, _payload in replies] == [3]
+        assert result.shard_packets == [3]
 
         monkeypatch.setattr(luts, "_CACHE", {})
         monkeypatch.setattr(luts, "_QUAD_CACHE", {})
-        narrow = _config("auto", vector_bits=4)
-        narrow_range = ShardRouter.for_config(narrow, 1).key_range(0)
-        ShardWorkerPool(narrow, [narrow_range], 3).close()
+        self._pool(_config("auto", vector_bits=4), total=3).close()
         # 4-bit vectors at the default 70 % fill saturate at 3 bits.
         assert set(luts._CACHE) == {(4, 3)}
         assert luts._QUAD_CACHE == {}
 
-    def test_healthy_pool_round_trips(self):
-        pool = self._pool(total=3)
-        try:
-            pool.send(0, self._chunk_frame([0, 1, 2]))
-            replies = pool.finalize()
-        finally:
-            pool.close()
-        assert len(replies) == 1
-        meta, payload = replies[0]
-        assert meta["packets"] == 3
+    def test_healthy_pool_round_trips(self, trace):
         from repro.state import from_bytes
 
+        config = _config("scalar")
+        pool = self._pool(config, total=3)
+        try:
+            measurer = self._measurer(config, pool, 3)
+            for chunk in _tiny_source(trace):
+                measurer.ingest(chunk)
+            measurer.finalize()
+        finally:
+            pool.close()
+        assert pool.ring.closed
+        (payload,) = measurer._payloads
         snapshot = from_bytes(payload)
         assert snapshot.regulator.packets == 3
+
+    def test_ring_is_unmapped_after_every_run(self, trace, monkeypatch):
+        """The run's pool unmaps its ring when the run ends, whether it
+        succeeds or a worker fails."""
+        import repro.pipeline.sharded as sharded_module
+        from repro.errors import ShardWorkerError
+
+        pools = []
+
+        class Recorded(sharded_module.ShardWorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(sharded_module, "ShardWorkerPool", Recorded)
+        config = _config("scalar")
+        ShardedPipeline(config, num_shards=2, parallel=True).run(trace)
+
+        def refuse(self, *columns):
+            raise RuntimeError("table refused")
+
+        # Forked after the patch, the workers cannot build a flow directory.
+        monkeypatch.setattr(sharded_module._ShardFlowDirectory, "__init__", refuse)
+        with pytest.raises(ShardWorkerError, match="table refused"):
+            ShardedPipeline(config, num_shards=2, parallel=True).run(trace)
+        assert len(pools) == 2
+        assert all(pool.ring.closed for pool in pools)
+
+    def test_known_length_run_draws_its_bits_once(self, trace, monkeypatch):
+        """In-process and in the pool, an N-shard run over a known-length
+        stream makes the single run's one draw, in the parent; no shard
+        engine and no worker draws."""
+        import os
+
+        from repro.core import instameasure
+
+        parent = os.getpid()
+        draws = []
+        original = instameasure._BitStream._draw
+
+        def counted(self, count):
+            if os.getpid() != parent:
+                raise RuntimeError("a shard worker drew its own bits")
+            draws.append(count)
+            return original(self, count)
+
+        monkeypatch.setattr(instameasure._BitStream, "_draw", counted)
+        config = _config("batched")
+        single = _single_run(config, trace)
+        for parallel in (False, True):
+            draws.clear()
+            result = ShardedPipeline(config, num_shards=3, parallel=parallel).run(
+                TraceChunkSource(trace, chunk_size=3_000)
+            )
+            assert result.parallel == parallel
+            assert draws == [trace.num_packets]
+            assert result.estimates() == single.estimates()
