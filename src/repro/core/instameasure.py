@@ -57,8 +57,7 @@ def build_wsaf_table(
 
     Delegates to :func:`repro.core.wsaf_storage.build_wsaf_storage` — the
     backend seam: ``wsaf_backend`` picks flat/tiered/icebuckets storage,
-    and a flat table is batch-probed exactly when the batched kernel
-    feeds it.
+    and a flat table is batch-probed under every engine.
     """
     from repro.core.wsaf_storage import build_wsaf_storage
 
@@ -91,8 +90,8 @@ class InstaMeasureConfig:
             table; see :mod:`repro.core.wsaf_tiered`), or
             ``"icebuckets"`` (bucket-scaled compressed counters; see
             :mod:`repro.core.wsaf_icebuckets`).  Every backend runs under
-            either trace ``engine``; the flat table is batch-probed
-            exactly when the batched kernel feeds it.
+            either trace ``engine``; the flat table is the batch-probed
+            one under both.
         tier_cache_entries / tier_interval: tiered backend geometry —
             hot-cache capacity and accumulates between promote/demote
             maintenance ticks.
@@ -750,8 +749,9 @@ def aligned_estimates(store, trace: Trace) -> "tuple[np.ndarray, np.ndarray]":
 
     ``store`` is anything with ``estimates(flow_keys=...)`` returning a
     ``{key64: (packets, bytes)}`` mapping (a WSAF table, a snapshot);
-    flows absent from it estimate 0.  A batch-probed table answers with
-    its vectorized ``estimates_arrays`` instead of a per-flow dict walk.
+    flows absent from it estimate 0.  A :class:`~repro.core.wsaf.WSAFTable`
+    answers with its vectorized ``estimates_arrays`` instead of a
+    per-flow dict walk.
     """
     estimates_arrays = getattr(store, "estimates_arrays", None)
     if estimates_arrays is not None:

@@ -17,13 +17,18 @@ probing, as the paper describes ("when a new flow is inserted, and an empty
 slot is searched by hash chaining, garbage collection is performed").
 
 Each record mirrors the paper's 33-byte layout: flow-ID hash, packet
-counter, byte counter, timestamp, and the 104-bit 5-tuple.
+counter, byte counter, timestamp, and the 104-bit 5-tuple.  Every table
+(and every backend built on one) keeps them in the same column store: a
+NumPy column per field, which sweeps and snapshots read whole, and a
+memoryview of each column, which the per-event operations index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.memmodel import AccessAccountant
@@ -93,10 +98,30 @@ class WSAFTable:
         self.accountant = accountant
         self._mask = num_entries - 1
 
-        # ``_occupied`` answers per-slot probes; ``_occupied_slots`` mirrors
-        # it as a set so snapshots/sweeps are O(size), not O(num_entries).
-        self._occupied_slots: "set[int]" = set()
-        self._allocate_columns()
+        # One NumPy column per record field; key 0 in an unoccupied slot
+        # is the empty marker.  The packed 5-tuple is a 104-bit int (or
+        # None), which no fixed-width dtype holds, so it stays a list.
+        n = num_entries
+        self._occupied = np.zeros(n, dtype=bool)
+        self._keys = np.zeros(n, dtype=np.uint64)
+        self._packets = np.zeros(n, dtype=np.float64)
+        self._bytes = np.zeros(n, dtype=np.float64)
+        self._timestamps = np.zeros(n, dtype=np.float64)
+        self._chance = np.zeros(n, dtype=bool)
+        self._tuples: "list[int | None]" = [None] * n
+        # The per-event operations index the same buffers through
+        # memoryviews, whose items are plain Python bools, ints and
+        # floats: cheaper per event than NumPy scalars.
+        self._occupied_mv = memoryview(self._occupied)
+        self._keys_mv = memoryview(self._keys)
+        self._packets_mv = memoryview(self._packets)
+        self._bytes_mv = memoryview(self._bytes)
+        self._timestamps_mv = memoryview(self._timestamps)
+        self._chance_mv = memoryview(self._chance)
+        #: Triangular probe offsets (i + i²)/2 for the whole window.
+        self._tri = np.array(
+            [(i + i * i) >> 1 for i in range(self.probe_limit)], dtype=np.uint64
+        )
 
         self.size = 0
         self.insertions = 0
@@ -104,22 +129,6 @@ class WSAFTable:
         self.evictions = 0
         self.gc_reclaimed = 0
         self.rejected = 0
-
-    def _allocate_columns(self) -> None:
-        """Build the empty per-slot record columns.
-
-        Parallel Python lists here; key 0 in an unoccupied slot is the
-        empty marker.  Array-backed subclasses override this with their
-        own storage, so no table builds its columns twice.
-        """
-        n = self.num_entries
-        self._occupied = [False] * n
-        self._keys = [0] * n
-        self._packets = [0.0] * n
-        self._bytes = [0.0] * n
-        self._timestamps = [0.0] * n
-        self._chance = [False] * n
-        self._tuples: "list[int | None]" = [None] * n
 
     # -- probing -----------------------------------------------------------
 
@@ -130,10 +139,17 @@ class WSAFTable:
         for i in range(length):
             yield (base + ((i + i * i) >> 1)) & self._mask
 
+    def _probe_windows(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(len(keys), probe_limit)`` slot matrix of ``keys``' windows."""
+        mask64 = np.uint64(self._mask)
+        return (((keys & mask64)[:, None] + self._tri[None, :]) & mask64).astype(
+            np.intp
+        )
+
     def _expired(self, slot: int, now: float) -> bool:
         return (
             self.gc_timeout is not None
-            and now - self._timestamps[slot] > self.gc_timeout
+            and now - self._timestamps_mv[slot] > self.gc_timeout
         )
 
     # -- operations ----------------------------------------------------------
@@ -156,8 +172,8 @@ class WSAFTable:
         # the hottest shared path of both engines.
         mask = self._mask
         base = key & mask
-        occupied = self._occupied
-        keys = self._keys
+        occupied = self._occupied_mv
+        keys = self._keys_mv
         probes = 0
         first_free = -1
         for i in range(self.probe_limit):
@@ -167,12 +183,14 @@ class WSAFTable:
                 if keys[slot] == key:
                     if self.accountant is not None:
                         self.accountant.record("wsaf", reads=probes, writes=1)
-                    self._packets[slot] += est_packets
-                    self._bytes[slot] += est_bytes
-                    self._timestamps[slot] = timestamp
-                    self._chance[slot] = True
+                    total_packets = self._packets_mv[slot] + est_packets
+                    total_bytes = self._bytes_mv[slot] + est_bytes
+                    self._packets_mv[slot] = total_packets
+                    self._bytes_mv[slot] = total_bytes
+                    self._timestamps_mv[slot] = timestamp
+                    self._chance_mv[slot] = True
                     self.updates += 1
-                    return self._packets[slot], self._bytes[slot]
+                    return total_packets, total_bytes
                 if first_free < 0 and self._expired(slot, timestamp):
                     # Opportunistic garbage collection during hash chaining.
                     self._clear(slot)
@@ -193,13 +211,12 @@ class WSAFTable:
 
         if self.accountant is not None:
             self.accountant.record("wsaf", reads=probes, writes=1)
-        self._occupied[first_free] = True
-        self._occupied_slots.add(first_free)
-        self._keys[first_free] = key
-        self._packets[first_free] = est_packets
-        self._bytes[first_free] = est_bytes
-        self._timestamps[first_free] = timestamp
-        self._chance[first_free] = True
+        self._occupied_mv[first_free] = True
+        self._keys_mv[first_free] = key
+        self._packets_mv[first_free] = est_packets
+        self._bytes_mv[first_free] = est_bytes
+        self._timestamps_mv[first_free] = timestamp
+        self._chance_mv[first_free] = True
         self._tuples[first_free] = five_tuple_packed
         self.size += 1
         self.insertions += 1
@@ -239,6 +256,8 @@ class WSAFTable:
         chance bits have decayed.  Under ``min``, the smallest entry is
         evicted unconditionally.  Under ``reject``, nothing is evicted.
         """
+        chance = self._chance_mv
+        packets = self._packets_mv
         victim = -1
         victim_packets = float("inf")
         for slot in self.probe_sequence(key):
@@ -248,39 +267,62 @@ class WSAFTable:
                 return slot
             if self.eviction_policy == "reject":
                 continue
-            if self.eviction_policy == "second-chance" and self._chance[slot]:
-                self._chance[slot] = False
+            if self.eviction_policy == "second-chance" and chance[slot]:
+                chance[slot] = False
                 continue
-            if self._packets[slot] < victim_packets:
+            if packets[slot] < victim_packets:
                 victim = slot
-                victim_packets = self._packets[slot]
+                victim_packets = packets[slot]
         if victim >= 0:
             self._clear(victim)
             self.evictions += 1
         return victim
 
+    def _write(
+        self,
+        slot: int,
+        key: int,
+        packets: float,
+        bytes_: float,
+        timestamp: float,
+        chance: bool,
+        five_tuple_packed: "int | None",
+    ) -> None:
+        """Fill the free ``slot`` with a whole record."""
+        self._occupied_mv[slot] = True
+        self._keys_mv[slot] = key
+        self._packets_mv[slot] = packets
+        self._bytes_mv[slot] = bytes_
+        self._timestamps_mv[slot] = timestamp
+        self._chance_mv[slot] = chance
+        self._tuples[slot] = five_tuple_packed
+        self.size += 1
+
     def _clear(self, slot: int) -> None:
-        self._occupied[slot] = False
-        self._occupied_slots.discard(slot)
-        self._keys[slot] = 0
-        self._packets[slot] = 0.0
-        self._bytes[slot] = 0.0
-        self._timestamps[slot] = 0.0
-        self._chance[slot] = False
+        self._occupied_mv[slot] = False
+        self._keys_mv[slot] = 0
+        self._packets_mv[slot] = 0.0
+        self._bytes_mv[slot] = 0.0
+        self._timestamps_mv[slot] = 0.0
+        self._chance_mv[slot] = False
         self._tuples[slot] = None
         self.size -= 1
+
+    def _entry(self, slot: int) -> WSAFEntry:
+        """The record in the occupied ``slot``."""
+        return WSAFEntry(
+            key=self._keys_mv[slot],
+            packets=self._packets_mv[slot],
+            bytes=self._bytes_mv[slot],
+            last_update=self._timestamps_mv[slot],
+            five_tuple_packed=self._tuples[slot],
+        )
 
     def lookup(self, key: int) -> "WSAFEntry | None":
         """The record for ``key``, or ``None`` if absent."""
         for slot in self.probe_sequence(key):
-            if self._occupied[slot] and self._keys[slot] == key:
-                return WSAFEntry(
-                    key=key,
-                    packets=self._packets[slot],
-                    bytes=self._bytes[slot],
-                    last_update=self._timestamps[slot],
-                    five_tuple_packed=self._tuples[slot],
-                )
+            if self._occupied_mv[slot] and self._keys_mv[slot] == key:
+                return self._entry(slot)
         return None
 
     def remove(self, key: int) -> "WSAFEntry | None":
@@ -294,14 +336,8 @@ class WSAFTable:
         probes = 0
         for slot in self.probe_sequence(key):
             probes += 1
-            if self._occupied[slot] and self._keys[slot] == key:
-                entry = WSAFEntry(
-                    key=key,
-                    packets=self._packets[slot],
-                    bytes=self._bytes[slot],
-                    last_update=self._timestamps[slot],
-                    five_tuple_packed=self._tuples[slot],
-                )
+            if self._occupied_mv[slot] and self._keys_mv[slot] == key:
+                entry = self._entry(slot)
                 self._clear(slot)
                 if self.accountant is not None:
                     self.accountant.record("wsaf", reads=probes, writes=1)
@@ -335,7 +371,7 @@ class WSAFTable:
         free = -1
         for slot in self.probe_sequence(key):
             probes += 1
-            if not self._occupied[slot]:
+            if not self._occupied_mv[slot]:
                 free = slot
                 break
             if self._expired(slot, now):
@@ -352,27 +388,15 @@ class WSAFTable:
         if free < 0:
             self.rejected += 1
             return False
-        self._occupied[free] = True
-        self._occupied_slots.add(free)
-        self._keys[free] = key
-        self._packets[free] = packets
-        self._bytes[free] = bytes_
-        self._timestamps[free] = timestamp
-        self._chance[free] = chance
-        self._tuples[free] = five_tuple_packed
-        self.size += 1
+        self._write(
+            free, key, packets, bytes_, timestamp, chance, five_tuple_packed
+        )
         return True
 
     def entries(self) -> Iterator[WSAFEntry]:
-        """All occupied records, in table order (O(size), not O(capacity))."""
-        for slot in sorted(self._occupied_slots):
-            yield WSAFEntry(
-                key=self._keys[slot],
-                packets=self._packets[slot],
-                bytes=self._bytes[slot],
-                last_update=self._timestamps[slot],
-                five_tuple_packed=self._tuples[slot],
-            )
+        """All occupied records, in table order."""
+        for slot in np.flatnonzero(self._occupied).tolist():
+            yield self._entry(slot)
 
     def estimates(
         self, flow_keys=None
@@ -384,34 +408,62 @@ class WSAFTable:
         snapshot — and keys absent from the table are omitted.  Detection
         apps polling a watch list every window tick use the filtered form.
         """
-        if flow_keys is not None:
-            found: "dict[int, tuple[float, float]]" = {}
-            occupied = self._occupied
-            keys = self._keys
-            for key in flow_keys:
-                key = int(key)
-                for slot in self.probe_sequence(key):
-                    if occupied[slot] and keys[slot] == key:
-                        found[key] = (self._packets[slot], self._bytes[slot])
-                        break
-            return found
-        return {
-            self._keys[slot]: (self._packets[slot], self._bytes[slot])
-            for slot in sorted(self._occupied_slots)
-        }
+        if flow_keys is None:
+            slots = np.flatnonzero(self._occupied)
+            keys = self._keys[slots]
+        else:
+            query, rows, slots = self._find(flow_keys)
+            keys = query[rows]
+        return dict(
+            zip(
+                keys.tolist(),
+                zip(self._packets[slots].tolist(), self._bytes[slots].tolist()),
+            )
+        )
+
+    def estimates_arrays(
+        self, flow_keys
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-flow (packets, bytes) float arrays aligned with ``flow_keys``.
+
+        Missing flows read 0.0 — the array form of :meth:`estimates`, with
+        no intermediate dict for callers that want columns back.
+        """
+        query, rows, slots = self._find(flow_keys)
+        est_packets = np.zeros(query.size)
+        est_bytes = np.zeros(query.size)
+        est_packets[rows] = self._packets[slots]
+        est_bytes[rows] = self._bytes[slots]
+        return est_packets, est_bytes
+
+    def _find(self, flow_keys) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(query, rows, slots)``: ``flow_keys`` as a uint64 array, the
+        rows of it the table holds, and the slot holding each."""
+        query = np.asarray(
+            flow_keys if isinstance(flow_keys, np.ndarray) else list(flow_keys),
+            dtype=np.uint64,
+        )
+        slots = self._probe_windows(query)
+        found = self._occupied[slots] & (self._keys[slots] == query[:, None])
+        rows = np.flatnonzero(found.any(axis=1))
+        return query, rows, slots[rows, found[rows].argmax(axis=1)]
 
     # -- state transfer --------------------------------------------------------
 
     def export_state(self):
         """The table's records and counters as a serializable
-        :class:`~repro.state.snapshot.WSAFState` (columns in slot order)."""
-        import numpy as np
+        :class:`~repro.state.snapshot.WSAFState` (columns in slot order).
 
+        The occupied slots come straight off the occupancy column and
+        every numeric column gathers in one fancy index; only the 5-tuple
+        list (104-bit Python ints) walks a loop.
+        """
         from repro.state.snapshot import WSAFState, pack_tuple_columns
 
-        slots = sorted(self._occupied_slots)
-        n = len(slots)
-        lo, hi, present = pack_tuple_columns([self._tuples[s] for s in slots])
+        slots = np.flatnonzero(self._occupied)
+        lo, hi, present = pack_tuple_columns(
+            [self._tuples[s] for s in slots.tolist()]
+        )
         return WSAFState(
             num_entries=self.num_entries,
             probe_limit=self.probe_limit,
@@ -422,22 +474,12 @@ class WSAFTable:
             evictions=self.evictions,
             gc_reclaimed=self.gc_reclaimed,
             rejected=self.rejected,
-            slots=np.array(slots, dtype=np.int64),
-            keys=np.fromiter(
-                (self._keys[s] for s in slots), dtype=np.uint64, count=n
-            ),
-            packets=np.fromiter(
-                (self._packets[s] for s in slots), dtype=np.float64, count=n
-            ),
-            bytes=np.fromiter(
-                (self._bytes[s] for s in slots), dtype=np.float64, count=n
-            ),
-            timestamps=np.fromiter(
-                (self._timestamps[s] for s in slots), dtype=np.float64, count=n
-            ),
-            chance=np.fromiter(
-                (self._chance[s] for s in slots), dtype=bool, count=n
-            ),
+            slots=slots.astype(np.int64),
+            keys=self._keys[slots],
+            packets=self._packets[slots],
+            bytes=self._bytes[slots],
+            timestamps=self._timestamps[slots],
+            chance=self._chance[slots],
             tuple_lo=lo,
             tuple_hi=hi,
             tuple_present=present,
@@ -453,7 +495,7 @@ class WSAFTable:
         from repro.errors import SnapshotError
 
         for probe in self.probe_sequence(key, length=self.num_entries):
-            if not self._occupied[probe]:
+            if not self._occupied_mv[probe]:
                 return probe
         raise SnapshotError(f"no free slot for restored key {key:#x}")
 
@@ -490,36 +532,19 @@ class WSAFTable:
                 f"snapshot holds {state.num_records + tier_records} records; "
                 f"table capacity is {self.num_entries}"
             )
-        for slot in sorted(self._occupied_slots):
+        for slot in np.flatnonzero(self._occupied).tolist():
             self._clear(slot)
         exact = state.num_entries == self.num_entries
-        tuples = state.tuples()
-        for i, (slot, key) in enumerate(
-            zip(state.slots.tolist(), state.keys.tolist())
+        occupied = self._occupied_mv
+        for slot, (key, *record) in zip(
+            state.slots.tolist(), _records(state), strict=True
         ):
-            if not (exact and 0 <= slot < self.num_entries) or self._occupied[slot]:
+            if not (exact and 0 <= slot < self.num_entries) or occupied[slot]:
                 slot = self._probe_place(key)
-            self._occupied[slot] = True
-            self._occupied_slots.add(slot)
-            self._keys[slot] = key
-            self._packets[slot] = float(state.packets[i])
-            self._bytes[slot] = float(state.bytes[i])
-            self._timestamps[slot] = float(state.timestamps[i])
-            self._chance[slot] = bool(state.chance[i])
-            self._tuples[slot] = tuples[i]
-        if tier_records:
-            tier_tuples = tier.tuples()
-            for i, key in enumerate(tier.keys.tolist()):
-                slot = self._probe_place(key)
-                self._occupied[slot] = True
-                self._occupied_slots.add(slot)
-                self._keys[slot] = key
-                self._packets[slot] = float(tier.packets[i])
-                self._bytes[slot] = float(tier.bytes[i])
-                self._timestamps[slot] = float(tier.timestamps[i])
-                self._chance[slot] = bool(tier.chance[i])
-                self._tuples[slot] = tier_tuples[i]
-        self.size = state.num_records + tier_records
+            self._write(slot, key, *record)
+        if tier is not None:
+            for key, *record in _records(tier):
+                self._write(self._probe_place(key), key, *record)
         self.insertions = state.insertions
         self.updates = state.updates
         self.evictions = state.evictions
@@ -535,13 +560,11 @@ class WSAFTable:
         walk; long-running deployments (the 113-hour campus run) can sweep
         periodically with this instead.  Returns the number reclaimed.
         """
-        reclaimed = 0
-        for slot in sorted(self._occupied_slots):
-            if self._timestamps[slot] < cutoff:
-                self._clear(slot)
-                reclaimed += 1
-        self.gc_reclaimed += reclaimed
-        return reclaimed
+        stale = np.flatnonzero(self._occupied & (self._timestamps < cutoff))
+        for slot in stale.tolist():
+            self._clear(slot)
+        self.gc_reclaimed += len(stale)
+        return len(stale)
 
     def active_entries(self, now: float, window: float) -> Iterator[WSAFEntry]:
         """Records updated within the last ``window`` seconds.
@@ -572,3 +595,18 @@ class WSAFTable:
         """Bytes the per-entry packet+byte counters occupy (two 64-bit
         counters of the 33-byte layout; compressed backends shrink this)."""
         return self.num_entries * 16
+
+
+def _records(columns) -> Iterator[tuple]:
+    """``(key, packets, bytes, timestamp, chance, five_tuple_packed)`` per
+    record of a snapshot's columns (a :class:`~repro.state.snapshot.
+    WSAFState` or its tier section), as Python values."""
+    return zip(
+        columns.keys.tolist(),
+        columns.packets.tolist(),
+        columns.bytes.tolist(),
+        columns.timestamps.tolist(),
+        columns.chance.tolist(),
+        columns.tuples(),
+        strict=True,
+    )

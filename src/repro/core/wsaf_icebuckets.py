@@ -19,10 +19,12 @@ columns always hold the *dequantized* values (``q · 2^scale`` is exact in
 float64), so lookups, eviction ordering, estimates, and snapshots all
 read consistent quantized state with no extra translation.
 
-The table has list columns only: its quantized add chains are
+The quantized counters are two int64 planes beside the inherited
+column store, indexed per event through memoryviews like the other
+columns.  The table takes no batch probing: its quantized add chains are
 order-serial (every add re-rounds at the bucket scale, and an overflow
 rescales the whole bucket), so a cohort-batched form measured slower than
-per-event adds.  The batched regulator kernel still feeds it, one
+per-event adds.  The batched regulator kernel feeds it one
 ``accumulate_batch`` call per chunk.
 
 Snapshots carry the per-bucket scales in an ``ice`` section.  Restoring
@@ -34,6 +36,8 @@ with different bucket geometry re-quantizes from the floats — documented
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.memmodel import AccessAccountant
@@ -81,8 +85,10 @@ class IceBucketsWSAFTable(WSAFTable):
         self._counter_max = (1 << counter_bits) - 1
         #: Quantized counters, parallel to the inherited float columns
         #: (which always hold the dequantized q·2^scale values).
-        self._qpackets = [0] * num_entries
-        self._qbytes = [0] * num_entries
+        self._qpackets = np.zeros(num_entries, dtype=np.int64)
+        self._qbytes = np.zeros(num_entries, dtype=np.int64)
+        self._qpackets_mv = memoryview(self._qpackets)
+        self._qbytes_mv = memoryview(self._qbytes)
         self._scale_packets = [0] * self.num_buckets
         self._scale_bytes = [0] * self.num_buckets
         self.upscales = 0
@@ -100,9 +106,10 @@ class IceBucketsWSAFTable(WSAFTable):
         scale_value = float(1 << plane_scales[bucket])
         begin = bucket * self.bucket_slots
         end = min(begin + self.bucket_slots, self.num_entries)
+        occupied = self._occupied_mv
         touched = 0
         for slot in range(begin, end):
-            if not self._occupied[slot]:
+            if not occupied[slot]:
                 continue
             q = (plane_q[slot] + 1) >> 1
             plane_q[slot] = q
@@ -123,25 +130,25 @@ class IceBucketsWSAFTable(WSAFTable):
         q = round(packets / (1 << self._scale_packets[bucket]))
         while q > counter_max:
             self._upscale(
-                bucket, self._scale_packets, self._qpackets, self._packets
+                bucket, self._scale_packets, self._qpackets_mv, self._packets_mv
             )
             q = round(packets / (1 << self._scale_packets[bucket]))
-        self._qpackets[slot] = q
-        self._packets[slot] = q * float(1 << self._scale_packets[bucket])
+        self._qpackets_mv[slot] = q
+        self._packets_mv[slot] = q * float(1 << self._scale_packets[bucket])
 
         q = round(bytes_ / (1 << self._scale_bytes[bucket]))
         while q > counter_max:
             self._upscale(
-                bucket, self._scale_bytes, self._qbytes, self._bytes
+                bucket, self._scale_bytes, self._qbytes_mv, self._bytes_mv
             )
             q = round(bytes_ / (1 << self._scale_bytes[bucket]))
-        self._qbytes[slot] = q
-        self._bytes[slot] = q * float(1 << self._scale_bytes[bucket])
+        self._qbytes_mv[slot] = q
+        self._bytes_mv[slot] = q * float(1 << self._scale_bytes[bucket])
 
     def _clear(self, slot: int) -> None:
         super()._clear(slot)
-        self._qpackets[slot] = 0
-        self._qbytes[slot] = 0
+        self._qpackets_mv[slot] = 0
+        self._qbytes_mv[slot] = 0
 
     # -- operations ----------------------------------------------------------
 
@@ -161,8 +168,10 @@ class IceBucketsWSAFTable(WSAFTable):
         """
         mask = self._mask
         base = key & mask
-        occupied = self._occupied
-        keys = self._keys
+        occupied = self._occupied_mv
+        keys = self._keys_mv
+        packets = self._packets_mv
+        bytes_ = self._bytes_mv
         probes = 0
         first_free = -1
         for i in range(self.probe_limit):
@@ -174,13 +183,13 @@ class IceBucketsWSAFTable(WSAFTable):
                         self.accountant.record("wsaf", reads=probes, writes=1)
                     self._store(
                         slot,
-                        self._packets[slot] + est_packets,
-                        self._bytes[slot] + est_bytes,
+                        packets[slot] + est_packets,
+                        bytes_[slot] + est_bytes,
                     )
-                    self._timestamps[slot] = timestamp
-                    self._chance[slot] = True
+                    self._timestamps_mv[slot] = timestamp
+                    self._chance_mv[slot] = True
                     self.updates += 1
-                    return self._packets[slot], self._bytes[slot]
+                    return packets[slot], bytes_[slot]
                 if first_free < 0 and self._expired(slot, timestamp):
                     self._clear(slot)
                     self.gc_reclaimed += 1
@@ -198,16 +207,15 @@ class IceBucketsWSAFTable(WSAFTable):
 
         if self.accountant is not None:
             self.accountant.record("wsaf", reads=probes, writes=1)
-        self._occupied[first_free] = True
-        self._occupied_slots.add(first_free)
-        self._keys[first_free] = key
+        occupied[first_free] = True
+        keys[first_free] = key
         self._store(first_free, est_packets, est_bytes)
-        self._timestamps[first_free] = timestamp
-        self._chance[first_free] = True
+        self._timestamps_mv[first_free] = timestamp
+        self._chance_mv[first_free] = True
         self._tuples[first_free] = five_tuple_packed
         self.size += 1
         self.insertions += 1
-        return self._packets[first_free], self._bytes[first_free]
+        return packets[first_free], bytes_[first_free]
 
     def place_record(
         self,
@@ -227,7 +235,7 @@ class IceBucketsWSAFTable(WSAFTable):
         if placed:
             # The parent wrote raw floats; re-commit through quantization.
             for slot in self.probe_sequence(key):
-                if self._occupied[slot] and self._keys[slot] == key:
+                if self._occupied_mv[slot] and self._keys_mv[slot] == key:
                     self._store(slot, packets, bytes_)
                     break
         return placed
@@ -251,8 +259,6 @@ class IceBucketsWSAFTable(WSAFTable):
 
     def export_state(self):
         """Flat columns (dequantized, exact) plus an ``ice`` scale section."""
-        import numpy as np
-
         from repro.state.snapshot import IceState
 
         state = super().export_state()
@@ -292,8 +298,7 @@ class IceBucketsWSAFTable(WSAFTable):
             self._scale_packets = [0] * self.num_buckets
             self._scale_bytes = [0] * self.num_buckets
             self.upscales = 0
-        self._qpackets = [0] * self.num_entries
-        self._qbytes = [0] * self.num_entries
-        for slot in sorted(self._occupied_slots):
-            self._store(slot, self._packets[slot], self._bytes[slot])
+        # The restore cleared every plane entry; requantize the records.
+        for slot in np.flatnonzero(self._occupied).tolist():
+            self._store(slot, self._packets_mv[slot], self._bytes_mv[slot])
 

@@ -7,10 +7,10 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
 
 ``flat``
     The paper's table as-is — the batch-probed
-    :class:`~repro.kernels.wsaf_batched.BatchedWSAFTable` when the batched
-    kernel feeds it (:func:`~repro.kernels.batched.runs_kernel`), the
-    list-column :class:`~repro.core.wsaf.WSAFTable` under the scalar
-    loop.  Bit-identical to the pre-backend behaviour by contract.
+    :class:`~repro.kernels.wsaf_batched.BatchedWSAFTable` under every
+    engine: the batched kernel hands it whole batches, the scalar loop
+    one per-event ``accumulate`` at a time.  Bit-identical to the
+    pre-backend behaviour by contract.
 
 ``tiered``
     A PriMe-style two-tier store (:class:`~repro.core.wsaf_tiered.
@@ -27,10 +27,10 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
     per-bucket shared scale exponents (upscale-on-overflow), trading a
     bounded relative error for a measured counter-memory reduction.
 
-Only the flat table has two forms, because only its array form pays
-end to end.  ``tiered`` and ``icebuckets`` keep list columns, and every
-backend runs under the batched regulator kernel, which feeds them one
-``accumulate_batch`` call per chunk.
+Every backend stores its records in the one column store of
+:class:`~repro.core.wsaf.WSAFTable`.  Only the flat table batch-probes;
+every backend runs under the batched regulator kernel, which feeds the
+tiered and ICE-Buckets tables one ``accumulate_batch`` call per chunk.
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ class WSAFStorage(Protocol):
     ``insertions``, ``updates``, ``evictions``, ``gc_reclaimed``,
     ``rejected``) and the geometry attributes (``num_entries``,
     ``probe_limit``, ``eviction_policy``, ``gc_timeout``) are part of the
-    seam as well; the batched flat table's extra vectorized entry points
-    (``accumulate_batch_arrays`` / ``estimates_arrays``) are advertised by
-    simply having the attribute — callers feature-detect with ``getattr``.
+    seam as well; the extra vectorized entry points
+    (``accumulate_batch_arrays`` on the batch-probed flat table,
+    ``estimates_arrays`` on every :class:`~repro.core.wsaf.WSAFTable`)
+    are advertised by simply having the attribute — callers
+    feature-detect with ``getattr``.
     """
 
     def accumulate(
@@ -121,10 +123,8 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
     """The WSAF backend ``config`` asks for, wired to ``accountant``.
 
     ``wsaf_backend`` picks the storage algorithm; a flat table is
-    batch-probed exactly when the batched kernel feeds it.
+    batch-probed under every engine.
     """
-    from repro.core.wsaf import WSAFTable
-
     backend = getattr(config, "wsaf_backend", "flat")
     if backend == "tiered":
         from repro.core.wsaf_tiered import TieredWSAFTable
@@ -150,15 +150,9 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             bucket_slots=config.ice_bucket_slots,
             counter_bits=config.ice_counter_bits,
         )
-    from repro.kernels.batched import runs_kernel
+    from repro.kernels.wsaf_batched import BatchedWSAFTable
 
-    if runs_kernel(config):
-        from repro.kernels.wsaf_batched import BatchedWSAFTable
-
-        table_class: "type[WSAFTable]" = BatchedWSAFTable
-    else:
-        table_class = WSAFTable
-    return table_class(
+    return BatchedWSAFTable(
         num_entries=config.wsaf_entries,
         probe_limit=config.probe_limit,
         gc_timeout=config.gc_timeout,

@@ -59,9 +59,9 @@ class TieredWSAFTable:
     """Exclusive two-tier working set: exact hot cache + backing table.
 
     Satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage` protocol
-    by composition around a list-column :class:`WSAFTable`.  The scalar
-    loop feeds it one :meth:`accumulate` per event, the batched kernel one
-    :meth:`accumulate_batch` per chunk.
+    by composition around a plain (not batch-probed) :class:`WSAFTable`.
+    The scalar loop feeds it one :meth:`accumulate` per event, the
+    batched kernel one :meth:`accumulate_batch` per chunk.
     """
 
     def __init__(

@@ -11,8 +11,8 @@ the scalar loop (same randomness stream, same state, same WSAF records).
   saturation thresholds of four bits or more, the four-packet one).
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
-* :mod:`repro.kernels.wsaf_batched` — the batch-probed array-backed flat
-  WSAF the kernel delegates its insertion events to.
+* :mod:`repro.kernels.wsaf_batched` — the batch-probed flat WSAF the
+  kernel delegates its insertion events to.
 
 See ``docs/PERFORMANCE.md`` for the design rationale and measured
 speedups, and ``benchmarks/bench_throughput.py`` for the regression

@@ -67,9 +67,7 @@ def runs_kernel(config) -> bool:
 
     The kernel needs ``vector_bits <= 8`` (window states must fit the
     byte-indexed FSM tables), and runs unless ``engine="scalar"`` asks
-    for the per-packet oracle.  The engine dispatches on this predicate,
-    and the flat WSAF backend gets the batch-probed table exactly when
-    it holds.
+    for the per-packet oracle.  The engine dispatches on this predicate.
     """
     return config.engine != "scalar" and config.vector_bits <= 8
 

@@ -1,9 +1,9 @@
-"""Batch-probed, array-backed WSAF (the In-DRAM table, vectorized).
+"""Batch-probed WSAF (the In-DRAM table, vectorized).
 
-:class:`BatchedWSAFTable` keeps the scalar :class:`~repro.core.wsaf.WSAFTable`
-semantics — same probe sequence, same eviction policies, same opportunistic
-GC, same counters — but stores the columns as NumPy arrays and applies
-delegated update batches with **cohort-based batch probing**:
+:class:`BatchedWSAFTable` keeps the per-event :class:`~repro.core.wsaf.
+WSAFTable` semantics — same columns, probe sequence, eviction policies,
+opportunistic GC and counters — and applies delegated update batches with
+**cohort-based batch probing**:
 
 1. Sort the batch stably by flow key, so all updates of one flow form a
    *cohort* that costs one probe plus one add-chain.
@@ -30,7 +30,7 @@ addition is not associative and the contract is bit-identical results.
 The scalar fallback is exercised constantly by the equivalence suite
 (``tests/test_wsaf_batched.py``) — under adversarial same-window cohorts
 and tiny tables everything demotes, and the result must still match the
-scalar table slot for slot.
+per-event table slot for slot.
 """
 
 from __future__ import annotations
@@ -60,33 +60,13 @@ class _BatchPlan:
 
 
 class BatchedWSAFTable(WSAFTable):
-    """A :class:`WSAFTable` with NumPy columns and batched accumulation.
+    """A :class:`WSAFTable` with batched accumulation.
 
-    State-identical to the scalar table for every operation; only the
-    execution strategy of :meth:`accumulate_batch` (and the storage of the
-    columns) differs.  Scalar entry points (:meth:`accumulate`,
-    :meth:`lookup`, sweeps) are inherited and operate on the array columns
-    element-wise.
+    State-identical to the per-event table for every operation; only the
+    execution strategy of :meth:`accumulate_batch` differs.  Columns,
+    per-event entry points (:meth:`accumulate`, :meth:`lookup`), sweeps
+    and state transfer are all inherited.
     """
-
-    def _allocate_columns(self) -> None:
-        """Struct-of-arrays columns instead of the scalar table's lists.
-
-        The packed 5-tuple stays a Python list: it is a 104-bit integer
-        (or None), which no fixed-width dtype holds.
-        """
-        n = self.num_entries
-        self._occupied = np.zeros(n, dtype=bool)
-        self._keys = np.zeros(n, dtype=np.uint64)
-        self._packets = np.zeros(n, dtype=np.float64)
-        self._bytes = np.zeros(n, dtype=np.float64)
-        self._timestamps = np.zeros(n, dtype=np.float64)
-        self._chance = np.zeros(n, dtype=bool)
-        self._tuples = [None] * n
-        #: Triangular probe offsets (i + i²)/2 for the whole window.
-        self._tri = np.array(
-            [(i + i * i) >> 1 for i in range(self.probe_limit)], dtype=np.uint64
-        )
 
     # -- batched accumulation ----------------------------------------------
 
@@ -204,7 +184,6 @@ class BatchedWSAFTable(WSAFTable):
                 ins_slots.tolist(), first_event.tolist()
             ):
                 self._tuples[slot] = tuples[event_index]
-                self._occupied_slots.add(slot)
             self.size += len(ins_cohorts)
             self.insertions += len(ins_cohorts)
             follow_ups = counts[ins_cohorts] - 1
@@ -282,10 +261,7 @@ class BatchedWSAFTable(WSAFTable):
         ukeys = skeys[run_starts]
         num_cohorts = len(ukeys)
 
-        mask64 = np.uint64(self._mask)
-        slots = (
-            ((ukeys & mask64)[:, None] + self._tri[None, :]) & mask64
-        ).astype(np.intp)
+        slots = self._probe_windows(ukeys)
         occ = self._occupied[slots]
         hit_matrix = occ & (self._keys[slots] == ukeys[:, None])
         hit_any = hit_matrix.any(axis=1)
@@ -463,109 +439,3 @@ class BatchedWSAFTable(WSAFTable):
                 sorted_tot_b[start:end] = chain
                 running_bytes[j] = chain[-1]
         return running_packets, running_bytes
-
-    # -- snapshots ----------------------------------------------------------
-
-    def estimates(
-        self, flow_keys=None
-    ) -> "dict[int, tuple[float, float]]":
-        """Vectorized :meth:`WSAFTable.estimates` (same mapping, native
-        Python keys/values)."""
-        if flow_keys is None:
-            occupied_slots = np.flatnonzero(self._occupied)
-            return {
-                key: (packets, bytes_)
-                for key, packets, bytes_ in zip(
-                    self._keys[occupied_slots].tolist(),
-                    self._packets[occupied_slots].tolist(),
-                    self._bytes[occupied_slots].tolist(),
-                )
-            }
-        query = np.asarray(
-            flow_keys
-            if isinstance(flow_keys, np.ndarray)
-            else list(flow_keys),
-            dtype=np.uint64,
-        )
-        if query.size == 0:
-            return {}
-        mask64 = np.uint64(self._mask)
-        slots = (
-            ((query & mask64)[:, None] + self._tri[None, :]) & mask64
-        ).astype(np.intp)
-        found = self._occupied[slots] & (self._keys[slots] == query[:, None])
-        rows = np.flatnonzero(found.any(axis=1))
-        hit_slots = slots[rows, found[rows].argmax(axis=1)]
-        return {
-            key: (packets, bytes_)
-            for key, packets, bytes_ in zip(
-                query[rows].tolist(),
-                self._packets[hit_slots].tolist(),
-                self._bytes[hit_slots].tolist(),
-            )
-        }
-
-    def estimates_arrays(
-        self, flow_keys
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-flow (packets, bytes) float arrays aligned with ``flow_keys``.
-
-        Missing flows read 0.0 — the array form of :meth:`estimates`, with
-        no intermediate dict for callers that want columns back.
-        """
-        query = np.asarray(
-            flow_keys
-            if isinstance(flow_keys, np.ndarray)
-            else list(flow_keys),
-            dtype=np.uint64,
-        )
-        est_packets = np.zeros(query.size)
-        est_bytes = np.zeros(query.size)
-        if query.size == 0:
-            return est_packets, est_bytes
-        mask64 = np.uint64(self._mask)
-        slots = (
-            ((query & mask64)[:, None] + self._tri[None, :]) & mask64
-        ).astype(np.intp)
-        found = self._occupied[slots] & (self._keys[slots] == query[:, None])
-        rows = np.flatnonzero(found.any(axis=1))
-        hit_slots = slots[rows, found[rows].argmax(axis=1)]
-        est_packets[rows] = self._packets[hit_slots]
-        est_bytes[rows] = self._bytes[hit_slots]
-        return est_packets, est_bytes
-
-    # -- state transfer ------------------------------------------------------
-
-    def export_state(self):
-        """Array-gather :meth:`WSAFTable.export_state` (identical snapshot).
-
-        The occupied slots come straight off the boolean column and every
-        numeric column gathers in one fancy index; only the 5-tuple list
-        (104-bit Python ints) walks a loop.
-        """
-        from repro.state.snapshot import WSAFState, pack_tuple_columns
-
-        slots = np.flatnonzero(self._occupied)
-        lo, hi, present = pack_tuple_columns(
-            [self._tuples[s] for s in slots.tolist()]
-        )
-        return WSAFState(
-            num_entries=self.num_entries,
-            probe_limit=self.probe_limit,
-            eviction_policy=self.eviction_policy,
-            size=self.size,
-            insertions=self.insertions,
-            updates=self.updates,
-            evictions=self.evictions,
-            gc_reclaimed=self.gc_reclaimed,
-            rejected=self.rejected,
-            slots=slots.astype(np.int64),
-            keys=self._keys[slots].copy(),
-            packets=self._packets[slots].copy(),
-            bytes=self._bytes[slots].copy(),
-            timestamps=self._timestamps[slots].copy(),
-            chance=self._chance[slots].copy(),
-            tuple_lo=lo,
-            tuple_hi=hi,
-            tuple_present=present,
-        )

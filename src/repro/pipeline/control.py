@@ -28,12 +28,9 @@ runs over the same trace and offered-rate schedule with the same seed
 therefore keep exactly the same packets and produce byte-identical
 snapshots, and the mask does not change when the chunk geometry does.
 A recovered daemon resumes the governor's stream clock from its
-checkpoint, so recovery keeps the same packets too.
-
-Kept packets are *rebased* onto a dense "kept stream": the chunk a
-measurer actually ingests spans ``[kept_offset, kept_offset + kept)``,
-so known-length sharded runs that gather randomness by position consume
-exactly the bits a single-process shed run hands the same packets.
+checkpoint, so recovery keeps the same packets too.  A thinned chunk
+keeps its source ``begin``; measurers take their randomness in stream
+order, so no run reads a governed chunk's position.
 """
 
 from __future__ import annotations
@@ -101,6 +98,8 @@ class ControllerStats:
         return self.kept_packets / self.offered_packets
 
     def as_dict(self) -> "dict":
+        """The tallies as a JSON-ready dict (the checkpoint manifest form,
+        read back by :meth:`from_dict`)."""
         return {
             "policy": self.policy,
             "chunks": self.chunks,
@@ -223,12 +222,10 @@ def thin_mask(begin: int, end: int, keep_fraction: float, seed: int) -> np.ndarr
     return hash_u64_array(positions, seed=seed) < threshold
 
 
-def thin_chunk(
-    chunk: Chunk, keep_fraction: float, seed: int, kept_begin: int
-) -> "Chunk | None":
-    """Deterministically sample ``chunk`` and rebase it onto the kept stream.
+def thin_chunk(chunk: Chunk, keep_fraction: float, seed: int) -> "Chunk | None":
+    """Deterministically sample ``chunk``.
 
-    Returns a chunk spanning ``[kept_begin, kept_begin + kept)`` whose
+    Returns a chunk spanning ``[chunk.begin, chunk.begin + kept)`` whose
     trace holds only the kept packets, or ``None`` when the mask keeps
     nothing.  ``total_packets`` is preserved (the measurer's randomness
     draw is still sized by the original stream).
@@ -247,23 +244,10 @@ def thin_chunk(
     return Chunk(
         trace=sub,
         index=chunk.index,
-        begin=kept_begin,
-        end=kept_begin + kept,
+        begin=chunk.begin,
+        end=chunk.begin + kept,
         epoch=chunk.epoch,
         total_packets=chunk.total_packets,
-    )
-
-
-def _rebase_chunk(chunk: Chunk, kept_begin: int) -> Chunk:
-    """The same packets at a new kept-stream span (trace untouched)."""
-    return Chunk(
-        trace=chunk.trace,
-        index=chunk.index,
-        begin=kept_begin,
-        end=kept_begin + chunk.num_packets,
-        epoch=chunk.epoch,
-        total_packets=chunk.total_packets,
-        parent=chunk.parent,
     )
 
 
@@ -273,8 +257,8 @@ class ChunkGovernor:
     The mechanism behind ``Pipeline.step``, which every run loop —
     single-process, sharded, and the service daemon — goes through:
     measures each incoming chunk's offered rate, asks the controller,
-    and turns the decision into the chunk to ingest, thinned and
-    rebased onto the dense kept stream.
+    and turns the decision into the chunk to ingest: the chunk itself
+    when it passes, its thinned sample, or nothing.
 
     Args:
         controller: the policy (a :class:`ShedController`).
@@ -309,7 +293,6 @@ class ChunkGovernor:
             else ControllerStats(policy=controller.policy)
         )
         self.decisions: "deque[ControlDecisionRecord]" = deque(maxlen=history)
-        self._kept_offset: "int | None" = None
         self._last_stream_time = stream_time
 
     def _offered_pps(self, chunk: Chunk) -> float:
@@ -333,25 +316,16 @@ class ChunkGovernor:
         packets = chunk.num_packets
         if packets == 0:
             return chunk
-        if self._kept_offset is None:
-            # The kept stream starts where the original stream does, so
-            # a controller that never sheds leaves chunks untouched.
-            self._kept_offset = chunk.begin
         offered_pps = self._offered_pps(chunk)
         decision = self.controller.decide(offered_pps)
 
         if decision.action == "drop":
             kept_chunk = None
         elif decision.keep_fraction < 1.0:
-            kept_chunk = thin_chunk(
-                chunk, decision.keep_fraction, self.seed, self._kept_offset
-            )
-        elif self._kept_offset == chunk.begin:
-            kept_chunk = chunk
+            kept_chunk = thin_chunk(chunk, decision.keep_fraction, self.seed)
         else:
-            kept_chunk = _rebase_chunk(chunk, self._kept_offset)
+            kept_chunk = chunk
         kept = 0 if kept_chunk is None else kept_chunk.num_packets
-        self._kept_offset += kept
 
         stats = self.stats
         stats.chunks += 1

@@ -35,11 +35,14 @@ from repro.traffic.packet import Trace
 class StreamingMeasurer(Protocol):
     """Structural type of every measurer the Pipeline driver can feed."""
 
-    def ingest(self, chunk) -> object: ...
+    def ingest(self, chunk) -> object:
+        """Consume one chunk (or a bare trace) of the current stream."""
 
-    def finalize(self) -> object: ...
+    def finalize(self) -> object:
+        """End the stream; measurement state survives for reads."""
 
-    def estimates(self, flow_keys=None) -> "dict[int, tuple[float, float]]": ...
+    def estimates(self, flow_keys=None) -> "dict[int, tuple[float, float]]":
+        """Current per-flow ``{key64: (packets, bytes)}`` readings."""
 
 
 def supports_rotate(measurer) -> bool:

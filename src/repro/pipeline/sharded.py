@@ -192,43 +192,22 @@ class _PackedTuples:
 
 
 class _ShardFlowSync:
-    """Parent-side map from one flow table's global flow ids to a worker's
-    dense local ids.
+    """Parent-side map from a worker's flows on one table to its dense
+    local ids.
 
-    :meth:`localize` hands back the given ids' local ids plus the ids the
-    worker has not been sent yet.  Only the current table is kept: ids on
-    another table start a fresh map, so tables that sources build per
-    chunk (pcap-lite, sockets) are held one at a time.
+    :meth:`_PoolShardMeasurer._send_tables` hands :meth:`localize` the
+    output of :func:`~repro.state.shard.select_shard` — the sorted,
+    distinct ids of the worker's flows on a table it has not seen — so
+    the map holds no state: local id ``i`` is the ``i``-th of those ids.
+    The method stays a method of its own as the boundary perfbench's
+    ``sharded.localize`` span wraps.
     """
 
-    def __init__(self) -> None:
-        self._flows = None
-        self._mapping: "np.ndarray | None" = None
-        self.count = 0
-
     def localize(self, flows, flow_ids: np.ndarray):
-        """``(local_ids, fresh)``: the local id of every entry of
-        ``flow_ids``, and the distinct ids not mapped before, ascending."""
-        if flows is not self._flows:
-            self._flows = flows
-            self._mapping = np.full(len(flows), -1, dtype=np.int64)
-            self.count = 0
-        mapping = self._mapping
-        local_ids = mapping[flow_ids]
-        unmapped = local_ids < 0
-        pending = flow_ids[unmapped]
-        # Distinct unmapped ids by sort and adjacent compare: a plain
-        # np.unique takes NumPy's (>= 2.3) far slower hash path.
-        fresh = np.sort(pending)
-        if fresh.size > 1:
-            fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
-        if fresh.size:
-            mapping[fresh] = np.arange(
-                self.count, self.count + fresh.size, dtype=np.int64
-            )
-            self.count += int(fresh.size)
-            local_ids[unmapped] = mapping[pending]
-        return local_ids, fresh
+        """``(local_ids, fresh)`` for the sorted, distinct ``flow_ids`` of
+        a new table ``flows``: ``arange(len(flow_ids))`` and the ids
+        themselves, every one fresh to the worker."""
+        return np.arange(flow_ids.size, dtype=np.int64), flow_ids
 
 
 def _fresh_flow_columns(flows, index: np.ndarray):
@@ -440,13 +419,13 @@ class ShardWorkerPool:
 
         # Only a forked worker inherits the ring's mapping.
         context = multiprocessing.get_context("fork")
-        if runs_kernel(config):
-            # Built once here, every forked worker inherits the kernel's
-            # FSM tables copy-on-write instead of rebuilding them, and the
-            # batch-probed WSAF's module instead of importing it while it
-            # builds its engine (the engine imports it lazily).
-            import repro.kernels.wsaf_batched  # noqa: F401
+        # Every forked worker inherits the batch-probed WSAF's module
+        # instead of importing it while it builds its engine (the engine
+        # imports it lazily), and under the kernel its FSM tables,
+        # copy-on-write, instead of rebuilding them.
+        import repro.kernels.wsaf_batched  # noqa: F401
 
+        if runs_kernel(config):
             l1 = l1_sketch(config)
             geometry_tables(l1.vector_bits, l1.saturation_bits)
         if slot_packets is None:
@@ -766,7 +745,9 @@ class ShardedStreamingMeasurer:
     :meth:`from_snapshots` to resume.
     """
 
-    def __init__(self, config=None, num_shards: int = 1, accountant=None) -> None:
+    def __init__(
+        self, config=None, num_shards: int = 1, accountant=None, *, engines=None
+    ) -> None:
         from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 
         if num_shards < 1:
@@ -776,7 +757,8 @@ class ShardedStreamingMeasurer:
         self.config = config or InstaMeasureConfig()
         self.num_shards = num_shards
         self.router = ShardRouter.for_config(self.config, num_shards)
-        self.engines = [
+        #: One engine per shard: fresh ones, or the restored ``engines``.
+        self.engines = engines or [
             InstaMeasure(self.config, accountant) for _ in range(num_shards)
         ]
         #: The run's one known-length draw, handed out per chunk.
@@ -792,13 +774,16 @@ class ShardedStreamingMeasurer:
 
         if not snapshots:
             raise ConfigurationError("cannot restore from zero shard snapshots")
-        config = snapshot_config(snapshots[0])
-        measurer = cls(config, num_shards=len(snapshots), accountant=accountant)
-        measurer.engines = [
+        engines = [
             InstaMeasure.from_snapshot(snapshot, accountant=accountant)
             for snapshot in snapshots
         ]
-        return measurer
+        return cls(
+            snapshot_config(snapshots[0]),
+            num_shards=len(engines),
+            accountant=accountant,
+            engines=engines,
+        )
 
     def begin_stream(self, total: "int | None" = None) -> None:
         """Open every shard's stream before the first chunk.
@@ -844,6 +829,7 @@ class ShardedStreamingMeasurer:
                 )
 
     def finalize(self) -> ShardedStreamResult:
+        """End every shard's stream; their totals, summed."""
         results = [engine.finalize() for engine in self.engines]
         route_s, self._route_s = self._route_s, 0.0
         self._bits = None
@@ -915,7 +901,7 @@ class _PoolShardMeasurer:
         self.router = ShardRouter.for_config(config, pool.num_shards)
         self.pool = pool
         self._bits = None if total is None else _BitStream(config, total)
-        self._syncs = [_ShardFlowSync() for _ in range(pool.num_shards)]
+        self._sync = _ShardFlowSync()
         #: The current flow table, each flow's shard and worker-local id.
         self._flows = None
         self._flow_shards: "np.ndarray | None" = None
@@ -930,9 +916,9 @@ class _PoolShardMeasurer:
         flow_shards = self.router.flow_shards(flows)
         local = np.empty(len(flows), dtype=np.int64)
         frames = []
-        for shard, sync in enumerate(self._syncs):
+        for shard in range(self.pool.num_shards):
             members = select_shard(flow_shards, shard)
-            local[members], fresh = sync.localize(flows, members)
+            local[members], fresh = self._sync.localize(flows, members)
             key64, tuple_lo, tuple_hi = _fresh_flow_columns(flows, fresh)
             frames.append(
                 pack_frame(

@@ -260,6 +260,7 @@ class PacketRecordChunkSource(StreamingChunkSource):
         self._reader: "PacketRecordReader | None" = None
 
     def seek_packets(self, offset: int) -> None:
+        """Start the next iteration at record ``offset`` of the file."""
         if offset < 0:
             raise ConfigurationError("seek offset must be >= 0")
         self._start_offset = int(offset)

@@ -97,7 +97,11 @@ class CheckpointStore:
         """Write one checkpoint atomically; returns its info.
 
         ``snapshots`` is the per-shard snapshot list (one entry for an
-        unsharded daemon); ``meta`` is merged into the manifest.
+        unsharded daemon); ``meta`` is merged into the manifest, under the
+        store's own fields (``version``, ``seq``, ``shards``,
+        ``shard_integrity``), which a colliding ``meta`` key never
+        overrides — so re-saving a loaded checkpoint's ``meta`` writes a
+        new checkpoint, not a copy of the old one's manifest.
         """
         if not snapshots:
             raise ConfigurationError("a checkpoint needs at least one snapshot")
@@ -118,12 +122,12 @@ class CheckpointStore:
         # The shard renames reach the disk before the manifest commits them.
         self._fsync_directory()
         manifest = {
+            **(meta or {}),
             "version": CHECKPOINT_VERSION,
             "seq": seq,
             "shards": [os.path.basename(path) for path in shard_paths],
             "shard_integrity": integrity,
         }
-        manifest.update(meta or {})
         manifest_path = self._manifest_path(seq)
         with open(manifest_path + ".tmp", "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)

@@ -281,7 +281,8 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
     """Decode :func:`to_bytes` output; reject foreign or damaged input.
 
     Every way the bytes can be wrong — magic, lengths, the manifest, a
-    missing or mistyped header field — raises :class:`SnapshotError`.
+    missing or mistyped header field, a record column whose length is
+    not its section's record count — raises :class:`SnapshotError`.
     """
     header, header_end = _read_header(data, MAGIC, "IMSNAP snapshot")
     version = header.get("version")
@@ -295,6 +296,32 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
         return _snapshot_from(header, columns)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise SnapshotError(f"malformed snapshot header: {exc!r}") from exc
+
+
+#: The per-record columns of a WSAF section (and of its tier section),
+#: each as long as the section's ``keys``.
+_RECORD_COLUMNS = (
+    "keys",
+    "packets",
+    "bytes",
+    "timestamps",
+    "chance",
+    "tuple_lo",
+    "tuple_hi",
+    "tuple_present",
+)
+
+
+def _check_counts(section: str, state, names, count: int) -> None:
+    """Raise SnapshotError unless each named column of ``state`` holds
+    ``count`` entries."""
+    for name in names:
+        length = len(getattr(state, name))
+        if length != count:
+            raise SnapshotError(
+                f"snapshot column {section}.{name} holds {length} entries, "
+                f"not {count}"
+            )
 
 
 def _snapshot_from(
@@ -387,6 +414,13 @@ def _snapshot_from(
         tier=tier,
         ice=ice,
     )
+
+    _check_counts("wsaf", wsaf, ("slots",) + _RECORD_COLUMNS, wsaf.num_records)
+    if tier is not None:
+        _check_counts("wsaf.tier", tier, _RECORD_COLUMNS, tier.num_records)
+        _check_counts("wsaf.tier", tier, ("heat_counts",), len(tier.heat_keys))
+    if ice is not None:
+        _check_counts("wsaf.ice", ice, ("scale_bytes",), len(ice.scale_packets))
 
     stream_meta = header["stream"]
     stream = None

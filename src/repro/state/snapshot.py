@@ -10,12 +10,14 @@ manager (:mod:`repro.pipeline.sharded`), :func:`repro.state.merge.merge`
 folds many of them into one, and :mod:`repro.state.codec` round-trips
 them to bytes/files with a versioned, self-describing header.
 
-Capture/restore is exact for both WSAF backing stores: a snapshot taken
-from a scalar :class:`~repro.core.wsaf.WSAFTable` restores bit-identically
-into a batched one and vice versa (the stores are state-identical by
-contract).  An engine with an in-progress *known-length* ingest stream is
-also exact: the stream's randomness is a deterministic function of
-``(seed, total)`` and the cursor offset, so restore re-draws and seeks.
+Capture/restore is exact whichever engine filled the table: the scalar
+loop and the batched kernel leave state-identical tables by contract, so
+a snapshot of either restores bit-identically under the other.  An engine
+with an in-progress *known-length* ingest stream is also exact: the
+stream's randomness is a deterministic function of ``(seed, total)`` and
+the cursor offset, so restore re-draws and seeks.  Restore rejects every
+snapshot it cannot rebuild — a config the engine refuses, sketch words of
+the wrong length, an unusable stream cursor — with :class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class SketchState:
     saturations: int
 
     def copy(self) -> "SketchState":
+        """An independent copy (the words array included)."""
         return SketchState(
             words=self.words.copy(),
             packets_encoded=self.packets_encoded,
@@ -88,6 +91,7 @@ class RegulatorState:
     insertions: int
 
     def copy(self) -> "RegulatorState":
+        """An independent copy of every sketch and counter."""
         return RegulatorState(
             sketches=[sketch.copy() for sketch in self.sketches],
             packets=self.packets,
@@ -129,6 +133,7 @@ class TierState:
         return len(self.keys)
 
     def tuples(self) -> "list[int | None]":
+        """The cache records' packed 5-tuples, re-widened to Python ints."""
         return unpack_tuple_columns(
             self.tuple_lo, self.tuple_hi, self.tuple_present
         )
@@ -319,15 +324,19 @@ def capture_regulator(regulator) -> RegulatorState:
 
 
 def restore_regulator(regulator, state: RegulatorState) -> None:
-    """Install ``state`` into a live regulator of matching geometry."""
+    """Install ``state`` into a live regulator of matching geometry; words
+    that do not fit a sketch raise :class:`SnapshotError`."""
     sketches = regulator_sketches(regulator)
     if len(sketches) != len(state.sketches):
         raise SnapshotError(
             f"regulator has {len(sketches)} sketches; snapshot carries "
             f"{len(state.sketches)}"
         )
-    for sketch, saved in zip(sketches, state.sketches):
-        sketch.set_words_array(saved.words)
+    for index, (sketch, saved) in enumerate(zip(sketches, state.sketches)):
+        try:
+            sketch.set_words_array(saved.words)
+        except (TypeError, ValueError) as exc:
+            raise SnapshotError(f"regulator sketch {index} words: {exc}") from exc
         sketch.packets_encoded = saved.packets_encoded
         sketch.saturations = saved.saturations
     stats = regulator.stats
@@ -414,8 +423,9 @@ def snapshot_config(snapshot: MeasurementSnapshot):
 
     Every restore path builds its config here.  Retired keys are dropped
     (a ``num_layers`` other than 2 is a :class:`SnapshotError`); any
-    other key the config does not know raises :class:`SnapshotError`
-    instead of escaping the dataclass constructor as a ``TypeError``.
+    other key the config does not know, and any value it rejects, raises
+    :class:`SnapshotError` instead of escaping the dataclass constructor
+    as a ``TypeError`` or a ``ConfigurationError``.
     """
     from repro.core.instameasure import InstaMeasureConfig
 
@@ -439,7 +449,10 @@ def snapshot_config(snapshot: MeasurementSnapshot):
     unknown = sorted(set(config) - known)
     if unknown:
         raise SnapshotError(f"snapshot config has unknown keys {unknown}")
-    return InstaMeasureConfig(**config)
+    try:
+        return InstaMeasureConfig(**config)
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
+        raise SnapshotError(f"snapshot config is invalid: {exc}") from exc
 
 
 def _cursor_count(cursor: StreamCursor, name: str, upper: "int | None") -> int:
@@ -460,12 +473,12 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     The engine is constructed from the snapshot's embedded config, then
     regulator words/counters, WSAF records, and (when present) the ingest
     stream's RNG cursor are installed.  A restored mid-stream engine
-    continues ingesting exactly where the captured one stopped.  A cursor
-    the stream could not resume from — a negative total, an offset
-    outside ``[0, total]``, a block cursor outside its block, an RNG
-    state the generator refuses — raises :class:`SnapshotError`.  A
-    known-length cursor's ``total`` is trusted as given: restore redraws
-    the whole stream's randomness up front.
+    continues ingesting exactly where the captured one stopped.  A config
+    no engine can be built from, and a cursor the stream could not resume
+    from — a negative total, an offset outside ``[0, total]``, a block
+    cursor outside its block, an RNG state the generator refuses — raise
+    :class:`SnapshotError`.  A known-length cursor's ``total`` is trusted
+    as given: restore redraws the whole stream's randomness up front.
     """
     from repro.core.instameasure import InstaMeasure
 
@@ -473,7 +486,11 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
         raise SnapshotError(
             f"cannot restore snapshot kind {snapshot.kind!r} into an engine"
         )
-    engine = InstaMeasure(snapshot_config(snapshot), accountant)
+    config = snapshot_config(snapshot)
+    try:
+        engine = InstaMeasure(config, accountant)
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
+        raise SnapshotError(f"snapshot config builds no engine: {exc}") from exc
     restore_regulator(engine.regulator, snapshot.regulator)
     engine.wsaf.load_state(snapshot.wsaf)
     cursor = snapshot.stream

@@ -6,7 +6,8 @@ Contracts under test, layer by layer:
   ``shed`` thins to the target with seed-stable sampling;
 * mechanism: the thinning mask is a pure function of (seed, global
   position) — identical across chunk geometries — and the governor
-  rebases kept chunks onto a dense kept stream;
+  hands passed chunks on as they are and thinned ones at their source
+  ``begin``;
 * drivers: a shed controller that never sheds is byte-identical to no
   controller at all, shed runs are byte-identical across repeats, and a
   sharded shed run equals the single-process one exactly;
@@ -130,10 +131,10 @@ class TestThinningMechanism:
             != thin_mask(0, 10_000, 0.5, seed=2)
         ).any()
 
-    def test_thin_chunk_rebases_onto_kept_stream(self, trace):
-        (chunk,) = TraceChunkSource(trace, chunk_size=trace.num_packets)
-        kept = thin_chunk(chunk, 0.5, seed=3, kept_begin=40)
-        assert kept.begin == 40
+    def test_thin_chunk_keeps_its_source_begin(self, trace):
+        chunk = list(TraceChunkSource(trace, chunk_size=700))[1]
+        kept = thin_chunk(chunk, 0.5, seed=3)
+        assert kept.begin == chunk.begin == 700
         assert kept.end - kept.begin == kept.num_packets
         assert 0 < kept.num_packets < chunk.num_packets
         assert kept.total_packets == chunk.total_packets
@@ -143,7 +144,7 @@ class TestThinningMechanism:
         source = TraceChunkSource(trace, chunk_size=4)
         chunk = next(iter(source))
         # A vanishing keep fraction on a tiny chunk keeps nothing.
-        assert thin_chunk(chunk, 1e-12, seed=1_000, kept_begin=0) is None
+        assert thin_chunk(chunk, 1e-12, seed=1_000) is None
 
 
 class TestChunkGovernor:
@@ -161,21 +162,23 @@ class TestChunkGovernor:
             list(TraceChunkSource(trace, chunk_size=700))
         )
 
-    def test_kept_stream_is_dense(self, trace):
-        """Ready chunks tile [first.begin, first.begin + kept) exactly."""
-        governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
-        ready = []
-        for chunk in TraceChunkSource(trace, chunk_size=700):
-            admitted = governor.admit(chunk)
-            if admitted is not None:
-                ready.append(admitted)
-        position = ready[0].begin
-        assert position == 0
-        for chunk in ready:
-            assert chunk.begin == position
-            assert chunk.end == chunk.begin + chunk.num_packets
-            position = chunk.end
-        assert position == governor.stats.kept_packets
+    def test_governed_chunks_keep_their_source_span(self, trace):
+        """A chunk that passes comes back as it is; a thinned one keeps
+        its source ``begin`` and spans only its kept packets."""
+        actions = set()
+        for target_pps in (1_000.0, 1e12):
+            governor = ChunkGovernor(ShedController(target_pps=target_pps, seed=2))
+            for chunk in TraceChunkSource(trace, chunk_size=700):
+                admitted = governor.admit(chunk)
+                action = governor.decisions[-1].action
+                actions.add(action)
+                if action == "pass":
+                    assert admitted is chunk
+                elif admitted is not None:
+                    assert admitted.begin == chunk.begin
+                    assert admitted.end == chunk.begin + admitted.num_packets
+                    assert admitted.num_packets < chunk.num_packets
+        assert {"pass", "thin"} <= actions
 
     def test_stats_round_trip_through_a_dict(self, trace):
         from repro.pipeline import ControllerStats

@@ -5,7 +5,7 @@ engine must leave exactly the same regulator words, counters, statistics,
 and WSAF contents behind as the scalar per-packet loop, for every
 configuration it claims to support, through either of its delegation
 forms (the batch-probed table's column arrays, or ``accumulate_batch``
-on list columns).  These tests enforce that contract across seeds,
+on a plain per-event table).  These tests enforce that contract across seeds,
 chunk sizes (including one-packet chunks), eviction policies, saturation
 thresholds, vector and word geometries, a single-flow trace whose every
 chunk is one maximal contested stretch, and the empty trace, rerun the
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
+from repro.core.wsaf import WSAFTable
 from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
 from repro.kernels import SENTINEL, geometry_tables, kernel_tables
@@ -61,12 +62,24 @@ def layout(request):
     """The flat WSAF column layout the kernel feeds.
 
     ``"batched"`` is the batch-probed table the kernel builds for itself;
-    ``"scalar"`` hands it a list-column table instead, which it feeds
-    through ``accumulate_batch`` — the delegation the tiered and
+    ``"scalar"`` hands it a plain :class:`WSAFTable` instead, which it
+    feeds through ``accumulate_batch`` — the delegation the tiered and
     ICE-Buckets backends ride — so that form is pinned on the plain
     flat table too.
     """
     return request.param
+
+
+def _flat_table(config: InstaMeasureConfig, layout: str):
+    """The flat table of ``layout`` (see the ``layout`` fixture)."""
+    if layout == "batched":
+        return build_wsaf_storage(config)
+    return WSAFTable(
+        num_entries=config.wsaf_entries,
+        probe_limit=config.probe_limit,
+        gc_timeout=config.gc_timeout,
+        eviction_policy=config.eviction_policy,
+    )
 
 
 def _config(**overrides) -> InstaMeasureConfig:
@@ -79,7 +92,7 @@ def _run(trace, config, layout=None):
     """Run ``config`` over ``trace``; ``layout`` swaps the flat WSAF."""
     engine = InstaMeasure(config)
     if layout is not None:
-        engine.wsaf = build_wsaf_storage(replace(config, engine=layout))
+        engine.wsaf = _flat_table(config, layout)
     result = engine.process_trace(trace)
     return engine, result
 
@@ -228,7 +241,7 @@ class TestBitIdenticality:
             trace, on_accumulate=lambda *args: scalar_calls.append(args)
         )
         batched_engine = InstaMeasure(_config(engine="batched"))
-        batched_engine.wsaf = build_wsaf_storage(_config(engine=layout))
+        batched_engine.wsaf = _flat_table(_config(), layout)
         batched_engine.process_trace(
             trace, on_accumulate=lambda *args: batched_calls.append(args)
         )
@@ -441,13 +454,13 @@ class TestResultSemantics:
             assert engine.regulator.stats.packets == 2 * trace.num_packets
 
     def test_occupied_slot_set_consistency(self, trace):
-        """The O(size) slot set must mirror the occupancy column exactly."""
+        """Sweeps, size and the occupancy column agree after heavy churn."""
         engine, _ = _run(
             trace, _config(engine="batched", wsaf_entries=16, probe_limit=4)
         )
         table = engine.wsaf
-        expected = {
-            slot for slot, used in enumerate(table._occupied) if used
-        }
-        assert table._occupied_slots == expected
-        assert len(list(table.entries())) == table.size == len(expected)
+        occupied = np.flatnonzero(table._occupied)
+        assert len(list(table.entries())) == table.size == occupied.size
+        assert [entry.key for entry in table.entries()] == (
+            table._keys[occupied].tolist()
+        )

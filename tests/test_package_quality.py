@@ -26,7 +26,10 @@ PACKAGES = [
     "repro.hashing",
     "repro.kernels",
     "repro.memmodel",
+    "repro.pipeline",
+    "repro.service",
     "repro.simulate",
+    "repro.state",
     "repro.traffic",
 ]
 

@@ -31,6 +31,7 @@ from repro.core import (
     InstaMeasure,
     InstaMeasureConfig,
     MultiCoreInstaMeasure,
+    WSAFTable,
     build_wsaf_storage,
 )
 from repro.errors import ConfigurationError
@@ -132,18 +133,22 @@ def _own_table(trace: Trace) -> Trace:
 
 
 def _engine(engine: str, layout: "str | None" = None) -> InstaMeasure:
-    """An engine; ``layout`` swaps in the flat WSAF the other engine builds.
+    """An engine; ``layout`` swaps in a flat WSAF of that kind.
 
-    Each engine builds its own flat layout (the kernel the batch-probed
-    table, the scalar loop list columns); handing it the other one checks
-    that chunked ingestion does not depend on which table it feeds.
+    ``"batched"`` is the batch-probed table every engine builds,
+    ``"scalar"`` a plain per-event :class:`WSAFTable`; feeding either
+    checks that chunked ingestion does not depend on which table it feeds.
     """
     config = InstaMeasureConfig(
         l1_memory_bytes=2 * 1024, wsaf_entries=1 << 12, seed=3, engine=engine
     )
     measurer = InstaMeasure(config)
-    if layout is not None:
-        measurer.wsaf = build_wsaf_storage(replace(config, engine=layout))
+    if layout == "batched":
+        measurer.wsaf = build_wsaf_storage(config)
+    elif layout == "scalar":
+        measurer.wsaf = WSAFTable(
+            num_entries=config.wsaf_entries, probe_limit=config.probe_limit
+        )
     return measurer
 
 

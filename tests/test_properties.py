@@ -249,82 +249,6 @@ class TestMergeProperties:
         assert merged.num_flows <= trace.num_flows  # identical tuples merge
         assert merged.num_packets == 2 * trace.num_packets
 
-# -- fork-pool flow localization ----------------------------------------------
-
-
-class _UniqueFlowSync:
-    """``_ShardFlowSync.localize`` in its earlier ``np.unique`` form: the
-    reference for the frames the workers expect."""
-
-    def __init__(self) -> None:
-        self._flows = None
-        self._mapping = None
-        self.count = 0
-
-    def localize(self, flows, flow_ids):
-        if flows is not self._flows:
-            self._flows = flows
-            self._mapping = np.full(len(flows), -1, dtype=np.int64)
-            self.count = 0
-        mapping = self._mapping
-        unique = np.unique(flow_ids)
-        fresh = unique[mapping[unique] < 0]
-        if fresh.size:
-            mapping[fresh] = np.arange(
-                self.count, self.count + fresh.size, dtype=np.int64
-            )
-            self.count += int(fresh.size)
-        return mapping[flow_ids], fresh
-
-
-@st.composite
-def localize_runs(draw):
-    """Flow-table sizes plus chunks ``(table, flow_ids)`` over them: table
-    switches (back to an earlier table too), chunks whose flows are all
-    mapped already, empty chunks, and the ids 0 and ``len(flows) - 1``."""
-    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
-    chunks = []
-    for _ in range(draw(st.integers(1, 8))):
-        if chunks and draw(st.booleans()):
-            table, ids = chunks[-1]
-            ids = ids[::-1][: draw(st.integers(0, len(ids)))]
-        else:
-            table = draw(st.integers(0, len(sizes) - 1))
-            last = sizes[table] - 1
-            edges_or_any = st.one_of(
-                st.sampled_from([0, last]), st.integers(0, last)
-            )
-            ids = draw(st.lists(edges_or_any, max_size=30))
-        chunks.append((table, ids))
-    dtype = draw(st.sampled_from([np.int64, np.int32]))
-    return sizes, chunks, dtype
-
-
-class TestShardFlowSyncProperties:
-    @given(localize_runs())
-    @settings(max_examples=200, deadline=None)
-    def test_localize_matches_unique_formula(self, run):
-        from repro.pipeline.sharded import _ShardFlowSync
-
-        sizes, chunks, dtype = run
-        tables = [
-            FlowTable.from_five_tuples(
-                [FiveTuple(flow, 1, 2, 3, 6) for flow in range(size)]
-            )
-            for size in sizes
-        ]
-        sync, reference = _ShardFlowSync(), _UniqueFlowSync()
-        for table, ids in chunks:
-            flow_ids = np.asarray(ids, dtype=dtype)
-            local, fresh = sync.localize(tables[table], flow_ids)
-            want_local, want_fresh = reference.localize(tables[table], flow_ids)
-            assert local.dtype == want_local.dtype
-            assert local.tolist() == want_local.tolist()
-            assert fresh.dtype == want_fresh.dtype
-            assert fresh.tolist() == want_fresh.tolist()
-            assert sync.count == reference.count
-
-
 # -- fork pool vs in-process sharding -------------------------------------------
 
 

@@ -239,6 +239,22 @@ class TestCheckpointStore:
         loaded = store.load(store.latest())
         assert [to_bytes(s) for s in loaded] == [to_bytes(s) for s in snapshots]
 
+    def test_meta_never_overrides_the_store_fields(self, capture, tmp_path):
+        """Re-saving a loaded checkpoint's ``meta`` writes a new
+        checkpoint: its own ``seq``, shard files and integrity record."""
+        store = CheckpointStore(tmp_path / "ck")
+        first = store.save(self._snapshots(capture, chunks=1), meta={"position": 1})
+        later = self._snapshots(capture, chunks=3)
+        second = store.save(later, meta=first.meta)
+        latest = store.latest()
+        assert latest.seq == second.seq == first.seq + 1
+        assert latest.meta["seq"] == second.seq
+        assert latest.meta["position"] == 1
+        assert latest.shard_paths == second.shard_paths != first.shard_paths
+        assert [to_bytes(s) for s in store.load(latest)] == [
+            to_bytes(s) for s in later
+        ]
+
     def test_empty_directory_has_no_latest(self, tmp_path):
         assert CheckpointStore(tmp_path / "ck").latest() is None
 
@@ -403,6 +419,39 @@ class TestMeasurementDaemon:
         ck = str(tmp_path / "ck")
         previous, newest = _crash(capture, ck).store.list()[-2:]
         from_bytes(_flip_numeric_byte(newest.shard_paths[0]))
+
+        recovered = _restart(ck, capture)
+        assert recovered.error is None
+        assert recovered.recovered_from == previous.seq
+        assert recovered.packets == trace.num_packets
+        assert recovered.measurer.estimates() == reference.measurer.estimates()
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+
+    def test_recovery_skips_a_config_no_engine_accepts(
+        self, trace, capture, tmp_path
+    ):
+        """A newest checkpoint saved intact (its CRCs match) whose shard 1
+        config builds no engine (``wsaf_entries: 3000``) is passed over:
+        recovery lands on the previous checkpoint."""
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        store = _crash(capture, ck).store
+        previous = store.latest()
+        snapshots = store.load(previous)
+        snapshots[1].config["wsaf_entries"] = 3000
+        own = ("version", "seq", "shards", "shard_integrity")
+        newest = store.save(
+            snapshots,
+            meta={k: v for k, v in previous.meta.items() if k not in own},
+        )
+        assert store.latest().seq == newest.seq
 
         recovered = _restart(ck, capture)
         assert recovered.error is None

@@ -260,12 +260,12 @@ class TestShardedPipelineAPI:
         assert forked.shard_packets == in_process.shard_packets
         assert forked.estimates() == in_process.estimates()
 
-    def test_flow_sync_holds_only_the_current_table(self):
-        """Per-chunk flow tables must not accumulate in the parent."""
-        import gc
-        import weakref
-
+    def test_localize_maps_each_new_table_densely(self):
+        """Handed the sorted, distinct ids ``select_shard`` picks off a
+        table, ``localize`` numbers them 0..k-1 and ships them all, and
+        keeps nothing between tables."""
         from repro.pipeline.sharded import _ShardFlowSync
+        from repro.state.shard import select_shard
         from repro.traffic.packet import FlowTable
 
         def table(count):
@@ -274,25 +274,18 @@ class TestShardedPipelineAPI:
             return FlowTable(ips, ips, zeros, zeros, np.full(count, 6))
 
         sync = _ShardFlowSync()
-        alive, calls = [], []
-        for _ in range(12):
-            flows = table(5)
-            calls.append(
-                (
-                    sync.localize(flows, np.array([3, 1, 3], dtype=np.int64)),
-                    sync.localize(flows, np.array([1, 4], dtype=np.int64)),
-                )
-            )
-            alive.append(weakref.ref(flows))
-            del flows
-        gc.collect()
-        assert [ref() is not None for ref in alive] == [False] * 11 + [True]
-        for first, again in calls:
-            # Every table restarts the worker's dense ids from 0.
-            assert first[0].tolist() == [1, 0, 1]
-            assert first[1].tolist() == [1, 3]
-            assert again[0].tolist() == [0, 2]
-            assert again[1].tolist() == [4]
+        for count, assignment in [
+            (5, [1, 0, 1, 1, 0]),
+            (3, [0, 0, 0]),
+            (4, [0, 1, 0, 0]),
+        ]:
+            flows = table(count)
+            members = select_shard(np.array(assignment), 1)
+            local, fresh = sync.localize(flows, members)
+            assert local.dtype == np.int64
+            assert local.tolist() == list(range(members.size))
+            assert fresh is members
+        assert vars(sync) == {}
 
     def test_fresh_flow_columns_of_duck_typed_tables(self, trace):
         """A table with no 5-tuple columns ships the same identity

@@ -375,6 +375,99 @@ class TestCursorRejection:
             from_bytes(positioned)
 
 
+def _shorten_column(payload: bytes, column: str) -> bytes:
+    """``payload`` with the last entry of ``column`` cut out, manifest
+    count and column bytes both: a decodable snapshot whose column is one
+    entry short."""
+    header, body = _split_payload(payload)
+    offset = 0
+    for entry in header["manifest"]:
+        size = np.dtype(entry["dtype"]).itemsize * entry["count"]
+        if entry["name"] == column:
+            assert entry["count"] > 0
+            entry["count"] -= 1
+            itemsize = np.dtype(entry["dtype"]).itemsize
+            body = body[: offset + size - itemsize] + body[offset + size :]
+            return _encode(header, body)
+        offset += size
+    raise AssertionError(f"no column {column}")
+
+
+class TestRestoreRejection:
+    """A decodable snapshot that no engine can be rebuilt from fails as a
+    ``SnapshotError`` — never an ``IndexError``, a ``TypeError`` or a
+    ``ConfigurationError``, and never a silently partial table."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self, trace):
+        return {
+            backend: to_bytes(
+                capture_engine(
+                    _measured(
+                        trace,
+                        "batched",
+                        wsaf_backend=backend,
+                        tier_cache_entries=8,
+                        tier_interval=64,
+                    )
+                )
+            )
+            for backend in ("flat", "tiered", "icebuckets")
+        }
+
+    @staticmethod
+    def _assert_rejected(payload: bytes) -> None:
+        from repro.pipeline.sharded import ShardedStreamingMeasurer
+
+        with pytest.raises(SnapshotError):
+            InstaMeasure.from_snapshot(from_bytes(payload))
+        with pytest.raises(SnapshotError):
+            ShardedStreamingMeasurer.from_snapshots([from_bytes(payload)])
+
+    @pytest.mark.parametrize(
+        "backend,column",
+        [
+            ("flat", "wsaf.slots"),
+            ("flat", "wsaf.keys"),
+            ("flat", "wsaf.packets"),
+            ("flat", "wsaf.bytes"),
+            ("flat", "wsaf.timestamps"),
+            ("flat", "wsaf.chance"),
+            ("flat", "wsaf.tuple_lo"),
+            ("flat", "wsaf.tuple_hi"),
+            ("flat", "wsaf.tuple_present"),
+            ("tiered", "wsaf.tier.packets"),
+            ("tiered", "wsaf.tier.chance"),
+            ("tiered", "wsaf.tier.tuple_present"),
+            ("tiered", "wsaf.tier.heat_counts"),
+            ("icebuckets", "wsaf.ice.scale_bytes"),
+        ],
+    )
+    def test_short_column_is_a_snapshot_error(self, payloads, backend, column):
+        self._assert_rejected(_shorten_column(payloads[backend], column))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"wsaf_entries": 3000},
+            {"engine": "foo"},
+            {"seed": "x"},
+            {"chunk_size": 0},
+            {"ice_counter_bits": 1},
+        ],
+        ids=lambda value: "-".join(f"{k}={v}" for k, v in value.items()),
+    )
+    def test_config_the_engine_rejects_is_a_snapshot_error(self, payloads, value):
+        header, body = _split_payload(payloads["flat"])
+        header["config"].update(value)
+        self._assert_rejected(_encode(header, body))
+
+    def test_short_regulator_words_are_a_snapshot_error(self, payloads):
+        self._assert_rejected(
+            _shorten_column(payloads["flat"], "regulator.0.words")
+        )
+
+
 def _frame(header) -> bytes:
     encoded = json.dumps(header).encode()
     return FRAME_MAGIC + len(encoded).to_bytes(8, "little") + encoded

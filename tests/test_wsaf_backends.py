@@ -3,10 +3,10 @@
 The contracts under test are the backend seam's guarantees:
 
 * Backend selection: ``wsaf_backend`` picks the storage algorithm, the
-  flat table is batch-probed exactly when the batched kernel feeds it,
-  the other backends keep list columns under every engine, and every
-  backend satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage`
-  protocol.
+  flat table is batch-probed under every engine, the other backends
+  take no batch probing, every table keeps its per-slot columns out of
+  the garbage collector's reach, and every backend satisfies the
+  :class:`~repro.core.wsaf_storage.WSAFStorage` protocol.
 * The tiered store is lossless: with a roomy table its estimates equal
   the flat table's exactly, while the hot cache absorbs accumulates at
   SRAM cost (visible through the accountant's per-label pricing).
@@ -21,6 +21,8 @@ The contracts under test are the backend seam's guarantees:
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -67,9 +69,9 @@ def _measured(trace, backend: str, **overrides) -> InstaMeasure:
 
 
 class TestBackendSelection:
-    def test_flat_scalar_builds_wsaf_table(self):
+    def test_flat_scalar_builds_batched_table(self):
         table = build_wsaf_storage(_config("flat", engine="scalar"))
-        assert type(table) is WSAFTable
+        assert type(table) is BatchedWSAFTable
 
     def test_flat_batched_builds_batched_table(self):
         table = build_wsaf_storage(_config("flat", engine="batched"))
@@ -90,8 +92,8 @@ class TestBackendSelection:
 
     def test_tiered_resolves_batched_under_auto(self):
         # The default 2-layer / 8-bit configuration runs the batched
-        # kernel under ``auto``; the tiered store it feeds keeps list
-        # columns and takes one ``accumulate_batch`` call per chunk.
+        # kernel under ``auto``; the tiered store it feeds keeps a plain
+        # backing table and takes one ``accumulate_batch`` call per chunk.
         config = _config("tiered")
         assert runs_kernel(config)
         table = InstaMeasure(config).wsaf
@@ -99,15 +101,15 @@ class TestBackendSelection:
         assert not hasattr(table, "accumulate_batch_arrays")
 
     def test_icebuckets_resolves_scalar_under_auto(self):
-        # ICE-Buckets' quantized add chains are order-serial, so it has
-        # list columns only, under ``auto`` as under every engine.
+        # ICE-Buckets' quantized add chains are order-serial, so it takes
+        # no batch probing, under ``auto`` as under every engine.
         config = _config("icebuckets")
         table = InstaMeasure(config).wsaf
         assert type(table) is IceBucketsWSAFTable
         assert not hasattr(table, "accumulate_batch_arrays")
 
     @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_non_flat_backends_keep_list_columns(self, engine):
+    def test_non_flat_backends_take_no_batch_probing(self, engine):
         tiered = build_wsaf_storage(_config("tiered", engine=engine))
         assert type(tiered.table) is WSAFTable
         ice = build_wsaf_storage(_config("icebuckets", engine=engine))
@@ -123,13 +125,28 @@ class TestBackendSelection:
         ],
         ids=["auto", "wide", "scalar"],
     )
-    def test_flat_is_batch_probed_exactly_when_the_kernel_runs(
-        self, overrides, kernel
-    ):
+    def test_flat_is_batch_probed_under_every_engine(self, overrides, kernel):
         config = _config("flat", **overrides)
         assert runs_kernel(config) is kernel
-        expected = BatchedWSAFTable if kernel else WSAFTable
-        assert type(InstaMeasure(config).wsaf) is expected
+        assert type(InstaMeasure(config).wsaf) is BatchedWSAFTable
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    @pytest.mark.parametrize("backend", ["flat", "tiered", "icebuckets"])
+    def test_only_the_tuple_column_is_a_python_container(self, backend, engine):
+        """Every per-slot column but the 104-bit tuples is a NumPy buffer
+        (or a memoryview of one), which the garbage collector never walks
+        slot by slot: flat, the tiered backing table, and ICE-Buckets with
+        its quantized planes."""
+        config = _config(backend, engine=engine)
+        store = build_wsaf_storage(config)
+        table = store.table if backend == "tiered" else store
+        walked = [
+            name
+            for name, value in vars(table).items()
+            if gc.is_tracked(value)
+            and len(gc.get_referents(value)) >= config.wsaf_entries
+        ]
+        assert walked == ["_tuples"]
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ConfigurationError, match="wsaf_backend"):

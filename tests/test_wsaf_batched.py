@@ -70,15 +70,12 @@ def _apply(table, events, chunk=None, collect_totals=True):
 
 def _assert_slots_identical(scalar: WSAFTable, batched: BatchedWSAFTable):
     """Every slot, column, and counter must match exactly."""
-    assert list(scalar._occupied) == batched._occupied.tolist()
-    assert scalar._occupied_slots == set(
-        np.flatnonzero(batched._occupied).tolist()
-    )
-    assert list(scalar._keys) == batched._keys.tolist()
-    assert list(scalar._packets) == batched._packets.tolist()
-    assert list(scalar._bytes) == batched._bytes.tolist()
-    assert list(scalar._timestamps) == batched._timestamps.tolist()
-    assert list(scalar._chance) == batched._chance.tolist()
+    assert scalar._occupied.tolist() == batched._occupied.tolist()
+    assert scalar._keys.tolist() == batched._keys.tolist()
+    assert scalar._packets.tolist() == batched._packets.tolist()
+    assert scalar._bytes.tolist() == batched._bytes.tolist()
+    assert scalar._timestamps.tolist() == batched._timestamps.tolist()
+    assert scalar._chance.tolist() == batched._chance.tolist()
     assert scalar._tuples == batched._tuples
     assert scalar.size == batched.size
     assert scalar.insertions == batched.insertions
