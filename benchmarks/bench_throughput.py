@@ -7,8 +7,9 @@ default ``engine="auto"`` configuration) — and *appends* a
 machine-readable report to ``BENCH_throughput.json`` at the repo root.
 
 Rows are keyed by their string labels — ``git_sha``, ``engine``,
-``wsaf_engine`` (the WSAF column layout the run fed: ``"batched"`` for
-the batch-probed table, ``"scalar"`` for list columns), ``backend`` —
+``wsaf_engine`` (the WSAF path the run fed: ``"batched"`` for batch
+probing, ``"scalar"`` for one per-event ``accumulate`` at a time),
+``backend`` —
 plus ``shards`` (see :func:`_row_key`):
 re-running on the same commit replaces that commit's rows, while rows
 from other commits are preserved, so the file accumulates a throughput
@@ -37,9 +38,10 @@ breakdown:
 
 * **WSAF stage** — the delegated event stream is captured from a real run
   (by wrapping the table's ``accumulate_batch_arrays``), then replayed
-  against fresh tables both ways: the scalar ``accumulate_batch`` path a
-  list-column table takes (including its list-of-tuples staging) and the
-  batch-probed ``accumulate_batch_arrays`` path.
+  against fresh tables both ways: the per-event ``accumulate_batch`` path
+  a plain :class:`~repro.core.wsaf.WSAFTable` takes (including its
+  list-of-tuples staging) and the batch-probed ``accumulate_batch_arrays``
+  path.
 * **Hashing stage** — ``TabulationHash.hash_many`` vs the scalar
   ``hash`` loop over the trace's flow keys.
 * **Regulator stage** — the kernel's end-to-end time minus the
@@ -138,8 +140,8 @@ MAX_INPROC_OVERHEAD = 1.10
 #: with it during normalization (then superseded by its keyed rows).
 PRE_KEYING_SHA = "24c248f"
 
-#: (engine, WSAF layout) pipeline variants: the scalar oracle on list
-#: columns, the kernel on the batch-probed table.
+#: (engine, WSAF path) pipeline variants: the scalar oracle accumulating
+#: one event at a time, the kernel batch-probing.
 SCALAR = ("scalar", "scalar")
 KERNEL = ("batched", "batched")
 VARIANTS = (SCALAR, KERNEL)
@@ -224,8 +226,8 @@ def _wsaf_stage_times(batches, entries: int, rounds: int) -> "tuple[float, float
         gc.collect()
         start = time.perf_counter()
         for keys, pkts, byts, stamps, tuples in batches:
-            # A list-column table's exact staging: list-of-tuples into
-            # the scalar probe loop.
+            # A plain table's exact staging: list-of-tuples into the
+            # per-event probe loop.
             table.accumulate_batch(
                 list(
                     zip(
@@ -278,7 +280,7 @@ def _row_key(row: "dict") -> "tuple":
     """A row's identity: every string label it carries, plus ``shards``.
 
     Current rows are labelled by ``git_sha`` / ``engine`` /
-    ``wsaf_engine`` (the WSAF layout) / ``backend``.  Rows of retired
+    ``wsaf_engine`` (the WSAF path) / ``backend``.  Rows of retired
     kernel generations carry an extra label naming the generation they
     measured; keying on every label keeps them distinct without the
     harness knowing them.

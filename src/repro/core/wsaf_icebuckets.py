@@ -119,31 +119,39 @@ class IceBucketsWSAFTable(WSAFTable):
         if self.accountant is not None and touched:
             self.accountant.record("wsaf", reads=touched, writes=touched)
 
-    def _store(self, slot: int, packets: float, bytes_: float) -> None:
+    def _store(
+        self, slot: int, packets: float, bytes_: float
+    ) -> "tuple[float, float]":
         """Write absolute counter values for ``slot``, quantized.
 
         Upscales the slot's bucket until both planes fit; the float
-        columns are left holding the exact dequantized values.
+        columns are left holding the exact dequantized values, which are
+        returned.
         """
         bucket = slot // self.bucket_slots
         counter_max = self._counter_max
-        q = round(packets / (1 << self._scale_packets[bucket]))
+        scale = float(1 << self._scale_packets[bucket])
+        q = round(packets / scale)
         while q > counter_max:
             self._upscale(
                 bucket, self._scale_packets, self._qpackets_mv, self._packets_mv
             )
-            q = round(packets / (1 << self._scale_packets[bucket]))
+            scale = float(1 << self._scale_packets[bucket])
+            q = round(packets / scale)
         self._qpackets_mv[slot] = q
-        self._packets_mv[slot] = q * float(1 << self._scale_packets[bucket])
+        packets = self._packets_mv[slot] = q * scale
 
-        q = round(bytes_ / (1 << self._scale_bytes[bucket]))
+        scale = float(1 << self._scale_bytes[bucket])
+        q = round(bytes_ / scale)
         while q > counter_max:
             self._upscale(
                 bucket, self._scale_bytes, self._qbytes_mv, self._bytes_mv
             )
-            q = round(bytes_ / (1 << self._scale_bytes[bucket]))
+            scale = float(1 << self._scale_bytes[bucket])
+            q = round(bytes_ / scale)
         self._qbytes_mv[slot] = q
-        self._bytes_mv[slot] = q * float(1 << self._scale_bytes[bucket])
+        bytes_ = self._bytes_mv[slot] = q * scale
+        return packets, bytes_
 
     def _clear(self, slot: int) -> None:
         super()._clear(slot)
@@ -181,7 +189,7 @@ class IceBucketsWSAFTable(WSAFTable):
                 if keys[slot] == key:
                     if self.accountant is not None:
                         self.accountant.record("wsaf", reads=probes, writes=1)
-                    self._store(
+                    totals = self._store(
                         slot,
                         packets[slot] + est_packets,
                         bytes_[slot] + est_bytes,
@@ -189,7 +197,7 @@ class IceBucketsWSAFTable(WSAFTable):
                     self._timestamps_mv[slot] = timestamp
                     self._chance_mv[slot] = True
                     self.updates += 1
-                    return packets[slot], bytes_[slot]
+                    return totals
                 if first_free < 0 and self._expired(slot, timestamp):
                     self._clear(slot)
                     self.gc_reclaimed += 1
@@ -209,13 +217,13 @@ class IceBucketsWSAFTable(WSAFTable):
             self.accountant.record("wsaf", reads=probes, writes=1)
         occupied[first_free] = True
         keys[first_free] = key
-        self._store(first_free, est_packets, est_bytes)
+        totals = self._store(first_free, est_packets, est_bytes)
         self._timestamps_mv[first_free] = timestamp
         self._chance_mv[first_free] = True
         self._tuples[first_free] = five_tuple_packed
         self.size += 1
         self.insertions += 1
-        return packets[first_free], bytes_[first_free]
+        return totals
 
     def place_record(
         self,

@@ -44,10 +44,11 @@ from repro.core.wsaf import WSAFTable
 #: Below this many events the NumPy staging costs more than it saves, and
 #: a batch takes the per-event branch.  Measured on a recorded stream of
 #: delegated events at 2**16 and 2**20 entries (docs/PERFORMANCE.md, "WSAF
-#: batch cutoff"): without a GC timeout the branches tie at 80-88 events
-#: and batch probing wins from 96 on (9 of 10 runs at 96, every run
-#: above); with one, the per-event branch wins through 128.
-_SCALAR_CUTOFF = 96
+#: batch cutoff"): without a GC timeout the per-event branch was ahead in
+#: 9 of 12 runs at 128 events, batch probing in 4 of 6 at 144-176 and in
+#: every run at 192 and 224; with one, the per-event branch wins through
+#: 1,024.
+_SCALAR_CUTOFF = 144
 
 
 class _BatchPlan:

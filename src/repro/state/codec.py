@@ -282,7 +282,8 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
 
     Every way the bytes can be wrong — magic, lengths, the manifest, a
     missing or mistyped header field, a record column whose length is
-    not its section's record count — raises :class:`SnapshotError`.
+    not its section's record count or whose dtype is of the wrong kind —
+    raises :class:`SnapshotError`.
     """
     header, header_end = _read_header(data, MAGIC, "IMSNAP snapshot")
     version = header.get("version")
@@ -299,28 +300,28 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
 
 
 #: The per-record columns of a WSAF section (and of its tier section),
-#: each as long as the section's ``keys``.
-_RECORD_COLUMNS = (
-    "keys",
-    "packets",
-    "bytes",
-    "timestamps",
-    "chance",
-    "tuple_lo",
-    "tuple_hi",
-    "tuple_present",
-)
+#: each as long as the section's ``keys``, with the dtype kind it holds.
+_RECORD_COLUMNS = {
+    "keys": "u",
+    "packets": "f",
+    "bytes": "f",
+    "timestamps": "f",
+    "chance": "b",
+    "tuple_lo": "u",
+    "tuple_hi": "u",
+    "tuple_present": "b",
+}
 
 
-def _check_counts(section: str, state, names, count: int) -> None:
-    """Raise SnapshotError unless each named column of ``state`` holds
-    ``count`` entries."""
-    for name in names:
-        length = len(getattr(state, name))
-        if length != count:
+def _check_columns(columns, prefix: str, kinds: dict, count: int) -> None:
+    """Raise SnapshotError unless each ``prefix.name`` column holds
+    ``count`` entries of dtype kind ``kinds[name]``."""
+    for name, kind in kinds.items():
+        column = columns[f"{prefix}.{name}"]
+        if column.dtype.kind != kind or len(column) != count:
             raise SnapshotError(
-                f"snapshot column {section}.{name} holds {length} entries, "
-                f"not {count}"
+                f"snapshot column {prefix}.{name} holds {len(column)} "
+                f"{column.dtype} entries; it needs {count} of kind {kind!r}"
             )
 
 
@@ -331,9 +332,11 @@ def _snapshot_from(
     sketch_meta = header["regulator"]["sketches"]
     sketches = []
     for index, meta in enumerate(sketch_meta):
+        words = columns[f"regulator.{index}.words"]
+        _check_columns(columns, f"regulator.{index}", {"words": "u"}, len(words))
         sketches.append(
             SketchState(
-                words=columns[f"regulator.{index}.words"],
+                words=words,
                 packets_encoded=meta["packets_encoded"],
                 saturations=meta["saturations"],
             )
@@ -415,12 +418,24 @@ def _snapshot_from(
         ice=ice,
     )
 
-    _check_counts("wsaf", wsaf, ("slots",) + _RECORD_COLUMNS, wsaf.num_records)
+    _check_columns(
+        columns, "wsaf", {"slots": "i", **_RECORD_COLUMNS}, wsaf.num_records
+    )
     if tier is not None:
-        _check_counts("wsaf.tier", tier, _RECORD_COLUMNS, tier.num_records)
-        _check_counts("wsaf.tier", tier, ("heat_counts",), len(tier.heat_keys))
+        _check_columns(columns, "wsaf.tier", _RECORD_COLUMNS, tier.num_records)
+        _check_columns(
+            columns,
+            "wsaf.tier",
+            {"heat_keys": "u", "heat_counts": "i"},
+            len(tier.heat_keys),
+        )
     if ice is not None:
-        _check_counts("wsaf.ice", ice, ("scale_bytes",), len(ice.scale_packets))
+        _check_columns(
+            columns,
+            "wsaf.ice",
+            {"scale_packets": "i", "scale_bytes": "i"},
+            len(ice.scale_packets),
+        )
 
     stream_meta = header["stream"]
     stream = None

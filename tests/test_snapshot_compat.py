@@ -12,8 +12,8 @@ header's ``wsaf.sections`` list.  The compatibility contracts:
   unknown section's column bytes would otherwise be misattributed.
 * The committed golden snapshots — captured with the pre-refactor flat
   tables — still describe exactly what the current flat backend produces
-  on the same trace and config, under both the scalar loop (list
-  columns) and the batched kernel (the batch-probed table).  This is the
+  on the same trace and config, under both the scalar loop (per-event
+  accumulates) and the batched kernel (batch probing).  This is the
   bit-identity bar for the ``flat`` backend: same records, same slots,
   same counters, same estimates.
 * Every golden still restores through the public restore paths, although

@@ -130,7 +130,7 @@ class TestRoundTrip:
         assert resumed.estimates() == straight.estimates()
 
     def test_cross_store_restore(self, trace):
-        """A list-column capture restores into the batched store exactly."""
+        """A scalar-loop capture restores under the batched kernel exactly."""
         snapshot = capture_engine(_measured(trace, "scalar"))
         snapshot.config["engine"] = "batched"
         restored = restore_engine(snapshot)
@@ -460,6 +460,28 @@ class TestRestoreRejection:
     def test_config_the_engine_rejects_is_a_snapshot_error(self, payloads, value):
         header, body = _split_payload(payloads["flat"])
         header["config"].update(value)
+        self._assert_rejected(_encode(header, body))
+
+    @pytest.mark.parametrize(
+        "column,dtype",
+        [
+            ("wsaf.keys", "<f8"),
+            ("wsaf.keys", "<i8"),
+            ("wsaf.slots", "<f8"),
+            ("wsaf.packets", "<i8"),
+            ("wsaf.chance", "|u1"),
+            ("regulator.0.words", "<f8"),
+        ],
+    )
+    def test_column_of_the_wrong_kind_is_a_snapshot_error(
+        self, payloads, column, dtype
+    ):
+        """Same bytes, another dtype kind: no restore path casts them."""
+        header, body = _split_payload(payloads["flat"])
+        for entry in header["manifest"]:
+            if entry["name"] == column:
+                assert np.dtype(entry["dtype"]).itemsize == np.dtype(dtype).itemsize
+                entry["dtype"] = dtype
         self._assert_rejected(_encode(header, body))
 
     def test_short_regulator_words_are_a_snapshot_error(self, payloads):

@@ -69,8 +69,11 @@ def _measured(trace, backend: str, **overrides) -> InstaMeasure:
 
 
 class TestBackendSelection:
-    def test_flat_scalar_builds_batched_table(self):
+    def test_flat_scalar_builds_wsaf_table(self):
+        # The batch-probed one: the scalar loop calls only its per-event
+        # ``accumulate``.
         table = build_wsaf_storage(_config("flat", engine="scalar"))
+        assert isinstance(table, WSAFTable)
         assert type(table) is BatchedWSAFTable
 
     def test_flat_batched_builds_batched_table(self):

@@ -1,8 +1,8 @@
-"""Property tests for the batch-probed array-backed WSAF and the
-vectorized satellites that feed it.
+"""Property tests for the batch-probed WSAF and the vectorized
+satellites that feed it.
 
 The contract of :class:`repro.kernels.wsaf_batched.BatchedWSAFTable` is
-*slot-for-slot identity* with the scalar :class:`repro.core.wsaf.WSAFTable`:
+*slot-for-slot identity* with the per-event :class:`repro.core.wsaf.WSAFTable`:
 after applying the same event stream, every column (occupancy, keys,
 packets, bytes, timestamps, second-chance bits, packed tuples), every
 counter, and every per-event running total must match exactly — for every
