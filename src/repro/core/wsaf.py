@@ -560,7 +560,8 @@ class WSAFTable:
         walk; long-running deployments (the 113-hour campus run) can sweep
         periodically with this instead.  Returns the number reclaimed.
         """
-        stale = np.flatnonzero(self._occupied & (self._timestamps < cutoff))
+        slots = np.flatnonzero(self._occupied)
+        stale = slots[self._timestamps[slots] < cutoff]
         for slot in stale.tolist():
             self._clear(slot)
         self.gc_reclaimed += len(stale)
