@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.regulator import FlowRegulator, RegulatorStats
 from repro.core.wsaf import WSAFTable
+from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
 from repro.kernels.batched import BatchCounters, process_trace_batched, runs_kernel
 from repro.memmodel import AccessAccountant
@@ -47,21 +48,6 @@ AccumulateCallback = Callable[[int, float, float, float], None]
 
 #: Valid ``InstaMeasureConfig.engine`` values.
 ENGINE_CHOICES = ("auto", "batched", "scalar")
-
-
-def build_wsaf_table(
-    config: "InstaMeasureConfig",
-    accountant: "AccessAccountant | None" = None,
-) -> WSAFTable:
-    """The WSAF storage ``config`` asks for.
-
-    Delegates to :func:`repro.core.wsaf_storage.build_wsaf_storage` — the
-    backend seam: ``wsaf_backend`` picks flat/tiered/icebuckets storage,
-    and a flat table is batch-probed under every engine.
-    """
-    from repro.core.wsaf_storage import build_wsaf_storage
-
-    return build_wsaf_storage(config, accountant)
 
 
 @dataclass
@@ -373,7 +359,7 @@ class InstaMeasure:
                 "engine='batched' requires vector_bits <= 8; "
                 "use engine='auto' to fall back"
             )
-        self.wsaf = build_wsaf_table(self.config, accountant)
+        self.wsaf = build_wsaf_storage(self.config, accountant)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
         self._stream: "_StreamState | None" = None
 

@@ -37,9 +37,9 @@ from repro.core.instameasure import (
     InstaMeasureConfig,
     MeasurementResult,
     aligned_estimates,
-    build_wsaf_table,
 )
 from repro.core.wsaf import WSAFTable
+from repro.core.wsaf_storage import build_wsaf_storage
 from repro.errors import ConfigurationError
 from repro.hashing import popcount32
 from repro.traffic.packet import Trace
@@ -187,7 +187,7 @@ class MultiCoreInstaMeasure:
         self.config = config or InstaMeasureConfig()
         # A flat shared table is batch-probed: merged event logs arrive
         # as one big batch, which is exactly the shape it is built for.
-        self.wsaf = build_wsaf_table(self.config)
+        self.wsaf = build_wsaf_storage(self.config)
         self.workers: "list[InstaMeasure]" = []
         for worker_index in range(num_workers):
             worker_config = replace(

@@ -43,6 +43,7 @@ from repro.pipeline.driver import (
     EpochRecord,
     Pipeline,
     PipelineResult,
+    RunProgress,
     run_pipeline,
 )
 from repro.pipeline.protocol import (
@@ -90,6 +91,7 @@ __all__ = [
     "PacketRecordChunkSource",
     "Pipeline",
     "PipelineResult",
+    "RunProgress",
     "SocketChunkSource",
     "StreamingChunkSource",
     "ShardWorkerPool",

@@ -10,18 +10,23 @@ The loop comes apart into :meth:`Pipeline.begin` / :meth:`Pipeline.step`
 / :meth:`Pipeline.finish` so a long-lived driver (the service daemon)
 can push chunks one at a time — interleaving checkpoints and control
 queries between steps — while :meth:`Pipeline.run` remains the one-call
-batch form built on exactly those pieces.  Unbounded sources
-(``total_packets is None``) are first-class: the epoch origin is picked
-up lazily once the source has seen its first packet.
+batch form built on exactly those pieces.  How far a run has read its
+stream lives in one :class:`RunProgress` record that only
+:meth:`Pipeline.step` advances: a checkpoint writes it
+(:meth:`RunProgress.as_meta`) and ``begin(source, resume=...)``
+continues it, so a recovered run counts the whole stream.  The source
+owns the epoch grid; unbounded sources (``total_packets is None``) pick
+their epoch origin up once they have seen their first packet.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
-from repro.pipeline.control import ChunkGovernor, ShedController
+from repro.errors import ConfigurationError, SnapshotError
+from repro.pipeline.control import ChunkGovernor, ControllerStats, ShedController
 from repro.pipeline.protocol import supports_rotate
 from repro.pipeline.source import ChunkSource, as_chunk_source
 
@@ -44,9 +49,10 @@ class ChunkStats:
 class EpochRecord:
     """One epoch boundary the driver fired.
 
-    ``snapshot`` holds what the measurer's ``rotate(now)`` returned when
-    the pipeline was built with ``rotate=True`` (and the measurer has the
-    hook), else ``None``.
+    ``packets_so_far`` counts the packets measured over the whole stream
+    up to the boundary.  ``snapshot`` holds what the measurer's
+    ``rotate(now)`` returned when the pipeline was built with
+    ``rotate=True`` (and the measurer has the hook), else ``None``.
     """
 
     index: int
@@ -56,18 +62,129 @@ class EpochRecord:
 
 
 @dataclass
+class RunProgress:
+    """How far a run has read its stream; :meth:`Pipeline.step` alone
+    advances it.
+
+    ``position`` is the stream position after the last chunk stepped,
+    ``packets`` the packets the source offered and ``measured_packets``
+    those that reached the measurer (fewer when a load controller shed
+    some); ``chunks`` counts the chunks stepped, shed ones included.
+    ``epoch`` is the epoch the stream is inside, on the grid the source
+    cuts: ``epoch_seconds`` wide from the origin ``start_time``.
+    ``stream_time`` is the timestamp of the last packet stepped (the load
+    controller measures the next chunk's offered rate from it), and
+    ``controller`` holds the load controller's tallies (``None`` without
+    a controller).  These are the checkpoint manifest's fields
+    (:meth:`as_meta`, :meth:`from_meta`).
+
+    ``ingest_packets`` and ``ingest_seconds`` are this process's share —
+    the packets its ``ingest`` calls measured and the seconds they took —
+    and are not persisted.
+    """
+
+    position: int = 0
+    packets: int = 0
+    measured_packets: int = 0
+    chunks: int = 0
+    epoch: int = 0
+    epoch_seconds: "float | None" = None
+    start_time: "float | None" = None
+    stream_time: "float | None" = None
+    controller: "ControllerStats | None" = None
+    ingest_packets: int = 0
+    ingest_seconds: float = 0.0
+
+    def as_meta(self) -> "dict":
+        """The record as checkpoint manifest fields."""
+        return {
+            "position": self.position,
+            "packets": self.packets,
+            "measured_packets": self.measured_packets,
+            "chunks": self.chunks,
+            "epoch": self.epoch,
+            "epoch_seconds": self.epoch_seconds,
+            "start_time": self.start_time,
+            "stream_time": self.stream_time,
+            "controller": (
+                self.controller.as_dict() if self.controller is not None else None
+            ),
+        }
+
+    @classmethod
+    def from_meta(cls, meta: "dict") -> "RunProgress":
+        """The record a checkpoint manifest holds, checked.
+
+        Counts must be non-negative ints, ``epoch_seconds`` a positive
+        finite number or null, the two stream times finite numbers or
+        null, and the ``controller`` tallies must decode through
+        :meth:`ControllerStats.from_dict`.  Absent fields take the values
+        a fresh stream starts from (``measured_packets`` defaults to
+        ``packets``).  Anything else raises
+        :class:`~repro.errors.SnapshotError`.
+        """
+
+        def count(name: str, default: int = 0) -> int:
+            value = meta.get(name, default)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise SnapshotError(
+                    f"checkpoint {name} {value!r} is not a non-negative integer"
+                )
+            return value
+
+        def moment(name: str) -> "float | None":
+            value = meta.get(name)
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise SnapshotError(f"checkpoint {name} {value!r} is not a finite time")
+            return value
+
+        controller = meta.get("controller")
+        if controller is not None:
+            try:
+                controller = ControllerStats.from_dict(controller)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise SnapshotError(
+                    f"checkpoint controller tallies do not decode: {exc!r}"
+                ) from exc
+        epoch_seconds = moment("epoch_seconds")
+        if epoch_seconds is not None and epoch_seconds <= 0:
+            raise SnapshotError(
+                f"checkpoint epoch_seconds {epoch_seconds!r} is not positive"
+            )
+        packets = count("packets")
+        return cls(
+            position=count("position"),
+            packets=packets,
+            measured_packets=count("measured_packets", packets),
+            chunks=count("chunks"),
+            epoch=count("epoch"),
+            epoch_seconds=epoch_seconds,
+            start_time=moment("start_time"),
+            stream_time=moment("stream_time"),
+            controller=controller,
+        )
+
+
+@dataclass
 class PipelineResult:
     """Outcome of one pipeline run.
 
-    When the pipeline ran with a load controller, ``offered_packets``
-    counts the packets the source offered (``packets`` counts what was
-    actually ingested after shedding), ``decisions`` holds the
-    controller's per-chunk
+    ``packets`` counts the packets measured and ``offered_packets`` those
+    the source offered, both over the whole stream (a resumed run
+    included).  When the pipeline ran with a load controller,
+    ``decisions`` holds the controller's per-chunk
     :class:`~repro.pipeline.control.ControlDecisionRecord` entries
     (bounded by the driver's ``history``), and ``controller_stats`` is
     the aggregate :meth:`~repro.pipeline.control.ControllerStats.as_dict`.
     Without a controller ``offered_packets == packets`` and the other
-    two stay empty/``None``.
+    two stay empty/``None``.  ``elapsed_seconds`` is the time this
+    process spent inside ``ingest`` (source slicing excluded), counted
+    over every chunk whether or not ``chunks`` kept it, and ``pps`` the
+    packets this process measured over it.
     """
 
     result: object
@@ -78,33 +195,18 @@ class PipelineResult:
     offered_packets: int = 0
     decisions: list = field(default_factory=list)
     controller_stats: "dict | None" = None
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Total time spent inside ``ingest`` (source slicing excluded)."""
-        return sum(chunk.seconds for chunk in self.chunks)
-
-    @property
-    def pps(self) -> float:
-        elapsed = self.elapsed_seconds
-        return self.packets / elapsed if elapsed > 0 else 0.0
+    elapsed_seconds: float = 0.0
+    pps: float = 0.0
 
 
 @dataclass
 class _RunState:
     """Bookkeeping of one in-progress :meth:`Pipeline.begin` run."""
 
-    source: "object | None"
-    epoch_seconds: "float | None"
-    start_time: "float | None"
-    current_epoch: int = 0
-    packets: int = 0
-    offered_packets: int = 0
-    ingest_seconds: float = 0.0
-    saw_chunk: bool = False
+    source: ChunkSource
+    governor: "ChunkGovernor | None" = None
     chunks: "list[ChunkStats]" = field(default_factory=list)
     epochs: "list[EpochRecord]" = field(default_factory=list)
-    governor: "ChunkGovernor | None" = None
 
 
 class Pipeline:
@@ -112,10 +214,10 @@ class Pipeline:
 
     Args:
         measurer: any :class:`~repro.pipeline.protocol.StreamingMeasurer`.
-        epoch_seconds: when given (and :meth:`run` receives a bare trace),
-            the source splits chunks on epoch boundaries this wide and the
-            driver fires ``on_epoch`` at every boundary.  A source that
-            already splits on epochs triggers the same callbacks.
+        epoch_seconds: when :meth:`run` receives a bare trace, slice it
+            on epoch boundaries this wide.  A source cuts its own epochs
+            (its ``epoch_seconds``), and the driver fires ``on_epoch`` at
+            every boundary it cuts.
         on_epoch: ``callback(record, measurer)`` fired once per epoch, in
             order, after the epoch's last chunk was ingested (empty epochs
             fire too).  The final partial epoch fires before ``finalize``.
@@ -129,12 +231,17 @@ class Pipeline:
             :class:`EpochRecord` entries (oldest dropped); ``None`` keeps
             everything.  An always-on driver must bound these lists or an
             unbounded run grows without limit — aggregate counters
-            (``packets`` etc.) are unaffected by trimming.
+            (``packets``, ``elapsed_seconds`` etc.) are unaffected by
+            trimming.
         controller: an optional
             :class:`~repro.pipeline.control.ShedController`.  When given,
             the driver consults it between chunks: :meth:`step` may thin
             the chunk, or drop it (and then returns ``None``).  ``None``
             keeps the zero-overhead path, bit for bit.
+
+    Attributes:
+        progress: the :class:`RunProgress` of the current run, or of the
+            last one once it finished or aborted.
     """
 
     def __init__(
@@ -156,71 +263,52 @@ class Pipeline:
             raise ConfigurationError("history must be a positive count or None")
         self.history = history
         self.controller = controller
+        self.progress = RunProgress()
         self._run: "_RunState | None" = None
 
     # -- incremental interface -------------------------------------------------
 
-    @property
-    def active_epoch(self) -> "int | None":
-        """Index of the epoch the in-progress run is inside (None between
-        runs) — what a checkpoint must record to resume rotation cadence."""
-        if self._run is None:
-            return None
-        return self._run.current_epoch
+    def begin(self, source, resume: "RunProgress | None" = None) -> None:
+        """Open an incremental run over ``source``; feed it with :meth:`step`.
 
-    def begin(
-        self,
-        source=None,
-        epoch_seconds: "float | None" = None,
-        start_time: "float | None" = None,
-        first_epoch: int = 0,
-        stream_time: "float | None" = None,
-        controller_stats: "dict | None" = None,
-    ) -> None:
-        """Open an incremental run; feed it with :meth:`step`.
-
-        ``source`` (optional) supplies the epoch geometry — its
-        ``epoch_seconds`` and ``start_time`` — exactly as :meth:`run`
-        would read them; explicit arguments override, which is also how a
-        sourceless driver (chunks pushed from elsewhere) declares its
-        epochs.  A still-unknown ``start_time`` (unbounded source waiting
-        for its first packet) is re-read at the first epoch boundary.
-        ``first_epoch`` resumes the epoch counter mid-sequence — the
-        recovery path: a daemon restarting from a checkpoint continues
-        the rotation cadence instead of re-firing past epochs.
-        ``stream_time``, the timestamp of the last packet stepped before
-        the checkpoint, resumes the load controller's stream clock the
-        same way, so the first chunk after recovery is offered at the
-        rate the uninterrupted run measured; ``controller_stats``, the
-        checkpointed :attr:`controller_stats`, resumes the controller's
-        tallies.
+        The source owns the epoch grid: its ``epoch_seconds``, and its
+        ``start_time`` once known (an unbounded source learns it from its
+        first packet).  ``resume`` continues an earlier run's record in
+        place — the recovery path, a checkpoint's
+        :meth:`RunProgress.from_meta`: the epoch cadence, the packet and
+        chunk counts, the stream clock and the load controller's tallies
+        go on from it, and a source that has not seen a packet yet takes
+        its epoch origin.  A record of another epoch width than the
+        source's raises :class:`~repro.errors.ConfigurationError`; one of
+        unknown width (``None``) takes the source's.
         """
         if self._run is not None:
             raise ConfigurationError(
                 "a pipeline run is already in progress; finish() or abort() it"
             )
-        if epoch_seconds is None:
-            epoch_seconds = (
-                source.epoch_seconds if source is not None else self.epoch_seconds
+        progress = resume if resume is not None else RunProgress()
+        if progress.epoch_seconds not in (None, source.epoch_seconds):
+            raise ConfigurationError(
+                f"the run to resume cut {progress.epoch_seconds}-s epochs, "
+                f"the source cuts {source.epoch_seconds}"
             )
-        if start_time is None and source is not None:
-            start_time = source.start_time
-        self._run = _RunState(
-            source=source,
-            epoch_seconds=epoch_seconds,
-            start_time=start_time,
-            current_epoch=first_epoch,
-            governor=(
-                ChunkGovernor(
-                    self.controller,
-                    history=self.history,
-                    stream_time=stream_time,
-                    tallies=controller_stats,
-                )
-                if self.controller is not None
-                else None
-            ),
-        )
+        progress.epoch_seconds = source.epoch_seconds
+        if progress.start_time is None:
+            progress.start_time = source.start_time
+        elif source.start_time is None:
+            # The re-opened source must grid its epochs as the resumed run did.
+            source.start_time = progress.start_time
+        governor = None
+        if self.controller is None:
+            progress.controller = None
+        else:
+            if progress.controller is None:
+                progress.controller = ControllerStats(policy=self.controller.policy)
+            governor = ChunkGovernor(
+                self.controller, history=self.history, stats=progress.controller
+            )
+        self.progress = progress
+        self._run = _RunState(source=source, governor=governor)
 
     def step(self, chunk) -> "ChunkStats | None":
         """Ingest one chunk, firing any epoch boundaries it crossed.
@@ -232,13 +320,21 @@ class Pipeline:
         run = self._run
         if run is None:
             raise ConfigurationError("no run in progress; begin() first")
-        if run.epoch_seconds is not None:
-            while run.current_epoch < chunk.epoch:
-                self._fire(run, run.current_epoch)
-                run.current_epoch += 1
-        run.offered_packets += chunk.num_packets
+        progress = self.progress
+        if progress.start_time is None:
+            progress.start_time = run.source.start_time
+        if progress.epoch_seconds is not None:
+            while progress.epoch < chunk.epoch:
+                self._fire(run)
+                progress.epoch += 1
+        since = progress.stream_time
+        progress.position = chunk.end
+        progress.packets += chunk.num_packets
+        progress.chunks += 1
+        if chunk.num_packets:
+            progress.stream_time = float(chunk.trace.timestamps[-1])
         if run.governor is not None:
-            chunk = run.governor.admit(chunk)
+            chunk = run.governor.admit(chunk, since)
             if chunk is None:
                 return None
         return self._ingest(run, chunk)
@@ -252,9 +348,10 @@ class Pipeline:
         else:
             measurer.ingest(chunk)
         seconds = time.perf_counter() - begin
-        run.packets += chunk.num_packets
-        run.ingest_seconds += seconds
-        run.saw_chunk = True
+        progress = self.progress
+        progress.measured_packets += chunk.num_packets
+        progress.ingest_packets += chunk.num_packets
+        progress.ingest_seconds += seconds
         stats = ChunkStats(
             index=chunk.index,
             packets=chunk.num_packets,
@@ -265,50 +362,36 @@ class Pipeline:
         self._trim(run.chunks)
         return stats
 
-    @property
-    def controller_stats(self) -> "dict | None":
-        """Live aggregate controller stats of the in-progress run."""
-        run = self._run
-        if run is None or run.governor is None:
-            return None
-        return run.governor.stats.as_dict()
-
-    @property
-    def ingested_packets(self) -> int:
-        """Packets actually ingested by the in-progress run (0 between
-        runs) — differs from the offered count when a controller sheds."""
-        run = self._run
-        return run.packets if run is not None else 0
-
-    @property
-    def run_ingest_seconds(self) -> float:
-        """Cumulative wall-clock seconds inside ``ingest`` this run."""
-        run = self._run
-        return run.ingest_seconds if run is not None else 0.0
-
     def finish(self) -> PipelineResult:
         """Fire the final partial epoch, finalize the measurer, report."""
         run = self._run
         if run is None:
             raise ConfigurationError("no run in progress; begin() first")
         self._run = None
-        if run.epoch_seconds is not None and run.saw_chunk:
-            self._fire(run, run.current_epoch)
+        progress = self.progress
+        if progress.epoch_seconds is not None and progress.measured_packets:
+            self._fire(run)
         result = self.measurer.finalize()
         return PipelineResult(
             result=result,
             measurer=self.measurer,
-            packets=run.packets,
+            packets=progress.measured_packets,
             chunks=run.chunks,
             epochs=run.epochs,
-            offered_packets=run.offered_packets,
+            offered_packets=progress.packets,
             decisions=(
                 list(run.governor.decisions) if run.governor is not None else []
             ),
             controller_stats=(
-                run.governor.stats.as_dict()
-                if run.governor is not None
+                progress.controller.as_dict()
+                if progress.controller is not None
                 else None
+            ),
+            elapsed_seconds=progress.ingest_seconds,
+            pps=(
+                progress.ingest_packets / progress.ingest_seconds
+                if progress.ingest_seconds > 0
+                else 0.0
             ),
         )
 
@@ -317,29 +400,26 @@ class Pipeline:
 
         The error path of :meth:`run` (and of a crashing daemon): the
         measurer keeps whatever state it reached — a later snapshot or
-        ``finalize`` still sees it — but the driver is ready for a fresh
-        :meth:`begin`.
+        ``finalize`` still sees it — and so does :attr:`progress`, but the
+        driver is ready for a fresh :meth:`begin`.
         """
         self._run = None
 
-    def _fire(self, run: _RunState, epoch_index: int) -> None:
-        if run.start_time is None and run.source is not None:
-            # Unbounded sources learn their origin from the first packet,
-            # after begin() already sampled it — re-read now that the
-            # stream is flowing.
-            run.start_time = run.source.start_time
+    def _fire(self, run: _RunState) -> None:
+        progress = self.progress
+        index = progress.epoch
         end_time = (
-            run.start_time + (epoch_index + 1) * run.epoch_seconds
-            if run.start_time is not None
-            else float(epoch_index + 1)
+            progress.start_time + (index + 1) * progress.epoch_seconds
+            if progress.start_time is not None
+            else float(index + 1)
         )
         snapshot = None
         if self.rotate and supports_rotate(self.measurer):
             snapshot = self.measurer.rotate(end_time)
         record = EpochRecord(
-            index=epoch_index,
+            index=index,
             end_time=end_time,
-            packets_so_far=run.packets,
+            packets_so_far=progress.measured_packets,
             snapshot=snapshot,
         )
         run.epochs.append(record)
@@ -359,11 +439,10 @@ class Pipeline:
         ``source`` is a :class:`~repro.pipeline.source.ChunkSource` or a
         bare :class:`~repro.traffic.packet.Trace` (sliced with
         ``chunk_size``, defaulting to the measurer's configured
-        ``chunk_size`` when it has one).
+        ``chunk_size`` when it has one, and on the pipeline's
+        ``epoch_seconds``).
         """
-        if isinstance(source, ChunkSource):
-            source = as_chunk_source(source)
-        else:
+        if not isinstance(source, ChunkSource):
             if chunk_size is None:
                 config = getattr(self.measurer, "config", None)
                 chunk_size = getattr(config, "chunk_size", None)

@@ -14,8 +14,10 @@ fsynced, so the shard files it names are on disk first — making it the
 commit point.  A crash mid-checkpoint leaves either a complete
 checkpoint or dangling shard files that no manifest references;
 :meth:`CheckpointStore.latest` also skips any checkpoint whose manifest
-is unreadable or whose shard files are missing, so recovery always lands
-on the newest *complete* one.
+is unreadable, names any file but the store's own shard files for its
+sequence number, or whose shard files are missing, so recovery always
+lands on the newest *complete* one and never reads a file outside the
+store.
 
 The manifest records each shard file's byte length and zlib CRC32, and
 :meth:`CheckpointStore.load` checks both, so a shard file damaged after
@@ -171,14 +173,19 @@ class CheckpointStore:
     # -- reading ---------------------------------------------------------------
 
     def _info(self, seq: int) -> "CheckpointInfo | None":
+        """The checkpoint ``seq``, or ``None`` when its manifest does not
+        read, names any file but this store's own shard files
+        ``ckpt-{seq}.shard0 .. shard{n-1}`` in order, or one of those is
+        missing."""
         manifest_path = self._manifest_path(seq)
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
-            shard_paths = [
-                os.path.join(self.directory, name) for name in manifest["shards"]
-            ]
+            names = manifest["shards"]
+            shard_paths = [self._shard_path(seq, shard) for shard in range(len(names))]
         except (OSError, ValueError, KeyError, TypeError):
+            return None
+        if names != [os.path.basename(path) for path in shard_paths]:
             return None
         if not shard_paths or not all(os.path.exists(p) for p in shard_paths):
             return None

@@ -4,20 +4,26 @@
 pipeline.driver.Pipeline` loop in a background ingest thread and keeps
 the engine continuously queryable: packets stream in from any unbounded
 :class:`~repro.pipeline.source.ChunkSource` (a tailed pcap-lite file, a
-socket feed), epochs rotate on the stream's own clock, and every N
+socket feed), epochs rotate on the grid the source cuts, and every N
 chunks the complete engine state — per-shard mid-stream snapshots plus
-stream bookkeeping — is checkpointed atomically through
-:class:`~repro.service.checkpoint.CheckpointStore`.
+the driver's :class:`~repro.pipeline.driver.RunProgress` record — is
+checkpointed atomically through
+:class:`~repro.service.checkpoint.CheckpointStore`.  The daemon keeps no
+stream counts of its own: ``packets``, ``stats()`` and every manifest
+read the driver's record.
 
 Crash recovery is the point: :meth:`MeasurementDaemon.start` looks for
-the newest complete checkpoint whose manifest fields decode and whose
-shard snapshots load and restore (a damaged newer one is skipped),
-restores the measurer bit-identically (unknown-length stream cursors
-resume mid-block), seeks the source back to the checkpointed packet
-position, and continues the epoch and chunk counts where they left off.
-Re-feeding the tail of the capture then reproduces *exactly* the
-estimates and regulator words of a run that never died — the invariant
-``tests/test_service.py`` pins.
+the newest complete checkpoint whose record decodes
+(:meth:`~repro.pipeline.driver.RunProgress.from_meta`) and whose shard
+snapshots load and restore (a damaged newer one is skipped), restores
+the measurer bit-identically (unknown-length stream cursors resume
+mid-block), seeks the source back to the checkpointed packet position,
+and hands the record to ``Pipeline.begin(source, resume=...)``, which
+continues the epochs, counts, stream clock and load-control tallies
+where they left off.  Re-feeding the tail of the capture then
+reproduces *exactly* the estimates, regulator words, epoch records and
+counts of a run that never died — the invariant ``tests/test_service.py``
+pins.
 
 Crash semantics are deliberate: a clean :meth:`stop` writes a final
 checkpoint and finalizes the stream, but an ingest error does *not*
@@ -27,71 +33,20 @@ exactly what a hard kill would leave.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
 
 from repro.core import InstaMeasureConfig
 from repro.errors import ConfigurationError, SnapshotError
-from repro.pipeline.control import ControllerStats, build_load_controller
-from repro.pipeline.driver import Pipeline
+from repro.pipeline.control import build_load_controller
+from repro.pipeline.driver import Pipeline, RunProgress
 from repro.pipeline.sharded import ShardedStreamingMeasurer
 from repro.service.checkpoint import CheckpointStore
 
 #: How many (wall_time, packets) samples back the "recent" pps window
 #: reaches (one sample per ingested chunk).
 _RECENT_WINDOW = 32
-
-
-def _decode_checkpoint_meta(meta: "dict") -> "dict":
-    """The manifest fields recovery resumes from, checked.
-
-    Counts (``position``, ``packets``, ``measured_packets``, ``chunks``,
-    ``epoch``) must be non-negative ints, the two stream times a finite
-    number or null, and the ``controller`` tallies must decode through
-    :meth:`ControllerStats.from_dict`.  Absent fields take the values a
-    fresh stream starts from.  Anything else raises
-    :class:`~repro.errors.SnapshotError`.
-    """
-
-    def count(name: str, default: int = 0) -> int:
-        value = meta.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise SnapshotError(
-                f"checkpoint {name} {value!r} is not a non-negative integer"
-            )
-        return value
-
-    def moment(name: str) -> "float | None":
-        value = meta.get(name)
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
-            raise SnapshotError(f"checkpoint {name} {value!r} is not a finite time")
-        return value
-
-    controller = meta.get("controller")
-    if controller is not None:
-        try:
-            ControllerStats.from_dict(controller)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SnapshotError(
-                f"checkpoint controller tallies do not decode: {exc!r}"
-            ) from exc
-    packets = count("packets")
-    return {
-        "position": count("position"),
-        "packets": packets,
-        "measured_packets": count("measured_packets", packets),
-        "chunks": count("chunks"),
-        "epoch": count("epoch"),
-        "start_time": moment("start_time"),
-        "stream_time": moment("stream_time"),
-        "controller": controller,
-    }
 
 
 class MeasurementDaemon:
@@ -112,8 +67,11 @@ class MeasurementDaemon:
         num_shards: shard the engine by flow key (in-process).  ``1``
             keeps a single engine; either way the checkpoint format is a
             list of per-shard snapshots.
-        epoch_seconds: rotation period on the stream clock; ``None``
-            disables epoch bookkeeping and rotation.
+        epoch_seconds: rotate at every epoch boundary the source cuts;
+            it must equal the source's ``epoch_seconds`` (the source owns
+            the epoch grid), or :class:`~repro.errors.ConfigurationError`
+            is raised.  ``None`` keeps the epoch records without
+            rotating.
         checkpoint_dir: where to persist checkpoints; ``None`` disables
             checkpointing (the daemon is then purely in-memory).
         checkpoint_every: checkpoint after this many ingested chunks.
@@ -149,6 +107,11 @@ class MeasurementDaemon:
                 "the daemon serves unbounded sources; for a bounded trace "
                 "use Pipeline.run"
             )
+        if epoch_seconds is not None and epoch_seconds != source.epoch_seconds:
+            raise ConfigurationError(
+                f"epoch_seconds {epoch_seconds} differs from the source's "
+                f"{source.epoch_seconds}: the source cuts the epochs"
+            )
         if checkpoint_every < 1:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -180,16 +143,7 @@ class MeasurementDaemon:
         self._lock = threading.RLock()
         self._thread: "threading.Thread | None" = None
         self._finished = threading.Event()
-        self._position = 0  # stream position after the last ingested chunk
-        self._base_packets = 0  # packets restored from a checkpoint
-        self._run_packets = 0  # packets offered to this process
-        self._base_measured = 0  # measured packets restored from a checkpoint
-        self._run_measured = 0  # packets actually measured (post-shedding)
-        self._epoch = 0
-        self._chunks = 0
         self._chunks_since_checkpoint = 0
-        self._ingest_seconds = 0.0
-        self._stream_time: "float | None" = None
         self._started_at: "float | None" = None
         self._recent: "deque[tuple[float, int]]" = deque(maxlen=_RECENT_WINDOW)
 
@@ -200,48 +154,28 @@ class MeasurementDaemon:
         ingest thread.  Returns ``self`` for chaining."""
         if self._thread is not None:
             raise ConfigurationError("the daemon is already running")
-        first_epoch = 0
-        start_time = None
-        controller_stats = None
+        resume = None
         recovered = self._recover() if self.store is not None else None
         if recovered is not None:
-            info, meta, self.measurer = recovered
+            info, resume, self.measurer = recovered
             self.config = self.measurer.config
             self.num_shards = self.measurer.num_shards
-            self._position = meta["position"]
-            self._base_packets = meta["packets"]
-            self._base_measured = meta["measured_packets"]
-            self._chunks = meta["chunks"]
-            first_epoch = self._epoch = meta["epoch"]
-            start_time = meta["start_time"]
-            self._stream_time = meta["stream_time"]
-            controller_stats = meta["controller"]
             self.recovered_from = info.seq
-            self.source.seek_packets(self._position)
-            if start_time is not None and self.source.start_time is None:
-                # Pin the epoch origin: the re-opened source must grid
-                # its epochs exactly as the dead run did.
-                self.source.start_time = start_time
+            self.source.seek_packets(resume.position)
         if self.measurer is None:
             self.measurer = ShardedStreamingMeasurer(
                 self.config, num_shards=self.num_shards
             )
-        self.pipeline = Pipeline(
+        pipeline = Pipeline(
             self.measurer,
-            epoch_seconds=self.epoch_seconds,
             rotate=self.epoch_seconds is not None,
             history=self.history,
             controller=build_load_controller(
                 self.load_policy, self.target_pps, seed=self.config.seed
             ),
         )
-        self.pipeline.begin(
-            self.source,
-            start_time=start_time,
-            first_epoch=first_epoch,
-            stream_time=self._stream_time,
-            controller_stats=controller_stats,
-        )
+        pipeline.begin(self.source, resume=resume)
+        self.pipeline = pipeline
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._ingest_loop, name="measurement-daemon", daemon=True
@@ -250,36 +184,25 @@ class MeasurementDaemon:
         return self
 
     def _recover(self):
-        """``(info, decoded meta, measurer)`` of the newest checkpoint that
+        """``(info, run record, measurer)`` of the newest checkpoint that
         decodes, loads and restores, or ``None`` when none does."""
         for info in reversed(self.store.list()):
             try:
-                meta = _decode_checkpoint_meta(info.meta)
+                progress = RunProgress.from_meta(info.meta)
                 measurer = ShardedStreamingMeasurer.from_snapshots(
                     self.store.load(info)
                 )
             except SnapshotError:
                 continue
-            return info, meta, measurer
+            return info, progress, measurer
         return None
 
     def _ingest_loop(self) -> None:
         try:
             for chunk in self.source:
                 with self._lock:
-                    # step returns None for a chunk shed entirely; the
-                    # pipeline's cumulative counters are authoritative
-                    # either way.
                     self.pipeline.step(chunk)
-                    self._position = chunk.end
-                    self._run_packets += chunk.num_packets
-                    self._epoch = self.pipeline.active_epoch
-                    self._chunks += 1
                     self._chunks_since_checkpoint += 1
-                    self._run_measured = self.pipeline.ingested_packets
-                    self._ingest_seconds = self.pipeline.run_ingest_seconds
-                    if chunk.num_packets:
-                        self._stream_time = float(chunk.trace.timestamps[-1])
                     self._recent.append((time.monotonic(), self.packets))
                     due = (
                         self.store is not None
@@ -297,10 +220,7 @@ class MeasurementDaemon:
                 # close the stream so estimates read a finished run.
                 if self.store is not None:
                     self._checkpoint_locked()
-                finished = self.pipeline.finish()
-                self.result = finished
-                self._run_measured = finished.packets
-                self._ingest_seconds = finished.elapsed_seconds
+                self.result = self.pipeline.finish()
         except BaseException as exc:  # crash path: NO final checkpoint
             self.error = exc
             with self._lock:
@@ -334,30 +254,13 @@ class MeasurementDaemon:
         info = self.store.save(
             self.measurer.snapshot_shards(),
             meta={
-                "position": self._position,
-                "packets": self.packets,
-                "measured_packets": self.measured_packets,
-                "chunks": self._chunks,
-                "epoch": self._epoch,
-                "start_time": self.source.start_time,
-                "stream_time": self._stream_time,
-                "epoch_seconds": self.epoch_seconds,
+                **self.pipeline.progress.as_meta(),
                 "num_shards": self.num_shards,
                 "load_policy": self.load_policy,
-                "controller": self._controller_stats_locked(),
             },
         )
         self._chunks_since_checkpoint = 0
         return info
-
-    def _controller_stats_locked(self) -> "dict | None":
-        """The load controller's tallies over the whole stream, recovered
-        packets included (``None`` without a controller)."""
-        stats = self.pipeline.controller_stats if self.pipeline is not None else None
-        if stats is None and self.result is not None:
-            # Finished runs keep their final controller tally.
-            stats = self.result.controller_stats
-        return stats
 
     def checkpoint_now(self):
         """Force a checkpoint immediately; returns its info."""
@@ -369,15 +272,21 @@ class MeasurementDaemon:
     # -- queries ---------------------------------------------------------------
 
     @property
+    def progress(self) -> RunProgress:
+        """The driver's record of the stream (a fresh one before
+        :meth:`start`): how far it was read, recovered packets included."""
+        return self.pipeline.progress if self.pipeline is not None else RunProgress()
+
+    @property
     def packets(self) -> int:
         """Packets the stream offered so far, including recovered ones."""
-        return self._base_packets + self._run_packets
+        return self.progress.packets
 
     @property
     def measured_packets(self) -> int:
         """Packets that actually reached the measurer (equals
         :attr:`packets` unless a load policy shed some)."""
-        return self._base_measured + self._run_measured
+        return self.progress.measured_packets
 
     @property
     def running(self) -> bool:
@@ -400,9 +309,9 @@ class MeasurementDaemon:
         """Rotate every shard at the current stream time; returns how
         many WSAF entries the rotation expired."""
         with self._lock:
-            now = self._stream_time if self._stream_time is not None else 0.0
+            now = self.progress.stream_time
             before = self.measurer.wsaf_size
-            self.measurer.rotate(now)
+            self.measurer.rotate(now if now is not None else 0.0)
             return before - self.measurer.wsaf_size
 
     def stats(self) -> "dict":
@@ -410,14 +319,16 @@ class MeasurementDaemon:
         serves)."""
         with self._lock:
             recent = list(self._recent)
-            active_epoch = self._epoch
+            progress = self.progress
+            meta = progress.as_meta()
+            pps_total = (
+                progress.ingest_packets / progress.ingest_seconds
+                if progress.ingest_seconds > 0
+                else 0.0
+            )
             wsaf_entries = (
                 self.measurer.wsaf_size if self.measurer is not None else 0
             )
-            packets = self.packets
-            measured = self.measured_packets
-            ingest_seconds = self._ingest_seconds
-            controller = self._controller_stats_locked()
         pps_recent = 0.0
         if len(recent) >= 2:
             dt = recent[-1][0] - recent[0][0]
@@ -425,25 +336,21 @@ class MeasurementDaemon:
             pps_recent = dp / dt if dt > 0 else 0.0
         return {
             "running": self.running,
-            "packets": packets,
-            "measured_packets": measured,
-            "position": self._position,
-            "chunks": self._chunks,
-            "epoch": active_epoch,
+            "packets": meta["packets"],
+            "measured_packets": meta["measured_packets"],
+            "position": meta["position"],
+            "chunks": meta["chunks"],
+            "epoch": meta["epoch"],
             "epoch_seconds": self.epoch_seconds,
             "num_shards": self.num_shards,
             "wsaf_entries": wsaf_entries,
             "load_policy": self.load_policy,
             "target_pps": self.target_pps,
-            "controller": controller,
-            "pps_total": (
-                (measured - self._base_measured) / ingest_seconds
-                if ingest_seconds > 0
-                else 0.0
-            ),
+            "controller": meta["controller"],
+            "pps_total": pps_total,
             "pps_recent": pps_recent,
-            "stream_time": self._stream_time,
-            "start_time": self.source.start_time,
+            "stream_time": meta["stream_time"],
+            "start_time": meta["start_time"],
             "uptime_seconds": (
                 time.monotonic() - self._started_at
                 if self._started_at is not None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -129,6 +130,24 @@ def _restart(ck, capture, **policy):
             **policy,
         )
     )
+
+
+def _assert_resumed_whole(recovered, reference):
+    """Recovery equals the uninterrupted run in the driver's outputs too:
+    every epoch fired after recovery, the result's counts, and
+    ``stats()`` apart from its wall-clock and recovery fields."""
+    fired = {record.index: record for record in reference.result.epochs}
+    assert recovered.result.epochs
+    for record in recovered.result.epochs:
+        assert record == fired[record.index]
+    for name in ("packets", "offered_packets", "controller_stats"):
+        assert getattr(recovered.result, name) == getattr(reference.result, name)
+    volatile = ("pps_total", "pps_recent", "uptime_seconds", "recovered_from")
+
+    def steady(stats):
+        return {k: v for k, v in stats.items() if k not in volatile}
+
+    assert steady(recovered.stats()) == steady(reference.stats())
 
 
 def _flip_numeric_byte(path, column="wsaf.packets") -> bytes:
@@ -255,6 +274,37 @@ class TestCheckpointStore:
             to_bytes(s) for s in later
         ]
 
+    @pytest.mark.parametrize(
+        "names", ["absolute", "outside", "reordered", "another seq"]
+    )
+    def test_latest_skips_shard_names_it_did_not_write(
+        self, capture, tmp_path, names
+    ):
+        """A manifest may name only its own ``ckpt-{seq}.shard{i}``
+        files, in order: one naming any other (readable, well-formed)
+        file is an incomplete checkpoint, and no file outside the store
+        is read."""
+        store = CheckpointStore(tmp_path / "ck")
+        snapshots = self._snapshots(capture)
+        good = store.save(snapshots, meta={"position": 1})
+        bad = store.save(snapshots, meta={"position": 2})
+        other = tmp_path / "other"
+        other.mkdir()
+        for path in good.shard_paths:
+            shutil.copy(path, other / os.path.basename(path))
+        shards = {
+            "absolute": [str(other / name) for name in good.meta["shards"]],
+            "outside": [f"../other/{name}" for name in good.meta["shards"]],
+            "reordered": bad.meta["shards"][::-1],
+            "another seq": good.meta["shards"],
+        }[names]
+        manifest = dict(bad.meta, shards=shards)
+        del manifest["shard_integrity"]
+        with open(bad.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        assert store.latest().seq == good.seq
+        assert [info.seq for info in store.list()] == [good.seq]
+
     def test_empty_directory_has_no_latest(self, tmp_path):
         assert CheckpointStore(tmp_path / "ck").latest() is None
 
@@ -312,7 +362,7 @@ class TestMeasurementDaemon:
         # The crash wrote no final checkpoint: on-disk state is the last
         # *periodic* one, strictly before the crash point.
         last = crashed.store.latest()
-        assert 0 < last.meta["position"] < crashed._position
+        assert 0 < last.meta["position"] < crashed.stats()["position"]
 
         recovered = _restart(ck, capture)
         assert recovered.error is None
@@ -324,6 +374,7 @@ class TestMeasurementDaemon:
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
         )
+        _assert_resumed_whole(recovered, reference)
 
     def test_shed_crash_recovery_is_bit_identical(self, trace, capture, tmp_path):
         """The same kill and restart under ``shed``: the recovered
@@ -346,7 +397,7 @@ class TestMeasurementDaemon:
         ck = str(tmp_path / "ck")
         crashed = _crash(capture, ck, **policy)
         last = crashed.store.latest()
-        assert 0 < last.meta["position"] < crashed._position
+        assert 0 < last.meta["position"] < crashed.stats()["position"]
 
         recovered = _restart(ck, capture, **policy)
         assert recovered.error is None
@@ -361,6 +412,7 @@ class TestMeasurementDaemon:
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
         )
+        _assert_resumed_whole(recovered, reference)
 
     @pytest.mark.parametrize(
         "damage",
@@ -492,6 +544,76 @@ class TestMeasurementDaemon:
             reference.measurer
         )
 
+    def test_epochs_are_the_sources(self, capture):
+        """The source cuts the epochs: a daemon rotating at another width
+        is refused up front; ``None`` keeps the records, no rotation."""
+        for width in (None, 2.5):
+            with pytest.raises(ConfigurationError, match="cuts the epochs"):
+                MeasurementDaemon(
+                    _source(capture, epoch_seconds=width), epoch_seconds=5.0
+                )
+        daemon = _run_daemon(
+            MeasurementDaemon(_source(capture, epoch_seconds=2.5), config=_config())
+        )
+        assert daemon.error is None and daemon.stats()["epoch_seconds"] is None
+        assert [e.index for e in daemon.result.epochs] == [0, 1, 2]
+        assert all(e.snapshot is None for e in daemon.result.epochs)
+
+    def test_recovery_refuses_a_checkpoint_of_another_epoch_width(
+        self, capture, tmp_path
+    ):
+        """A checkpoint cut at 1-s epochs cannot continue over a source
+        cutting 0.5-s ones: ``start()`` raises instead of firing the
+        missing rotations at once."""
+        ck = str(tmp_path / "ck")
+        _crash(capture, ck)
+        daemon = MeasurementDaemon(
+            _source(capture, epoch_seconds=0.5), epoch_seconds=0.5,
+            num_shards=2, checkpoint_dir=ck,
+        )
+        with pytest.raises(ConfigurationError, match="epochs"):
+            daemon.start()
+        assert not daemon.running
+
+    def test_recovery_takes_the_sources_width_for_an_unknown_one(
+        self, trace, capture, tmp_path
+    ):
+        """Older daemons built without ``epoch_seconds`` recorded a null
+        width whatever their source cut; such a checkpoint recovers over
+        the source's grid, bit-identically."""
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        for info in _crash(capture, ck).store.list():
+            with open(info.manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(dict(info.meta, epoch_seconds=None), handle)
+
+        recovered = _restart(ck, capture)
+        assert recovered.error is None and recovered.recovered_from is not None
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+        _assert_resumed_whole(recovered, reference)
+
+    def test_pps_total_covers_every_chunk(self, capture):
+        """A finished daemon's throughput counts every chunk's ingest
+        time, not only the chunks its ``history`` kept."""
+        daemon = _run_daemon(
+            MeasurementDaemon(
+                _source(capture, chunk_size=200), config=_config(),
+                num_shards=2, history=4,
+            )
+        )
+        result = daemon.result
+        assert len(result.chunks) == 4
+        assert result.elapsed_seconds > sum(c.seconds for c in result.chunks)
+        assert result.pps == pytest.approx(result.packets / result.elapsed_seconds)
+        assert daemon.stats()["pps_total"] == pytest.approx(result.pps)
+
     def test_live_feed_cannot_recover_a_checkpoint(self, capture, tmp_path):
         ck = str(tmp_path / "ck")
         first = _run_daemon(
@@ -543,7 +665,7 @@ class TestMeasurementDaemon:
         assert daemon.error is None
         assert daemon.packets >= 2_500
         # Clean stop commits a final checkpoint at the stop position.
-        assert daemon.store.latest().meta["position"] == daemon._position
+        assert daemon.store.latest().meta["position"] == daemon.stats()["position"]
 
     def test_throughput_comparable_to_batch(self, trace, capture):
         """Acceptance: live service pps within 2x of the batch loop."""
