@@ -53,7 +53,7 @@ import numpy as np
 from repro.analysis.metrics import mean_relative_error
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.detection import classify_detections, ground_truth_heavy_hitters
-from repro.pipeline import ShedController, run_pipeline
+from repro.pipeline import ShedController, TraceChunkSource, run_pipeline
 from repro.simulate import MirrorPort
 from repro.state.codec import to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -145,7 +145,7 @@ def _run_oblivious(offered, capacity_pps: float, threshold: float) -> "dict":
     )
     delivered, port_stats = port.apply(offered)
     engine = _engine()
-    run_pipeline(engine, delivered, chunk_size=CHUNK_SIZE)
+    run_pipeline(engine, TraceChunkSource(delivered, chunk_size=CHUNK_SIZE))
     est_packets, _ = engine.estimates_for(offered)
     row = {
         "policy": "oblivious",
@@ -173,8 +173,7 @@ def _run_shed(offered, target_pps: float, threshold: float):
     engine = _engine()
     result = run_pipeline(
         engine,
-        offered,
-        chunk_size=CHUNK_SIZE,
+        TraceChunkSource(offered, chunk_size=CHUNK_SIZE),
         controller=ShedController(target_pps, seed=CONTROL_SEED),
     )
     stats = result.controller_stats

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
 from repro.detection.topk import topk_recall
 from repro.errors import ConfigurationError
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, TraceChunkSource
 from repro.traffic.packet import Trace
 
 
@@ -128,7 +128,7 @@ def windowed_topk_recall(
             )
         )
 
-    Pipeline(
-        engine, epoch_seconds=window_seconds, on_epoch=on_window, rotate=rotate
-    ).run(trace)
+    Pipeline(engine, on_epoch=on_window, rotate=rotate).run(
+        TraceChunkSource(trace, epoch_seconds=window_seconds)
+    )
     return snapshots

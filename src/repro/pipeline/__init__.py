@@ -62,6 +62,7 @@ from repro.pipeline.sharded import (
 from repro.pipeline.source import (
     Chunk,
     ChunkSource,
+    EpochGrid,
     FileChunkSource,
     TraceChunkSource,
     as_chunk_source,
@@ -81,6 +82,7 @@ __all__ = [
     "ControlDecision",
     "ControlDecisionRecord",
     "ControllerStats",
+    "EpochGrid",
     "EpochRecord",
     "LOAD_POLICY_CHOICES",
     "ShedController",

@@ -15,8 +15,9 @@ stream lives in one :class:`RunProgress` record that only
 :meth:`Pipeline.step` advances: a checkpoint writes it
 (:meth:`RunProgress.as_meta`) and ``begin(source, resume=...)``
 continues it, so a recovered run counts the whole stream.  The source
-owns the epoch grid; unbounded sources (``total_packets is None``) pick
-their epoch origin up once they have seen their first packet.
+owns the epoch grid (:class:`~repro.pipeline.source.EpochGrid`);
+unbounded sources (``total_packets is None``) pick their epoch origin up
+once they have seen their first packet.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, SnapshotError
 from repro.pipeline.control import ChunkGovernor, ControllerStats, ShedController
 from repro.pipeline.protocol import supports_rotate
-from repro.pipeline.source import ChunkSource, as_chunk_source
+from repro.pipeline.source import ChunkSource, EpochGrid, as_chunk_source
 
 
 @dataclass
@@ -49,9 +50,10 @@ class ChunkStats:
 class EpochRecord:
     """One epoch boundary the driver fired.
 
-    ``packets_so_far`` counts the packets measured over the whole stream
-    up to the boundary.  ``snapshot`` holds what the measurer's
-    ``rotate(now)`` returned when the pipeline was built with
+    ``end_time`` is the boundary on the stream clock (NaN while the
+    origin is unknown), and ``packets_so_far`` counts the packets measured
+    over the whole stream up to it.  ``snapshot`` holds what the
+    measurer's ``rotate(now)`` returned when the pipeline was built with
     ``rotate=True`` (and the measurer has the hook), else ``None``.
     """
 
@@ -118,10 +120,12 @@ class RunProgress:
         Counts must be non-negative ints, ``epoch_seconds`` a positive
         finite number or null, the two stream times finite numbers or
         null, and the ``controller`` tallies must decode through
-        :meth:`ControllerStats.from_dict`.  Absent fields take the values
-        a fresh stream starts from (``measured_packets`` defaults to
-        ``packets``).  Anything else raises
-        :class:`~repro.errors.SnapshotError`.
+        :meth:`ControllerStats.from_dict`.  With a width and both times
+        known, ``epoch`` must be within one of the epoch its grid puts
+        ``stream_time`` in (one, because older manifests took it from a
+        floor division).  Absent fields take the values a fresh stream
+        starts from (``measured_packets`` defaults to ``packets``).
+        Anything else raises :class:`~repro.errors.SnapshotError`.
         """
 
         def count(name: str, default: int = 0) -> int:
@@ -155,18 +159,49 @@ class RunProgress:
             raise SnapshotError(
                 f"checkpoint epoch_seconds {epoch_seconds!r} is not positive"
             )
+        epoch = count("epoch")
+        start_time = moment("start_time")
+        stream_time = moment("stream_time")
+        if None not in (epoch_seconds, start_time, stream_time):
+            try:
+                on_grid = EpochGrid(start_time, epoch_seconds).epoch_of(stream_time)
+            except ConfigurationError as exc:
+                raise SnapshotError(f"checkpoint grid: {exc}") from exc
+            if abs(epoch - on_grid) > 1:
+                raise SnapshotError(
+                    f"checkpoint epoch {epoch} is not its stream time's "
+                    f"epoch {on_grid}"
+                )
         packets = count("packets")
         return cls(
             position=count("position"),
             packets=packets,
             measured_packets=count("measured_packets", packets),
             chunks=count("chunks"),
-            epoch=count("epoch"),
+            epoch=epoch,
             epoch_seconds=epoch_seconds,
-            start_time=moment("start_time"),
-            stream_time=moment("stream_time"),
+            start_time=start_time,
+            stream_time=stream_time,
             controller=controller,
         )
+
+    def check_source(self, source) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` unless the run
+        this record counts can go on over ``source``: the source cuts the
+        record's epoch width from the record's origin (an unknown width
+        or origin on either side matches)."""
+        if self.epoch_seconds not in (None, source.epoch_seconds):
+            raise ConfigurationError(
+                f"the run to resume cut {self.epoch_seconds}-s epochs, "
+                f"the source cuts {source.epoch_seconds}"
+            )
+        if None not in (self.start_time, source.start_time) and (
+            self.start_time != source.start_time
+        ):
+            raise ConfigurationError(
+                f"the run to resume numbers epochs from {self.start_time}, "
+                f"the source from {source.start_time}"
+            )
 
 
 @dataclass
@@ -214,13 +249,10 @@ class Pipeline:
 
     Args:
         measurer: any :class:`~repro.pipeline.protocol.StreamingMeasurer`.
-        epoch_seconds: when :meth:`run` receives a bare trace, slice it
-            on epoch boundaries this wide.  A source cuts its own epochs
-            (its ``epoch_seconds``), and the driver fires ``on_epoch`` at
-            every boundary it cuts.
-        on_epoch: ``callback(record, measurer)`` fired once per epoch, in
-            order, after the epoch's last chunk was ingested (empty epochs
-            fire too).  The final partial epoch fires before ``finalize``.
+        on_epoch: ``callback(record, measurer)`` fired once per epoch the
+            source cuts (its ``epoch_seconds``), in order, after the
+            epoch's last chunk was ingested (empty epochs fire too).  The
+            final partial epoch fires before ``finalize``.
         rotate: call the measurer's optional ``rotate(end_time)`` at each
             boundary and store its snapshot on the
             :class:`EpochRecord` (periodic maintenance for long runs).
@@ -247,7 +279,6 @@ class Pipeline:
     def __init__(
         self,
         measurer,
-        epoch_seconds: "float | None" = None,
         on_epoch=None,
         rotate: bool = False,
         on_accumulate=None,
@@ -255,7 +286,6 @@ class Pipeline:
         controller: "ShedController | None" = None,
     ) -> None:
         self.measurer = measurer
-        self.epoch_seconds = epoch_seconds
         self.on_epoch = on_epoch
         self.rotate = rotate
         self.on_accumulate = on_accumulate
@@ -278,20 +308,17 @@ class Pipeline:
         :meth:`RunProgress.from_meta`: the epoch cadence, the packet and
         chunk counts, the stream clock and the load controller's tallies
         go on from it, and a source that has not seen a packet yet takes
-        its epoch origin.  A record of another epoch width than the
-        source's raises :class:`~repro.errors.ConfigurationError`; one of
-        unknown width (``None``) takes the source's.
+        its epoch origin.  A record of another epoch width or origin than
+        the source's raises :class:`~repro.errors.ConfigurationError`
+        (:meth:`RunProgress.check_source`) and changes nothing; an
+        unknown width or origin takes the source's.
         """
         if self._run is not None:
             raise ConfigurationError(
                 "a pipeline run is already in progress; finish() or abort() it"
             )
         progress = resume if resume is not None else RunProgress()
-        if progress.epoch_seconds not in (None, source.epoch_seconds):
-            raise ConfigurationError(
-                f"the run to resume cut {progress.epoch_seconds}-s epochs, "
-                f"the source cuts {source.epoch_seconds}"
-            )
+        progress.check_source(source)
         progress.epoch_seconds = source.epoch_seconds
         if progress.start_time is None:
             progress.start_time = source.start_time
@@ -409,9 +436,9 @@ class Pipeline:
         progress = self.progress
         index = progress.epoch
         end_time = (
-            progress.start_time + (index + 1) * progress.epoch_seconds
+            EpochGrid(progress.start_time, progress.epoch_seconds).end_time(index)
             if progress.start_time is not None
-            else float(index + 1)
+            else math.nan
         )
         snapshot = None
         if self.rotate and supports_rotate(self.measurer):
@@ -433,22 +460,16 @@ class Pipeline:
 
     # -- batch interface ---------------------------------------------------------
 
-    def run(self, source, chunk_size: "int | None" = None) -> PipelineResult:
+    def run(self, source) -> PipelineResult:
         """Ingest every chunk of ``source`` and finalize.
 
         ``source`` is a :class:`~repro.pipeline.source.ChunkSource` or a
-        bare :class:`~repro.traffic.packet.Trace` (sliced with
-        ``chunk_size``, defaulting to the measurer's configured
-        ``chunk_size`` when it has one, and on the pipeline's
-        ``epoch_seconds``).
+        bare :class:`~repro.traffic.packet.Trace`, cut into chunks of the
+        measurer's configured ``chunk_size`` when it has one
+        (:func:`~repro.pipeline.source.as_chunk_source`).
         """
-        if not isinstance(source, ChunkSource):
-            if chunk_size is None:
-                config = getattr(self.measurer, "config", None)
-                chunk_size = getattr(config, "chunk_size", None)
-            source = as_chunk_source(
-                source, chunk_size=chunk_size, epoch_seconds=self.epoch_seconds
-            )
+        config = getattr(self.measurer, "config", None)
+        source = as_chunk_source(source, getattr(config, "chunk_size", None))
         self.begin(source)
         try:
             for chunk in source:
@@ -462,8 +483,6 @@ class Pipeline:
 def run_pipeline(
     measurer,
     source,
-    chunk_size: "int | None" = None,
-    epoch_seconds: "float | None" = None,
     on_epoch=None,
     rotate: bool = False,
     on_accumulate=None,
@@ -472,9 +491,8 @@ def run_pipeline(
     """One-shot convenience: build a :class:`Pipeline` and run it."""
     return Pipeline(
         measurer,
-        epoch_seconds=epoch_seconds,
         on_epoch=on_epoch,
         rotate=rotate,
         on_accumulate=on_accumulate,
         controller=controller,
-    ).run(source, chunk_size=chunk_size)
+    ).run(source)

@@ -64,11 +64,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShardWorkerError, SnapshotError
 from repro.pipeline.driver import Pipeline
-from repro.pipeline.source import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkSource,
-    TraceChunkSource,
-)
+from repro.pipeline.source import as_chunk_source
 from repro.state import MeasurementSnapshot, ShardRouter, from_bytes, merge, to_bytes
 from repro.state.codec import pack_frame, unpack_frame
 from repro.state.shard import l1_sketch, select_shard
@@ -589,9 +585,6 @@ class ShardedPipeline:
             (falls back to in-process execution, with a
             :class:`RuntimeWarning`, where the platform cannot fork;
             both modes are bit-identical).
-        chunk_size: slicing budget when :meth:`run` receives a bare
-            trace (defaults to the config's ``chunk_size``); an explicit
-            chunk source keeps its own slicing.
         controller: optional
             :class:`~repro.pipeline.control.ShedController`, applied by
             the :class:`~repro.pipeline.driver.Pipeline` driver exactly
@@ -607,7 +600,6 @@ class ShardedPipeline:
         config=None,
         num_shards: int = 1,
         parallel: bool = False,
-        chunk_size: "int | None" = None,
         controller=None,
     ) -> None:
         from repro.core.instameasure import InstaMeasureConfig
@@ -619,38 +611,17 @@ class ShardedPipeline:
         self.config = config or InstaMeasureConfig()
         self.num_shards = num_shards
         self.parallel = parallel
-        self.chunk_size = (
-            chunk_size
-            if chunk_size is not None
-            else getattr(self.config, "chunk_size", DEFAULT_CHUNK_SIZE)
-        )
         self.controller = controller
         self.router = ShardRouter.for_config(self.config, num_shards)
 
-    def _coerce_source(self, source) -> ChunkSource:
-        """Any trace or chunk source; routing itself is per-chunk.
-
-        A known ``total_packets`` hands every shard its packets' bits out
-        of the one global randomness draw — the exact-equals-single-process
-        mode.
-        An unknown total (unbounded source) still shards exactly on the
-        regulator/WSAF axes, but each shard consumes its own
-        unknown-length block-drawn stream, so the merged result is a
-        well-defined sharded measurement rather than a bit-replica of a
-        single-process run (see the module docstring).
-        """
-        if isinstance(source, Trace):
-            source = TraceChunkSource(source, chunk_size=self.chunk_size)
-        if not isinstance(source, ChunkSource):
-            raise ConfigurationError(
-                "sharded ingestion needs a Trace or a ChunkSource, "
-                f"got {type(source).__name__}"
-            )
-        return source
-
     def run(self, source, parallel: "bool | None" = None) -> ShardedResult:
-        """Drive every chunk through the pipeline into the shards; merge."""
-        source = self._coerce_source(source)
+        """Drive every chunk through the pipeline into the shards; merge.
+
+        ``source`` is a chunk source, or a bare trace cut into chunks of
+        the config's ``chunk_size``.  With an unknown ``total_packets``
+        each shard draws its own randomness (see the module docstring).
+        """
+        source = as_chunk_source(source, self.config.chunk_size)
         total = source.total_packets
         if total is not None:
             total = int(total)
@@ -674,7 +645,7 @@ class ShardedPipeline:
                 self.config,
                 key_ranges,
                 total,
-                slot_packets=getattr(source, "chunk_size", self.chunk_size),
+                slot_packets=getattr(source, "chunk_size", self.config.chunk_size),
             )
             measurer = _PoolShardMeasurer(self.config, pool, total)
         else:

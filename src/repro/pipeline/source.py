@@ -4,14 +4,15 @@ A :class:`ChunkSource` yields :class:`Chunk` objects: contiguous,
 timestamp-ordered packet spans whose columns are NumPy *views* into the
 backing trace (no packet data is copied; the bound is on the working set
 each pipeline stage touches, which is what the batched kernels size their
-arrays by).  :class:`TraceChunkSource` slices an in-memory trace on two
-boundaries at once — a packet-count budget and, when ``epoch_seconds`` is
-given, epoch time boundaries, so no chunk ever straddles an epoch and the
+arrays by).  Sources alone slice a stream, all with one cutter
+(:meth:`ChunkSource._next_cut`) on one :class:`EpochGrid`: a packet-count
+budget and epoch boundaries, so no chunk ever straddles an epoch and the
 driver can fire rotation callbacks exactly between chunks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,43 @@ from repro.traffic.packet import Trace
 
 #: Default packets per chunk (mirrors the batched kernel's chunk budget).
 DEFAULT_CHUNK_SIZE = 1 << 20
+
+
+@dataclass(frozen=True)
+class EpochGrid:
+    """Epochs ``width`` seconds wide from ``origin``: epoch ``k`` starts at
+    ``origin + width * k`` (in float64), and a timestamp on a boundary
+    opens the next epoch, as in ``Trace.time_slice``'s half-open windows.
+    """
+
+    origin: float
+    width: float
+
+    def end_time(self, epoch: int) -> float:
+        """Where ``epoch`` ends and the next one starts."""
+        return self.origin + self.width * (epoch + 1)
+
+    def epoch_of(self, timestamp: float) -> int:
+        """The epoch ``timestamp`` falls in: floor division's guess, moved
+        across the boundaries rounding can put it beside.  A width too
+        fine for the timestamps' float resolution raises
+        :class:`~repro.errors.ConfigurationError`."""
+        try:
+            epoch = int((timestamp - self.origin) // self.width)
+            # Rounding puts the guess one step off at most, unless the
+            # width is within a few ulps of the timestamps' resolution.
+            for _ in range(4):
+                if self.end_time(epoch) <= timestamp:
+                    epoch += 1
+                elif self.end_time(epoch - 1) > timestamp:
+                    epoch -= 1
+                else:
+                    return epoch
+        except (OverflowError, ValueError):
+            pass
+        raise ConfigurationError(
+            f"{self.width}-s epochs from {self.origin} do not resolve {timestamp}"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,6 +96,7 @@ class ChunkSource:
 
     Attributes:
         total_packets: stream length, or ``None`` if unknown up front.
+        chunk_size: packets per chunk at most.
         epoch_seconds: epoch width the source splits on, or ``None``.
         start_time: first packet timestamp (epoch 0 starts here), or
             ``None`` until known.
@@ -67,20 +106,49 @@ class ChunkSource:
     epoch_seconds: "float | None" = None
     start_time: "float | None" = None
 
+    def __init__(
+        self,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        epoch_seconds: "float | None" = None,
+    ) -> None:
+        if chunk_size < 1:
+            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+        if epoch_seconds is not None and not 0 < epoch_seconds < math.inf:
+            raise ConfigurationError("epoch_seconds must be positive and finite")
+        self.chunk_size = int(chunk_size)
+        self.epoch_seconds = epoch_seconds
+
     def __iter__(self):
         raise NotImplementedError
 
+    def _next_cut(
+        self, timestamps: np.ndarray, position: int, flush: bool
+    ) -> "tuple[int, int] | None":
+        """``(packets, epoch)`` of the next, never empty, chunk of the
+        unread ``timestamps`` (from stream position ``position``), or
+        ``None`` until the stream shows where it ends: at the earlier of
+        the next ``k * chunk_size`` position and the next epoch boundary
+        a packet has reached, or, with ``flush``, at the end."""
+        n = len(timestamps)
+        if n == 0:
+            return None
+        budget = self.chunk_size - position % self.chunk_size
+        cut = budget if n >= budget else (n if flush else None)
+        epoch = 0
+        if self.epoch_seconds is not None:
+            grid = EpochGrid(self.start_time, self.epoch_seconds)
+            epoch = grid.epoch_of(float(timestamps[0]))
+            cross = int(
+                np.searchsorted(timestamps, grid.end_time(epoch), side="left")
+            )
+            if cross < n:
+                cut = cross if cut is None else min(cut, cross)
+        return None if cut is None else (cut, epoch)
+
 
 class TraceChunkSource(ChunkSource):
-    """Slice an in-memory :class:`Trace` into bounded chunks.
-
-    Cut points are the union of packet-count boundaries (every
-    ``chunk_size`` packets) and, with ``epoch_seconds``, epoch time
-    boundaries at ``start + k * epoch_seconds`` (packets at exactly a
-    boundary open the next epoch, matching ``Trace.time_slice``'s
-    half-open windows).  Chunks are built once, eagerly, and reused
-    across iterations.
-    """
+    """Slice an in-memory :class:`Trace` into bounded chunks, once and
+    eagerly; every iteration reuses them."""
 
     def __init__(
         self,
@@ -88,49 +156,18 @@ class TraceChunkSource(ChunkSource):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         epoch_seconds: "float | None" = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise ConfigurationError("epoch_seconds must be positive")
+        super().__init__(chunk_size, epoch_seconds)
         self.trace = trace
-        self.chunk_size = int(chunk_size)
-        self.epoch_seconds = epoch_seconds
-        self.total_packets = trace.num_packets
-        num_packets = trace.num_packets
-        self.start_time = (
-            float(trace.timestamps[0]) if num_packets else None
-        )
-
-        cuts = set(range(0, num_packets, self.chunk_size))
-        cuts.add(num_packets)
-        epoch_of_cut: "dict[int, int]" = {}
-        if epoch_seconds is not None and num_packets:
-            start = self.start_time
-            last = float(trace.timestamps[-1])
-            num_epochs = int((last - start) // epoch_seconds) + 1
-            boundaries = start + epoch_seconds * np.arange(1, num_epochs + 1)
-            epoch_cuts = np.searchsorted(
-                trace.timestamps, boundaries, side="left"
-            )
-            for epoch, cut in enumerate(epoch_cuts.tolist(), start=1):
-                cuts.add(int(cut))
-                # A later (deeper) epoch boundary at the same cut wins:
-                # the packet at that position belongs to the last epoch
-                # whose start it has reached.
-                epoch_of_cut[int(cut)] = epoch
-
-        edges = sorted(cuts)
+        num_packets = self.total_packets = trace.num_packets
+        timestamps = trace.timestamps
+        self.start_time = float(timestamps[0]) if num_packets else None
         self._chunks: "list[Chunk]" = []
-        epoch = 0
-        for index, (begin, end) in enumerate(zip(edges[:-1], edges[1:])):
-            if begin in epoch_of_cut:
-                epoch = epoch_of_cut[begin]
-            if begin == end:
-                continue
+        begin = 0
+        while begin < num_packets:
+            size, epoch = self._next_cut(timestamps[begin:], begin, flush=True)
+            end = begin + size
             sub = Trace(
-                timestamps=trace.timestamps[begin:end],
+                timestamps=timestamps[begin:end],
                 flow_ids=trace.flow_ids[begin:end],
                 sizes=trace.sizes[begin:end],
                 flows=trace.flows,
@@ -146,6 +183,7 @@ class TraceChunkSource(ChunkSource):
                     parent=trace,
                 )
             )
+            begin = end
 
     def __iter__(self):
         return iter(self._chunks)
@@ -175,31 +213,17 @@ class FileChunkSource(TraceChunkSource):
         )
 
 
-def as_chunk_source(
-    source,
-    chunk_size: "int | None" = None,
-    epoch_seconds: "float | None" = None,
-) -> ChunkSource:
-    """Coerce ``source`` into a :class:`ChunkSource`.
-
-    A :class:`Trace` is wrapped in a :class:`TraceChunkSource`; an
-    existing source passes through unchanged (``chunk_size`` and
-    ``epoch_seconds`` must then be unset — the source already decided
-    its slicing).
-    """
+def as_chunk_source(source, chunk_size: "int | None" = None) -> ChunkSource:
+    """Coerce ``source`` into a :class:`ChunkSource`: a source passes
+    through (it fixed its own slicing), a bare :class:`Trace` becomes a
+    :class:`TraceChunkSource` of ``chunk_size`` packets (default
+    :data:`DEFAULT_CHUNK_SIZE`), without epochs."""
     if isinstance(source, Trace):
-        return TraceChunkSource(
-            source,
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            epoch_seconds=epoch_seconds,
-        )
+        if chunk_size is None:
+            chunk_size = DEFAULT_CHUNK_SIZE
+        return TraceChunkSource(source, chunk_size=chunk_size)
     if not isinstance(source, ChunkSource):
         raise ConfigurationError(
             f"expected a Trace or ChunkSource, got {type(source).__name__}"
-        )
-    if chunk_size is not None or epoch_seconds is not None:
-        raise ConfigurationError(
-            "chunk_size/epoch_seconds apply only when passing a Trace; "
-            "a ChunkSource already fixed its slicing"
         )
     return source

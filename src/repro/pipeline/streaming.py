@@ -8,15 +8,16 @@ process is still appending to (:class:`PacketRecordChunkSource`, with a
 tail/follow mode) and a TCP feed of pcap-lite records
 (:class:`SocketChunkSource`).
 
-Chunks are cut on the same two boundaries as the batch source — a packet
-budget and, with ``epoch_seconds``, epoch time boundaries — so the
-driver's rotation callbacks fire exactly between chunks here too.  An
-epoch cut is only taken once the boundary-crossing packet has actually
-arrived (the epoch's end is proven); end-of-stream or :meth:`stop`
-flushes the rest.  Each chunk carries its own deduplicated
-:class:`~repro.traffic.packet.FlowTable`, built vectorized from the raw
-records by :func:`~repro.traffic.pcaplite.trace_from_records`, so
-per-chunk cost stays bounded no matter how many distinct flows the
+Chunks are cut by the batch source's own cutter
+(:meth:`~repro.pipeline.source.ChunkSource._next_cut`) on the same
+epoch grid, so the driver's rotation callbacks fire exactly between
+chunks here too and a packet on a boundary opens the next epoch, as in
+every source.  An epoch cut is only taken once the boundary-crossing
+packet has actually arrived (the epoch's end is proven); end-of-stream
+or :meth:`stop` flushes the rest.  Each chunk carries its own
+deduplicated :class:`~repro.traffic.packet.FlowTable`, built vectorized
+from the raw records by :func:`~repro.traffic.pcaplite.trace_from_records`,
+so per-chunk cost stays bounded no matter how many distinct flows the
 stream has seen in total.  Every block of records passes pcap-lite's one
 check as it arrives (:func:`~repro.traffic.pcaplite.check_block`): a
 non-finite timestamp, one below the timestamp read before it, or a
@@ -25,8 +26,10 @@ stream position.
 Blocks are staged as the read-only views the reader returns, and a
 leftover joins the next block as raw bytes, never field by field.
 
-Both sources support an epoch-origin override (``start_time``) and a
-resume position, which is how a recovering daemon replays the tail of a
+A replayable source resumes at a stream position
+(:meth:`StreamingChunkSource.seek_packets`); the epoch origin of the run
+it resumes comes from the driver (``Pipeline.begin(source,
+resume=...)``), which is how a recovering daemon replays the tail of a
 stream with the exact chunk/epoch geometry the crashed run used.
 """
 
@@ -58,41 +61,35 @@ _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
 
 
 class StreamingChunkSource(ChunkSource):
-    """Shared batching/cutting logic of the unbounded sources.
+    """Shared batching of the unbounded sources.
 
     Subclasses implement ``_open()``, ``_close()``, and
     ``_read_more() -> np.ndarray | None`` — an empty array means
     "nothing *yet*" (the base waits ``poll_interval`` and retries),
     ``None`` means the stream definitively ended.
 
-    ``start_time`` fixes the epoch origin up front (recovery override);
-    otherwise the first record's timestamp becomes epoch 0's start.
-    A seekable subclass's :meth:`seek_packets` sets the stream position
-    the next iteration starts from, and chunk ``begin``/``end`` indices
+    The first record's timestamp becomes epoch 0's start, unless the
+    driver pinned a resumed run's origin on ``start_time`` first.  A
+    seekable subclass's :meth:`seek_packets` sets the stream position the
+    next iteration starts from, and chunk ``begin``/``end`` indices
     number packets from there.
     """
 
     total_packets = None
+    #: Whether :meth:`seek_packets` can restart the stream at a position:
+    #: a pcap-lite file can, a live feed cannot.
+    seekable = False
 
     def __init__(
         self,
         chunk_size: int = DEFAULT_STREAM_CHUNK,
         epoch_seconds: "float | None" = None,
         poll_interval: float = 0.05,
-        hash_seed: int = 0,
-        start_time: "float | None" = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise ConfigurationError("epoch_seconds must be positive")
+        super().__init__(chunk_size, epoch_seconds)
         if poll_interval <= 0:
             raise ConfigurationError("poll_interval must be positive")
-        self.chunk_size = int(chunk_size)
-        self.epoch_seconds = epoch_seconds
         self.poll_interval = poll_interval
-        self.hash_seed = hash_seed
-        self.start_time = start_time
         self._start_offset = 0
         self._stop = threading.Event()
 
@@ -104,10 +101,14 @@ class StreamingChunkSource(ChunkSource):
     def seek_packets(self, offset: int) -> None:
         """Start the next iteration at stream position ``offset`` — the
         recovery path.  Sources that cannot seek (live feeds) raise."""
-        raise ConfigurationError(
-            f"{type(self).__name__} cannot seek; recovery needs a "
-            "replayable source (a pcap-lite file)"
-        )
+        if not self.seekable:
+            raise ConfigurationError(
+                f"{type(self).__name__} cannot seek; recovery needs a "
+                "replayable source (a pcap-lite file)"
+            )
+        if offset < 0:
+            raise ConfigurationError("seek offset must be >= 0")
+        self._start_offset = int(offset)
 
     # -- subclass surface ------------------------------------------------------
 
@@ -122,51 +123,6 @@ class StreamingChunkSource(ChunkSource):
 
     # -- batching --------------------------------------------------------------
 
-    def _cut_ready(
-        self, pending: np.ndarray, flush: bool, position: int
-    ) -> "int | None":
-        """Where to cut the next chunk, or None while more data is needed.
-
-        The earlier of the packet budget and the first *proven* epoch
-        boundary (the crossing packet has arrived).  The budget aligns to
-        the global ``k * chunk_size`` grid of stream position, not to the
-        previous cut, so the chunk sequence is exactly the one
-        :class:`~repro.pipeline.source.TraceChunkSource` would produce
-        from the equivalent loaded trace.  ``flush`` takes whatever is
-        left instead of waiting for a full budget.
-        """
-        n = len(pending)
-        if n == 0:
-            return None
-        budget = self.chunk_size - (position % self.chunk_size)
-        cut = budget if n >= budget else (n if flush else None)
-        if self.epoch_seconds is not None and self.start_time is not None:
-            ts = pending["timestamp"]
-            first_epoch = int(
-                (float(ts[0]) - self.start_time) // self.epoch_seconds
-            )
-            boundary = self.start_time + (first_epoch + 1) * self.epoch_seconds
-            cross = int(np.searchsorted(ts, boundary, side="left"))
-            if cross < n:
-                cut = cross if cut is None else min(cut, cross)
-        return cut
-
-    def _make_chunk(self, records: np.ndarray, index: int, begin: int) -> Chunk:
-        epoch = 0
-        if self.epoch_seconds is not None and self.start_time is not None:
-            epoch = int(
-                (float(records["timestamp"][0]) - self.start_time)
-                // self.epoch_seconds
-            )
-        return Chunk(
-            trace=trace_from_records(records, hash_seed=self.hash_seed),
-            index=index,
-            begin=begin,
-            end=begin + len(records),
-            epoch=epoch,
-            total_packets=None,
-        )
-
     def __iter__(self):
         self._open()
         pending = _EMPTY
@@ -175,9 +131,11 @@ class StreamingChunkSource(ChunkSource):
         index = 0
         try:
             ended = False
-            while not ended and not self._stop.is_set():
-                block = self._read_more()
+            while not ended:
+                block = None if self._stop.is_set() else self._read_more()
                 if block is None:
+                    # End of stream (or stop): flush the rest, still
+                    # cutting on epoch boundaries so rotations fire in order.
                     ended = True
                 elif len(block):
                     check_block(block, consumed + len(pending), last)
@@ -199,21 +157,20 @@ class StreamingChunkSource(ChunkSource):
                     self._stop.wait(self.poll_interval)
                     continue
                 while True:
-                    cut = self._cut_ready(pending, flush=False, position=consumed)
+                    cut = self._next_cut(pending["timestamp"], consumed, ended)
                     if cut is None:
                         break
-                    yield self._make_chunk(pending[:cut], index, consumed)
-                    consumed += cut
+                    size, epoch = cut
+                    yield Chunk(
+                        trace=trace_from_records(pending[:size]),
+                        index=index,
+                        begin=consumed,
+                        end=consumed + size,
+                        epoch=epoch,
+                    )
+                    consumed += size
                     index += 1
-                    pending = pending[cut:]
-            # End of stream (or stop): flush the remainder, still cutting
-            # on epoch boundaries so rotations fire in order.
-            while len(pending):
-                cut = self._cut_ready(pending, flush=True, position=consumed)
-                yield self._make_chunk(pending[:cut], index, consumed)
-                consumed += cut
-                index += 1
-                pending = pending[cut:]
+                    pending = pending[size:]
         finally:
             self._close()
 
@@ -229,10 +186,11 @@ class PacketRecordChunkSource(StreamingChunkSource):
     flushed trailing record mid-append.
 
     :meth:`seek_packets` skips that many records first (and numbers
-    emitted packets from there), which with the ``start_time``
-    epoch-origin override replays the tail of a checkpointed stream
-    exactly.
+    emitted packets from there), which with the resumed run's epoch
+    origin replays the tail of a checkpointed stream exactly.
     """
+
+    seekable = True
 
     def __init__(
         self,
@@ -241,29 +199,15 @@ class PacketRecordChunkSource(StreamingChunkSource):
         epoch_seconds: "float | None" = None,
         follow: bool = False,
         poll_interval: float = 0.05,
-        start_time: "float | None" = None,
-        hash_seed: int = 0,
         block_records: int = DEFAULT_STREAM_CHUNK,
     ) -> None:
-        super().__init__(
-            chunk_size=chunk_size,
-            epoch_seconds=epoch_seconds,
-            poll_interval=poll_interval,
-            hash_seed=hash_seed,
-            start_time=start_time,
-        )
+        super().__init__(chunk_size, epoch_seconds, poll_interval)
         if block_records < 1:
             raise ConfigurationError("block_records must be >= 1")
         self.path = path
         self.follow = follow
         self.block_records = int(block_records)
         self._reader: "PacketRecordReader | None" = None
-
-    def seek_packets(self, offset: int) -> None:
-        """Start the next iteration at record ``offset`` of the file."""
-        if offset < 0:
-            raise ConfigurationError("seek offset must be >= 0")
-        self._start_offset = int(offset)
 
     def _open(self) -> None:
         self._reader = PacketRecordReader(self.path)
@@ -300,17 +244,9 @@ class SocketChunkSource(StreamingChunkSource):
         chunk_size: int = DEFAULT_STREAM_CHUNK,
         epoch_seconds: "float | None" = None,
         poll_interval: float = 0.05,
-        hash_seed: int = 0,
-        start_time: "float | None" = None,
         connect_timeout: float = 10.0,
     ) -> None:
-        super().__init__(
-            chunk_size=chunk_size,
-            epoch_seconds=epoch_seconds,
-            poll_interval=poll_interval,
-            hash_seed=hash_seed,
-            start_time=start_time,
-        )
+        super().__init__(chunk_size, epoch_seconds, poll_interval)
         self.host = host
         self.port = int(port)
         self.connect_timeout = connect_timeout

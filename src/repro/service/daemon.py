@@ -151,31 +151,38 @@ class MeasurementDaemon:
 
     def start(self) -> "MeasurementDaemon":
         """Recover from the latest checkpoint (if any), then start the
-        ingest thread.  Returns ``self`` for chaining."""
+        ingest thread.  Returns ``self`` for chaining.
+
+        A start that raises (over a checkpoint of another epoch grid, or
+        a source that cannot seek) changes neither the daemon nor the
+        source's position or origin.
+        """
         if self._thread is not None:
             raise ConfigurationError("the daemon is already running")
-        resume = None
-        recovered = self._recover() if self.store is not None else None
-        if recovered is not None:
-            info, resume, self.measurer = recovered
-            self.config = self.measurer.config
-            self.num_shards = self.measurer.num_shards
-            self.recovered_from = info.seq
-            self.source.seek_packets(resume.position)
-        if self.measurer is None:
-            self.measurer = ShardedStreamingMeasurer(
+        seq, resume, measurer = self._recover()
+        if measurer is None:
+            measurer = ShardedStreamingMeasurer(
                 self.config, num_shards=self.num_shards
             )
         pipeline = Pipeline(
-            self.measurer,
+            measurer,
             rotate=self.epoch_seconds is not None,
             history=self.history,
             controller=build_load_controller(
-                self.load_policy, self.target_pps, seed=self.config.seed
+                self.load_policy, self.target_pps, seed=measurer.config.seed
             ),
         )
+        if resume is not None:
+            # Refuse before anything moves: a source that cannot seek
+            # raises in seek_packets, and one that can is checked against
+            # the record's epoch grid first.
+            if getattr(self.source, "seekable", False):
+                resume.check_source(self.source)
+            self.source.seek_packets(resume.position)
         pipeline.begin(self.source, resume=resume)
-        self.pipeline = pipeline
+        self.measurer, self.pipeline = measurer, pipeline
+        self.config, self.num_shards = measurer.config, measurer.num_shards
+        self.recovered_from = seq
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._ingest_loop, name="measurement-daemon", daemon=True
@@ -184,9 +191,9 @@ class MeasurementDaemon:
         return self
 
     def _recover(self):
-        """``(info, run record, measurer)`` of the newest checkpoint that
-        decodes, loads and restores, or ``None`` when none does."""
-        for info in reversed(self.store.list()):
+        """``(seq, run record, measurer)`` of the newest checkpoint that
+        decodes, loads and restores, or three ``None`` when none does."""
+        for info in reversed(self.store.list() if self.store is not None else []):
             try:
                 progress = RunProgress.from_meta(info.meta)
                 measurer = ShardedStreamingMeasurer.from_snapshots(
@@ -194,8 +201,8 @@ class MeasurementDaemon:
                 )
             except SnapshotError:
                 continue
-            return info, progress, measurer
-        return None
+            return info.seq, progress, measurer
+        return None, None, None
 
     def _ingest_loop(self) -> None:
         try:

@@ -10,6 +10,8 @@ every measurer in the repository satisfies the protocol.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,11 +36,15 @@ from repro.core import (
     WSAFTable,
     build_wsaf_storage,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SnapshotError
 from repro.pipeline import (
     ChunkSource,
+    EpochGrid,
+    PacketRecordChunkSource,
     Pipeline,
     RunProgress,
+    ShardedPipeline,
+    SocketChunkSource,
     StreamingMeasurer,
     TraceChunkSource,
     as_chunk_source,
@@ -51,6 +57,7 @@ from repro.traffic import (
     build_caida_like_trace,
 )
 from repro.traffic.packet import Trace
+from repro.traffic.pcaplite import write_pcaplite
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +174,7 @@ def _run_chunked(
     events: "list[tuple]" = []
     outcome = run_pipeline(
         engine,
-        trace,
-        chunk_size=chunk_size,
+        TraceChunkSource(trace, chunk_size=chunk_size),
         on_accumulate=lambda *event: events.append(event),
     )
     return outcome.result, events
@@ -219,7 +225,7 @@ class TestInstaMeasureBitIdentity:
 
     def test_estimates_protocol_matches_estimates_for(self, trace):
         engine = _engine("batched")
-        run_pipeline(engine, trace, chunk_size=4_096)
+        run_pipeline(engine, TraceChunkSource(trace, chunk_size=4_096))
         table = engine.estimates(trace.flows.key64)
         est_packets, _ = engine.estimates_for(trace)
         for flow in np.flatnonzero(est_packets)[:50]:
@@ -235,7 +241,9 @@ class TestRotation:
 
         rotated = _engine("batched")
         outcome = run_pipeline(
-            rotated, trace, chunk_size=3_000, epoch_seconds=2.0, rotate=True
+            rotated,
+            TraceChunkSource(trace, chunk_size=3_000, epoch_seconds=2.0),
+            rotate=True,
         )
         # Rotation resets the regulator's statistics window, not the
         # sketch contents: flows straddling a boundary keep every packet.
@@ -258,7 +266,7 @@ class TestRotation:
             flows=t.flows,
         )
         outcome = run_pipeline(
-            _engine("batched"), late, epoch_seconds=1.0
+            _engine("batched"), TraceChunkSource(late, epoch_seconds=1.0)
         )
         duration = float(late.timestamps[-1] - late.timestamps[0])
         assert len(outcome.epochs) == int(duration // 1.0) + 1
@@ -276,7 +284,9 @@ class TestMultiCore:
         whole_result = whole.process_trace(trace)
 
         streamed = MultiCoreInstaMeasure(3, config)
-        outcome = run_pipeline(streamed, trace, chunk_size=4_321)
+        outcome = run_pipeline(
+            streamed, TraceChunkSource(trace, chunk_size=4_321)
+        )
         own_tables = MultiCoreInstaMeasure(3, config)
         own_outcome = run_pipeline(own_tables, _PerChunkTables(trace, 4_321))
 
@@ -320,9 +330,9 @@ class TestBaselineProtocol:
         measurer = factory()
         assert isinstance(measurer, StreamingMeasurer)
 
-        run_pipeline(measurer, trace, chunk_size=7_321)
+        run_pipeline(measurer, TraceChunkSource(trace, chunk_size=7_321))
         whole = factory()
-        run_pipeline(whole, trace, chunk_size=1 << 30)
+        run_pipeline(whole, TraceChunkSource(trace, chunk_size=1 << 30))
         own_tables = factory()
         run_pipeline(own_tables, _PerChunkTables(trace, 7_321))
 
@@ -358,9 +368,6 @@ class TestSourcesAndDriver:
             TraceChunkSource(tiny_trace, chunk_size=0)
         with pytest.raises(ConfigurationError):
             TraceChunkSource(tiny_trace, chunk_size=64, epoch_seconds=0.0)
-        source = TraceChunkSource(tiny_trace, chunk_size=64)
-        with pytest.raises(ConfigurationError):
-            as_chunk_source(source, chunk_size=128)
         with pytest.raises(ConfigurationError):
             as_chunk_source([1, 2, 3])
 
@@ -372,6 +379,52 @@ class TestSourcesAndDriver:
         for (_, prev_end), (begin, _) in zip(spans, spans[1:]):
             assert begin == prev_end
         assert all(chunk.total_packets == trace.num_packets for chunk in source)
+
+    def test_cutting_follows_packets_not_span(self):
+        """2,000 packets over 2 s at 1-us epochs: two million boundaries,
+        of which the source only ever computes the ones its packets
+        reach."""
+        n = 2_000
+        trace = Trace(
+            timestamps=np.linspace(0.0, 2.0, n),
+            flow_ids=np.zeros(n, dtype=np.int64),
+            sizes=np.full(n, 64, dtype=np.int64),
+            flows=FlowTable.from_five_tuples([FiveTuple(1, 2, 3, 4, 6)]),
+        )
+        tracemalloc.start()
+        try:
+            begin = time.perf_counter()
+            source = TraceChunkSource(trace, epoch_seconds=1e-6)
+            elapsed = time.perf_counter() - begin
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(source) == n
+        assert [chunk.epoch for chunk in source] == sorted(
+            {chunk.epoch for chunk in source}
+        )
+        assert peak < 8 << 20
+        assert elapsed < 2.0
+
+    def test_slicing_knobs_live_on_sources(self, tiny_trace, tmp_path):
+        """Only sources slice a stream: the driver, ``run_pipeline`` and
+        ``ShardedPipeline`` take no chunk size or epoch width, and a
+        streaming source takes no origin or hash seed."""
+        engine = _engine("batched")
+        with pytest.raises(TypeError):
+            Pipeline(engine, epoch_seconds=1.0)
+        with pytest.raises(TypeError):
+            Pipeline(engine).run(tiny_trace, chunk_size=64)
+        for knob in ({"chunk_size": 64}, {"epoch_seconds": 1.0}):
+            with pytest.raises(TypeError):
+                run_pipeline(engine, tiny_trace, **knob)
+        with pytest.raises(TypeError):
+            ShardedPipeline(InstaMeasureConfig(), chunk_size=64)
+        for knob in ({"start_time": 0.0}, {"hash_seed": 1}):
+            with pytest.raises(TypeError):
+                PacketRecordChunkSource(str(tmp_path / "none.impl"), **knob)
+            with pytest.raises(TypeError):
+                SocketChunkSource("127.0.0.1", 9, **knob)
 
     def test_prebuilt_source_reuse(self, tiny_trace):
         source = TraceChunkSource(tiny_trace, chunk_size=97)
@@ -391,7 +444,7 @@ class TestSourcesAndDriver:
             flows=empty.flows,
         )
         outcome = run_pipeline(
-            _engine("batched"), empty, epoch_seconds=1.0
+            _engine("batched"), TraceChunkSource(empty, epoch_seconds=1.0)
         )
         assert outcome.packets == 0
         assert outcome.epochs == []
@@ -405,16 +458,57 @@ class TestSourcesAndDriver:
         assert sum(chunk.packets for chunk in outcome.chunks) == outcome.packets
 
 
+class TestEpochGrid:
+    """The one epoch rule every source, the driver and recovery read."""
+
+    @pytest.mark.parametrize("origin", [0.0, 1.0, 1.7e9])
+    @pytest.mark.parametrize("width", [0.1, 1 / 3, 0.7])
+    def test_boundary_opens_the_next_epoch(self, origin, width):
+        grid = EpochGrid(origin, width)
+        for epoch in range(-3, 200):
+            boundary = grid.end_time(epoch)
+            assert grid.epoch_of(boundary) == epoch + 1
+            assert grid.epoch_of(np.nextafter(boundary, -np.inf)) == epoch
+            # What a capture stores for a packet "on" the boundary.
+            assert grid.epoch_of(origin + (epoch + 1) * width) == epoch + 1
+
+    @pytest.mark.parametrize(
+        "origin, width, timestamp",
+        [(1.7e9, 1e-9, 1.7e9 + 1.0), (0.0, 5e-324, 1.0), (-1e308, 1.0, 1e308)],
+    )
+    def test_unresolvable_width_is_refused(self, origin, width, timestamp):
+        with pytest.raises(ConfigurationError, match="do not resolve"):
+            EpochGrid(origin, width).epoch_of(timestamp)
+
+    def test_sources_refuse_an_unresolvable_width(self):
+        """A width below the timestamps' float resolution is refused, not
+        looped on or allocated for (the span is kept to 49,000 such
+        boundaries, so even a source that allocates per boundary
+        survives it)."""
+        n = 50
+        trace = Trace(
+            timestamps=1.7e9 + np.arange(n) * 1e-6,
+            flow_ids=np.zeros(n, dtype=np.int64),
+            sizes=np.full(n, 64, dtype=np.int64),
+            flows=FlowTable.from_five_tuples([FiveTuple(1, 2, 3, 4, 6)]),
+        )
+        with pytest.raises(ConfigurationError, match="do not resolve"):
+            TraceChunkSource(trace, epoch_seconds=1e-9)
+        for width in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                TraceChunkSource(trace, epoch_seconds=width)
+
+
 class TestIncrementalDriver:
     """The begin/step/finish decomposition that run() is built on."""
 
     def test_step_loop_equals_run(self, tiny_trace):
         whole = run_pipeline(
-            _engine("batched"), tiny_trace, chunk_size=500,
-            epoch_seconds=1.0,
+            _engine("batched"),
+            TraceChunkSource(tiny_trace, chunk_size=500, epoch_seconds=1.0),
         )
         engine = _engine("batched")
-        pipeline = Pipeline(engine, epoch_seconds=1.0)
+        pipeline = Pipeline(engine)
         source = TraceChunkSource(
             tiny_trace, chunk_size=500, epoch_seconds=1.0
         )
@@ -461,7 +555,7 @@ class TestIncrementalDriver:
 
     def test_history_bounds_records(self, trace):
         engine = _engine("batched")
-        pipeline = Pipeline(engine, epoch_seconds=1.0, history=3)
+        pipeline = Pipeline(engine, history=3)
         outcome = pipeline.run(
             TraceChunkSource(trace, chunk_size=300, epoch_seconds=1.0)
         )
@@ -537,6 +631,48 @@ class TestIncrementalDriver:
             with pytest.raises(SnapshotError, match=name):
                 RunProgress.from_meta(dict(meta, **{name: bad}))
 
+    def test_record_epoch_sits_on_its_grid(self):
+        """A manifest whose epoch is not where its grid puts its stream
+        time does not decode (an origin moved back 10^6 s would fire a
+        million empty rotations); one epoch of slack is allowed."""
+        meta = RunProgress(
+            epoch=5, epoch_seconds=1.0, start_time=10.0, stream_time=15.5
+        ).as_meta()
+        for epoch in (4, 5, 6):
+            assert RunProgress.from_meta(dict(meta, epoch=epoch)).epoch == epoch
+        for bad in (
+            {"epoch": 3},
+            {"epoch": 7},
+            {"start_time": 10.0 - 1e6},
+            {"start_time": -1e308, "stream_time": 1e308},
+        ):
+            with pytest.raises(SnapshotError, match="epoch|grid"):
+                RunProgress.from_meta(dict(meta, **bad))
+        for unknown in ("epoch_seconds", "start_time", "stream_time"):
+            assert RunProgress.from_meta(
+                dict(meta, epoch=99, **{unknown: None})
+            ).epoch == 99
+
+    def test_resume_refuses_another_origin(self, tiny_trace, tmp_path):
+        """The origin is the grid's other half: a record numbering epochs
+        from elsewhere cannot continue over a source that knows its own;
+        an unknown origin on either side takes the other's."""
+        source = TraceChunkSource(tiny_trace, chunk_size=500, epoch_seconds=1.0)
+        pipeline = Pipeline(_engine("batched"))
+        record = RunProgress(epoch_seconds=1.0, start_time=source.start_time - 100.0)
+        with pytest.raises(ConfigurationError, match="numbers epochs"):
+            pipeline.begin(source, resume=record)
+        assert source.start_time == float(tiny_trace.timestamps[0])
+        pipeline.begin(source, resume=RunProgress(epoch_seconds=1.0))
+        assert pipeline.progress.start_time == source.start_time
+        pipeline.abort()
+
+        capture = str(tmp_path / "tiny.impl")
+        write_pcaplite(tiny_trace, capture)
+        unopened = PacketRecordChunkSource(capture, epoch_seconds=1.0)
+        pipeline.begin(unopened, resume=RunProgress(start_time=-3.0))
+        assert unopened.start_time == -3.0
+
     def test_resume_refuses_another_epoch_width(self, tiny_trace):
         """The source owns the epoch grid: a record cut at another width
         cannot continue over it; one of unknown width takes the source's."""
@@ -557,7 +693,6 @@ class TestIncrementalDriver:
         fired: "list[int]" = []
         pipeline = Pipeline(
             _engine("batched"),
-            epoch_seconds=1.0,
             on_epoch=lambda record, _m: fired.append(record.index),
         )
         source = TraceChunkSource(

@@ -37,7 +37,7 @@ from repro.service import (
     send_command,
 )
 from repro.state import from_bytes, to_bytes
-from repro.traffic import CaidaLikeConfig, build_caida_like_trace
+from repro.traffic import CaidaLikeConfig, Trace, build_caida_like_trace
 from repro.traffic.pcaplite import PacketRecordWriter, write_pcaplite
 
 
@@ -346,6 +346,36 @@ class TestMeasurementDaemon:
         assert daemon.measurer.estimates() == reference.estimates()
         assert _shard_bytes(daemon.measurer) == _shard_bytes(reference)
 
+    def test_serves_packets_on_epoch_boundaries(self, trace, tmp_path):
+        """Packets exactly on ``start + k * 0.1``, where rounding leaves
+        some a hair either side of a floor division's boundary: the
+        daemon finishes and equals the driver over the same source."""
+        path = str(tmp_path / "edges.impl")
+        write_pcaplite(
+            Trace(
+                timestamps=1.0 + (np.arange(trace.num_packets) // 400) * 0.1,
+                flow_ids=trace.flow_ids,
+                sizes=trace.sizes,
+                flows=trace.flows,
+            ),
+            path,
+        )
+        reference = ShardedStreamingMeasurer(_config(), num_shards=2)
+        expected = Pipeline(reference, rotate=True).run(
+            _source(path, epoch_seconds=0.1)
+        )
+        daemon = _run_daemon(
+            MeasurementDaemon(
+                _source(path, epoch_seconds=0.1), config=_config(),
+                num_shards=2, epoch_seconds=0.1,
+            )
+        )
+        assert daemon.error is None
+        assert daemon.packets == trace.num_packets
+        fired = daemon.result.epochs
+        assert fired and fired == expected.epochs[-len(fired):]
+        assert _shard_bytes(daemon.measurer) == _shard_bytes(reference)
+
     def test_crash_recovery_is_bit_identical(self, trace, capture, tmp_path):
         """Satellite: kill mid-stream between checkpoints, restart,
         finish — state equals a run that never died."""
@@ -574,6 +604,64 @@ class TestMeasurementDaemon:
         with pytest.raises(ConfigurationError, match="epochs"):
             daemon.start()
         assert not daemon.running
+
+    def test_a_refused_start_changes_nothing(self, capture, tmp_path):
+        """``start()`` checks everything before it commits anything: after
+        refusing a 2-shard, 1-s checkpoint (over a 0.5-s source; over a
+        live feed that cannot seek) the daemon and its source read as
+        before."""
+        ck = str(tmp_path / "ck")
+        _crash(capture, ck)
+        config = _config()
+        sources = [
+            _source(capture, epoch_seconds=0.5),
+            SocketChunkSource("127.0.0.1", 9, epoch_seconds=1.0),
+        ]
+        for source in sources:
+            daemon = MeasurementDaemon(
+                source, config=config, epoch_seconds=source.epoch_seconds,
+                checkpoint_dir=ck,
+            )
+            with pytest.raises(ConfigurationError):
+                daemon.start()
+            assert not daemon.running and daemon.recovered_from is None
+            assert daemon.measurer is None and daemon.pipeline is None
+            assert daemon.config is config and daemon.num_shards == 1
+            assert source.start_time is None
+        assert list(sources[0])[0].begin == 0
+
+    def test_recovery_skips_manifests_off_their_grid(
+        self, trace, capture, tmp_path
+    ):
+        """Manifests whose origin moved 10^3 s back do not decode (the
+        first chunk after recovering one would fire a thousand empty
+        rotations): the restarted daemon starts over and equals the
+        uninterrupted run."""
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        for info in _crash(capture, ck).store.list():
+            with open(info.manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(
+                    dict(info.meta, start_time=info.meta["start_time"] - 1e3),
+                    handle,
+                )
+        restarted = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0, checkpoint_dir=ck, checkpoint_every=2,
+            )
+        )
+        assert restarted.error is None and restarted.recovered_from is None
+        assert restarted.packets == trace.num_packets
+        assert _shard_bytes(restarted.measurer) == _shard_bytes(
+            reference.measurer
+        )
+        _assert_resumed_whole(restarted, reference)
 
     def test_recovery_takes_the_sources_width_for_an_unknown_one(
         self, trace, capture, tmp_path

@@ -166,7 +166,9 @@ class TestShardedEquivalence:
         """Tiny per-worker chunks exercise multi-chunk streams handed bits."""
         config = _config("scalar")
         single = _single_run(config, trace)
-        result = ShardedPipeline(config, num_shards=3, chunk_size=700).run(trace)
+        result = ShardedPipeline(config, num_shards=3).run(
+            TraceChunkSource(trace, chunk_size=700)
+        )
         assert result.estimates() == single.estimates()
 
 
@@ -355,7 +357,9 @@ class TestStreamingEdges:
         )
         config = _config("scalar")
         single = _single_run(config, tiny)
-        result = ShardedPipeline(config, num_shards=3, chunk_size=1).run(tiny)
+        result = ShardedPipeline(config, num_shards=3).run(
+            TraceChunkSource(tiny, chunk_size=1)
+        )
         assert result.estimates() == single.estimates()
         assert result.packets == tiny.num_packets
 

@@ -626,7 +626,7 @@ class TestSnapshotEstimates:
     def test_pipeline_snapshot_path(self, trace):
         """``engine.snapshot()`` after a pipeline run captures everything."""
         engine = InstaMeasure(_config("batched"))
-        run_pipeline(engine, trace, chunk_size=2_500)
+        run_pipeline(engine, TraceChunkSource(trace, chunk_size=2_500))
         snapshot = engine.snapshot()
         assert isinstance(snapshot, MeasurementSnapshot)
         assert snapshot.stream is None  # finalize closed the stream

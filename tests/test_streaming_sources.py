@@ -265,6 +265,40 @@ class TestPacketRecordChunkSource:
             _chunk_signature(c) for c in batch
         ]
 
+    @given(
+        start=st.floats(0.0, 2e9),
+        width=st.floats(0.05, 0.7),
+        steps=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        chunk_size=st.integers(1, 8),
+        block_records=st.integers(1, 13),
+    )
+    @example(start=1.0, width=0.1, steps=[1, 1, 1, 1], chunk_size=3, block_records=5)
+    @example(start=100.0, width=0.3, steps=[1, 1, 1, 1], chunk_size=3, block_records=2)
+    @settings(max_examples=40, deadline=None)
+    def test_boundary_packets_match_batch_source(
+        self, tmp_path_factory, start, width, steps, chunk_size, block_records
+    ):
+        """Packets exactly on ``start + k * width``: rounding leaves some a
+        hair either side of where floor division puts the boundary, and
+        every source still opens the next epoch with them."""
+        ks = np.cumsum([0, *steps])
+        path = _write_timestamps(
+            tmp_path_factory.mktemp("edge") / "edge.impl",
+            [start + int(k) * width for k in ks],
+        )
+        batch = TraceChunkSource(
+            read_pcaplite(path), chunk_size=chunk_size, epoch_seconds=width
+        )
+        stream = PacketRecordChunkSource(
+            path,
+            chunk_size=chunk_size,
+            epoch_seconds=width,
+            block_records=block_records,
+        )
+        assert [_chunk_signature(c) for c in stream] == [
+            _chunk_signature(c) for c in batch
+        ]
+
     def test_unbounded_metadata(self, capture):
         source = PacketRecordChunkSource(capture, chunk_size=512)
         assert source.total_packets is None
