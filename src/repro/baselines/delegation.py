@@ -14,7 +14,10 @@ completed epoch ships immediately, and :meth:`DelegatingMeasurer.finalize`
 ships the tail epoch — a chunk boundary inside an epoch changes nothing
 because the per-epoch CSM sketch encodes from a persistent choice stream.
 The collector keys flows by ``key64``, so chunks may each carry their own
-flow table (as the streaming sources' chunks do).
+flow table (as the streaming sources' chunks do).  Epochs sit on the
+driver's grid (:class:`~repro.pipeline.source.EpochGrid`) from the
+stream's first packet, so a packet on a boundary opens the next epoch
+and a rotation at a boundary ships the epoch that just ended.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from repro.baselines.csm import CSMSketch
 from repro.errors import ConfigurationError
+from repro.pipeline.source import EpochGrid
 from repro.traffic.packet import Trace
 
 #: Wire bytes per flow ID shipped alongside each epoch's sketch.
@@ -57,7 +61,8 @@ class DelegationRunStats:
 class _DelegationStream:
     """Bookkeeping for one in-progress delegation run."""
 
-    start: float
+    #: Epochs from the stream's first packet.
+    grid: EpochGrid
     #: Cumulative collector estimate per flow key.
     collector: "dict[int, float]" = field(default_factory=dict)
     #: Keys of the flows the current epoch saw, one array per segment.
@@ -118,19 +123,22 @@ class DelegatingMeasurer:
         trace = chunk_trace(chunk)
         if trace.num_packets == 0:
             return 0
+        timestamps = trace.timestamps
         if self._stream is None:
-            self._stream = _DelegationStream(start=float(trace.timestamps[0]))
+            self._stream = _DelegationStream(
+                grid=EpochGrid(float(timestamps[0]), self.epoch_seconds)
+            )
         stream = self._stream
         stream.packets += trace.num_packets
 
-        epoch_ids = (
-            (trace.timestamps - stream.start) / self.epoch_seconds
-        ).astype(np.int64)
         begin = 0
         num_packets = trace.num_packets
         while begin < num_packets:
-            epoch = int(epoch_ids[begin])
-            end = int(np.searchsorted(epoch_ids, epoch, side="right"))
+            # One epoch's packets at a time, cut as the sources cut.
+            epoch = stream.grid.epoch_of(float(timestamps[begin]))
+            end = int(
+                np.searchsorted(timestamps, stream.grid.end_time(epoch), side="left")
+            )
             if epoch != stream.current_epoch:
                 self._ship_epoch(stream)
                 stream.current_epoch = epoch
@@ -169,8 +177,7 @@ class DelegatingMeasurer:
         stream.epochs += 1
         if self.threshold_packets is not None:
             available_at = (
-                stream.start
-                + (stream.current_epoch + 1) * self.epoch_seconds
+                stream.grid.end_time(stream.current_epoch)
                 + self.network_delay_seconds
             )
             for key in seen:
@@ -195,7 +202,7 @@ class DelegatingMeasurer:
         stream = self._stream
         if stream is None:
             return self.estimates()
-        reached = int((now - stream.start) // self.epoch_seconds)
+        reached = stream.grid.epoch_of(now)
         if reached > stream.current_epoch:
             # The in-progress epoch's window has fully elapsed; ship it.
             # (Empty epochs in between never opened a sketch.)

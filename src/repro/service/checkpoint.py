@@ -34,7 +34,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SnapshotError
-from repro.state import from_bytes, to_bytes
+from repro.state import from_bytes
 
 #: Manifest key recording the wire version of the checkpoint layout.
 CHECKPOINT_VERSION = 1
@@ -95,25 +95,28 @@ class CheckpointStore:
 
     # -- writing ---------------------------------------------------------------
 
-    def save(self, snapshots, meta: "dict | None" = None) -> CheckpointInfo:
+    def save(self, payloads, meta: "dict | None" = None) -> CheckpointInfo:
         """Write one checkpoint atomically; returns its info.
 
-        ``snapshots`` is the per-shard snapshot list (one entry for an
-        unsharded daemon); ``meta`` is merged into the manifest, under the
-        store's own fields (``version``, ``seq``, ``shards``,
-        ``shard_integrity``), which a colliding ``meta`` key never
-        overrides — so re-saving a loaded checkpoint's ``meta`` writes a
-        new checkpoint, not a copy of the old one's manifest.
+        ``payloads`` holds one IMSNAP snapshot payload per shard (one
+        entry for an unsharded daemon; :func:`repro.state.to_bytes` makes
+        one from a snapshot), written as they are, never decoded: a
+        pool-served daemon hands over the bytes its workers captured, and
+        each is read from the sequence only when its file is written.
+        ``meta`` is merged into the manifest, under the store's own fields
+        (``version``, ``seq``, ``shards``, ``shard_integrity``), which a
+        colliding ``meta`` key never overrides — so re-saving a loaded
+        checkpoint's ``meta`` writes a new checkpoint, not a copy of the
+        old one's manifest.  The store takes no lock: one save at a time.
         """
-        if not snapshots:
+        if not payloads:
             raise ConfigurationError("a checkpoint needs at least one snapshot")
         seqs = self._sequences()
         seq = (seqs[-1] + 1) if seqs else 0
         shard_paths = []
         integrity = []
-        for shard, snapshot in enumerate(snapshots):
+        for shard, payload in enumerate(payloads):
             path = self._shard_path(seq, shard)
-            payload = to_bytes(snapshot)
             with open(path + ".tmp", "wb") as handle:
                 handle.write(payload)
                 handle.flush()

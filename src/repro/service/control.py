@@ -108,6 +108,12 @@ class ControlServer:
         """Stop accepting connections and release the port."""
         self._closing.set()
         try:
+            # The accept thread's call holds the socket open, listening,
+            # past a bare close(): shutting it down stops that call too.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass

@@ -110,6 +110,55 @@ class TestDelegatingMeasurer:
         measurer = DelegatingMeasurer(64 * 1024, 1.0, 0.0)
         assert measurer.rotate(123.0) == {}
 
+    @pytest.mark.parametrize("width", [0.1, 0.3, 0.7])
+    def test_rotation_ships_the_epoch_that_ended(self, width):
+        """The driver rotates at the boundaries its source's ``EpochGrid``
+        stamps; each rotation leaves the epoch that ended shipped, however
+        the boundary rounds."""
+        from repro.pipeline import Pipeline, TraceChunkSource
+        from repro.traffic import Trace
+
+        base = build_caida_like_trace(
+            CaidaLikeConfig(num_flows=300, duration=3.0, seed=7)
+        )
+        trace = Trace(
+            timestamps=base.timestamps - base.timestamps[0] + 1.0,
+            flow_ids=base.flow_ids,
+            sizes=base.sizes,
+            flows=base.flows,
+        )
+        open_after = []
+
+        def check(record, measurer):
+            if measurer._stream.current_epoch <= record.index:
+                open_after.append(record.index)
+
+        result = Pipeline(
+            DelegatingMeasurer(64 * 1024, width, 0.0), on_epoch=check, rotate=True
+        ).run(TraceChunkSource(trace, epoch_seconds=width))
+        assert len(result.epochs) >= 3
+        assert open_after == []
+
+    def test_packets_on_boundaries_open_the_next_epoch(self):
+        """One packet on each ``1 + k * 0.1`` boundary: forty epochs ship,
+        one packet each, as the sources cut them."""
+        from repro.pipeline import TraceChunkSource
+        from repro.traffic import FiveTuple, FlowTable, Trace
+
+        count, width = 40, 0.1
+        trace = Trace(
+            timestamps=1.0 + np.arange(count) * width,
+            flow_ids=np.zeros(count, dtype=np.int64),
+            sizes=np.full(count, 100, dtype=np.int64),
+            flows=FlowTable.from_five_tuples([FiveTuple(1, 2, 3, 4, 6)]),
+        )
+        epochs = [chunk.epoch for chunk in TraceChunkSource(trace, epoch_seconds=width)]
+        assert epochs == list(range(count))
+        _estimates, stats = DelegatingMeasurer(
+            64 * 1024, width, 0.0
+        ).process_trace(trace)
+        assert stats.epochs == count
+
 
 class TestSaturationTimeDistribution:
     def test_pmf_mass_and_mean_match_coupon_sum(self):
