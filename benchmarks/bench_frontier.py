@@ -55,15 +55,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
 import pathlib
-import platform
-import subprocess
 import time
 
 import numpy as np
 
+import history
 from repro.analysis.metrics import mean_relative_error
 from repro.core import InstaMeasure, InstaMeasureConfig, default_technologies
 from repro.detection import (
@@ -122,28 +119,6 @@ VARIANTS = (
 #: The WSAF-stage labels modelled time is summed over (the cache label
 #: simply never appears for flat/ice rows).
 WSAF_LABELS = ("wsaf", "wsaf.cache")
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def _environment() -> "dict":
-    """Hardware/software context stamped onto every recorded row."""
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "numpy_version": np.__version__,
-    }
 
 
 def _config(overrides: "dict", tier_interval: int) -> InstaMeasureConfig:
@@ -218,50 +193,21 @@ def _measure_variant(
     return row
 
 
-def _load_history() -> "list[dict]":
-    if not OUTPUT_PATH.exists():
-        return []
-    try:
-        history = json.loads(OUTPUT_PATH.read_text())
-        if not isinstance(history, list) or not all(
-            isinstance(row, dict) for row in history
-        ):
-            raise ValueError("history must be a list of row dicts")
-    except (json.JSONDecodeError, OSError, ValueError) as error:
-        backup = OUTPUT_PATH.with_suffix(OUTPUT_PATH.suffix + ".corrupt")
-        try:
-            OUTPUT_PATH.replace(backup)
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}); "
-                f"moved to {backup.name}, starting a fresh history"
-            )
-        except OSError:
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}) and "
-                "could not be moved aside; starting a fresh history"
-            )
-        return []
-    return history
+def _row_key(row: "dict") -> "tuple":
+    return (row.get("git_sha"), row.get("label"))
+
+
+def _latest(rows: "list[dict]") -> "list[dict]":
+    """One row per ``(git_sha, label)``, the latest winning, in time
+    order."""
+    return history.latest_per_key(
+        rows, _row_key, tiebreak=lambda row: (row.get("label", ""),)
+    )
 
 
 def _append_report(rows: "list[dict]") -> None:
-    """Append to BENCH_frontier.json, one row per (git_sha, label)."""
-    best: "dict[tuple, dict]" = {}
-    for row in _load_history() + rows:
-        key = (row.get("git_sha"), row.get("label"))
-        kept = best.get(key)
-        if kept is None or row.get("timestamp", 0) >= kept.get("timestamp", 0):
-            best[key] = row
-    OUTPUT_PATH.write_text(
-        json.dumps(
-            sorted(
-                best.values(),
-                key=lambda r: (r.get("timestamp", 0), r.get("label", "")),
-            ),
-            indent=2,
-        )
-        + "\n"
-    )
+    """Append ``rows`` to BENCH_frontier.json, one row per key."""
+    history.append(OUTPUT_PATH, rows, _latest)
 
 
 def run_frontier(
@@ -273,9 +219,9 @@ def run_frontier(
     ``by_label`` keeps the in-memory rows including estimates for the
     exactness assertions.
     """
-    sha = _git_sha()
+    sha = history.git_sha()
     now = time.time()
-    environment = _environment()
+    environment = history.environment()
     # One untimed pass before the sweep: the first ingest of a fresh
     # trace pays lazy array materialization and import costs that none
     # of the later variants see, which would make whichever variant

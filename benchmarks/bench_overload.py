@@ -31,25 +31,20 @@ no-collapse floor (policy recall >= oblivious recall).
 
 Rows land in ``BENCH_overload.json`` keyed by ``(git_sha, policy,
 overload)``: re-running on a commit replaces that commit's rows and
-keeps other commits', with legacy rows backfilled by
-``_normalize_history`` — the same history policy as
-``BENCH_throughput.json``.  Rows of the retired ``degrade`` policy stay
-in the file as history; it kept exactly the packets ``shed`` keeps at
-its boosted target.
+keeps other commits' (``benchmarks/history.py``).  Rows of the retired
+``degrade`` policy stay in the file as history; it kept exactly the
+packets ``shed`` keeps at its boosted target.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import pathlib
-import platform
-import subprocess
 import time
 
 import numpy as np
 
+import history
 from repro.analysis.metrics import mean_relative_error
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.detection import classify_detections, ground_truth_heavy_hitters
@@ -82,27 +77,6 @@ CONTROL_SEED = 11
 #: truth) and the ARE band, full and smoke trace scales.
 HH_THRESHOLD = 1_000.0
 SMOKE_HH_THRESHOLD = 300.0
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def _environment() -> "dict":
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "numpy_version": np.__version__,
-    }
 
 
 def _engine() -> InstaMeasure:
@@ -235,72 +209,16 @@ def _row_key(row: "dict") -> "tuple":
     )
 
 
-def _normalize_history(history: "list[dict]") -> "list[dict]":
-    """Backfill legacy rows and dedupe per key, keeping the latest.
-
-    * Rows without ``git_sha`` predate keying; stamp ``"unknown"`` so
-      they stay distinguishable from (and replaceable by) keyed rows.
-    * Rows without ``policy`` predate the control plane and measured
-      the open-loop drop path — backfill ``"oblivious"``.
-    * Rows without ``overload`` ran at the sustainable rate — backfill
-      ``1.0`` so every row carries the full key.
-    * Rows without the environment stamp get explicit ``null`` fields
-      so consumers can filter on them.
-    * One row per ``(git_sha, policy, overload)``, latest ``timestamp``
-      wins; output sorted by timestamp so the file reads as a history.
-    """
-    best: "dict[tuple, dict]" = {}
-    for row in history:
-        if not row.get("git_sha"):
-            row["git_sha"] = "unknown"
-        row.setdefault("policy", "oblivious")
-        row.setdefault("overload", 1.0)
-        row.setdefault("cpu_count", None)
-        row.setdefault("platform", None)
-        row.setdefault("numpy_version", None)
-        key = _row_key(row)
-        kept = best.get(key)
-        if kept is None or row.get("timestamp", 0) >= kept.get("timestamp", 0):
-            best[key] = row
-    return sorted(
-        best.values(),
-        key=lambda r: (r.get("timestamp", 0), str(r.get("policy"))),
+def _latest(rows: "list[dict]") -> "list[dict]":
+    """One row per :func:`_row_key`, the latest winning, in time order."""
+    return history.latest_per_key(
+        rows, _row_key, tiebreak=lambda row: (str(row.get("policy")),)
     )
-
-
-def _load_history() -> "list[dict]":
-    """BENCH_overload.json rows, defensively (corrupt file moved aside)."""
-    if not OUTPUT_PATH.exists():
-        return []
-    try:
-        history = json.loads(OUTPUT_PATH.read_text())
-        if not isinstance(history, list) or not all(
-            isinstance(row, dict) for row in history
-        ):
-            raise ValueError("history must be a list of row dicts")
-    except (json.JSONDecodeError, OSError, ValueError) as error:
-        backup = OUTPUT_PATH.with_suffix(OUTPUT_PATH.suffix + ".corrupt")
-        try:
-            OUTPUT_PATH.replace(backup)
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}); "
-                f"moved to {backup.name}, starting a fresh history"
-            )
-        except OSError:
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}) and "
-                "could not be moved aside; starting a fresh history"
-            )
-        return []
-    return history
 
 
 def _append_report(rows: "list[dict]") -> None:
-    history = _load_history()
-    history.extend(rows)
-    OUTPUT_PATH.write_text(
-        json.dumps(_normalize_history(history), indent=2) + "\n"
-    )
+    """Append ``rows`` to BENCH_overload.json, one row per key."""
+    history.append(OUTPUT_PATH, rows, _latest)
 
 
 # -- the sweep -----------------------------------------------------------------
@@ -313,9 +231,9 @@ def run_overload(
     record: bool = True,
 ) -> "dict":
     """Sweep every overload factor; return ``{"rows", "report"}``."""
-    sha = _git_sha()
+    sha = history.git_sha()
     now = time.time()
-    environment = _environment()
+    environment = history.environment()
     duration = float(base.timestamps[-1] - base.timestamps[0])
     capacity_pps = base.num_packets / duration
 

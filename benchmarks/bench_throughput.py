@@ -13,15 +13,9 @@ probing, ``"scalar"`` for one per-event ``accumulate`` at a time),
 plus ``shards`` (see :func:`_row_key`):
 re-running on the same commit replaces that commit's rows, while rows
 from other commits are preserved, so the file accumulates a throughput
-history across the PR stack.  Rows of the retired kernel generations
-carry one more label, the contested-stretch replay they measured, so
-they stay distinct history.  On every write the whole history is
-normalized: legacy rows missing ``wsaf_engine`` / ``shards`` /
-``backend`` are backfilled with the values they actually ran ("scalar" /
-1 / "flat"), the two pre-keying seed rows
-without a ``git_sha`` are stamped with the commit that introduced the
-harness (and then superseded by that commit's keyed rows under the
-dedupe), and duplicate keys keep only the latest timestamp.
+history across commits (``benchmarks/history.py``).  Rows of the retired
+kernel generations carry one more label, the contested-stretch replay
+they measured, so they stay distinct history.
 
 Timing is external wall-clock (``perf_counter`` around the pipeline run)
 rather than the engine's own ``elapsed_seconds``, which starts *after*
@@ -85,13 +79,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import pathlib
-import platform
-import subprocess
 import time
 
+import history
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.core.wsaf import WSAFTable
 from repro.hashing.tabulation import TabulationHash
@@ -135,46 +127,11 @@ MIN_SHARD_SMOKE_FLOOR = 0.1
 #: must stay within 10% of the plain unsharded pipeline.
 MAX_INPROC_OVERHEAD = 1.10
 
-#: Commit that introduced this harness; the two pre-keying seed rows
-#: (no ``git_sha``) were measured on its working tree and are stamped
-#: with it during normalization (then superseded by its keyed rows).
-PRE_KEYING_SHA = "24c248f"
-
 #: (engine, WSAF path) pipeline variants: the scalar oracle accumulating
 #: one event at a time, the kernel batch-probing.
 SCALAR = ("scalar", "scalar")
 KERNEL = ("batched", "batched")
 VARIANTS = (SCALAR, KERNEL)
-
-
-def _environment() -> "dict":
-    """Hardware/software context stamped onto every recorded row.
-
-    Throughput history spans machines and library versions; without the
-    context a row's pps number cannot be compared honestly against
-    another commit's.  Legacy rows predating this stamp are backfilled
-    with ``null`` values during normalization so consumers can filter.
-    """
-    import numpy
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "numpy_version": numpy.__version__,
-    }
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _config(engine: str) -> InstaMeasureConfig:
@@ -293,84 +250,14 @@ def _row_key(row: "dict") -> "tuple":
     return (tuple(labels), row.get("shards", 1))
 
 
-def _normalize_history(history: "list[dict]") -> "list[dict]":
-    """Backfill legacy rows and dedupe per key, keeping the latest.
-
-    * Rows without ``git_sha`` are the two pre-keying seed rows; they ran
-      on :data:`PRE_KEYING_SHA`'s tree and are stamped with it (after
-      which that commit's keyed re-measurements supersede them).
-    * Rows without ``wsaf_engine`` predate the batch-probed table and
-      ran the list-column WSAF — backfill explicitly so every row
-      carries it.
-    * Rows without ``shards`` predate the sharded scaling benchmark and
-      all ran a single unsharded pipeline — backfill ``shards: 1``.
-    * Rows without ``backend`` predate the WSAF storage seam and all ran
-      the flat table — backfill ``backend: "flat"``.
-    * Rows without the environment stamp (``cpu_count`` / ``platform`` /
-      ``numpy_version``) predate it and their machine context is
-      unknowable — backfill ``null`` so every row carries the fields and
-      consumers can filter on them.
-    * One row per :func:`_row_key`, latest ``timestamp`` wins; output
-      sorted by timestamp so the file reads as a history.
-    """
-    best: "dict[tuple, dict]" = {}
-    for row in history:
-        if not row.get("git_sha"):
-            row["git_sha"] = PRE_KEYING_SHA
-        row.setdefault("wsaf_engine", "scalar")
-        row.setdefault("shards", 1)
-        row.setdefault("backend", "flat")
-        row.setdefault("cpu_count", None)
-        row.setdefault("platform", None)
-        row.setdefault("numpy_version", None)
-        key = _row_key(row)
-        kept = best.get(key)
-        if kept is None or row.get("timestamp", 0) >= kept.get("timestamp", 0):
-            best[key] = row
-    return sorted(best.values(), key=lambda r: r.get("timestamp", 0))
-
-
-def _load_history() -> "list[dict]":
-    """The history rows of BENCH_throughput.json, defensively.
-
-    A bench run must never die on its own report file.  A missing file is
-    an empty history; an unreadable, unparseable, or wrong-shaped one
-    (anything but a list of dicts) is moved aside to
-    ``BENCH_throughput.json.corrupt`` — preserved for inspection — and
-    the run starts a fresh history.
-    """
-    if not OUTPUT_PATH.exists():
-        return []
-    try:
-        history = json.loads(OUTPUT_PATH.read_text())
-        if not isinstance(history, list) or not all(
-            isinstance(row, dict) for row in history
-        ):
-            raise ValueError("history must be a list of row dicts")
-    except (json.JSONDecodeError, OSError, ValueError) as error:
-        backup = OUTPUT_PATH.with_suffix(OUTPUT_PATH.suffix + ".corrupt")
-        try:
-            OUTPUT_PATH.replace(backup)
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}); "
-                f"moved to {backup.name}, starting a fresh history"
-            )
-        except OSError:
-            print(
-                f"warning: {OUTPUT_PATH.name} is corrupt ({error}) and "
-                "could not be moved aside; starting a fresh history"
-            )
-        return []
-    return history
+def _latest(rows: "list[dict]") -> "list[dict]":
+    """One row per :func:`_row_key`, the latest winning, in time order."""
+    return history.latest_per_key(rows, _row_key)
 
 
 def _append_report(rows: "list[dict]") -> None:
-    """Append ``rows`` to BENCH_throughput.json and normalize the file."""
-    history = _load_history()
-    history.extend(rows)
-    OUTPUT_PATH.write_text(
-        json.dumps(_normalize_history(history), indent=2) + "\n"
-    )
+    """Append ``rows`` to BENCH_throughput.json, one row per key."""
+    history.append(OUTPUT_PATH, rows, _latest)
 
 
 def run_benchmark(
@@ -417,9 +304,9 @@ def run_benchmark(
         "delegated_events": num_events,
     }
 
-    sha = _git_sha()
+    sha = history.git_sha()
     now = time.time()
-    environment = _environment()
+    environment = history.environment()
     rows = []
     for variant in VARIANTS:
         engine, wsaf_engine = variant
@@ -507,9 +394,9 @@ def run_sharded_benchmark(
         Pipeline(InstaMeasure(config)).run(source)
         unsharded_s = min(unsharded_s, time.perf_counter() - start)
 
-    sha = _git_sha()
+    sha = history.git_sha()
     now = time.time()
-    environment = _environment()
+    environment = history.environment()
     rows = []
     for num_shards in shard_counts:
         # One pipeline per count, reused across rounds.  Routing caches

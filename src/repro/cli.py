@@ -40,7 +40,7 @@ from repro.detection import (
     keys_to_flow_indices,
 )
 from repro.errors import ReproError
-from repro.pipeline import LOAD_POLICY_CHOICES, build_load_controller, run_pipeline
+from repro.pipeline import ShedController, run_pipeline
 from repro.traffic import (
     CaidaLikeConfig,
     CampusConfig,
@@ -87,18 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "compressed counters)",
     )
     ingest.add_argument(
-        "--load-policy",
-        choices=list(LOAD_POLICY_CHOICES),
-        default="none",
-        help="closed-loop overload policy: none (ingest everything), shed "
-        "(deterministically sample overloaded chunks down to --target-pps)",
-    )
-    ingest.add_argument(
         "--target-pps",
         type=float,
         default=None,
-        help="sustainable ingest rate for --load-policy shed "
-        "(stream-clock packets per second)",
+        help="shed load down to this stream-clock rate (packets per "
+        "second): overloaded chunks are deterministically sampled; unset, "
+        "every packet is measured",
     )
 
     gen = commands.add_parser(
@@ -276,17 +270,14 @@ def _measure(args: argparse.Namespace):
 
     config = _config_from_args(args)
     source = FileChunkSource(args.trace, chunk_size=config.chunk_size)
-    controller = build_load_controller(
-        getattr(args, "load_policy", "none"),
-        target_pps=getattr(args, "target_pps", None),
-        seed=config.seed,
+    # ``snapshot save`` takes no --target-pps: it measures every packet.
+    target_pps = getattr(args, "target_pps", None)
+    controller = (
+        None if target_pps is None else ShedController(target_pps, seed=config.seed)
     )
     result = ShardedPipeline(
-        config,
-        num_shards=args.shards,
-        parallel=args.parallel,
-        controller=controller,
-    ).run(source)
+        config, num_shards=args.shards, controller=controller
+    ).run(source, parallel=args.parallel)
     return result, source.trace
 
 
@@ -294,7 +285,6 @@ def _controller_rows(stats: "dict | None") -> "list[list[str]]":
     if not stats:
         return []
     return [
-        ["load policy", stats["policy"]],
         ["load keep rate",
          f"{stats['keep_rate']:.2%} ({stats['kept_packets']:,} of "
          f"{stats['offered_packets']:,} offered)"],
@@ -513,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         keep_checkpoints=args.keep_checkpoints,
         max_packets=args.max_packets,
-        load_policy=args.load_policy,
         target_pps=args.target_pps,
     )
     control = None
@@ -548,11 +537,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"served {stats['packets']:,} packets in {stats['chunks']:,} chunks "
         f"({stats['pps_total']:,.0f} pps, {stats['wsaf_entries']:,} WSAF flows)"
     )
-    if stats.get("load_policy", "none") != "none":
+    if stats["target_pps"] is not None:
         print(
-            f"load policy {stats['load_policy']}: measured "
+            f"shed to {stats['target_pps']:,.0f} pps: measured "
             f"{stats['measured_packets']:,} of {stats['packets']:,} offered "
-            f"packets (target {stats['target_pps']:,.0f} pps)"
+            "packets"
         )
     return 0
 

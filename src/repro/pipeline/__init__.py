@@ -16,11 +16,12 @@ ShardedPipeline` drives the same loop into N flow-key shards (in-process
 or forked workers) and merges their serializable snapshots into one
 state whose estimates exactly equal a single-process run.
 
-Under overload a :class:`~repro.pipeline.control.ShedController` (the
-``shed`` load policy; ``none`` runs without one) can sit between the
-source and the measurer: it reads each chunk's offered rate on the
-stream clock and thins or drops the chunk down to a target rate, with
-deterministic seed-stable sampling so shed runs stay reproducible.  See
+Under overload a :class:`~repro.pipeline.control.ShedController`, set
+by its target rate alone, can sit between the source and the measurer:
+it reads each chunk's offered rate on the stream clock and thins or
+drops the chunk down to the target, with deterministic seed-stable
+sampling so shed runs stay reproducible; without one every packet is
+ingested.  See
 docs/STREAMING.md, "Backpressure and load-shedding".
 
 See ``docs/STREAMING.md`` for the protocol contract, including which
@@ -28,13 +29,9 @@ measurers are bit-identical between chunked and whole-trace ingestion.
 """
 
 from repro.pipeline.control import (
-    ChunkGovernor,
-    ControlDecision,
     ControlDecisionRecord,
     ControllerStats,
-    LOAD_POLICY_CHOICES,
     ShedController,
-    build_load_controller,
     thin_chunk,
     thin_mask,
 )
@@ -76,17 +73,13 @@ from repro.traffic.pcaplite import trace_from_records
 
 __all__ = [
     "Chunk",
-    "ChunkGovernor",
     "ChunkSource",
     "ChunkStats",
-    "ControlDecision",
     "ControlDecisionRecord",
     "ControllerStats",
     "EpochGrid",
     "EpochRecord",
-    "LOAD_POLICY_CHOICES",
     "ShedController",
-    "build_load_controller",
     "thin_chunk",
     "thin_mask",
     "FileChunkSource",

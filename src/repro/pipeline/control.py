@@ -3,19 +3,18 @@
 Without a controller the drivers pull chunks as fast as the source
 produces them; when the offered rate exceeds what the measurer can
 sustain, the only loss model is the open-loop :class:`~repro.simulate.
-linkmodel.MirrorPort` pre-pass, which drops blindly.  This module gives
-the pipeline one policy instead:
+linkmodel.MirrorPort` pre-pass, which drops blindly.  This module sheds
+a known fraction instead, and its target rate is the whole setting: a
+run sheds exactly when it is given a :class:`ShedController`.
 
-* :class:`ShedController` (``shed``) maps a chunk's offered rate on the
-  *stream clock* (packets over the span of trace timestamps the chunk
-  covers) to a :class:`ControlDecision`: pass the chunk, keep a
-  deterministic seed-stable sample of it down to a target rate, or drop
-  it.  ``none`` builds no controller at all.
-* :class:`ChunkGovernor` is the mechanism the driver applies: it
-  measures the offered rate, applies the decision (thin / drop) and
-  keeps the running :class:`ControllerStats` and bounded decision
-  history that ``PipelineResult`` / ``ShardedResult`` /
-  ``MeasurementDaemon.stats()`` surface.
+:meth:`ShedController.admit` measures a chunk's offered rate on the
+*stream clock* (packets over the span of trace timestamps the chunk
+covers), and passes the chunk, keeps a deterministic seed-stable sample
+of it down to the target rate, or drops it.  It returns what survives
+and a :class:`ControlDecisionRecord`; the driver counts the records
+into the run's :class:`ControllerStats` and keeps a bounded history of
+them, which ``PipelineResult`` / ``ShardedResult`` /
+``MeasurementDaemon.stats()`` surface.
 
 Determinism guarantee
 ---------------------
@@ -30,13 +29,12 @@ snapshots, and the mask does not change when the chunk geometry does.
 The driver keeps the stream clock in its run record, which a recovered
 daemon resumes from its checkpoint, so recovery keeps the same packets
 too.  A thinned chunk keeps its source ``begin``; measurers take their
-randomness in stream order, so no run reads a governed chunk's position.
+randomness in stream order, so no run reads a shed chunk's position.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -47,29 +45,19 @@ from repro.hashing.mix import hash_u64_array
 from repro.pipeline.source import Chunk
 from repro.traffic.packet import Trace
 
-#: Policy names `build_load_controller` (and the CLI) accept.
-LOAD_POLICY_CHOICES = ("none", "shed")
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    """A controller's verdict for one chunk.
-
-    ``action`` is ``"pass"`` (ingest as-is), ``"thin"`` (keep a
-    deterministic ``keep_fraction`` sample of the chunk's packets), or
-    ``"drop"`` (shed the whole chunk).
-    """
-
-    action: str = "pass"
-    keep_fraction: float = 1.0
-
-
-_PASS = ControlDecision()
+#: What older checkpoints recorded under the tallies' retired ``policy``
+#: key; :meth:`ControllerStats.from_dict` accepts and drops these.
+_RECORDED_POLICIES = ("none", "shed")
 
 
 @dataclass(frozen=True)
 class ControlDecisionRecord:
-    """One applied decision, as surfaced on ``PipelineResult.decisions``."""
+    """One applied decision, as surfaced on ``PipelineResult.decisions``.
+
+    ``action`` is read off ``keep_fraction``: ``"pass"`` (1.0, ingested
+    as-is), ``"drop"`` (0.0, shed whole) or ``"thin"`` (a deterministic
+    sample of the chunk's packets).
+    """
 
     chunk_index: int
     action: str
@@ -83,7 +71,6 @@ class ControlDecisionRecord:
 class ControllerStats:
     """Aggregate effect of a controller over one run."""
 
-    policy: str = "none"
     chunks: int = 0
     offered_packets: int = 0
     kept_packets: int = 0
@@ -97,11 +84,22 @@ class ControllerStats:
             return 1.0
         return self.kept_packets / self.offered_packets
 
+    def count(self, record: ControlDecisionRecord) -> None:
+        """Add one applied decision to the tallies."""
+        offered, kept = record.offered_packets, record.kept_packets
+        self.chunks += 1
+        self.offered_packets += offered
+        self.kept_packets += kept
+        self.dropped_packets += offered - kept
+        if kept == 0:
+            self.dropped_chunks += 1
+        elif kept < offered:
+            self.thinned_chunks += 1
+
     def as_dict(self) -> "dict":
         """The tallies as a JSON-ready dict (the checkpoint manifest form,
         read back by :meth:`from_dict`)."""
         return {
-            "policy": self.policy,
             "chunks": self.chunks,
             "offered_packets": self.offered_packets,
             "kept_packets": self.kept_packets,
@@ -118,18 +116,18 @@ class ControllerStats:
 
         Restored tallies must be ones a run can produce: every count a
         non-negative integer (``True`` or ``2.5`` is not a count), no
-        more kept or dropped packets than offered, no more thinned or
-        dropped chunks than chunks, and a policy in
-        :data:`LOAD_POLICY_CHOICES`; anything else raises
-        :class:`ValueError`.
+        more kept or dropped packets than offered, and no more thinned or
+        dropped chunks than chunks; anything else raises
+        :class:`ValueError`.  Tallies an older checkpoint wrote may carry
+        a ``policy``, which must be ``none`` or ``shed`` and is dropped.
         """
-        policy = tallies["policy"]
-        if policy not in LOAD_POLICY_CHOICES:
-            raise ValueError(f"controller policy {policy!r} is not one of {LOAD_POLICY_CHOICES}")
+        if "policy" in tallies and tallies["policy"] not in _RECORDED_POLICIES:
+            raise ValueError(
+                f"controller policy {tallies['policy']!r} is not one of "
+                f"{_RECORDED_POLICIES}"
+            )
         counts = {}
         for field in fields(cls):
-            if field.name == "policy":
-                continue
             value = tallies[field.name]
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
                 raise ValueError(
@@ -146,11 +144,11 @@ class ControllerStats:
                 raise ValueError(
                     f"controller {part} {counts[part]} exceeds {whole} {counts[whole]}"
                 )
-        return cls(policy=policy, **counts)
+        return cls(**counts)
 
 
 class ShedController:
-    """``shed``: thin chunks down to ``target_pps`` with seed-stable sampling.
+    """Thin chunks down to ``target_pps`` with seed-stable sampling.
 
     While the offered rate (stream clock) stays at or below the target,
     chunks pass untouched.  Above it, each packet is kept independently
@@ -159,10 +157,10 @@ class ShedController:
     runs, chunk geometries, and sharded/single-process execution.  Estimates from a shed run are
     scaled back up by the recorded keep rate (``ControllerStats``
     carries exact counts), the same contract as
-    :func:`repro.traffic.replay.thin`.
+    :func:`repro.traffic.replay.thin`.  The controller keeps no state
+    of its own: the driver keeps the stream clock and the tallies, so
+    one controller serves any number of runs.
     """
-
-    policy = "shed"
 
     def __init__(self, target_pps: float, seed: int = 0) -> None:
         if not (target_pps > 0) or not math.isfinite(target_pps):
@@ -172,42 +170,53 @@ class ShedController:
         self.target_pps = float(target_pps)
         self.seed = int(seed)
 
-    def decide(self, offered_pps: float) -> ControlDecision:
-        """The verdict for a chunk offered at ``offered_pps`` (stream
-        clock; ``inf`` when the chunk spans no time, which drops it)."""
+    def decide(self, offered_pps: float) -> float:
+        """The keep fraction for a chunk offered at ``offered_pps``
+        (stream clock; ``inf`` when the chunk spans no time, which drops
+        it): 1.0 passes, 0.0 drops, anything between thins."""
         if offered_pps <= self.target_pps:
-            return _PASS
-        keep = 0.0 if math.isinf(offered_pps) else self.target_pps / offered_pps
-        if keep <= 0.0:
-            return ControlDecision(action="drop", keep_fraction=0.0)
-        return ControlDecision(action="thin", keep_fraction=keep)
+            return 1.0
+        return 0.0 if math.isinf(offered_pps) else self.target_pps / offered_pps
 
+    def admit(
+        self, chunk: Chunk, since: "float | None" = None
+    ) -> "tuple[Chunk | None, ControlDecisionRecord]":
+        """Decide on one chunk of at least one packet: ``(kept, record)``,
+        where ``kept`` is what survives of the chunk (the chunk itself
+        when it passes, ``None`` when it is shed entirely).
 
-def build_load_controller(
-    policy: "str | None",
-    target_pps: "float | None" = None,
-    seed: int = 0,
-) -> "ShedController | None":
-    """Build a controller from CLI-shaped knobs.
-
-    ``None`` / ``"none"`` returns ``None`` — the drivers then run their
-    zero-overhead path.  ``shed`` requires a positive ``target_pps``.
-    """
-    if policy is None or policy == "none":
-        return None
-    if policy not in LOAD_POLICY_CHOICES:
-        raise ConfigurationError(
-            f"unknown load policy {policy!r}; choices: "
-            + ", ".join(LOAD_POLICY_CHOICES)
+        The chunk's offered rate is its packets over the stream-clock
+        span from ``since`` — the timestamp of the last packet offered
+        before it, which the driver keeps — to its last packet (over the
+        chunk's own span when ``since`` is ``None``); ``inf`` when the
+        span is zero.  Deterministic: replaying the same trace measures
+        the same rate, which keeps shedding reproducible.
+        """
+        packets = chunk.num_packets
+        timestamps = chunk.trace.timestamps
+        span = float(timestamps[-1]) - (
+            float(timestamps[0]) if since is None else since
         )
-    if target_pps is None:
-        raise ConfigurationError(
-            f"--load-policy {policy} requires --target-pps"
+        offered_pps = packets / span if span > 0 else float("inf")
+        keep = self.decide(offered_pps)
+        if keep >= 1.0:
+            action, kept_chunk = "pass", chunk
+        elif keep <= 0.0:
+            action, kept_chunk = "drop", None
+        else:
+            action, kept_chunk = "thin", thin_chunk(chunk, keep, self.seed)
+        record = ControlDecisionRecord(
+            chunk_index=chunk.index,
+            action=action,
+            keep_fraction=keep,
+            offered_packets=packets,
+            kept_packets=0 if kept_chunk is None else kept_chunk.num_packets,
+            offered_pps=offered_pps,
         )
-    return ShedController(target_pps, seed=seed)
+        return kept_chunk, record
 
 
-# -- mechanism: thinning and the governor --------------------------------------
+# -- mechanism: thinning ------------------------------------------------------
 
 
 def thin_mask(begin: int, end: int, keep_fraction: float, seed: int) -> np.ndarray:
@@ -249,89 +258,3 @@ def thin_chunk(chunk: Chunk, keep_fraction: float, seed: int) -> "Chunk | None":
         epoch=chunk.epoch,
         total_packets=chunk.total_packets,
     )
-
-
-class ChunkGovernor:
-    """Apply a controller's decisions to a chunk stream.
-
-    The mechanism behind ``Pipeline.step``, which every run loop —
-    single-process, sharded, and the service daemon — goes through:
-    measures each incoming chunk's offered rate, asks the controller,
-    and turns the decision into the chunk to ingest: the chunk itself
-    when it passes, its thinned sample, or nothing.
-
-    Args:
-        controller: the policy (a :class:`ShedController`).
-        history: bound on :attr:`decisions` (``None`` keeps every one).
-        stats: the :class:`ControllerStats` to count into — the driver
-            passes its run record's, so a resumed run's tallies cover
-            the whole stream; a fresh one when ``None``.
-
-    Attributes:
-        stats: running :class:`ControllerStats` for the pass.
-        decisions: the most recent :class:`ControlDecisionRecord` per
-            chunk (bounded by ``history`` when given).
-    """
-
-    def __init__(
-        self,
-        controller: ShedController,
-        history: "int | None" = None,
-        stats: "ControllerStats | None" = None,
-    ) -> None:
-        self.controller = controller
-        self.seed = controller.seed
-        self.stats = (
-            stats if stats is not None else ControllerStats(policy=controller.policy)
-        )
-        self.decisions: "deque[ControlDecisionRecord]" = deque(maxlen=history)
-
-    def admit(self, chunk: Chunk, since: "float | None" = None) -> "Chunk | None":
-        """Decide on one chunk; return what survives of it, ``None``
-        when it is shed entirely.
-
-        The chunk's offered rate is its packets over the stream-clock
-        span from ``since`` — the timestamp of the last packet offered
-        before it, which the driver keeps — to its last packet (over the
-        chunk's own span when ``since`` is ``None``); ``inf`` when the
-        span is zero.  Deterministic: replaying the same trace measures
-        the same rate, which keeps ``shed`` reproducible.
-        """
-        packets = chunk.num_packets
-        if packets == 0:
-            return chunk
-        timestamps = chunk.trace.timestamps
-        span = float(timestamps[-1]) - (
-            float(timestamps[0]) if since is None else since
-        )
-        offered_pps = packets / span if span > 0 else float("inf")
-        decision = self.controller.decide(offered_pps)
-
-        if decision.action == "drop":
-            kept_chunk = None
-        elif decision.keep_fraction < 1.0:
-            kept_chunk = thin_chunk(chunk, decision.keep_fraction, self.seed)
-        else:
-            kept_chunk = chunk
-        kept = 0 if kept_chunk is None else kept_chunk.num_packets
-
-        stats = self.stats
-        stats.chunks += 1
-        stats.offered_packets += packets
-        stats.kept_packets += kept
-        stats.dropped_packets += packets - kept
-        if kept == 0:
-            stats.dropped_chunks += 1
-        elif kept < packets:
-            stats.thinned_chunks += 1
-        self.decisions.append(
-            ControlDecisionRecord(
-                chunk_index=chunk.index,
-                action=decision.action,
-                keep_fraction=decision.keep_fraction,
-                offered_packets=packets,
-                kept_packets=kept,
-                offered_pps=offered_pps,
-            )
-        )
-        return kept_chunk

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SnapshotError
-from repro.pipeline.control import ChunkGovernor, ControllerStats, ShedController
+from repro.pipeline.control import ControllerStats, ShedController
 from repro.pipeline.protocol import supports_rotate
 from repro.pipeline.source import ChunkSource, EpochGrid, as_chunk_source
 
@@ -211,7 +212,7 @@ class PipelineResult:
     ``packets`` counts the packets measured and ``offered_packets`` those
     the source offered, both over the whole stream (a resumed run
     included).  When the pipeline ran with a load controller,
-    ``decisions`` holds the controller's per-chunk
+    ``decisions`` holds its per-chunk
     :class:`~repro.pipeline.control.ControlDecisionRecord` entries
     (bounded by the driver's ``history``), and ``controller_stats`` is
     the aggregate :meth:`~repro.pipeline.control.ControllerStats.as_dict`.
@@ -239,7 +240,8 @@ class _RunState:
     """Bookkeeping of one in-progress :meth:`Pipeline.begin` run."""
 
     source: ChunkSource
-    governor: "ChunkGovernor | None" = None
+    #: The load controller's records, the newest ``history`` of them.
+    decisions: deque
     chunks: "list[ChunkStats]" = field(default_factory=list)
     epochs: "list[EpochRecord]" = field(default_factory=list)
 
@@ -260,16 +262,20 @@ class Pipeline:
             an accumulation callback (the InstaMeasure engines); leave
             ``None`` for measurers that do not.
         history: keep at most this many :class:`ChunkStats` /
-            :class:`EpochRecord` entries (oldest dropped); ``None`` keeps
+            :class:`EpochRecord` /
+            :class:`~repro.pipeline.control.ControlDecisionRecord` entries
+            (oldest dropped); ``None`` keeps
             everything.  An always-on driver must bound these lists or an
             unbounded run grows without limit — aggregate counters
             (``packets``, ``elapsed_seconds`` etc.) are unaffected by
             trimming.
         controller: an optional
             :class:`~repro.pipeline.control.ShedController`.  When given,
-            the driver consults it between chunks: :meth:`step` may thin
-            the chunk, or drop it (and then returns ``None``).  ``None``
-            keeps the zero-overhead path, bit for bit.
+            the driver sheds with it: :meth:`step` may thin the chunk, or
+            drop it (and then returns ``None``).  The driver keeps the
+            controller's tallies and records per run, so one controller
+            serves any number of runs.  ``None`` keeps the zero-overhead
+            path, bit for bit.
 
     Attributes:
         progress: the :class:`RunProgress` of the current run, or of the
@@ -325,24 +331,20 @@ class Pipeline:
         elif source.start_time is None:
             # The re-opened source must grid its epochs as the resumed run did.
             source.start_time = progress.start_time
-        governor = None
         if self.controller is None:
             progress.controller = None
-        else:
-            if progress.controller is None:
-                progress.controller = ControllerStats(policy=self.controller.policy)
-            governor = ChunkGovernor(
-                self.controller, history=self.history, stats=progress.controller
-            )
+        elif progress.controller is None:
+            progress.controller = ControllerStats()
         self.progress = progress
-        self._run = _RunState(source=source, governor=governor)
+        self._run = _RunState(source=source, decisions=deque(maxlen=self.history))
 
     def step(self, chunk) -> "ChunkStats | None":
         """Ingest one chunk, firing any epoch boundaries it crossed.
 
-        With a load controller the chunk is first run through the
-        governor: the returned stats cover the packets it kept, and
-        ``None`` means the chunk was shed entirely.
+        With a load controller the chunk is first offered to it
+        (:meth:`~repro.pipeline.control.ShedController.admit`): the
+        returned stats cover the packets it kept, and ``None`` means the
+        chunk was shed entirely.
         """
         run = self._run
         if run is None:
@@ -360,8 +362,10 @@ class Pipeline:
         progress.chunks += 1
         if chunk.num_packets:
             progress.stream_time = float(chunk.trace.timestamps[-1])
-        if run.governor is not None:
-            chunk = run.governor.admit(chunk, since)
+        if self.controller is not None and chunk.num_packets:
+            chunk, record = self.controller.admit(chunk, since)
+            progress.controller.count(record)
+            run.decisions.append(record)
             if chunk is None:
                 return None
         return self._ingest(run, chunk)
@@ -406,9 +410,7 @@ class Pipeline:
             chunks=run.chunks,
             epochs=run.epochs,
             offered_packets=progress.packets,
-            decisions=(
-                list(run.governor.decisions) if run.governor is not None else []
-            ),
+            decisions=list(run.decisions),
             controller_stats=(
                 progress.controller.as_dict()
                 if progress.controller is not None

@@ -799,10 +799,6 @@ class ShardedPipeline:
             manager, every shard uses the *same* seed — word-range
             disjointness is what keeps their regulators from interfering.
         num_shards: worker count, >= 1.
-        parallel: run workers as a forked :class:`ShardWorkerPool`
-            (falls back to in-process execution, with a
-            :class:`RuntimeWarning`, where the platform cannot fork;
-            both modes are bit-identical).
         controller: optional
             :class:`~repro.pipeline.control.ShedController`, applied by
             the :class:`~repro.pipeline.driver.Pipeline` driver exactly
@@ -810,16 +806,10 @@ class ShardedPipeline:
             routing, applied to the whole chunk — so every shard sheds
             the same packets and a sharded shed run stays
             decision-identical to a single-process shed run with the
-            same policy, seed, and schedule.
+            same target, seed, and schedule.
     """
 
-    def __init__(
-        self,
-        config=None,
-        num_shards: int = 1,
-        parallel: bool = False,
-        controller=None,
-    ) -> None:
+    def __init__(self, config=None, num_shards: int = 1, controller=None) -> None:
         from repro.core.instameasure import InstaMeasureConfig
 
         if num_shards < 1:
@@ -828,23 +818,24 @@ class ShardedPipeline:
             )
         self.config = config or InstaMeasureConfig()
         self.num_shards = num_shards
-        self.parallel = parallel
         self.controller = controller
         self.router = ShardRouter.for_config(self.config, num_shards)
 
-    def run(self, source, parallel: "bool | None" = None) -> ShardedResult:
+    def run(self, source, parallel: bool = False) -> ShardedResult:
         """Drive every chunk through the pipeline into the shards; merge.
 
         ``source`` is a chunk source, or a bare trace cut into chunks of
         the config's ``chunk_size``.  With an unknown ``total_packets``
         each shard draws its own randomness (see the module docstring).
+        ``parallel`` runs the shards as a forked :class:`ShardWorkerPool`
+        (falling back to in-process execution, with a
+        :class:`RuntimeWarning`, where the platform cannot fork; both
+        modes are bit-identical).
         """
         source = as_chunk_source(source, self.config.chunk_size)
         total = source.total_packets
         if total is not None:
             total = int(total)
-        if parallel is None:
-            parallel = self.parallel
         use_fork = parallel and _fork_available()
         if parallel and not use_fork:
             warnings.warn(

@@ -46,10 +46,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 
 from repro.core import InstaMeasureConfig
 from repro.errors import ConfigurationError, ShardWorkerError, SnapshotError
-from repro.pipeline.control import build_load_controller
+from repro.pipeline.control import ShedController
 from repro.pipeline.driver import Pipeline, RunProgress
 from repro.pipeline.sharded import ShardedStreamingMeasurer, _serving_measurer
 from repro.service.checkpoint import CheckpointStore
@@ -90,13 +91,12 @@ class MeasurementDaemon:
         max_packets: stop the source once this many packets have been
             measured (recovered packets count) — a test/CI convenience.
         history: bound on the driver's per-chunk/per-epoch records.
-        load_policy: backpressure policy (``none`` / ``shed``, see
-            :mod:`repro.pipeline.control`) — the daemon's rate-limit
-            knob.  ``shed`` requires ``target_pps`` and surfaces its live
-            :class:`~repro.pipeline.control.ControllerStats` under
-            ``stats()["controller"]`` (and so through the control
+        target_pps: shed load down to this stream-clock rate (see
+            :mod:`repro.pipeline.control`) — the daemon's one
+            load-control setting; ``None`` measures every packet.  The
+            live :class:`~repro.pipeline.control.ControllerStats` appear
+            under ``stats()["controller"]`` (and so through the control
             protocol's ``stats`` and ``metrics`` verbs).
-        target_pps: the sustained stream-clock rate the policy defends.
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class MeasurementDaemon:
         keep_checkpoints: int = 3,
         max_packets: "int | None" = None,
         history: int = 256,
-        load_policy: str = "none",
         target_pps: "float | None" = None,
     ) -> None:
         if getattr(source, "total_packets", None) is not None:
@@ -133,12 +132,11 @@ class MeasurementDaemon:
         self.epoch_seconds = epoch_seconds
         self.checkpoint_every = checkpoint_every
         self.max_packets = max_packets
-        self.load_policy = load_policy
         self.target_pps = target_pps
-        # Validate the policy/target combination at construction time
-        # (the controller itself is rebuilt in start(), after recovery
-        # may have replaced the config whose seed it samples with).
-        build_load_controller(load_policy, target_pps, seed=self.config.seed)
+        # Validate the target at construction time (the controller itself
+        # is built in start(), after recovery may have replaced the
+        # config whose seed it samples with).
+        self._controller(self.config.seed)
         self.store = (
             CheckpointStore(checkpoint_dir, keep=keep_checkpoints)
             if checkpoint_dir is not None
@@ -184,9 +182,7 @@ class MeasurementDaemon:
             measurer,
             rotate=self.epoch_seconds is not None,
             history=self.history,
-            controller=build_load_controller(
-                self.load_policy, self.target_pps, seed=measurer.config.seed
-            ),
+            controller=self._controller(measurer.config.seed),
         )
         if resume is not None:
             # Refuse before anything moves: a source that cannot seek
@@ -205,6 +201,11 @@ class MeasurementDaemon:
         )
         self._thread.start()
         return self
+
+    def _controller(self, seed: int) -> "ShedController | None":
+        if self.target_pps is None:
+            return None
+        return ShedController(self.target_pps, seed=seed)
 
     def _recover(self):
         """``(seq, run record, measurer)`` of the newest checkpoint that
@@ -287,7 +288,6 @@ class MeasurementDaemon:
                 meta = {
                     **self.pipeline.progress.as_meta(),
                     "num_shards": self.num_shards,
-                    "load_policy": self.load_policy,
                 }
                 self._chunks_since_checkpoint = 0
             return self.store.save(payloads, meta=meta)
@@ -296,7 +296,8 @@ class MeasurementDaemon:
         """Force a checkpoint immediately; returns its info."""
         if self.store is None:
             raise ConfigurationError("the daemon has no checkpoint directory")
-        return self._checkpoint()
+        with self._reading():
+            return self._checkpoint()
 
     # -- queries ---------------------------------------------------------------
 
@@ -314,63 +315,78 @@ class MeasurementDaemon:
     @property
     def measured_packets(self) -> int:
         """Packets that actually reached the measurer (equals
-        :attr:`packets` unless a load policy shed some)."""
+        :attr:`packets` unless the daemon shed some)."""
         return self.progress.measured_packets
 
     @property
     def running(self) -> bool:
         return self._thread is not None and not self._finished.is_set()
 
+    @contextmanager
+    def _reading(self):
+        """Scope one read of the shards.  A read that meets a dead shard
+        worker stops the source, so the ingest thread leaves it even when
+        a tailed capture yields nothing, meets the worker too (at its
+        final checkpoint or ``finish()``) and ends on the crash path."""
+        try:
+            yield
+        except ShardWorkerError:
+            self.stop()
+            raise
+
     def query(self, key: int) -> "tuple[float, float] | None":
         """Current ``(packets, bytes)`` estimate for one flow key."""
         key = int(key)
-        with self._lock:
-            found = self.measurer.estimates(flow_keys=[key])
-        return found.get(key)
+        with self._reading():
+            with self._lock:
+                found = self.measurer.estimates(flow_keys=[key])
+            return found.get(key)
 
     def top(self, k: int) -> "list[tuple[int, float, float]]":
         """The ``k`` largest flows by packet estimate:
         ``[(key64, packets, bytes), ...]`` descending."""
         k = max(0, int(k))
-        with self._lock:
-            candidates = self.measurer.top(k)
-        ranked = sorted(
-            candidates.items(), key=lambda item: item[1][0], reverse=True
-        )
+        with self._reading():
+            with self._lock:
+                candidates = self.measurer.top(k)
+            ranked = sorted(
+                candidates.items(), key=lambda item: item[1][0], reverse=True
+            )
         return [(key, est[0], est[1]) for key, est in ranked[:k]]
 
     def rotate_now(self) -> int:
         """Rotate every shard at the current stream time; returns how
         many WSAF entries the rotation expired."""
-        with self._lock:
-            now = self.progress.stream_time
-            before = self.measurer.wsaf_sizes()
-            self.measurer.rotate(now if now is not None else 0.0)
-            after = self.measurer.wsaf_sizes()
-        return sum(before) - sum(after)
+        with self._reading():
+            with self._lock:
+                now = self.progress.stream_time
+                before = self.measurer.wsaf_sizes()
+                self.measurer.rotate(now if now is not None else 0.0)
+                after = self.measurer.wsaf_sizes()
+            return sum(before) - sum(after)
 
     def stats(self) -> "dict":
         """Live operational counters (what the control ``stats`` verb
         serves)."""
-        with self._lock:
-            recent = list(self._recent)
-            progress = self.progress
-            meta = progress.as_meta()
-            pps_total = (
-                progress.ingest_packets / progress.ingest_seconds
-                if progress.ingest_seconds > 0
-                else 0.0
-            )
-            failure = self.error
-            try:
-                sizes = self.measurer.wsaf_sizes() if self.measurer is not None else ()
-            except ShardWorkerError as exc:
-                sizes, failure = (), failure or exc
+        failure = self.error
         try:
-            wsaf_entries = sum(sizes)
+            with self._reading():
+                with self._lock:
+                    recent = list(self._recent)
+                    progress = self.progress
+                    meta = progress.as_meta()
+                    pps_total = (
+                        progress.ingest_packets / progress.ingest_seconds
+                        if progress.ingest_seconds > 0
+                        else 0.0
+                    )
+                    sizes = (
+                        self.measurer.wsaf_sizes() if self.measurer is not None else ()
+                    )
+                wsaf_entries = sum(sizes)
         except ShardWorkerError as exc:
             # A dead worker counts nothing: its records read 0, and
-            # ``error`` names it before the ingest thread sees it too.
+            # ``error`` names it before the ingest thread ends on it too.
             wsaf_entries, failure = 0, failure or exc
         pps_recent = 0.0
         if len(recent) >= 2:
@@ -387,7 +403,6 @@ class MeasurementDaemon:
             "epoch_seconds": self.epoch_seconds,
             "num_shards": self.num_shards,
             "wsaf_entries": wsaf_entries,
-            "load_policy": self.load_policy,
             "target_pps": self.target_pps,
             "controller": meta["controller"],
             "pps_total": pps_total,

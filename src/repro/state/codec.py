@@ -114,7 +114,9 @@ def _stream_header(stream) -> "dict | None":
     known-length snapshots serialize byte-for-byte as they did before
     the service refactor (golden files stay valid).  ``has_positions``
     is always false: it flagged a retired positioned-stream column, and
-    stays in the header so cursors keep their bytes.
+    stays in the header so cursors keep their bytes.  The cursor holds
+    no wall-clock time, so two captures of one stream state are the same
+    bytes; the ``elapsed`` seconds older payloads carry are not read.
     """
     if stream is None:
         return None
@@ -125,7 +127,6 @@ def _stream_header(stream) -> "dict | None":
         "packets": stream.packets,
         "insertions": stream.insertions,
         "l1_saturations": stream.l1_saturations,
-        "elapsed": stream.elapsed,
     }
     if stream.rng_state is not None:
         header["rng_state"] = stream.rng_state
@@ -451,7 +452,6 @@ def _snapshot_from(
             packets=stream_meta["packets"],
             insertions=stream_meta["insertions"],
             l1_saturations=stream_meta["l1_saturations"],
-            elapsed=stream_meta["elapsed"],
             rng_state=stream_meta.get("rng_state"),
             block_used=stream_meta.get("block_used", 0),
             block_size=stream_meta.get("block_size", 0),

@@ -216,7 +216,9 @@ class StreamCursor:
     of the current block, ``block_used`` how many of its ``block_size``
     entries were already consumed.  Together with ``offset`` that pins
     the exact next bit the stream hands out — the mechanism behind the
-    service daemon's mid-flight checkpoints.
+    service daemon's mid-flight checkpoints.  The cursor keeps no
+    wall-clock time: a restored stream's ``elapsed_seconds`` counts only
+    the ingest time of the process that restored it.
     """
 
     offset: int
@@ -224,7 +226,6 @@ class StreamCursor:
     packets: int
     insertions: int
     l1_saturations: int
-    elapsed: float
     rng_state: "dict | None" = None
     block_used: int = 0
     block_size: int = 0
@@ -380,7 +381,6 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
                 packets=stream_state.packets,
                 insertions=stream_state.insertions,
                 l1_saturations=stream_state.l1_saturations,
-                elapsed=stream_state.elapsed,
                 rng_state=rng_state,
                 block_used=block_used,
                 block_size=UNKNOWN_STREAM_BLOCK,
@@ -392,7 +392,6 @@ def capture_engine(engine, key_range=None) -> MeasurementSnapshot:
                 packets=stream_state.packets,
                 insertions=stream_state.insertions,
                 l1_saturations=stream_state.l1_saturations,
-                elapsed=stream_state.elapsed,
             )
     return MeasurementSnapshot(
         kind=KIND_INSTAMEASURE,
@@ -526,5 +525,4 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
         stream.packets = cursor.packets
         stream.insertions = cursor.insertions
         stream.l1_saturations = cursor.l1_saturations
-        stream.elapsed = cursor.elapsed
     return engine

@@ -1,11 +1,11 @@
 """The bench harnesses' report-file handling and command line.
 
 A bench run appends to its history file (``BENCH_throughput.json``,
-``BENCH_overload.json``) and reads baselines out of it; a missing,
-unparseable, or wrong-shaped file must never crash a run mid-bench — it
-is moved aside to ``.corrupt`` (preserved for inspection) and the run
-starts a fresh history.  Legacy rows are backfilled so every row
-carries its harness's full key.
+``BENCH_frontier.json``, ``BENCH_overload.json``) through the shared
+``benchmarks/history.py``; a missing, unparseable, or wrong-shaped file
+must never crash a run mid-bench — it is moved aside to ``.corrupt``
+(preserved for inspection) and the run starts a fresh history.  Each
+harness keeps its own row key, latest row winning.
 """
 
 from __future__ import annotations
@@ -13,15 +13,19 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
 
 def _load_bench(name: str):
-    """A harness script from the repository's ``benchmarks/`` tree."""
-    path = (
-        pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
-    )
+    """A harness script from the repository's ``benchmarks/`` tree (which
+    goes on the import path, as running a harness puts it there)."""
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
+    path = BENCHMARKS / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -51,17 +55,17 @@ def _row(bench, timestamp: float = 1.0) -> dict:
 
 class TestLoadHistory:
     def test_missing_file_is_empty_history(self, bench, history_path):
-        assert bench._load_history() == []
+        assert bench.history.load(history_path) == []
         assert not history_path.exists()
 
     def test_valid_history_passes_through(self, bench, history_path):
         rows = [_row(bench)]
         history_path.write_text(json.dumps(rows))
-        assert bench._load_history() == rows
+        assert bench.history.load(history_path) == rows
 
     def test_unparseable_json_backed_up(self, bench, history_path, capsys):
         history_path.write_text("{not json at all")
-        assert bench._load_history() == []
+        assert bench.history.load(history_path) == []
         backup = history_path.with_suffix(".json.corrupt")
         assert backup.read_text() == "{not json at all"
         assert not history_path.exists()
@@ -72,7 +76,7 @@ class TestLoadHistory:
     )
     def test_wrong_shape_backed_up(self, bench, history_path, payload):
         history_path.write_text(payload)
-        assert bench._load_history() == []
+        assert bench.history.load(history_path) == []
         assert history_path.with_suffix(".json.corrupt").exists()
 
     def test_append_after_corruption_starts_fresh(self, bench, history_path):
@@ -92,14 +96,6 @@ class TestLoadHistory:
 
 
 class TestShardsNormalization:
-    def test_legacy_rows_backfilled_with_one_shard(self, bench, history_path):
-        legacy = _row(bench, timestamp=1.0)
-        assert "shards" not in legacy
-        history_path.write_text(json.dumps([legacy]))
-        bench._append_report([])
-        history = json.loads(history_path.read_text())
-        assert [r["shards"] for r in history] == [1]
-
     def test_shards_joins_the_row_key(self, bench, history_path):
         # Same (sha, variant) at different shard counts are distinct
         # rows; a re-measurement at the same count supersedes.
@@ -189,28 +185,19 @@ class TestRetiredGenerationRows:
         (row,) = json.loads(history_path.read_text())
         assert row["platform"] == "Linux-b"
 
-    def test_recorded_history_keeps_every_row(self, bench):
-        # The committed history survives normalization row for row.
-        recorded = json.loads(
-            (
-                pathlib.Path(__file__).resolve().parents[1]
-                / "BENCH_throughput.json"
-            ).read_text()
-        )
-        assert bench._normalize_history(list(recorded)) == recorded
+    def test_recorded_history_keeps_every_row(self):
+        # Every committed history file is already one row per key, in
+        # order: rewriting it under its harness's key changes nothing.
+        for name in ("throughput", "frontier", "overload"):
+            harness = _load_bench(f"bench_{name}")
+            recorded = json.loads(
+                (BENCHMARKS.parent / f"BENCH_{name}.json").read_text()
+            )
+            assert recorded, name
+            assert harness._latest(list(recorded)) == recorded, name
 
 
 class TestEnvironmentStamp:
-    def test_legacy_rows_backfilled_with_nulls(self, bench, history_path):
-        legacy = _row(bench, timestamp=1.0)
-        assert "cpu_count" not in legacy
-        history_path.write_text(json.dumps([legacy]))
-        bench._append_report([])
-        (row,) = json.loads(history_path.read_text())
-        assert row["cpu_count"] is None
-        assert row["platform"] is None
-        assert row["numpy_version"] is None
-
     def test_stamped_rows_pass_through(self, bench, history_path):
         stamped = _row(bench, timestamp=1.0)
         stamped.update(
@@ -224,7 +211,7 @@ class TestEnvironmentStamp:
         assert row["numpy_version"] == "1.26.0"
 
     def test_environment_has_the_stamp_fields(self, bench):
-        environment = bench._environment()
+        environment = bench.history.environment()
         assert set(environment) == {"cpu_count", "platform", "numpy_version"}
         assert environment["cpu_count"] >= 1
         assert environment["platform"]
@@ -253,12 +240,13 @@ class TestOverloadHistory:
         }
 
     def test_missing_file_is_empty_history(self, overload_bench, history_path):
-        assert overload_bench._load_history() == []
-        assert not history_path.exists()
+        overload_bench._append_report([self._row()])
+        assert json.loads(history_path.read_text()) == [self._row()]
 
     def test_corrupt_file_backed_up(self, overload_bench, history_path, capsys):
         history_path.write_text("{not json")
-        assert overload_bench._load_history() == []
+        overload_bench._append_report([self._row()])
+        assert json.loads(history_path.read_text()) == [self._row()]
         assert history_path.with_suffix(".json.corrupt").exists()
         assert "corrupt" in capsys.readouterr().out
 
@@ -288,28 +276,6 @@ class TestOverloadHistory:
         history = json.loads(history_path.read_text())
         assert {r["git_sha"] for r in history} == {"old001", "new002"}
 
-    def test_legacy_rows_backfilled(self, overload_bench, history_path):
-        legacy = {"timestamp": 1.0, "hh_recall": 0.9}
-        history_path.write_text(json.dumps([legacy]))
-        overload_bench._append_report([])
-        (row,) = json.loads(history_path.read_text())
-        assert row["git_sha"] == "unknown"
-        assert row["policy"] == "oblivious"
-        assert row["overload"] == 1.0
-        assert row["cpu_count"] is None
-        assert row["platform"] is None
-        assert row["numpy_version"] is None
-
-    def test_backfilled_legacy_row_superseded_by_keyed_row(
-        self, overload_bench, history_path
-    ):
-        legacy = {"timestamp": 1.0}
-        keyed = self._row("oblivious", 1.0, timestamp=2.0, sha="unknown")
-        history_path.write_text(json.dumps([legacy, keyed]))
-        overload_bench._append_report([])
-        (row,) = json.loads(history_path.read_text())
-        assert row["timestamp"] == 2.0
-
     def test_output_sorted_by_timestamp(self, overload_bench, history_path):
         rows = [
             self._row("degrade", 4.0, timestamp=3.0),
@@ -322,5 +288,5 @@ class TestOverloadHistory:
         assert [r["timestamp"] for r in history] == [1.0, 2.0, 3.0]
 
     def test_environment_stamp_fields(self, overload_bench):
-        environment = overload_bench._environment()
+        environment = overload_bench.history.environment()
         assert set(environment) == {"cpu_count", "platform", "numpy_version"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -220,3 +221,66 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+def _counts(pattern: str, out: str) -> "tuple[int, ...]":
+    """The comma-grouped counts ``pattern``'s groups match in ``out``."""
+    match = re.search(pattern, out, re.MULTILINE)
+    assert match, out
+    return tuple(int(group.replace(",", "")) for group in match.groups())
+
+
+class TestShedding:
+    """``--target-pps`` is the whole load-control setting of ``run`` and
+    ``serve``: given alone, it sheds."""
+
+    @pytest.fixture(scope="class")
+    def half_rate(self, trace_path):
+        from repro.traffic import load_trace
+
+        trace = load_trace(trace_path)
+        return f"{0.5 * trace.num_packets / trace.duration:.1f}"
+
+    def test_run_target_pps_sheds(self, trace_path, half_rate, capsys):
+        code = main(
+            ["run", str(trace_path), "--l1-kb", "4", "--target-pps", half_rate]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        kept, offered = _counts(
+            r"^load keep rate +[\d.]+% \(([\d,]+) of ([\d,]+) offered\)", out
+        )
+        assert 0 < kept < offered
+        assert _counts(r"^packets +([\d,]+)", out) == (kept,)
+
+    def test_serve_target_pps_sheds(self, trace_path, half_rate, tmp_path):
+        from repro.traffic import load_trace
+        from repro.traffic.pcaplite import write_pcaplite
+
+        capture = tmp_path / "trace.impl"
+        write_pcaplite(load_trace(trace_path), capture)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", str(capture),
+             "--chunk-size", "500", "--l1-kb", "4", "--target-pps", half_rate],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        measured, offered = _counts(
+            r"^shed to [\d,]+ pps: measured ([\d,]+) of ([\d,]+) offered packets$",
+            proc.stdout,
+        )
+        assert 0 < measured < offered
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_load_policy_is_unrecognized(self, trace_path, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(trace_path), "--load-policy", "shed",
+                  "--target-pps", "100"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --load-policy" in capsys.readouterr().err

@@ -2,11 +2,12 @@
 
 Contracts under test, layer by layer:
 
-* policies (:mod:`repro.pipeline.control`): ``none`` passes everything,
-  ``shed`` thins to the target with seed-stable sampling;
+* the controller (:mod:`repro.pipeline.control`): without one every
+  packet is measured; ``ShedController`` thins to its target with
+  seed-stable sampling;
 * mechanism: the thinning mask is a pure function of (seed, global
-  position) — identical across chunk geometries — and the governor
-  hands passed chunks on as they are and thinned ones at their source
+  position) — identical across chunk geometries — and ``admit`` hands
+  passed chunks on as they are and thinned ones at their source
   ``begin``;
 * drivers: a shed controller that never sheds is byte-identical to no
   controller at all, shed runs are byte-identical across repeats, and a
@@ -25,13 +26,11 @@ import pytest
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import ConfigurationError
 from repro.pipeline import (
-    ChunkGovernor,
-    LOAD_POLICY_CHOICES,
+    ControllerStats,
     Pipeline,
     ShardedPipeline,
     ShedController,
     TraceChunkSource,
-    build_load_controller,
     run_pipeline,
     thin_chunk,
     thin_mask,
@@ -55,13 +54,9 @@ def _config(**overrides) -> InstaMeasureConfig:
 
 class TestPolicies:
     def test_none_always_passes(self, trace):
-        """``none`` builds no controller, so every chunk is ingested
-        whole, whatever its offered rate."""
-        assert build_load_controller("none", target_pps=1.0) is None
-        pipeline = Pipeline(
-            InstaMeasure(_config()),
-            controller=build_load_controller("none", target_pps=1.0),
-        )
+        """Without a controller every chunk is ingested whole, whatever
+        its offered rate."""
+        pipeline = Pipeline(InstaMeasure(_config()))
         source = TraceChunkSource(trace, chunk_size=700)
         pipeline.begin(source)
         for chunk in source:
@@ -72,18 +67,16 @@ class TestPolicies:
 
     def test_shed_passes_under_target(self):
         controller = ShedController(target_pps=1_000.0)
-        assert controller.decide(999.0).action == "pass"
-        assert controller.decide(1_000.0).action == "pass"
+        assert controller.decide(999.0) == 1.0
+        assert controller.decide(1_000.0) == 1.0
 
     def test_shed_thins_proportionally_over_target(self):
         controller = ShedController(target_pps=1_000.0)
-        decision = controller.decide(4_000.0)
-        assert decision.action == "thin"
-        assert decision.keep_fraction == pytest.approx(0.25)
+        assert controller.decide(4_000.0) == pytest.approx(0.25)
 
     def test_shed_drops_on_infinite_rate_without_floor(self):
         controller = ShedController(target_pps=1_000.0)
-        assert controller.decide(float("inf")).action == "drop"
+        assert controller.decide(float("inf")) == 0.0
 
     def test_shed_validation(self):
         for target in (0.0, -1.0, float("nan"), float("inf")):
@@ -91,17 +84,21 @@ class TestPolicies:
                 ShedController(target_pps=target)
 
     def test_factory(self):
-        assert build_load_controller(None) is None
-        assert build_load_controller("none") is None
-        assert isinstance(
-            build_load_controller("shed", target_pps=10.0), ShedController
-        )
-        for retired in ("degrade", "panic"):
-            with pytest.raises(ConfigurationError, match="unknown load policy"):
-                build_load_controller(retired, target_pps=10.0)
-        with pytest.raises(ConfigurationError, match="target-pps"):
-            build_load_controller("shed")
-        assert LOAD_POLICY_CHOICES == ("none", "shed")
+        """The target rate is the whole setting: ``ShedController`` is
+        built from it (and a seed) alone, and no policy name is left to
+        choose one by."""
+        import repro.pipeline
+
+        controller = ShedController(10.0)
+        assert (controller.target_pps, controller.seed) == (10.0, 0)
+        assert not hasattr(controller, "policy")
+        for retired in (
+            "LOAD_POLICY_CHOICES",
+            "build_load_controller",
+            "ControlDecision",
+            "ChunkGovernor",
+        ):
+            assert not hasattr(repro.pipeline, retired)
 
 
 class TestThinningMechanism:
@@ -148,13 +145,19 @@ class TestThinningMechanism:
 
 
 class TestChunkGovernor:
+    """``ShedController.admit`` and the tallies its records count into."""
+
     def test_stats_conserve_packets(self, trace):
-        governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
+        controller = ShedController(target_pps=1_000.0, seed=2)
+        stats = ControllerStats()
         kept = 0
         for chunk in TraceChunkSource(trace, chunk_size=700):
-            admitted = governor.admit(chunk)
+            admitted, record = controller.admit(chunk)
+            stats.count(record)
             kept += 0 if admitted is None else admitted.num_packets
-        stats = governor.stats
+            assert record.kept_packets == (
+                0 if admitted is None else admitted.num_packets
+            )
         assert stats.offered_packets == trace.num_packets
         assert stats.kept_packets + stats.dropped_packets == trace.num_packets
         assert 0 < stats.kept_packets == kept < trace.num_packets
@@ -167,10 +170,10 @@ class TestChunkGovernor:
         its source ``begin`` and spans only its kept packets."""
         actions = set()
         for target_pps in (1_000.0, 1e12):
-            governor = ChunkGovernor(ShedController(target_pps=target_pps, seed=2))
+            controller = ShedController(target_pps=target_pps, seed=2)
             for chunk in TraceChunkSource(trace, chunk_size=700):
-                admitted = governor.admit(chunk)
-                action = governor.decisions[-1].action
+                admitted, record = controller.admit(chunk)
+                action = record.action
                 actions.add(action)
                 if action == "pass":
                     assert admitted is chunk
@@ -180,14 +183,32 @@ class TestChunkGovernor:
                     assert admitted.num_packets < chunk.num_packets
         assert {"pass", "thin"} <= actions
 
-    def test_stats_round_trip_through_a_dict(self, trace):
-        from repro.pipeline import ControllerStats
+    def test_a_chunk_spanning_no_stream_time_is_dropped(self, trace):
+        """A chunk that ends where the stream clock already stands offers
+        an unbounded rate: it is dropped whole, and its record says so."""
+        chunk = next(iter(TraceChunkSource(trace, chunk_size=50)))
+        admitted, record = ShedController(target_pps=1e12, seed=2).admit(
+            chunk, since=float(chunk.trace.timestamps[-1])
+        )
+        assert admitted is None
+        assert (record.action, record.keep_fraction, record.kept_packets) == (
+            "drop", 0.0, 0
+        )
+        assert record.offered_packets == chunk.num_packets
+        assert record.offered_pps == float("inf")
 
-        governor = ChunkGovernor(ShedController(target_pps=1_000.0, seed=2))
+    def test_stats_round_trip_through_a_dict(self, trace):
+        controller = ShedController(target_pps=1_000.0, seed=2)
+        stats = ControllerStats()
         for chunk in TraceChunkSource(trace, chunk_size=700):
-            governor.admit(chunk)
-        tallies = governor.stats.as_dict()
+            stats.count(controller.admit(chunk)[1])
+        tallies = stats.as_dict()
+        assert "policy" not in tallies
         assert ControllerStats.from_dict(tallies).as_dict() == tallies
+        # An older checkpoint's tallies name their policy; it is dropped.
+        for policy in ("none", "shed"):
+            restored = ControllerStats.from_dict(dict(tallies, policy=policy))
+            assert restored.as_dict() == tallies
 
     @pytest.mark.parametrize(
         "damage",
@@ -204,8 +225,6 @@ class TestChunkGovernor:
         ids=lambda damage: "-".join(f"{k}={v}" for k, v in damage.items()),
     )
     def test_restored_tallies_are_range_checked(self, damage):
-        from repro.pipeline import ControllerStats
-
         tallies = {
             "policy": "shed",
             "chunks": 10,
@@ -220,21 +239,24 @@ class TestChunkGovernor:
             ControllerStats.from_dict(dict(tallies, **damage))
 
     def test_decision_history_is_bounded(self, trace):
-        governor = ChunkGovernor(
-            ShedController(target_pps=1_000.0, seed=2), history=3
+        """The driver keeps the newest ``history`` records, and still
+        counts every chunk into the tallies."""
+        result = Pipeline(
+            InstaMeasure(_config()),
+            history=3,
+            controller=ShedController(target_pps=1_000.0, seed=2),
+        ).run(TraceChunkSource(trace, chunk_size=300))
+        assert len(result.decisions) == 3
+        assert result.decisions[-1].kept_packets <= (
+            result.decisions[-1].offered_packets
         )
-        for chunk in TraceChunkSource(trace, chunk_size=300):
-            governor.admit(chunk)
-        assert len(governor.decisions) == 3
-        assert governor.decisions[-1].kept_packets <= (
-            governor.decisions[-1].offered_packets
-        )
+        assert result.controller_stats["chunks"] > 3
 
 
 class TestControlledPipeline:
     def test_none_policy_is_byte_identical_to_no_controller(self, trace):
         """A shed controller whose target the trace never reaches passes
-        every chunk untouched: the governor costs no bits."""
+        every chunk untouched: the controller costs no bits."""
         plain = InstaMeasure(_config())
         run_pipeline(plain, TraceChunkSource(trace, chunk_size=700))
         controlled = InstaMeasure(_config())
@@ -248,6 +270,22 @@ class TestControlledPipeline:
         assert result.controller_stats["keep_rate"] == 1.0
         assert len(result.decisions) == len(result.chunks)
         assert all(r.action == "pass" for r in result.decisions)
+
+    def test_one_controller_serves_many_runs(self, trace):
+        """The controller keeps no state: a second run with the same
+        controller keeps the packets, and gives the records and tallies,
+        of a run with a fresh one."""
+        shared = ShedController(target_pps=1_000.0, seed=17)
+        outcomes = []
+        for controller in (shared, shared, ShedController(1_000.0, seed=17)):
+            engine = InstaMeasure(_config())
+            result = run_pipeline(
+                engine, TraceChunkSource(trace, chunk_size=700), controller=controller
+            )
+            outcomes.append(
+                (to_bytes(engine.snapshot()), result.decisions, result.controller_stats)
+            )
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_uncontrolled_result_reports_offered_packets(self, trace):
         result = run_pipeline(
@@ -274,6 +312,7 @@ class TestControlledPipeline:
         assert result.result.packets == stats["kept_packets"]
 
     @pytest.mark.parametrize("parallel", [False, True])
+    # ``policy`` only names the run in the test id.
     @pytest.mark.parametrize("policy", ["shed"])
     def test_sharded_shed_equals_single_process(self, trace, policy, parallel):
         """The driver decides once per chunk, before routing: a sharded
@@ -285,7 +324,7 @@ class TestControlledPipeline:
             pytest.skip("platform cannot fork")
 
         def controller():
-            return build_load_controller(policy, target_pps=1_000.0, seed=17)
+            return ShedController(target_pps=1_000.0, seed=17)
 
         single = InstaMeasure(_config())
         expected = run_pipeline(
@@ -294,11 +333,8 @@ class TestControlledPipeline:
             controller=controller(),
         )
         sharded = ShardedPipeline(
-            _config(),
-            num_shards=2,
-            parallel=parallel,
-            controller=controller(),
-        ).run(TraceChunkSource(trace, chunk_size=700))
+            _config(), num_shards=2, controller=controller()
+        ).run(TraceChunkSource(trace, chunk_size=700), parallel=parallel)
         assert sharded.parallel == parallel
         assert (
             sharded.estimates_for(trace)[0] == single.estimates_for(trace)[0]
@@ -349,12 +385,20 @@ class TestDaemonControl:
         )
 
     def test_rejects_unknown_policy_up_front(self, capture):
+        """The target rate is the daemon's one load-control setting: a
+        policy name is refused at construction, and so is a target no
+        controller takes."""
         from repro.service import MeasurementDaemon
 
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="load_policy"):
             MeasurementDaemon(
-                self._source(capture), config=_config(), load_policy="panic"
+                self._source(capture), config=_config(), load_policy="shed"
             )
+        for target in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="target_pps"):
+                MeasurementDaemon(
+                    self._source(capture), config=_config(), target_pps=target
+                )
 
     def test_shed_daemon_accounts_offered_vs_measured(self, trace, capture):
         from repro.service import MeasurementDaemon
@@ -362,7 +406,6 @@ class TestDaemonControl:
         daemon = MeasurementDaemon(
             self._source(capture),
             config=_config(),
-            load_policy="shed",
             target_pps=1_000.0,
         )
         daemon.start()
@@ -371,10 +414,10 @@ class TestDaemonControl:
         stats = daemon.stats()
         assert stats["packets"] == trace.num_packets  # offered
         assert 0 < stats["measured_packets"] < trace.num_packets
-        assert stats["load_policy"] == "shed"
+        assert "load_policy" not in stats
         assert stats["target_pps"] == 1_000.0
         controller = stats["controller"]
-        assert controller["policy"] == "shed"
+        assert "policy" not in controller
         assert controller["kept_packets"] == stats["measured_packets"]
         assert daemon.measured_packets == stats["measured_packets"]
 
@@ -386,7 +429,7 @@ class TestDaemonControl:
         assert daemon.wait(60.0)
         stats = daemon.stats()
         assert stats["measured_packets"] == trace.num_packets
-        assert stats["load_policy"] == "none"
+        assert stats["target_pps"] is None
         assert stats["controller"] is None
 
 
@@ -399,8 +442,7 @@ class TestRenderMetrics:
                 "packets": 42,
                 "pps_recent": 1.5,
                 "running": True,
-                "error": None,
-                "load_policy": "shed",
+                "error": "RuntimeError('simulated crash')",
                 "controller": {"kept_packets": 21, "keep_rate": 0.5},
             }
         )
@@ -415,7 +457,6 @@ class TestRenderMetrics:
         assert "instameasure_controller_kept_packets 21" in lines
         assert "# TYPE instameasure_controller_keep_rate gauge" in lines
         # Non-numeric values are skipped, not mangled.
-        assert not any("load_policy" in line for line in lines)
         assert not any("error" in line for line in lines)
         assert text.endswith("\n")
 

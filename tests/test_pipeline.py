@@ -616,7 +616,7 @@ class TestIncrementalDriver:
             position=9, packets=12, measured_packets=10, chunks=3, epoch=2,
             epoch_seconds=0.5, start_time=1.5, stream_time=2.75,
             controller=ControllerStats(
-                policy="shed", chunks=3, offered_packets=12, kept_packets=10,
+                chunks=3, offered_packets=12, kept_packets=10,
                 dropped_packets=2, thinned_chunks=1,
             ),
         )

@@ -301,7 +301,7 @@ def pool_runs(draw):
 @st.composite
 def served_runs(draw):
     """A service daemon's geometry: chunk size, epoch width (``None``
-    keeps the records without rotating), shard count, load policy,
+    keeps the records without rotating), shard count, whether it sheds,
     checkpoint cadence, and where (as a share of the stream) a first
     daemon crashes before a second one recovers, if one does."""
     return dict(
@@ -315,17 +315,6 @@ def served_runs(draw):
 
 
 _SERVED = {}
-
-
-def _without_clock(payload: bytes) -> bytes:
-    """A mid-stream shard payload with its stream's wall-clock seconds
-    zeroed: the one field no two runs share."""
-    from repro.state import from_bytes
-
-    snapshot = from_bytes(payload)
-    if snapshot.stream is not None:
-        snapshot.stream.elapsed = 0.0
-    return to_bytes(snapshot)
 
 
 def _served_trace() -> Trace:
@@ -424,9 +413,8 @@ class TestForkPoolProperties:
     def test_served_daemon_equals_in_process(self, run):
         """A daemon serving on the fork pool — crashed after some chunk
         and recovered, or not — equals the driver over in-process shards
-        on the same capture: every checkpoint's shard bytes (but their
-        streams' wall-clock seconds), every epoch record, the final
-        estimates and snapshots, and ``stats()``."""
+        on the same capture: every checkpoint's shard bytes, every epoch
+        record, the final estimates and snapshots, and ``stats()``."""
         import os
         import tempfile
         from pathlib import Path
@@ -435,7 +423,7 @@ class TestForkPoolProperties:
             PacketRecordChunkSource,
             Pipeline,
             ShardedStreamingMeasurer,
-            build_load_controller,
+            ShedController,
         )
         from repro.pipeline.sharded import _fork_available
         from repro.service import MeasurementDaemon
@@ -445,11 +433,7 @@ class TestForkPoolProperties:
             pytest.skip("platform cannot fork")
         trace = _served_trace()
         config = InstaMeasureConfig(l1_memory_bytes=512, wsaf_entries=1 << 10, seed=11)
-        policy = (
-            {"load_policy": "shed", "target_pps": 0.5 * trace.num_packets / trace.duration}
-            if run["shed"]
-            else {"load_policy": "none"}
-        )
+        target_pps = 0.5 * trace.num_packets / trace.duration if run["shed"] else None
 
         class Crashing(PacketRecordChunkSource):
             after = None
@@ -473,8 +457,8 @@ class TestForkPoolProperties:
             pipeline = Pipeline(
                 reference,
                 rotate=run["epoch"] is not None,
-                controller=build_load_controller(
-                    policy["load_policy"], policy.get("target_pps"), seed=config.seed
+                controller=(
+                    ShedController(target_pps, seed=config.seed) if run["shed"] else None
                 ),
             )
             oracle_source = source()
@@ -483,8 +467,8 @@ class TestForkPoolProperties:
             for index, chunk in enumerate(oracle_source, 1):
                 pipeline.step(chunk)
                 if index % run["every"] == 0:
-                    captures.append([_without_clock(p) for p in reference.shard_payloads()])
-            captures.append([_without_clock(p) for p in reference.shard_payloads()])
+                    captures.append(list(reference.shard_payloads()))
+            captures.append(list(reference.shard_payloads()))
             expected = pipeline.finish()
             chunks = pipeline.progress.chunks
 
@@ -497,7 +481,7 @@ class TestForkPoolProperties:
                     checkpoint_dir=os.path.join(workdir, "ck"),
                     checkpoint_every=run["every"],
                     keep_checkpoints=10_000,
-                    **policy,
+                    target_pps=target_pps,
                 )
                 daemon.start()
                 assert daemon.wait(60.0)
@@ -511,7 +495,7 @@ class TestForkPoolProperties:
             assert daemon.error is None
             stored = daemon.store
             on_disk = [
-                [_without_clock(Path(shard).read_bytes()) for shard in info.shard_paths]
+                [Path(shard).read_bytes() for shard in info.shard_paths]
                 for info in stored.list()
             ]
 
@@ -619,3 +603,61 @@ class TestForkPoolProperties:
         assert len(pools) == 1 and pools[0].ring.closed
         assert not any(process.is_alive() for process in pools[0]._procs)
         assert multiprocessing.active_children() == []
+
+    def test_a_read_that_meets_a_dead_worker_ends_the_daemon(self, tmp_path):
+        """A tailing daemon whose capture was read to its end sends its
+        workers nothing, so no chunk meets a SIGKILLed worker: the first
+        read that does stops the source, and the daemon ends on the
+        worker's error, writes no checkpoint after the kill and leaves
+        no process behind."""
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        from repro.errors import ShardWorkerError
+        from repro.pipeline import PacketRecordChunkSource
+        from repro.pipeline.sharded import _fork_available
+        from repro.service import MeasurementDaemon
+        from repro.traffic.pcaplite import write_pcaplite
+
+        if not _fork_available():
+            pytest.skip("platform cannot fork")
+        served = _served_trace()
+        # Whole chunks only: a tailing source holds a partial one back.
+        whole = served.num_packets - served.num_packets % 200
+        trace = Trace(
+            timestamps=served.timestamps[:whole],
+            flow_ids=served.flow_ids[:whole],
+            sizes=served.sizes[:whole],
+            flows=served.flows,
+        )
+        path = tmp_path / "trace.impl"
+        write_pcaplite(trace, path)
+        daemon = MeasurementDaemon(
+            PacketRecordChunkSource(str(path), chunk_size=200, follow=True),
+            num_shards=2,
+            checkpoint_dir=str(tmp_path / "ck"),
+            # No periodic checkpoint: the one below is the last before the kill.
+            checkpoint_every=10_000,
+        )
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while daemon.packets < trace.num_packets:
+                assert time.monotonic() < deadline, "the capture was not read"
+                time.sleep(0.01)
+            before = daemon.checkpoint_now()
+            victim = daemon.measurer.pool._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert daemon.running
+            assert "ShardWorkerError" in daemon.stats()["error"]
+            assert daemon.wait(10.0)
+        finally:
+            daemon.stop()
+            daemon.wait(30.0)
+        assert not daemon.running
+        assert isinstance(daemon.error, ShardWorkerError)
+        assert multiprocessing.active_children() == []
+        assert [info.seq for info in daemon.store.list()] == [before.seq]

@@ -102,7 +102,7 @@ class _Dying(PacketRecordChunkSource):
             yield chunk
 
 
-def _crash(capture, ck, **policy):
+def _crash(capture, ck, **control):
     """Run a 2-shard daemon over ``capture`` until it dies at chunk 5,
     checkpointing into ``ck`` every 2 chunks."""
     crashed = _run_daemon(
@@ -113,14 +113,14 @@ def _crash(capture, ck, **policy):
             epoch_seconds=1.0,
             checkpoint_dir=ck,
             checkpoint_every=2,
-            **policy,
+            **control,
         )
     )
     assert isinstance(crashed.error, RuntimeError)
     return crashed
 
 
-def _restart(ck, capture, **policy):
+def _restart(ck, capture, **control):
     """Restart over the whole capture from the checkpoints in ``ck``."""
     return _run_daemon(
         MeasurementDaemon(
@@ -129,7 +129,7 @@ def _restart(ck, capture, **policy):
             epoch_seconds=1.0,
             checkpoint_dir=ck,
             checkpoint_every=2,
-            **policy,
+            **control,
         )
     )
 
@@ -407,35 +407,32 @@ class TestMeasurementDaemon:
         _assert_resumed_whole(recovered, reference)
 
     def test_shed_crash_recovery_is_bit_identical(self, trace, capture, tmp_path):
-        """The same kill and restart under ``shed``: the recovered
-        governor resumes its stream clock from the checkpoint, so the
-        first chunk after recovery is offered at the rate, and keeps the
-        packets, it had in the run that never died."""
-        policy = dict(
-            load_policy="shed",
-            target_pps=0.5 * trace.num_packets / trace.duration,
-        )
+        """The same kill and restart while shedding: the recovered run
+        resumes its stream clock from the checkpoint, so the first chunk
+        after recovery is offered at the rate, and keeps the packets, it
+        had in the run that never died."""
+        shed = dict(target_pps=0.5 * trace.num_packets / trace.duration)
         reference = _run_daemon(
             MeasurementDaemon(
                 _source(capture), config=_config(), num_shards=2,
-                epoch_seconds=1.0, **policy,
+                epoch_seconds=1.0, **shed,
             )
         )
         assert reference.error is None
         assert 0 < reference.measured_packets < trace.num_packets
 
         ck = str(tmp_path / "ck")
-        crashed = _crash(capture, ck, **policy)
+        crashed = _crash(capture, ck, **shed)
         last = crashed.store.latest()
         assert 0 < last.meta["position"] < crashed.stats()["position"]
 
-        recovered = _restart(ck, capture, **policy)
+        recovered = _restart(ck, capture, **shed)
         assert recovered.error is None
         assert recovered.recovered_from == last.seq
         assert recovered.packets == trace.num_packets
         assert recovered.measured_packets == reference.measured_packets
         assert recovered.stats()["chunks"] == reference.stats()["chunks"]
-        # The governor's tallies resume from the checkpoint too, so a
+        # The controller's tallies resume from the checkpoint too, so a
         # consumer scaling estimates by 1 / keep_rate reads the same rate.
         assert recovered.stats()["controller"] == reference.stats()["controller"]
         assert recovered.measurer.estimates() == reference.measurer.estimates()
@@ -550,29 +547,66 @@ class TestMeasurementDaemon:
         """A newest checkpoint whose shed tallies no run can produce
         (``chunks: -5``) is passed over like any field that does not
         decode."""
-        policy = dict(
-            load_policy="shed",
-            target_pps=0.5 * trace.num_packets / trace.duration,
-        )
+        shed = dict(target_pps=0.5 * trace.num_packets / trace.duration)
         reference = _run_daemon(
             MeasurementDaemon(
                 _source(capture), config=_config(), num_shards=2,
-                epoch_seconds=1.0, **policy,
+                epoch_seconds=1.0, **shed,
             )
         )
         ck = str(tmp_path / "ck")
-        previous, newest = _crash(capture, ck, **policy).store.list()[-2:]
+        previous, newest = _crash(capture, ck, **shed).store.list()[-2:]
         controller = dict(newest.meta["controller"], chunks=-5)
         with open(newest.manifest_path, "w", encoding="utf-8") as handle:
             json.dump(dict(newest.meta, controller=controller), handle)
 
-        recovered = _restart(ck, capture, **policy)
+        recovered = _restart(ck, capture, **shed)
         assert recovered.error is None
         assert recovered.recovered_from == previous.seq
         assert recovered.stats()["controller"] == reference.stats()["controller"]
         assert _shard_bytes(recovered.measurer) == _shard_bytes(
             reference.measurer
         )
+
+    @pytest.mark.parametrize("newest_policy", ["shed", "degrade"])
+    def test_recovers_checkpoints_that_name_a_load_policy(
+        self, trace, capture, tmp_path, newest_policy
+    ):
+        """Checkpoints of a shedding daemon written when a policy name
+        still chose the controller carry it twice: ``load_policy`` in the
+        manifest and ``policy`` in the tallies.  Recovery reads past both
+        and ends equal to the uninterrupted run; tallies naming any
+        policy but ``none`` or ``shed`` do not decode, so recovery falls
+        back past that checkpoint."""
+        shed = dict(target_pps=0.5 * trace.num_packets / trace.duration)
+        reference = _run_daemon(
+            MeasurementDaemon(
+                _source(capture), config=_config(), num_shards=2,
+                epoch_seconds=1.0, **shed,
+            )
+        )
+        ck = str(tmp_path / "ck")
+        infos = _crash(capture, ck, **shed).store.list()
+        for info in infos:
+            assert "load_policy" not in info.meta
+            assert "policy" not in info.meta["controller"]
+            policy = newest_policy if info is infos[-1] else "shed"
+            legacy = dict(
+                info.meta,
+                load_policy="shed",
+                controller=dict(info.meta["controller"], policy=policy),
+            )
+            with open(info.manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(legacy, handle)
+
+        recovered = _restart(ck, capture, **shed)
+        assert recovered.error is None
+        landed = infos[-1] if newest_policy == "shed" else infos[-2]
+        assert recovered.recovered_from == landed.seq
+        assert _shard_bytes(recovered.measurer) == _shard_bytes(
+            reference.measurer
+        )
+        _assert_resumed_whole(recovered, reference)
 
     def test_epochs_are_the_sources(self, capture):
         """The source cuts the epochs: a daemon rotating at another width

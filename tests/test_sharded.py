@@ -138,7 +138,7 @@ class TestShardedEquivalence:
     def test_fork_parallel_equals_in_process(self, trace):
         config = _config("batched")
         in_process = ShardedPipeline(config, num_shards=4).run(trace)
-        forked = ShardedPipeline(config, num_shards=4, parallel=True).run(trace)
+        forked = ShardedPipeline(config, num_shards=4).run(trace, parallel=True)
         assert forked.estimates() == in_process.estimates()
         assert forked.shard_packets == in_process.shard_packets
 
@@ -234,8 +234,8 @@ class TestShardedPipelineAPI:
         )
         assert result.estimates() == single.estimates()
         if _fork_available():
-            forked = ShardedPipeline(config, num_shards=4, parallel=True).run(
-                FileChunkSource(path, chunk_size=4_000)
+            forked = ShardedPipeline(config, num_shards=4).run(
+                FileChunkSource(path, chunk_size=4_000), parallel=True
             )
             assert forked.estimates() == single.estimates()
 
@@ -251,8 +251,8 @@ class TestShardedPipelineAPI:
         write_pcaplite(trace, path)
         config = _config("batched")
         runs = [
-            ShardedPipeline(config, num_shards=2, parallel=parallel).run(
-                PacketRecordChunkSource(path, chunk_size=2_000)
+            ShardedPipeline(config, num_shards=2).run(
+                PacketRecordChunkSource(path, chunk_size=2_000), parallel=parallel
             )
             for parallel in (False, True)
         ]
@@ -324,9 +324,7 @@ class TestShardedPipelineAPI:
         monkeypatch.setattr(sharded_module, "_fork_available", lambda: False)
         config = _config("scalar")
         with pytest.warns(RuntimeWarning, match="fork start method"):
-            result = ShardedPipeline(config, num_shards=2, parallel=True).run(
-                trace
-            )
+            result = ShardedPipeline(config, num_shards=2).run(trace, parallel=True)
         assert not result.parallel
         assert result.estimates() == _single_run(config, trace).estimates()
 
@@ -556,7 +554,7 @@ class TestShardWorkerPool:
 
         monkeypatch.setattr(sharded_module, "ShardWorkerPool", Recorded)
         config = _config("scalar")
-        ShardedPipeline(config, num_shards=2, parallel=True).run(trace)
+        ShardedPipeline(config, num_shards=2).run(trace, parallel=True)
 
         def refuse(self, *columns):
             raise RuntimeError("table refused")
@@ -564,7 +562,7 @@ class TestShardWorkerPool:
         # Forked after the patch, the workers cannot build a flow directory.
         monkeypatch.setattr(sharded_module._ShardFlowDirectory, "__init__", refuse)
         with pytest.raises(ShardWorkerError, match="table refused"):
-            ShardedPipeline(config, num_shards=2, parallel=True).run(trace)
+            ShardedPipeline(config, num_shards=2).run(trace, parallel=True)
         assert len(pools) == 2
         assert all(pool.ring.closed for pool in pools)
 
@@ -591,8 +589,8 @@ class TestShardWorkerPool:
         single = _single_run(config, trace)
         for parallel in (False, True):
             draws.clear()
-            result = ShardedPipeline(config, num_shards=3, parallel=parallel).run(
-                TraceChunkSource(trace, chunk_size=3_000)
+            result = ShardedPipeline(config, num_shards=3).run(
+                TraceChunkSource(trace, chunk_size=3_000), parallel=parallel
             )
             assert result.parallel == parallel
             assert draws == [trace.num_packets]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,3 +347,37 @@ class TestGoldenRestore:
             InstaMeasure.from_snapshot(tampered)
         with pytest.raises(SnapshotError, match="num_layers 3"):
             ShardedStreamingMeasurer.from_snapshots([tampered])
+
+
+class TestStreamCursorCompat:
+    """A mid-stream cursor records no wall-clock seconds, so a capture
+    of a restored stream is the same bytes as the capture it came from.
+    Payloads whose cursor still carries ``elapsed`` decode and restore."""
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "unbounded"])
+    def test_cursor_with_elapsed_seconds_restores(self, known):
+        from repro.pipeline import TraceChunkSource
+
+        trace = build_caida_like_trace(
+            CaidaLikeConfig(num_flows=400, duration=4.0, seed=5)
+        )
+        config = InstaMeasureConfig(l1_memory_bytes=1024, wsaf_entries=1 << 10, seed=3)
+        first, second = TraceChunkSource(trace, chunk_size=trace.num_packets // 2 + 1)
+
+        def feed(engine, chunk):
+            engine.ingest(chunk if known else replace(chunk, total_packets=None))
+
+        engine = InstaMeasure(config)
+        feed(engine, first)
+        payload = to_bytes(capture_engine(engine))
+        assert "elapsed" not in _header_of(payload)["stream"]
+        legacy = _tamper_header(
+            payload, lambda header: header["stream"].update(elapsed=1.25)
+        )
+        assert legacy != payload
+        restored = InstaMeasure.from_snapshot(from_bytes(legacy))
+        assert to_bytes(capture_engine(restored)) == payload
+        for live in (engine, restored):
+            feed(live, second)
+            live.finalize()
+        assert to_bytes(capture_engine(restored)) == to_bytes(capture_engine(engine))

@@ -394,8 +394,8 @@ class TestShardedTiered:
         config = _config("tiered", tier_cache_entries=64, tier_interval=64)
         single = InstaMeasure(config)
         single.process_trace(trace)
-        outcome = ShardedPipeline(config, num_shards=2, parallel=False).run(
-            TraceChunkSource(trace)
+        outcome = ShardedPipeline(config, num_shards=2).run(
+            TraceChunkSource(trace), parallel=False
         )
         assert outcome.estimates() == single.estimates()
         # The merged snapshot is flat (tiers folded) and restorable.
