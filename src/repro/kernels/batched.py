@@ -31,14 +31,17 @@ seeds, chunk sizes, policies, geometries, and every WSAF backend.
 Nothing chunk-dependent is cached between calls: every production path
 (CLI runs, shard workers, the service daemon) sees each chunk once, so
 layouts and derived streams are built per call and dropped with it.
-Only the geometry's NumPy lookup arrays persist
-(:func:`_geometry_arrays`), and a call reads and writes back only the L1
-words its chunk touches, so a small chunk over a large sketch costs what
+What persists is per geometry — the NumPy lookup arrays
+(:func:`_geometry_arrays`) — or per flow table: the flows' placement
+(:func:`_placement`), hashed once however many chunks share the table
+and dropped with it.  A call reads and writes back only the L1 words its
+chunk touches, so a small chunk over a large sketch or table costs what
 the chunk costs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +97,34 @@ def _geometry_arrays(l1) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     return arrays
 
 
+#: Each flow table's placed ``(key64, words, offsets)`` columns per
+#: placement (seeds and geometry), dropped with the table.
+_PLACEMENTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _placement(flows, l1) -> "tuple[np.ndarray, np.ndarray]":
+    """``(word, offset)`` of every flow of ``flows`` under ``l1``'s
+    placement, hashed once per table and placement.
+
+    Every chunk cut from one read, every call on a worker's directory,
+    and every shard engine handed the same table reads the columns the
+    first call placed.  An entry holds the key column it placed and is
+    placed again when the table's ``key64`` is another array.
+    """
+    key64 = flows.key64
+    placement = (l1.num_words, l1.word_bits, l1._place_seed_idx, l1._place_seed_off)
+    placed = _PLACEMENTS.setdefault(flows, {})
+    entry = placed.get(placement)
+    if entry is None or entry[0] is not key64:
+        idx_by_flow, off_by_flow = l1.place_array(key64)
+        word_dtype = np.uint16 if l1.num_words <= (1 << 16) else np.uint32
+        entry = (key64, idx_by_flow.astype(word_dtype), off_by_flow.astype(np.uint8))
+        for column in entry[1:]:
+            column.flags.writeable = False
+        placed[placement] = entry
+    return entry[1], entry[2]
+
+
 def _chunk_layouts(trace, l1, chunk_size: int):
     """Yield one word-sorted layout per ``chunk_size`` slice of ``trace``.
 
@@ -103,12 +134,10 @@ def _chunk_layouts(trace, l1, chunk_size: int):
     — one per distinct word the chunk touches, the unit of the kernel's
     vectorized word-level screen and of its L1 gather.  Everything
     is NumPy; the contested replay converts what it needs to lists only
-    for chunks where some stretch can saturate.
+    for chunks where some stretch can saturate.  The flows' placement
+    comes from the table's memo (:func:`_placement`).
     """
-    idx_by_flow, off_by_flow = l1.place_array(trace.flows.key64)
-    word_dtype = np.uint16 if l1.num_words <= (1 << 16) else np.uint32
-    idx_by_flow = idx_by_flow.astype(word_dtype)
-    off_by_flow = off_by_flow.astype(np.uint8)
+    idx_by_flow, off_by_flow = _placement(trace.flows, l1)
     flow_ids = trace.flow_ids
     order_dtype = np.int32 if trace.num_packets <= (1 << 31) - 1 else np.int64
 

@@ -92,8 +92,9 @@ class ShardedResult:
     ``route_s`` (parent-side routing: per-shard splits in-process; the
     per-table shard and local-id arrays and the per-packet lookups into
     them on the fork path), ``ipc_s`` (fork path only, else 0: ring
-    writes, table and descriptor frames, waits for a free slot, and the
-    final snapshot collection), ``ingest_s`` (the slowest shard's time —
+    writes, slot frames (the first after a new flow table carries it),
+    waits for a free slot, and the final snapshot collection),
+    ``ingest_s`` (the slowest shard's time —
     engine time in-process; selecting its packets from the ring plus
     engine time in a forked worker), and ``merge_s`` (snapshot capture
     or decode + fold).  The stages overlap with each other in a
@@ -161,7 +162,7 @@ class _ShardFlowDirectory:
     engines consume — ``key64``, ``packed_tuples()``, ``len()`` — so a
     worker-side :class:`Trace` can reference it directly.  The parent
     ships the worker's own flows' precomputed ``key64`` and packed-5-tuple
-    halves in one table frame whenever the stream's flow table changes,
+    halves in the first slot frame after the stream's flow table changes,
     so the ring slots carry only worker-local flow ids.
     """
 
@@ -201,7 +202,7 @@ class _ShardFlowSync:
     """Parent-side map from a worker's flows on one table to its dense
     local ids.
 
-    :meth:`_PoolShardMeasurer._send_tables` hands :meth:`localize` the
+    :meth:`_PoolShardMeasurer._map_table` hands :meth:`localize` the
     output of :func:`~repro.state.shard.select_shard` — the sorted,
     distinct ids of the worker's flows on a table it has not seen — so
     the map holds no state: local id ``i`` is the ``i``-th of those ids.
@@ -403,11 +404,11 @@ def _worker_main(conn, inherited, config, key_range, total, ring, shard, engine)
     ``conn``; the worker answers frames in the order they arrive, after
     a first ``{"type": "ready"}`` frame that says it serves):
 
-    * ``{"type": "table"}`` with columns ``key64`` / ``tuple_lo`` /
-      ``tuple_hi``: this worker's flows of a new flow table, in local-id
-      order.  The worker replaces its flow directory.
     * ``{"type": "slot", "slot": s, "count": n}``: ring slot ``s`` holds
-      ``n`` packets.  The worker selects its own, replies with a
+      ``n`` packets.  When the frame also carries ``key64`` /
+      ``tuple_lo`` / ``tuple_hi`` columns — this worker's flows of a new
+      flow table, in local-id order — the worker first replaces its flow
+      directory.  It selects its own packets, replies with a
       ``{"type": "release"}`` frame once it holds copies, and ingests
       them — with their bits, when the slot carries the run's draw.
     * ``query`` (an optional ``keys`` column; none means every flow),
@@ -450,6 +451,10 @@ def _worker_main(conn, inherited, config, key_range, total, ring, shard, engine)
             meta, columns = unpack_frame(data)
             kind = meta.get("type")
             if kind == "slot":
+                if "key64" in columns:
+                    directory = _ShardFlowDirectory(
+                        columns["key64"], columns["tuple_lo"], columns["tuple_hi"]
+                    )
                 begin = time.perf_counter()
                 own = ring.select(meta["slot"], meta["count"], shard)
                 conn.send_bytes(release)
@@ -463,10 +468,6 @@ def _worker_main(conn, inherited, config, key_range, total, ring, shard, engine)
                     bits = (own["bits1"], own["bits2"]) if "bits1" in own else None
                     engine.ingest(sub, bits=bits)
                 ingest_s += time.perf_counter() - begin
-            elif kind == "table":
-                directory = _ShardFlowDirectory(
-                    columns["key64"], columns["tuple_lo"], columns["tuple_hi"]
-                )
             elif kind == "finalize":
                 result = engine.finalize()
                 payload = to_bytes(engine.snapshot(key_range=key_range))
@@ -632,7 +633,8 @@ class ShardWorkerPool:
     config's ``chunk_size``, capped at ``total``) and builds the kernel's
     FSM tables, so workers inherit both.  :meth:`dispatch` writes a
     chunk into the next free slot — waiting, if both are taken, for every
-    worker to release the older one — and sends each worker a descriptor.
+    worker to release the older one — and sends each worker a descriptor,
+    with its flows of a new table when the chunk brings one.
     :meth:`request` asks one worker for a reply, which arrives in frame
     order (after every slot sent before it) and is read when wanted.
 
@@ -728,14 +730,20 @@ class ShardWorkerPool:
         for reply in self._ready:
             reply.result()
 
-    def dispatch(self, columns: "dict[str, np.ndarray]") -> None:
+    def dispatch(
+        self,
+        columns: "dict[str, np.ndarray]",
+        tables: "list[dict[str, np.ndarray]] | None" = None,
+    ) -> None:
         """Write one piece of a chunk into the next free slot and send
         every worker its descriptor.
 
         ``columns`` are the ring's columns (:class:`_PacketRing`), at most
-        ``ring.slot_packets`` long.  Every worker must have released the
-        slot's previous contents first, so with both slots taken this
-        waits for the slower worker.
+        ``ring.slot_packets`` long.  ``tables``, when the piece's flow
+        table is new to the workers, holds each worker's ``key64`` /
+        ``tuple_lo`` / ``tuple_hi`` columns, which its descriptor carries.
+        Every worker must have released the slot's previous contents
+        first, so with both slots taken this waits for the slower worker.
         """
         needed = self._dispatched - RING_SLOTS + 1
         for channel in self._channels:
@@ -743,10 +751,14 @@ class ShardWorkerPool:
         slot = self._dispatched % RING_SLOTS
         self.ring.write(slot, columns)
         self._dispatched += 1
-        count = len(columns["timestamps"])
-        frame = pack_frame({"type": "slot", "slot": slot, "count": count}, {})
-        for shard in range(self.num_shards):
-            self.send(shard, frame)
+        meta = {"type": "slot", "slot": slot, "count": len(columns["timestamps"])}
+        if tables is None:
+            frame = pack_frame(meta, {})
+            for shard in range(self.num_shards):
+                self.send(shard, frame)
+        else:
+            for shard, table in enumerate(tables):
+                self.send(shard, pack_frame(meta, table))
 
     def finalize(self) -> "list[tuple[dict, bytes]]":
         """Ask every worker to finalize; collect ``(stats, snapshot_bytes)``."""
@@ -1150,8 +1162,9 @@ class _PoolShardMeasurer:
     timestamps and sizes, every packet's shard and worker-local flow id
     (looked up from per-table arrays), and — for a known-length stream —
     the chunk's slice of the run's one bit draw, which this measurer
-    makes.  When the flow table changes, each worker first gets one table
-    frame holding only its own flows.  The daemon's verbs are requests
+    makes.  When the flow table changes, the next slot frame each worker
+    gets carries its own flows of the new table, and chunks that share a
+    table send nothing more.  The daemon's verbs are requests
     the workers answer in frame order: :meth:`rotate`, :meth:`estimates`
     (a keyed query goes only to the keys' owners), :meth:`top`,
     :meth:`wsaf_sizes` and :meth:`shard_payloads` return at once, and
@@ -1271,31 +1284,23 @@ class _PoolShardMeasurer:
         self._payloads, self._local = payloads, None
         pool.close()
 
-    def _send_tables(self, flows) -> None:
-        """Map a new flow table to shards and local ids; send each worker
-        its own flows."""
+    def _map_table(self, flows) -> "list[dict[str, np.ndarray]]":
+        """Map a new flow table to shards and local ids; each worker's
+        own flows' columns, for the next slot frame to carry."""
         begin = time.perf_counter()
         flow_shards = self.router.flow_shards(flows)
         local = np.empty(len(flows), dtype=np.int64)
-        frames = []
+        tables = []
         for shard in range(self.pool.num_shards):
             members = select_shard(flow_shards, shard)
             local[members], fresh = self._sync.localize(flows, members)
             key64, tuple_lo, tuple_hi = _fresh_flow_columns(flows, fresh)
-            frames.append(
-                pack_frame(
-                    {"type": "table"},
-                    {"key64": key64, "tuple_lo": tuple_lo, "tuple_hi": tuple_hi},
-                )
-            )
+            tables.append({"key64": key64, "tuple_lo": tuple_lo, "tuple_hi": tuple_hi})
         self._flows = flows
         self._flow_shards = flow_shards.astype(self.pool.ring.shard_dtype)
         self._flow_local = local
-        sent = time.perf_counter()
-        self._route_s += sent - begin
-        for shard, frame in enumerate(frames):
-            self.pool.send(shard, frame)
-        self._ipc_s += time.perf_counter() - sent
+        self._route_s += time.perf_counter() - begin
+        return tables
 
     def ingest(self, chunk) -> None:
         trace = chunk.trace
@@ -1303,8 +1308,9 @@ class _PoolShardMeasurer:
         if not count:
             return
         self.open()
+        tables = None
         if trace.flows is not self._flows:
-            self._send_tables(trace.flows)
+            tables = self._map_table(trace.flows)
         step = self.pool.ring.slot_packets
         # A chunk longer than a slot goes through in slot-sized pieces:
         # bit-identical under the chunking contract.
@@ -1322,7 +1328,8 @@ class _PoolShardMeasurer:
                 columns["bits1"], columns["bits2"] = self._bits.take(hi - lo)
             routed = time.perf_counter()
             self._route_s += routed - begin
-            self.pool.dispatch(columns)
+            self.pool.dispatch(columns, tables)
+            tables = None
             self._ipc_s += time.perf_counter() - routed
 
     def finalize(self) -> ShardedStreamResult:

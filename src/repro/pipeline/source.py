@@ -166,15 +166,9 @@ class TraceChunkSource(ChunkSource):
         while begin < num_packets:
             size, epoch = self._next_cut(timestamps[begin:], begin, flush=True)
             end = begin + size
-            sub = Trace(
-                timestamps=timestamps[begin:end],
-                flow_ids=trace.flow_ids[begin:end],
-                sizes=trace.sizes[begin:end],
-                flows=trace.flows,
-            )
             self._chunks.append(
                 Chunk(
-                    trace=sub,
+                    trace=trace.view(begin, end),
                     index=len(self._chunks),
                     begin=begin,
                     end=end,

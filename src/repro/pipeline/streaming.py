@@ -14,11 +14,14 @@ epoch grid, so the driver's rotation callbacks fire exactly between
 chunks here too and a packet on a boundary opens the next epoch, as in
 every source.  An epoch cut is only taken once the boundary-crossing
 packet has actually arrived (the epoch's end is proven); end-of-stream
-or :meth:`stop` flushes the rest.  Each chunk carries its own
-deduplicated :class:`~repro.traffic.packet.FlowTable`, built vectorized
-from the raw records by :func:`~repro.traffic.pcaplite.trace_from_records`,
-so per-chunk cost stays bounded no matter how many distinct flows the
-stream has seen in total.  Every block of records passes pcap-lite's one
+or :meth:`stop` flushes the rest.  The records waiting to be cut — the
+last read, plus what the cuts before it left over — are decoded once,
+by :func:`~repro.traffic.pcaplite.trace_from_records`, at the first cut
+after they changed; every chunk cut from them is a view of those columns
+and shares their deduplicated :class:`~repro.traffic.packet.FlowTable`.
+A table never covers more than the leftover plus one read, so per-chunk
+cost stays bounded no matter how many distinct flows the stream has seen
+in total.  Every block of records passes pcap-lite's one
 check as it arrives (:func:`~repro.traffic.pcaplite.check_block`): a
 non-finite timestamp, one below the timestamp read before it, or a
 nonzero pad byte is a :class:`~repro.errors.TraceFormatError` naming its
@@ -126,6 +129,10 @@ class StreamingChunkSource(ChunkSource):
     def __iter__(self):
         self._open()
         pending = _EMPTY
+        # ``pending`` as last decoded (None until a cut needs it after
+        # ``pending`` changed); today's ``pending`` starts at its packet ``at``.
+        decoded = None
+        at = 0
         consumed = self._start_offset
         last = -np.inf
         index = 0
@@ -153,6 +160,7 @@ class StreamingChunkSource(ChunkSource):
                         if len(pending)
                         else block
                     )
+                    decoded = None
                 else:
                     self._stop.wait(self.poll_interval)
                     continue
@@ -161,8 +169,10 @@ class StreamingChunkSource(ChunkSource):
                     if cut is None:
                         break
                     size, epoch = cut
+                    if decoded is None:
+                        decoded, at = trace_from_records(pending), 0
                     yield Chunk(
-                        trace=trace_from_records(pending[:size]),
+                        trace=decoded.view(at, at + size),
                         index=index,
                         begin=consumed,
                         end=consumed + size,
@@ -170,6 +180,7 @@ class StreamingChunkSource(ChunkSource):
                     )
                     consumed += size
                     index += 1
+                    at += size
                     pending = pending[size:]
         finally:
             self._close()

@@ -235,6 +235,17 @@ class Trace:
             self.flow_ids, weights=self.sizes, minlength=self.num_flows
         ).astype(np.int64)
 
+    def view(self, begin: int, end: int) -> "Trace":
+        """Packets ``[begin, end)`` as views of this trace's columns,
+        sharing its flow table.  A slice of a checked trace is checked,
+        so the columns are not checked again."""
+        span = object.__new__(Trace)
+        span.timestamps = self.timestamps[begin:end]
+        span.flow_ids = self.flow_ids[begin:end]
+        span.sizes = self.sizes[begin:end]
+        span.flows = self.flows
+        return span
+
     def time_slice(self, start: float, end: float) -> "Trace":
         """Packets with ``start <= timestamp < end`` (flow table shared)."""
         lo = int(np.searchsorted(self.timestamps, start, side="left"))

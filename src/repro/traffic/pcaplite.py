@@ -107,15 +107,26 @@ def check_block(records: np.ndarray, position: int, last: float) -> None:
         )
 
 
+def _changes(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Where the ``(hi, lo)`` pair differs from the one before it (the
+    first is always a change)."""
+    changes = np.ones(len(hi), dtype=bool)
+    changes[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    return changes
+
+
 def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     """Columnar trace from a block of pcap-lite records.
 
     Flows are deduplicated vectorized (no Python loop over packets): the
     5-tuple is packed into two u64 columns (``hi``: source IP and the
-    destination IP's top byte; ``lo``: the rest), one two-key sort puts
-    equal tuples next to each other, each run start opens a new flow, and
-    a running count of run starts scattered back through the sort order
-    gives the per-packet flow ids.  Flow order is the packed tuples'
+    destination IP's top byte; ``lo``: the rest), and one single-key sort
+    of the folded tuple ``lo ^ hi`` puts equal tuples next to each other.
+    Each run of equal neighbours is a candidate flow.  Distinct tuples can
+    share a fold and interleave within its run, so one tuple may open
+    several candidates: the few candidates are sorted by ``(hi, lo)``,
+    equal neighbours among them merge into one flow, and every packet
+    takes its candidate's flow id.  Flow order is the packed tuples'
     unsigned ``(hi, lo)`` sort order — flow *indices* carry no meaning
     anywhere downstream (identity is ``key64``), only the per-packet
     mapping matters.
@@ -129,15 +140,23 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
         | (records["dst_port"].astype(np.uint64) << np.uint64(8))
         | records["protocol"].astype(np.uint64)
     )
-    order = np.lexsort((lo, hi))
+    order = np.argsort(lo ^ hi)
     shi = hi[order]
     slo = lo[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
+    starts = _changes(shi, slo)
+    candidate_of = np.cumsum(starts) - 1
+    chi = shi[starts]
+    clo = slo[starts]
+    by_tuple = np.lexsort((clo, chi))
+    chi = chi[by_tuple]
+    clo = clo[by_tuple]
+    firsts = _changes(chi, clo)
+    flow_of = np.empty(len(by_tuple), dtype=np.int64)
+    flow_of[by_tuple] = np.cumsum(firsts) - 1
     flow_ids = np.empty(len(order), dtype=np.int64)
-    flow_ids[order] = np.cumsum(starts) - 1
-    uhi = shi[starts]
-    ulo = slo[starts]
+    flow_ids[order] = flow_of[candidate_of]
+    uhi = chi[firsts]
+    ulo = clo[firsts]
     flows = FlowTable(
         src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
         dst_ip=(

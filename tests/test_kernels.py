@@ -464,3 +464,102 @@ class TestResultSemantics:
         assert [entry.key for entry in table.entries()] == (
             table._keys[occupied].tolist()
         )
+
+
+class TestPlacementMemo:
+    """The kernel places each flow table once per placement: repeated
+    calls read the memo, which keeps no table alive."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """Every ``RCCSketch.place_array`` call from here on, as its
+        sketch's ``(num_words, word_bits, seed)`` and key count."""
+        from repro.core.rcc import RCCSketch
+
+        calls = []
+        original = RCCSketch.place_array
+
+        def place_array(sketch, flow_keys):
+            calls.append(
+                (sketch.num_words, sketch.word_bits, sketch._place_seed_idx, len(flow_keys))
+            )
+            return original(sketch, flow_keys)
+
+        monkeypatch.setattr(RCCSketch, "place_array", place_array)
+        return calls
+
+    @staticmethod
+    def _copy(trace, key64=None):
+        """``trace``'s packets over a table of its own (or of other keys)."""
+        from repro.traffic.packet import FlowTable, Trace
+
+        flows = trace.flows
+        table = FlowTable(
+            flows.src_ip, flows.dst_ip, flows.src_port, flows.dst_port,
+            flows.protocol, hash_seed=flows.hash_seed,
+        )
+        if key64 is not None:
+            table.key64 = key64
+        return Trace(trace.timestamps, trace.flow_ids, trace.sizes, table)
+
+    def test_one_table_is_placed_once_per_placement(self, trace, monkeypatch):
+        from repro.pipeline import Pipeline, TraceChunkSource
+
+        trace = self._copy(trace)
+        calls = self._counted(monkeypatch)
+        engines = {}
+        for name, config in [
+            ("first", _config(engine="batched")),
+            ("same placement", _config(engine="batched")),
+            ("other seed", _config(engine="batched", seed=1)),
+            ("other geometry", _config(engine="batched", l1_memory_bytes=4096)),
+        ]:
+            engines[name] = InstaMeasure(config)
+            Pipeline(engines[name]).run(TraceChunkSource(trace, chunk_size=700))
+        assert len(TraceChunkSource(trace, chunk_size=700)) > 10
+        # One placement each for the first engine, the other seed and the
+        # other geometry; the second engine of the first placement reads it.
+        assert len(calls) == 3
+        assert len(set(calls)) == 3
+        assert {count for *_placement, count in calls} == {trace.num_flows}
+        scalar, _ = _run(trace, _config(engine="scalar"))
+        _assert_identical(scalar, engines["same placement"])
+
+    def test_another_table_or_key_column_is_placed_again(self, trace, monkeypatch):
+        config = _config(engine="batched")
+        first = self._copy(trace)
+        calls = self._counted(monkeypatch)
+        InstaMeasure(config).process_trace(first)
+        InstaMeasure(config).process_trace(first)
+        assert len(calls) == 1
+        # Another table with the same keys, and one with other keys.
+        InstaMeasure(config).process_trace(self._copy(trace))
+        other_keys = self._copy(trace, key64=first.flows.key64[::-1].copy())
+        engine = InstaMeasure(config)
+        engine.process_trace(other_keys)
+        assert len(calls) == 3
+        # A table whose key column is replaced is placed again, never
+        # read from the entry of its old keys.
+        first.flows.key64 = other_keys.flows.key64.copy()
+        replaced = InstaMeasure(config)
+        replaced.process_trace(first)
+        assert len(calls) == 4
+        _assert_identical(engine, replaced)
+
+    def test_a_dropped_table_leaves_the_memo(self, trace):
+        import gc
+        import weakref
+
+        from repro.kernels.batched import _PLACEMENTS
+
+        gc.collect()
+        before = len(_PLACEMENTS)
+        copy = self._copy(trace)
+        InstaMeasure(_config(engine="batched")).process_trace(copy)
+        assert copy.flows in _PLACEMENTS
+        assert len(_PLACEMENTS) == before + 1
+        table = weakref.ref(copy.flows)
+        del copy
+        gc.collect()
+        assert table() is None
+        assert len(_PLACEMENTS) == before

@@ -941,6 +941,59 @@ class TestServedOnThePool:
         positions = [info.meta["position"] for info in store.list()]
         assert positions == sorted(positions)
 
+    def test_each_flow_table_ships_once(self, trace, capture, monkeypatch):
+        """Chunks cut from one read share its flow table, and the workers
+        get each table once, in the first slot frame that needs it."""
+        from repro.pipeline.sharded import ShardWorkerPool, _fork_available
+        from repro.state.codec import unpack_frame
+
+        if not _fork_available():
+            pytest.skip("platform cannot fork")
+        carried = {0: 0, 1: 0}
+        send = ShardWorkerPool.send
+
+        def counted(pool, shard, frame, answered=False):
+            meta, columns = unpack_frame(frame)
+            assert meta["type"] != "table"
+            if meta["type"] == "slot" and "key64" in columns:
+                carried[shard] += 1
+            return send(pool, shard, frame, answered)
+
+        monkeypatch.setattr(ShardWorkerPool, "send", counted)
+        tables = []
+
+        class Noted(PacketRecordChunkSource):
+            def __iter__(self):
+                for chunk in super().__iter__():
+                    tables.append(chunk.trace.flows)
+                    yield chunk
+
+        # Reads of 4,000 records, chunks of at most 1,000.
+        daemon = _run_daemon(
+            MeasurementDaemon(
+                Noted(capture, chunk_size=1_000, epoch_seconds=1.0, block_records=4_000),
+                config=_config(),
+                num_shards=2,
+                epoch_seconds=1.0,
+            )
+        )
+        assert daemon.error is None
+        distinct = len({id(table) for table in tables})
+        assert len(tables) >= 2 * distinct > 2
+        assert carried == {0: distinct, 1: distinct}
+
+        reference = ShardedStreamingMeasurer(_config(), num_shards=2)
+        source = PacketRecordChunkSource(
+            capture, chunk_size=1_000, epoch_seconds=1.0, block_records=4_000
+        )
+        pipeline = Pipeline(reference, rotate=True)
+        pipeline.begin(source)
+        for chunk in source:
+            pipeline.step(chunk)
+        pipeline.finish()
+        assert daemon.measurer.estimates() == reference.estimates()
+        assert _shard_bytes(daemon.measurer) == _shard_bytes(reference)
+
     def test_reads_before_the_first_chunk_build_no_engines(self, trace, live, monkeypatch):
         """Before the first chunk a fresh daemon answers as fresh engines
         would without building any: the workers build their own."""

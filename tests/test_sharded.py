@@ -427,12 +427,36 @@ class TestShardWorkerPool:
 
         pool = self._pool(_config("scalar"), total=100)
         try:
-            # A slot descriptor before any table frame: the slot's packets
+            # A slot descriptor that brings no flow table: the slot's packets
             # name flows the worker's empty directory does not hold, so its
             # ingest raises mid-chunk; the error frame must surface as a
             # ShardWorkerError carrying the worker traceback, not hang.
             pool.send(0, pack_frame({"type": "slot", "slot": 0, "count": 3}, {}))
             with pytest.raises(ShardWorkerError, match="(?s)shard worker 0 failed.*outside"):
+                pool.finalize()
+        finally:
+            pool.close()
+        assert pool.ring.closed
+
+    def test_an_unknown_frame_type_is_an_error(self):
+        """A frame type the worker does not know — the retired ``table``
+        frame, say — comes back as its error frame, raised here."""
+        from repro.errors import ShardWorkerError
+        from repro.state import pack_frame
+
+        pool = self._pool(_config("scalar"), total=100)
+        try:
+            empty = np.empty(0, dtype=np.uint64)
+            pool.send(
+                0,
+                pack_frame(
+                    {"type": "table"},
+                    {"key64": empty, "tuple_lo": empty, "tuple_hi": empty},
+                ),
+            )
+            with pytest.raises(
+                ShardWorkerError, match="(?s)shard worker 0 failed.*unknown frame type 'table'"
+            ):
                 pool.finalize()
         finally:
             pool.close()

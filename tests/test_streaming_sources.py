@@ -142,6 +142,64 @@ def _assert_same_decode(records: np.ndarray) -> None:
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+def _tuple_of(hi: int, lo: int) -> tuple:
+    """The 5-tuple whose packed halves are ``hi`` (40 bits) and ``lo``."""
+    return (
+        hi >> 8,
+        ((hi & 0xFF) << 24) | (lo >> 40),
+        (lo >> 24) & 0xFFFF,
+        (lo >> 8) & 0xFFFF,
+        lo & 0xFF,
+    )
+
+
+def _fold(five_tuple: FiveTuple) -> int:
+    """The packed tuple folded to 64 bits, as ``FlowTable`` keys it."""
+    packed = five_tuple.packed()
+    return (packed >> 64) ^ (packed & ((1 << 64) - 1))
+
+
+def _fold_family(hi: int, lo: int, masks) -> list:
+    """Distinct tuples whose halves differ from ``(hi, lo)`` by the same
+    40-bit XOR, one per mask: every one folds to ``lo ^ hi``."""
+    return [_tuple_of(hi ^ mask, lo ^ mask) for mask in masks]
+
+
+#: Two families of tuples sharing a fold, the second around the all-zero
+#: tuple, so members differ in the top bits of either half.
+_FOLD_FAMILIES = [
+    _fold_family(
+        0x0A_0000_0001,
+        0x0102_0304_0506_0708,
+        [0, 1, 0xFF_FFFF_FFFF, 1 << 39, 0x55_5555_5555],
+    ),
+    _fold_family(0, 0, [0, 1 << 39, 0x100, 0xFFFF_0000]),
+]
+
+
+def _interleaved(count: int) -> list:
+    """``count`` rounds of every family's members in turn, so no member's
+    packets are neighbours in the fold order."""
+    return [
+        family[i % len(family)] for i in range(count) for family in _FOLD_FAMILIES
+    ]
+
+
+def _assert_same_keys(trace: Trace, records: np.ndarray) -> None:
+    """``trace`` holds ``records``' packets: a fresh decode of them gives
+    every packet the same key, packed 5-tuple, timestamp and size."""
+    fresh = trace_from_records(records)
+    np.testing.assert_array_equal(
+        trace.flows.key64[trace.flow_ids], fresh.flows.key64[fresh.flow_ids]
+    )
+    packed, fresh_packed = trace.flows.packed_tuples(), fresh.flows.packed_tuples()
+    assert [packed[i] for i in trace.flow_ids.tolist()] == [
+        fresh_packed[i] for i in fresh.flow_ids.tolist()
+    ]
+    np.testing.assert_array_equal(trace.timestamps, fresh.timestamps)
+    np.testing.assert_array_equal(trace.sizes, fresh.sizes)
+
+
 _TOP = 0xFFFF_FFFF
 
 #: Small per-field pools, so drawn tuples often share ``hi`` or ``lo``.
@@ -227,6 +285,59 @@ class TestTraceFromRecords:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_decode_on_drawn_blocks(self, pool, picks):
         _assert_same_decode(_records([pool[i % len(pool)] for i in picks]))
+
+    def test_tuples_sharing_a_fold_decode_exactly(self):
+        """Members of one fold family interleave within its run of the
+        fold sort, so each opens several candidates that must merge."""
+        for family in _FOLD_FAMILIES:
+            assert len(set(family)) == len(family)
+            assert len({_fold(FiveTuple(*member)) for member in family}) == 1
+        tuples = _interleaved(600)
+        _assert_same_decode(_records(tuples))
+        shuffled = np.random.default_rng(3).permutation(len(tuples))
+        _assert_same_decode(_records([tuples[i] for i in shuffled]))
+
+    def test_tuples_sharing_a_fold_across_two_reads(self, tmp_path):
+        """A tailed capture read in blocks that split the families: the
+        leftover of one read decodes with the next, as the source joins
+        them, and every chunk keys its packets as a fresh decode does."""
+        records = _records(_interleaved(1_200))
+        records["timestamp"] = np.arange(len(records)) * 1e-2
+        path = tmp_path / "folds.impl"
+        with PacketRecordWriter(path) as writer:
+            writer.write_records(records)
+        with PacketRecordReader(path) as reader:
+            first = reader.read_block(1_001)
+            second = reader.read_block(1_001)
+        assert len(second) == 1_001
+        leftover = first[700:]
+        _assert_same_decode(
+            np.concatenate([leftover.view(np.uint8), second.view(np.uint8)]).view(
+                RECORD_DTYPE
+            )
+        )
+        source = PacketRecordChunkSource(
+            path, chunk_size=700, epoch_seconds=2.3, block_records=1_001
+        )
+        chunks = list(source)
+        assert sum(chunk.num_packets for chunk in chunks) == len(records)
+        for chunk in chunks:
+            _assert_same_keys(chunk.trace, records[chunk.begin : chunk.end])
+
+    @given(
+        base=st.tuples(st.integers(0, (1 << 40) - 1), st.integers(0, (1 << 64) - 1)),
+        masks=st.lists(
+            st.integers(0, (1 << 40) - 1), min_size=1, max_size=6, unique=True
+        ),
+        others=st.lists(_POOL_TUPLES, max_size=4),
+        picks=st.lists(st.integers(0, 63), max_size=300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_decode_on_fold_families(
+        self, base, masks, others, picks
+    ):
+        tuples = _fold_family(*base, masks) + others
+        _assert_same_decode(_records([tuples[i % len(tuples)] for i in picks]))
 
 
 class TestPacketRecordChunkSource:
@@ -395,6 +506,88 @@ class TestPacketRecordChunkSource:
             PacketRecordChunkSource(capture, epoch_seconds=0.0)
         with pytest.raises(ConfigurationError):
             PacketRecordChunkSource(capture).seek_packets(-1)
+
+
+@pytest.fixture(scope="module")
+def campus_capture(tmp_path_factory):
+    """A campus capture shaped like the served benchmark's: a read of
+    records spans most of an epoch, so epoch boundaries cut some reads
+    into several chunks (:data:`_CAMPUS_CUTS`)."""
+    from repro.traffic.campus import CampusConfig, build_campus_trace
+
+    trace = build_campus_trace(CampusConfig(hours=24, num_flows=2_000, seed=5))
+    path = tmp_path_factory.mktemp("campus") / "campus.impl"
+    write_pcaplite(trace, path)
+    return trace, str(path)
+
+
+#: Chunk size, read size and epoch width over ``campus_capture``: ~175
+#: packets a second, so a read of 1,024 spans ~0.8 of an epoch.
+_CAMPUS_CUTS = dict(chunk_size=1_024, block_records=1_024, epoch_seconds=7.0)
+
+
+class _ReadLog(PacketRecordChunkSource):
+    """A capture source noting the stream position each read starts at."""
+
+    def _open(self) -> None:
+        super()._open()
+        self.reads: "list[int]" = []
+
+    def _read_more(self):
+        start = self._reader.records_read
+        block = super()._read_more()
+        if block is not None and len(block):
+            self.reads.append(start)
+        return block
+
+
+class TestOneDecodePerRead:
+    """The records waiting to be cut are decoded once: every chunk cut
+    from one read shares its columns and flow table."""
+
+    def test_chunks_of_one_read_share_its_table(self, campus_capture):
+        trace, path = campus_capture
+        source = _ReadLog(path, **_CAMPUS_CUTS)
+        by_read: "dict[int, list]" = {}
+        for chunk in source:
+            by_read.setdefault(len(source.reads) - 1, []).append(chunk)
+        tables = [{id(c.trace.flows) for c in chunks} for chunks in by_read.values()]
+        assert all(len(ids) == 1 for ids in tables)
+        assert len(set().union(*tables)) == len(by_read)
+        # Epoch boundaries cut some reads into several chunks.
+        assert max(len(chunks) for chunks in by_read.values()) >= 2
+        assert sum(len(chunks) for chunks in by_read.values()) > len(by_read)
+
+    @pytest.mark.parametrize("block_records", [1_024, 1_000, 333])
+    def test_every_chunk_decodes_as_its_own_records(
+        self, campus_capture, block_records
+    ):
+        trace, path = campus_capture
+        with PacketRecordReader(path) as reader:
+            records = reader.read_block(trace.num_packets)
+        source = _ReadLog(path, **dict(_CAMPUS_CUTS, block_records=block_records))
+        carried = 0
+        for chunk in source:
+            _assert_same_keys(chunk.trace, records[chunk.begin : chunk.end])
+            # A chunk that starts before its read holds the leftover the
+            # cuts before it carried into that read.
+            carried += chunk.begin < source.reads[-1]
+        # Reads of the chunk size leave nothing over; other reads do.
+        assert bool(carried) == (block_records != _CAMPUS_CUTS["chunk_size"])
+
+    def test_cuts_are_the_batch_sources(self, campus_capture):
+        """Cut positions, epochs and chunk indices are the one cutter's:
+        those the batch source cuts from the loaded trace."""
+        trace, path = campus_capture
+        cuts = dict(_CAMPUS_CUTS)
+        del cuts["block_records"]
+
+        def geometry(source):
+            return [(c.index, c.begin, c.end, c.epoch) for c in source]
+
+        want = geometry(TraceChunkSource(read_pcaplite(path), **cuts))
+        assert geometry(PacketRecordChunkSource(path, **_CAMPUS_CUTS)) == want
+        assert len({epoch for *_span, epoch in want}) > 10
 
 
 def _write_timestamps(path, timestamps) -> str:
